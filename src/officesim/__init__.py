@@ -70,7 +70,6 @@ from .occupants import (
     ScheduleClass,
     Stereotype,
     awareness_to_switch_off_prob,
-    decide_leave,
     sample_daily_schedule,
     sample_population,
     step_occupant,

@@ -140,34 +140,79 @@ def load_building(text: str, source: str = "<string>") -> BuildingModel:
 
 def load_building_file(path: str | Path) -> BuildingModel:
     path = Path(path)
-    return load_building(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read building file {path}: {exc}") from exc
+    return load_building(text, source=str(path))
+
+
+_REQUIRED = object()
+
+
+def read_field(
+    section: dict,
+    key: str,
+    kind: type,
+    problems: list[str],
+    default=_REQUIRED,
+    minimum: float | None = None,
+    prefix: str = "",
+):
+    """Typed field reader shared by the building and scenario loaders.
+
+    ``kind`` is int (an integer) or float (an integer or a float, returned
+    as written). A missing or null field gives ``default``; a field that
+    is required, of the wrong type or below ``minimum`` adds a problem
+    naming ``prefix + key``, and the reader returns a placeholder.
+    """
+    name = prefix + key
+    value = section.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            problems.append(f"missing required field '{name}'")
+            return 0
+        return default
+    if isinstance(value, bool) or not isinstance(
+        value, int if kind is int else (int, float)
+    ):
+        expected = "an integer" if kind is int else "a number"
+        problems.append(f"field '{name}' must be {expected}, got {value!r}")
+        return 0 if default is _REQUIRED else default
+    if minimum is not None and value < minimum:
+        problems.append(f"field '{name}' must be >= {minimum}, got {value}")
+    return value
+
+
+def read_section(section: dict, key: str, problems: list[str], prefix: str = "") -> dict:
+    """A nested mapping field; absent or null gives {}."""
+    value = section.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        problems.append(f"field '{prefix}{key}' must be a mapping, got {value!r}")
+        return {}
+    return value
 
 
 def _build_model(raw: dict, source: str) -> BuildingModel:
     problems: list[str] = []
 
-    def _num(key: str, minimum: float | None = None):
-        value = raw.get(key)
-        if value is None:
-            problems.append(f"missing required field '{key}'")
-            return 0
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            problems.append(f"field '{key}' must be a number, got {value!r}")
-            return 0
-        if minimum is not None and value < minimum:
-            problems.append(f"field '{key}' must be >= {minimum}, got {value}")
-        return value
+    base_load_watts = read_field(raw, "base_load_watts", float, problems, minimum=0)
+    max_occupants = read_field(raw, "max_occupants", float, problems, minimum=0)
 
-    base_load_watts = _num("base_load_watts", minimum=0)
-    max_occupants = _num("max_occupants", minimum=0)
-
-    defaults = raw.get("defaults") or {}
-    light_default = defaults.get("light_watts_on", DEFAULT_LIGHT_WATTS)
-    cw = defaults.get("computer_watts") or {}
-    computer_default = (
-        cw.get("off", DEFAULT_COMPUTER_WATTS[0]),
-        cw.get("standby", DEFAULT_COMPUTER_WATTS[1]),
-        cw.get("on", DEFAULT_COMPUTER_WATTS[2]),
+    defaults = read_section(raw, "defaults", problems)
+    light_default = read_field(
+        defaults, "light_watts_on", float, problems,
+        default=DEFAULT_LIGHT_WATTS, minimum=0, prefix="defaults.",
+    )
+    cw = read_section(defaults, "computer_watts", problems, prefix="defaults.")
+    computer_default = tuple(
+        read_field(
+            cw, key, float, problems,
+            default=fallback, minimum=0, prefix="defaults.computer_watts.",
+        )
+        for key, fallback in zip(("off", "standby", "on"), DEFAULT_COMPUTER_WATTS)
     )
 
     light_ids = list(raw.get("lights") or [])

@@ -11,7 +11,7 @@ trajectories and differ only in light switching.
 from __future__ import annotations
 
 import hashlib
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field, replace
 from random import Random
 
@@ -232,6 +232,12 @@ def run_replication(
     Per minute, in fixed order: day-rollover schedule sampling, agent
     steps in id order, event application to appliances, sensor stepping
     of lights, email contacts, and finally the power sample.
+
+    Work whose outcome is known is skipped, never reordered: a light bank
+    is stepped only while its step can change it (its room is occupied
+    and it is dark, or its room is vacant and it is lit), and a stretch
+    with nobody in the building and no light counting down is recorded
+    in one slice up to the next arrival or midnight.
     """
     scenario.validate()
     building = scenario.building
@@ -256,6 +262,7 @@ def run_replication(
     network = _build_network(
         len(agents), scenario.small_world_k, scenario.small_world_beta, rng_network
     )
+    contacts_on = network is not None and scenario.contact_rate > 0.0
 
     facility_ids = tuple(r.id for r in building.facility_rooms())
     ctx = BehaviorContext(params=params, facility_room_ids=facility_ids)
@@ -274,9 +281,13 @@ def run_replication(
         banks.append(bank)
         if room.kind is RoomKind.CORRIDOR:
             corridor_banks.append(bank)
-    stepped_banks = [
-        (bank, is_corridor[i], i) for i, bank in enumerate(banks) if bank.watts_total > 0
-    ]
+
+    # Automated policy: banks whose next step may change them. Any other
+    # bank is at a fixed point of step_automated (occupied and lit, or
+    # vacant and dark) until its room turns vacant or occupied.
+    steppable = [automated and bank.watts_total > 0 for bank in banks]
+    corridor_steppable = [i for i, c in enumerate(is_corridor) if c and steppable[i]]
+    dirty: set[int] = set()
 
     computer_watts_now: dict[str, float] = {}
     computer_transitions: dict[str, list[tuple[int, float]]] = {}
@@ -295,6 +306,7 @@ def run_replication(
     contact_count = 0
     active: list[OccupantAgent] = []  # kept sorted by id
     arrival_buckets: dict[int, list[OccupantAgent]] = {}
+    arrival_minutes: list[int] = []  # sorted keys of arrival_buckets
 
     run_trace = None
     if trace:
@@ -335,13 +347,30 @@ def run_replication(
                         )
                     )
 
+    def enter_room(idx: int) -> None:
+        nonlocal corridor_occupancy
+        corridor_occupancy -= 1
+        occupancy[idx] += 1
+        if occupancy[idx] == 1 and steppable[idx]:
+            dirty.add(idx)
+        if corridor_occupancy == 0:
+            dirty.update(corridor_steppable)
+
+    def leave_room(idx: int) -> None:
+        nonlocal corridor_occupancy
+        occupancy[idx] -= 1
+        corridor_occupancy += 1
+        if occupancy[idx] == 0 and steppable[idx]:
+            dirty.add(idx)
+        if corridor_occupancy == 1:
+            dirty.update(corridor_steppable)
+
     def apply_event(ev: OccupantEvent) -> None:
         nonlocal corridor_occupancy, computers_running, lights_running
         kind = ev.kind
         if kind is EventKind.ENTER_OWN_OFFICE or kind is EventKind.ENTER_OTHER_ROOM:
-            corridor_occupancy -= 1
             idx = room_index[ev.room_id]
-            occupancy[idx] += 1
+            enter_room(idx)
             if not automated:
                 bank = banks[idx]
                 if bank.turn_on(ev.minute):
@@ -353,14 +382,12 @@ def run_replication(
                     )
                 corridor_exit_decision(ev.agent_id, ev.minute)
         elif kind is EventKind.LEAVE_OFFICE_TEMPORARY:
-            occupancy[room_index[ev.room_id]] -= 1
-            corridor_occupancy += 1
+            leave_room(room_index[ev.room_id])
             if not automated:
                 corridor_lights_on(ev.agent_id, ev.minute)
         elif kind is EventKind.LEAVE_OFFICE_LONG or kind is EventKind.EXIT_OTHER_ROOM:
             idx = room_index[ev.room_id]
-            occupancy[idx] -= 1
-            corridor_occupancy += 1
+            leave_room(idx)
             if not automated:
                 leaver = agents[ev.agent_id]
                 if manual_exit_decision(
@@ -380,10 +407,14 @@ def run_replication(
                 corridor_lights_on(ev.agent_id, ev.minute)
         elif kind is EventKind.ENTER_BUILDING:
             corridor_occupancy += 1
+            if corridor_occupancy == 1:
+                dirty.update(corridor_steppable)
             if not automated:
                 corridor_lights_on(ev.agent_id, ev.minute)
         elif kind is EventKind.LEAVE_BUILDING:
             corridor_occupancy -= 1
+            if corridor_occupancy == 0:
+                dirty.update(corridor_steppable)
             active.remove(agents[ev.agent_id])
             if not automated:
                 corridor_exit_decision(ev.agent_id, ev.minute)
@@ -403,12 +434,18 @@ def run_replication(
                 computers_running += new_watts - old_watts
                 computer_transitions[computer_id].append((ev.minute, new_watts))
 
+    step = step_occupant
     minute_events: list[OccupantEvent] = []
-    for minute in range(n_minutes):
+    minute = 0
+    while minute < n_minutes:
         minute_of_day = minute % MINUTES_PER_DAY
 
         if minute_of_day == 0:
-            assert not active, "agents must be out of the building at midnight"
+            if active:
+                raise RuntimeError(
+                    f"{len(active)} agents still in the building at midnight "
+                    f"(minute {minute})"
+                )
             day = minute // MINUTES_PER_DAY
             dow = (start_dow + day) % 7
             arrival_buckets.clear()
@@ -419,6 +456,7 @@ def run_replication(
                     arrival_buckets.setdefault(schedule[0], []).append(agent)
                 if run_trace is not None:
                     run_trace.schedules[(day, agent.id)] = schedule
+            arrival_minutes = sorted(arrival_buckets)
             if run_trace is not None:
                 run_trace.awareness_by_day.append(
                     np.array([a.awareness for a in agents])
@@ -429,37 +467,55 @@ def run_replication(
             for agent in arriving:
                 insort(active, agent, key=lambda a: a.id)
 
+        if not active and not dirty:
+            # Nobody in the building and no light counting down: every
+            # minute up to the next arrival or midnight records the same
+            # sample.
+            pos = bisect_right(arrival_minutes, minute_of_day)
+            next_of_day = (
+                arrival_minutes[pos] if pos < len(arrival_minutes) else MINUTES_PER_DAY
+            )
+            end = min(minute + next_of_day - minute_of_day, n_minutes)
+            lights_arr[minute:end] = lights_running
+            computers_arr[minute:end] = computers_running
+            if run_trace is not None:
+                for i, bank in enumerate(banks):
+                    run_trace.lights_on[i, minute:end] = bank.is_on
+            minute = end
+            continue
+
         if active:
-            minute_events.clear()
             if run_trace is None:
                 for agent in active:
-                    evs = step_occupant(agent, minute, minute_of_day, ctx, rng_behavior)
-                    if evs:
-                        minute_events.extend(evs)
+                    step(agent, minute, minute_of_day, ctx, rng_behavior, minute_events)
             else:
                 for agent in active:
                     before = agent.state
-                    evs = step_occupant(agent, minute, minute_of_day, ctx, rng_behavior)
-                    if evs:
-                        minute_events.extend(evs)
+                    step(agent, minute, minute_of_day, ctx, rng_behavior, minute_events)
                     if agent.state is not before:
                         run_trace.state_transitions.append(
                             (minute, agent.id, before, agent.state)
                         )
-            for ev in minute_events:
-                event_log.append(ev)
-                apply_event(ev)  # may append manual light events right after
+            if minute_events:
+                for ev in minute_events:
+                    event_log.append(ev)
+                    apply_event(ev)  # may append manual light events right after
+                minute_events.clear()
 
-        if automated:
-            for bank, corridor_flag, idx in stepped_banks:
+        if dirty:
+            # Index order, as a full sweep over the rooms would step them.
+            for idx in sorted(dirty):
+                bank = banks[idx]
                 occupied = (
-                    corridor_occupancy if corridor_flag else occupancy[idx]
+                    corridor_occupancy if is_corridor[idx] else occupancy[idx]
                 ) > 0
                 delta = bank.step_automated(occupied, off_delay, minute)
                 if delta:
                     lights_running += delta * bank.watts_total
+                if occupied or not bank.is_on:
+                    dirty.discard(idx)
 
-        if network is not None and scenario.contact_rate > 0.0 and active:
+        if contacts_on and active:
             contacts = contact_step(
                 network,
                 agents,
@@ -483,6 +539,7 @@ def run_replication(
                 ) > 0
                 run_trace.room_occupied[i, minute] = occupied_now
                 run_trace.lights_on[i, minute] = banks[i].is_on
+        minute += 1
 
     for bank in banks:
         bank.finalize(n_minutes)

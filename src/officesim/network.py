@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .occupants import STEREOTYPE_PARAMS, AgentState, OccupantAgent
+from .occupants import AgentState, OccupantAgent
 
 # An agent's p_email is interpreted as expected emails per office day of
 # this many minutes (at contact_rate 1).
@@ -83,7 +83,11 @@ def build_small_world(n: int, k: int, beta: float, rng) -> SocialNetwork:
     edges = frozenset(
         (i, j) for i in range(n) for j in adjacency[i] if i < j
     )
-    assert 2 * len(edges) == n * k, "rewiring must preserve the edge count"
+    if 2 * len(edges) != n * k:
+        raise RuntimeError(
+            f"rewiring changed the edge count: {len(edges)} edges, "
+            f"expected {n * k // 2}"
+        )
     return SocialNetwork(
         n=n,
         k=k,
@@ -118,18 +122,23 @@ def contact_step(
         return []
     events: list[ContactEvent] = []
     scale = contact_rate / EMAIL_BASE_MINUTES
+    random = rng.random
+    choice = rng.choice  # draws exactly as randrange(len(nbrs)) would
+    neighbors = network.neighbors
     in_office = AgentState.IN_OWN_OFFICE
+    cap = AWARENESS_CAP
     for agent in agents if senders is None else senders:
         if agent.state is not in_office:
             continue
-        p_send = STEREOTYPE_PARAMS[agent.stereotype].p_email * scale
-        if rng.random() >= p_send:
+        if random() >= agent.p_email * scale:
             continue
-        nbrs = network.neighbors[agent.id]
+        sender_id = agent.id
+        nbrs = neighbors[sender_id]
         if not nbrs:
             continue
-        receiver_id = nbrs[rng.randrange(len(nbrs))]
+        receiver_id = choice(nbrs)
         receiver = agents[receiver_id]
-        receiver.awareness = min(AWARENESS_CAP, receiver.awareness + awareness_delta)
-        events.append(ContactEvent(agent.id, receiver_id, minute))
+        awareness = receiver.awareness + awareness_delta
+        receiver.awareness = awareness if awareness < cap else cap
+        events.append(ContactEvent(sender_id, receiver_id, minute))
     return events

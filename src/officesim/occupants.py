@@ -205,12 +205,6 @@ class LeaveKind(enum.Enum):
     LONG = "long"
 
 
-@dataclass(frozen=True, slots=True)
-class LeaveDecision:
-    kind: LeaveKind
-    duration: int = 0  # minutes away; meaningful for TEMPORARY only
-
-
 class EventKind(enum.Enum):
     ENTER_BUILDING = "enter_building"
     ENTER_OWN_OFFICE = "enter_own_office"
@@ -257,14 +251,28 @@ class OccupantAgent:
     visiting_room_id: str | None = None
     today_schedule: tuple[int, int] | None = None
     computer_power: int = POWER_OFF
+    # The stereotype's expected emails per office day, looked up once.
+    p_email: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.p_email = STEREOTYPE_PARAMS[self.stereotype].p_email
 
 
-@dataclass(frozen=True)
 class BehaviorContext:
-    """Static per-run context shared by every agent step."""
+    """Static per-run context shared by every agent step; the hazards
+    drawn against every minute are bound once, one attribute away."""
 
-    params: BehaviorParams
-    facility_room_ids: tuple[str, ...]
+    __slots__ = (
+        "params", "facility_room_ids", "leave_hazard", "standby_prob",
+        "other_room_hazard",
+    )
+
+    def __init__(self, params: BehaviorParams, facility_room_ids: tuple[str, ...]):
+        self.params = params
+        self.facility_room_ids = facility_room_ids
+        self.leave_hazard = params.leave_hazard_per_minute
+        self.standby_prob = params.computer_standby_prob_per_minute
+        self.other_room_hazard = params.other_room_hazard_per_minute
 
 
 def sample_population(
@@ -362,25 +370,18 @@ def sample_daily_schedule(
     return arrival, leave
 
 
-def decide_leave(
-    agent: OccupantAgent, minutes_remaining_today: int, rng, params: BehaviorParams
-) -> LeaveDecision:
-    """Per-minute office-leaving decision.
-
-    A constant hazard triggers a leave; close to the end of the day only
-    long leaves are offered so a temporary break always ends before the
-    agent's leave time. With no time remaining the departure is forced.
-    """
-    if minutes_remaining_today <= 0:
-        return LeaveDecision(LeaveKind.LONG)
-    if rng.random() >= params.leave_hazard_per_minute:
-        return LeaveDecision(LeaveKind.STAY)
-    if minutes_remaining_today <= params.temporary_leave_max:
-        return LeaveDecision(LeaveKind.LONG)
-    if rng.random() < params.temporary_leave_fraction:
-        duration = rng.randint(params.temporary_leave_min, params.temporary_leave_max)
-        return LeaveDecision(LeaveKind.TEMPORARY, duration)
-    return LeaveDecision(LeaveKind.LONG)
+# Members bound at module level: a global lookup is cheaper than an
+# enum class attribute in the per-minute step.
+_OUT = AgentState.OUT_OF_SCHOOL
+_CORRIDOR = AgentState.IN_CORRIDOR
+_OFFICE = AgentState.IN_OWN_OFFICE
+_OTHER_ROOMS = AgentState.IN_OTHER_ROOMS
+_ENTERING = CorridorMode.ENTERING
+_TEMP_BREAK = CorridorMode.TEMP_BREAK
+_LONG_BREAK = CorridorMode.LONG_BREAK
+_EXITING = CorridorMode.EXITING
+_WITH_COMPUTER = OfficeActivity.WITH_COMPUTER
+_WITHOUT_COMPUTER = OfficeActivity.WITHOUT_COMPUTER
 
 
 def step_occupant(
@@ -389,147 +390,159 @@ def step_occupant(
     minute_of_day: int,
     ctx: BehaviorContext,
     rng,
-) -> list[OccupantEvent]:
-    """Advance one agent by one minute, returning the events it emits.
+    events: list[OccupantEvent],
+) -> bool:
+    """Advance one agent by one minute, appending the events it emits to
+    ``events``; returns True iff it emitted any.
 
     Requires today's schedule to have been sampled already (None means
     absent all day). Light switching is not decided here; the engine
     derives manual light events from entry/exit events and the active
     policy.
-    """
-    events: list[OccupantEvent] = []
-    schedule = agent.today_schedule
-    state = agent.state
 
-    if state is AgentState.OUT_OF_SCHOOL:
+    Leave rule, in the office: at the leave minute the agent departs. Before
+    it, a constant per-minute hazard triggers a leave, temporary with
+    probability ``temporary_leave_fraction`` and long otherwise; when no
+    more than ``temporary_leave_max`` minutes remain only long leaves are
+    offered, so a temporary break always ends before the leave time.
+    """
+    state = agent.state
+    schedule = agent.today_schedule
+    if state is _OUT:
         if schedule is not None and minute_of_day == schedule[0]:
-            agent.state = AgentState.IN_CORRIDOR
-            agent.corridor_mode = CorridorMode.ENTERING
+            agent.state = _CORRIDOR
+            agent.corridor_mode = _ENTERING
             agent.timer = CORRIDOR_TRANSIT_MINUTES
             events.append(OccupantEvent(EventKind.ENTER_BUILDING, minute, agent.id))
-        return events
+            return True
+        return False
 
     if schedule is None:
         raise RuntimeError(f"agent {agent.id} is active without a schedule")
     leave_minute = schedule[1]
-    params = ctx.params
 
-    if state is AgentState.IN_CORRIDOR:
-        mode = agent.corridor_mode
-        if mode is CorridorMode.EXITING:
-            agent.timer -= 1
-            if agent.timer <= 0:
-                agent.state = AgentState.OUT_OF_SCHOOL
-                agent.corridor_mode = None
-                events.append(
-                    OccupantEvent(EventKind.LEAVE_BUILDING, minute, agent.id)
-                )
-            return events
-        if mode is CorridorMode.ENTERING:
-            agent.timer -= 1
-            if agent.timer <= 0:
-                if minute_of_day >= leave_minute:
-                    # Day ended before the office was reached; head out.
-                    agent.corridor_mode = CorridorMode.EXITING
-                    agent.timer = CORRIDOR_TRANSIT_MINUTES
-                else:
-                    _enter_office(agent, minute, events)
-            return events
-        if mode is CorridorMode.TEMP_BREAK:
-            agent.timer -= 1
-            if agent.timer <= 0:
-                _enter_office(agent, minute, events)
-            return events
-        # LONG_BREAK: idle in the corridor, occasionally using facilities.
+    if state is _OFFICE:
         if minute_of_day >= leave_minute:
-            agent.corridor_mode = CorridorMode.EXITING
+            _leave_office_long(agent, minute, events, rng, ctx.params)
+            agent.corridor_mode = _EXITING
             agent.timer = CORRIDOR_TRANSIT_MINUTES
-            return events
-        agent.timer -= 1
-        if agent.timer <= 0:
-            _enter_office(agent, minute, events)
-            return events
-        if ctx.facility_room_ids and (
-            rng.random() < params.other_room_hazard_per_minute
-        ):
-            room_id = ctx.facility_room_ids[rng.randrange(len(ctx.facility_room_ids))]
-            agent.break_timer = agent.timer  # resumes after the visit
-            agent.state = AgentState.IN_OTHER_ROOMS
-            agent.visiting_room_id = room_id
-            agent.timer = rng.randint(
-                params.other_room_dwell_min, params.other_room_dwell_max
-            )
-            events.append(
-                OccupantEvent(EventKind.ENTER_OTHER_ROOM, minute, agent.id, room_id)
-            )
-        return events
-
-    if state is AgentState.IN_OTHER_ROOMS:
-        agent.timer -= 1
-        if agent.timer <= 0:
-            events.append(
-                OccupantEvent(
-                    EventKind.EXIT_OTHER_ROOM, minute, agent.id, agent.visiting_room_id
+            return True
+        if rng.random() < ctx.leave_hazard:
+            params = ctx.params
+            if (
+                leave_minute - minute_of_day > params.temporary_leave_max
+                and rng.random() < params.temporary_leave_fraction
+            ):
+                agent.state = _CORRIDOR
+                agent.corridor_mode = _TEMP_BREAK
+                agent.timer = rng.randint(
+                    params.temporary_leave_min, params.temporary_leave_max
                 )
-            )
-            agent.visiting_room_id = None
-            agent.state = AgentState.IN_CORRIDOR
-            agent.corridor_mode = CorridorMode.LONG_BREAK
-            agent.timer = agent.break_timer
-        return events
-
-    # IN_OWN_OFFICE
-    if minute_of_day >= leave_minute:
-        _leave_office_long(agent, minute, events, rng, params)
-        agent.corridor_mode = CorridorMode.EXITING
-        agent.timer = CORRIDOR_TRANSIT_MINUTES
-        return events
-
-    decision = decide_leave(agent, leave_minute - minute_of_day, rng, params)
-    if decision.kind is LeaveKind.TEMPORARY:
-        agent.state = AgentState.IN_CORRIDOR
-        agent.corridor_mode = CorridorMode.TEMP_BREAK
-        agent.timer = decision.duration
-        events.append(
-            OccupantEvent(
-                EventKind.LEAVE_OFFICE_TEMPORARY,
-                minute,
-                agent.id,
-                agent.office_room_id,
-            )
-        )
-        return events
-    if decision.kind is LeaveKind.LONG:
-        duration = rng.randint(params.long_leave_min, params.long_leave_max)
-        _leave_office_long(agent, minute, events, rng, params)
-        if minute_of_day + duration >= leave_minute:
-            # Break would outlast the working day: this is the departure.
-            agent.corridor_mode = CorridorMode.EXITING
-            agent.timer = CORRIDOR_TRANSIT_MINUTES
-        else:
-            agent.corridor_mode = CorridorMode.LONG_BREAK
-            agent.timer = duration
-        return events
-
-    # Staying put: computer session dynamics.
-    if agent.computer_id is not None:
-        if agent.office_activity is OfficeActivity.WITH_COMPUTER:
-            if rng.random() < params.computer_standby_prob_per_minute:
+                events.append(
+                    OccupantEvent(
+                        EventKind.LEAVE_OFFICE_TEMPORARY,
+                        minute,
+                        agent.id,
+                        agent.office_room_id,
+                    )
+                )
+                return True
+            duration = rng.randint(params.long_leave_min, params.long_leave_max)
+            _leave_office_long(agent, minute, events, rng, params)
+            if minute_of_day + duration >= leave_minute:
+                # Break would outlast the working day: this is the departure.
+                agent.corridor_mode = _EXITING
+                agent.timer = CORRIDOR_TRANSIT_MINUTES
+            else:
+                agent.corridor_mode = _LONG_BREAK
+                agent.timer = duration
+            return True
+        # Staying put: computer session dynamics.
+        if agent.computer_id is None:
+            return False
+        if agent.office_activity is _WITH_COMPUTER:
+            if rng.random() < ctx.standby_prob:
                 agent.computer_power = POWER_STANDBY
-                agent.office_activity = OfficeActivity.WITHOUT_COMPUTER
+                agent.office_activity = _WITHOUT_COMPUTER
                 agent.timer = COMPUTER_SWITCH_ON_MINUTES
                 events.append(
                     OccupantEvent(EventKind.COMPUTER_TO_STANDBY, minute, agent.id)
                 )
-        else:
+                return True
+            return False
+        agent.timer -= 1
+        if agent.timer <= 0:
+            agent.computer_power = POWER_ON
+            agent.office_activity = _WITH_COMPUTER
+            events.append(OccupantEvent(EventKind.SWITCH_COMPUTER_ON, minute, agent.id))
+            return True
+        return False
+
+    if state is _CORRIDOR:
+        mode = agent.corridor_mode
+        if mode is _EXITING:
             agent.timer -= 1
             if agent.timer <= 0:
-                agent.computer_power = POWER_ON
-                agent.office_activity = OfficeActivity.WITH_COMPUTER
-                events.append(
-                    OccupantEvent(EventKind.SWITCH_COMPUTER_ON, minute, agent.id)
-                )
-    return events
+                agent.state = _OUT
+                agent.corridor_mode = None
+                events.append(OccupantEvent(EventKind.LEAVE_BUILDING, minute, agent.id))
+                return True
+            return False
+        if mode is _ENTERING:
+            agent.timer -= 1
+            if agent.timer <= 0:
+                if minute_of_day >= leave_minute:
+                    # Day ended before the office was reached; head out.
+                    agent.corridor_mode = _EXITING
+                    agent.timer = CORRIDOR_TRANSIT_MINUTES
+                    return False
+                _enter_office(agent, minute, events)
+                return True
+            return False
+        if mode is _TEMP_BREAK:
+            agent.timer -= 1
+            if agent.timer <= 0:
+                _enter_office(agent, minute, events)
+                return True
+            return False
+        # LONG_BREAK: idle in the corridor, occasionally using facilities.
+        if minute_of_day >= leave_minute:
+            agent.corridor_mode = _EXITING
+            agent.timer = CORRIDOR_TRANSIT_MINUTES
+            return False
+        agent.timer -= 1
+        if agent.timer <= 0:
+            _enter_office(agent, minute, events)
+            return True
+        facility_ids = ctx.facility_room_ids
+        if facility_ids and rng.random() < ctx.other_room_hazard:
+            room_id = facility_ids[rng.randrange(len(facility_ids))]
+            agent.break_timer = agent.timer  # resumes after the visit
+            agent.state = _OTHER_ROOMS
+            agent.visiting_room_id = room_id
+            agent.timer = rng.randint(
+                ctx.params.other_room_dwell_min, ctx.params.other_room_dwell_max
+            )
+            events.append(
+                OccupantEvent(EventKind.ENTER_OTHER_ROOM, minute, agent.id, room_id)
+            )
+            return True
+        return False
+
+    # IN_OTHER_ROOMS
+    agent.timer -= 1
+    if agent.timer <= 0:
+        events.append(
+            OccupantEvent(
+                EventKind.EXIT_OTHER_ROOM, minute, agent.id, agent.visiting_room_id
+            )
+        )
+        agent.visiting_room_id = None
+        agent.state = _CORRIDOR
+        agent.corridor_mode = _LONG_BREAK
+        agent.timer = agent.break_timer
+        return True
+    return False
 
 
 def _enter_office(agent: OccupantAgent, minute: int, events: list) -> None:

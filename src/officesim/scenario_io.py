@@ -59,7 +59,7 @@ import yaml
 from . import __version__
 from .accounting import EnergyLedger, category_proportions_masked, half_hour_bins
 from .appliances import LightingPolicy, PolicyKind
-from .building import load_building_file, serialize_building
+from .building import load_building_file, read_field, read_section, serialize_building
 from .engine import ExperimentResult, PolicyComparison, Scenario
 from .errors import ParseError, ValidationError
 from .occupants import (
@@ -77,8 +77,18 @@ DAY_NAMES = (
     "Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday",
 )
 
-_BEHAVIOR_FIELDS = tuple(BehaviorParams.__dataclass_fields__)
-_SOCIAL_FIELDS = ("contact_rate", "awareness_delta", "small_world_k", "small_world_beta")
+# Field name -> int or float, from the annotations of BehaviorParams.
+_BEHAVIOR_FIELDS = {
+    name: int if f.type == "int" else float
+    for name, f in BehaviorParams.__dataclass_fields__.items()
+}
+# Field name -> default; its type is the field's type.
+_SOCIAL_FIELDS = {
+    "contact_rate": 1.0,
+    "awareness_delta": 1.0,
+    "small_world_k": 4,
+    "small_world_beta": 0.1,
+}
 _TOP_LEVEL_FIELDS = frozenset(
     {
         "building",
@@ -125,31 +135,17 @@ def parse_scenario_text(
     building_ref = raw.get("building")
     if building_ref is None:
         problems.append("missing required field 'building'")
-    horizon_days = raw.get("horizon_days")
-    if horizon_days is None:
-        problems.append("missing required field 'horizon_days'")
+    elif not isinstance(building_ref, str):
+        problems.append(f"field 'building' must be a path, got {building_ref!r}")
+    horizon_days = read_field(raw, "horizon_days", int, problems)
+    start_day_of_week = read_field(raw, "start_day_of_week", int, problems, default=0)
+    replications = read_field(raw, "replications", int, problems, default=20)
+    master_seed = read_field(raw, "seed", int, problems, default=1)
 
-    population = raw.get("population") or {}
-    size = population.get("size")
-    if size is None:
-        problems.append("missing required field 'population.size'")
-
-    if problems:
-        raise ValidationError([f"{source}: {p}" for p in problems])
-
-    building_path = Path(base_dir) / str(building_ref)
-    building = load_building_file(building_path)
-
-    mix = PopulationMix(
-        schedule=_parse_mix(
-            population.get("schedule_mix"), ScheduleClass, "population.schedule_mix",
-            problems,
-        ),
-        awareness=_parse_mix(
-            population.get("awareness_mix"), Stereotype, "population.awareness_mix",
-            problems,
-        ),
-    )
+    population = read_section(raw, "population", problems)
+    size = read_field(population, "size", int, problems, prefix="population.")
+    schedule_mix = _parse_mix(population, "schedule_mix", ScheduleClass, problems)
+    awareness_mix = _parse_mix(population, "awareness_mix", Stereotype, problems)
 
     policy_name = raw.get("lighting_policy", PolicyKind.AUTOMATED.value)
     try:
@@ -160,37 +156,48 @@ def parse_scenario_text(
             f"{[k.value for k in PolicyKind]}, got {policy_name!r}"
         )
         policy_kind = PolicyKind.AUTOMATED
-    off_delay = raw.get("automated_off_delay_minutes", 20)
-    policy = LightingPolicy(policy_kind, off_delay)
+    off_delay = read_field(raw, "automated_off_delay_minutes", int, problems, default=20)
 
-    behavior_raw = raw.get("behavior") or {}
+    behavior_raw = read_section(raw, "behavior", problems)
     for key in sorted(set(behavior_raw) - set(_BEHAVIOR_FIELDS)):
         problems.append(f"unknown field 'behavior.{key}'")
-    behavior = BehaviorParams(
-        **{k: v for k, v in behavior_raw.items() if k in _BEHAVIOR_FIELDS}
-    )
+    behavior_values = {
+        key: read_field(
+            behavior_raw, key, kind, problems, default=None, prefix="behavior."
+        )
+        for key, kind in _BEHAVIOR_FIELDS.items()
+    }
 
-    social = raw.get("social") or {}
+    social = read_section(raw, "social", problems)
     for key in sorted(set(social) - set(_SOCIAL_FIELDS)):
         problems.append(f"unknown field 'social.{key}'")
+    social_values = {
+        key: read_field(social, key, type(default), problems, default=default,
+                        prefix="social.")
+        for key, default in _SOCIAL_FIELDS.items()
+    }
 
     if problems:
         raise ValidationError([f"{source}: {p}" for p in problems])
 
+    building_path = Path(base_dir) / building_ref
+    building = load_building_file(building_path)
     scenario = Scenario(
         building=building,
-        population_size=int(size),
-        mix=mix,
-        policy=policy,
-        contact_rate=float(social.get("contact_rate", 1.0)),
-        awareness_delta=float(social.get("awareness_delta", 1.0)),
-        small_world_k=int(social.get("small_world_k", 4)),
-        small_world_beta=float(social.get("small_world_beta", 0.1)),
-        behavior=behavior,
-        horizon_days=int(horizon_days),
-        start_day_of_week=int(raw.get("start_day_of_week", 0)),
-        replications=int(raw.get("replications", 20)),
-        master_seed=int(raw.get("seed", 1)),
+        population_size=size,
+        mix=PopulationMix(schedule=schedule_mix, awareness=awareness_mix),
+        policy=LightingPolicy(policy_kind, off_delay),
+        contact_rate=float(social_values["contact_rate"]),
+        awareness_delta=float(social_values["awareness_delta"]),
+        small_world_k=social_values["small_world_k"],
+        small_world_beta=float(social_values["small_world_beta"]),
+        behavior=BehaviorParams(
+            **{k: v for k, v in behavior_values.items() if v is not None}
+        ),
+        horizon_days=horizon_days,
+        start_day_of_week=start_day_of_week,
+        replications=replications,
+        master_seed=master_seed,
         building_path=str(building_path.resolve()),
     )
     try:
@@ -200,21 +207,23 @@ def parse_scenario_text(
     return scenario
 
 
-def _parse_mix(section, enum_cls, where, problems):
-    if section is None:
+def _parse_mix(population, key, enum_cls, problems):
+    if population.get(key) is None:
         return dict(
             PopulationMix().schedule
             if enum_cls is ScheduleClass
             else PopulationMix().awareness
         )
+    where = f"population.{key}"
+    section = read_section(population, key, problems, prefix="population.")
     out = {}
     valid = {member.value: member for member in enum_cls}
-    for key, value in section.items():
-        member = valid.get(str(key))
+    for name in section:
+        member = valid.get(str(name))
         if member is None:
-            problems.append(f"{where} has unknown entry '{key}'")
+            problems.append(f"{where} has unknown entry '{name}'")
             continue
-        out[member] = float(value)
+        out[member] = float(read_field(section, name, float, problems, prefix=f"{where}."))
     for member in enum_cls:
         out.setdefault(member, 0.0)
     return out

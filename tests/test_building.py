@@ -140,3 +140,25 @@ def test_helper_views():
         sum(s.watts_on for s in model.lights.values())
         + sum(s.watts_on for s in model.computers.values())
     )
+
+
+@pytest.mark.parametrize(
+    "defaults,field",
+    [
+        ("{light_watts_on: '60'}", "defaults.light_watts_on"),
+        ("{computer_watts: {standby: -1}}", "defaults.computer_watts.standby"),
+        ("{computer_watts: [0, 25, 400]}", "defaults.computer_watts"),
+        ("[60]", "defaults"),
+    ],
+)
+def test_malformed_defaults_are_named(defaults, field):
+    text = make_building_text() + f"defaults: {defaults}\n"
+    with pytest.raises(ValidationError) as err:
+        load_building(text)
+    assert f"'{field}'" in str(err.value)
+
+
+def test_missing_building_file_is_a_parse_error(tmp_path):
+    with pytest.raises(ParseError) as err:
+        load_building_file(tmp_path / "absent.yaml")
+    assert "absent.yaml" in str(err.value)

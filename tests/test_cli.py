@@ -1,6 +1,8 @@
 import json
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from officesim.cli import main
 
@@ -112,3 +114,63 @@ def test_runtime_error_exit_code(scenario_path, tmp_path):
     code = main(["simulate", "--scenario", str(scenario_path),
                  "--out", str(blocker / "sub")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "override,field",
+    [
+        ({"population": [1]}, "population"),
+        ({"population": {"size": "abc"}}, "population.size"),
+        ({"behavior": {"leave_hazard_per_minute": "0.01"}},
+         "behavior.leave_hazard_per_minute"),
+        ({"automated_off_delay_minutes": "20"}, "automated_off_delay_minutes"),
+        ({"seed": 1.7}, "seed"),
+        ({"horizon_days": True}, "horizon_days"),
+        ({"building": ["building.yaml"]}, "building"),
+        ({"building": "missing.yaml"}, "missing.yaml"),
+        ({"social": {"small_world_k": 4.5}}, "social.small_world_k"),
+        ({"population": {"size": 4, "awareness_mix": {"big_user": "most"}}},
+         "population.awareness_mix.big_user"),
+    ],
+)
+def test_malformed_field_is_a_config_error_naming_it(tmp_path, capsys, override, field):
+    (tmp_path / "building.yaml").write_text(make_building_text())
+    doc = yaml.safe_load(SMALL_SCENARIO)
+    doc.update(override)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["validate", "--scenario", str(path)]) == 1
+    assert field in capsys.readouterr().err
+
+
+_yaml_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 300), st.floats(-2, 300),
+    st.text(max_size=4), st.lists(st.integers(0, 3), max_size=2),
+)
+_sections = st.dictionaries(
+    st.sampled_from(["size", "contact_rate", "small_world_k", "big_user",
+                     "leave_hazard_per_minute", "long_leave_min", "other"]),
+    _yaml_scalars, max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    fields=st.dictionaries(
+        st.sampled_from(["seed", "horizon_days", "start_day_of_week",
+                         "replications", "lighting_policy",
+                         "automated_off_delay_minutes", "extra"]),
+        _yaml_scalars, max_size=4,
+    ),
+    sections=st.dictionaries(
+        st.sampled_from(["population", "social", "behavior"]),
+        st.one_of(_yaml_scalars, _sections), max_size=3,
+    ),
+)
+def test_fuzzed_scenario_never_gives_a_runtime_error(tmp_path, fields, sections):
+    (tmp_path / "building.yaml").write_text(make_building_text())
+    doc = {"building": "building.yaml", **fields, **sections}
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["validate", "--scenario", str(path)]) in (0, 1)

@@ -205,3 +205,39 @@ def test_big_population_mix_override():
     )
     result = run_replication(scenario, seed=2)
     assert all(r.stereotype is Stereotype.BIG_USER for r in result.roster)
+
+
+def test_agent_left_in_building_at_midnight_is_a_runtime_error(monkeypatch):
+    # Drop every LEAVE_BUILDING event: the agents never leave the active
+    # set, and the midnight check must catch it, also under `python -O`.
+    from officesim import engine
+
+    real_step = engine.step_occupant
+
+    def step_without_leaving(agent, minute, minute_of_day, ctx, rng, events):
+        own = []
+        real_step(agent, minute, minute_of_day, ctx, rng, own)
+        events.extend(e for e in own if e.kind is not EventKind.LEAVE_BUILDING)
+        return bool(own)
+
+    monkeypatch.setattr(engine, "step_occupant", step_without_leaving)
+    scenario = make_small_scenario(population_size=3, horizon_days=2)
+    with pytest.raises(RuntimeError, match="midnight"):
+        run_replication(scenario, seed=5)
+
+
+def test_idle_stretches_match_minute_by_minute_recording():
+    # A Friday start leaves most minutes idle, and staff-controlled lights
+    # may stay lit through them; the traced light matrix, filled in one
+    # slice per idle stretch, must agree with the ledger on every minute.
+    scenario = make_small_scenario(
+        population_size=5, horizon_days=3, start_day_of_week=4,
+        policy=LightingPolicy.staff_controlled(),
+    )
+    result = run_replication(scenario, seed=8, trace=True)
+    building = scenario.building
+    watts = np.array([
+        sum(building.lights[lid].watts_on for lid in building.room(rid).light_ids)
+        for rid in result.trace.room_ids
+    ])
+    assert np.array_equal(watts @ result.trace.lights_on, result.ledger.lights_w)

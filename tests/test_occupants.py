@@ -11,7 +11,6 @@ from officesim import (
     EventKind,
     ValidationError,
     awareness_to_switch_off_prob,
-    decide_leave,
     sample_daily_schedule,
     sample_population,
     step_occupant,
@@ -166,50 +165,96 @@ def test_saturday_presence_frequency():
     assert abs(present / n - 0.02) <= 0.0015
 
 
-# --- leave decisions --------------------------------------------------------
+# --- leave decisions (the leave rule inside step_occupant) -----------------
+
+def _office_agent(computer=None):
+    """Agent at its desk on a 540-1020 day; without a computer by default,
+    so a minute spent staying draws nothing but the leave hazard."""
+    agent = OccupantAgent(0, ScheduleClass.EARLY_BIRD,
+                          Stereotype.BIG_USER, 10.0, "office-p0",
+                          computer_id=computer)
+    agent.today_schedule = (540, 1020)
+    agent.state = AgentState.IN_OWN_OFFICE
+    return agent
+
+
+def _leave_kind(agent, minutes_remaining, rng, ctx):
+    """Step an agent at its desk once with ``minutes_remaining`` before
+    its leave time; returns the leave taken (STAY if none) and puts the
+    agent back at its desk."""
+    minute = 1020 - minutes_remaining
+    events = []
+    step_occupant(agent, minute, minute, ctx, rng, events)
+    kinds = [e.kind for e in events]
+    agent.state = AgentState.IN_OWN_OFFICE
+    agent.corridor_mode = None
+    if EventKind.LEAVE_OFFICE_TEMPORARY in kinds:
+        return LeaveKind.TEMPORARY
+    if EventKind.LEAVE_OFFICE_LONG in kinds:
+        return LeaveKind.LONG
+    return LeaveKind.STAY
+
 
 def test_forced_departure_at_zero_minutes():
-    agent = OccupantAgent(0, ScheduleClass.EARLY_BIRD,
-                          Stereotype.BIG_USER, 10.0, "office-p0")
-    decision = decide_leave(agent, 0, ScriptedRandom(), BehaviorParams())
-    assert decision.kind is LeaveKind.LONG
+    agent = _office_agent()
+    # the hazard would not fire (1.0): at the leave minute it is not drawn
+    rng = ScriptedRandom(values=[1.0])
+    assert _leave_kind(agent, 0, rng, _ctx()) is LeaveKind.LONG
+    assert rng.values == [1.0]
 
 
 def test_leave_hazard_frequency():
-    agent = OccupantAgent(0, ScheduleClass.EARLY_BIRD,
-                          Stereotype.BIG_USER, 10.0, "office-p0")
+    agent = _office_agent()
     rng = random.Random(7)
-    params = BehaviorParams()
+    ctx = _ctx()
     n = 100_000
     leaves = sum(
-        decide_leave(agent, 400, rng, params).kind is not LeaveKind.STAY
+        _leave_kind(agent, 400, rng, ctx) is not LeaveKind.STAY
         for _ in range(n)
     )
     assert abs(leaves - n * 0.01) <= three_sigma(n, 0.01)
 
 
 def test_temporary_duration_bounds():
-    agent = OccupantAgent(0, ScheduleClass.EARLY_BIRD,
-                          Stereotype.BIG_USER, 10.0, "office-p0")
+    agent = _office_agent()
     rng = random.Random(11)
-    params = BehaviorParams()
+    ctx = _ctx()
     seen = set()
     for _ in range(20_000):
-        decision = decide_leave(agent, 400, rng, params)
-        if decision.kind is LeaveKind.TEMPORARY:
-            assert 5 <= decision.duration <= 19
-            seen.add(decision.duration)
+        if _leave_kind(agent, 400, rng, ctx) is LeaveKind.TEMPORARY:
+            assert 5 <= agent.timer <= 19
+            seen.add(agent.timer)
     assert seen == set(range(5, 20))
 
 
+def test_temporary_leave_fraction():
+    agent = _office_agent()
+    rng = random.Random(17)
+    ctx = _ctx()
+    kinds = Counter(_leave_kind(agent, 400, rng, ctx) for _ in range(100_000))
+    leaves = kinds[LeaveKind.TEMPORARY] + kinds[LeaveKind.LONG]
+    assert abs(kinds[LeaveKind.TEMPORARY] - leaves * 0.7) <= three_sigma(leaves, 0.7)
+
+
+def test_temporary_leave_draws_split_then_duration():
+    agent = _office_agent()
+    # hazard fires (0.0), split picks temporary (0.5 < 0.7), duration 12
+    rng = ScriptedRandom(values=[0.0, 0.5], ints=[12])
+    assert _leave_kind(agent, 400, rng, _ctx()) is LeaveKind.TEMPORARY
+    assert agent.timer == 12
+    assert rng.values == [] and rng.ints == []
+
+
 def test_only_long_leaves_near_end_of_day():
-    agent = OccupantAgent(0, ScheduleClass.EARLY_BIRD,
-                          Stereotype.BIG_USER, 10.0, "office-p0")
+    agent = _office_agent()
     rng = random.Random(13)
-    params = BehaviorParams()
+    ctx = _ctx()
     for _ in range(20_000):
-        decision = decide_leave(agent, 15, rng, params)
-        assert decision.kind in (LeaveKind.STAY, LeaveKind.LONG)
+        assert _leave_kind(agent, 15, rng, ctx) in (LeaveKind.STAY, LeaveKind.LONG)
+    # near the end the split is not drawn: hazard (0.0), then the duration
+    scripted = ScriptedRandom(values=[0.0, 0.0], ints=[30])
+    assert _leave_kind(agent, 15, scripted, ctx) is LeaveKind.LONG
+    assert scripted.values == [0.0] and scripted.ints == []
 
 
 # --- state machine stepping ------------------------------------------------
@@ -218,6 +263,14 @@ def _ctx(**over):
     return BehaviorContext(
         params=BehaviorParams(**over), facility_room_ids=("kitchen-0",)
     )
+
+
+def _step(agent, minute, ctx, rng):
+    """One step at ``minute`` of day 0; returns the events emitted."""
+    events = []
+    emitted = step_occupant(agent, minute, minute, ctx, rng, events)
+    assert emitted is bool(events)
+    return events
 
 
 def _fresh_agent(schedule=(540, 1020), computer="K000"):
@@ -231,18 +284,18 @@ def _fresh_agent(schedule=(540, 1020), computer="K000"):
 def test_no_events_before_arrival():
     agent = _fresh_agent()
     for minute in range(530, 540):
-        assert step_occupant(agent, minute, minute, _ctx(), ScriptedRandom()) == []
+        assert _step(agent, minute, _ctx(), ScriptedRandom()) == []
     assert agent.state is AgentState.OUT_OF_SCHOOL
 
 
 def test_corridor_transit_takes_exactly_two_minutes():
     agent = _fresh_agent()
     rng = ScriptedRandom(values=[1.0] * 50)
-    events = step_occupant(agent, 540, 540, _ctx(), rng)
+    events = _step(agent, 540, _ctx(), rng)
     assert [e.kind for e in events] == [EventKind.ENTER_BUILDING]
     assert agent.state is AgentState.IN_CORRIDOR
-    assert step_occupant(agent, 541, 541, _ctx(), rng) == []
-    events = step_occupant(agent, 542, 542, _ctx(), rng)
+    assert _step(agent, 541, _ctx(), rng) == []
+    events = _step(agent, 542, _ctx(), rng)
     assert [e.kind for e in events] == [EventKind.ENTER_OWN_OFFICE]
     assert agent.state is AgentState.IN_OWN_OFFICE
 
@@ -251,8 +304,8 @@ def test_computer_switched_on_two_minutes_after_entering():
     agent = _fresh_agent()
     rng = ScriptedRandom(values=[1.0] * 50)
     for minute in (540, 541, 542, 543):
-        step_occupant(agent, minute, minute, _ctx(), rng)
-    events = step_occupant(agent, 544, 544, _ctx(), rng)
+        _step(agent, minute, _ctx(), rng)
+    events = _step(agent, 544, _ctx(), rng)
     assert [e.kind for e in events] == [EventKind.SWITCH_COMPUTER_ON]
     assert agent.computer_power == POWER_ON
 
@@ -262,7 +315,7 @@ def test_agent_without_computer_emits_no_computer_events():
     rng = ScriptedRandom(values=[1.0] * 600)
     kinds = []
     for minute in range(540, 700):
-        kinds += [e.kind for e in step_occupant(agent, minute, minute, _ctx(), rng)]
+        kinds += [e.kind for e in _step(agent, minute, _ctx(), rng)]
     assert EventKind.SWITCH_COMPUTER_ON not in kinds
     assert EventKind.COMPUTER_TO_STANDBY not in kinds
 
@@ -271,14 +324,14 @@ def test_standby_then_resume_cycle():
     agent = _fresh_agent()
     rng = ScriptedRandom(values=[1.0] * 10)
     for minute in range(540, 545):
-        step_occupant(agent, minute, minute, _ctx(), rng)
+        _step(agent, minute, _ctx(), rng)
     assert agent.computer_power == POWER_ON
     # leave-hazard draw stays (1.0), standby draw fires (0.0)
-    events = step_occupant(agent, 545, 545, _ctx(), ScriptedRandom(values=[1.0, 0.0]))
+    events = _step(agent, 545, _ctx(), ScriptedRandom(values=[1.0, 0.0]))
     assert [e.kind for e in events] == [EventKind.COMPUTER_TO_STANDBY]
     rng = ScriptedRandom(values=[1.0] * 10)
-    assert step_occupant(agent, 546, 546, _ctx(), rng) == []
-    events = step_occupant(agent, 547, 547, _ctx(), rng)
+    assert _step(agent, 546, _ctx(), rng) == []
+    events = _step(agent, 547, _ctx(), rng)
     assert [e.kind for e in events] == [EventKind.SWITCH_COMPUTER_ON]
 
 
@@ -286,15 +339,15 @@ def test_temporary_leave_duration_is_exact():
     agent = _fresh_agent()
     warmup = ScriptedRandom(values=[1.0] * 10)
     for minute in range(540, 545):
-        step_occupant(agent, minute, minute, _ctx(), warmup)
+        _step(agent, minute, _ctx(), warmup)
     # hazard fires (0.0), split picks temporary (0.0), duration 7
     rng = ScriptedRandom(values=[0.0, 0.0], ints=[7])
-    events = step_occupant(agent, 545, 545, _ctx(), rng)
+    events = _step(agent, 545, _ctx(), rng)
     assert [e.kind for e in events] == [EventKind.LEAVE_OFFICE_TEMPORARY]
     quiet = ScriptedRandom(values=[1.0] * 20)
     for minute in range(546, 552):
-        assert step_occupant(agent, minute, minute, _ctx(), quiet) == []
-    events = step_occupant(agent, 552, 552, _ctx(), quiet)
+        assert _step(agent, minute, _ctx(), quiet) == []
+    events = _step(agent, 552, _ctx(), quiet)
     assert [e.kind for e in events] == [EventKind.ENTER_OWN_OFFICE]
 
 
@@ -302,10 +355,10 @@ def test_long_leave_switches_computer_off_when_roll_succeeds():
     agent = _fresh_agent()
     warmup = ScriptedRandom(values=[1.0] * 10)
     for minute in range(540, 545):
-        step_occupant(agent, minute, minute, _ctx(), warmup)
+        _step(agent, minute, _ctx(), warmup)
     # hazard fires (0.0), split picks long (0.99), duration 30, off-roll 0.0
     rng = ScriptedRandom(values=[0.0, 0.99, 0.0], ints=[30])
-    events = step_occupant(agent, 545, 545, _ctx(computer_off_threshold=0.0), rng)
+    events = _step(agent, 545, _ctx(computer_off_threshold=0.0), rng)
     assert [e.kind for e in events] == [
         EventKind.SWITCH_COMPUTER_OFF,
         EventKind.LEAVE_OFFICE_LONG,
@@ -321,13 +374,13 @@ def test_other_room_dwell_is_never_longer_than_sampled():
     agent.timer = 60
     # visit hazard fires (0.0), room index 0, dwell 10
     rng = ScriptedRandom(values=[0.0], ints=[0, 10])
-    events = step_occupant(agent, 600, 600, _ctx(), rng)
+    events = _step(agent, 600, _ctx(), rng)
     assert [e.kind for e in events] == [EventKind.ENTER_OTHER_ROOM]
     assert events[0].room_id == "kitchen-0"
     quiet = ScriptedRandom(values=[1.0] * 20)
     for minute in range(601, 610):
-        assert step_occupant(agent, minute, minute, _ctx(), quiet) == []
-    events = step_occupant(agent, 610, 610, _ctx(), quiet)
+        assert _step(agent, minute, _ctx(), quiet) == []
+    events = _step(agent, 610, _ctx(), quiet)
     assert [e.kind for e in events] == [EventKind.EXIT_OTHER_ROOM]
     assert agent.state is AgentState.IN_CORRIDOR
 
@@ -336,15 +389,15 @@ def test_departure_at_leave_minute_goes_through_corridor():
     agent = _fresh_agent(schedule=(540, 560))
     rng = ScriptedRandom(values=[1.0] * 60)
     for minute in range(540, 560):
-        step_occupant(agent, minute, minute, _ctx(), rng)
+        _step(agent, minute, _ctx(), rng)
     assert agent.state is AgentState.IN_OWN_OFFICE
-    events = step_occupant(agent, 560, 560, _ctx(), ScriptedRandom(values=[1.0]))
+    events = _step(agent, 560, _ctx(), ScriptedRandom(values=[1.0]))
     assert EventKind.LEAVE_OFFICE_LONG in [e.kind for e in events]
     assert agent.state is AgentState.IN_CORRIDOR
     assert agent.corridor_mode is CorridorMode.EXITING
     quiet = ScriptedRandom(values=[1.0] * 5)
-    step_occupant(agent, 561, 561, _ctx(), quiet)
-    events = step_occupant(agent, 562, 562, _ctx(), quiet)
+    _step(agent, 561, _ctx(), quiet)
+    events = _step(agent, 562, _ctx(), quiet)
     assert [e.kind for e in events] == [EventKind.LEAVE_BUILDING]
     assert agent.state is AgentState.OUT_OF_SCHOOL
 
@@ -356,4 +409,4 @@ def test_stepping_active_agent_without_schedule_is_an_error():
     agent.timer = 2
     agent.today_schedule = None
     with pytest.raises(RuntimeError):
-        step_occupant(agent, 100, 100, _ctx(), ScriptedRandom())
+        _step(agent, 100, _ctx(), ScriptedRandom())
