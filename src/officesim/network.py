@@ -9,6 +9,7 @@ Rewiring preserves the edge count, so |E| = n*k/2 always.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .occupants import AgentState, OccupantAgent
@@ -32,8 +33,10 @@ class SocialNetwork:
         return len(self.neighbors[node])
 
 
-@dataclass(frozen=True, slots=True)
-class ContactEvent:
+class ContactEvent(NamedTuple):
+    """One email; a named tuple, as a raised contact rate makes over a
+    hundred thousand per replication."""
+
     sender_id: int
     receiver_id: int
     minute: int

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .building import BuildingModel
 from .errors import CapacityError, ValidationError
@@ -220,8 +221,10 @@ class EventKind(enum.Enum):
     MANUAL_LIGHTS_OFF = "manual_lights_off"
 
 
-@dataclass(frozen=True, slots=True)
-class OccupantEvent:
+class OccupantEvent(NamedTuple):
+    """One agent event; a named tuple, as tens of thousands are made per
+    replication."""
+
     kind: EventKind
     minute: int
     agent_id: int
