@@ -79,7 +79,7 @@ DAY_NAMES = (
 
 # Field name -> int or float, from the annotations of BehaviorParams.
 _BEHAVIOR_FIELDS = {
-    name: int if f.type == "int" else float
+    name: int if f.type in ("int", int) else float
     for name, f in BehaviorParams.__dataclass_fields__.items()
 }
 # Field name -> default; its type is the field's type.

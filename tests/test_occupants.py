@@ -236,15 +236,6 @@ def test_temporary_leave_fraction():
     assert abs(kinds[LeaveKind.TEMPORARY] - leaves * 0.7) <= three_sigma(leaves, 0.7)
 
 
-def test_temporary_leave_draws_split_then_duration():
-    agent = _office_agent()
-    # hazard fires (0.0), split picks temporary (0.5 < 0.7), duration 12
-    rng = ScriptedRandom(values=[0.0, 0.5], ints=[12])
-    assert _leave_kind(agent, 400, rng, _ctx()) is LeaveKind.TEMPORARY
-    assert agent.timer == 12
-    assert rng.values == [] and rng.ints == []
-
-
 def test_only_long_leaves_near_end_of_day():
     agent = _office_agent()
     rng = random.Random(13)
