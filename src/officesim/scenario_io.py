@@ -45,9 +45,7 @@ formatting, LF line endings, sorted JSON keys, no timestamps.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -324,35 +322,35 @@ def _write_bytes_atomic(path: Path, data: bytes) -> None:
 
 
 def _minute_csv_bytes(ledger: EnergyLedger, fmt) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["minute", "base_w", "lights_w", "computers_w", "total_w"])
-    base, lights, computers = ledger.base_w, ledger.lights_w, ledger.computers_w
-    total = ledger.total_w
-    for m in range(len(ledger)):
-        writer.writerow(
-            [m, fmt(base[m]), fmt(lights[m]), fmt(computers[m]), fmt(total[m])]
+    """The minute series as CSV, formatting each constant run once.
+
+    A run ends where any column's bit pattern changes, so ``-0.0`` and
+    ``0.0`` stay apart and NaNs do not split runs the way ``==`` would.
+    """
+    parts = ["minute,base_w,lights_w,computers_w,total_w\n"]
+    n = len(ledger)
+    if n:
+        columns = np.stack(
+            [ledger.base_w, ledger.lights_w, ledger.computers_w, ledger.total_w]
         )
-    return buf.getvalue().encode("utf-8")
+        bits = columns.view(np.int64)
+        changes = np.flatnonzero((bits[:, 1:] != bits[:, :-1]).any(axis=0)) + 1
+        bounds = [0, *changes.tolist(), n]
+        for start, end in zip(bounds, bounds[1:]):
+            base, lights, computers, total = columns[:, start]
+            suffix = f",{fmt(base)},{fmt(lights)},{fmt(computers)},{fmt(total)}\n"
+            parts.extend([f"{m}{suffix}" for m in range(start, end)])
+    return "".join(parts).encode("utf-8")
 
 
 def _half_hourly_csv_bytes(ledger: EnergyLedger) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["bin_start", "base_kwh", "lights_kwh", "computers_kwh", "total_kwh"]
-    )
+    parts = ["bin_start,base_kwh,lights_kwh,computers_kwh,total_kwh\n"]
     for b in half_hour_bins(ledger):
-        writer.writerow(
-            [
-                b.start_minute,
-                f"{b.base_kwh:.9f}",
-                f"{b.lights_kwh:.9f}",
-                f"{b.computers_kwh:.9f}",
-                f"{b.total_kwh:.9f}",
-            ]
+        parts.append(
+            f"{b.start_minute},{b.base_kwh:.9f},{b.lights_kwh:.9f},"
+            f"{b.computers_kwh:.9f},{b.total_kwh:.9f}\n"
         )
-    return buf.getvalue().encode("utf-8")
+    return "".join(parts).encode("utf-8")
 
 
 def _proportions_payload(
@@ -429,7 +427,7 @@ def emit_experiment(
 
     for path, data in written:
         _write_bytes_atomic(path, data)
-    _emit_manifest(out, [p for p, _ in written], result, command, scenario_path)
+    _emit_manifest(out, written, result, command, scenario_path)
     return [p for p, _ in written] + [out / "manifest.json"]
 
 
@@ -466,9 +464,7 @@ def emit_comparison(
     ]
     for path, data in written:
         _write_bytes_atomic(path, data)
-    _emit_manifest(
-        out, [p for p, _ in written], automated, "compare", scenario_path
-    )
+    _emit_manifest(out, written, automated, "compare", scenario_path)
     return [p for p, _ in written] + [out / "manifest.json"]
 
 
@@ -486,19 +482,20 @@ def _experiment_payload(result: ExperimentResult) -> dict:
 
 def _emit_manifest(
     out: Path,
-    paths: list[Path],
+    written: list[tuple[Path, bytes]],
     result: ExperimentResult,
     command: str,
     scenario_path: str | None,
 ) -> None:
+    """Write manifest.json from the bytes just written to each output."""
     scenario = result.scenario
     outputs = tuple(
         {
             "path": str(p.relative_to(out)),
-            "sha256": hashlib.sha256(p.read_bytes()).hexdigest(),
-            "bytes": p.stat().st_size,
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": len(data),
         }
-        for p in sorted(paths)
+        for p, data in sorted(written, key=lambda item: item[0])
     )
     manifest = RunManifest(
         artifact_version=__version__,

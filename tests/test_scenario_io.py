@@ -1,4 +1,10 @@
+import csv
+import io
+import math
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from officesim import (
     ParseError,
@@ -12,7 +18,14 @@ from officesim import (
     serialize_scenario,
     window_mask,
 )
-from officesim.scenario_io import parse_scenario_text, scenario_fingerprint
+from officesim.accounting import EnergyLedger
+from officesim.scenario_io import (
+    _fmt_float,
+    _fmt_watts,
+    _minute_csv_bytes,
+    parse_scenario_text,
+    scenario_fingerprint,
+)
 
 from conftest import make_building_text, make_small_scenario
 
@@ -205,3 +218,47 @@ def test_proportions_payload_window(tmp_path):
     assert report["window"] == "night"
     fractions = report["fractions"]
     assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def _minute_csv_rows(ledger, fmt):
+    """The per-row csv.writer loop the run writer replaced; the reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["minute", "base_w", "lights_w", "computers_w", "total_w"])
+    base, lights, computers = ledger.base_w, ledger.lights_w, ledger.computers_w
+    total = ledger.total_w
+    for m in range(len(ledger)):
+        writer.writerow(
+            [m, fmt(base[m]), fmt(lights[m]), fmt(computers[m]), fmt(total[m])]
+        )
+    return buf.getvalue().encode("utf-8")
+
+
+NEGATIVE_NAN = -math.nan
+_watts = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, math.nan, NEGATIVE_NAN, 60.0]),
+    st.floats(min_value=0.0, max_value=1e12),
+)
+# (minutes, base, lights, computers) per constant stretch; stretches may
+# repeat the previous values.
+_stretches = st.lists(
+    st.tuples(st.one_of(st.just(1), st.integers(1, 600)), _watts, _watts, _watts),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stretches=_stretches)
+@example(stretches=[])
+@example(stretches=[(1, -0.0, math.nan, math.inf)])
+@example(stretches=[(3, 0.0, 0.0, 0.0), (2, -0.0, 0.0, 0.0), (1, 0.0, 0.0, 0.0)])
+@example(stretches=[(4, math.nan, 1.0, 2.0), (4, NEGATIVE_NAN, 1.0, 2.0)])
+def test_run_writer_matches_row_writer(stretches):
+    lengths = [n for n, *_ in stretches]
+    columns = [
+        np.repeat(np.array([s[i] for s in stretches], dtype=np.float64), lengths)
+        for i in (1, 2, 3)
+    ]
+    ledger = EnergyLedger(*columns)
+    for fmt in (_fmt_watts, _fmt_float):
+        assert _minute_csv_bytes(ledger, fmt) == _minute_csv_rows(ledger, fmt)
