@@ -305,6 +305,7 @@ def run_replication(
     event_log: list[OccupantEvent] = []
     contact_count = 0
     active: list[OccupantAgent] = []  # kept sorted by id
+    in_office: list[OccupantAgent] = []  # the email senders, kept sorted by id
     arrival_buckets: dict[int, list[OccupantAgent]] = {}
     arrival_minutes: list[int] = []  # sorted keys of arrival_buckets
 
@@ -371,6 +372,8 @@ def run_replication(
         if kind is EventKind.ENTER_OWN_OFFICE or kind is EventKind.ENTER_OTHER_ROOM:
             idx = room_index[ev.room_id]
             enter_room(idx)
+            if kind is EventKind.ENTER_OWN_OFFICE:
+                insort(in_office, agents[ev.agent_id], key=lambda a: a.id)
             if not automated:
                 bank = banks[idx]
                 if bank.turn_on(ev.minute):
@@ -383,11 +386,14 @@ def run_replication(
                 corridor_exit_decision(ev.agent_id, ev.minute)
         elif kind is EventKind.LEAVE_OFFICE_TEMPORARY:
             leave_room(room_index[ev.room_id])
+            in_office.remove(agents[ev.agent_id])
             if not automated:
                 corridor_lights_on(ev.agent_id, ev.minute)
         elif kind is EventKind.LEAVE_OFFICE_LONG or kind is EventKind.EXIT_OTHER_ROOM:
             idx = room_index[ev.room_id]
             leave_room(idx)
+            if kind is EventKind.LEAVE_OFFICE_LONG:
+                in_office.remove(agents[ev.agent_id])
             if not automated:
                 leaver = agents[ev.agent_id]
                 if manual_exit_decision(
@@ -515,7 +521,7 @@ def run_replication(
                 if occupied or not bank.is_on:
                     dirty.discard(idx)
 
-        if contacts_on and active:
+        if contacts_on and in_office:
             contacts = contact_step(
                 network,
                 agents,
@@ -523,7 +529,7 @@ def run_replication(
                 scenario.awareness_delta,
                 minute,
                 rng_contact,
-                senders=active,
+                senders=in_office,
             )
             if contacts:
                 contact_count += len(contacts)

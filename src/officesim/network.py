@@ -118,15 +118,16 @@ def contact_step(
     immediately, keeping runs reproducible.
 
     ``agents`` must be indexable by agent id. ``senders`` may restrict
-    the scan to a pre-filtered id-ordered subset (the in-office check
-    still applies); by default every agent is scanned.
+    the scan to a pre-filtered id-ordered subset, such as the agents in
+    their own office (the in-office check still applies); by default
+    every agent is scanned.
     """
     if contact_rate <= 0.0:
         return []
     events: list[ContactEvent] = []
     scale = contact_rate / EMAIL_BASE_MINUTES
     random = rng.random
-    choice = rng.choice  # draws exactly as randrange(len(nbrs)) would
+    getrandbits = rng.getrandbits
     neighbors = network.neighbors
     in_office = AgentState.IN_OWN_OFFICE
     cap = AWARENESS_CAP
@@ -139,7 +140,13 @@ def contact_step(
         nbrs = neighbors[sender_id]
         if not nbrs:
             continue
-        receiver_id = choice(nbrs)
+        # rng.choice(nbrs), inlined: the rejection loop of Random._randbelow.
+        n = len(nbrs)
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        receiver_id = nbrs[r]
         receiver = agents[receiver_id]
         awareness = receiver.awareness + awareness_delta
         receiver.awareness = awareness if awareness < cap else cap

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from officesim import ValidationError, build_small_world, contact_step
-from officesim.network import EMAIL_BASE_MINUTES
+from officesim.network import EMAIL_BASE_MINUTES, SocialNetwork
 from officesim.occupants import (
     AgentState,
     OccupantAgent,
@@ -142,3 +142,28 @@ def test_receiver_awareness_increases_by_delta():
     gained = sum(a.awareness for a in agents) - total_before
     # every receiver started below the cap by more than the total gain
     assert gained == pytest.approx(0.25 * len(events))
+
+
+@pytest.mark.parametrize("degree", range(1, 10))
+def test_receiver_draw_matches_random_choice(degree):
+    # Agent 0 always sends (its send probability is clamped to 1), so each
+    # minute draws one random() and then one receiver among its neighbors.
+    n = degree + 1
+    agents = [_office_agent(i) for i in range(n)]
+    nbrs = tuple(range(1, n))
+    net = SocialNetwork(
+        n=n,
+        k=degree,
+        beta=0.0,
+        edges=frozenset((0, j) for j in nbrs),
+        neighbors=(nbrs,) + ((0,),) * degree,
+    )
+    for seed in range(5):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for minute in range(200):
+            (event,) = contact_step(
+                net, agents, 1e6, 0.0, minute, rng, senders=agents[:1]
+            )
+            twin.random()
+            assert event.receiver_id == twin.choice(nbrs)
+        assert rng.getstate() == twin.getstate()
