@@ -184,15 +184,33 @@ def read_field(
     return value
 
 
-def read_section(section: dict, key: str, problems: list[str], prefix: str = "") -> dict:
-    """A nested mapping field; absent or null gives {}."""
+def read_section(
+    section: dict, key: str, problems: list[str], prefix: str = "", kind: type = dict
+):
+    """A nested mapping field, or a list field with ``kind=list``; absent
+    or null gives an empty one."""
     value = section.get(key)
     if value is None:
-        return {}
-    if not isinstance(value, dict):
-        problems.append(f"field '{prefix}{key}' must be a mapping, got {value!r}")
-        return {}
+        return kind()
+    if not isinstance(value, kind):
+        expected = "a mapping" if kind is dict else "a list"
+        problems.append(f"field '{prefix}{key}' must be {expected}, got {value!r}")
+        return kind()
     return value
+
+
+def _overrides(
+    raw: dict, key: str, catalog: list[str], what: str, problems: list[str]
+) -> dict[str, dict]:
+    """Per-id override mappings, keyed by id as a string; each id must be
+    in ``catalog``."""
+    section = read_section(raw, key, problems)
+    overrides = {}
+    for aid in section:
+        if str(aid) not in catalog:
+            problems.append(f"{key} names unknown {what} '{aid}'")
+        overrides[str(aid)] = read_section(section, aid, problems, prefix=f"{key}.")
+    return overrides
 
 
 def _build_model(raw: dict, source: str) -> BuildingModel:
@@ -215,31 +233,43 @@ def _build_model(raw: dict, source: str) -> BuildingModel:
         for key, fallback in zip(("off", "standby", "on"), DEFAULT_COMPUTER_WATTS)
     )
 
-    light_ids = list(raw.get("lights") or [])
-    computer_ids = list(raw.get("computers") or [])
-    light_overrides = raw.get("light_overrides") or {}
-    computer_overrides = raw.get("computer_overrides") or {}
-
+    light_ids = [str(x) for x in read_section(raw, "lights", problems, kind=list)]
+    computer_ids = [str(x) for x in read_section(raw, "computers", problems, kind=list)]
     for catalog, name in ((light_ids, "lights"), (computer_ids, "computers")):
         seen: set[str] = set()
         for appliance_id in catalog:
             if appliance_id in seen:
                 problems.append(f"duplicate id '{appliance_id}' in {name} catalog")
             seen.add(appliance_id)
-    for appliance_id in light_overrides:
-        if appliance_id not in light_ids:
-            problems.append(f"light_overrides names unknown light '{appliance_id}'")
-    for appliance_id in computer_overrides:
-        if appliance_id not in computer_ids:
-            problems.append(
-                f"computer_overrides names unknown computer '{appliance_id}'"
+    light_overrides = _overrides(raw, "light_overrides", light_ids, "light", problems)
+    computer_overrides = _overrides(
+        raw, "computer_overrides", computer_ids, "computer", problems
+    )
+    light_watts = {
+        lid: read_field(
+            light_overrides.get(lid, {}), "watts_on", float, problems,
+            default=light_default, minimum=0, prefix=f"light_overrides.{lid}.",
+        )
+        for lid in light_ids
+    }
+    computer_watts = {
+        cid: tuple(
+            read_field(
+                computer_overrides.get(cid, {}), key, float, problems,
+                default=fallback, minimum=0, prefix=f"computer_overrides.{cid}.",
             )
+            for key, fallback in zip(
+                ("watts_off", "watts_standby", "watts_on"), computer_default
+            )
+        )
+        for cid in computer_ids
+    }
 
     rooms: list[Room] = []
     room_ids: set[str] = set()
     light_owner: dict[str, str] = {}
     computer_owner: dict[str, str] = {}
-    for i, block in enumerate(raw.get("rooms") or []):
+    for i, block in enumerate(read_section(raw, "rooms", problems, kind=list)):
         if not isinstance(block, dict):
             problems.append(f"rooms[{i}] is not a mapping")
             continue
@@ -268,8 +298,13 @@ def _build_model(raw: dict, source: str) -> BuildingModel:
                 f"room '{room_id}' ({kind.value}) must have desk_capacity 0"
             )
 
-        room_lights = tuple(str(x) for x in block.get("lights") or ())
-        room_computers = tuple(str(x) for x in block.get("computers") or ())
+        where = f"rooms[{i}]."
+        room_lights = tuple(
+            str(x) for x in read_section(block, "lights", problems, where, list)
+        )
+        room_computers = tuple(
+            str(x) for x in read_section(block, "computers", problems, where, list)
+        )
         for lid in room_lights:
             if lid not in light_ids:
                 problems.append(
@@ -308,27 +343,10 @@ def _build_model(raw: dict, source: str) -> BuildingModel:
         raise ValidationError([f"{source}: {p}" for p in problems])
 
     lights = {
-        lid: LightSpec(
-            id=lid,
-            room_id=light_owner[lid],
-            watts_on=light_overrides.get(lid, {}).get("watts_on", light_default),
-        )
-        for lid in light_ids
+        lid: LightSpec(lid, light_owner[lid], light_watts[lid]) for lid in light_ids
     }
     computers = {
-        cid: ComputerSpec(
-            id=cid,
-            room_id=computer_owner[cid],
-            watts_off=computer_overrides.get(cid, {}).get(
-                "watts_off", computer_default[0]
-            ),
-            watts_standby=computer_overrides.get(cid, {}).get(
-                "watts_standby", computer_default[1]
-            ),
-            watts_on=computer_overrides.get(cid, {}).get(
-                "watts_on", computer_default[2]
-            ),
-        )
+        cid: ComputerSpec(cid, computer_owner[cid], *computer_watts[cid])
         for cid in computer_ids
     }
     return BuildingModel(

@@ -131,10 +131,28 @@ def test_runtime_error_exit_code(scenario_path, tmp_path):
         ({"social": {"small_world_k": 4.5}}, "social.small_world_k"),
         ({"population": {"size": 4, "awareness_mix": {"big_user": "most"}}},
          "population.awareness_mix.big_user"),
+        ({"building.yaml": {"lights": 5}}, "lights"),
+        ({"building.yaml": {"computers": 3}}, "computers"),
+        ({"building.yaml": {"rooms": {"id": "hall"}}}, "field 'rooms'"),
+        ({"building.yaml": {"rooms": [{"id": "hall", "kind": "corridor",
+                                       "lights": 5}]}}, "rooms[0].lights"),
+        ({"building.yaml": {"light_overrides": {"L000": {"watts_on": "x"}}}},
+         "light_overrides.L000.watts_on"),
+        ({"building.yaml": {"light_overrides": {"L000": 80}}},
+         "light_overrides.L000"),
+        ({"building.yaml": {"computer_overrides": {"K000": {"watts_on": "x"}}}},
+         "computer_overrides.K000.watts_on"),
+        ({"building.yaml": {"computer_overrides": {"K000": {"watts_off": -1}}}},
+         "computer_overrides.K000.watts_off"),
     ],
 )
 def test_malformed_field_is_a_config_error_naming_it(tmp_path, capsys, override, field):
-    (tmp_path / "building.yaml").write_text(make_building_text())
+    # Keys are scenario fields, except "building.yaml", whose value is
+    # merged into the building file.
+    override = dict(override)
+    building = yaml.safe_load(make_building_text())
+    building.update(override.pop("building.yaml", {}))
+    (tmp_path / "building.yaml").write_text(yaml.safe_dump(building))
     doc = yaml.safe_load(SMALL_SCENARIO)
     doc.update(override)
     path = tmp_path / "scenario.yaml"
