@@ -23,8 +23,8 @@ room blocks that reference catalog ids:
         computers: [K001]
 
 Every catalog id must be referenced by exactly one room. Corridors,
-toilets and kitchens must have desk_capacity 0. A model is immutable
-once loaded.
+toilets and kitchens must have desk_capacity 0. A field the format does
+not name is an error. A model is immutable once loaded.
 """
 
 from __future__ import annotations
@@ -39,6 +39,14 @@ from .errors import ParseError, ValidationError
 
 DEFAULT_LIGHT_WATTS = 60
 DEFAULT_COMPUTER_WATTS = (0, 25, 400)  # off, standby, on
+
+_TOP_LEVEL_FIELDS = (
+    "base_load_watts", "max_occupants", "defaults", "lights", "light_overrides",
+    "computers", "computer_overrides", "rooms",
+)
+_ROOM_FIELDS = ("id", "kind", "desk_capacity", "lights", "computers")
+_COMPUTER_STATES = ("off", "standby", "on")
+_COMPUTER_FIELDS = ("watts_off", "watts_standby", "watts_on")
 
 
 class RoomKind(str, enum.Enum):
@@ -199,38 +207,53 @@ def read_section(
     return value
 
 
+def reject_unknown(
+    section: dict, known, problems: list[str], prefix: str = ""
+) -> None:
+    """Adds a problem naming each field of ``section`` not in ``known``."""
+    for key in sorted(set(section) - set(known), key=str):
+        problems.append(f"unknown field '{prefix}{key}'")
+
+
 def _overrides(
-    raw: dict, key: str, catalog: list[str], what: str, problems: list[str]
+    raw: dict, key: str, catalog: list[str], what: str, fields, problems: list[str]
 ) -> dict[str, dict]:
-    """Per-id override mappings, keyed by id as a string; each id must be
-    in ``catalog``."""
+    """Per-id override mappings of ``fields``, keyed by id as a string;
+    each id must be in ``catalog``."""
     section = read_section(raw, key, problems)
     overrides = {}
     for aid in section:
         if str(aid) not in catalog:
             problems.append(f"{key} names unknown {what} '{aid}'")
-        overrides[str(aid)] = read_section(section, aid, problems, prefix=f"{key}.")
+        entry = read_section(section, aid, problems, prefix=f"{key}.")
+        reject_unknown(entry, fields, problems, prefix=f"{key}.{aid}.")
+        overrides[str(aid)] = entry
     return overrides
 
 
 def _build_model(raw: dict, source: str) -> BuildingModel:
     problems: list[str] = []
+    reject_unknown(raw, _TOP_LEVEL_FIELDS, problems)
 
     base_load_watts = read_field(raw, "base_load_watts", float, problems, minimum=0)
-    max_occupants = read_field(raw, "max_occupants", float, problems, minimum=0)
+    max_occupants = read_field(raw, "max_occupants", int, problems, minimum=0)
 
     defaults = read_section(raw, "defaults", problems)
+    reject_unknown(defaults, ("light_watts_on", "computer_watts"), problems, "defaults.")
     light_default = read_field(
         defaults, "light_watts_on", float, problems,
         default=DEFAULT_LIGHT_WATTS, minimum=0, prefix="defaults.",
     )
     cw = read_section(defaults, "computer_watts", problems, prefix="defaults.")
+    # YAML 1.1 reads the bare keys off and on as the booleans False and True.
+    cw = {("on" if k is True else "off" if k is False else k): v for k, v in cw.items()}
+    reject_unknown(cw, _COMPUTER_STATES, problems, "defaults.computer_watts.")
     computer_default = tuple(
         read_field(
             cw, key, float, problems,
             default=fallback, minimum=0, prefix="defaults.computer_watts.",
         )
-        for key, fallback in zip(("off", "standby", "on"), DEFAULT_COMPUTER_WATTS)
+        for key, fallback in zip(_COMPUTER_STATES, DEFAULT_COMPUTER_WATTS)
     )
 
     light_ids = [str(x) for x in read_section(raw, "lights", problems, kind=list)]
@@ -241,9 +264,11 @@ def _build_model(raw: dict, source: str) -> BuildingModel:
             if appliance_id in seen:
                 problems.append(f"duplicate id '{appliance_id}' in {name} catalog")
             seen.add(appliance_id)
-    light_overrides = _overrides(raw, "light_overrides", light_ids, "light", problems)
+    light_overrides = _overrides(
+        raw, "light_overrides", light_ids, "light", ("watts_on",), problems
+    )
     computer_overrides = _overrides(
-        raw, "computer_overrides", computer_ids, "computer", problems
+        raw, "computer_overrides", computer_ids, "computer", _COMPUTER_FIELDS, problems
     )
     light_watts = {
         lid: read_field(
@@ -258,9 +283,7 @@ def _build_model(raw: dict, source: str) -> BuildingModel:
                 computer_overrides.get(cid, {}), key, float, problems,
                 default=fallback, minimum=0, prefix=f"computer_overrides.{cid}.",
             )
-            for key, fallback in zip(
-                ("watts_off", "watts_standby", "watts_on"), computer_default
-            )
+            for key, fallback in zip(_COMPUTER_FIELDS, computer_default)
         )
         for cid in computer_ids
     }
@@ -273,6 +296,8 @@ def _build_model(raw: dict, source: str) -> BuildingModel:
         if not isinstance(block, dict):
             problems.append(f"rooms[{i}] is not a mapping")
             continue
+        where = f"rooms[{i}]."
+        reject_unknown(block, _ROOM_FIELDS, problems, where)
         room_id = str(block.get("id", f"rooms[{i}]"))
         if "id" not in block:
             problems.append(f"rooms[{i}] missing 'id'")
@@ -287,18 +312,14 @@ def _build_model(raw: dict, source: str) -> BuildingModel:
             problems.append(f"room '{room_id}' has unknown kind {kind_text!r}")
             kind = RoomKind.OTHER_FACILITY
 
-        desk_capacity = block.get("desk_capacity", 0)
-        if not isinstance(desk_capacity, int) or desk_capacity < 0:
-            problems.append(
-                f"room '{room_id}' desk_capacity must be a non-negative integer"
-            )
-            desk_capacity = 0
+        desk_capacity = read_field(
+            block, "desk_capacity", int, problems, default=0, minimum=0, prefix=where
+        )
         if kind in _DESKLESS_KINDS and desk_capacity != 0:
             problems.append(
                 f"room '{room_id}' ({kind.value}) must have desk_capacity 0"
             )
 
-        where = f"rooms[{i}]."
         room_lights = tuple(
             str(x) for x in read_section(block, "lights", problems, where, list)
         )

@@ -221,13 +221,95 @@ class ReplicationResult:
         return sum(r.final_awareness for r in self.roster) / len(self.roster)
 
 
+class _LightingArm:
+    """One lighting policy driven by a shared agent pass.
+
+    The arm owns everything its lights touch: the room banks, the
+    countdown set of banks whose next automated step may change them, the
+    running lights total and its series, the event log and the
+    manual-switching stream. Lights never feed back into agents, contacts
+    or computers, so an arm evolves exactly as a run of its own would.
+    """
+
+    __slots__ = (
+        "policy", "banks", "corridor_banks", "countdown", "lights_running",
+        "lights", "mark", "events", "rng",
+    )
+
+    def __init__(self, policy, rooms, room_watts, n_minutes, seed, keep_events):
+        self.policy = policy
+        self.banks = [
+            RoomLightBank(room.id, room.light_ids, watts)
+            for room, watts in zip(rooms, room_watts)
+        ]
+        self.corridor_banks = [
+            bank for room, bank in zip(rooms, self.banks)
+            if room.kind is RoomKind.CORRIDOR
+        ]
+        self.countdown: set[int] = set()
+        self.lights_running = 0.0
+        self.lights = np.empty(n_minutes, dtype=np.float64)
+        self.mark = 0  # lights[:mark] is written
+        self.events: list[OccupantEvent] | None = [] if keep_events else None
+        self.rng = Random(derive_seed(seed, "policy"))
+
+    def add(self, watts: float, minute: int) -> None:
+        """Change the running lights total during ``minute``; the series
+        keeps the old total up to that minute."""
+        self.lights[self.mark:minute] = self.lights_running
+        self.mark = minute
+        self.lights_running += watts
+
+    def switch_on(self, banks, ev: OccupantEvent) -> None:
+        """Staff policy: the agent of ``ev`` switches on whichever of
+        ``banks`` is dark."""
+        for bank in banks:
+            if bank.turn_on(ev.minute):
+                self.add(bank.watts_total, ev.minute)
+                if self.events is not None:
+                    self.events.append(OccupantEvent(
+                        EventKind.MANUAL_LIGHTS_ON, ev.minute, ev.agent_id, bank.room_id
+                    ))
+
+    def roll_off(self, banks, ev: OccupantEvent, leaver, is_last: bool) -> None:
+        """Staff policy: one switch-off roll for ``banks`` as ``leaver``
+        goes; it can succeed only for the last occupant."""
+        if manual_exit_decision(leaver.awareness, LeaveKind.LONG, is_last, self.rng):
+            for bank in banks:
+                if bank.turn_off(ev.minute):
+                    self.add(-bank.watts_total, ev.minute)
+                    if self.events is not None:
+                        self.events.append(OccupantEvent(
+                            EventKind.MANUAL_LIGHTS_OFF, ev.minute, ev.agent_id,
+                            bank.room_id,
+                        ))
+
+
 def run_replication(
     scenario: Scenario,
     seed: int,
     trace: bool = False,
     keep_events: bool = True,
 ) -> ReplicationResult:
-    """Execute one replication.
+    """Execute one replication under the scenario's lighting policy."""
+    scenario.validate()
+    (result,) = run_replication_arms(
+        scenario, seed, (scenario.policy,), keep_events=keep_events, trace=trace
+    )
+    return result
+
+
+def run_replication_arms(
+    scenario: Scenario,
+    seed: int,
+    policies,
+    keep_events: bool = True,
+    trace: bool = False,
+) -> tuple[ReplicationResult, ...]:
+    """One agent pass of a valid scenario driving one lighting arm per
+    policy; the scenario's own policy is not used. Arm i's result equals
+    ``run_replication`` of the scenario under ``policies[i]``. Tracing
+    records the first arm and is meant for one arm.
 
     Per minute, in fixed order: day-rollover schedule sampling, agent
     steps in id order, event application to appliances, sensor stepping
@@ -235,16 +317,13 @@ def run_replication(
 
     Work whose outcome is known is skipped, never reordered: a light bank
     is stepped only while its step can change it (its room is occupied
-    and it is dark, or its room is vacant and it is lit), and a stretch
-    with nobody in the building and no light counting down is recorded
-    in one slice up to the next arrival or midnight.
+    and it is dark, or its room is vacant and it is lit), a stretch with
+    nobody in the building and no light counting down is skipped up to
+    the next arrival or midnight, and the power series are written one
+    constant stretch at a time, when their total changes.
     """
-    scenario.validate()
     building = scenario.building
     params = scenario.behavior
-    policy = scenario.policy
-    automated = policy.is_automated
-    off_delay = policy.off_delay_minutes
     n_minutes = scenario.horizon_minutes
     start_dow = scenario.start_day_of_week
 
@@ -253,7 +332,6 @@ def run_replication(
     rng_schedule = Random(derive_seed(seed, "schedule"))
     rng_behavior = Random(derive_seed(seed, "behavior"))
     rng_contact = Random(derive_seed(seed, "contact"))
-    rng_policy = Random(derive_seed(seed, "policy"))
 
     agents = sample_population(
         scenario.population_size, scenario.mix, building, rng_population
@@ -272,22 +350,25 @@ def run_replication(
     occupancy = [0] * len(rooms)
     corridor_occupancy = 0
     is_corridor = [room.kind is RoomKind.CORRIDOR for room in rooms]
-    corridor_banks: list[RoomLightBank] = []
+    room_watts = [
+        sum(building.lights[lid].watts_on for lid in room.light_ids) for room in rooms
+    ]
 
-    banks: list[RoomLightBank] = []
-    for room in rooms:
-        watts_total = sum(building.lights[lid].watts_on for lid in room.light_ids)
-        bank = RoomLightBank(room.id, room.light_ids, watts_total)
-        banks.append(bank)
-        if room.kind is RoomKind.CORRIDOR:
-            corridor_banks.append(bank)
+    arms = [
+        _LightingArm(policy, rooms, room_watts, n_minutes, seed, keep_events)
+        for policy in policies
+    ]
+    automated_arms = [arm for arm in arms if arm.policy.is_automated]
+    manual_arms = [arm for arm in arms if not arm.policy.is_automated]
+    countdowns = [arm.countdown for arm in automated_arms]
+    logs = [arm.events for arm in arms] if keep_events else []
 
-    # Automated policy: banks whose next step may change them. Any other
-    # bank is at a fixed point of step_automated (occupied and lit, or
-    # vacant and dark) until its room turns vacant or occupied.
-    steppable = [automated and bank.watts_total > 0 for bank in banks]
+    # Automated policy: a bank with lights is stepped while its step may
+    # change it. Any other bank is at a fixed point of step_automated
+    # (occupied and lit, or vacant and dark) until its room turns vacant
+    # or occupied.
+    steppable = [watts > 0 for watts in room_watts]
     corridor_steppable = [i for i, c in enumerate(is_corridor) if c and steppable[i]]
-    dirty: set[int] = set()
 
     computer_watts_now: dict[str, float] = {}
     computer_transitions: dict[str, list[tuple[int, float]]] = {}
@@ -296,13 +377,12 @@ def run_replication(
         computer_watts_now[spec.id] = spec.watts_off
         computer_transitions[spec.id] = [(0, spec.watts_off)]
         computers_running += spec.watts_off
-    lights_running = 0.0
 
-    base_watts = building.base_load_watts
-    lights_arr = np.empty(n_minutes, dtype=np.float64)
     computers_arr = np.empty(n_minutes, dtype=np.float64)
+    # A minute's sample is the total after all of that minute's changes,
+    # so a change at minute m writes the old total up to m.
+    computers_mark = 0  # computers_arr[:computers_mark] is written
 
-    event_log: list[OccupantEvent] = []
     contact_count = 0
     active: list[OccupantAgent] = []  # kept sorted by id
     in_office: list[OccupantAgent] = []  # the email senders, kept sorted by id
@@ -311,6 +391,7 @@ def run_replication(
 
     run_trace = None
     if trace:
+        traced_banks = arms[0].banks
         run_trace = RunTrace(
             room_ids=tuple(room.id for room in rooms),
             room_occupied=np.zeros((len(rooms), n_minutes), dtype=bool),
@@ -319,111 +400,73 @@ def run_replication(
 
     computer_specs = building.computers
 
-    def corridor_lights_on(agent_id: int, minute: int) -> None:
-        # Staff policy: anyone stepping into a dark corridor switches it on.
-        nonlocal lights_running
-        for bank in corridor_banks:
-            if bank.turn_on(minute):
-                lights_running += bank.watts_total
-                event_log.append(
-                    OccupantEvent(
-                        EventKind.MANUAL_LIGHTS_ON, minute, agent_id, bank.room_id
-                    )
-                )
-
-    def corridor_exit_decision(agent_id: int, minute: int) -> None:
-        # Staff policy: one switch-off roll for the whole corridor zone
-        # whenever the agent leaving it was the last person in it.
-        nonlocal lights_running
-        if corridor_occupancy != 0:
-            return
-        leaver = agents[agent_id]
-        if manual_exit_decision(leaver.awareness, LeaveKind.LONG, True, rng_policy):
-            for bank in corridor_banks:
-                if bank.turn_off(minute):
-                    lights_running -= bank.watts_total
-                    event_log.append(
-                        OccupantEvent(
-                            EventKind.MANUAL_LIGHTS_OFF, minute, agent_id, bank.room_id
-                        )
-                    )
-
     def enter_room(idx: int) -> None:
         nonlocal corridor_occupancy
         corridor_occupancy -= 1
         occupancy[idx] += 1
         if occupancy[idx] == 1 and steppable[idx]:
-            dirty.add(idx)
+            for countdown in countdowns:
+                countdown.add(idx)
         if corridor_occupancy == 0:
-            dirty.update(corridor_steppable)
+            for countdown in countdowns:
+                countdown.update(corridor_steppable)
 
     def leave_room(idx: int) -> None:
         nonlocal corridor_occupancy
         occupancy[idx] -= 1
         corridor_occupancy += 1
         if occupancy[idx] == 0 and steppable[idx]:
-            dirty.add(idx)
+            for countdown in countdowns:
+                countdown.add(idx)
         if corridor_occupancy == 1:
-            dirty.update(corridor_steppable)
+            for countdown in countdowns:
+                countdown.update(corridor_steppable)
 
     def apply_event(ev: OccupantEvent) -> None:
-        nonlocal corridor_occupancy, computers_running, lights_running
+        # Staff arms: anyone stepping into a room or a dark corridor
+        # switches it on; the last one out of a room, or of the corridor
+        # zone as a whole, rolls once to switch it off.
+        nonlocal corridor_occupancy, computers_running, computers_mark
         kind = ev.kind
         if kind is EventKind.ENTER_OWN_OFFICE or kind is EventKind.ENTER_OTHER_ROOM:
             idx = room_index[ev.room_id]
             enter_room(idx)
             if kind is EventKind.ENTER_OWN_OFFICE:
                 insort(in_office, agents[ev.agent_id], key=lambda a: a.id)
-            if not automated:
-                bank = banks[idx]
-                if bank.turn_on(ev.minute):
-                    lights_running += bank.watts_total
-                    event_log.append(
-                        OccupantEvent(
-                            EventKind.MANUAL_LIGHTS_ON, ev.minute, ev.agent_id, ev.room_id
-                        )
-                    )
-                corridor_exit_decision(ev.agent_id, ev.minute)
+            for arm in manual_arms:
+                arm.switch_on(arm.banks[idx:idx + 1], ev)
+                if corridor_occupancy == 0:
+                    arm.roll_off(arm.corridor_banks, ev, agents[ev.agent_id], True)
         elif kind is EventKind.LEAVE_OFFICE_TEMPORARY:
             leave_room(room_index[ev.room_id])
             in_office.remove(agents[ev.agent_id])
-            if not automated:
-                corridor_lights_on(ev.agent_id, ev.minute)
+            for arm in manual_arms:
+                arm.switch_on(arm.corridor_banks, ev)
         elif kind is EventKind.LEAVE_OFFICE_LONG or kind is EventKind.EXIT_OTHER_ROOM:
             idx = room_index[ev.room_id]
             leave_room(idx)
             if kind is EventKind.LEAVE_OFFICE_LONG:
                 in_office.remove(agents[ev.agent_id])
-            if not automated:
-                leaver = agents[ev.agent_id]
-                if manual_exit_decision(
-                    leaver.awareness, LeaveKind.LONG, occupancy[idx] == 0, rng_policy
-                ):
-                    bank = banks[idx]
-                    if bank.turn_off(ev.minute):
-                        lights_running -= bank.watts_total
-                        event_log.append(
-                            OccupantEvent(
-                                EventKind.MANUAL_LIGHTS_OFF,
-                                ev.minute,
-                                ev.agent_id,
-                                ev.room_id,
-                            )
-                        )
-                corridor_lights_on(ev.agent_id, ev.minute)
+            for arm in manual_arms:
+                arm.roll_off(
+                    arm.banks[idx:idx + 1], ev, agents[ev.agent_id], occupancy[idx] == 0
+                )
+                arm.switch_on(arm.corridor_banks, ev)
         elif kind is EventKind.ENTER_BUILDING:
             corridor_occupancy += 1
             if corridor_occupancy == 1:
-                dirty.update(corridor_steppable)
-            if not automated:
-                corridor_lights_on(ev.agent_id, ev.minute)
+                for countdown in countdowns:
+                    countdown.update(corridor_steppable)
+            for arm in manual_arms:
+                arm.switch_on(arm.corridor_banks, ev)
         elif kind is EventKind.LEAVE_BUILDING:
             corridor_occupancy -= 1
             if corridor_occupancy == 0:
-                dirty.update(corridor_steppable)
+                for countdown in countdowns:
+                    countdown.update(corridor_steppable)
+                for arm in manual_arms:
+                    arm.roll_off(arm.corridor_banks, ev, agents[ev.agent_id], True)
             active.remove(agents[ev.agent_id])
-            if not automated:
-                corridor_exit_decision(ev.agent_id, ev.minute)
         else:
             # Computer events carry no room; resolve via the owner.
             computer_id = agents[ev.agent_id].computer_id
@@ -437,6 +480,8 @@ def run_replication(
             old_watts = computer_watts_now[computer_id]
             if new_watts != old_watts:
                 computer_watts_now[computer_id] = new_watts
+                computers_arr[computers_mark:ev.minute] = computers_running
+                computers_mark = ev.minute
                 computers_running += new_watts - old_watts
                 computer_transitions[computer_id].append((ev.minute, new_watts))
 
@@ -473,19 +518,16 @@ def run_replication(
             for agent in arriving:
                 insort(active, agent, key=lambda a: a.id)
 
-        if not active and not dirty:
-            # Nobody in the building and no light counting down: every
-            # minute up to the next arrival or midnight records the same
-            # sample.
+        if not active and not any(countdowns):
+            # Nobody in the building and no light counting down: nothing
+            # changes up to the next arrival or midnight.
             pos = bisect_right(arrival_minutes, minute_of_day)
             next_of_day = (
                 arrival_minutes[pos] if pos < len(arrival_minutes) else MINUTES_PER_DAY
             )
             end = min(minute + next_of_day - minute_of_day, n_minutes)
-            lights_arr[minute:end] = lights_running
-            computers_arr[minute:end] = computers_running
             if run_trace is not None:
-                for i, bank in enumerate(banks):
+                for i, bank in enumerate(traced_banks):
                     run_trace.lights_on[i, minute:end] = bank.is_on
             minute = end
             continue
@@ -504,22 +546,27 @@ def run_replication(
                         )
             if minute_events:
                 for ev in minute_events:
-                    event_log.append(ev)
-                    apply_event(ev)  # may append manual light events right after
+                    for log in logs:
+                        log.append(ev)
+                    apply_event(ev)  # may log manual light events right after
                 minute_events.clear()
 
-        if dirty:
-            # Index order, as a full sweep over the rooms would step them.
-            for idx in sorted(dirty):
-                bank = banks[idx]
-                occupied = (
-                    corridor_occupancy if is_corridor[idx] else occupancy[idx]
-                ) > 0
-                delta = bank.step_automated(occupied, off_delay, minute)
-                if delta:
-                    lights_running += delta * bank.watts_total
-                if occupied or not bank.is_on:
-                    dirty.discard(idx)
+        for arm in automated_arms:
+            countdown = arm.countdown
+            if countdown:
+                # Index order, as a full sweep over the rooms would step them.
+                banks = arm.banks
+                off_delay = arm.policy.off_delay_minutes
+                for idx in sorted(countdown):
+                    bank = banks[idx]
+                    occupied = (
+                        corridor_occupancy if is_corridor[idx] else occupancy[idx]
+                    ) > 0
+                    delta = bank.step_automated(occupied, off_delay, minute)
+                    if delta:
+                        arm.add(delta * bank.watts_total, minute)
+                    if occupied or not bank.is_on:
+                        countdown.discard(idx)
 
         if contacts_on and in_office:
             contacts = contact_step(
@@ -536,23 +583,17 @@ def run_replication(
                 if run_trace is not None:
                     run_trace.contact_events.extend(contacts)
 
-        lights_arr[minute] = lights_running
-        computers_arr[minute] = computers_running
         if run_trace is not None:
             for i in range(len(rooms)):
                 occupied_now = (
                     corridor_occupancy if is_corridor[i] else occupancy[i]
                 ) > 0
                 run_trace.room_occupied[i, minute] = occupied_now
-                run_trace.lights_on[i, minute] = banks[i].is_on
+                run_trace.lights_on[i, minute] = traced_banks[i].is_on
         minute += 1
 
-    for bank in banks:
-        bank.finalize(n_minutes)
-
-    ledger = EnergyLedger(
-        np.full(n_minutes, base_watts, dtype=np.float64), lights_arr, computers_arr
-    )
+    computers_arr[computers_mark:] = computers_running
+    base_arr = np.full(n_minutes, building.base_load_watts, dtype=np.float64)
     roster = tuple(
         AgentRecord(
             id=a.id,
@@ -565,21 +606,26 @@ def run_replication(
         )
         for a in agents
     )
-    return ReplicationResult(
-        seed=seed,
-        n_minutes=n_minutes,
-        ledger=ledger,
-        events=tuple(event_log) if keep_events else (),
-        roster=roster,
-        light_intervals={b.room_id: tuple(b.intervals) for b in banks},
-        computer_transitions={
-            cid: tuple(ts) for cid, ts in computer_transitions.items()
-        },
-        contact_count=contact_count,
-        building=building,
-        network=network,
-        trace=run_trace,
-    )
+    computer_log = {cid: tuple(ts) for cid, ts in computer_transitions.items()}
+    results = []
+    for arm in arms:
+        arm.lights[arm.mark:] = arm.lights_running
+        for bank in arm.banks:
+            bank.finalize(n_minutes)
+        results.append(ReplicationResult(
+            seed=seed,
+            n_minutes=n_minutes,
+            ledger=EnergyLedger(base_arr, arm.lights, computers_arr),
+            events=tuple(arm.events) if keep_events else (),
+            roster=roster,
+            light_intervals={b.room_id: tuple(b.intervals) for b in arm.banks},
+            computer_transitions=computer_log,
+            contact_count=contact_count,
+            building=building,
+            network=network,
+            trace=run_trace,
+        ))
+    return tuple(results)
 
 
 def _build_network(n: int, k: int, beta: float, rng) -> SocialNetwork | None:
@@ -637,18 +683,45 @@ def run_experiment(
     raising the replication count extends the set without disturbing
     earlier replications.
     """
-    scenario.validate()
-    n_reps = scenario.replications if replications is None else replications
+    (result,) = _run_arm_experiments((scenario,), replications, master_seed, keep_events)
+    return result
+
+
+def _run_arm_experiments(
+    scenarios: tuple[Scenario, ...],
+    replications: int | None,
+    master_seed: int | None,
+    keep_events: bool,
+) -> tuple[ExperimentResult, ...]:
+    """One experiment per scenario, for scenarios that differ only in
+    their lighting policy: replication i of every one comes from the same
+    shared agent pass."""
+    for scenario in scenarios:
+        scenario.validate()
+    first = scenarios[0]
+    n_reps = first.replications if replications is None else replications
     if n_reps < 1:
         raise ValidationError(f"replications must be >= 1, got {n_reps}")
-    seed = scenario.master_seed if master_seed is None else master_seed
+    seed = first.master_seed if master_seed is None else master_seed
 
     rep_seeds = tuple(derive_seed(seed, f"rep:{i}") for i in range(n_reps))
-    reps = tuple(
-        run_replication(scenario, rep_seed, keep_events=keep_events)
+    policies = tuple(s.policy for s in scenarios)
+    runs = [
+        run_replication_arms(first, rep_seed, policies, keep_events=keep_events)
         for rep_seed in rep_seeds
+    ]
+    return tuple(
+        _aggregate(scenario, seed, rep_seeds, tuple(run[i] for run in runs))
+        for i, scenario in enumerate(scenarios)
     )
 
+
+def _aggregate(
+    scenario: Scenario,
+    seed: int,
+    rep_seeds: tuple[int, ...],
+    reps: tuple[ReplicationResult, ...],
+) -> ExperimentResult:
     base_stack = np.stack([rep.ledger.base_w for rep in reps])
     lights_stack = np.stack([rep.ledger.lights_w for rep in reps])
     computers_stack = np.stack([rep.ledger.computers_w for rep in reps])
@@ -709,20 +782,24 @@ def compare_policies(
 ) -> PolicyComparison:
     """Run the scenario under both lighting policies with shared seeds.
 
-    Shared seed derivation means both arms see identical populations and
-    movement, so the per-replication difference isolates the policies'
+    Each replication is one agent pass driving both arms. Lights never
+    feed back into agents, contacts or computers, so both arms see
+    identical populations and movement, each exactly as a run of its own
+    would, and the per-replication difference isolates the policies'
     lighting behavior.
     """
-    automated_scenario = replace(
-        scenario,
-        policy=LightingPolicy.automated(scenario.policy.off_delay_minutes),
+    policies = (
+        LightingPolicy.automated(scenario.policy.off_delay_minutes),
+        LightingPolicy.staff_controlled(),
     )
-    staff_scenario = replace(scenario, policy=LightingPolicy.staff_controlled())
-    automated_result = run_experiment(automated_scenario, replications, master_seed)
-    staff_result = run_experiment(staff_scenario, replications, master_seed)
+    automated, staff = _run_arm_experiments(
+        tuple(replace(scenario, policy=policy) for policy in policies),
+        replications,
+        master_seed,
+        keep_events=False,
+    )
     return PolicyComparison(
-        automated=automated_result,
-        staff_controlled=staff_result,
-        paired_diff_kwh=staff_result.total_kwh_per_rep
-        - automated_result.total_kwh_per_rep,
+        automated=automated,
+        staff_controlled=staff,
+        paired_diff_kwh=staff.total_kwh_per_rep - automated.total_kwh_per_rep,
     )

@@ -57,7 +57,13 @@ import yaml
 from . import __version__
 from .accounting import EnergyLedger, category_proportions_masked, half_hour_bins
 from .appliances import LightingPolicy, PolicyKind
-from .building import load_building_file, read_field, read_section, serialize_building
+from .building import (
+    load_building_file,
+    read_field,
+    read_section,
+    reject_unknown,
+    serialize_building,
+)
 from .engine import ExperimentResult, PolicyComparison, Scenario
 from .errors import ParseError, ValidationError
 from .occupants import (
@@ -126,9 +132,7 @@ def parse_scenario_text(
         raise ParseError(f"{source}: scenario file must be a mapping")
 
     problems: list[str] = []
-    unknown = set(raw) - _TOP_LEVEL_FIELDS
-    for key in sorted(unknown):
-        problems.append(f"unknown field '{key}'")
+    reject_unknown(raw, _TOP_LEVEL_FIELDS, problems)
 
     building_ref = raw.get("building")
     if building_ref is None:
@@ -157,8 +161,7 @@ def parse_scenario_text(
     off_delay = read_field(raw, "automated_off_delay_minutes", int, problems, default=20)
 
     behavior_raw = read_section(raw, "behavior", problems)
-    for key in sorted(set(behavior_raw) - set(_BEHAVIOR_FIELDS)):
-        problems.append(f"unknown field 'behavior.{key}'")
+    reject_unknown(behavior_raw, _BEHAVIOR_FIELDS, problems, "behavior.")
     behavior_values = {
         key: read_field(
             behavior_raw, key, kind, problems, default=None, prefix="behavior."
@@ -167,8 +170,7 @@ def parse_scenario_text(
     }
 
     social = read_section(raw, "social", problems)
-    for key in sorted(set(social) - set(_SOCIAL_FIELDS)):
-        problems.append(f"unknown field 'social.{key}'")
+    reject_unknown(social, _SOCIAL_FIELDS, problems, "social.")
     social_values = {
         key: read_field(social, key, type(default), problems, default=default,
                         prefix="social.")

@@ -18,6 +18,7 @@ from officesim import (
     Light,
     LightingPolicy,
     category_proportions_masked,
+    compare_policies,
     emit_experiment,
     light_step,
     run_experiment,
@@ -60,13 +61,7 @@ def staff_experiment(reference_scenario):
 @pytest.fixture(scope="module")
 def raised_awareness_comparison(reference_scenario):
     raised = replace(reference_scenario, contact_rate=RAISED_CONTACT_RATE)
-    automated = run_experiment(raised)
-    staff = run_experiment(replace(raised, policy=LightingPolicy.staff_controlled()))
-    return PolicyComparison(
-        automated=automated,
-        staff_controlled=staff,
-        paired_diff_kwh=staff.total_kwh_per_rep - automated.total_kwh_per_rep,
-    )
+    return compare_policies(raised)
 
 
 def test_criterion_1_accounting_identity(automated_experiment):

@@ -158,6 +158,17 @@ def test_malformed_defaults_are_named(defaults, field):
     assert f"'{field}'" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "computer_watts",
+    ["{off: 5, standby: 30, on: 300}", "{'off': 5, standby: 30, 'on': 300}"],
+)
+def test_computer_watts_defaults_read_bare_and_quoted_keys(computer_watts):
+    # YAML 1.1 reads the bare keys off and on as booleans.
+    text = make_building_text() + f"defaults: {{computer_watts: {computer_watts}}}\n"
+    for spec in load_building(text).computers.values():
+        assert (spec.watts_off, spec.watts_standby, spec.watts_on) == (5, 30, 300)
+
+
 def test_missing_building_file_is_a_parse_error(tmp_path):
     with pytest.raises(ParseError) as err:
         load_building_file(tmp_path / "absent.yaml")

@@ -144,6 +144,22 @@ def test_runtime_error_exit_code(scenario_path, tmp_path):
          "computer_overrides.K000.watts_on"),
         ({"building.yaml": {"computer_overrides": {"K000": {"watts_off": -1}}}},
          "computer_overrides.K000.watts_off"),
+        ({"building.yaml": {"colour": "red"}}, "unknown field 'colour'"),
+        ({"building.yaml": {"defaults": {"light_watt_on": 80}}},
+         "unknown field 'defaults.light_watt_on'"),
+        ({"building.yaml": {"defaults": {"computer_watts": {"of": 5}}}},
+         "unknown field 'defaults.computer_watts.of'"),
+        ({"building.yaml": {"rooms": [{"id": "hall", "kind": "corridor",
+                                       "colour": "red"}]}},
+         "unknown field 'rooms[0].colour'"),
+        ({"building.yaml": {"light_overrides": {"L000": {"watt_on": 80}}}},
+         "unknown field 'light_overrides.L000.watt_on'"),
+        ({"building.yaml": {"computer_overrides": {"K000": {"watts_sleep": 1}}}},
+         "unknown field 'computer_overrides.K000.watts_sleep'"),
+        ({"building.yaml": {"rooms": [{"id": "office", "kind": "private_office",
+                                       "desk_capacity": True}]}},
+         "rooms[0].desk_capacity"),
+        ({"building.yaml": {"max_occupants": 2.5}}, "max_occupants"),
     ],
 )
 def test_malformed_field_is_a_config_error_naming_it(tmp_path, capsys, override, field):
@@ -159,6 +175,15 @@ def test_malformed_field_is_a_config_error_naming_it(tmp_path, capsys, override,
     path.write_text(yaml.safe_dump(doc))
     assert main(["validate", "--scenario", str(path)]) == 1
     assert field in capsys.readouterr().err
+
+
+def test_unknown_fields_of_mixed_key_types_are_named(scenario_path, capsys):
+    # YAML keys need not be strings; sorting them for the message must not
+    # compare an int with a str.
+    scenario_path.write_text(SMALL_SCENARIO + "1: 2\nextra: 3\n")
+    assert main(["validate", "--scenario", str(scenario_path)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown field '1'" in err and "unknown field 'extra'" in err
 
 
 _yaml_scalars = st.one_of(

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +16,11 @@ from officesim import (
     run_experiment,
     run_replication,
 )
+from officesim.engine import run_replication_arms
 from officesim.occupants import PopulationMix, ScheduleClass, Stereotype
 
 from conftest import make_small_building, make_small_scenario
+from test_invariants import random_scenario
 
 
 def test_clock_derivations():
@@ -241,3 +244,48 @@ def test_idle_stretches_match_minute_by_minute_recording():
         for rid in result.trace.room_ids
     ])
     assert np.array_equal(watts @ result.trace.lights_on, result.ledger.lights_w)
+
+
+def test_shared_pass_arms_equal_solo_replications():
+    # Two automated arms with different delays and two staff arms, in
+    # alternation: a countdown set, bank or manual-switching stream shared
+    # between arms, or a manual event logged into another arm, changes
+    # some arm's result.
+    rng = random.Random(31337)
+    seen = {"delays": set(), "contact_rates": set(), "start_days": set(),
+            "no_network": 0, "manual_events": 0}
+    for _ in range(24):
+        scenario = random_scenario(rng)
+        seed = rng.randrange(2**31)
+        first, second = rng.sample([5, 20, 30], 2)
+        policies = (
+            LightingPolicy.automated(first),
+            LightingPolicy.staff_controlled(),
+            LightingPolicy.automated(second),
+            LightingPolicy.staff_controlled(),
+        )
+        arms = run_replication_arms(scenario, seed, policies, keep_events=True)
+        assert len(arms) == len(policies)
+        for policy, arm in zip(policies, arms):
+            solo = run_replication(replace(scenario, policy=policy), seed)
+            assert arm.events == solo.events
+            for name in ("base_w", "lights_w", "computers_w"):
+                assert (getattr(arm.ledger, name).tobytes()
+                        == getattr(solo.ledger, name).tobytes()), name
+            assert arm.light_intervals == solo.light_intervals
+            assert arm.computer_transitions == solo.computer_transitions
+            assert arm.contact_count == solo.contact_count
+            assert arm.roster == solo.roster
+            seen["manual_events"] += sum(
+                ev.kind in (EventKind.MANUAL_LIGHTS_ON, EventKind.MANUAL_LIGHTS_OFF)
+                for ev in arm.events
+            )
+        seen["delays"].update((first, second))
+        seen["contact_rates"].add(scenario.contact_rate)
+        seen["start_days"].add(scenario.start_day_of_week)
+        seen["no_network"] += arms[0].network is None
+    assert seen["delays"] == {5, 20, 30}
+    assert seen["contact_rates"] == {0.0, 1.0, 50.0}
+    assert seen["start_days"] == set(range(7))
+    assert seen["no_network"] > 0
+    assert seen["manual_events"] > 0
