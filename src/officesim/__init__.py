@@ -13,24 +13,12 @@ from .accounting import (
     BetaReport,
     EnergyLedger,
     HalfHourBin,
-    PowerSample,
     category_proportions,
     category_proportions_masked,
     half_hour_bins,
     realized_beta,
-    sample_power,
 )
-from .appliances import (
-    Computer,
-    ComputerState,
-    Light,
-    LightingPolicy,
-    PolicyKind,
-    appliance_watts,
-    computer_apply_event,
-    light_step,
-    manual_exit_decision,
-)
+from .appliances import LightingPolicy, PolicyKind, manual_exit_decision
 from .building import (
     BuildingModel,
     Room,
@@ -45,7 +33,6 @@ from .engine import (
     PolicyComparison,
     ReplicationResult,
     Scenario,
-    SimClock,
     compare_policies,
     derive_seed,
     run_experiment,
@@ -63,7 +50,6 @@ from .occupants import (
     AgentState,
     BehaviorParams,
     EventKind,
-    LeaveKind,
     OccupantAgent,
     OccupantEvent,
     PopulationMix,
@@ -83,7 +69,6 @@ from .scenario_io import (
     window_mask,
 )
 
-REFERENCE_BUILDING = "data/reference_building.yaml"
 REFERENCE_SCENARIO = "data/reference_scenario.yaml"
 
 

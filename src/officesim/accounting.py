@@ -19,29 +19,6 @@ MINUTES_PER_BIN = 30
 WH_PER_WMIN = 1.0 / 60.0
 
 
-@dataclass(frozen=True, slots=True)
-class PowerSample:
-    minute: int
-    base_watts: float
-    lights_watts: float
-    computers_watts: float
-
-    @property
-    def total_watts(self) -> float:
-        return self.base_watts + self.lights_watts + self.computers_watts
-
-
-def sample_power(
-    minute: int, base_watts: float, lights_watts: float, computers_watts: float
-) -> PowerSample:
-    if base_watts < 0 or lights_watts < 0 or computers_watts < 0:
-        raise AccountingError(
-            f"negative power component at minute {minute}: "
-            f"({base_watts}, {lights_watts}, {computers_watts})"
-        )
-    return PowerSample(minute, base_watts, lights_watts, computers_watts)
-
-
 class EnergyLedger:
     """Contiguous per-minute power samples starting at minute 0."""
 
@@ -72,14 +49,6 @@ class EnergyLedger:
     @property
     def total_w(self) -> np.ndarray:
         return self.base_w + self.lights_w + self.computers_w
-
-    def sample_at(self, minute: int) -> PowerSample:
-        return PowerSample(
-            minute,
-            float(self.base_w[minute]),
-            float(self.lights_w[minute]),
-            float(self.computers_w[minute]),
-        )
 
     def energy_wh(self, start: int = 0, end: int | None = None) -> dict[str, float]:
         """Watt-hours per category over [start, end)."""

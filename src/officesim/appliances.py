@@ -1,17 +1,17 @@
-"""Passive appliance state machines and the two lighting policies.
+"""The two lighting policies and the room light bank the engine runs.
 
 Lights are either sensor-driven (on with presence, off after a fixed
 delay of vacancy) or staff-controlled (state changes only through
 manual switch events). Computers move between off / standby / on purely
-in response to their owner's events.
+in response to their owner's events; the engine keeps their wattages.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .occupants import EventKind, LeaveKind, OccupantEvent, awareness_to_switch_off_prob
+from .occupants import awareness_to_switch_off_prob
 
 AUTOMATED_OFF_DELAY_MINUTES = 20
 
@@ -39,113 +39,14 @@ class LightingPolicy:
         return self.kind is PolicyKind.AUTOMATED
 
 
-@dataclass(frozen=True, slots=True)
-class Light:
-    id: str
-    room_id: str
-    is_on: bool = False
-    watts_on: float = 60.0
-    off_delay_remaining: int | None = None
+def manual_exit_decision(leaving_awareness: float, rng) -> bool:
+    """Whether the last occupant leaving a space flips its lights off
+    (staff policy), with the probability of the leaver's awareness band.
 
-    @property
-    def watts(self) -> float:
-        return self.watts_on if self.is_on else 0.0
-
-
-class ComputerState(enum.Enum):
-    OFF = "off"
-    STANDBY = "standby"
-    ON = "on"
-
-
-@dataclass(frozen=True, slots=True)
-class Computer:
-    id: str
-    room_id: str
-    owner_agent_id: int | None = None
-    state: ComputerState = ComputerState.OFF
-    watts_off: float = 0.0
-    watts_standby: float = 25.0
-    watts_on: float = 400.0
-
-    @property
-    def watts(self) -> float:
-        if self.state is ComputerState.ON:
-            return self.watts_on
-        if self.state is ComputerState.STANDBY:
-            return self.watts_standby
-        return self.watts_off
-
-
-def _advance_light(
-    is_on: bool, delay: int | None, occupied: bool, off_delay: int
-) -> tuple[bool, int | None]:
-    """Shared automated-sensor core used by light_step and room banks."""
-    if occupied:
-        return True, None
-    if not is_on:
-        return False, None
-    delay = off_delay if delay is None else delay - 1
-    if delay <= 0:
-        return False, None
-    return True, delay
-
-
-def light_step(light: Light, room_occupied: bool, policy: LightingPolicy) -> Light:
-    """Advance one light by one minute.
-
-    Under the automated policy presence holds the light on and vacancy
-    starts the off-delay countdown; under staff control this step never
-    changes state (manual events do).
+    The engine asks only on a long leave that empties the space; nobody
+    switches off for a quick break.
     """
-    if not policy.is_automated:
-        return light
-    is_on, delay = _advance_light(
-        light.is_on, light.off_delay_remaining, room_occupied, policy.off_delay_minutes
-    )
-    if is_on == light.is_on and delay == light.off_delay_remaining:
-        return light
-    return replace(light, is_on=is_on, off_delay_remaining=delay)
-
-
-def manual_exit_decision(
-    leaving_awareness: float,
-    leave_kind: LeaveKind,
-    is_last_occupant: bool,
-    rng,
-) -> bool:
-    """Whether a departing agent flips the room lights off (staff policy).
-
-    Only a long leave by the last occupant triggers a switch-off, with
-    probability given by the leaver's awareness band.
-    """
-    if leave_kind is not LeaveKind.LONG or not is_last_occupant:
-        return False
     return rng.random() < awareness_to_switch_off_prob(leaving_awareness)
-
-
-_COMPUTER_EVENT_STATE = {
-    EventKind.SWITCH_COMPUTER_ON: ComputerState.ON,
-    EventKind.COMPUTER_TO_STANDBY: ComputerState.STANDBY,
-    EventKind.SWITCH_COMPUTER_OFF: ComputerState.OFF,
-}
-
-
-def computer_apply_event(computer: Computer, event: OccupantEvent) -> Computer:
-    """Pure transition function of (state, event); non-computer events
-    leave the machine untouched."""
-    new_state = _COMPUTER_EVENT_STATE.get(event.kind)
-    if new_state is None or new_state is computer.state:
-        return computer
-    return replace(computer, state=new_state)
-
-
-def appliance_watts(lights, computers) -> tuple[float, float]:
-    """Total (lights, computers) draw over appliance collections."""
-    return (
-        sum(light.watts for light in lights),
-        sum(computer.watts for computer in computers),
-    )
 
 
 class RoomLightBank:
@@ -184,32 +85,23 @@ class RoomLightBank:
         return True
 
     def step_automated(self, occupied: bool, off_delay: int, minute: int) -> int:
-        """Advance one minute; returns +1/-1 on a switch, else 0."""
-        was_on = self.is_on
-        is_on, self.delay = _advance_light(was_on, self.delay, occupied, off_delay)
-        if is_on and not was_on:
-            self.turn_on(minute)
-            return 1
-        if was_on and not is_on:
-            self.is_on = False
-            start, _ = self.intervals[-1]
-            self.intervals[-1] = (start, minute)
-            return -1
-        return 0
+        """Advance one minute under the automated policy: presence holds
+        the lights on, and they stay on through the first ``off_delay``
+        vacant minutes and go off on the next. Returns +1/-1 on a switch,
+        else 0."""
+        if occupied:
+            self.delay = None
+            return 1 if self.turn_on(minute) else 0
+        if not self.is_on:
+            return 0
+        delay = off_delay if self.delay is None else self.delay - 1
+        if delay > 0:
+            self.delay = delay
+            return 0
+        self.turn_off(minute)
+        return -1
 
     def finalize(self, end_minute: int) -> None:
         if self.is_on and self.intervals and self.intervals[-1][1] == -1:
             start, _ = self.intervals[-1]
             self.intervals[-1] = (start, end_minute)
-
-    def on_minutes(self, start: int, end: int) -> int:
-        """Minutes on within [start, end); open intervals count to `end`."""
-        total = 0
-        for a, b in self.intervals:
-            if b == -1:
-                b = end
-            lo = max(a, start)
-            hi = min(b, end)
-            if hi > lo:
-                total += hi - lo
-        return total

@@ -30,6 +30,7 @@ not name is an error. A model is immutable once loaded.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -128,6 +129,52 @@ class BuildingModel:
         )
 
 
+class _StrictLoader(yaml.SafeLoader):
+    """Safe YAML loader for the input files: only ``true``/``false`` are
+    booleans (YAML 1.2), so bare ``off``, ``on``, ``yes`` and ``no`` stay
+    strings, and a key repeated in one mapping is an error instead of
+    silently keeping the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # a `<<` merge: its keys may be overridden here
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                duplicate = key in seen
+            except TypeError:
+                continue  # unhashable: the base constructor reports it
+            if duplicate:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark,
+                )
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+_BOOL = "tag:yaml.org,2002:bool"
+_StrictLoader.yaml_implicit_resolvers = {
+    first: [(tag, regexp) for tag, regexp in resolvers if tag != _BOOL]
+    for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
+}
+_StrictLoader.add_implicit_resolver(
+    _BOOL, re.compile(r"^(?:true|True|TRUE|false|False|FALSE)$"), list("tTfF")
+)
+
+
+def read_yaml(text: str, source: str):
+    """The document of a building or scenario file, read with
+    ``_StrictLoader``; malformed text is a ParseError naming the line."""
+    try:
+        return yaml.load(text, Loader=_StrictLoader)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f"{source}:{mark.line + 1}" if mark is not None else source
+        raise ParseError(f"{where}: not valid YAML: {exc}") from exc
+
+
 def load_building(text: str, source: str = "<string>") -> BuildingModel:
     """Parse and validate a building description.
 
@@ -135,12 +182,7 @@ def load_building(text: str, source: str = "<string>") -> BuildingModel:
     ValidationError listing every dangling reference, duplicate id, or
     constraint violation found.
     """
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f"{source}:{mark.line + 1}" if mark is not None else source
-        raise ParseError(f"{where}: not valid YAML: {exc}") from exc
+    raw = read_yaml(text, source)
     if not isinstance(raw, dict):
         raise ParseError(f"{source}: building file must be a mapping")
     return _build_model(raw, source)
@@ -245,8 +287,6 @@ def _build_model(raw: dict, source: str) -> BuildingModel:
         default=DEFAULT_LIGHT_WATTS, minimum=0, prefix="defaults.",
     )
     cw = read_section(defaults, "computer_watts", problems, prefix="defaults.")
-    # YAML 1.1 reads the bare keys off and on as the booleans False and True.
-    cw = {("on" if k is True else "off" if k is False else k): v for k, v in cw.items()}
     reject_unknown(cw, _COMPUTER_STATES, problems, "defaults.computer_watts.")
     computer_default = tuple(
         read_field(

@@ -28,7 +28,6 @@ from .occupants import (
     BehaviorContext,
     BehaviorParams,
     EventKind,
-    LeaveKind,
     OccupantAgent,
     OccupantEvent,
     PopulationMix,
@@ -44,30 +43,6 @@ def derive_seed(master_seed: int, label: str) -> int:
     """Deterministic 63-bit stream seed from a master seed and a label."""
     digest = hashlib.sha256(f"{master_seed}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-@dataclass(frozen=True, slots=True)
-class SimClock:
-    """Derived calendar facts for an absolute simulation minute."""
-
-    minute: int
-    start_day_of_week: int = 0  # 0 = Monday
-
-    @property
-    def day_index(self) -> int:
-        return self.minute // MINUTES_PER_DAY
-
-    @property
-    def minute_of_day(self) -> int:
-        return self.minute % MINUTES_PER_DAY
-
-    @property
-    def day_of_week(self) -> int:
-        return (self.start_day_of_week + self.day_index) % 7
-
-    @property
-    def is_weekend(self) -> bool:
-        return self.day_of_week >= 5
 
 
 @dataclass(frozen=True)
@@ -232,20 +207,18 @@ class _LightingArm:
     """
 
     __slots__ = (
-        "policy", "banks", "corridor_banks", "countdown", "lights_running",
+        "policy", "banks", "zone_banks", "countdown", "lights_running",
         "lights", "mark", "events", "rng",
     )
 
-    def __init__(self, policy, rooms, room_watts, n_minutes, seed, keep_events):
+    def __init__(self, policy, rooms, room_watts, zone_rooms, n_minutes, seed,
+                 keep_events):
         self.policy = policy
         self.banks = [
             RoomLightBank(room.id, room.light_ids, watts)
             for room, watts in zip(rooms, room_watts)
         ]
-        self.corridor_banks = [
-            bank for room, bank in zip(rooms, self.banks)
-            if room.kind is RoomKind.CORRIDOR
-        ]
+        self.zone_banks = [[self.banks[i] for i in members] for members in zone_rooms]
         self.countdown: set[int] = set()
         self.lights_running = 0.0
         self.lights = np.empty(n_minutes, dtype=np.float64)
@@ -271,10 +244,10 @@ class _LightingArm:
                         EventKind.MANUAL_LIGHTS_ON, ev.minute, ev.agent_id, bank.room_id
                     ))
 
-    def roll_off(self, banks, ev: OccupantEvent, leaver, is_last: bool) -> None:
-        """Staff policy: one switch-off roll for ``banks`` as ``leaver``
-        goes; it can succeed only for the last occupant."""
-        if manual_exit_decision(leaver.awareness, LeaveKind.LONG, is_last, self.rng):
+    def roll_off(self, banks, ev: OccupantEvent, leaver) -> None:
+        """Staff policy: ``leaver``, the last one out, rolls once to
+        switch ``banks`` off."""
+        if manual_exit_decision(leaver.awareness, self.rng):
             for bank in banks:
                 if bank.turn_off(ev.minute):
                     self.add(-bank.watts_total, ev.minute)
@@ -316,8 +289,8 @@ def run_replication_arms(
     of lights, email contacts, and finally the power sample.
 
     Work whose outcome is known is skipped, never reordered: a light bank
-    is stepped only while its step can change it (its room is occupied
-    and it is dark, or its room is vacant and it is lit), a stretch with
+    is stepped only while its step can change it (its zone is occupied
+    and it is dark, or its zone is vacant and it is lit), a stretch with
     nobody in the building and no light counting down is skipped up to
     the next arrival or midnight, and the power series are written one
     constant stretch at a time, when their total changes.
@@ -345,17 +318,28 @@ def run_replication_arms(
     facility_ids = tuple(r.id for r in building.facility_rooms())
     ctx = BehaviorContext(params=params, facility_room_ids=facility_ids)
 
+    # Zones: rooms that share occupancy. Zone 0 holds every corridor room
+    # (an agent in the corridor occupies all of them); every other room is
+    # a zone of its own.
     rooms = building.rooms
-    room_index = {room.id: i for i, room in enumerate(rooms)}
-    occupancy = [0] * len(rooms)
-    corridor_occupancy = 0
-    is_corridor = [room.kind is RoomKind.CORRIDOR for room in rooms]
+    corridor = 0
+    zone_rooms: list[list[int]] = [[]]
+    room_zone: list[int] = []
+    for i, room in enumerate(rooms):
+        if room.kind is RoomKind.CORRIDOR:
+            room_zone.append(corridor)
+            zone_rooms[corridor].append(i)
+        else:
+            room_zone.append(len(zone_rooms))
+            zone_rooms.append([i])
+    zone_of = {room.id: room_zone[i] for i, room in enumerate(rooms)}
+    zone_occupancy = [0] * len(zone_rooms)
     room_watts = [
         sum(building.lights[lid].watts_on for lid in room.light_ids) for room in rooms
     ]
 
     arms = [
-        _LightingArm(policy, rooms, room_watts, n_minutes, seed, keep_events)
+        _LightingArm(policy, rooms, room_watts, zone_rooms, n_minutes, seed, keep_events)
         for policy in policies
     ]
     automated_arms = [arm for arm in arms if arm.policy.is_automated]
@@ -365,10 +349,11 @@ def run_replication_arms(
 
     # Automated policy: a bank with lights is stepped while its step may
     # change it. Any other bank is at a fixed point of step_automated
-    # (occupied and lit, or vacant and dark) until its room turns vacant
+    # (occupied and lit, or vacant and dark) until its zone turns vacant
     # or occupied.
-    steppable = [watts > 0 for watts in room_watts]
-    corridor_steppable = [i for i, c in enumerate(is_corridor) if c and steppable[i]]
+    zone_steppable = [
+        [i for i in members if room_watts[i] > 0] for members in zone_rooms
+    ]
 
     computer_watts_now: dict[str, float] = {}
     computer_transitions: dict[str, list[tuple[int, float]]] = {}
@@ -400,72 +385,48 @@ def run_replication_arms(
 
     computer_specs = building.computers
 
-    def enter_room(idx: int) -> None:
-        nonlocal corridor_occupancy
-        corridor_occupancy -= 1
-        occupancy[idx] += 1
-        if occupancy[idx] == 1 and steppable[idx]:
+    def enter(zone: int, ev: OccupantEvent) -> None:
+        zone_occupancy[zone] += 1
+        if zone_occupancy[zone] == 1:
             for countdown in countdowns:
-                countdown.add(idx)
-        if corridor_occupancy == 0:
-            for countdown in countdowns:
-                countdown.update(corridor_steppable)
+                countdown.update(zone_steppable[zone])
+        for arm in manual_arms:
+            arm.switch_on(arm.zone_banks[zone], ev)
 
-    def leave_room(idx: int) -> None:
-        nonlocal corridor_occupancy
-        occupancy[idx] -= 1
-        corridor_occupancy += 1
-        if occupancy[idx] == 0 and steppable[idx]:
+    def leave(zone: int, ev: OccupantEvent, rolls: bool) -> None:
+        zone_occupancy[zone] -= 1
+        if zone_occupancy[zone] == 0:
             for countdown in countdowns:
-                countdown.add(idx)
-        if corridor_occupancy == 1:
-            for countdown in countdowns:
-                countdown.update(corridor_steppable)
+                countdown.update(zone_steppable[zone])
+            if rolls:
+                for arm in manual_arms:
+                    arm.roll_off(arm.zone_banks[zone], ev, agents[ev.agent_id])
 
     def apply_event(ev: OccupantEvent) -> None:
-        # Staff arms: anyone stepping into a room or a dark corridor
-        # switches it on; the last one out of a room, or of the corridor
-        # zone as a whole, rolls once to switch it off.
-        nonlocal corridor_occupancy, computers_running, computers_mark
+        # Staff arms: anyone entering a zone switches on its dark banks;
+        # the last one out rolls once to switch them off, unless it is a
+        # quick break. A move between a room and the corridor handles the
+        # zone the event names first.
+        nonlocal computers_running, computers_mark
         kind = ev.kind
         if kind is EventKind.ENTER_OWN_OFFICE or kind is EventKind.ENTER_OTHER_ROOM:
-            idx = room_index[ev.room_id]
-            enter_room(idx)
+            enter(zone_of[ev.room_id], ev)
+            leave(corridor, ev, True)
             if kind is EventKind.ENTER_OWN_OFFICE:
                 insort(in_office, agents[ev.agent_id], key=lambda a: a.id)
-            for arm in manual_arms:
-                arm.switch_on(arm.banks[idx:idx + 1], ev)
-                if corridor_occupancy == 0:
-                    arm.roll_off(arm.corridor_banks, ev, agents[ev.agent_id], True)
-        elif kind is EventKind.LEAVE_OFFICE_TEMPORARY:
-            leave_room(room_index[ev.room_id])
-            in_office.remove(agents[ev.agent_id])
-            for arm in manual_arms:
-                arm.switch_on(arm.corridor_banks, ev)
-        elif kind is EventKind.LEAVE_OFFICE_LONG or kind is EventKind.EXIT_OTHER_ROOM:
-            idx = room_index[ev.room_id]
-            leave_room(idx)
-            if kind is EventKind.LEAVE_OFFICE_LONG:
+        elif (
+            kind is EventKind.LEAVE_OFFICE_TEMPORARY
+            or kind is EventKind.LEAVE_OFFICE_LONG
+            or kind is EventKind.EXIT_OTHER_ROOM
+        ):
+            leave(zone_of[ev.room_id], ev, kind is not EventKind.LEAVE_OFFICE_TEMPORARY)
+            enter(corridor, ev)
+            if kind is not EventKind.EXIT_OTHER_ROOM:
                 in_office.remove(agents[ev.agent_id])
-            for arm in manual_arms:
-                arm.roll_off(
-                    arm.banks[idx:idx + 1], ev, agents[ev.agent_id], occupancy[idx] == 0
-                )
-                arm.switch_on(arm.corridor_banks, ev)
         elif kind is EventKind.ENTER_BUILDING:
-            corridor_occupancy += 1
-            if corridor_occupancy == 1:
-                for countdown in countdowns:
-                    countdown.update(corridor_steppable)
-            for arm in manual_arms:
-                arm.switch_on(arm.corridor_banks, ev)
+            enter(corridor, ev)
         elif kind is EventKind.LEAVE_BUILDING:
-            corridor_occupancy -= 1
-            if corridor_occupancy == 0:
-                for countdown in countdowns:
-                    countdown.update(corridor_steppable)
-                for arm in manual_arms:
-                    arm.roll_off(arm.corridor_banks, ev, agents[ev.agent_id], True)
+            leave(corridor, ev, True)
             active.remove(agents[ev.agent_id])
         else:
             # Computer events carry no room; resolve via the owner.
@@ -559,9 +520,7 @@ def run_replication_arms(
                 off_delay = arm.policy.off_delay_minutes
                 for idx in sorted(countdown):
                     bank = banks[idx]
-                    occupied = (
-                        corridor_occupancy if is_corridor[idx] else occupancy[idx]
-                    ) > 0
+                    occupied = zone_occupancy[room_zone[idx]] > 0
                     delta = bank.step_automated(occupied, off_delay, minute)
                     if delta:
                         arm.add(delta * bank.watts_total, minute)
@@ -585,10 +544,7 @@ def run_replication_arms(
 
         if run_trace is not None:
             for i in range(len(rooms)):
-                occupied_now = (
-                    corridor_occupancy if is_corridor[i] else occupancy[i]
-                ) > 0
-                run_trace.room_occupied[i, minute] = occupied_now
+                run_trace.room_occupied[i, minute] = zone_occupancy[room_zone[i]] > 0
                 run_trace.lights_on[i, minute] = traced_banks[i].is_on
         minute += 1
 

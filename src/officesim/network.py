@@ -107,7 +107,7 @@ def contact_step(
     awareness_delta: float,
     minute: int,
     rng,
-    senders: list[OccupantAgent] | None = None,
+    senders: list[OccupantAgent],
 ) -> list[ContactEvent]:
     """One minute of email traffic.
 
@@ -117,10 +117,9 @@ def contact_step(
     capped at 100. Agents are visited in id order and updates apply
     immediately, keeping runs reproducible.
 
-    ``agents`` must be indexable by agent id. ``senders`` may restrict
-    the scan to a pre-filtered id-ordered subset, such as the agents in
-    their own office (the in-office check still applies); by default
-    every agent is scanned.
+    ``agents`` must be indexable by agent id. ``senders`` are the agents
+    scanned, in id order: all of them, or a pre-filtered subset such as
+    the agents in their own office (the in-office check still applies).
     """
     if contact_rate <= 0.0:
         return []
@@ -131,7 +130,7 @@ def contact_step(
     neighbors = network.neighbors
     in_office = AgentState.IN_OWN_OFFICE
     cap = AWARENESS_CAP
-    for agent in agents if senders is None else senders:
+    for agent in senders:
         if agent.state is not in_office:
             continue
         if random() >= agent.p_email * scale:

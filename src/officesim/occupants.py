@@ -200,12 +200,6 @@ class CorridorMode(enum.Enum):
     EXITING = "exiting"          # walk out of the building
 
 
-class LeaveKind(enum.Enum):
-    STAY = "stay"
-    TEMPORARY = "temporary"
-    LONG = "long"
-
-
 class EventKind(enum.Enum):
     ENTER_BUILDING = "enter_building"
     ENTER_OWN_OFFICE = "enter_own_office"

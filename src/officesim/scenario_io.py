@@ -61,6 +61,7 @@ from .building import (
     load_building_file,
     read_field,
     read_section,
+    read_yaml,
     reject_unknown,
     serialize_building,
 )
@@ -122,12 +123,7 @@ def parse_scenario(path: str | Path) -> Scenario:
 def parse_scenario_text(
     text: str, base_dir: str | Path = ".", source: str = "<string>"
 ) -> Scenario:
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f"{source}:{mark.line + 1}" if mark is not None else source
-        raise ParseError(f"{where}: not valid YAML: {exc}") from exc
+    raw = read_yaml(text, source)
     if not isinstance(raw, dict):
         raise ParseError(f"{source}: scenario file must be a mapping")
 

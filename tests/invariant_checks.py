@@ -102,39 +102,32 @@ def check_no_events_while_absent(result: ReplicationResult) -> list[str]:
     return violations
 
 
-def check_automated_no_waste(result: ReplicationResult, off_delay: int) -> list[str]:
-    """A light may be on at minute m only if its room was occupied at
-    some minute in [m - off_delay, m]."""
+def check_automated_light_rule(result: ReplicationResult, off_delay: int) -> list[str]:
+    """The exact automated rule: a room with lights is lit at minute m iff
+    it was occupied at some minute in [m - off_delay, m]; a room without
+    lights is never lit."""
     trace = result.trace
     violations = []
     for i, room_id in enumerate(trace.room_ids):
-        occupied = trace.room_occupied[i]
         lights_on = trace.lights_on[i]
-        # sliding any() over the trailing (off_delay + 1)-sample window
-        window = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate([np.zeros(off_delay, dtype=bool), occupied]),
-            off_delay + 1,
-        ).any(axis=1)
-        bad = lights_on & ~window
-        if bad.any():
-            first = int(np.argmax(bad))
-            violations.append(
-                f"room {room_id}: light on at minute {first} with no occupancy "
-                f"in the previous {off_delay} minutes"
+        if result.building.rooms[i].light_ids:
+            # sliding any() over the trailing (off_delay + 1)-sample window
+            padded = np.concatenate(
+                [np.zeros(off_delay, dtype=bool), trace.room_occupied[i]]
             )
-    return violations
-
-
-def check_automated_responsiveness(result: ReplicationResult) -> list[str]:
-    trace = result.trace
-    violations = []
-    for i, room_id in enumerate(trace.room_ids):
-        if not result.building.rooms[i].light_ids:
-            continue
-        bad = trace.room_occupied[i] & ~trace.lights_on[i]
+            expected = np.lib.stride_tricks.sliding_window_view(
+                padded, off_delay + 1
+            ).any(axis=1)
+        else:
+            expected = np.zeros_like(lights_on)
+        bad = lights_on != expected
         if bad.any():
             first = int(np.argmax(bad))
-            violations.append(f"room {room_id}: occupied but dark at minute {first}")
+            state = "lit" if lights_on[first] else "dark"
+            violations.append(
+                f"room {room_id}: {state} at minute {first}, against the "
+                f"{off_delay}-minute rule"
+            )
     return violations
 
 
@@ -162,6 +155,65 @@ def check_staff_passivity(result: ReplicationResult) -> list[str]:
                     f"room {room_id}: light turned off at minute {end} "
                     "without a manual event"
                 )
+    return violations
+
+
+def check_staff_switch_offs(result: ReplicationResult) -> list[str]:
+    """Under staff control only the last one out switches off, and never
+    for a quick break: every MANUAL_LIGHTS_OFF of a room falls right after
+    a LEAVE_OFFICE_LONG or EXIT_OTHER_ROOM that left that room empty, and
+    one of a corridor room right after an event that left the corridor
+    empty. Occupancy is replayed from the events alone."""
+    room_leaves = (EventKind.LEAVE_OFFICE_LONG, EventKind.EXIT_OTHER_ROOM)
+    corridor_leaves = (
+        EventKind.LEAVE_BUILDING, EventKind.ENTER_OWN_OFFICE, EventKind.ENTER_OTHER_ROOM
+    )
+    corridor_ids = {r.id for r in result.building.corridor_rooms()}
+    occupancy: dict[str, int] = {}
+    in_corridor = 0
+    last = None  # the latest agent event
+    violations = []
+    for ev in result.events:
+        kind = ev.kind
+        if kind is EventKind.MANUAL_LIGHTS_OFF:
+            if last is None or (last.minute, last.agent_id) != (
+                ev.minute, ev.agent_id
+            ):
+                violations.append(
+                    f"room {ev.room_id}: switched off at minute {ev.minute} "
+                    "with no event of that agent"
+                )
+            elif ev.room_id in corridor_ids:
+                if last.kind not in corridor_leaves or in_corridor:
+                    violations.append(
+                        f"corridor room {ev.room_id}: switched off at minute "
+                        f"{ev.minute} after {last.kind.value} with "
+                        f"{in_corridor} in the corridor"
+                    )
+            elif (
+                last.kind not in room_leaves
+                or last.room_id != ev.room_id
+                or occupancy.get(ev.room_id, 0)
+            ):
+                violations.append(
+                    f"room {ev.room_id}: switched off at minute {ev.minute} "
+                    f"after {last.kind.value} of room {last.room_id} with "
+                    f"{occupancy.get(ev.room_id, 0)} left in it"
+                )
+            continue
+        if kind is EventKind.MANUAL_LIGHTS_ON:
+            continue
+        last = ev
+        if kind is EventKind.ENTER_BUILDING:
+            in_corridor += 1
+        elif kind is EventKind.LEAVE_BUILDING:
+            in_corridor -= 1
+        elif kind in (EventKind.ENTER_OWN_OFFICE, EventKind.ENTER_OTHER_ROOM):
+            occupancy[ev.room_id] = occupancy.get(ev.room_id, 0) + 1
+            in_corridor -= 1
+        elif kind is EventKind.LEAVE_OFFICE_TEMPORARY or kind in room_leaves:
+            occupancy[ev.room_id] -= 1
+            in_corridor += 1
     return violations
 
 
@@ -250,10 +302,10 @@ def run_all_checks(result: ReplicationResult, policy_automated: bool, off_delay:
     violations += check_schedule_containment(result)
     violations += check_no_events_while_absent(result)
     if policy_automated:
-        violations += check_automated_no_waste(result, off_delay)
-        violations += check_automated_responsiveness(result)
+        violations += check_automated_light_rule(result, off_delay)
     else:
         violations += check_staff_passivity(result)
+        violations += check_staff_switch_offs(result)
     violations += check_awareness_monotone(result)
     violations += check_stereotype_immutable(result)
     violations += check_network_edges(result)

@@ -15,17 +15,16 @@ import pytest
 
 from officesim import (
     EnergyLedger,
-    Light,
     LightingPolicy,
     category_proportions_masked,
     compare_policies,
     emit_experiment,
-    light_step,
     run_experiment,
     run_replication,
     sample_population,
     window_mask,
 )
+from officesim.appliances import RoomLightBank
 from officesim.engine import PolicyComparison
 from officesim.occupants import (
     MINUTES_PER_DAY,
@@ -86,12 +85,12 @@ def test_criterion_1_accounting_identity(automated_experiment):
 def test_criterion_2_automated_light_rule():
     # one office, one occupant, scripted long leave at minute 300
     occupied = [True] * 300 + [False] * 100
-    light = Light("L1", "office", watts_on=60.0)
+    bank = RoomLightBank("office", ("L1",), 60.0)
     policy = LightingPolicy.automated()
     on_series = []
-    for present in occupied:
-        light = light_step(light, present, policy)
-        on_series.append(light.is_on)
+    for minute, present in enumerate(occupied):
+        bank.step_automated(present, policy.off_delay_minutes, minute)
+        on_series.append(bank.is_on)
     assert all(on_series[m] for m in range(300)), "on at every occupied minute"
     assert all(on_series[m] for m in range(300, 320)), "burns through the delay"
     assert not any(on_series[m] for m in range(320, 400)), "off exactly at +20"

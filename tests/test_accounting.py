@@ -8,7 +8,6 @@ from officesim import (
     category_proportions_masked,
     half_hour_bins,
     realized_beta,
-    sample_power,
 )
 from officesim.accounting import build_beta_report
 from officesim.errors import AccountingError
@@ -24,20 +23,22 @@ def constant_ledger(minutes, base=0, lights=0, computers=0):
 
 
 def test_sample_decomposition_identity():
-    sample = sample_power(0, 5000, 0, 0)
-    assert sample.total_watts == 5000
-    everything_on = sample_power(1, 5000, 239 * 60, 180 * 400)
-    assert everything_on.total_watts == 5000 + 14340 + 72000
+    ledger = EnergyLedger([5000, 5000], [0, 239 * 60], [0, 180 * 400])
+    assert ledger.total_w[0] == 5000
+    # everything on
+    assert ledger.total_w[1] == 5000 + 14340 + 72000
 
 
 def test_single_light_with_no_base():
-    sample = sample_power(0, 0, 60, 0)
-    assert sample.total_watts == 60
+    assert EnergyLedger([0], [60], [0]).total_w[0] == 60
 
 
 def test_negative_component_rejected():
-    with pytest.raises(AccountingError):
-        sample_power(0, -1, 0, 0)
+    for column in range(3):
+        samples = [[0, 0], [0, 0], [0, 0]]
+        samples[column][1] = -1
+        with pytest.raises(AccountingError):
+            EnergyLedger(*samples)
 
 
 def test_ledger_identity_holds_per_minute():
@@ -175,8 +176,5 @@ def test_ledger_equality_and_sample_access():
     a = constant_ledger(5, base=10, lights=20, computers=30)
     b = constant_ledger(5, base=10, lights=20, computers=30)
     assert a == b
-    sample = a.sample_at(3)
-    assert (sample.base_watts, sample.lights_watts, sample.computers_watts) == (
-        10, 20, 30,
-    )
-    assert sample.total_watts == 60
+    assert (a.base_w[3], a.lights_w[3], a.computers_w[3]) == (10, 20, 30)
+    assert a.total_w[3] == 60

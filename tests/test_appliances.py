@@ -1,167 +1,140 @@
 import random
 
-import pytest
 from hypothesis import given, strategies as st
 
 from officesim import (
-    Computer,
-    ComputerState,
     EventKind,
-    Light,
     LightingPolicy,
-    appliance_watts,
-    computer_apply_event,
-    light_step,
+    Scenario,
     manual_exit_decision,
+    run_replication,
 )
 from officesim.appliances import RoomLightBank
-from officesim.occupants import LeaveKind, OccupantEvent
+from officesim.occupants import BehaviorParams, PopulationMix, Stereotype
 
-AUTO = LightingPolicy.automated()
+from conftest import make_small_building, make_small_scenario
+from invariant_checks import check_staff_passivity, check_staff_switch_offs
+
 STAFF = LightingPolicy.staff_controlled()
 
 
-def run_pattern(light: Light, pattern: list[bool], policy=AUTO) -> list[bool]:
+def run_pattern(pattern: list[bool], off_delay: int = 20, lit: bool = False):
+    """Step one bank through ``pattern`` (occupied per minute); ``lit``
+    switches it on first. Returns the bank and whether it is on after
+    each minute."""
+    bank = RoomLightBank("r1", ("L1",), 60.0)
+    if lit:
+        bank.turn_on(0)
     states = []
-    for occupied in pattern:
-        light = light_step(light, occupied, policy)
-        states.append(light.is_on)
-    return states
+    for minute, occupied in enumerate(pattern):
+        bank.step_automated(occupied, off_delay, minute)
+        states.append(bank.is_on)
+    return bank, states
+
+
+def closed_form(pattern: list[bool], off_delay: int) -> list[bool]:
+    """Lit at minute m iff occupied at some minute in [m - off_delay, m]."""
+    return [any(pattern[max(0, m - off_delay):m + 1]) for m in range(len(pattern))]
 
 
 def test_light_off_after_exactly_twenty_vacant_minutes():
-    light = Light("L1", "r1", is_on=True)
-    states = run_pattern(light, [False] * 25)
+    _, states = run_pattern([False] * 25, lit=True)
     # on through the 20th vacant minute, off from the 21st sample onward
     assert states[:20] == [True] * 20
     assert states[20:] == [False] * 5
 
 
 def test_light_reoccupied_at_nineteen_minutes_stays_on():
-    light = Light("L1", "r1", is_on=True)
-    states = run_pattern(light, [False] * 19 + [True] + [False] * 19 + [True])
+    _, states = run_pattern([False] * 19 + [True] + [False] * 19 + [True], lit=True)
     assert all(states)
 
 
 def test_light_on_at_every_occupied_minute():
-    light = Light("L1", "r1")
     rng = random.Random(3)
     pattern = [rng.random() < 0.5 for _ in range(500)]
-    states = run_pattern(light, pattern)
+    _, states = run_pattern(pattern)
     assert all(on for on, occ in zip(states, pattern) if occ)
 
 
-def test_staff_controlled_light_never_moves_on_its_own():
-    for start_on in (False, True):
-        light = Light("L1", "r1", is_on=start_on)
-        for occupied in (True, False, True, False):
-            light = light_step(light, occupied, STAFF)
-            assert light.is_on is start_on
-
-
 def test_custom_off_delay():
-    light = Light("L1", "r1", is_on=True)
-    states = run_pattern(light, [False] * 6, LightingPolicy.automated(5))
+    _, states = run_pattern([False] * 6, off_delay=5, lit=True)
     assert states == [True] * 5 + [False]
+
+
+@given(
+    st.lists(st.booleans(), min_size=1, max_size=200),
+    st.integers(min_value=0, max_value=30),
+)
+def test_bank_matches_single_light_semantics(pattern, off_delay):
+    _, states = run_pattern(pattern, off_delay)
+    assert states == closed_form(pattern, off_delay)
+
+
+def test_bank_interval_log_counts_on_minutes():
+    pattern = [True] * 10 + [False] * 25 + [True] * 5
+    bank, _ = run_pattern(pattern)
+    bank.finalize(len(pattern))
+    # on from 0: 10 occupied + 20 delay, then off, then on again at 35
+    assert bank.intervals == [(0, 30), (35, 40)]
+
+
+def test_staff_controlled_light_never_moves_on_its_own(monkeypatch):
+    # No sensor steps a bank under staff control; every switch is a
+    # manual event.
+    def sensor_step(*args):
+        raise AssertionError("automated step under staff control")
+
+    monkeypatch.setattr(RoomLightBank, "step_automated", sensor_step)
+    scenario = make_small_scenario(population_size=5, horizon_days=2, policy=STAFF)
+    result = run_replication(scenario, seed=3)
+    assert any(ev.kind is EventKind.MANUAL_LIGHTS_OFF for ev in result.events)
+    assert not check_staff_passivity(result)
 
 
 def test_manual_exit_decision_frequency():
     rng = random.Random(17)
     n = 10_000
-    offs = sum(
-        manual_exit_decision(97.0, LeaveKind.LONG, True, rng) for _ in range(n)
-    )
+    offs = sum(manual_exit_decision(97.0, rng) for _ in range(n))
     assert abs(offs / n - 0.95) <= 0.0065
 
 
-def test_manual_exit_decision_temporary_never_switches_off():
-    rng = random.Random(1)
-    assert not any(
-        manual_exit_decision(100.0, LeaveKind.TEMPORARY, True, rng)
-        for _ in range(1000)
+def _champion_staff_runs(seeds, **behavior):
+    """Staff-controlled replications of environment champions (switch-off
+    probability 0.95), so a roll the engine should not make almost surely
+    switches something off."""
+    building = make_small_building(n_private=3, n_shared=2, shared_desks=4)
+    scenario = Scenario(
+        building=building,
+        population_size=building.total_desk_capacity(),
+        mix=PopulationMix(awareness={Stereotype.ENVIRONMENT_CHAMPION: 1.0}),
+        policy=STAFF,
+        behavior=BehaviorParams(**behavior),
+        horizon_days=2,
+        master_seed=5,
     )
+    return [run_replication(scenario, seed) for seed in seeds]
+
+
+def test_manual_exit_decision_temporary_never_switches_off():
+    # Mostly temporary leaves: none of them may switch a room off.
+    runs = _champion_staff_runs(
+        range(3), leave_hazard_per_minute=0.05, temporary_leave_fraction=0.95
+    )
+    temporary = sum(
+        ev.kind is EventKind.LEAVE_OFFICE_TEMPORARY for r in runs for ev in r.events
+    )
+    assert temporary > 100
+    for result in runs:
+        assert not check_staff_switch_offs(result)
 
 
 def test_manual_exit_decision_requires_last_occupant():
-    rng = random.Random(1)
-    assert not any(
-        manual_exit_decision(100.0, LeaveKind.LONG, False, rng) for _ in range(1000)
+    # Shared offices and many facility visits: rooms and the corridor are
+    # often left by someone who is not the last one out.
+    runs = _champion_staff_runs(range(3), other_room_hazard_per_minute=0.05)
+    offs = sum(
+        ev.kind is EventKind.MANUAL_LIGHTS_OFF for r in runs for ev in r.events
     )
-
-
-def _event(kind):
-    return OccupantEvent(kind, 0, 0)
-
-
-@pytest.mark.parametrize(
-    "start,kind,expected,watts",
-    [
-        (ComputerState.OFF, EventKind.SWITCH_COMPUTER_ON, ComputerState.ON, 400),
-        (ComputerState.ON, EventKind.COMPUTER_TO_STANDBY, ComputerState.STANDBY, 25),
-        (ComputerState.STANDBY, EventKind.SWITCH_COMPUTER_OFF, ComputerState.OFF, 0),
-        (ComputerState.STANDBY, EventKind.SWITCH_COMPUTER_ON, ComputerState.ON, 400),
-        (ComputerState.ON, EventKind.SWITCH_COMPUTER_OFF, ComputerState.OFF, 0),
-        (ComputerState.OFF, EventKind.COMPUTER_TO_STANDBY, ComputerState.STANDBY, 25),
-    ],
-)
-def test_computer_event_transitions(start, kind, expected, watts):
-    computer = Computer("K1", "r1", state=start)
-    updated = computer_apply_event(computer, _event(kind))
-    assert updated.state is expected
-    assert updated.watts == watts
-
-
-def test_computer_ignores_unrelated_events():
-    computer = Computer("K1", "r1", state=ComputerState.ON)
-    updated = computer_apply_event(computer, _event(EventKind.ENTER_OWN_OFFICE))
-    assert updated is computer
-
-
-def test_computer_apply_event_is_pure():
-    computer = Computer("K1", "r1", state=ComputerState.OFF)
-    a = computer_apply_event(computer, _event(EventKind.SWITCH_COMPUTER_ON))
-    b = computer_apply_event(computer, _event(EventKind.SWITCH_COMPUTER_ON))
-    assert a == b
-    assert computer.state is ComputerState.OFF
-
-
-def test_appliance_watts_all_off():
-    lights = [Light(f"L{i}", "r") for i in range(5)]
-    computers = [Computer(f"K{i}", "r") for i in range(5)]
-    assert appliance_watts(lights, computers) == (0, 0)
-
-
-def test_appliance_watts_full_lighting_load():
-    lights = [Light(f"L{i}", "r", is_on=True) for i in range(239)]
-    assert appliance_watts(lights, []) == (239 * 60, 0)
-
-
-def test_appliance_watts_mixed_computers():
-    computers = [
-        Computer("K1", "r", state=ComputerState.ON),
-        Computer("K2", "r", state=ComputerState.STANDBY),
-    ]
-    assert appliance_watts([], computers) == (0, 425)
-
-
-@given(st.lists(st.booleans(), min_size=1, max_size=200))
-def test_bank_matches_single_light_semantics(pattern):
-    light = Light("L1", "r1")
-    bank = RoomLightBank("r1", ("L1",), 60.0)
-    for minute, occupied in enumerate(pattern):
-        light = light_step(light, occupied, AUTO)
-        bank.step_automated(occupied, AUTO.off_delay_minutes, minute)
-        assert bank.is_on == light.is_on
-
-
-def test_bank_interval_log_counts_on_minutes():
-    bank = RoomLightBank("r1", ("L1",), 60.0)
-    pattern = [True] * 10 + [False] * 25 + [True] * 5
-    for minute, occupied in enumerate(pattern):
-        bank.step_automated(occupied, 20, minute)
-    bank.finalize(len(pattern))
-    # on from 0: 10 occupied + 20 delay, then off, then on again at 35
-    assert bank.intervals == [(0, 30), (35, 40)]
-    assert bank.on_minutes(0, 40) == 35
-    assert bank.on_minutes(5, 10) == 5
-    assert bank.on_minutes(30, 35) == 0
+    assert offs > 100
+    for result in runs:
+        assert not check_staff_switch_offs(result)

@@ -160,10 +160,15 @@ def test_malformed_defaults_are_named(defaults, field):
 
 @pytest.mark.parametrize(
     "computer_watts",
-    ["{off: 5, standby: 30, on: 300}", "{'off': 5, standby: 30, 'on': 300}"],
+    [
+        "{off: 5, standby: 30, on: 300}",
+        "{'off': 5, standby: 30, 'on': 300}",
+        # a merged key may be overridden: that is no duplicate
+        "{<<: {off: 1, standby: 30}, off: 5, on: 300}",
+    ],
 )
 def test_computer_watts_defaults_read_bare_and_quoted_keys(computer_watts):
-    # YAML 1.1 reads the bare keys off and on as booleans.
+    # Only true/false are booleans (YAML 1.2): bare off and on are strings.
     text = make_building_text() + f"defaults: {{computer_watts: {computer_watts}}}\n"
     for spec in load_building(text).computers.values():
         assert (spec.watts_off, spec.watts_standby, spec.watts_on) == (5, 30, 300)

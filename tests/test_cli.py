@@ -186,6 +186,37 @@ def test_unknown_fields_of_mixed_key_types_are_named(scenario_path, capsys):
     assert "unknown field '1'" in err and "unknown field 'extra'" in err
 
 
+@pytest.mark.parametrize(
+    "target,extra,expected",
+    [
+        ("building.yaml", "defaults: {computer_watts: {yes: 300}}\n",
+         "unknown field 'defaults.computer_watts.yes'"),
+        ("building.yaml", "defaults: {computer_watts: {true: 300}}\n",
+         "unknown field 'defaults.computer_watts.True'"),
+        ("building.yaml", "defaults: {computer_watts: {off: 5, 'off': 6}}\n",
+         "duplicate key 'off'"),
+        ("building.yaml", "base_load_watts: 7\n", "duplicate key 'base_load_watts'"),
+        ("scenario.yaml", "seed: 6\n", "duplicate key 'seed'"),
+    ],
+    ids=["yes-key", "true-key", "duplicate-off", "duplicate-base-load",
+         "duplicate-seed"],
+)
+def test_yaml_boolean_or_duplicate_key_is_a_config_error(
+    scenario_path, capsys, target, extra, expected
+):
+    # Only true/false are booleans, so {yes: 300} and {true: 300} are not
+    # read as `on`; a repeated key is an error naming it and its line,
+    # instead of silently keeping the last value.
+    path = scenario_path.parent / target
+    text = path.read_text() + extra
+    path.write_text(text)
+    assert main(["validate", "--scenario", str(scenario_path)]) == 1
+    err = capsys.readouterr().err
+    assert expected in err
+    if expected.startswith("duplicate"):
+        assert f"{target}:{text.count(chr(10))}:" in err
+
+
 _yaml_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-5, 300), st.floats(-2, 300),
     st.text(max_size=4), st.lists(st.integers(0, 3), max_size=2),

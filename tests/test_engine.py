@@ -9,7 +9,6 @@ from officesim import (
     LightingPolicy,
     PolicyKind,
     Scenario,
-    SimClock,
     ValidationError,
     compare_policies,
     derive_seed,
@@ -21,15 +20,6 @@ from officesim.occupants import PopulationMix, ScheduleClass, Stereotype
 
 from conftest import make_small_building, make_small_scenario
 from test_invariants import random_scenario
-
-
-def test_clock_derivations():
-    clock = SimClock(minute=1441, start_day_of_week=4)  # Friday start
-    assert clock.day_index == 1
-    assert clock.minute_of_day == 1
-    assert clock.day_of_week == 5
-    assert clock.is_weekend
-    assert not SimClock(minute=100, start_day_of_week=0).is_weekend
 
 
 def test_empty_population_yields_flat_base_load():
@@ -289,3 +279,44 @@ def test_shared_pass_arms_equal_solo_replications():
     assert seen["start_days"] == set(range(7))
     assert seen["no_network"] > 0
     assert seen["manual_events"] > 0
+
+
+def test_computer_transitions_replay_from_events():
+    # Each computer event sets its owner's computer to the building's spec
+    # wattage for that state; replaying the events must rebuild the
+    # transition log exactly, and the log the ledger's computer series.
+    spec_watts = {
+        EventKind.SWITCH_COMPUTER_ON: "watts_on",
+        EventKind.COMPUTER_TO_STANDBY: "watts_standby",
+        EventKind.SWITCH_COMPUTER_OFF: "watts_off",
+    }
+    rng = random.Random(2718)
+    seen = set()
+    for _ in range(8):
+        scenario = random_scenario(rng)
+        result = run_replication(scenario, seed=rng.randrange(2**31))
+        computers = result.building.computers
+        owned = {r.id: r.computer_id for r in result.roster}
+        watts = {cid: spec.watts_off for cid, spec in computers.items()}
+        rebuilt = {cid: [(0, w)] for cid, w in watts.items()}
+        for ev in result.events:
+            field_name = spec_watts.get(ev.kind)
+            if field_name is None:
+                continue
+            seen.add(ev.kind)
+            cid = owned[ev.agent_id]
+            new_watts = getattr(computers[cid], field_name)
+            if new_watts != watts[cid]:
+                watts[cid] = new_watts
+                rebuilt[cid].append((ev.minute, new_watts))
+        assert {cid: tuple(ts) for cid, ts in rebuilt.items()} == (
+            result.computer_transitions
+        )
+        series = np.zeros(result.n_minutes)
+        for transitions in rebuilt.values():
+            for (start, w), (end, _) in zip(
+                transitions, transitions[1:] + [(result.n_minutes, None)]
+            ):
+                series[start:end] += w
+        assert np.allclose(series, result.ledger.computers_w)
+    assert seen == set(spec_watts)

@@ -69,7 +69,7 @@ def test_contact_rate_zero_is_silent():
     agents = [_office_agent(i) for i in range(6)]
     net = build_small_world(6, 2, 0.0, random.Random(1))
     before = [a.awareness for a in agents]
-    events = contact_step(net, agents, 0.0, 1.0, 0, random.Random(1))
+    events = contact_step(net, agents, 0.0, 1.0, 0, random.Random(1), senders=agents)
     assert events == []
     assert [a.awareness for a in agents] == before
 
@@ -80,7 +80,7 @@ def test_awareness_capped_at_hundred():
     net = build_small_world(6, 2, 0.0, random.Random(1))
     rng = random.Random(2)
     for minute in range(2000):
-        contact_step(net, agents, 50.0, 5.0, minute, rng)
+        contact_step(net, agents, 50.0, 5.0, minute, rng, senders=agents)
     assert all(a.awareness == 100.0 for a in agents)
 
 
@@ -91,7 +91,7 @@ def test_only_office_agents_send():
     rng = random.Random(3)
     events = []
     for minute in range(5000):
-        events += contact_step(net, agents, 100.0, 0.0, minute, rng)
+        events += contact_step(net, agents, 100.0, 0.0, minute, rng, senders=agents)
     assert events
     assert all(ev.sender_id != 0 for ev in events)
 
@@ -102,7 +102,7 @@ def test_emails_respect_topology():
     rng = random.Random(5)
     events = []
     for minute in range(3000):
-        events += contact_step(net, agents, 40.0, 0.5, minute, rng)
+        events += contact_step(net, agents, 40.0, 0.5, minute, rng, senders=agents)
     assert events
     for ev in events:
         edge = (min(ev.sender_id, ev.receiver_id), max(ev.sender_id, ev.receiver_id))
@@ -121,7 +121,7 @@ def test_send_rates_scale_with_stereotype():
     minutes = 120_000
     counts = {0: 0, 1: 0}
     for minute in range(minutes):
-        for ev in contact_step(net, agents, 1.0, 0.0, minute, rng):
+        for ev in contact_step(net, agents, 1.0, 0.0, minute, rng, senders=agents):
             if ev.sender_id in counts:
                 counts[ev.sender_id] += 1
     for agent_id, p_email in ((0, 0.9), (1, 0.05)):
@@ -138,7 +138,7 @@ def test_receiver_awareness_increases_by_delta():
     total_before = sum(a.awareness for a in agents)
     events = []
     for minute in range(200):
-        events += contact_step(net, agents, 10.0, 0.25, minute, rng)
+        events += contact_step(net, agents, 10.0, 0.25, minute, rng, senders=agents)
     gained = sum(a.awareness for a in agents) - total_before
     # every receiver started below the cap by more than the total gain
     assert gained == pytest.approx(0.25 * len(events))

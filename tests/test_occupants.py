@@ -19,7 +19,6 @@ from officesim.occupants import (
     BehaviorContext,
     BehaviorParams,
     CorridorMode,
-    LeaveKind,
     OccupantAgent,
     PopulationMix,
     POWER_OFF,
@@ -180,7 +179,7 @@ def _office_agent(computer=None):
 
 def _leave_kind(agent, minutes_remaining, rng, ctx):
     """Step an agent at its desk once with ``minutes_remaining`` before
-    its leave time; returns the leave taken (STAY if none) and puts the
+    its leave time; returns the leave taken ("stay" if none) and puts the
     agent back at its desk."""
     minute = 1020 - minutes_remaining
     events = []
@@ -189,17 +188,17 @@ def _leave_kind(agent, minutes_remaining, rng, ctx):
     agent.state = AgentState.IN_OWN_OFFICE
     agent.corridor_mode = None
     if EventKind.LEAVE_OFFICE_TEMPORARY in kinds:
-        return LeaveKind.TEMPORARY
+        return "temporary"
     if EventKind.LEAVE_OFFICE_LONG in kinds:
-        return LeaveKind.LONG
-    return LeaveKind.STAY
+        return "long"
+    return "stay"
 
 
 def test_forced_departure_at_zero_minutes():
     agent = _office_agent()
     # the hazard would not fire (1.0): at the leave minute it is not drawn
     rng = ScriptedRandom(values=[1.0])
-    assert _leave_kind(agent, 0, rng, _ctx()) is LeaveKind.LONG
+    assert _leave_kind(agent, 0, rng, _ctx()) == "long"
     assert rng.values == [1.0]
 
 
@@ -209,7 +208,7 @@ def test_leave_hazard_frequency():
     ctx = _ctx()
     n = 100_000
     leaves = sum(
-        _leave_kind(agent, 400, rng, ctx) is not LeaveKind.STAY
+        _leave_kind(agent, 400, rng, ctx) != "stay"
         for _ in range(n)
     )
     assert abs(leaves - n * 0.01) <= three_sigma(n, 0.01)
@@ -221,7 +220,7 @@ def test_temporary_duration_bounds():
     ctx = _ctx()
     seen = set()
     for _ in range(20_000):
-        if _leave_kind(agent, 400, rng, ctx) is LeaveKind.TEMPORARY:
+        if _leave_kind(agent, 400, rng, ctx) == "temporary":
             assert 5 <= agent.timer <= 19
             seen.add(agent.timer)
     assert seen == set(range(5, 20))
@@ -232,8 +231,8 @@ def test_temporary_leave_fraction():
     rng = random.Random(17)
     ctx = _ctx()
     kinds = Counter(_leave_kind(agent, 400, rng, ctx) for _ in range(100_000))
-    leaves = kinds[LeaveKind.TEMPORARY] + kinds[LeaveKind.LONG]
-    assert abs(kinds[LeaveKind.TEMPORARY] - leaves * 0.7) <= three_sigma(leaves, 0.7)
+    leaves = kinds["temporary"] + kinds["long"]
+    assert abs(kinds["temporary"] - leaves * 0.7) <= three_sigma(leaves, 0.7)
 
 
 def test_only_long_leaves_near_end_of_day():
@@ -241,10 +240,10 @@ def test_only_long_leaves_near_end_of_day():
     rng = random.Random(13)
     ctx = _ctx()
     for _ in range(20_000):
-        assert _leave_kind(agent, 15, rng, ctx) in (LeaveKind.STAY, LeaveKind.LONG)
+        assert _leave_kind(agent, 15, rng, ctx) in ("stay", "long")
     # near the end the split is not drawn: hazard (0.0), then the duration
     scripted = ScriptedRandom(values=[0.0, 0.0], ints=[30])
-    assert _leave_kind(agent, 15, scripted, ctx) is LeaveKind.LONG
+    assert _leave_kind(agent, 15, scripted, ctx) == "long"
     assert scripted.values == [0.0] and scripted.ints == []
 
 

@@ -143,6 +143,9 @@ def test_window_mask_arithmetic():
     # start day shifts which days are the weekend
     saturday_start = window_mask("weekend", 2, start_day_of_week=5)
     assert saturday_start.all()
+    # with a Friday start, minute 1441 (day 1, 00:01) is a Saturday
+    assert window_mask("weekend", 2, start_day_of_week=4)[1441]
+    assert not window_mask("weekend", 1, start_day_of_week=0)[100]
 
 
 def test_window_mask_rejects_unknown_preset():
