@@ -18,7 +18,12 @@ from .accounting import (
     half_hour_bins,
     realized_beta,
 )
-from .appliances import LightingPolicy, PolicyKind, manual_exit_decision
+from .appliances import (
+    LightingPolicy,
+    PolicyKind,
+    computer_apply_event,
+    manual_exit_decision,
+)
 from .building import (
     BuildingModel,
     Room,

@@ -3,7 +3,8 @@
 Lights are either sensor-driven (on with presence, off after a fixed
 delay of vacancy) or staff-controlled (state changes only through
 manual switch events). Computers move between off / standby / on purely
-in response to their owner's events; the engine keeps their wattages.
+in response to their owner's events (``computer_apply_event``); the
+engine keeps their wattages.
 """
 
 from __future__ import annotations
@@ -11,7 +12,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .occupants import awareness_to_switch_off_prob
+from typing import TYPE_CHECKING
+
+from .occupants import EventKind, awareness_to_switch_off_prob
+
+if TYPE_CHECKING:
+    from .building import ComputerSpec
 
 AUTOMATED_OFF_DELAY_MINUTES = 20
 
@@ -47,6 +53,19 @@ def manual_exit_decision(leaving_awareness: float, rng) -> bool:
     switches off for a quick break.
     """
     return rng.random() < awareness_to_switch_off_prob(leaving_awareness)
+
+
+def computer_apply_event(spec: ComputerSpec, watts: float, kind: EventKind) -> float:
+    """The wattage of computer ``spec``, now drawing ``watts``, after its
+    owner's event ``kind``: the spec's on, standby or off wattage for a
+    computer event, ``watts`` unchanged for any other event."""
+    if kind is EventKind.SWITCH_COMPUTER_ON:
+        return spec.watts_on
+    if kind is EventKind.COMPUTER_TO_STANDBY:
+        return spec.watts_standby
+    if kind is EventKind.SWITCH_COMPUTER_OFF:
+        return spec.watts_off
+    return watts
 
 
 class RoomLightBank:

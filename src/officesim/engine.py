@@ -18,7 +18,13 @@ from random import Random
 import numpy as np
 
 from .accounting import BetaReport, EnergyLedger, build_beta_report
-from .appliances import LightingPolicy, PolicyKind, RoomLightBank, manual_exit_decision
+from .appliances import (
+    LightingPolicy,
+    PolicyKind,
+    RoomLightBank,
+    computer_apply_event,
+    manual_exit_decision,
+)
 from .building import BuildingModel, RoomKind
 from .errors import ValidationError
 from .network import ContactEvent, SocialNetwork, build_small_world, contact_step
@@ -431,14 +437,10 @@ def run_replication_arms(
         else:
             # Computer events carry no room; resolve via the owner.
             computer_id = agents[ev.agent_id].computer_id
-            spec = computer_specs[computer_id]
-            if kind is EventKind.SWITCH_COMPUTER_ON:
-                new_watts = spec.watts_on
-            elif kind is EventKind.COMPUTER_TO_STANDBY:
-                new_watts = spec.watts_standby
-            else:
-                new_watts = spec.watts_off
             old_watts = computer_watts_now[computer_id]
+            new_watts = computer_apply_event(
+                computer_specs[computer_id], old_watts, kind
+            )
             if new_watts != old_watts:
                 computer_watts_now[computer_id] = new_watts
                 computers_arr[computers_mark:ev.minute] = computers_running

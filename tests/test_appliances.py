@@ -1,15 +1,19 @@
+import enum
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from officesim import (
     EventKind,
     LightingPolicy,
     Scenario,
+    computer_apply_event,
     manual_exit_decision,
     run_replication,
 )
 from officesim.appliances import RoomLightBank
+from officesim.building import ComputerSpec
 from officesim.occupants import BehaviorParams, PopulationMix, Stereotype
 
 from conftest import make_small_building, make_small_scenario
@@ -138,3 +142,51 @@ def test_manual_exit_decision_requires_last_occupant():
     assert offs > 100
     for result in runs:
         assert not check_staff_switch_offs(result)
+
+
+class ComputerState(enum.Enum):
+    """A computer's state, named by the spec field holding its wattage."""
+
+    OFF = "watts_off"
+    STANDBY = "watts_standby"
+    ON = "watts_on"
+
+
+SPEC = ComputerSpec("K1", "r1", watts_off=0.0, watts_standby=25.0, watts_on=400.0)
+
+
+def _watts(state: ComputerState) -> float:
+    return getattr(SPEC, state.value)
+
+
+@pytest.mark.parametrize(
+    "start,kind,expected,watts",
+    [
+        (ComputerState.OFF, EventKind.SWITCH_COMPUTER_ON, ComputerState.ON, 400),
+        (ComputerState.ON, EventKind.COMPUTER_TO_STANDBY, ComputerState.STANDBY, 25),
+        (ComputerState.STANDBY, EventKind.SWITCH_COMPUTER_OFF, ComputerState.OFF, 0),
+        (ComputerState.STANDBY, EventKind.SWITCH_COMPUTER_ON, ComputerState.ON, 400),
+        (ComputerState.ON, EventKind.SWITCH_COMPUTER_OFF, ComputerState.OFF, 0),
+        (ComputerState.OFF, EventKind.COMPUTER_TO_STANDBY, ComputerState.STANDBY, 25),
+    ],
+)
+def test_computer_event_transitions(start, kind, expected, watts):
+    updated = computer_apply_event(SPEC, _watts(start), kind)
+    assert updated == _watts(expected)
+    assert updated == watts
+
+
+def test_computer_ignores_unrelated_events():
+    for kind in EventKind:
+        if "COMPUTER" in kind.name:
+            continue
+        for state in ComputerState:
+            assert computer_apply_event(SPEC, _watts(state), kind) == _watts(state)
+
+
+def test_computer_apply_event_is_pure():
+    before = ComputerSpec("K1", "r1", watts_off=0.0, watts_standby=25.0, watts_on=400.0)
+    a = computer_apply_event(SPEC, SPEC.watts_off, EventKind.SWITCH_COMPUTER_ON)
+    b = computer_apply_event(SPEC, SPEC.watts_off, EventKind.SWITCH_COMPUTER_ON)
+    assert a == b == 400
+    assert SPEC == before

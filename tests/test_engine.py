@@ -16,10 +16,36 @@ from officesim import (
     run_replication,
 )
 from officesim.engine import run_replication_arms
-from officesim.occupants import PopulationMix, ScheduleClass, Stereotype
+from officesim.occupants import BehaviorParams, PopulationMix, ScheduleClass, Stereotype
 
 from conftest import make_small_building, make_small_scenario
 from test_invariants import random_scenario
+
+
+def _arrival_days(start_day_of_week: int, horizon_days: int) -> set[int]:
+    """Days of a run on which anyone enters the building, when nobody
+    comes in at the weekend."""
+    scenario = make_small_scenario(
+        population_size=5,
+        horizon_days=horizon_days,
+        start_day_of_week=start_day_of_week,
+        behavior=BehaviorParams(weekend_presence_prob=0.0),
+    )
+    result = run_replication(scenario, seed=11)
+    return {
+        ev.minute // 1440
+        for ev in result.events
+        if ev.kind is EventKind.ENTER_BUILDING
+    }
+
+
+def test_clock_derivations():
+    # The engine's calendar: day d of a run is weekday (start + d) % 7,
+    # and days 5 and 6 (Saturday, Sunday) are the weekend.
+    assert _arrival_days(4, 2) == {0}  # Friday start: day 1 is a Saturday
+    assert _arrival_days(0, 1) == {0}  # Monday start: day 0 is no weekend
+    assert _arrival_days(5, 2) == set()  # Saturday, Sunday
+    assert _arrival_days(6, 2) == {1}  # Sunday start: day 1 wraps to Monday
 
 
 def test_empty_population_yields_flat_base_load():
