@@ -55,15 +55,20 @@ def manual_exit_decision(leaving_awareness: float, rng) -> bool:
     return rng.random() < awareness_to_switch_off_prob(leaving_awareness)
 
 
+_SWITCH_COMPUTER_ON = EventKind.SWITCH_COMPUTER_ON
+_COMPUTER_TO_STANDBY = EventKind.COMPUTER_TO_STANDBY
+_SWITCH_COMPUTER_OFF = EventKind.SWITCH_COMPUTER_OFF
+
+
 def computer_apply_event(spec: ComputerSpec, watts: float, kind: EventKind) -> float:
     """The wattage of computer ``spec``, now drawing ``watts``, after its
     owner's event ``kind``: the spec's on, standby or off wattage for a
     computer event, ``watts`` unchanged for any other event."""
-    if kind is EventKind.SWITCH_COMPUTER_ON:
+    if kind is _SWITCH_COMPUTER_ON:
         return spec.watts_on
-    if kind is EventKind.COMPUTER_TO_STANDBY:
+    if kind is _COMPUTER_TO_STANDBY:
         return spec.watts_standby
-    if kind is EventKind.SWITCH_COMPUTER_OFF:
+    if kind is _SWITCH_COMPUTER_OFF:
         return spec.watts_off
     return watts
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import yaml
@@ -105,7 +106,7 @@ class BuildingModel:
     def room(self, room_id: str) -> Room:
         return self._rooms_by_id[room_id]
 
-    @property
+    @cached_property
     def _rooms_by_id(self) -> dict[str, Room]:
         return {r.id: r for r in self.rooms}
 
@@ -129,39 +130,48 @@ class BuildingModel:
         )
 
 
-class _StrictLoader(yaml.SafeLoader):
-    """Safe YAML loader for the input files: only ``true``/``false`` are
-    booleans (YAML 1.2), so bare ``off``, ``on``, ``yes`` and ``no`` stay
-    strings, and a key repeated in one mapping is an error instead of
-    silently keeping the last value."""
-
-    def construct_mapping(self, node, deep=False):
-        seen = set()
-        for key_node, _ in node.value:
-            if key_node.tag == "tag:yaml.org,2002:merge":
-                continue  # a `<<` merge: its keys may be overridden here
-            key = self.construct_object(key_node, deep=deep)
-            try:
-                duplicate = key in seen
-            except TypeError:
-                continue  # unhashable: the base constructor reports it
-            if duplicate:
-                raise yaml.constructor.ConstructorError(
-                    "while constructing a mapping", node.start_mark,
-                    f"found duplicate key {key!r}", key_node.start_mark,
-                )
-            seen.add(key)
-        return super().construct_mapping(node, deep=deep)
-
-
 _BOOL = "tag:yaml.org,2002:bool"
-_StrictLoader.yaml_implicit_resolvers = {
-    first: [(tag, regexp) for tag, regexp in resolvers if tag != _BOOL]
-    for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
-}
-_StrictLoader.add_implicit_resolver(
-    _BOOL, re.compile(r"^(?:true|True|TRUE|false|False|FALSE)$"), list("tTfF")
-)
+
+
+def _strict_loader(base: type) -> type:
+    """A safe YAML loader for the input files on ``base`` (libyaml's
+    ``CSafeLoader`` or the pure-Python ``SafeLoader``): only
+    ``true``/``false`` are booleans (YAML 1.2), so bare ``off``, ``on``,
+    ``yes`` and ``no`` stay strings, and a key repeated in one mapping is
+    an error instead of silently keeping the last value."""
+
+    class StrictLoader(base):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue  # a `<<` merge: its keys may be overridden here
+                key = self.construct_object(key_node, deep=deep)
+                try:
+                    duplicate = key in seen
+                except TypeError:
+                    continue  # unhashable: the base constructor reports it
+                if duplicate:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark,
+                    )
+                seen.add(key)
+            return super().construct_mapping(node, deep=deep)
+
+    StrictLoader.yaml_implicit_resolvers = {
+        first: [(tag, regexp) for tag, regexp in resolvers if tag != _BOOL]
+        for first, resolvers in base.yaml_implicit_resolvers.items()
+    }
+    StrictLoader.add_implicit_resolver(
+        _BOOL, re.compile(r"^(?:true|True|TRUE|false|False|FALSE)$"), list("tTfF")
+    )
+    return StrictLoader
+
+
+# libyaml parses when PyYAML was built with it; the pure-Python parser is
+# the fallback.
+_StrictLoader = _strict_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def read_yaml(text: str, source: str):

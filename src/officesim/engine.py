@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from random import Random
 
 import numpy as np
@@ -43,6 +44,19 @@ from .occupants import (
     sample_population,
     step_occupant,
 )
+
+
+# Members bound at module level: a global lookup is cheaper than an enum
+# class attribute for every event.
+_ENTER_BUILDING = EventKind.ENTER_BUILDING
+_ENTER_OWN_OFFICE = EventKind.ENTER_OWN_OFFICE
+_LEAVE_OFFICE_TEMPORARY = EventKind.LEAVE_OFFICE_TEMPORARY
+_LEAVE_OFFICE_LONG = EventKind.LEAVE_OFFICE_LONG
+_ENTER_OTHER_ROOM = EventKind.ENTER_OTHER_ROOM
+_EXIT_OTHER_ROOM = EventKind.EXIT_OTHER_ROOM
+_LEAVE_BUILDING = EventKind.LEAVE_BUILDING
+
+_by_id = attrgetter("id")  # the sort key of the agent lists
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -239,27 +253,27 @@ class _LightingArm:
         self.mark = minute
         self.lights_running += watts
 
-    def switch_on(self, banks, ev: OccupantEvent) -> None:
-        """Staff policy: the agent of ``ev`` switches on whichever of
+    def switch_on(self, banks, minute: int, agent_id: int) -> None:
+        """Staff policy: agent ``agent_id`` switches on whichever of
         ``banks`` is dark."""
         for bank in banks:
-            if bank.turn_on(ev.minute):
-                self.add(bank.watts_total, ev.minute)
+            if bank.turn_on(minute):
+                self.add(bank.watts_total, minute)
                 if self.events is not None:
                     self.events.append(OccupantEvent(
-                        EventKind.MANUAL_LIGHTS_ON, ev.minute, ev.agent_id, bank.room_id
+                        EventKind.MANUAL_LIGHTS_ON, minute, agent_id, bank.room_id
                     ))
 
-    def roll_off(self, banks, ev: OccupantEvent, leaver) -> None:
+    def roll_off(self, banks, minute: int, leaver: OccupantAgent) -> None:
         """Staff policy: ``leaver``, the last one out, rolls once to
         switch ``banks`` off."""
         if manual_exit_decision(leaver.awareness, self.rng):
             for bank in banks:
-                if bank.turn_off(ev.minute):
-                    self.add(-bank.watts_total, ev.minute)
+                if bank.turn_off(minute):
+                    self.add(-bank.watts_total, minute)
                     if self.events is not None:
                         self.events.append(OccupantEvent(
-                            EventKind.MANUAL_LIGHTS_OFF, ev.minute, ev.agent_id,
+                            EventKind.MANUAL_LIGHTS_OFF, minute, leaver.id,
                             bank.room_id,
                         ))
 
@@ -339,6 +353,7 @@ def run_replication_arms(
             room_zone.append(len(zone_rooms))
             zone_rooms.append([i])
     zone_of = {room.id: room_zone[i] for i, room in enumerate(rooms)}
+    office_zone = [zone_of[a.office_room_id] for a in agents]
     zone_occupancy = [0] * len(zone_rooms)
     room_watts = [
         sum(building.lights[lid].watts_on for lid in room.light_ids) for room in rooms
@@ -361,13 +376,16 @@ def run_replication_arms(
         [i for i in members if room_watts[i] > 0] for members in zone_rooms
     ]
 
-    computer_watts_now: dict[str, float] = {}
-    computer_transitions: dict[str, list[tuple[int, float]]] = {}
+    # Computers by index, in catalog order; an agent's computer events
+    # act on the computer of its desk.
+    computer_specs = list(building.computers.values())
+    computer_index = {spec.id: c for c, spec in enumerate(computer_specs)}
+    agent_computer = [computer_index.get(a.computer_id) for a in agents]
+    computer_watts_now = [spec.watts_off for spec in computer_specs]
+    computer_transitions = [[(0, spec.watts_off)] for spec in computer_specs]
     computers_running = 0.0
-    for spec in building.computers.values():
-        computer_watts_now[spec.id] = spec.watts_off
-        computer_transitions[spec.id] = [(0, spec.watts_off)]
-        computers_running += spec.watts_off
+    for watts in computer_watts_now:
+        computers_running += watts
 
     computers_arr = np.empty(n_minutes, dtype=np.float64)
     # A minute's sample is the total after all of that minute's changes,
@@ -389,67 +407,65 @@ def run_replication_arms(
             lights_on=np.zeros((len(rooms), n_minutes), dtype=bool),
         )
 
-    computer_specs = building.computers
-
-    def enter(zone: int, ev: OccupantEvent) -> None:
+    def enter(zone: int, minute: int, agent_id: int) -> None:
         zone_occupancy[zone] += 1
         if zone_occupancy[zone] == 1:
             for countdown in countdowns:
                 countdown.update(zone_steppable[zone])
         for arm in manual_arms:
-            arm.switch_on(arm.zone_banks[zone], ev)
+            arm.switch_on(arm.zone_banks[zone], minute, agent_id)
 
-    def leave(zone: int, ev: OccupantEvent, rolls: bool) -> None:
+    def leave(zone: int, minute: int, agent_id: int, rolls: bool) -> None:
         zone_occupancy[zone] -= 1
         if zone_occupancy[zone] == 0:
             for countdown in countdowns:
                 countdown.update(zone_steppable[zone])
             if rolls:
                 for arm in manual_arms:
-                    arm.roll_off(arm.zone_banks[zone], ev, agents[ev.agent_id])
+                    arm.roll_off(arm.zone_banks[zone], minute, agents[agent_id])
 
-    def apply_event(ev: OccupantEvent) -> None:
+    def apply_event(
+        kind: EventKind, minute: int, agent_id: int, room_id: str | None
+    ) -> None:
         # Staff arms: anyone entering a zone switches on its dark banks;
         # the last one out rolls once to switch them off, unless it is a
         # quick break. A move between a room and the corridor handles the
         # zone the event names first.
         nonlocal computers_running, computers_mark
-        kind = ev.kind
-        if kind is EventKind.ENTER_OWN_OFFICE or kind is EventKind.ENTER_OTHER_ROOM:
-            enter(zone_of[ev.room_id], ev)
-            leave(corridor, ev, True)
-            if kind is EventKind.ENTER_OWN_OFFICE:
-                insort(in_office, agents[ev.agent_id], key=lambda a: a.id)
-        elif (
-            kind is EventKind.LEAVE_OFFICE_TEMPORARY
-            or kind is EventKind.LEAVE_OFFICE_LONG
-            or kind is EventKind.EXIT_OTHER_ROOM
-        ):
-            leave(zone_of[ev.room_id], ev, kind is not EventKind.LEAVE_OFFICE_TEMPORARY)
-            enter(corridor, ev)
-            if kind is not EventKind.EXIT_OTHER_ROOM:
-                in_office.remove(agents[ev.agent_id])
-        elif kind is EventKind.ENTER_BUILDING:
-            enter(corridor, ev)
-        elif kind is EventKind.LEAVE_BUILDING:
-            leave(corridor, ev, True)
-            active.remove(agents[ev.agent_id])
+        if kind is _ENTER_OWN_OFFICE:
+            enter(office_zone[agent_id], minute, agent_id)
+            leave(corridor, minute, agent_id, True)
+            insort(in_office, agents[agent_id], key=_by_id)
+        elif kind is _LEAVE_OFFICE_TEMPORARY or kind is _LEAVE_OFFICE_LONG:
+            leave(office_zone[agent_id], minute, agent_id, kind is _LEAVE_OFFICE_LONG)
+            enter(corridor, minute, agent_id)
+            in_office.remove(agents[agent_id])
+        elif kind is _ENTER_OTHER_ROOM:
+            enter(zone_of[room_id], minute, agent_id)
+            leave(corridor, minute, agent_id, True)
+        elif kind is _EXIT_OTHER_ROOM:
+            leave(zone_of[room_id], minute, agent_id, True)
+            enter(corridor, minute, agent_id)
+        elif kind is _ENTER_BUILDING:
+            enter(corridor, minute, agent_id)
+        elif kind is _LEAVE_BUILDING:
+            leave(corridor, minute, agent_id, True)
+            active.remove(agents[agent_id])
         else:
-            # Computer events carry no room; resolve via the owner.
-            computer_id = agents[ev.agent_id].computer_id
-            old_watts = computer_watts_now[computer_id]
-            new_watts = computer_apply_event(
-                computer_specs[computer_id], old_watts, kind
-            )
+            # Computer events carry no room; the owner's desk names it.
+            c = agent_computer[agent_id]
+            old_watts = computer_watts_now[c]
+            new_watts = computer_apply_event(computer_specs[c], old_watts, kind)
             if new_watts != old_watts:
-                computer_watts_now[computer_id] = new_watts
-                computers_arr[computers_mark:ev.minute] = computers_running
-                computers_mark = ev.minute
+                computer_watts_now[c] = new_watts
+                computers_arr[computers_mark:minute] = computers_running
+                computers_mark = minute
                 computers_running += new_watts - old_watts
-                computer_transitions[computer_id].append((ev.minute, new_watts))
+                computer_transitions[c].append((minute, new_watts))
 
     step = step_occupant
-    minute_events: list[OccupantEvent] = []
+    make_event = OccupantEvent._make if keep_events else None
+    minute_events: list[tuple] = []
     minute = 0
     while minute < n_minutes:
         minute_of_day = minute % MINUTES_PER_DAY
@@ -479,7 +495,7 @@ def run_replication_arms(
         arriving = arrival_buckets.get(minute_of_day)
         if arriving:
             for agent in arriving:
-                insort(active, agent, key=lambda a: a.id)
+                insort(active, agent, key=_by_id)
 
         if not active and not any(countdowns):
             # Nobody in the building and no light counting down: nothing
@@ -509,9 +525,11 @@ def run_replication_arms(
                         )
             if minute_events:
                 for ev in minute_events:
-                    for log in logs:
-                        log.append(ev)
-                    apply_event(ev)  # may log manual light events right after
+                    if logs:
+                        event = make_event(ev)
+                        for log in logs:
+                            log.append(event)
+                    apply_event(*ev)  # may log manual light events right after
                 minute_events.clear()
 
         for arm in automated_arms:
@@ -542,7 +560,7 @@ def run_replication_arms(
             if contacts:
                 contact_count += len(contacts)
                 if run_trace is not None:
-                    run_trace.contact_events.extend(contacts)
+                    run_trace.contact_events.extend(map(ContactEvent._make, contacts))
 
         if run_trace is not None:
             for i in range(len(rooms)):
@@ -564,7 +582,9 @@ def run_replication_arms(
         )
         for a in agents
     )
-    computer_log = {cid: tuple(ts) for cid, ts in computer_transitions.items()}
+    computer_log = {
+        spec.id: tuple(ts) for spec, ts in zip(computer_specs, computer_transitions)
+    }
     results = []
     for arm in arms:
         arm.lights[arm.mark:] = arm.lights_running

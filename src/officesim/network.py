@@ -20,6 +20,8 @@ EMAIL_BASE_MINUTES = 480
 
 AWARENESS_CAP = 100.0
 
+_IN_OWN_OFFICE = AgentState.IN_OWN_OFFICE
+
 
 @dataclass(frozen=True)
 class SocialNetwork:
@@ -34,8 +36,8 @@ class SocialNetwork:
 
 
 class ContactEvent(NamedTuple):
-    """One email; a named tuple, as a raised contact rate makes over a
-    hundred thousand per replication."""
+    """One email. ``contact_step`` returns plain tuples in this field
+    order; the engine makes the named tuple only when tracing."""
 
     sender_id: int
     receiver_id: int
@@ -108,8 +110,9 @@ def contact_step(
     minute: int,
     rng,
     senders: list[OccupantAgent],
-) -> list[ContactEvent]:
-    """One minute of email traffic.
+) -> list[tuple[int, int, int]]:
+    """One minute of email traffic, returned as plain tuples
+    ``(sender_id, receiver_id, minute)`` in ``ContactEvent``'s field order.
 
     Each agent currently in its own office sends, with probability
     contact_rate * p_email / 480 (clamped to 1), one email to a uniform
@@ -123,12 +126,12 @@ def contact_step(
     """
     if contact_rate <= 0.0:
         return []
-    events: list[ContactEvent] = []
+    events: list[tuple[int, int, int]] = []
     scale = contact_rate / EMAIL_BASE_MINUTES
     random = rng.random
     getrandbits = rng.getrandbits
     neighbors = network.neighbors
-    in_office = AgentState.IN_OWN_OFFICE
+    in_office = _IN_OWN_OFFICE
     cap = AWARENESS_CAP
     for agent in senders:
         if agent.state is not in_office:
@@ -149,5 +152,5 @@ def contact_step(
         receiver = agents[receiver_id]
         awareness = receiver.awareness + awareness_delta
         receiver.awareness = awareness if awareness < cap else cap
-        events.append(ContactEvent(sender_id, receiver_id, minute))
+        events.append((sender_id, receiver_id, minute))
     return events

@@ -216,8 +216,9 @@ class EventKind(enum.Enum):
 
 
 class OccupantEvent(NamedTuple):
-    """One agent event; a named tuple, as tens of thousands are made per
-    replication."""
+    """One agent event. ``step_occupant`` emits plain tuples in this
+    field order; the engine makes the named tuple only for the events it
+    keeps."""
 
     kind: EventKind
     minute: int
@@ -369,6 +370,16 @@ def sample_daily_schedule(
 
 # Members bound at module level: a global lookup is cheaper than an
 # enum class attribute in the per-minute step.
+_ENTER_BUILDING = EventKind.ENTER_BUILDING
+_ENTER_OWN_OFFICE = EventKind.ENTER_OWN_OFFICE
+_SWITCH_COMPUTER_ON = EventKind.SWITCH_COMPUTER_ON
+_COMPUTER_TO_STANDBY = EventKind.COMPUTER_TO_STANDBY
+_SWITCH_COMPUTER_OFF = EventKind.SWITCH_COMPUTER_OFF
+_LEAVE_OFFICE_TEMPORARY = EventKind.LEAVE_OFFICE_TEMPORARY
+_LEAVE_OFFICE_LONG = EventKind.LEAVE_OFFICE_LONG
+_ENTER_OTHER_ROOM = EventKind.ENTER_OTHER_ROOM
+_EXIT_OTHER_ROOM = EventKind.EXIT_OTHER_ROOM
+_LEAVE_BUILDING = EventKind.LEAVE_BUILDING
 _OUT = AgentState.OUT_OF_SCHOOL
 _CORRIDOR = AgentState.IN_CORRIDOR
 _OFFICE = AgentState.IN_OWN_OFFICE
@@ -387,10 +398,12 @@ def step_occupant(
     minute_of_day: int,
     ctx: BehaviorContext,
     rng,
-    events: list[OccupantEvent],
+    events: list[tuple],
 ) -> bool:
     """Advance one agent by one minute, appending the events it emits to
-    ``events``; returns True iff it emitted any.
+    ``events``; returns True iff it emitted any. An event is a plain tuple
+    ``(kind, minute, agent_id, room_id)`` in ``OccupantEvent``'s field
+    order, ``room_id`` None where the event names no room.
 
     Requires today's schedule to have been sampled already (None means
     absent all day). Light switching is not decided here; the engine
@@ -410,7 +423,7 @@ def step_occupant(
             agent.state = _CORRIDOR
             agent.corridor_mode = _ENTERING
             agent.timer = CORRIDOR_TRANSIT_MINUTES
-            events.append(OccupantEvent(EventKind.ENTER_BUILDING, minute, agent.id))
+            events.append((_ENTER_BUILDING, minute, agent.id, None))
             return True
         return False
 
@@ -436,12 +449,7 @@ def step_occupant(
                     params.temporary_leave_min, params.temporary_leave_max
                 )
                 events.append(
-                    OccupantEvent(
-                        EventKind.LEAVE_OFFICE_TEMPORARY,
-                        minute,
-                        agent.id,
-                        agent.office_room_id,
-                    )
+                    (_LEAVE_OFFICE_TEMPORARY, minute, agent.id, agent.office_room_id)
                 )
                 return True
             duration = rng.randint(params.long_leave_min, params.long_leave_max)
@@ -462,16 +470,14 @@ def step_occupant(
                 agent.computer_power = POWER_STANDBY
                 agent.office_activity = _WITHOUT_COMPUTER
                 agent.timer = COMPUTER_SWITCH_ON_MINUTES
-                events.append(
-                    OccupantEvent(EventKind.COMPUTER_TO_STANDBY, minute, agent.id)
-                )
+                events.append((_COMPUTER_TO_STANDBY, minute, agent.id, None))
                 return True
             return False
         agent.timer -= 1
         if agent.timer <= 0:
             agent.computer_power = POWER_ON
             agent.office_activity = _WITH_COMPUTER
-            events.append(OccupantEvent(EventKind.SWITCH_COMPUTER_ON, minute, agent.id))
+            events.append((_SWITCH_COMPUTER_ON, minute, agent.id, None))
             return True
         return False
 
@@ -482,7 +488,7 @@ def step_occupant(
             if agent.timer <= 0:
                 agent.state = _OUT
                 agent.corridor_mode = None
-                events.append(OccupantEvent(EventKind.LEAVE_BUILDING, minute, agent.id))
+                events.append((_LEAVE_BUILDING, minute, agent.id, None))
                 return True
             return False
         if mode is _ENTERING:
@@ -520,20 +526,14 @@ def step_occupant(
             agent.timer = rng.randint(
                 ctx.params.other_room_dwell_min, ctx.params.other_room_dwell_max
             )
-            events.append(
-                OccupantEvent(EventKind.ENTER_OTHER_ROOM, minute, agent.id, room_id)
-            )
+            events.append((_ENTER_OTHER_ROOM, minute, agent.id, room_id))
             return True
         return False
 
     # IN_OTHER_ROOMS
     agent.timer -= 1
     if agent.timer <= 0:
-        events.append(
-            OccupantEvent(
-                EventKind.EXIT_OTHER_ROOM, minute, agent.id, agent.visiting_room_id
-            )
-        )
+        events.append((_EXIT_OTHER_ROOM, minute, agent.id, agent.visiting_room_id))
         agent.visiting_room_id = None
         agent.state = _CORRIDOR
         agent.corridor_mode = _LONG_BREAK
@@ -543,18 +543,14 @@ def step_occupant(
 
 
 def _enter_office(agent: OccupantAgent, minute: int, events: list) -> None:
-    agent.state = AgentState.IN_OWN_OFFICE
+    agent.state = _OFFICE
     agent.corridor_mode = None
-    events.append(
-        OccupantEvent(
-            EventKind.ENTER_OWN_OFFICE, minute, agent.id, agent.office_room_id
-        )
-    )
+    events.append((_ENTER_OWN_OFFICE, minute, agent.id, agent.office_room_id))
     if agent.computer_id is not None and agent.computer_power == POWER_ON:
         # Machine kept running during the absence; resume right away.
-        agent.office_activity = OfficeActivity.WITH_COMPUTER
+        agent.office_activity = _WITH_COMPUTER
     else:
-        agent.office_activity = OfficeActivity.WITHOUT_COMPUTER
+        agent.office_activity = _WITHOUT_COMPUTER
         agent.timer = COMPUTER_SWITCH_ON_MINUTES
 
 
@@ -565,12 +561,6 @@ def _leave_office_long(
     if agent.computer_id is not None and agent.computer_power != POWER_OFF:
         if rng.random() < computer_switch_off_prob(agent.awareness, params):
             agent.computer_power = POWER_OFF
-            events.append(
-                OccupantEvent(EventKind.SWITCH_COMPUTER_OFF, minute, agent.id)
-            )
-    agent.state = AgentState.IN_CORRIDOR
-    events.append(
-        OccupantEvent(
-            EventKind.LEAVE_OFFICE_LONG, minute, agent.id, agent.office_room_id
-        )
-    )
+            events.append((_SWITCH_COMPUTER_OFF, minute, agent.id, None))
+    agent.state = _CORRIDOR
+    events.append((_LEAVE_OFFICE_LONG, minute, agent.id, agent.office_room_id))

@@ -10,6 +10,18 @@ from officesim import (
     parse_scenario,
 )
 from officesim import reference_scenario_path
+from officesim.network import ContactEvent
+from officesim.occupants import OccupantEvent
+
+
+def as_occupant_events(rows) -> list[OccupantEvent]:
+    """``step_occupant``'s plain event tuples as named ``OccupantEvent``s."""
+    return [OccupantEvent._make(row) for row in rows]
+
+
+def as_contact_events(rows) -> list[ContactEvent]:
+    """``contact_step``'s plain contact tuples as named ``ContactEvent``s."""
+    return [ContactEvent._make(row) for row in rows]
 
 
 def make_building_text(

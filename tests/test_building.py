@@ -1,4 +1,8 @@
+import re
+from pathlib import Path
+
 import pytest
+import yaml
 
 from officesim import (
     ParseError,
@@ -8,7 +12,8 @@ from officesim import (
     serialize_building,
 )
 from officesim import reference_scenario_path
-from officesim.building import RoomKind, load_building_file
+from officesim import building
+from officesim.building import RoomKind, load_building_file, read_yaml
 
 from conftest import make_building_text, make_small_building
 
@@ -178,3 +183,42 @@ def test_missing_building_file_is_a_parse_error(tmp_path):
     with pytest.raises(ParseError) as err:
         load_building_file(tmp_path / "absent.yaml")
     assert "absent.yaml" in str(err.value)
+
+
+_LIBYAML = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+@pytest.mark.parametrize(
+    "text,outcome",
+    [
+        (Path(REFERENCE_BUILDING).read_text(), "document"),
+        (Path(reference_scenario_path()).read_text(), "document"),
+        ("defaults: {computer_watts: {yes: 300}}\n", "document"),
+        ("defaults: {computer_watts: {true: 300}}\n", "document"),
+        ("defaults: {computer_watts: {off: 5, 'off': 6}}\n", "error"),
+        ("base_load_watts: 1\nrooms: []\nbase_load_watts: 2\n", "error"),
+        ("base: &b {off: 1, standby: 30}\n"
+         "defaults: {computer_watts: {<<: *b, off: 5, on: 300}}\n", "document"),
+        ("rooms:\n  - id: a\n    lights: [L1, L2\n  - id: b\n", "error"),
+    ],
+    ids=["reference-building", "reference-scenario", "yes-key", "true-key",
+         "duplicate-off", "duplicate-top-level", "merge-key", "malformed-flow-list"],
+)
+def test_libyaml_and_python_loaders_agree(monkeypatch, text, outcome):
+    # The strict loader parses with libyaml when PyYAML has it; the
+    # pure-Python fallback must read every file the same way: equal
+    # documents, or a ParseError naming the same key and line.
+    assert issubclass(building._StrictLoader, _LIBYAML)
+    results = []
+    for base in (_LIBYAML, yaml.SafeLoader):
+        monkeypatch.setattr(building, "_StrictLoader", building._strict_loader(base))
+        try:
+            results.append(("document", read_yaml(text, "in.yaml")))
+        except ParseError as exc:
+            message = str(exc)
+            key = re.search(r"duplicate key (\S+)", message)
+            results.append(
+                ("error", message.split(": ", 1)[0], key and key.group(1))
+            )
+    assert results[0][0] == outcome
+    assert results[0] == results[1]

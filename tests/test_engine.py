@@ -16,9 +16,16 @@ from officesim import (
     run_replication,
 )
 from officesim.engine import run_replication_arms
-from officesim.occupants import BehaviorParams, PopulationMix, ScheduleClass, Stereotype
+from officesim.network import ContactEvent
+from officesim.occupants import (
+    BehaviorParams,
+    OccupantEvent,
+    PopulationMix,
+    ScheduleClass,
+    Stereotype,
+)
 
-from conftest import make_small_building, make_small_scenario
+from conftest import as_occupant_events, make_small_building, make_small_scenario
 from test_invariants import random_scenario
 
 
@@ -236,13 +243,47 @@ def test_agent_left_in_building_at_midnight_is_a_runtime_error(monkeypatch):
     def step_without_leaving(agent, minute, minute_of_day, ctx, rng, events):
         own = []
         real_step(agent, minute, minute_of_day, ctx, rng, own)
-        events.extend(e for e in own if e.kind is not EventKind.LEAVE_BUILDING)
+        events.extend(
+            e for e in as_occupant_events(own) if e.kind is not EventKind.LEAVE_BUILDING
+        )
         return bool(own)
 
     monkeypatch.setattr(engine, "step_occupant", step_without_leaving)
     scenario = make_small_scenario(population_size=3, horizon_days=2)
     with pytest.raises(RuntimeError, match="midnight"):
         run_replication(scenario, seed=5)
+
+
+def test_untraced_runs_build_no_event_objects(monkeypatch):
+    # Agent events and contacts travel as plain tuples: an untraced run
+    # without kept events must never build an OccupantEvent or a
+    # ContactEvent, while kept events and traced contacts are named tuples.
+    from officesim import engine
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("event object built on the untraced path")
+
+    stub = type(
+        "Forbidden", (), {"__new__": forbidden, "_make": staticmethod(forbidden)}
+    )
+    scenario = make_small_scenario(population_size=5, contact_rate=200.0)
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "OccupantEvent", stub)
+        patched.setattr(engine, "ContactEvent", stub)
+        experiment = run_experiment(scenario)
+        comparison = compare_policies(scenario)
+    assert all(rep.contact_count > 0 for rep in experiment.replications)
+    assert all(rep.contact_count > 0 for rep in comparison.staff_controlled.replications)
+
+    staff = replace(scenario, policy=LightingPolicy.staff_controlled())
+    kept = run_replication(staff, seed=3, keep_events=True)
+    assert {e.kind for e in kept.events} >= {
+        EventKind.ENTER_OWN_OFFICE, EventKind.MANUAL_LIGHTS_ON
+    }
+    assert all(type(e) is OccupantEvent for e in kept.events)
+    traced = run_replication(scenario, seed=3, trace=True)
+    assert len(traced.trace.contact_events) == traced.contact_count > 0
+    assert all(type(c) is ContactEvent for c in traced.trace.contact_events)
 
 
 def test_idle_stretches_match_minute_by_minute_recording():

@@ -13,6 +13,8 @@ from officesim.occupants import (
     Stereotype,
 )
 
+from conftest import as_contact_events
+
 
 def test_ring_lattice_at_beta_zero():
     net = build_small_world(10, 2, 0.0, random.Random(1))
@@ -91,7 +93,9 @@ def test_only_office_agents_send():
     rng = random.Random(3)
     events = []
     for minute in range(5000):
-        events += contact_step(net, agents, 100.0, 0.0, minute, rng, senders=agents)
+        events += as_contact_events(
+            contact_step(net, agents, 100.0, 0.0, minute, rng, senders=agents)
+        )
     assert events
     assert all(ev.sender_id != 0 for ev in events)
 
@@ -102,7 +106,9 @@ def test_emails_respect_topology():
     rng = random.Random(5)
     events = []
     for minute in range(3000):
-        events += contact_step(net, agents, 40.0, 0.5, minute, rng, senders=agents)
+        events += as_contact_events(
+            contact_step(net, agents, 40.0, 0.5, minute, rng, senders=agents)
+        )
     assert events
     for ev in events:
         edge = (min(ev.sender_id, ev.receiver_id), max(ev.sender_id, ev.receiver_id))
@@ -121,7 +127,9 @@ def test_send_rates_scale_with_stereotype():
     minutes = 120_000
     counts = {0: 0, 1: 0}
     for minute in range(minutes):
-        for ev in contact_step(net, agents, 1.0, 0.0, minute, rng, senders=agents):
+        for ev in as_contact_events(
+            contact_step(net, agents, 1.0, 0.0, minute, rng, senders=agents)
+        ):
             if ev.sender_id in counts:
                 counts[ev.sender_id] += 1
     for agent_id, p_email in ((0, 0.9), (1, 0.05)):
@@ -161,8 +169,8 @@ def test_receiver_draw_matches_random_choice(degree):
     for seed in range(5):
         rng, twin = random.Random(seed), random.Random(seed)
         for minute in range(200):
-            (event,) = contact_step(
-                net, agents, 1e6, 0.0, minute, rng, senders=agents[:1]
+            (event,) = as_contact_events(
+                contact_step(net, agents, 1e6, 0.0, minute, rng, senders=agents[:1])
             )
             twin.random()
             assert event.receiver_id == twin.choice(nbrs)

@@ -29,7 +29,7 @@ from officesim.occupants import (
     computer_switch_off_prob,
 )
 
-from conftest import ScriptedRandom, make_small_building
+from conftest import ScriptedRandom, as_occupant_events, make_small_building
 
 
 def three_sigma(n: int, p: float) -> float:
@@ -184,7 +184,7 @@ def _leave_kind(agent, minutes_remaining, rng, ctx):
     minute = 1020 - minutes_remaining
     events = []
     step_occupant(agent, minute, minute, ctx, rng, events)
-    kinds = [e.kind for e in events]
+    kinds = [e.kind for e in as_occupant_events(events)]
     agent.state = AgentState.IN_OWN_OFFICE
     agent.corridor_mode = None
     if EventKind.LEAVE_OFFICE_TEMPORARY in kinds:
@@ -260,7 +260,7 @@ def _step(agent, minute, ctx, rng):
     events = []
     emitted = step_occupant(agent, minute, minute, ctx, rng, events)
     assert emitted is bool(events)
-    return events
+    return as_occupant_events(events)
 
 
 def _fresh_agent(schedule=(540, 1020), computer="K000"):
