@@ -169,9 +169,10 @@ def _strict_loader(base: type) -> type:
     return StrictLoader
 
 
-# libyaml parses when PyYAML was built with it; the pure-Python parser is
-# the fallback.
+# libyaml parses and emits when PyYAML was built with it; the pure-Python
+# parser and emitter are the fallback.
 _StrictLoader = _strict_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def read_yaml(text: str, source: str):
@@ -183,6 +184,12 @@ def read_yaml(text: str, source: str):
         mark = getattr(exc, "problem_mark", None)
         where = f"{source}:{mark.line + 1}" if mark is not None else source
         raise ParseError(f"{where}: not valid YAML: {exc}") from exc
+
+
+def dump_yaml(doc) -> str:
+    """``doc`` in the file format's layout (keys in insertion order,
+    flow style for leaf collections), emitted with ``_Dumper``."""
+    return yaml.dump(doc, Dumper=_Dumper, sort_keys=False, default_flow_style=None)
 
 
 def load_building(text: str, source: str = "<string>") -> BuildingModel:
@@ -478,7 +485,7 @@ def serialize_building(model: BuildingModel) -> str:
         doc["light_overrides"] = light_overrides
     if computer_overrides:
         doc["computer_overrides"] = computer_overrides
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
+    return dump_yaml(doc)
 
 
 def building_summary(model: BuildingModel) -> dict:

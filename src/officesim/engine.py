@@ -11,14 +11,25 @@ trajectories and differ only in light switching.
 from __future__ import annotations
 
 import hashlib
+import math
+from array import array
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from functools import cached_property
+from operator import add, attrgetter, sub
 from random import Random
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .accounting import BetaReport, EnergyLedger, build_beta_report
+from .accounting import (
+    BetaReport,
+    EnergyLedger,
+    build_beta_report,
+    column_means,
+    pairwise_mean,
+    pairwise_sum,
+    sample_std,
+    sequential_sum,
+)
 from .appliances import (
     LightingPolicy,
     PolicyKind,
@@ -45,6 +56,9 @@ from .occupants import (
     step_occupant,
 )
 
+if TYPE_CHECKING:
+    import numpy
+
 
 # Members bound at module level: a global lookup is cheaper than an enum
 # class attribute for every event.
@@ -57,6 +71,11 @@ _EXIT_OTHER_ROOM = EventKind.EXIT_OTHER_ROOM
 _LEAVE_BUILDING = EventKind.LEAVE_BUILDING
 
 _by_id = attrgetter("id")  # the sort key of the agent lists
+
+
+def _extend_to(series: array, value: float, end: int) -> None:
+    """Extend ``series`` with ``value`` up to length ``end``."""
+    series.extend(array("d", (value,)) * (end - len(series)))
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -142,18 +161,22 @@ class AgentRecord:
 
 @dataclass
 class RunTrace:
-    """Per-minute diagnostics recorded only when tracing is requested."""
+    """Per-minute diagnostics recorded only when tracing is requested.
+
+    The matrices and the daily awareness vectors are numpy arrays; only
+    a traced run imports numpy.
+    """
 
     state_transitions: list[tuple[int, int, AgentState, AgentState]] = field(
         default_factory=list
     )
     room_ids: tuple[str, ...] = ()
-    room_occupied: np.ndarray | None = None  # rooms x minutes, bool
-    lights_on: np.ndarray | None = None  # rooms x minutes, bool
+    room_occupied: numpy.ndarray | None = None  # rooms x minutes, bool
+    lights_on: numpy.ndarray | None = None  # rooms x minutes, bool
     schedules: dict[tuple[int, int], tuple[int, int] | None] = field(
         default_factory=dict
     )
-    awareness_by_day: list[np.ndarray] = field(default_factory=list)
+    awareness_by_day: list[numpy.ndarray] = field(default_factory=list)
     contact_events: list[ContactEvent] = field(default_factory=list)
 
 
@@ -168,7 +191,6 @@ class ReplicationResult:
     computer_transitions: dict[str, tuple[tuple[int, float], ...]]
     contact_count: int
     building: BuildingModel
-    network: SocialNetwork | None = None
     trace: RunTrace | None = None
 
     def appliance_energies(
@@ -213,7 +235,8 @@ class ReplicationResult:
     def mean_final_awareness(self) -> float:
         if not self.roster:
             return 0.0
-        return sum(r.final_awareness for r in self.roster) / len(self.roster)
+        awareness = [r.final_awareness for r in self.roster]
+        return sequential_sum(awareness) / len(awareness)
 
 
 class _LightingArm:
@@ -228,11 +251,10 @@ class _LightingArm:
 
     __slots__ = (
         "policy", "banks", "zone_banks", "countdown", "lights_running",
-        "lights", "mark", "events", "rng",
+        "lights", "events", "rng",
     )
 
-    def __init__(self, policy, rooms, room_watts, zone_rooms, n_minutes, seed,
-                 keep_events):
+    def __init__(self, policy, rooms, room_watts, zone_rooms, seed, keep_events):
         self.policy = policy
         self.banks = [
             RoomLightBank(room.id, room.light_ids, watts)
@@ -241,16 +263,14 @@ class _LightingArm:
         self.zone_banks = [[self.banks[i] for i in members] for members in zone_rooms]
         self.countdown: set[int] = set()
         self.lights_running = 0.0
-        self.lights = np.empty(n_minutes, dtype=np.float64)
-        self.mark = 0  # lights[:mark] is written
+        self.lights = array("d")  # written up to the last change
         self.events: list[OccupantEvent] | None = [] if keep_events else None
         self.rng = Random(derive_seed(seed, "policy"))
 
     def add(self, watts: float, minute: int) -> None:
         """Change the running lights total during ``minute``; the series
         keeps the old total up to that minute."""
-        self.lights[self.mark:minute] = self.lights_running
-        self.mark = minute
+        _extend_to(self.lights, self.lights_running, minute)
         self.lights_running += watts
 
     def switch_on(self, banks, minute: int, agent_id: int) -> None:
@@ -356,11 +376,12 @@ def run_replication_arms(
     office_zone = [zone_of[a.office_room_id] for a in agents]
     zone_occupancy = [0] * len(zone_rooms)
     room_watts = [
-        sum(building.lights[lid].watts_on for lid in room.light_ids) for room in rooms
+        sequential_sum(building.lights[lid].watts_on for lid in room.light_ids)
+        for room in rooms
     ]
 
     arms = [
-        _LightingArm(policy, rooms, room_watts, zone_rooms, n_minutes, seed, keep_events)
+        _LightingArm(policy, rooms, room_watts, zone_rooms, seed, keep_events)
         for policy in policies
     ]
     automated_arms = [arm for arm in arms if arm.policy.is_automated]
@@ -387,10 +408,9 @@ def run_replication_arms(
     for watts in computer_watts_now:
         computers_running += watts
 
-    computers_arr = np.empty(n_minutes, dtype=np.float64)
     # A minute's sample is the total after all of that minute's changes,
     # so a change at minute m writes the old total up to m.
-    computers_mark = 0  # computers_arr[:computers_mark] is written
+    computers_arr = array("d")
 
     contact_count = 0
     active: list[OccupantAgent] = []  # kept sorted by id
@@ -400,6 +420,8 @@ def run_replication_arms(
 
     run_trace = None
     if trace:
+        import numpy as np
+
         traced_banks = arms[0].banks
         run_trace = RunTrace(
             room_ids=tuple(room.id for room in rooms),
@@ -431,7 +453,7 @@ def run_replication_arms(
         # the last one out rolls once to switch them off, unless it is a
         # quick break. A move between a room and the corridor handles the
         # zone the event names first.
-        nonlocal computers_running, computers_mark
+        nonlocal computers_running
         if kind is _ENTER_OWN_OFFICE:
             enter(office_zone[agent_id], minute, agent_id)
             leave(corridor, minute, agent_id, True)
@@ -458,8 +480,7 @@ def run_replication_arms(
             new_watts = computer_apply_event(computer_specs[c], old_watts, kind)
             if new_watts != old_watts:
                 computer_watts_now[c] = new_watts
-                computers_arr[computers_mark:minute] = computers_running
-                computers_mark = minute
+                _extend_to(computers_arr, computers_running, minute)
                 computers_running += new_watts - old_watts
                 computer_transitions[c].append((minute, new_watts))
 
@@ -568,8 +589,8 @@ def run_replication_arms(
                 run_trace.lights_on[i, minute] = traced_banks[i].is_on
         minute += 1
 
-    computers_arr[computers_mark:] = computers_running
-    base_arr = np.full(n_minutes, building.base_load_watts, dtype=np.float64)
+    _extend_to(computers_arr, computers_running, n_minutes)
+    base_arr = array("d", (building.base_load_watts,)) * n_minutes
     roster = tuple(
         AgentRecord(
             id=a.id,
@@ -587,7 +608,7 @@ def run_replication_arms(
     }
     results = []
     for arm in arms:
-        arm.lights[arm.mark:] = arm.lights_running
+        _extend_to(arm.lights, arm.lights_running, n_minutes)
         for bank in arm.banks:
             bank.finalize(n_minutes)
         results.append(ReplicationResult(
@@ -600,7 +621,6 @@ def run_replication_arms(
             computer_transitions=computer_log,
             contact_count=contact_count,
             building=building,
-            network=network,
             trace=run_trace,
         ))
     return tuple(results)
@@ -621,32 +641,37 @@ def _build_network(n: int, k: int, beta: float, rng) -> SocialNetwork | None:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """Replications and their aggregates. The series (the per-minute
+    means and the per-replication totals) are ``array('d')``;
+    ``mean_total_w`` is computed on first use."""
+
     scenario: Scenario
     master_seed: int
     rep_seeds: tuple[int, ...]
     replications: tuple[ReplicationResult, ...]
-    mean_base_w: np.ndarray
-    mean_lights_w: np.ndarray
-    mean_computers_w: np.ndarray
-    mean_total_w: np.ndarray
-    total_kwh_per_rep: np.ndarray
+    mean_base_w: array
+    mean_lights_w: array
+    mean_computers_w: array
+    total_kwh_per_rep: array
     category_kwh_mean: dict[str, float]
     category_kwh_std: dict[str, float]
 
+    @cached_property
+    def mean_total_w(self) -> array:
+        return column_means([rep.ledger.total_w for rep in self.replications])
+
     @property
     def mean_total_kwh(self) -> float:
-        return float(self.total_kwh_per_rep.mean())
+        return pairwise_mean(self.total_kwh_per_rep)
 
     @property
     def std_total_kwh(self) -> float:
-        return float(self.total_kwh_per_rep.std(ddof=1)) if len(
-            self.total_kwh_per_rep
-        ) > 1 else 0.0
+        if len(self.total_kwh_per_rep) > 1:
+            return sample_std(self.total_kwh_per_rep)
+        return 0.0
 
     def mean_final_awareness(self) -> float:
-        return float(
-            np.mean([rep.mean_final_awareness() for rep in self.replications])
-        )
+        return pairwise_mean([rep.mean_final_awareness() for rep in self.replications])
 
 
 def run_experiment(
@@ -700,31 +725,29 @@ def _aggregate(
     rep_seeds: tuple[int, ...],
     reps: tuple[ReplicationResult, ...],
 ) -> ExperimentResult:
-    base_stack = np.stack([rep.ledger.base_w for rep in reps])
-    lights_stack = np.stack([rep.ledger.lights_w for rep in reps])
-    computers_stack = np.stack([rep.ledger.computers_w for rep in reps])
-    total_stack = base_stack + lights_stack + computers_stack
-
-    per_rep_kwh = {
-        "base": base_stack.sum(axis=1) / 60.0 / 1000.0,
-        "lights": lights_stack.sum(axis=1) / 60.0 / 1000.0,
-        "computers": computers_stack.sum(axis=1) / 60.0 / 1000.0,
+    ledgers = [rep.ledger for rep in reps]
+    series = {
+        "base": [ledger.base_w for ledger in ledgers],
+        "lights": [ledger.lights_w for ledger in ledgers],
+        "computers": [ledger.computers_w for ledger in ledgers],
     }
-    total_kwh = sum(per_rep_kwh.values())
+    per_rep_kwh = {
+        k: [pairwise_sum(s) / 60.0 / 1000.0 for s in v] for k, v in series.items()
+    }
+    base, lights, computers = per_rep_kwh.values()
+    total_kwh = array("d", map(add, map(add, base, lights), computers))
     return ExperimentResult(
         scenario=scenario,
         master_seed=seed,
         rep_seeds=rep_seeds,
         replications=reps,
-        mean_base_w=base_stack.mean(axis=0),
-        mean_lights_w=lights_stack.mean(axis=0),
-        mean_computers_w=computers_stack.mean(axis=0),
-        mean_total_w=total_stack.mean(axis=0),
+        mean_base_w=column_means(series["base"]),
+        mean_lights_w=column_means(series["lights"]),
+        mean_computers_w=column_means(series["computers"]),
         total_kwh_per_rep=total_kwh,
-        category_kwh_mean={k: float(v.mean()) for k, v in per_rep_kwh.items()},
+        category_kwh_mean={k: pairwise_mean(v) for k, v in per_rep_kwh.items()},
         category_kwh_std={
-            k: (float(v.std(ddof=1)) if len(v) > 1 else 0.0)
-            for k, v in per_rep_kwh.items()
+            k: (sample_std(v) if len(v) > 1 else 0.0) for k, v in per_rep_kwh.items()
         },
     )
 
@@ -733,18 +756,18 @@ def _aggregate(
 class PolicyComparison:
     automated: ExperimentResult
     staff_controlled: ExperimentResult
-    paired_diff_kwh: np.ndarray  # staff - automated, per replication
+    paired_diff_kwh: array  # staff - automated, per replication
 
     @property
     def mean_diff_kwh(self) -> float:
-        return float(self.paired_diff_kwh.mean())
+        return pairwise_mean(self.paired_diff_kwh)
 
     @property
     def paired_se_kwh(self) -> float:
         n = len(self.paired_diff_kwh)
         if n < 2:
             return 0.0
-        return float(self.paired_diff_kwh.std(ddof=1) / np.sqrt(n))
+        return sample_std(self.paired_diff_kwh) / math.sqrt(n)
 
     @property
     def lower_policy(self) -> PolicyKind:
@@ -779,5 +802,7 @@ def compare_policies(
     return PolicyComparison(
         automated=automated,
         staff_controlled=staff,
-        paired_diff_kwh=staff.total_kwh_per_rep - automated.total_kwh_per_rep,
+        paired_diff_kwh=array(
+            "d", map(sub, staff.total_kwh_per_rep, automated.total_kwh_per_rep)
+        ),
     )

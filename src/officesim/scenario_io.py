@@ -49,15 +49,19 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass
+from itertools import compress, count
 from pathlib import Path
 
-import numpy as np
-import yaml
-
 from . import __version__
-from .accounting import EnergyLedger, category_proportions_masked, half_hour_bins
+from .accounting import (
+    EnergyLedger,
+    category_proportions_masked,
+    half_hour_bins,
+    masked_sum,
+)
 from .appliances import LightingPolicy, PolicyKind
 from .building import (
+    dump_yaml,
     load_building_file,
     read_field,
     read_section,
@@ -252,7 +256,7 @@ def serialize_scenario(scenario: Scenario) -> str:
         },
         "behavior": asdict(scenario.behavior),
     }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
+    return dump_yaml(doc)
 
 
 def scenario_fingerprint(scenario: Scenario) -> str:
@@ -263,8 +267,9 @@ def scenario_fingerprint(scenario: Scenario) -> str:
 
 def window_mask(
     preset: str, horizon_days: int, start_day_of_week: int = 0
-) -> np.ndarray:
-    """Boolean minute mask for a named analysis window.
+) -> list[bool]:
+    """Minute mask for a named analysis window: a list of bools, one per
+    minute of the horizon.
 
     weekday-day: Mon-Fri 09:00-17:00; night: 19:00-07:00 every day;
     weekend: all of Saturday and Sunday; night-weekend: their union.
@@ -273,23 +278,21 @@ def window_mask(
         raise ValidationError(
             f"unknown window '{preset}'; expected one of {WINDOW_PRESETS}"
         )
-    n = horizon_days * MINUTES_PER_DAY
-    minutes = np.arange(n)
-    minute_of_day = minutes % MINUTES_PER_DAY
-    day_of_week = (start_day_of_week + minutes // MINUTES_PER_DAY) % 7
-    weekend = day_of_week >= 5
-    night = (minute_of_day >= 19 * 60) | (minute_of_day < 7 * 60)
-    if preset == "all":
-        return np.ones(n, dtype=bool)
-    if preset == "weekday-day":
-        return (
-            ~weekend & (minute_of_day >= 9 * 60) & (minute_of_day < 17 * 60)
-        )
-    if preset == "night":
-        return night
-    if preset == "weekend":
-        return weekend
-    return night | weekend
+    whole = [True] * MINUTES_PER_DAY
+    none = [False] * MINUTES_PER_DAY
+    night = [True] * (7 * 60) + [False] * (12 * 60) + [True] * (5 * 60)
+    office = [False] * (9 * 60) + [True] * (8 * 60) + [False] * (7 * 60)
+    weekday_day, weekend_day = {  # preset -> (Mon-Fri, Sat-Sun)
+        "all": (whole, whole),
+        "weekday-day": (office, none),
+        "night": (night, night),
+        "weekend": (none, whole),
+        "night-weekend": (night, whole),
+    }[preset]
+    mask: list[bool] = []
+    for day in range(horizon_days):
+        mask += weekend_day if (start_day_of_week + day) % 7 >= 5 else weekday_day
+    return mask
 
 
 @dataclass(frozen=True)
@@ -319,23 +322,44 @@ def _write_bytes_atomic(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+def _run_starts(columns, n: int) -> list[int]:
+    """Indices past 0 where any of the ``array('d')`` columns, n samples
+    each, has a bit pattern other than the one before.
+
+    A column's bytes XOR the same bytes one sample on are zero exactly
+    where a sample repeats the one before; OR-ed over the columns, the
+    nonzero 8-byte words are the run starts.
+    """
+    changed = 0
+    for column in columns:
+        data = column.tobytes()
+        if data[8:] != data[:-8]:  # not constant
+            changed |= int.from_bytes(data[8:], "little") ^ int.from_bytes(
+                data[:-8], "little"
+            )
+    words = memoryview(changed.to_bytes(8 * (n - 1), "little")).cast("Q")
+    return list(compress(count(1), words))
+
+
 def _minute_csv_bytes(ledger: EnergyLedger, fmt) -> bytes:
     """The minute series as CSV, formatting each constant run once.
 
     A run ends where any column's bit pattern changes, so ``-0.0`` and
     ``0.0`` stay apart and NaNs do not split runs the way ``==`` would.
+    The total is a function of the other three columns, so their runs
+    are its runs.
     """
     parts = ["minute,base_w,lights_w,computers_w,total_w\n"]
     n = len(ledger)
     if n:
-        columns = np.stack(
-            [ledger.base_w, ledger.lights_w, ledger.computers_w, ledger.total_w]
-        )
-        bits = columns.view(np.int64)
-        changes = np.flatnonzero((bits[:, 1:] != bits[:, :-1]).any(axis=0)) + 1
-        bounds = [0, *changes.tolist(), n]
+        columns = (ledger.base_w, ledger.lights_w, ledger.computers_w)
+        base_w, lights_w, computers_w = columns
+        bounds = [0, *_run_starts(columns, n), n]
         for start, end in zip(bounds, bounds[1:]):
-            base, lights, computers, total = columns[:, start]
+            base = base_w[start]
+            lights = lights_w[start]
+            computers = computers_w[start]
+            total = base + lights + computers
             suffix = f",{fmt(base)},{fmt(lights)},{fmt(computers)},{fmt(total)}\n"
             parts.extend([f"{m}{suffix}" for m in range(start, end)])
     return "".join(parts).encode("utf-8")
@@ -356,7 +380,7 @@ def _proportions_payload(
 ) -> dict:
     mask = window_mask(preset, horizon_days, start_dow)
     base, lights, computers = category_proportions_masked(ledger, mask)
-    minutes = int(mask.sum())
+    minutes = mask.count(True)
     return {
         "window": preset,
         "window_minutes": minutes,
@@ -364,9 +388,9 @@ def _proportions_payload(
         "start_day": DAY_NAMES[start_dow],
         "fractions": {"base": base, "lights": lights, "computers": computers},
         "kwh": {
-            "base": float(ledger.base_w[mask].sum()) / 60.0 / 1000.0,
-            "lights": float(ledger.lights_w[mask].sum()) / 60.0 / 1000.0,
-            "computers": float(ledger.computers_w[mask].sum()) / 60.0 / 1000.0,
+            "base": masked_sum(ledger.base_w, mask) / 60.0 / 1000.0,
+            "lights": masked_sum(ledger.lights_w, mask) / 60.0 / 1000.0,
+            "computers": masked_sum(ledger.computers_w, mask) / 60.0 / 1000.0,
         },
     }
 
@@ -444,7 +468,7 @@ def emit_comparison(
             "automated": _experiment_payload(automated),
             "staff_controlled": _experiment_payload(staff),
         },
-        "paired_diff_kwh": [float(x) for x in comparison.paired_diff_kwh],
+        "paired_diff_kwh": comparison.paired_diff_kwh.tolist(),
         "mean_diff_kwh": comparison.mean_diff_kwh,
         "paired_se_kwh": comparison.paired_se_kwh,
         "lower_consumption_policy": comparison.lower_policy.value,
@@ -470,7 +494,7 @@ def _experiment_payload(result: ExperimentResult) -> dict:
     return {
         "mean_total_kwh": result.mean_total_kwh,
         "std_total_kwh": result.std_total_kwh,
-        "total_kwh_per_rep": [float(x) for x in result.total_kwh_per_rep],
+        "total_kwh_per_rep": result.total_kwh_per_rep.tolist(),
         "category_kwh_mean": result.category_kwh_mean,
         "category_kwh_std": result.category_kwh_std,
         "mean_final_awareness": result.mean_final_awareness(),

@@ -6,9 +6,12 @@ invariant held) so callers can aggregate across many replications.
 
 from __future__ import annotations
 
+from random import Random
+
 import numpy as np
 
-from officesim import AgentState, EventKind, ReplicationResult
+from officesim import AgentState, EventKind, ReplicationResult, Scenario
+from officesim.engine import _build_network, derive_seed
 from officesim.occupants import MINUTES_PER_DAY
 
 _C = AgentState.IN_CORRIDOR
@@ -242,8 +245,19 @@ def check_stereotype_immutable(result: ReplicationResult) -> list[str]:
     return violations
 
 
-def check_network_edges(result: ReplicationResult) -> list[str]:
-    network = result.network
+def replication_network(result: ReplicationResult, scenario: Scenario):
+    """The replication's social network, rebuilt from its own stream (the
+    network stream feeds nothing else); None where contacts are off."""
+    return _build_network(
+        len(result.roster),
+        scenario.small_world_k,
+        scenario.small_world_beta,
+        Random(derive_seed(result.seed, "network")),
+    )
+
+
+def check_network_edges(result: ReplicationResult, scenario: Scenario) -> list[str]:
+    network = replication_network(result, scenario)
     if network is None:
         return []
     expected = network.n * network.k // 2
@@ -269,7 +283,8 @@ def check_betas_in_range(result: ReplicationResult) -> list[str]:
 def check_wattage_lattice(result: ReplicationResult) -> list[str]:
     """Flexible draw stays within [0, every appliance at full power]."""
     ceiling = result.building.max_flexible_watts()
-    flexible = result.ledger.lights_w + result.ledger.computers_w
+    ledger = result.ledger
+    flexible = np.asarray(ledger.lights_w) + np.asarray(ledger.computers_w)
     if (flexible < 0).any() or (flexible > ceiling).any():
         return [f"flexible draw left [0, {ceiling}]"]
     return []
@@ -277,7 +292,11 @@ def check_wattage_lattice(result: ReplicationResult) -> list[str]:
 
 def check_accounting_identity(result: ReplicationResult) -> list[str]:
     ledger = result.ledger
-    residual = ledger.total_w - ledger.base_w - ledger.lights_w - ledger.computers_w
+    total, base, lights, computers = map(
+        np.asarray,
+        (ledger.total_w, ledger.base_w, ledger.lights_w, ledger.computers_w),
+    )
+    residual = total - base - lights - computers
     if (residual != 0).any():
         return ["per-minute total != base + lights + computers"]
     report = result.beta_report()
@@ -296,19 +315,22 @@ def check_accounting_identity(result: ReplicationResult) -> list[str]:
     return []
 
 
-def run_all_checks(result: ReplicationResult, policy_automated: bool, off_delay: int):
+def run_all_checks(result: ReplicationResult, scenario: Scenario):
+    """Every check on a traced replication ``result`` of ``scenario``."""
     violations = []
     violations += check_edge_legality(result)
     violations += check_schedule_containment(result)
     violations += check_no_events_while_absent(result)
-    if policy_automated:
-        violations += check_automated_light_rule(result, off_delay)
+    if scenario.policy.is_automated:
+        violations += check_automated_light_rule(
+            result, scenario.policy.off_delay_minutes
+        )
     else:
         violations += check_staff_passivity(result)
         violations += check_staff_switch_offs(result)
     violations += check_awareness_monotone(result)
     violations += check_stereotype_immutable(result)
-    violations += check_network_edges(result)
+    violations += check_network_edges(result, scenario)
     violations += check_betas_in_range(result)
     violations += check_wattage_lattice(result)
     violations += check_accounting_identity(result)

@@ -67,7 +67,11 @@ def test_criterion_1_accounting_identity(automated_experiment):
     result, _ = automated_experiment
     rep = result.replications[0]
     ledger = rep.ledger
-    residual = ledger.total_w - ledger.base_w - ledger.lights_w - ledger.computers_w
+    total, base, lights, computers = map(
+        np.asarray,
+        (ledger.total_w, ledger.base_w, ledger.lights_w, ledger.computers_w),
+    )
+    residual = total - base - lights - computers
     assert (residual == 0).all()
 
     flexible = ledger.flexible_energy_wh()
@@ -149,8 +153,8 @@ def test_criterion_5_staff_controlled_consumes_more(automated_experiment,
     comparison = PolicyComparison(
         automated=automated,
         staff_controlled=staff_experiment,
-        paired_diff_kwh=staff_experiment.total_kwh_per_rep
-        - automated.total_kwh_per_rep,
+        paired_diff_kwh=np.asarray(staff_experiment.total_kwh_per_rep)
+        - np.asarray(automated.total_kwh_per_rep),
     )
     diff = comparison.mean_diff_kwh
     se = comparison.paired_se_kwh
@@ -203,8 +207,9 @@ def test_criterion_8_diurnal_shape(automated_experiment, reference_scenario):
         (day_of_week < 5) & (minute_of_day >= 600) & (minute_of_day < 960)
     )
     night_mask = (minute_of_day >= 60) & (minute_of_day < 300)
-    day_mean = result.mean_total_w[day_mask].mean()
-    night_mean = result.mean_total_w[night_mask].mean()
+    mean_total_w = np.asarray(result.mean_total_w)
+    day_mean = mean_total_w[day_mask].mean()
+    night_mean = mean_total_w[night_mask].mean()
     ratio = day_mean / night_mean
     assert ratio >= 1.5, f"day/night ratio {ratio:.2f} below 1.5"
     _passed(8, f"weekday 10:00-16:00 mean {day_mean / 1000:.1f} kW vs "
@@ -218,11 +223,7 @@ def test_criterion_9_state_machine_properties():
     for _ in range(100):
         scenario = random_scenario(rng)
         result = run_replication(scenario, seed=rng.randrange(2**31), trace=True)
-        total_violations += run_all_checks(
-            result,
-            policy_automated=scenario.policy.is_automated,
-            off_delay=scenario.policy.off_delay_minutes,
-        )
+        total_violations += run_all_checks(result, scenario)
     elapsed = time.perf_counter() - start
     assert not total_violations, total_violations[:10]
     assert elapsed < 600

@@ -1,6 +1,9 @@
+import random
+from array import array
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from officesim import (
     EnergyLedger,
@@ -9,7 +12,14 @@ from officesim import (
     half_hour_bins,
     realized_beta,
 )
-from officesim.accounting import build_beta_report
+from officesim.accounting import (
+    build_beta_report,
+    column_means,
+    masked_sum,
+    pairwise_mean,
+    pairwise_sum,
+    sample_std,
+)
 from officesim.errors import AccountingError
 
 
@@ -47,8 +57,11 @@ def test_ledger_identity_holds_per_minute():
     lights = rng.integers(0, 14000, 100)
     computers = rng.integers(0, 70000, 100)
     ledger = EnergyLedger(base, lights, computers)
-    assert (ledger.total_w - ledger.base_w - ledger.lights_w
-            - ledger.computers_w == 0).all()
+    total, base, lights, computers = map(
+        np.asarray,
+        (ledger.total_w, ledger.base_w, ledger.lights_w, ledger.computers_w),
+    )
+    assert (total - base - lights - computers == 0).all()
 
 
 def test_ledger_energy_integration():
@@ -178,3 +191,71 @@ def test_ledger_equality_and_sample_access():
     assert a == b
     assert (a.base_w[3], a.lights_w[3], a.computers_w[3]) == (10, 20, 30)
     assert a.total_w[3] == 60
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _values(kind: str, n: int, rng: random.Random) -> list[float]:
+    """n float64 values of one kind: non-dyadic fractions, wide magnitudes
+    of both signs, signed zeros, or piecewise-constant stretches (the
+    shape of a ledger series)."""
+    if kind == "thirds":
+        return [rng.randrange(10**6) / 3 for _ in range(n)]
+    if kind == "fortieths":
+        return [rng.randrange(10**6) / 40 for _ in range(n)]
+    if kind == "wide":
+        return [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
+    if kind == "zeros":
+        return [rng.choice((0.0, -0.0)) for _ in range(n)]
+    values: list[float] = []
+    while len(values) < n:
+        value = rng.choice((0.0, -0.0, 60.0, 1 / 3, rng.randrange(10**4) / 40))
+        values += [value] * rng.randint(1, 300)
+    return values[:n]
+
+
+_KINDS = st.sampled_from(["thirds", "fortieths", "wide", "zeros", "runs"])
+_LENGTHS = st.one_of(
+    st.sampled_from([0, 1, 7, 8, 9, 15, 16, 127, 128, 129, 136, 137, 255, 256, 257,
+                     2880, 8192, 8193, 10080, 20000]),
+    st.integers(0, 20000),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=_KINDS, n=_LENGTHS, seed=st.integers(0, 2**32), cut=st.floats(0, 1))
+@example(kind="zeros", n=129, seed=0, cut=0.0)
+@example(kind="runs", n=20000, seed=1, cut=0.5)
+def test_reductions_equal_numpy_bit_for_bit(kind, n, seed, cut):
+    # numpy's float64 sum, mean, std(ddof=1), axis reductions and masked
+    # sums are the reference; the pure-Python reductions must give them
+    # bit for bit, for lists and for array('d') (which takes the
+    # constant-stretch path), and on slices at non-zero offsets.
+    rng = random.Random(seed)
+    values = _values(kind, n, rng)
+    ref = np.array(values, dtype=np.float64)
+    series = array("d", values)
+    for data in (values, series):
+        assert _bits(pairwise_sum(data)) == _bits(ref.sum())
+        lo = int(cut * n)
+        hi = lo + int(rng.random() * (n - lo))
+        assert _bits(pairwise_sum(data, lo, hi)) == _bits(ref[lo:hi].sum())
+        assert _bits(pairwise_sum(data, lo)) == _bits(ref[lo:].sum())
+    if n >= 1:
+        assert _bits(pairwise_mean(series)) == _bits(ref.mean())
+    if n >= 2:
+        assert _bits(sample_std(series)) == _bits(ref.std(ddof=1))
+        assert _bits(sample_std(values)) == _bits(ref.std(ddof=1))
+        rows = [series] + [
+            array("d", _values(kind, n, rng)) for _ in range(rng.randint(0, 4))
+        ]
+        stack = np.stack([np.asarray(row) for row in rows])
+        assert column_means(rows).tobytes() == stack.mean(axis=0).tobytes()
+        assert [_bits(pairwise_sum(row)) for row in rows] == [
+            _bits(x) for x in stack.sum(axis=1)
+        ]
+    mask = [rng.random() < cut for _ in range(n)]
+    selected = ref[np.array(mask, dtype=bool)]
+    assert _bits(masked_sum(series, mask)) == _bits(selected.sum())

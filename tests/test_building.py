@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from officesim import (
     load_building,
     serialize_building,
 )
-from officesim import reference_scenario_path
+from officesim import parse_scenario, reference_scenario_path, serialize_scenario
 from officesim import building
 from officesim.building import RoomKind, load_building_file, read_yaml
 
@@ -222,3 +223,54 @@ def test_libyaml_and_python_loaders_agree(monkeypatch, text, outcome):
             )
     assert results[0][0] == outcome
     assert results[0] == results[1]
+
+
+_LIBYAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_OVERRIDES = (
+    "light_overrides: {L000: {watts_on: 80.5}, L003: {watts_on: 0}}\n"
+    "computer_overrides: {K000: {watts_standby: 30}, "
+    "K001: {watts_off: 1.25, watts_on: 250}}\n"
+)
+
+
+def _reference_scenario():
+    return parse_scenario(reference_scenario_path())
+
+
+@pytest.mark.parametrize(
+    "render",
+    [
+        lambda: serialize_building(load_building_file(REFERENCE_BUILDING)),
+        lambda: serialize_scenario(_reference_scenario()),
+        lambda: serialize_building(load_building(make_building_text() + _OVERRIDES)),
+        # the CLI's overrides and odd floats
+        lambda: serialize_scenario(replace(
+            _reference_scenario(), horizon_days=2, start_day_of_week=5,
+            replications=40, master_seed=2**40 + 1, contact_rate=2000.0,
+            awareness_delta=1 / 3, small_world_beta=1e-7,
+        )),
+        lambda: serialize_scenario(replace(
+            _reference_scenario(), building_path="/data/a b/b\u00e2timent 'x'.yaml"
+        )),
+    ],
+    ids=["reference-building", "reference-scenario", "wattage-overrides",
+         "cli-overrides", "odd-building-path"],
+)
+def test_libyaml_and_python_dumpers_agree(monkeypatch, render):
+    # The manifest fingerprint hashes the serialized scenario and building,
+    # emitted by libyaml when PyYAML has it; the pure-Python emitter must
+    # give the same text, or the fingerprint would depend on the install.
+    assert building._Dumper is _LIBYAML_DUMPER
+    texts = []
+    for base in (_LIBYAML_DUMPER, yaml.SafeDumper):
+        made = []
+
+        class Recording(base):
+            def __init__(self, *args, **kwargs):
+                made.append(base)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(building, "_Dumper", Recording)
+        texts.append(render())
+        assert made and set(made) == {base}
+    assert texts[0] == texts[1]

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import officesim
 from officesim.cli import main
 
 from conftest import make_building_text
@@ -24,6 +29,35 @@ def scenario_path(tmp_path):
     path = tmp_path / "scenario.yaml"
     path.write_text(SMALL_SCENARIO)
     return path
+
+
+# Runs the CLI on argv[1:] and exits 3 if any numpy module got loaded.
+_CLI_WITHOUT_NUMPY = """
+import sys
+from officesim.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+if loaded:
+    print("numpy modules loaded:", loaded[:5], file=sys.stderr)
+    sys.exit(3)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", ["validate", "summary", "simulate", "compare",
+                                     "proportions"])
+def test_cli_commands_do_not_import_numpy(scenario_path, tmp_path, command):
+    # numpy costs ~0.15 s and ~13 MB per process; only traced runs use it.
+    argv = [command, "--scenario", str(scenario_path)]
+    if command not in ("validate", "summary"):
+        argv += ["--out", str(tmp_path / "out")]
+    src = Path(officesim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_WITHOUT_NUMPY, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_validate_ok(scenario_path, capsys):

@@ -49,9 +49,5 @@ def test_randomized_replications_satisfy_invariants(batch):
     for _ in range(5):
         scenario = random_scenario(rng)
         result = run_replication(scenario, seed=rng.randrange(2**31), trace=True)
-        violations = run_all_checks(
-            result,
-            policy_automated=scenario.policy.is_automated,
-            off_delay=scenario.policy.off_delay_minutes,
-        )
+        violations = run_all_checks(result, scenario)
         assert not violations, violations[:5]

@@ -19,7 +19,9 @@ from officesim import (
     window_mask,
 )
 from officesim.accounting import EnergyLedger
+from officesim.occupants import MINUTES_PER_DAY
 from officesim.scenario_io import (
+    WINDOW_PRESETS,
     _fmt_float,
     _fmt_watts,
     _minute_csv_bytes,
@@ -129,23 +131,46 @@ def test_roundtrip_through_serialization(tmp_path, reference_scenario):
     assert scenario_fingerprint(reparsed) == scenario_fingerprint(reference_scenario)
 
 
+@pytest.mark.parametrize("preset", WINDOW_PRESETS)
+def test_window_mask_matches_calendar_formula(preset):
+    # The calendar rules written per minute, as numpy arrays: the mask
+    # built day by day must agree at every minute.
+    for horizon_days in (0, 1, 2, 7, 9):
+        for start_day in range(7):
+            minutes = np.arange(horizon_days * MINUTES_PER_DAY)
+            minute_of_day = minutes % MINUTES_PER_DAY
+            weekend = (start_day + minutes // MINUTES_PER_DAY) % 7 >= 5
+            night = (minute_of_day >= 19 * 60) | (minute_of_day < 7 * 60)
+            office = ~weekend & (minute_of_day >= 9 * 60) & (minute_of_day < 17 * 60)
+            expected = {
+                "all": np.ones(len(minutes), dtype=bool),
+                "weekday-day": office,
+                "night": night,
+                "weekend": weekend,
+                "night-weekend": night | weekend,
+            }[preset]
+            mask = window_mask(preset, horizon_days, start_day)
+            assert type(mask) is list
+            assert mask == expected.tolist(), (horizon_days, start_day)
+
+
 def test_window_mask_arithmetic():
     horizon = 7
-    weekday_day = window_mask("weekday-day", horizon, start_day_of_week=0)
+    weekday_day = np.asarray(window_mask("weekday-day", horizon, start_day_of_week=0))
     assert weekday_day.sum() == 5 * 8 * 60
-    night = window_mask("night", horizon)
+    night = np.asarray(window_mask("night", horizon))
     assert night.sum() == 7 * 12 * 60
-    weekend = window_mask("weekend", horizon, start_day_of_week=0)
+    weekend = np.asarray(window_mask("weekend", horizon, start_day_of_week=0))
     assert weekend.sum() == 2 * 1440
-    union = window_mask("night-weekend", horizon, start_day_of_week=0)
+    union = np.asarray(window_mask("night-weekend", horizon, start_day_of_week=0))
     assert union.sum() == night.sum() + weekend.sum() - 2 * 12 * 60
-    assert window_mask("all", 2).all()
+    assert np.asarray(window_mask("all", 2)).all()
     # start day shifts which days are the weekend
-    saturday_start = window_mask("weekend", 2, start_day_of_week=5)
+    saturday_start = np.asarray(window_mask("weekend", 2, start_day_of_week=5))
     assert saturday_start.all()
     # with a Friday start, minute 1441 (day 1, 00:01) is a Saturday
-    assert window_mask("weekend", 2, start_day_of_week=4)[1441]
-    assert not window_mask("weekend", 1, start_day_of_week=0)[100]
+    assert np.asarray(window_mask("weekend", 2, start_day_of_week=4))[1441]
+    assert not np.asarray(window_mask("weekend", 1, start_day_of_week=0))[100]
 
 
 def test_window_mask_rejects_unknown_preset():
