@@ -45,7 +45,8 @@ def pairwise_sum(values, lo: int = 0, hi: int | None = None) -> float:
     """
     if hi is None:
         hi = len(values)
-    data = values.tobytes() if isinstance(values, array) else None
+    is_series = isinstance(values, array) and values.typecode == "d"
+    data = values.tobytes() if is_series else None
     return 0.0 + _pairwise(values, lo, hi, data)
 
 
