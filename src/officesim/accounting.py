@@ -122,6 +122,15 @@ def _series(values) -> array:
     return array("d", values)
 
 
+def _has_negative(series) -> bool:
+    """Whether any sample is below zero. NaN samples are admitted; builtin
+    ``min`` returns a leading NaN, so such a series is scanned in full."""
+    low = min(series, default=0.0)
+    if low == low:
+        return low < 0
+    return any(map((0.0).__gt__, series))
+
+
 class EnergyLedger:
     """Contiguous per-minute power samples starting at minute 0, each
     category an ``array('d')`` (other sequences are converted)."""
@@ -134,8 +143,7 @@ class EnergyLedger:
         self.computers_w = _series(computers_w)
         if not (len(self.base_w) == len(self.lights_w) == len(self.computers_w)):
             raise AccountingError("ledger component arrays differ in length")
-        if min(min(self.base_w, default=0), min(self.lights_w, default=0),
-               min(self.computers_w, default=0)) < 0:
+        if any(map(_has_negative, (self.base_w, self.lights_w, self.computers_w))):
             raise AccountingError("ledger contains negative power samples")
 
     def __len__(self) -> int:

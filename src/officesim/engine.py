@@ -39,7 +39,13 @@ from .appliances import (
 )
 from .building import BuildingModel, RoomKind
 from .errors import ValidationError
-from .network import ContactEvent, SocialNetwork, build_small_world, contact_step
+from .network import (
+    AWARENESS_CAP,
+    ContactEvent,
+    SocialNetwork,
+    build_small_world,
+    contact_step,
+)
 from .occupants import (
     MINUTES_PER_DAY,
     AgentState,
@@ -161,7 +167,8 @@ class AgentRecord:
 
 @dataclass
 class RunTrace:
-    """Per-minute diagnostics recorded only when tracing is requested.
+    """Per-minute diagnostics of a traced run, derived after the run by
+    ``derive_trace``.
 
     The matrices and the daily awareness vectors are numpy arrays; only
     a traced run imports numpy.
@@ -322,7 +329,8 @@ def run_replication_arms(
     """One agent pass of a valid scenario driving one lighting arm per
     policy; the scenario's own policy is not used. Arm i's result equals
     ``run_replication`` of the scenario under ``policies[i]``. Tracing
-    records the first arm and is meant for one arm.
+    keeps the events and the contacts, and every arm carries the trace
+    derived from the first arm.
 
     Per minute, in fixed order: day-rollover schedule sampling, agent
     steps in id order, event application to appliances, sensor stepping
@@ -358,20 +366,9 @@ def run_replication_arms(
     facility_ids = tuple(r.id for r in building.facility_rooms())
     ctx = BehaviorContext(params=params, facility_room_ids=facility_ids)
 
-    # Zones: rooms that share occupancy. Zone 0 holds every corridor room
-    # (an agent in the corridor occupies all of them); every other room is
-    # a zone of its own.
     rooms = building.rooms
     corridor = 0
-    zone_rooms: list[list[int]] = [[]]
-    room_zone: list[int] = []
-    for i, room in enumerate(rooms):
-        if room.kind is RoomKind.CORRIDOR:
-            room_zone.append(corridor)
-            zone_rooms[corridor].append(i)
-        else:
-            room_zone.append(len(zone_rooms))
-            zone_rooms.append([i])
+    zone_rooms, room_zone = _zones(rooms)
     zone_of = {room.id: room_zone[i] for i, room in enumerate(rooms)}
     office_zone = [zone_of[a.office_room_id] for a in agents]
     zone_occupancy = [0] * len(zone_rooms)
@@ -402,11 +399,11 @@ def run_replication_arms(
     computer_specs = list(building.computers.values())
     computer_index = {spec.id: c for c, spec in enumerate(computer_specs)}
     agent_computer = [computer_index.get(a.computer_id) for a in agents]
-    computer_watts_now = [spec.watts_off for spec in computer_specs]
+    # Each computer's transition log; its last entry is the wattage now.
     computer_transitions = [[(0, spec.watts_off)] for spec in computer_specs]
     computers_running = 0.0
-    for watts in computer_watts_now:
-        computers_running += watts
+    for spec in computer_specs:
+        computers_running += spec.watts_off
 
     # A minute's sample is the total after all of that minute's changes,
     # so a change at minute m writes the old total up to m.
@@ -418,16 +415,10 @@ def run_replication_arms(
     arrival_buckets: dict[int, list[OccupantAgent]] = {}
     arrival_minutes: list[int] = []  # sorted keys of arrival_buckets
 
-    run_trace = None
-    if trace:
-        import numpy as np
-
-        traced_banks = arms[0].banks
-        run_trace = RunTrace(
-            room_ids=tuple(room.id for room in rooms),
-            room_occupied=np.zeros((len(rooms), n_minutes), dtype=bool),
-            lights_on=np.zeros((len(rooms), n_minutes), dtype=bool),
-        )
+    # A traced run keeps the events and the contacts; its trace is derived
+    # from them after the run.
+    keep_events = keep_events or trace
+    contact_log: list[tuple] | None = [] if trace else None
 
     def enter(zone: int, minute: int, agent_id: int) -> None:
         zone_occupancy[zone] += 1
@@ -476,10 +467,9 @@ def run_replication_arms(
         else:
             # Computer events carry no room; the owner's desk names it.
             c = agent_computer[agent_id]
-            old_watts = computer_watts_now[c]
+            old_watts = computer_transitions[c][-1][1]
             new_watts = computer_apply_event(computer_specs[c], old_watts, kind)
             if new_watts != old_watts:
-                computer_watts_now[c] = new_watts
                 _extend_to(computers_arr, computers_running, minute)
                 computers_running += new_watts - old_watts
                 computer_transitions[c].append((minute, new_watts))
@@ -505,13 +495,7 @@ def run_replication_arms(
                 agent.today_schedule = schedule
                 if schedule is not None:
                     arrival_buckets.setdefault(schedule[0], []).append(agent)
-                if run_trace is not None:
-                    run_trace.schedules[(day, agent.id)] = schedule
             arrival_minutes = sorted(arrival_buckets)
-            if run_trace is not None:
-                run_trace.awareness_by_day.append(
-                    np.array([a.awareness for a in agents])
-                )
 
         arriving = arrival_buckets.get(minute_of_day)
         if arriving:
@@ -525,25 +509,12 @@ def run_replication_arms(
             next_of_day = (
                 arrival_minutes[pos] if pos < len(arrival_minutes) else MINUTES_PER_DAY
             )
-            end = min(minute + next_of_day - minute_of_day, n_minutes)
-            if run_trace is not None:
-                for i, bank in enumerate(traced_banks):
-                    run_trace.lights_on[i, minute:end] = bank.is_on
-            minute = end
+            minute = min(minute + next_of_day - minute_of_day, n_minutes)
             continue
 
         if active:
-            if run_trace is None:
-                for agent in active:
-                    step(agent, minute, minute_of_day, ctx, rng_behavior, minute_events)
-            else:
-                for agent in active:
-                    before = agent.state
-                    step(agent, minute, minute_of_day, ctx, rng_behavior, minute_events)
-                    if agent.state is not before:
-                        run_trace.state_transitions.append(
-                            (minute, agent.id, before, agent.state)
-                        )
+            for agent in active:
+                step(agent, minute, minute_of_day, ctx, rng_behavior, minute_events)
             if minute_events:
                 for ev in minute_events:
                     if logs:
@@ -580,13 +551,8 @@ def run_replication_arms(
             )
             if contacts:
                 contact_count += len(contacts)
-                if run_trace is not None:
-                    run_trace.contact_events.extend(map(ContactEvent._make, contacts))
-
-        if run_trace is not None:
-            for i in range(len(rooms)):
-                run_trace.room_occupied[i, minute] = zone_occupancy[room_zone[i]] > 0
-                run_trace.lights_on[i, minute] = traced_banks[i].is_on
+                if contact_log is not None:
+                    contact_log.extend(contacts)
         minute += 1
 
     _extend_to(computers_arr, computers_running, n_minutes)
@@ -621,9 +587,120 @@ def run_replication_arms(
             computer_transitions=computer_log,
             contact_count=contact_count,
             building=building,
-            trace=run_trace,
         ))
+    if trace:
+        run_trace = derive_trace(results[0], scenario, contact_log)
+        results = [replace(result, trace=run_trace) for result in results]
     return tuple(results)
+
+
+def _zones(rooms) -> tuple[list[list[int]], list[int]]:
+    """Zones, the rooms that share occupancy, as (room indices per zone,
+    zone per room). Zone 0 holds every corridor room (an agent in the
+    corridor occupies all of them); every other room is a zone of its own."""
+    zone_rooms: list[list[int]] = [[]]
+    room_zone: list[int] = []
+    for i, room in enumerate(rooms):
+        if room.kind is RoomKind.CORRIDOR:
+            room_zone.append(0)
+            zone_rooms[0].append(i)
+        else:
+            room_zone.append(len(zone_rooms))
+            zone_rooms.append([i])
+    return zone_rooms, room_zone
+
+
+# The state an agent event leaves and the state it enters.
+_STATE_EDGES = {
+    _ENTER_BUILDING: (AgentState.OUT_OF_SCHOOL, AgentState.IN_CORRIDOR),
+    _ENTER_OWN_OFFICE: (AgentState.IN_CORRIDOR, AgentState.IN_OWN_OFFICE),
+    _LEAVE_OFFICE_TEMPORARY: (AgentState.IN_OWN_OFFICE, AgentState.IN_CORRIDOR),
+    _LEAVE_OFFICE_LONG: (AgentState.IN_OWN_OFFICE, AgentState.IN_CORRIDOR),
+    _ENTER_OTHER_ROOM: (AgentState.IN_CORRIDOR, AgentState.IN_OTHER_ROOMS),
+    _EXIT_OTHER_ROOM: (AgentState.IN_OTHER_ROOMS, AgentState.IN_CORRIDOR),
+    _LEAVE_BUILDING: (AgentState.IN_CORRIDOR, AgentState.OUT_OF_SCHOOL),
+}
+
+
+def derive_trace(
+    result: ReplicationResult, scenario: Scenario, contacts: list[tuple]
+) -> RunTrace:
+    """The per-minute diagnostics of ``result``, a replication of
+    ``scenario`` run with its events kept, whose contacts (plain tuples, in
+    order) are ``contacts``:
+
+    - the state transitions are the agent events, mapped by kind;
+    - room occupancy is a replay of the events over the zones;
+    - the lights come from the light intervals;
+    - the schedules are drawn again from the replication's schedule
+      stream, which feeds nothing else;
+    - the awareness at each midnight is the initial awareness plus the
+      capped contact increments before it.
+    """
+    import numpy as np
+
+    building = result.building
+    rooms = building.rooms
+    n_minutes = result.n_minutes
+    zone_rooms, room_zone = _zones(rooms)
+    zone_of = {room.id: room_zone[i] for i, room in enumerate(rooms)}
+    transitions = []
+    moves: tuple[list[int], list[int], list[int]] = ([], [], [])  # zone, minute, step
+    for kind, minute, agent_id, room_id in result.events:
+        edge = _STATE_EDGES.get(kind)
+        if edge is None:
+            continue
+        transitions.append((minute, agent_id, *edge))
+        if kind is _ENTER_BUILDING or kind is _LEAVE_BUILDING:
+            steps = ((0, 1 if kind is _ENTER_BUILDING else -1),)
+        else:
+            into_room = 1 if edge[0] is AgentState.IN_CORRIDOR else -1
+            steps = ((zone_of[room_id], into_room), (0, -into_room))
+        for zone, step in steps:
+            moves[0].append(zone)
+            moves[1].append(minute)
+            moves[2].append(step)
+    delta = np.zeros((len(zone_rooms), n_minutes), dtype=np.int64)
+    np.add.at(delta, (moves[0], moves[1]), moves[2])
+    occupied = np.cumsum(delta, axis=1) > 0
+
+    lights_on = np.zeros((len(rooms), n_minutes), dtype=bool)
+    for i, room in enumerate(rooms):
+        for start, end in result.light_intervals[room.id]:
+            lights_on[i, start:end] = True
+
+    n_days = n_minutes // MINUTES_PER_DAY
+    rng_schedule = Random(derive_seed(result.seed, "schedule"))
+    schedules = {}
+    for day in range(n_days):
+        dow = (scenario.start_day_of_week + day) % 7
+        for record in result.roster:
+            schedules[(day, record.id)] = sample_daily_schedule(
+                record, dow, rng_schedule, scenario.behavior
+            )
+
+    awareness = [record.initial_awareness for record in result.roster]
+    awareness_by_day = []
+    pending = iter(contacts)
+    contact = next(pending, None)
+    for day in range(n_days):
+        midnight = day * MINUTES_PER_DAY
+        while contact is not None and contact[2] < midnight:
+            receiver_id = contact[1]
+            raised = awareness[receiver_id] + scenario.awareness_delta
+            awareness[receiver_id] = raised if raised < AWARENESS_CAP else AWARENESS_CAP
+            contact = next(pending, None)
+        awareness_by_day.append(np.array(awareness))
+
+    return RunTrace(
+        state_transitions=transitions,
+        room_ids=tuple(room.id for room in rooms),
+        room_occupied=occupied[room_zone],
+        lights_on=lights_on,
+        schedules=schedules,
+        awareness_by_day=awareness_by_day,
+        contact_events=[ContactEvent._make(c) for c in contacts],
+    )
 
 
 def _build_network(n: int, k: int, beta: float, rng) -> SocialNetwork | None:

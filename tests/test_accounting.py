@@ -1,3 +1,4 @@
+import math
 import random
 from array import array
 
@@ -49,6 +50,24 @@ def test_negative_component_rejected():
         samples[column][1] = -1
         with pytest.raises(AccountingError):
             EnergyLedger(*samples)
+
+
+@pytest.mark.parametrize("column", range(3))
+@pytest.mark.parametrize("samples", [[math.nan, -5.0], [-5.0, math.nan]])
+def test_negative_sample_rejected_beside_nan(column, samples):
+    # A NaN sample must not hide a negative one, wherever either sits.
+    columns = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    columns[column] = samples
+    with pytest.raises(AccountingError):
+        EnergyLedger(*columns)
+
+
+@pytest.mark.parametrize("column", range(3))
+def test_non_finite_samples_are_admitted(column):
+    columns = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    columns[column] = [math.nan, -0.0, math.inf]
+    ledger = EnergyLedger(*columns)
+    assert len(ledger) == 3
 
 
 def test_ledger_identity_holds_per_minute():
