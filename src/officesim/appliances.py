@@ -81,21 +81,21 @@ class RoomLightBank:
     interval log of on-periods for per-appliance energy accounting.
     """
 
-    __slots__ = ("room_id", "light_ids", "watts_total", "is_on", "delay", "intervals")
+    __slots__ = ("room_id", "light_ids", "watts_total", "is_on", "off_at", "intervals")
 
     def __init__(self, room_id: str, light_ids: tuple[str, ...], watts_total: float):
         self.room_id = room_id
         self.light_ids = light_ids
         self.watts_total = watts_total
         self.is_on = False
-        self.delay: int | None = None
+        self.off_at: int | None = None  # automated switch-off, once vacant
         self.intervals: list[tuple[int, int]] = []  # [start, end), -1 = open
 
     def turn_on(self, minute: int) -> bool:
         if self.is_on:
             return False
         self.is_on = True
-        self.delay = None
+        self.off_at = None
         self.intervals.append((minute, -1))
         return True
 
@@ -103,24 +103,26 @@ class RoomLightBank:
         if not self.is_on:
             return False
         self.is_on = False
-        self.delay = None
+        self.off_at = None
         start, _ = self.intervals[-1]
         self.intervals[-1] = (start, minute)
         return True
 
     def step_automated(self, occupied: bool, off_delay: int, minute: int) -> int:
-        """Advance one minute under the automated policy: presence holds
-        the lights on, and they stay on through the first ``off_delay``
-        vacant minutes and go off on the next. Returns +1/-1 on a switch,
+        """The automated policy at ``minute``: presence holds the lights
+        on, and they stay on through the first ``off_delay`` vacant
+        minutes and go off on the next, at ``off_at``. Stepping every
+        minute, or only when the room turns occupied or vacant and at
+        ``off_at``, gives the same lights. Returns +1/-1 on a switch,
         else 0."""
         if occupied:
-            self.delay = None
+            self.off_at = None
             return 1 if self.turn_on(minute) else 0
         if not self.is_on:
             return 0
-        delay = off_delay if self.delay is None else self.delay - 1
-        if delay > 0:
-            self.delay = delay
+        if self.off_at is None:
+            self.off_at = minute + off_delay
+        if minute < self.off_at:
             return 0
         self.turn_off(minute)
         return -1

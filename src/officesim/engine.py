@@ -1,11 +1,11 @@
-"""Minute-stepped simulation engine, replication management, and the
+"""Event-driven simulation engine, replication management, and the
 policy-comparison driver.
 
-A replication is a pure function of (scenario, seed). Per-purpose RNG
-streams (population, schedules, behavior, contacts, manual switching)
-are derived from the replication seed so that runs under different
-lighting policies share identical populations, schedules, and movement
-trajectories and differ only in light switching.
+A replication is a pure function of (scenario, seed). RNG streams are
+derived from the replication seed per purpose (population, network,
+schedules, manual switching) and per agent (behaviour, emails), so that
+runs under different lighting policies share identical populations,
+schedules, and movement trajectories and differ only in light switching.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
-from bisect import bisect_right, insort
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import add, attrgetter, sub
+from heapq import heappop, heappush
+from math import log
+from operator import add, sub
 from random import Random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .accounting import (
     BetaReport,
@@ -45,6 +46,7 @@ from .network import (
     SocialNetwork,
     build_small_world,
     contact_step,
+    send_hazard,
 )
 from .occupants import (
     MINUTES_PER_DAY,
@@ -57,9 +59,11 @@ from .occupants import (
     PopulationMix,
     ScheduleClass,
     Stereotype,
+    hazard_clock,
     sample_daily_schedule,
     sample_population,
     step_occupant,
+    waiting_time,
 )
 
 if TYPE_CHECKING:
@@ -70,18 +74,20 @@ if TYPE_CHECKING:
 # class attribute for every event.
 _ENTER_BUILDING = EventKind.ENTER_BUILDING
 _ENTER_OWN_OFFICE = EventKind.ENTER_OWN_OFFICE
+_SWITCH_COMPUTER_ON = EventKind.SWITCH_COMPUTER_ON
+_COMPUTER_TO_STANDBY = EventKind.COMPUTER_TO_STANDBY
+_SWITCH_COMPUTER_OFF = EventKind.SWITCH_COMPUTER_OFF
 _LEAVE_OFFICE_TEMPORARY = EventKind.LEAVE_OFFICE_TEMPORARY
 _LEAVE_OFFICE_LONG = EventKind.LEAVE_OFFICE_LONG
 _ENTER_OTHER_ROOM = EventKind.ENTER_OTHER_ROOM
 _EXIT_OTHER_ROOM = EventKind.EXIT_OTHER_ROOM
 _LEAVE_BUILDING = EventKind.LEAVE_BUILDING
 
-_by_id = attrgetter("id")  # the sort key of the agent lists
-
 
 def _extend_to(series: array, value: float, end: int) -> None:
     """Extend ``series`` with ``value`` up to length ``end``."""
-    series.extend(array("d", (value,)) * (end - len(series)))
+    if end > len(series):
+        series.extend(array("d", (value,)) * (end - len(series)))
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -152,8 +158,7 @@ class Scenario:
         return self.horizon_days * MINUTES_PER_DAY
 
 
-@dataclass(frozen=True, slots=True)
-class AgentRecord:
+class AgentRecord(NamedTuple):
     """Immutable per-agent facts captured for the result roster."""
 
     id: int
@@ -249,16 +254,15 @@ class ReplicationResult:
 class _LightingArm:
     """One lighting policy driven by a shared agent pass.
 
-    The arm owns everything its lights touch: the room banks, the
-    countdown set of banks whose next automated step may change them, the
-    running lights total and its series, the event log and the
-    manual-switching stream. Lights never feed back into agents, contacts
+    The arm owns everything its lights touch: the room banks, the running
+    lights total and its series, the event log and the manual-switching
+    stream. Lights never feed back into agents, contacts
     or computers, so an arm evolves exactly as a run of its own would.
     """
 
     __slots__ = (
-        "policy", "banks", "zone_banks", "countdown", "lights_running",
-        "lights", "events", "rng",
+        "policy", "banks", "zone_banks", "lights_running", "lights", "events",
+        "rng",
     )
 
     def __init__(self, policy, rooms, room_watts, zone_rooms, seed, keep_events):
@@ -268,7 +272,6 @@ class _LightingArm:
             for room, watts in zip(rooms, room_watts)
         ]
         self.zone_banks = [[self.banks[i] for i in members] for members in zone_rooms]
-        self.countdown: set[int] = set()
         self.lights_running = 0.0
         self.lights = array("d")  # written up to the last change
         self.events: list[OccupantEvent] | None = [] if keep_events else None
@@ -332,16 +335,22 @@ def run_replication_arms(
     keeps the events and the contacts, and every arm carries the trace
     derived from the first arm.
 
-    Per minute, in fixed order: day-rollover schedule sampling, agent
-    steps in id order, event application to appliances, sensor stepping
-    of lights, email contacts, and finally the power sample.
+    Next-event scheduling: each agent keeps the minute of its next firing
+    (``step_occupant`` draws its hazards as waiting times and its
+    countdowns as minutes), each email sender the minute of its next
+    email, and each automated light bank of a vacant room its switch-off
+    at vacancy plus the off delay. A calendar of per-minute buckets
+    holds them, and only minutes with something due are visited. Per
+    minute, in fixed order: at midnight the day's schedules; the agents
+    due, in id order, each firing and its events applied at once; the
+    light steps of the rooms whose occupancy changed or whose switch-off
+    is due; and the emails due, in sender id order.
 
-    Work whose outcome is known is skipped, never reordered: a light bank
-    is stepped only while its step can change it (its zone is occupied
-    and it is dark, or its zone is vacant and it is lit), a stretch with
-    nobody in the building and no light counting down is skipped up to
-    the next arrival or midnight, and the power series are written one
-    constant stretch at a time, when their total changes.
+    Agents draw from their own behaviour streams and senders from their
+    own email streams, each created when it is first needed, so an
+    agent's draws do not depend on who else is in the building. The power
+    series are written one constant stretch at a time, when their total
+    changes.
     """
     building = scenario.building
     params = scenario.behavior
@@ -351,8 +360,6 @@ def run_replication_arms(
     rng_population = Random(derive_seed(seed, "population"))
     rng_network = Random(derive_seed(seed, "network"))
     rng_schedule = Random(derive_seed(seed, "schedule"))
-    rng_behavior = Random(derive_seed(seed, "behavior"))
-    rng_contact = Random(derive_seed(seed, "contact"))
 
     agents = sample_population(
         scenario.population_size, scenario.mix, building, rng_population
@@ -362,6 +369,7 @@ def run_replication_arms(
         len(agents), scenario.small_world_k, scenario.small_world_beta, rng_network
     )
     contacts_on = network is not None and scenario.contact_rate > 0.0
+    awareness_delta = scenario.awareness_delta
 
     facility_ids = tuple(r.id for r in building.facility_rooms())
     ctx = BehaviorContext(params=params, facility_room_ids=facility_ids)
@@ -377,22 +385,25 @@ def run_replication_arms(
         for room in rooms
     ]
 
+    # A traced run keeps the events and the contacts; its trace is derived
+    # from them after the run.
+    keep_events = keep_events or trace
+    contact_log: list[tuple] | None = [] if trace else None
+
     arms = [
         _LightingArm(policy, rooms, room_watts, zone_rooms, seed, keep_events)
         for policy in policies
     ]
     automated_arms = [arm for arm in arms if arm.policy.is_automated]
     manual_arms = [arm for arm in arms if not arm.policy.is_automated]
-    countdowns = [arm.countdown for arm in automated_arms]
     logs = [arm.events for arm in arms] if keep_events else []
 
-    # Automated policy: a bank with lights is stepped while its step may
-    # change it. Any other bank is at a fixed point of step_automated
-    # (occupied and lit, or vacant and dark) until its zone turns vacant
-    # or occupied.
+    # Automated policy: a bank with lights is stepped when its zone turns
+    # occupied or vacant, and at its scheduled switch-off.
     zone_steppable = [
         [i for i in members if room_watts[i] > 0] for members in zone_rooms
     ]
+    touched: set[int] = set()  # zones whose occupancy changed this minute
 
     # Computers by index, in catalog order; an agent's computer events
     # act on the computer of its desk.
@@ -409,30 +420,42 @@ def run_replication_arms(
     # so a change at minute m writes the old total up to m.
     computers_arr = array("d")
 
-    contact_count = 0
-    active: list[OccupantAgent] = []  # kept sorted by id
-    in_office: list[OccupantAgent] = []  # the email senders, kept sorted by id
-    arrival_buckets: dict[int, list[OccupantAgent]] = {}
-    arrival_minutes: list[int] = []  # sorted keys of arrival_buckets
+    # The calendar: a heap of minutes, each with buckets of the agents,
+    # light banks (arm, bank index) and email senders due then.
+    heap: list[int] = []
+    due_agents: dict[int, list[int]] = {}
+    due_lights: dict[int, list[tuple[int, int]]] = {}
+    due_emails: dict[int, list[int]] = {}
 
-    # A traced run keeps the events and the contacts; its trace is derived
-    # from them after the run.
-    keep_events = keep_events or trace
-    contact_log: list[tuple] | None = [] if trace else None
+    def schedule(bucket: dict, minute: int, item) -> None:
+        items = bucket.get(minute)
+        if items is None:
+            bucket[minute] = [item]
+            heappush(heap, minute)
+        else:
+            items.append(item)
+
+    behavior_rngs: list[Random | None] = [None] * len(agents)
+    email_rngs: list[Random | None] = [None] * len(agents)
+    # Each sender's email hazard and its waiting-time factor, set with its
+    # stream at its first office entry.
+    email_p = [0.0] * len(agents)
+    email_clock = [0.0] * len(agents)
+    email_at = [-1] * len(agents)  # the minute of each sender's next email
+    present = 0  # agents in the building
+    contact_count = 0
 
     def enter(zone: int, minute: int, agent_id: int) -> None:
         zone_occupancy[zone] += 1
         if zone_occupancy[zone] == 1:
-            for countdown in countdowns:
-                countdown.update(zone_steppable[zone])
+            touched.add(zone)
         for arm in manual_arms:
             arm.switch_on(arm.zone_banks[zone], minute, agent_id)
 
     def leave(zone: int, minute: int, agent_id: int, rolls: bool) -> None:
         zone_occupancy[zone] -= 1
         if zone_occupancy[zone] == 0:
-            for countdown in countdowns:
-                countdown.update(zone_steppable[zone])
+            touched.add(zone)
             if rolls:
                 for arm in manual_arms:
                     arm.roll_off(arm.zone_banks[zone], minute, agents[agent_id])
@@ -444,27 +467,12 @@ def run_replication_arms(
         # the last one out rolls once to switch them off, unless it is a
         # quick break. A move between a room and the corridor handles the
         # zone the event names first.
-        nonlocal computers_running
-        if kind is _ENTER_OWN_OFFICE:
-            enter(office_zone[agent_id], minute, agent_id)
-            leave(corridor, minute, agent_id, True)
-            insort(in_office, agents[agent_id], key=_by_id)
-        elif kind is _LEAVE_OFFICE_TEMPORARY or kind is _LEAVE_OFFICE_LONG:
-            leave(office_zone[agent_id], minute, agent_id, kind is _LEAVE_OFFICE_LONG)
-            enter(corridor, minute, agent_id)
-            in_office.remove(agents[agent_id])
-        elif kind is _ENTER_OTHER_ROOM:
-            enter(zone_of[room_id], minute, agent_id)
-            leave(corridor, minute, agent_id, True)
-        elif kind is _EXIT_OTHER_ROOM:
-            leave(zone_of[room_id], minute, agent_id, True)
-            enter(corridor, minute, agent_id)
-        elif kind is _ENTER_BUILDING:
-            enter(corridor, minute, agent_id)
-        elif kind is _LEAVE_BUILDING:
-            leave(corridor, minute, agent_id, True)
-            active.remove(agents[agent_id])
-        else:
+        nonlocal computers_running, present
+        if (
+            kind is _SWITCH_COMPUTER_ON
+            or kind is _COMPUTER_TO_STANDBY
+            or kind is _SWITCH_COMPUTER_OFF
+        ):
             # Computer events carry no room; the owner's desk names it.
             c = agent_computer[agent_id]
             old_watts = computer_transitions[c][-1][1]
@@ -473,87 +481,142 @@ def run_replication_arms(
                 _extend_to(computers_arr, computers_running, minute)
                 computers_running += new_watts - old_watts
                 computer_transitions[c].append((minute, new_watts))
+        elif kind is _ENTER_OWN_OFFICE:
+            enter(office_zone[agent_id], minute, agent_id)
+            leave(corridor, minute, agent_id, True)
+            if contacts_on:
+                rng = email_rngs[agent_id]
+                if rng is None:
+                    rng = email_rngs[agent_id] = Random(
+                        derive_seed(seed, f"email:{agent_id}")
+                    )
+                    p = send_hazard(agents[agent_id].p_email, scenario.contact_rate)
+                    email_p[agent_id] = p
+                    email_clock[agent_id] = hazard_clock(p)
+                due = minute + waiting_time(rng, email_clock[agent_id])
+                email_at[agent_id] = due
+                schedule(due_emails, due, agent_id)
+        elif kind is _LEAVE_OFFICE_TEMPORARY or kind is _LEAVE_OFFICE_LONG:
+            leave(office_zone[agent_id], minute, agent_id, kind is _LEAVE_OFFICE_LONG)
+            enter(corridor, minute, agent_id)
+            email_at[agent_id] = -1
+        elif kind is _ENTER_OTHER_ROOM:
+            enter(zone_of[room_id], minute, agent_id)
+            leave(corridor, minute, agent_id, True)
+        elif kind is _EXIT_OTHER_ROOM:
+            leave(zone_of[room_id], minute, agent_id, True)
+            enter(corridor, minute, agent_id)
+        elif kind is _ENTER_BUILDING:
+            enter(corridor, minute, agent_id)
+            present += 1
+        else:  # _LEAVE_BUILDING
+            leave(corridor, minute, agent_id, True)
+            present -= 1
+
+    def step_lights(minute: int) -> None:
+        scheduled = due_lights.pop(minute, None)
+        changed = [i for zone in touched for i in zone_steppable[zone]]
+        for a, arm in enumerate(automated_arms):
+            indices = changed
+            if scheduled:
+                indices = changed + [i for arm_index, i in scheduled if arm_index == a]
+            if len(indices) > 1:
+                # Index order, as a full sweep over the rooms would step them.
+                indices = sorted(set(indices))
+            banks = arm.banks
+            off_delay = arm.policy.off_delay_minutes
+            for idx in indices:
+                bank = banks[idx]
+                occupied = zone_occupancy[room_zone[idx]] > 0
+                delta = bank.step_automated(occupied, off_delay, minute)
+                if delta:
+                    arm.add(delta * bank.watts_total, minute)
+                if bank.is_on and bank.off_at == minute + off_delay:
+                    # Vacated this minute: the switch-off is due after the delay.
+                    schedule(due_lights, bank.off_at, (a, idx))
 
     step = step_occupant
-    make_event = OccupantEvent._make if keep_events else None
+    make_event = OccupantEvent._make if logs else None
     minute_events: list[tuple] = []
-    minute = 0
-    while minute < n_minutes:
-        minute_of_day = minute % MINUTES_PER_DAY
+    for day in range(scenario.horizon_days):
+        day_start = day * MINUTES_PER_DAY
+        if present:
+            raise RuntimeError(
+                f"{present} agents still in the building at midnight "
+                f"(minute {day_start})"
+            )
+        dow = (start_dow + day) % 7
+        for agent in agents:
+            today = sample_daily_schedule(agent, dow, rng_schedule, params)
+            agent.today_schedule = today
+            if today is not None:
+                schedule(due_agents, day_start + today[0], agent.id)
 
-        if minute_of_day == 0:
-            if active:
-                raise RuntimeError(
-                    f"{len(active)} agents still in the building at midnight "
-                    f"(minute {minute})"
+        day_end = day_start + MINUTES_PER_DAY
+        last = -1
+        while heap and heap[0] < day_end:
+            minute = heappop(heap)
+            if minute == last:
+                continue  # a bucket added during its own minute
+            last = minute
+
+            due = due_agents.pop(minute, None)
+            if due:
+                due.sort()
+                minute_of_day = minute - day_start
+                for agent_id in due:
+                    agent = agents[agent_id]
+                    rng = behavior_rngs[agent_id]
+                    if rng is None:
+                        rng = behavior_rngs[agent_id] = Random(
+                            derive_seed(seed, f"agent:{agent_id}")
+                        )
+                    step(agent, minute, minute_of_day, ctx, rng, minute_events)
+                    for ev in minute_events:
+                        if logs:
+                            event = make_event(ev)
+                            for event_log in logs:
+                                event_log.append(event)
+                        apply_event(*ev)  # may log manual light events right after
+                    minute_events.clear()
+                    if agent.next_minute < n_minutes:
+                        schedule(due_agents, agent.next_minute, agent_id)
+
+            if automated_arms and (touched or minute in due_lights):
+                step_lights(minute)
+            touched.clear()
+
+            emails = due_emails.pop(minute, None) if contacts_on else None
+            if emails:
+                # The senders due, in id order. Each draws its next email:
+                # waiting_time and schedule, inlined since they run once per
+                # email, with a wait of 0 decided by U < p without a log.
+                emails.sort()
+                senders = []
+                following = minute + 1
+                for i in emails:
+                    if email_at[i] != minute:
+                        continue  # left the office since, or already taken
+                    senders.append(i)
+                    p = email_p[i]
+                    due = following
+                    if p < 1.0:
+                        u = email_rngs[i].random()
+                        if u >= p:
+                            due += int(-log(1.0 - u) * email_clock[i])
+                    email_at[i] = due
+                    bucket = due_emails.get(due)
+                    if bucket is None:
+                        due_emails[due] = [i]
+                        heappush(heap, due)
+                    else:
+                        bucket.append(i)
+                contacts = contact_step(
+                    network, agents, awareness_delta, minute, senders, email_rngs
                 )
-            day = minute // MINUTES_PER_DAY
-            dow = (start_dow + day) % 7
-            arrival_buckets.clear()
-            for agent in agents:
-                schedule = sample_daily_schedule(agent, dow, rng_schedule, params)
-                agent.today_schedule = schedule
-                if schedule is not None:
-                    arrival_buckets.setdefault(schedule[0], []).append(agent)
-            arrival_minutes = sorted(arrival_buckets)
-
-        arriving = arrival_buckets.get(minute_of_day)
-        if arriving:
-            for agent in arriving:
-                insort(active, agent, key=_by_id)
-
-        if not active and not any(countdowns):
-            # Nobody in the building and no light counting down: nothing
-            # changes up to the next arrival or midnight.
-            pos = bisect_right(arrival_minutes, minute_of_day)
-            next_of_day = (
-                arrival_minutes[pos] if pos < len(arrival_minutes) else MINUTES_PER_DAY
-            )
-            minute = min(minute + next_of_day - minute_of_day, n_minutes)
-            continue
-
-        if active:
-            for agent in active:
-                step(agent, minute, minute_of_day, ctx, rng_behavior, minute_events)
-            if minute_events:
-                for ev in minute_events:
-                    if logs:
-                        event = make_event(ev)
-                        for log in logs:
-                            log.append(event)
-                    apply_event(*ev)  # may log manual light events right after
-                minute_events.clear()
-
-        for arm in automated_arms:
-            countdown = arm.countdown
-            if countdown:
-                # Index order, as a full sweep over the rooms would step them.
-                banks = arm.banks
-                off_delay = arm.policy.off_delay_minutes
-                for idx in sorted(countdown):
-                    bank = banks[idx]
-                    occupied = zone_occupancy[room_zone[idx]] > 0
-                    delta = bank.step_automated(occupied, off_delay, minute)
-                    if delta:
-                        arm.add(delta * bank.watts_total, minute)
-                    if occupied or not bank.is_on:
-                        countdown.discard(idx)
-
-        if contacts_on and in_office:
-            contacts = contact_step(
-                network,
-                agents,
-                scenario.contact_rate,
-                scenario.awareness_delta,
-                minute,
-                rng_contact,
-                senders=in_office,
-            )
-            if contacts:
                 contact_count += len(contacts)
                 if contact_log is not None:
                     contact_log.extend(contacts)
-        minute += 1
 
     _extend_to(computers_arr, computers_running, n_minutes)
     base_arr = array("d", (building.base_load_watts,)) * n_minutes

@@ -12,15 +12,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .occupants import AgentState, OccupantAgent
+from .occupants import OccupantAgent
 
 # An agent's p_email is interpreted as expected emails per office day of
 # this many minutes (at contact_rate 1).
 EMAIL_BASE_MINUTES = 480
 
 AWARENESS_CAP = 100.0
-
-_IN_OWN_OFFICE = AgentState.IN_OWN_OFFICE
 
 
 @dataclass(frozen=True)
@@ -102,47 +100,38 @@ def build_small_world(n: int, k: int, beta: float, rng) -> SocialNetwork:
     )
 
 
+def send_hazard(p_email: float, contact_rate: float) -> float:
+    """Per-minute probability that an agent in its own office sends an
+    email: ``contact_rate * p_email / 480``, clamped to 1."""
+    return min(1.0, p_email * (contact_rate / EMAIL_BASE_MINUTES))
+
+
 def contact_step(
     network: SocialNetwork,
     agents: list[OccupantAgent],
-    contact_rate: float,
     awareness_delta: float,
     minute: int,
-    rng,
-    senders: list[OccupantAgent],
+    sender_ids: list[int],
+    rngs,
 ) -> list[tuple[int, int, int]]:
-    """One minute of email traffic, returned as plain tuples
+    """One minute's due emails, returned as plain tuples
     ``(sender_id, receiver_id, minute)`` in ``ContactEvent``'s field order.
 
-    Each agent currently in its own office sends, with probability
-    contact_rate * p_email / 480 (clamped to 1), one email to a uniform
-    network neighbor; the receiver's awareness rises by awareness_delta,
-    capped at 100. Agents are visited in id order and updates apply
-    immediately, keeping runs reproducible.
-
-    ``agents`` must be indexable by agent id. ``senders`` are the agents
-    scanned, in id order: all of them, or a pre-filtered subset such as
-    the agents in their own office (the in-office check still applies).
+    Each sender in ``sender_ids``, in order, sends one email to a uniform
+    network neighbor drawn from its own stream ``rngs[sender_id]``; the
+    receiver's awareness rises by awareness_delta, capped at 100, and the
+    update applies at once. When a sender's email is due is the caller's
+    clock (``send_hazard``); ``agents`` must be indexable by agent id.
     """
-    if contact_rate <= 0.0:
-        return []
     events: list[tuple[int, int, int]] = []
-    scale = contact_rate / EMAIL_BASE_MINUTES
-    random = rng.random
-    getrandbits = rng.getrandbits
     neighbors = network.neighbors
-    in_office = _IN_OWN_OFFICE
     cap = AWARENESS_CAP
-    for agent in senders:
-        if agent.state is not in_office:
-            continue
-        if random() >= agent.p_email * scale:
-            continue
-        sender_id = agent.id
+    for sender_id in sender_ids:
         nbrs = neighbors[sender_id]
         if not nbrs:
             continue
         # rng.choice(nbrs), inlined: the rejection loop of Random._randbelow.
+        getrandbits = rngs[sender_id].getrandbits
         n = len(nbrs)
         k = n.bit_length()
         r = getrandbits(k)

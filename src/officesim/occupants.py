@@ -1,15 +1,19 @@
 """Occupant agents: stereotype sampling, daily schedules, and the
-minute-stepped behavioral state machine that emits appliance events.
+event-driven behavioral state machine that emits appliance events.
 
 An agent cycles through four states: out of the building, in the
 corridor, in its own office (working with or without its computer), or
-in a facility room (toilet / kitchen / lab). All randomness flows
-through the caller-supplied ``random.Random`` so runs are reproducible.
+in a facility room (toilet / kitchen / lab). Every stochastic rule is a
+constant per-minute hazard, drawn as a geometric waiting time when its
+state is entered, and every countdown is a scheduled minute; the agent
+keeps the minute of its next firing. All randomness flows through the
+caller-supplied ``random.Random`` so runs are reproducible.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -20,8 +24,10 @@ MINUTES_PER_DAY = 1440
 CORRIDOR_TRANSIT_MINUTES = 2
 COMPUTER_SWITCH_ON_MINUTES = 2
 LATEST_LEAVE_MINUTE = 23 * 60  # flexible workers are gone by 23:00
+NEVER = 1 << 62  # the minute of a clock that never fires
 
-# Computer power mirror kept by the owning agent (ints for speed).
+# The power state of an agent's computer (ints for speed); in the office
+# the agent works with its computer while it is on.
 POWER_OFF = 0
 POWER_STANDBY = 1
 POWER_ON = 2
@@ -188,11 +194,6 @@ class AgentState(enum.Enum):
     IN_OTHER_ROOMS = "in_other_rooms"
 
 
-class OfficeActivity(enum.Enum):
-    WITH_COMPUTER = "working_with_computer"
-    WITHOUT_COMPUTER = "working_without_computer"
-
-
 class CorridorMode(enum.Enum):
     ENTERING = "entering"        # walk from the entrance to the office
     TEMP_BREAK = "temp_break"    # short absence, no switch-off behavior
@@ -229,7 +230,8 @@ class OccupantEvent(NamedTuple):
 @dataclass(slots=True, eq=False)
 class OccupantAgent:
     """One electricity user. Identity fields are fixed for the whole
-    run; the remaining fields are the current machine state.
+    run; the remaining fields are the current machine state, its clocks
+    as absolute minutes.
 
     Compared by identity: an agent belongs to exactly one replication.
     """
@@ -242,10 +244,12 @@ class OccupantAgent:
     computer_id: str | None = None
 
     state: AgentState = AgentState.OUT_OF_SCHOOL
-    office_activity: OfficeActivity = OfficeActivity.WITHOUT_COMPUTER
     corridor_mode: CorridorMode | None = None
-    timer: int = 0
-    break_timer: int = 0
+    next_minute: int = NEVER  # the agent's next firing, the earliest clock
+    leave_at: int = NEVER  # in the office: the leave clock or the departure
+    computer_at: int = NEVER  # in the office: the next computer event
+    break_end: int = NEVER  # on a long break: the return to the office
+    break_timer: int = 0  # minutes of break left, kept during a visit
     visiting_room_id: str | None = None
     today_schedule: tuple[int, int] | None = None
     computer_power: int = POWER_OFF
@@ -256,21 +260,50 @@ class OccupantAgent:
         self.p_email = STEREOTYPE_PARAMS[self.stereotype].p_email
 
 
+def hazard_clock(p: float) -> float:
+    """The factor turning ``-log(1 - U)`` into the waiting time of a
+    per-minute hazard ``p``: 0.0 for a hazard that fires at once (p >= 1),
+    inf for one that never fires (p <= 0)."""
+    if p >= 1.0:
+        return 0.0
+    if p <= 0.0:
+        return math.inf
+    return -1.0 / math.log1p(-p)
+
+
+def waiting_time(rng, clock: float) -> int:
+    """Whole minutes a per-minute hazard with factor ``clock``
+    (``hazard_clock(p)``) waits before it fires: T = floor(log U /
+    log(1 - p)) with U uniform on (0, 1], so P(T >= t) = (1 - p)**t, the
+    first success of one Bernoulli(p) draw per minute. A hazard that fires
+    at once or never draws nothing."""
+    if clock == 0.0:
+        return 0
+    if clock == math.inf:
+        return NEVER
+    wait = -math.log(1.0 - rng.random()) * clock
+    return int(wait) if wait < NEVER else NEVER
+
+
 class BehaviorContext:
-    """Static per-run context shared by every agent step; the hazards
-    drawn against every minute are bound once, one attribute away."""
+    """Static per-run context shared by every agent transition; the
+    hazards' waiting-time factors are computed once."""
 
     __slots__ = (
-        "params", "facility_room_ids", "leave_hazard", "standby_prob",
-        "other_room_hazard",
+        "params", "facility_room_ids", "leave_clock", "standby_clock",
+        "visit_clock",
     )
 
     def __init__(self, params: BehaviorParams, facility_room_ids: tuple[str, ...]):
         self.params = params
         self.facility_room_ids = facility_room_ids
-        self.leave_hazard = params.leave_hazard_per_minute
-        self.standby_prob = params.computer_standby_prob_per_minute
-        self.other_room_hazard = params.other_room_hazard_per_minute
+        self.leave_clock = hazard_clock(params.leave_hazard_per_minute)
+        self.standby_clock = hazard_clock(params.computer_standby_prob_per_minute)
+        self.visit_clock = (
+            hazard_clock(params.other_room_hazard_per_minute)
+            if facility_room_ids
+            else math.inf
+        )
 
 
 def sample_population(
@@ -369,7 +402,7 @@ def sample_daily_schedule(
 
 
 # Members bound at module level: a global lookup is cheaper than an
-# enum class attribute in the per-minute step.
+# enum class attribute in every transition.
 _ENTER_BUILDING = EventKind.ENTER_BUILDING
 _ENTER_OWN_OFFICE = EventKind.ENTER_OWN_OFFICE
 _SWITCH_COMPUTER_ON = EventKind.SWITCH_COMPUTER_ON
@@ -388,8 +421,6 @@ _ENTERING = CorridorMode.ENTERING
 _TEMP_BREAK = CorridorMode.TEMP_BREAK
 _LONG_BREAK = CorridorMode.LONG_BREAK
 _EXITING = CorridorMode.EXITING
-_WITH_COMPUTER = OfficeActivity.WITH_COMPUTER
-_WITHOUT_COMPUTER = OfficeActivity.WITHOUT_COMPUTER
 
 
 def step_occupant(
@@ -400,158 +431,180 @@ def step_occupant(
     rng,
     events: list[tuple],
 ) -> bool:
-    """Advance one agent by one minute, appending the events it emits to
-    ``events``; returns True iff it emitted any. An event is a plain tuple
-    ``(kind, minute, agent_id, room_id)`` in ``OccupantEvent``'s field
-    order, ``room_id`` None where the event names no room.
+    """Fire the clock of ``agent`` due at ``minute`` (its ``next_minute``,
+    or its arrival when it is out), appending the events it emits to
+    ``events``, and draw the clocks of the state it enters from ``rng``;
+    ``agent.next_minute`` is then its next firing, NEVER once it has left
+    for the day. Returns True iff it emitted any event. An event is a
+    plain tuple ``(kind, minute, agent_id, room_id)`` in ``OccupantEvent``'s
+    field order, ``room_id`` None where the event names no room.
 
-    Requires today's schedule to have been sampled already (None means
-    absent all day). Light switching is not decided here; the engine
-    derives manual light events from entry/exit events and the active
-    policy.
+    Requires today's schedule to have been sampled already. Light
+    switching is not decided here; the engine derives manual light events
+    from entry/exit events and the active policy.
 
-    Leave rule, in the office: at the leave minute the agent departs. Before
-    it, a constant per-minute hazard triggers a leave, temporary with
-    probability ``temporary_leave_fraction`` and long otherwise; when no
-    more than ``temporary_leave_max`` minutes remain only long leaves are
-    offered, so a temporary break always ends before the leave time.
+    The rules, each a per-minute hazard or a countdown:
+
+    - Arrival at the schedule's arrival minute, then a corridor transit of
+      ``CORRIDOR_TRANSIT_MINUTES`` to the office, or back out if the day
+      has ended by then.
+    - In the office, from the minute after entering: at the leave minute
+      the agent departs. Before it, a leave hazard triggers a leave,
+      temporary with probability ``temporary_leave_fraction`` and long
+      otherwise; when no more than ``temporary_leave_max`` minutes remain
+      only long leaves are offered, so a temporary break always ends
+      before the leave time. A long leave that would outlast the day is
+      the departure.
+    - The computer, in the office: a standby hazard while working with
+      it, and ``COMPUTER_SWITCH_ON_MINUTES`` to switch it back on. A leave
+      and a computer event due at the same minute: the leave fires.
+    - On a long break, a facility-visit hazard until the break ends; the
+      visit's dwell does not count against the break, and at the leave
+      minute the agent heads out.
     """
-    state = agent.state
     schedule = agent.today_schedule
-    if state is _OUT:
-        if schedule is not None and minute_of_day == schedule[0]:
-            agent.state = _CORRIDOR
-            agent.corridor_mode = _ENTERING
-            agent.timer = CORRIDOR_TRANSIT_MINUTES
-            events.append((_ENTER_BUILDING, minute, agent.id, None))
-            return True
-        return False
-
     if schedule is None:
         raise RuntimeError(f"agent {agent.id} is active without a schedule")
-    leave_minute = schedule[1]
+    leave_minute = minute - minute_of_day + schedule[1]
+    state = agent.state
 
     if state is _OFFICE:
-        if minute_of_day >= leave_minute:
+        if minute < agent.leave_at:
+            _computer_event(agent, minute, ctx, rng, events)
+        elif minute >= leave_minute:
             _leave_office_long(agent, minute, events, rng, ctx.params)
-            agent.corridor_mode = _EXITING
-            agent.timer = CORRIDOR_TRANSIT_MINUTES
-            return True
-        if rng.random() < ctx.leave_hazard:
-            params = ctx.params
-            if (
-                leave_minute - minute_of_day > params.temporary_leave_max
-                and rng.random() < params.temporary_leave_fraction
-            ):
-                agent.state = _CORRIDOR
-                agent.corridor_mode = _TEMP_BREAK
-                agent.timer = rng.randint(
-                    params.temporary_leave_min, params.temporary_leave_max
-                )
-                events.append(
-                    (_LEAVE_OFFICE_TEMPORARY, minute, agent.id, agent.office_room_id)
-                )
-                return True
-            duration = rng.randint(params.long_leave_min, params.long_leave_max)
-            _leave_office_long(agent, minute, events, rng, params)
-            if minute_of_day + duration >= leave_minute:
-                # Break would outlast the working day: this is the departure.
-                agent.corridor_mode = _EXITING
-                agent.timer = CORRIDOR_TRANSIT_MINUTES
-            else:
-                agent.corridor_mode = _LONG_BREAK
-                agent.timer = duration
-            return True
-        # Staying put: computer session dynamics.
-        if agent.computer_id is None:
-            return False
-        if agent.office_activity is _WITH_COMPUTER:
-            if rng.random() < ctx.standby_prob:
-                agent.computer_power = POWER_STANDBY
-                agent.office_activity = _WITHOUT_COMPUTER
-                agent.timer = COMPUTER_SWITCH_ON_MINUTES
-                events.append((_COMPUTER_TO_STANDBY, minute, agent.id, None))
-                return True
-            return False
-        agent.timer -= 1
-        if agent.timer <= 0:
-            agent.computer_power = POWER_ON
-            agent.office_activity = _WITH_COMPUTER
-            events.append((_SWITCH_COMPUTER_ON, minute, agent.id, None))
-            return True
-        return False
+            _head_out(agent, minute)
+        else:
+            _leave_office(agent, minute, leave_minute, ctx, rng, events)
+        return True
 
     if state is _CORRIDOR:
         mode = agent.corridor_mode
         if mode is _EXITING:
-            agent.timer -= 1
-            if agent.timer <= 0:
-                agent.state = _OUT
-                agent.corridor_mode = None
-                events.append((_LEAVE_BUILDING, minute, agent.id, None))
-                return True
-            return False
-        if mode is _ENTERING:
-            agent.timer -= 1
-            if agent.timer <= 0:
-                if minute_of_day >= leave_minute:
-                    # Day ended before the office was reached; head out.
-                    agent.corridor_mode = _EXITING
-                    agent.timer = CORRIDOR_TRANSIT_MINUTES
-                    return False
-                _enter_office(agent, minute, events)
-                return True
-            return False
-        if mode is _TEMP_BREAK:
-            agent.timer -= 1
-            if agent.timer <= 0:
-                _enter_office(agent, minute, events)
-                return True
-            return False
-        # LONG_BREAK: idle in the corridor, occasionally using facilities.
-        if minute_of_day >= leave_minute:
-            agent.corridor_mode = _EXITING
-            agent.timer = CORRIDOR_TRANSIT_MINUTES
-            return False
-        agent.timer -= 1
-        if agent.timer <= 0:
-            _enter_office(agent, minute, events)
-            return True
-        facility_ids = ctx.facility_room_ids
-        if facility_ids and rng.random() < ctx.other_room_hazard:
-            room_id = facility_ids[rng.randrange(len(facility_ids))]
-            agent.break_timer = agent.timer  # resumes after the visit
-            agent.state = _OTHER_ROOMS
-            agent.visiting_room_id = room_id
-            agent.timer = rng.randint(
-                ctx.params.other_room_dwell_min, ctx.params.other_room_dwell_max
-            )
-            events.append((_ENTER_OTHER_ROOM, minute, agent.id, room_id))
-            return True
-        return False
+            agent.state = _OUT
+            agent.corridor_mode = None
+            agent.next_minute = NEVER
+            events.append((_LEAVE_BUILDING, minute, agent.id, None))
+        elif mode is _LONG_BREAK and minute < agent.break_end:
+            _visit_facility(agent, minute, ctx, rng, events)
+        else:
+            _enter_office(agent, minute, leave_minute, ctx, rng, events)
+        return True
 
-    # IN_OTHER_ROOMS
-    agent.timer -= 1
-    if agent.timer <= 0:
+    if state is _OTHER_ROOMS:
         events.append((_EXIT_OTHER_ROOM, minute, agent.id, agent.visiting_room_id))
         agent.visiting_room_id = None
         agent.state = _CORRIDOR
         agent.corridor_mode = _LONG_BREAK
-        agent.timer = agent.break_timer
+        agent.break_end = minute + agent.break_timer
+        _resume_break(agent, minute + 1, leave_minute, ctx, rng)
         return True
-    return False
+
+    # Out of the building: the arrival.
+    agent.state = _CORRIDOR
+    events.append((_ENTER_BUILDING, minute, agent.id, None))
+    reached = minute + CORRIDOR_TRANSIT_MINUTES
+    if reached >= leave_minute:
+        # The day ends before the office is reached; head out.
+        _head_out(agent, reached)
+    else:
+        agent.corridor_mode = _ENTERING
+        agent.next_minute = reached
+    return True
 
 
-def _enter_office(agent: OccupantAgent, minute: int, events: list) -> None:
+def _head_out(agent: OccupantAgent, minute: int) -> None:
+    """Walk out of the building, starting at ``minute``."""
+    agent.corridor_mode = _EXITING
+    agent.next_minute = minute + CORRIDOR_TRANSIT_MINUTES
+
+
+def _enter_office(
+    agent: OccupantAgent, minute: int, leave_minute: int, ctx, rng, events: list
+) -> None:
     agent.state = _OFFICE
     agent.corridor_mode = None
     events.append((_ENTER_OWN_OFFICE, minute, agent.id, agent.office_room_id))
-    if agent.computer_id is not None and agent.computer_power == POWER_ON:
+    agent.leave_at = min(minute + 1 + waiting_time(rng, ctx.leave_clock), leave_minute)
+    if agent.computer_id is None:
+        agent.computer_at = NEVER
+    elif agent.computer_power == POWER_ON:
         # Machine kept running during the absence; resume right away.
-        agent.office_activity = _WITH_COMPUTER
+        agent.computer_at = minute + 1 + waiting_time(rng, ctx.standby_clock)
     else:
-        agent.office_activity = _WITHOUT_COMPUTER
-        agent.timer = COMPUTER_SWITCH_ON_MINUTES
+        agent.computer_at = minute + COMPUTER_SWITCH_ON_MINUTES
+    # A leave due at the same minute as a computer event fires first.
+    agent.next_minute = min(agent.leave_at, agent.computer_at)
+
+
+def _computer_event(agent: OccupantAgent, minute: int, ctx, rng, events: list) -> None:
+    if agent.computer_power == POWER_ON:
+        agent.computer_power = POWER_STANDBY
+        agent.computer_at = minute + COMPUTER_SWITCH_ON_MINUTES
+        events.append((_COMPUTER_TO_STANDBY, minute, agent.id, None))
+    else:
+        agent.computer_power = POWER_ON
+        agent.computer_at = minute + 1 + waiting_time(rng, ctx.standby_clock)
+        events.append((_SWITCH_COMPUTER_ON, minute, agent.id, None))
+    agent.next_minute = min(agent.leave_at, agent.computer_at)
+
+
+def _leave_office(
+    agent: OccupantAgent, minute: int, leave_minute: int, ctx, rng, events: list
+) -> None:
+    """The leave hazard fired before the leave minute."""
+    params = ctx.params
+    if (
+        leave_minute - minute > params.temporary_leave_max
+        and rng.random() < params.temporary_leave_fraction
+    ):
+        agent.state = _CORRIDOR
+        agent.corridor_mode = _TEMP_BREAK
+        agent.next_minute = minute + rng.randint(
+            params.temporary_leave_min, params.temporary_leave_max
+        )
+        events.append((_LEAVE_OFFICE_TEMPORARY, minute, agent.id, agent.office_room_id))
+        return
+    duration = rng.randint(params.long_leave_min, params.long_leave_max)
+    _leave_office_long(agent, minute, events, rng, params)
+    if minute + duration >= leave_minute:
+        # Break would outlast the working day: this is the departure.
+        _head_out(agent, minute)
+    else:
+        agent.corridor_mode = _LONG_BREAK
+        agent.break_end = minute + duration
+        _resume_break(agent, minute + 1, leave_minute, ctx, rng)
+
+
+def _resume_break(
+    agent: OccupantAgent, start: int, leave_minute: int, ctx, rng
+) -> None:
+    """Schedule the long break from minute ``start`` on: a facility visit
+    at a minute before both the break's end and the leave minute, else the
+    walk out at the leave minute if the break reaches it, else the return
+    to the office at the break's end."""
+    end = agent.break_end
+    visit = start + waiting_time(rng, ctx.visit_clock)
+    if visit < end and visit < leave_minute:
+        agent.next_minute = visit
+        return
+    heading_out = max(start, leave_minute)
+    if heading_out <= end:
+        _head_out(agent, heading_out)
+    else:
+        agent.next_minute = end
+
+
+def _visit_facility(agent: OccupantAgent, minute: int, ctx, rng, events: list) -> None:
+    facility_ids = ctx.facility_room_ids
+    room_id = facility_ids[rng.randrange(len(facility_ids))]
+    agent.break_timer = agent.break_end - minute  # resumes after the visit
+    agent.state = _OTHER_ROOMS
+    agent.visiting_room_id = room_id
+    agent.next_minute = minute + rng.randint(
+        ctx.params.other_room_dwell_min, ctx.params.other_room_dwell_max
+    )
+    events.append((_ENTER_OTHER_ROOM, minute, agent.id, room_id))
 
 
 def _leave_office_long(

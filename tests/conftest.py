@@ -116,16 +116,28 @@ def rng() -> random.Random:
     return random.Random(12345)
 
 
+# The largest value random() returns: a hazard's waiting time drawn from
+# it is as long as one gets, far beyond a working day.
+LATEST_UNIFORM = 1.0 - 2.0**-53
+
+
+def uniform_for_wait(p: float, minutes: int) -> float:
+    """The uniform from which a per-minute hazard ``p`` waits exactly
+    ``minutes`` (``occupants.waiting_time``)."""
+    return 1.0 - (1.0 - p) ** (minutes + 0.5)
+
+
 class ScriptedRandom:
     """random.Random stand-in returning queued values, for driving the
-    occupant state machine down chosen branches."""
+    occupant state machine down chosen branches. Once its values run out,
+    random() returns ``LATEST_UNIFORM``: no hazard fires, no roll succeeds."""
 
     def __init__(self, values=(), ints=()):
         self.values = list(values)  # consumed by random()
         self.ints = list(ints)  # consumed by randint / randrange
 
     def random(self) -> float:
-        return self.values.pop(0) if self.values else 1.0
+        return self.values.pop(0) if self.values else LATEST_UNIFORM
 
     def randint(self, a, b) -> int:
         if self.ints:

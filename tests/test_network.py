@@ -4,16 +4,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from officesim import ValidationError, build_small_world, contact_step
-from officesim.network import EMAIL_BASE_MINUTES, SocialNetwork
+from officesim import ValidationError, build_small_world, contact_step, run_replication
+from officesim.network import EMAIL_BASE_MINUTES, SocialNetwork, send_hazard
 from officesim.occupants import (
+    NEVER,
     AgentState,
     OccupantAgent,
     ScheduleClass,
     Stereotype,
+    hazard_clock,
+    waiting_time,
 )
 
-from conftest import as_contact_events
+from conftest import as_contact_events, make_small_scenario
 
 
 def test_ring_lattice_at_beta_zero():
@@ -67,47 +70,57 @@ def _office_agent(agent_id, stereotype=Stereotype.REGULAR_USER, awareness=50.0):
     return agent
 
 
+def _streams(n, seed):
+    """One email stream per agent."""
+    return [random.Random(seed * 1000 + i) for i in range(n)]
+
+
 def test_contact_rate_zero_is_silent():
-    agents = [_office_agent(i) for i in range(6)]
-    net = build_small_world(6, 2, 0.0, random.Random(1))
-    before = [a.awareness for a in agents]
-    events = contact_step(net, agents, 0.0, 1.0, 0, random.Random(1), senders=agents)
-    assert events == []
-    assert [a.awareness for a in agents] == before
+    assert send_hazard(0.9, 0.0) == 0.0
+    assert waiting_time(random.Random(1), hazard_clock(send_hazard(0.9, 0.0))) == NEVER
+    scenario = make_small_scenario(population_size=5, contact_rate=0.0)
+    result = run_replication(scenario, seed=1)
+    assert result.contact_count == 0
+    assert all(r.final_awareness == r.initial_awareness for r in result.roster)
 
 
 def test_awareness_capped_at_hundred():
     agents = [_office_agent(i, Stereotype.ENVIRONMENT_CHAMPION, 100.0)
               for i in range(6)]
     net = build_small_world(6, 2, 0.0, random.Random(1))
-    rng = random.Random(2)
+    rngs = _streams(6, 2)
     for minute in range(2000):
-        contact_step(net, agents, 50.0, 5.0, minute, rng, senders=agents)
+        contact_step(net, agents, 5.0, minute, range(6), rngs)
     assert all(a.awareness == 100.0 for a in agents)
 
 
 def test_only_office_agents_send():
-    agents = [_office_agent(i) for i in range(6)]
-    agents[0].state = AgentState.IN_CORRIDOR
-    net = build_small_world(6, 2, 0.0, random.Random(1))
-    rng = random.Random(3)
-    events = []
-    for minute in range(5000):
-        events += as_contact_events(
-            contact_step(net, agents, 100.0, 0.0, minute, rng, senders=agents)
-        )
+    # Each sender's email clock runs only while it is in its own office:
+    # every contact falls inside an office stay of its sender, replayed
+    # from the events.
+    scenario = make_small_scenario(population_size=5, contact_rate=100.0)
+    result = run_replication(scenario, seed=3, trace=True)
+    stays: dict[int, list[tuple[int, int]]] = {}
+    entered: dict[int, int] = {}
+    for minute, agent_id, before, after in result.trace.state_transitions:
+        if after is AgentState.IN_OWN_OFFICE:
+            entered[agent_id] = minute
+        elif before is AgentState.IN_OWN_OFFICE:
+            stays.setdefault(agent_id, []).append((entered.pop(agent_id), minute))
+    events = result.trace.contact_events
     assert events
-    assert all(ev.sender_id != 0 for ev in events)
+    for ev in events:
+        assert any(a <= ev.minute < b for a, b in stays.get(ev.sender_id, ()))
 
 
 def test_emails_respect_topology():
     agents = [_office_agent(i) for i in range(12)]
     net = build_small_world(12, 4, 0.5, random.Random(4))
-    rng = random.Random(5)
+    rngs = _streams(12, 5)
     events = []
     for minute in range(3000):
         events += as_contact_events(
-            contact_step(net, agents, 40.0, 0.5, minute, rng, senders=agents)
+            contact_step(net, agents, 0.5, minute, range(12), rngs)
         )
     assert events
     for ev in events:
@@ -116,46 +129,43 @@ def test_emails_respect_topology():
 
 
 def test_send_rates_scale_with_stereotype():
-    # one champion and one big user, both permanently at their desks
-    agents = [
-        _office_agent(0, Stereotype.ENVIRONMENT_CHAMPION, 97.0),
-        _office_agent(1, Stereotype.BIG_USER, 10.0),
-    ]
-    net = build_small_world(3, 2, 0.0, random.Random(6))
-    agents.append(_office_agent(2))
+    # one champion and one big user, both permanently at their desks: the
+    # email clock, restarted after each email, fires p_email / 480 times
+    # per minute at contact rate 1
     rng = random.Random(7)
     minutes = 120_000
-    counts = {0: 0, 1: 0}
-    for minute in range(minutes):
-        for ev in as_contact_events(
-            contact_step(net, agents, 1.0, 0.0, minute, rng, senders=agents)
-        ):
-            if ev.sender_id in counts:
-                counts[ev.sender_id] += 1
-    for agent_id, p_email in ((0, 0.9), (1, 0.05)):
+    for p_email in (0.9, 0.05):
+        clock = hazard_clock(send_hazard(p_email, 1.0))
+        count = 0
+        due = waiting_time(rng, clock)
+        while due < minutes:
+            count += 1
+            due += 1 + waiting_time(rng, clock)
         expected = minutes * p_email / EMAIL_BASE_MINUTES
         sigma = math.sqrt(expected * (1 - p_email / EMAIL_BASE_MINUTES))
-        assert abs(counts[agent_id] - expected) <= 3 * sigma
+        assert abs(count - expected) <= 3 * sigma
 
 
 def test_receiver_awareness_increases_by_delta():
     agents = [_office_agent(i, Stereotype.ENVIRONMENT_CHAMPION, 95.0)
               for i in range(4)]
     net = build_small_world(4, 2, 0.0, random.Random(8))
-    rng = random.Random(9)
+    rngs = _streams(4, 9)
     total_before = sum(a.awareness for a in agents)
     events = []
     for minute in range(200):
-        events += contact_step(net, agents, 10.0, 0.25, minute, rng, senders=agents)
+        senders = [i for i in range(4) if rngs[i].random() < 10.0 / 480]
+        events += contact_step(net, agents, 0.25, minute, senders, rngs)
     gained = sum(a.awareness for a in agents) - total_before
     # every receiver started below the cap by more than the total gain
+    assert events
     assert gained == pytest.approx(0.25 * len(events))
 
 
 @pytest.mark.parametrize("degree", range(1, 10))
 def test_receiver_draw_matches_random_choice(degree):
-    # Agent 0 always sends (its send probability is clamped to 1), so each
-    # minute draws one random() and then one receiver among its neighbors.
+    # Agent 0 sends every minute, drawing one receiver among its neighbors
+    # from its own stream and nothing else.
     n = degree + 1
     agents = [_office_agent(i) for i in range(n)]
     nbrs = tuple(range(1, n))
@@ -170,8 +180,7 @@ def test_receiver_draw_matches_random_choice(degree):
         rng, twin = random.Random(seed), random.Random(seed)
         for minute in range(200):
             (event,) = as_contact_events(
-                contact_step(net, agents, 1e6, 0.0, minute, rng, senders=agents[:1])
+                contact_step(net, agents, 0.0, minute, [0], [rng])
             )
-            twin.random()
             assert event.receiver_id == twin.choice(nbrs)
         assert rng.getstate() == twin.getstate()

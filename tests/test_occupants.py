@@ -15,7 +15,9 @@ from officesim import (
     sample_population,
     step_occupant,
 )
+from officesim import run_replication
 from officesim.occupants import (
+    NEVER,
     BehaviorContext,
     BehaviorParams,
     CorridorMode,
@@ -27,9 +29,18 @@ from officesim.occupants import (
     Stereotype,
     STEREOTYPE_PARAMS,
     computer_switch_off_prob,
+    hazard_clock,
+    waiting_time,
 )
 
-from conftest import ScriptedRandom, as_occupant_events, make_small_building
+from conftest import (
+    LATEST_UNIFORM,
+    ScriptedRandom,
+    as_occupant_events,
+    make_small_building,
+    make_small_scenario,
+    uniform_for_wait,
+)
 
 
 def three_sigma(n: int, p: float) -> float:
@@ -164,11 +175,11 @@ def test_saturday_presence_frequency():
     assert abs(present / n - 0.02) <= 0.0015
 
 
-# --- leave decisions (the leave rule inside step_occupant) -----------------
+# --- leave decisions (the leave clock and its transition) -----------------
 
 def _office_agent(computer=None):
     """Agent at its desk on a 540-1020 day; without a computer by default,
-    so a minute spent staying draws nothing but the leave hazard."""
+    so its only clock in the office is the leave clock."""
     agent = OccupantAgent(0, ScheduleClass.EARLY_BIRD,
                           Stereotype.BIG_USER, 10.0, "office-p0",
                           computer_id=computer)
@@ -178,10 +189,12 @@ def _office_agent(computer=None):
 
 
 def _leave_kind(agent, minutes_remaining, rng, ctx):
-    """Step an agent at its desk once with ``minutes_remaining`` before
-    its leave time; returns the leave taken ("stay" if none) and puts the
-    agent back at its desk."""
+    """Fire the leave clock of an agent at its desk with
+    ``minutes_remaining`` before its leave time; returns the leave taken
+    ("stay" if none) and puts the agent back at its desk."""
     minute = 1020 - minutes_remaining
+    agent.leave_at = agent.next_minute = minute
+    agent.computer_at = NEVER
     events = []
     step_occupant(agent, minute, minute, ctx, rng, events)
     kinds = [e.kind for e in as_occupant_events(events)]
@@ -194,24 +207,66 @@ def _leave_kind(agent, minutes_remaining, rng, ctx):
     return "stay"
 
 
+def _enter_from_break(agent, minute, rng, ctx):
+    """Bring an agent back to its desk from a quick break at ``minute``,
+    which draws its office clocks."""
+    agent.state = AgentState.IN_CORRIDOR
+    agent.corridor_mode = CorridorMode.TEMP_BREAK
+    agent.next_minute = minute
+    events = []
+    step_occupant(agent, minute, minute, ctx, rng, events)
+    assert [e.kind for e in as_occupant_events(events)] == [EventKind.ENTER_OWN_OFFICE]
+
+
 def test_forced_departure_at_zero_minutes():
     agent = _office_agent()
-    # the hazard would not fire (1.0): at the leave minute it is not drawn
-    rng = ScriptedRandom(values=[1.0])
+    # the leave clock never fires before the leave minute, which is then the
+    # departure: nothing is drawn for it
+    _enter_from_break(agent, 1000, ScriptedRandom(), _ctx())
+    assert agent.leave_at == agent.next_minute == 1020
+    rng = ScriptedRandom(values=[0.0])
     assert _leave_kind(agent, 0, rng, _ctx()) == "long"
-    assert rng.values == [1.0]
+    assert rng.values == [0.0]
 
 
 def test_leave_hazard_frequency():
+    # The leave hazard is 0.01 per office minute: the clock drawn on
+    # entering fires on the first minute with that probability.
     agent = _office_agent()
     rng = random.Random(7)
     ctx = _ctx()
     n = 100_000
-    leaves = sum(
-        _leave_kind(agent, 400, rng, ctx) != "stay"
-        for _ in range(n)
-    )
+    leaves = 0
+    for _ in range(n):
+        _enter_from_break(agent, 600, rng, ctx)
+        leaves += agent.leave_at == 601
     assert abs(leaves - n * 0.01) <= three_sigma(n, 0.01)
+
+
+def test_leave_clock_is_geometric():
+    # P(no leave in the first t minutes) = 0.99**t, up to the leave minute.
+    agent = _office_agent()
+    rng = random.Random(8)
+    ctx = _ctx()
+    n = 20_000
+    waits = []
+    for _ in range(n):
+        _enter_from_break(agent, 600, rng, ctx)
+        waits.append(agent.leave_at - 601)
+    assert max(waits) == 1020 - 601  # capped by the departure
+    for t in (10, 50, 100, 300):
+        p = 0.99**t
+        assert abs(sum(w >= t for w in waits) - n * p) <= three_sigma(n, p)
+
+
+def test_certain_and_impossible_hazards_draw_nothing():
+    rng = ScriptedRandom(values=[0.5])
+    assert waiting_time(rng, hazard_clock(1.0)) == 0
+    assert waiting_time(rng, hazard_clock(2.5)) == 0
+    assert waiting_time(rng, hazard_clock(0.0)) == NEVER
+    assert rng.values == [0.5]
+    # the largest uniform still gives a finite wait
+    assert 0 < waiting_time(ScriptedRandom(), hazard_clock(1e-300)) <= NEVER
 
 
 def test_temporary_duration_bounds():
@@ -221,8 +276,9 @@ def test_temporary_duration_bounds():
     seen = set()
     for _ in range(20_000):
         if _leave_kind(agent, 400, rng, ctx) == "temporary":
-            assert 5 <= agent.timer <= 19
-            seen.add(agent.timer)
+            duration = agent.next_minute - 620
+            assert 5 <= duration <= 19
+            seen.add(duration)
     assert seen == set(range(5, 20))
 
 
@@ -232,6 +288,7 @@ def test_temporary_leave_fraction():
     ctx = _ctx()
     kinds = Counter(_leave_kind(agent, 400, rng, ctx) for _ in range(100_000))
     leaves = kinds["temporary"] + kinds["long"]
+    assert kinds["stay"] == 0
     assert abs(kinds["temporary"] - leaves * 0.7) <= three_sigma(leaves, 0.7)
 
 
@@ -240,14 +297,14 @@ def test_only_long_leaves_near_end_of_day():
     rng = random.Random(13)
     ctx = _ctx()
     for _ in range(20_000):
-        assert _leave_kind(agent, 15, rng, ctx) in ("stay", "long")
-    # near the end the split is not drawn: hazard (0.0), then the duration
-    scripted = ScriptedRandom(values=[0.0, 0.0], ints=[30])
+        assert _leave_kind(agent, 15, rng, ctx) == "long"
+    # near the end the split is not drawn: only the duration
+    scripted = ScriptedRandom(values=[0.0], ints=[30])
     assert _leave_kind(agent, 15, scripted, ctx) == "long"
     assert scripted.values == [0.0] and scripted.ints == []
 
 
-# --- state machine stepping ------------------------------------------------
+# --- state machine transitions ----------------------------------------------
 
 def _ctx(**over):
     return BehaviorContext(
@@ -256,11 +313,18 @@ def _ctx(**over):
 
 
 def _step(agent, minute, ctx, rng):
-    """One step at ``minute`` of day 0; returns the events emitted."""
+    """Fire the agent's clock due at ``minute`` of day 0; returns the
+    events emitted."""
     events = []
     emitted = step_occupant(agent, minute, minute, ctx, rng, events)
     assert emitted is bool(events)
     return as_occupant_events(events)
+
+
+def _fire(agent, ctx, rng):
+    """Fire the agent's next clock; returns (minute, events)."""
+    minute = agent.next_minute
+    return minute, _step(agent, minute, ctx, rng)
 
 
 def _fresh_agent(schedule=(540, 1020), computer="K000"):
@@ -272,131 +336,151 @@ def _fresh_agent(schedule=(540, 1020), computer="K000"):
 
 
 def test_no_events_before_arrival():
-    agent = _fresh_agent()
-    for minute in range(530, 540):
-        assert _step(agent, minute, _ctx(), ScriptedRandom()) == []
-    assert agent.state is AgentState.OUT_OF_SCHOOL
+    # An agent out of the building has no clock; the engine fires it first
+    # at its arrival, and every agent's day starts with that arrival.
+    assert _fresh_agent().next_minute == NEVER
+    scenario = make_small_scenario(population_size=5, horizon_days=2)
+    result = run_replication(scenario, seed=4, trace=True)
+    first = {}
+    for ev in result.events:
+        first.setdefault((ev.minute // 1440, ev.agent_id), ev)
+    assert first
+    for (day, agent_id), ev in first.items():
+        arrival, _ = result.trace.schedules[(day, agent_id)]
+        assert ev.kind is EventKind.ENTER_BUILDING
+        assert ev.minute == day * 1440 + arrival
 
 
 def test_corridor_transit_takes_exactly_two_minutes():
     agent = _fresh_agent()
-    rng = ScriptedRandom(values=[1.0] * 50)
+    rng = ScriptedRandom()
     events = _step(agent, 540, _ctx(), rng)
     assert [e.kind for e in events] == [EventKind.ENTER_BUILDING]
     assert agent.state is AgentState.IN_CORRIDOR
-    assert _step(agent, 541, _ctx(), rng) == []
-    events = _step(agent, 542, _ctx(), rng)
+    assert agent.next_minute == 542
+    minute, events = _fire(agent, _ctx(), rng)
+    assert minute == 542
     assert [e.kind for e in events] == [EventKind.ENTER_OWN_OFFICE]
     assert agent.state is AgentState.IN_OWN_OFFICE
 
 
 def test_computer_switched_on_two_minutes_after_entering():
     agent = _fresh_agent()
-    rng = ScriptedRandom(values=[1.0] * 50)
-    for minute in (540, 541, 542, 543):
-        _step(agent, minute, _ctx(), rng)
-    events = _step(agent, 544, _ctx(), rng)
+    rng = ScriptedRandom()
+    _step(agent, 540, _ctx(), rng)
+    _fire(agent, _ctx(), rng)  # enters at 542
+    minute, events = _fire(agent, _ctx(), rng)
+    assert minute == 544
     assert [e.kind for e in events] == [EventKind.SWITCH_COMPUTER_ON]
     assert agent.computer_power == POWER_ON
 
 
 def test_agent_without_computer_emits_no_computer_events():
     agent = _fresh_agent(computer=None)
-    rng = ScriptedRandom(values=[1.0] * 600)
-    kinds = []
-    for minute in range(540, 700):
-        kinds += [e.kind for e in _step(agent, minute, _ctx(), rng)]
+    rng = random.Random(21)
+    kinds = [e.kind for e in _step(agent, 540, _ctx(), rng)]
+    while agent.state is not AgentState.OUT_OF_SCHOOL:
+        kinds += [e.kind for e in _fire(agent, _ctx(), rng)[1]]
+    assert EventKind.ENTER_OWN_OFFICE in kinds
     assert EventKind.SWITCH_COMPUTER_ON not in kinds
     assert EventKind.COMPUTER_TO_STANDBY not in kinds
 
 
 def test_standby_then_resume_cycle():
     agent = _fresh_agent()
-    rng = ScriptedRandom(values=[1.0] * 10)
-    for minute in range(540, 545):
-        _step(agent, minute, _ctx(), rng)
+    # no leave; the standby clock drawn at switch-on fires the next minute
+    rng = ScriptedRandom(values=[LATEST_UNIFORM, 0.0])
+    _step(agent, 540, _ctx(), rng)
+    _fire(agent, _ctx(), rng)  # enters at 542
+    _fire(agent, _ctx(), rng)  # switches on at 544
     assert agent.computer_power == POWER_ON
-    # leave-hazard draw stays (1.0), standby draw fires (0.0)
-    events = _step(agent, 545, _ctx(), ScriptedRandom(values=[1.0, 0.0]))
-    assert [e.kind for e in events] == [EventKind.COMPUTER_TO_STANDBY]
-    rng = ScriptedRandom(values=[1.0] * 10)
-    assert _step(agent, 546, _ctx(), rng) == []
-    events = _step(agent, 547, _ctx(), rng)
-    assert [e.kind for e in events] == [EventKind.SWITCH_COMPUTER_ON]
+    minute, events = _fire(agent, _ctx(), rng)
+    assert (minute, [e.kind for e in events]) == (545, [EventKind.COMPUTER_TO_STANDBY])
+    minute, events = _fire(agent, _ctx(), rng)
+    assert (minute, [e.kind for e in events]) == (547, [EventKind.SWITCH_COMPUTER_ON])
 
 
 def test_temporary_leave_duration_is_exact():
     agent = _fresh_agent()
-    warmup = ScriptedRandom(values=[1.0] * 10)
-    for minute in range(540, 545):
-        _step(agent, minute, _ctx(), warmup)
-    # hazard fires (0.0), split picks temporary (0.0), duration 7
-    rng = ScriptedRandom(values=[0.0, 0.0], ints=[7])
-    events = _step(agent, 545, _ctx(), rng)
-    assert [e.kind for e in events] == [EventKind.LEAVE_OFFICE_TEMPORARY]
-    quiet = ScriptedRandom(values=[1.0] * 20)
-    for minute in range(546, 552):
-        assert _step(agent, minute, _ctx(), quiet) == []
-    events = _step(agent, 552, _ctx(), quiet)
-    assert [e.kind for e in events] == [EventKind.ENTER_OWN_OFFICE]
+    # leave clock drawn on entering at 542 fires at 545; no standby; the
+    # split picks temporary (0.0), duration 7
+    rng = ScriptedRandom(
+        values=[uniform_for_wait(0.01, 2), LATEST_UNIFORM, 0.0], ints=[7]
+    )
+    _step(agent, 540, _ctx(), rng)
+    _fire(agent, _ctx(), rng)  # enters at 542
+    _fire(agent, _ctx(), rng)  # switches on at 544
+    minute, events = _fire(agent, _ctx(), rng)
+    assert (minute, [e.kind for e in events]) == (
+        545, [EventKind.LEAVE_OFFICE_TEMPORARY]
+    )
+    minute, events = _fire(agent, _ctx(), rng)
+    assert (minute, [e.kind for e in events]) == (552, [EventKind.ENTER_OWN_OFFICE])
 
 
 def test_long_leave_switches_computer_off_when_roll_succeeds():
     agent = _fresh_agent()
-    warmup = ScriptedRandom(values=[1.0] * 10)
-    for minute in range(540, 545):
-        _step(agent, minute, _ctx(), warmup)
-    # hazard fires (0.0), split picks long (0.99), duration 30, off-roll 0.0
-    rng = ScriptedRandom(values=[0.0, 0.99, 0.0], ints=[30])
-    events = _step(agent, 545, _ctx(computer_off_threshold=0.0), rng)
+    # leave clock fires at 545; split picks long (0.99), duration 30,
+    # off-roll 0.0
+    rng = ScriptedRandom(
+        values=[uniform_for_wait(0.01, 2), LATEST_UNIFORM, 0.99, 0.0], ints=[30]
+    )
+    ctx = _ctx(computer_off_threshold=0.0)
+    _step(agent, 540, ctx, rng)
+    _fire(agent, ctx, rng)  # enters at 542
+    _fire(agent, ctx, rng)  # switches on at 544
+    minute, events = _fire(agent, ctx, rng)
+    assert minute == 545
     assert [e.kind for e in events] == [
         EventKind.SWITCH_COMPUTER_OFF,
         EventKind.LEAVE_OFFICE_LONG,
     ]
     assert agent.computer_power == POWER_OFF
     assert agent.corridor_mode is CorridorMode.LONG_BREAK
+    assert agent.break_end == 575
 
 
 def test_other_room_dwell_is_never_longer_than_sampled():
     agent = _fresh_agent()
     agent.state = AgentState.IN_CORRIDOR
     agent.corridor_mode = CorridorMode.LONG_BREAK
-    agent.timer = 60
-    # visit hazard fires (0.0), room index 0, dwell 10
-    rng = ScriptedRandom(values=[0.0], ints=[0, 10])
+    agent.break_end = 660
+    # the visit clock fires at 600: room index 0, dwell 10; no second visit
+    rng = ScriptedRandom(ints=[0, 10])
     events = _step(agent, 600, _ctx(), rng)
     assert [e.kind for e in events] == [EventKind.ENTER_OTHER_ROOM]
     assert events[0].room_id == "kitchen-0"
-    quiet = ScriptedRandom(values=[1.0] * 20)
-    for minute in range(601, 610):
-        assert _step(agent, minute, _ctx(), quiet) == []
-    events = _step(agent, 610, _ctx(), quiet)
-    assert [e.kind for e in events] == [EventKind.EXIT_OTHER_ROOM]
+    minute, events = _fire(agent, _ctx(), rng)
+    assert (minute, [e.kind for e in events]) == (610, [EventKind.EXIT_OTHER_ROOM])
     assert agent.state is AgentState.IN_CORRIDOR
+    # the dwell does not count against the break: 60 minutes of it remain
+    minute, events = _fire(agent, _ctx(), rng)
+    assert (minute, [e.kind for e in events]) == (670, [EventKind.ENTER_OWN_OFFICE])
 
 
 def test_departure_at_leave_minute_goes_through_corridor():
     agent = _fresh_agent(schedule=(540, 560))
-    rng = ScriptedRandom(values=[1.0] * 60)
-    for minute in range(540, 560):
-        _step(agent, minute, _ctx(), rng)
+    rng = ScriptedRandom()
+    _step(agent, 540, _ctx(), rng)
+    _fire(agent, _ctx(), rng)  # enters at 542
+    _fire(agent, _ctx(), rng)  # switches on at 544
     assert agent.state is AgentState.IN_OWN_OFFICE
-    events = _step(agent, 560, _ctx(), ScriptedRandom(values=[1.0]))
+    minute, events = _fire(agent, _ctx(), rng)
+    assert minute == 560
     assert EventKind.LEAVE_OFFICE_LONG in [e.kind for e in events]
     assert agent.state is AgentState.IN_CORRIDOR
     assert agent.corridor_mode is CorridorMode.EXITING
-    quiet = ScriptedRandom(values=[1.0] * 5)
-    _step(agent, 561, _ctx(), quiet)
-    events = _step(agent, 562, _ctx(), quiet)
-    assert [e.kind for e in events] == [EventKind.LEAVE_BUILDING]
+    minute, events = _fire(agent, _ctx(), rng)
+    assert (minute, [e.kind for e in events]) == (562, [EventKind.LEAVE_BUILDING])
     assert agent.state is AgentState.OUT_OF_SCHOOL
+    assert agent.next_minute == NEVER
 
 
 def test_stepping_active_agent_without_schedule_is_an_error():
     agent = _fresh_agent()
     agent.state = AgentState.IN_CORRIDOR
     agent.corridor_mode = CorridorMode.ENTERING
-    agent.timer = 2
+    agent.next_minute = 100
     agent.today_schedule = None
     with pytest.raises(RuntimeError):
         _step(agent, 100, _ctx(), ScriptedRandom())
