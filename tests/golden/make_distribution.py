@@ -113,28 +113,28 @@ def _occupancy(result):
     rooms = result.building.rooms
     index = {room.id: i for i, room in enumerate(rooms)}
     corridor = [i for i, room in enumerate(rooms) if room.kind.value == "corridor"]
-    # kind -> (step of the room it names, step of the corridor)
-    moves = {
-        EventKind.ENTER_BUILDING: (0, 1),
-        EventKind.LEAVE_BUILDING: (0, -1),
-        EventKind.ENTER_OWN_OFFICE: (1, -1),
-        EventKind.ENTER_OTHER_ROOM: (1, -1),
-        EventKind.LEAVE_OFFICE_TEMPORARY: (-1, 1),
-        EventKind.LEAVE_OFFICE_LONG: (-1, 1),
-        EventKind.EXIT_OTHER_ROOM: (-1, 1),
-    }
+    into_room = (EventKind.ENTER_OWN_OFFICE, EventKind.ENTER_OTHER_ROOM)
+    out_of_room = (
+        EventKind.LEAVE_OFFICE_TEMPORARY,
+        EventKind.LEAVE_OFFICE_LONG,
+        EventKind.EXIT_OTHER_ROOM,
+    )
+    enter_building, leave_building = EventKind.ENTER_BUILDING, EventKind.LEAVE_BUILDING
     rows, room_minutes, room_steps = [], [], []
     corridor_minutes, corridor_steps = [], []
+    # Identity tests, not a dict of kinds: an enum's hash is Python code.
     for kind, minute, _, room_id in result.events:
-        move = moves.get(kind)
-        if move is None:
-            continue
-        if move[0]:
+        if kind is enter_building or kind is leave_building:
+            corridor_steps.append(1 if kind is enter_building else -1)
+        elif kind in into_room or kind in out_of_room:
+            step = 1 if kind in into_room else -1
             rows.append(index[room_id])
             room_minutes.append(minute)
-            room_steps.append(move[0])
+            room_steps.append(step)
+            corridor_steps.append(-step)
+        else:
+            continue
         corridor_minutes.append(minute)
-        corridor_steps.append(move[1])
     delta = np.zeros((len(rooms), result.n_minutes), dtype=np.int64)
     np.add.at(delta, (rows, room_minutes), room_steps)
     in_corridor = np.zeros(result.n_minutes, dtype=np.int64)
