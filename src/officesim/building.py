@@ -30,6 +30,7 @@ not name is an error. A model is immutable once loaded.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -228,10 +229,10 @@ def read_field(
 ):
     """Typed field reader shared by the building and scenario loaders.
 
-    ``kind`` is int (an integer) or float (an integer or a float, returned
-    as written). A missing or null field gives ``default``; a field that
-    is required, of the wrong type or below ``minimum`` adds a problem
-    naming ``prefix + key``, and the reader returns a placeholder.
+    ``kind`` is int (an integer) or float (a finite integer or float,
+    returned as written). A missing or null field gives ``default``; a
+    field that is required, of the wrong type or below ``minimum`` adds a
+    problem naming ``prefix + key``, and the reader returns a placeholder.
     """
     name = prefix + key
     value = section.get(key)
@@ -245,6 +246,9 @@ def read_field(
     ):
         expected = "an integer" if kind is int else "a number"
         problems.append(f"field '{name}' must be {expected}, got {value!r}")
+        return 0 if default is _REQUIRED else default
+    if isinstance(value, float) and not math.isfinite(value):
+        problems.append(f"field '{name}' must be finite, got {value!r}")
         return 0 if default is _REQUIRED else default
     if minimum is not None and value < minimum:
         problems.append(f"field '{name}' must be >= {minimum}, got {value}")

@@ -128,9 +128,9 @@ class Scenario:
                 f"population size {self.population_size} exceeds desk capacity "
                 f"{self.building.total_desk_capacity()}"
             )
-        if self.contact_rate < 0:
+        if not self.contact_rate >= 0:
             problems.append(f"contact_rate must be >= 0, got {self.contact_rate}")
-        if self.awareness_delta < 0:
+        if not self.awareness_delta >= 0:
             problems.append(
                 f"awareness_delta must be >= 0, got {self.awareness_delta}"
             )
@@ -172,24 +172,17 @@ class AgentRecord(NamedTuple):
 
 @dataclass
 class RunTrace:
-    """Per-minute diagnostics of a traced run, derived after the run by
-    ``derive_trace``.
+    """Per-minute diagnostics of a run, derived from its kept events by
+    ``derive_trace``; the matrices and the daily awareness vectors are
+    numpy arrays."""
 
-    The matrices and the daily awareness vectors are numpy arrays; only
-    a traced run imports numpy.
-    """
-
-    state_transitions: list[tuple[int, int, AgentState, AgentState]] = field(
-        default_factory=list
-    )
-    room_ids: tuple[str, ...] = ()
-    room_occupied: numpy.ndarray | None = None  # rooms x minutes, bool
-    lights_on: numpy.ndarray | None = None  # rooms x minutes, bool
-    schedules: dict[tuple[int, int], tuple[int, int] | None] = field(
-        default_factory=dict
-    )
-    awareness_by_day: list[numpy.ndarray] = field(default_factory=list)
-    contact_events: list[ContactEvent] = field(default_factory=list)
+    state_transitions: list[tuple[int, int, AgentState, AgentState]]
+    room_ids: tuple[str, ...]
+    room_occupied: numpy.ndarray  # rooms x minutes, bool
+    lights_on: numpy.ndarray  # rooms x minutes, bool
+    schedules: dict[tuple[int, int], tuple[int, int] | None]
+    awareness_by_day: list[numpy.ndarray]
+    contact_events: list[ContactEvent]
 
 
 @dataclass(frozen=True)
@@ -203,7 +196,8 @@ class ReplicationResult:
     computer_transitions: dict[str, tuple[tuple[int, float], ...]]
     contact_count: int
     building: BuildingModel
-    trace: RunTrace | None = None
+    # Kept with the events: (sender_id, receiver_id, minute) per email, in order.
+    contacts: tuple[tuple[int, int, int], ...]
 
     def appliance_energies(
         self, start: int = 0, end: int | None = None
@@ -309,15 +303,12 @@ class _LightingArm:
 
 
 def run_replication(
-    scenario: Scenario,
-    seed: int,
-    trace: bool = False,
-    keep_events: bool = True,
+    scenario: Scenario, seed: int, keep_events: bool = True
 ) -> ReplicationResult:
     """Execute one replication under the scenario's lighting policy."""
     scenario.validate()
     (result,) = run_replication_arms(
-        scenario, seed, (scenario.policy,), keep_events=keep_events, trace=trace
+        scenario, seed, (scenario.policy,), keep_events=keep_events
     )
     return result
 
@@ -327,13 +318,11 @@ def run_replication_arms(
     seed: int,
     policies,
     keep_events: bool = True,
-    trace: bool = False,
 ) -> tuple[ReplicationResult, ...]:
     """One agent pass of a valid scenario driving one lighting arm per
     policy; the scenario's own policy is not used. Arm i's result equals
-    ``run_replication`` of the scenario under ``policies[i]``. Tracing
-    keeps the events and the contacts, and every arm carries the trace
-    derived from the first arm.
+    ``run_replication`` of the scenario under ``policies[i]``. Keeping
+    the events keeps the contacts too; ``derive_trace`` reads both.
 
     Next-event scheduling: each agent keeps the minute of its next firing
     (``step_occupant`` draws its hazards as waiting times and its
@@ -376,8 +365,7 @@ def run_replication_arms(
 
     rooms = building.rooms
     corridor = 0
-    zone_rooms, room_zone = _zones(rooms)
-    zone_of = {room.id: room_zone[i] for i, room in enumerate(rooms)}
+    zone_rooms, room_zone, zone_of = _zones(rooms)
     office_zone = [zone_of[a.office_room_id] for a in agents]
     zone_occupancy = [0] * len(zone_rooms)
     room_watts = [
@@ -385,10 +373,7 @@ def run_replication_arms(
         for room in rooms
     ]
 
-    # A traced run keeps the events and the contacts; its trace is derived
-    # from them after the run.
-    keep_events = keep_events or trace
-    contact_log: list[tuple] | None = [] if trace else None
+    contact_log: list[tuple] | None = [] if keep_events else None
 
     arms = [
         _LightingArm(policy, rooms, room_watts, zone_rooms, seed, keep_events)
@@ -635,6 +620,7 @@ def run_replication_arms(
     computer_log = {
         spec.id: tuple(ts) for spec, ts in zip(computer_specs, computer_transitions)
     }
+    contacts = tuple(contact_log) if keep_events else ()
     results = []
     for arm in arms:
         _extend_to(arm.lights, arm.lights_running, n_minutes)
@@ -650,17 +636,15 @@ def run_replication_arms(
             computer_transitions=computer_log,
             contact_count=contact_count,
             building=building,
+            contacts=contacts,
         ))
-    if trace:
-        run_trace = derive_trace(results[0], scenario, contact_log)
-        results = [replace(result, trace=run_trace) for result in results]
     return tuple(results)
 
 
-def _zones(rooms) -> tuple[list[list[int]], list[int]]:
+def _zones(rooms) -> tuple[list[list[int]], list[int], dict[str, int]]:
     """Zones, the rooms that share occupancy, as (room indices per zone,
-    zone per room). Zone 0 holds every corridor room (an agent in the
-    corridor occupies all of them); every other room is a zone of its own."""
+    zone per room index, zone per room id). Zone 0 is the corridor, all
+    its rooms at once; every other room is a zone of its own."""
     zone_rooms: list[list[int]] = [[]]
     room_zone: list[int] = []
     for i, room in enumerate(rooms):
@@ -670,7 +654,8 @@ def _zones(rooms) -> tuple[list[list[int]], list[int]]:
         else:
             room_zone.append(len(zone_rooms))
             zone_rooms.append([i])
-    return zone_rooms, room_zone
+    zone_of = {room.id: zone for room, zone in zip(rooms, room_zone)}
+    return zone_rooms, room_zone, zone_of
 
 
 # The state an agent event leaves and the state it enters.
@@ -685,15 +670,46 @@ _STATE_EDGES = {
 }
 
 
-def derive_trace(
-    result: ReplicationResult, scenario: Scenario, contacts: list[tuple]
-) -> RunTrace:
+def room_occupancy(result: ReplicationResult) -> numpy.ndarray:
+    """Rooms x minutes, bool: whether each room is occupied after each
+    minute's events, replayed over the zones from the agent events of
+    ``result``, a replication run with its events kept. Corridor rooms
+    share the corridor's occupancy."""
+    import numpy as np
+
+    rooms = result.building.rooms
+    zone_rooms, room_zone, zone_of = _zones(rooms)
+    zones, minutes, steps = [], [], []
+    corridor_minutes, corridor_steps = [], []
+    # Identity tests, not a dict of kinds: an enum's hash is Python code.
+    for kind, minute, _, room_id in result.events:
+        if kind is _ENTER_BUILDING or kind is _LEAVE_BUILDING:
+            corridor_minutes.append(minute)
+            corridor_steps.append(1 if kind is _ENTER_BUILDING else -1)
+            continue
+        if kind is _ENTER_OWN_OFFICE or kind is _ENTER_OTHER_ROOM:
+            step = 1
+        elif kind in (_LEAVE_OFFICE_TEMPORARY, _LEAVE_OFFICE_LONG, _EXIT_OTHER_ROOM):
+            step = -1
+        else:
+            continue
+        zones.append(zone_of[room_id])
+        minutes.append(minute)
+        steps.append(step)
+        corridor_minutes.append(minute)
+        corridor_steps.append(-step)
+    delta = np.zeros((len(zone_rooms), result.n_minutes), dtype=np.int64)
+    np.add.at(delta, (zones, minutes), steps)
+    np.add.at(delta[0], corridor_minutes, corridor_steps)  # zone 0: the corridor
+    return (np.cumsum(delta, axis=1) > 0)[room_zone]
+
+
+def derive_trace(result: ReplicationResult, scenario: Scenario) -> RunTrace:
     """The per-minute diagnostics of ``result``, a replication of
-    ``scenario`` run with its events kept, whose contacts (plain tuples, in
-    order) are ``contacts``:
+    ``scenario`` run with its events (and so its contacts) kept:
 
     - the state transitions are the agent events, mapped by kind;
-    - room occupancy is a replay of the events over the zones;
+    - room occupancy is ``room_occupancy``;
     - the lights come from the light intervals;
     - the schedules are drawn again from the replication's schedule
       stream, which feeds nothing else;
@@ -702,30 +718,13 @@ def derive_trace(
     """
     import numpy as np
 
-    building = result.building
-    rooms = building.rooms
+    rooms = result.building.rooms
     n_minutes = result.n_minutes
-    zone_rooms, room_zone = _zones(rooms)
-    zone_of = {room.id: room_zone[i] for i, room in enumerate(rooms)}
     transitions = []
-    moves: tuple[list[int], list[int], list[int]] = ([], [], [])  # zone, minute, step
-    for kind, minute, agent_id, room_id in result.events:
+    for kind, minute, agent_id, _ in result.events:
         edge = _STATE_EDGES.get(kind)
-        if edge is None:
-            continue
-        transitions.append((minute, agent_id, *edge))
-        if kind is _ENTER_BUILDING or kind is _LEAVE_BUILDING:
-            steps = ((0, 1 if kind is _ENTER_BUILDING else -1),)
-        else:
-            into_room = 1 if edge[0] is AgentState.IN_CORRIDOR else -1
-            steps = ((zone_of[room_id], into_room), (0, -into_room))
-        for zone, step in steps:
-            moves[0].append(zone)
-            moves[1].append(minute)
-            moves[2].append(step)
-    delta = np.zeros((len(zone_rooms), n_minutes), dtype=np.int64)
-    np.add.at(delta, (moves[0], moves[1]), moves[2])
-    occupied = np.cumsum(delta, axis=1) > 0
+        if edge is not None:
+            transitions.append((minute, agent_id, *edge))
 
     lights_on = np.zeros((len(rooms), n_minutes), dtype=bool)
     for i, room in enumerate(rooms):
@@ -744,7 +743,7 @@ def derive_trace(
 
     awareness = [record.initial_awareness for record in result.roster]
     awareness_by_day = []
-    pending = iter(contacts)
+    pending = iter(result.contacts)
     contact = next(pending, None)
     for day in range(n_days):
         midnight = day * MINUTES_PER_DAY
@@ -758,11 +757,11 @@ def derive_trace(
     return RunTrace(
         state_transitions=transitions,
         room_ids=tuple(room.id for room in rooms),
-        room_occupied=occupied[room_zone],
+        room_occupied=room_occupancy(result),
         lights_on=lights_on,
         schedules=schedules,
         awareness_by_day=awareness_by_day,
-        contact_events=[ContactEvent._make(c) for c in contacts],
+        contact_events=[ContactEvent._make(c) for c in result.contacts],
     )
 
 
@@ -818,7 +817,6 @@ def run_experiment(
     scenario: Scenario,
     replications: int | None = None,
     master_seed: int | None = None,
-    keep_events: bool = False,
 ) -> ExperimentResult:
     """Run independent replications and aggregate them.
 
@@ -826,7 +824,7 @@ def run_experiment(
     raising the replication count extends the set without disturbing
     earlier replications.
     """
-    (result,) = _run_arm_experiments((scenario,), replications, master_seed, keep_events)
+    (result,) = _run_arm_experiments((scenario,), replications, master_seed)
     return result
 
 
@@ -834,7 +832,6 @@ def _run_arm_experiments(
     scenarios: tuple[Scenario, ...],
     replications: int | None,
     master_seed: int | None,
-    keep_events: bool,
 ) -> tuple[ExperimentResult, ...]:
     """One experiment per scenario, for scenarios that differ only in
     their lighting policy: replication i of every one comes from the same
@@ -850,7 +847,7 @@ def _run_arm_experiments(
     rep_seeds = tuple(derive_seed(seed, f"rep:{i}") for i in range(n_reps))
     policies = tuple(s.policy for s in scenarios)
     runs = [
-        run_replication_arms(first, rep_seed, policies, keep_events=keep_events)
+        run_replication_arms(first, rep_seed, policies, keep_events=False)
         for rep_seed in rep_seeds
     ]
     return tuple(
@@ -937,7 +934,6 @@ def compare_policies(
         tuple(replace(scenario, policy=policy) for policy in policies),
         replications,
         master_seed,
-        keep_events=False,
     )
     return PolicyComparison(
         automated=automated,

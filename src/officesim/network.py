@@ -35,7 +35,7 @@ class SocialNetwork:
 
 class ContactEvent(NamedTuple):
     """One email. ``contact_step`` returns plain tuples in this field
-    order; the engine makes the named tuple only when tracing."""
+    order; only ``derive_trace`` makes the named tuple."""
 
     sender_id: int
     receiver_id: int

@@ -103,50 +103,11 @@ def _lit_minutes(result, occupied) -> dict[str, float]:
     return out
 
 
-def _occupancy(result):
-    """Rooms x minutes: whether each room is occupied after each minute's
-    events, replayed from the agent events (corridor rooms share it)."""
-    import numpy as np
-
-    from officesim import EventKind
-
-    rooms = result.building.rooms
-    index = {room.id: i for i, room in enumerate(rooms)}
-    corridor = [i for i, room in enumerate(rooms) if room.kind.value == "corridor"]
-    into_room = (EventKind.ENTER_OWN_OFFICE, EventKind.ENTER_OTHER_ROOM)
-    out_of_room = (
-        EventKind.LEAVE_OFFICE_TEMPORARY,
-        EventKind.LEAVE_OFFICE_LONG,
-        EventKind.EXIT_OTHER_ROOM,
-    )
-    enter_building, leave_building = EventKind.ENTER_BUILDING, EventKind.LEAVE_BUILDING
-    rows, room_minutes, room_steps = [], [], []
-    corridor_minutes, corridor_steps = [], []
-    # Identity tests, not a dict of kinds: an enum's hash is Python code.
-    for kind, minute, _, room_id in result.events:
-        if kind is enter_building or kind is leave_building:
-            corridor_steps.append(1 if kind is enter_building else -1)
-        elif kind in into_room or kind in out_of_room:
-            step = 1 if kind in into_room else -1
-            rows.append(index[room_id])
-            room_minutes.append(minute)
-            room_steps.append(step)
-            corridor_steps.append(-step)
-        else:
-            continue
-        corridor_minutes.append(minute)
-    delta = np.zeros((len(rooms), result.n_minutes), dtype=np.int64)
-    np.add.at(delta, (rows, room_minutes), room_steps)
-    in_corridor = np.zeros(result.n_minutes, dtype=np.int64)
-    np.add.at(in_corridor, corridor_minutes, corridor_steps)
-    delta[corridor] += in_corridor
-    return np.cumsum(delta, axis=1) > 0
-
-
 def replication_stats(automated, staff) -> dict[str, float]:
     """The fixture's statistics of one pass: ``automated`` and ``staff``
     are its two arms, run with their events kept."""
     from officesim import EventKind
+    from officesim.engine import room_occupancy
 
     stats: dict[str, float] = {}
     manual = (EventKind.MANUAL_LIGHTS_ON, EventKind.MANUAL_LIGHTS_OFF)
@@ -181,7 +142,7 @@ def replication_stats(automated, staff) -> dict[str, float]:
     contacts = automated.contact_count
     stats["awareness:gain_per_contact"] = round(gain / contacts, 9) if contacts else 0.0
 
-    occupancy = _occupancy(automated)
+    occupancy = room_occupancy(automated)
     stats["automated/off_lag_minutes"] = round(_off_lag(automated, occupancy), 9)
     for arm_name, arm in (("automated", automated), ("staff", staff)):
         stats[f"{arm_name}/kwh:lights"] = arm.ledger.energy_wh()["lights"] / 1000.0

@@ -18,8 +18,9 @@ idle stretch and the midnight reset are covered), 2 days, 3 replications:
 - a digest of one ``run_replication(..., keep_events=True)`` per start and
   policy: events, ledger arrays, light intervals, computer transitions,
   contact count and final awareness;
-- a digest of one traced replication: state transitions, per-room
-  occupancy and light matrices, schedules, awareness by day and contacts.
+- a digest of the trace derived from one replication: state transitions,
+  per-room occupancy and light matrices, schedules, awareness by day and
+  contacts.
 """
 
 from __future__ import annotations
@@ -151,6 +152,7 @@ def _trace_digest(trace) -> dict[str, str]:
 def _engine_fingerprints() -> dict:
     from officesim import LightingPolicy, derive_seed, parse_scenario, run_replication
     from officesim import reference_scenario_path
+    from officesim.engine import derive_trace
 
     ref = replace(parse_scenario(reference_scenario_path()), horizon_days=DAYS)
     seed = derive_seed(ref.master_seed, "rep:0")
@@ -167,12 +169,9 @@ def _engine_fingerprints() -> dict:
             )
             result = run_replication(scenario, seed, keep_events=True)
             runs[f"replication/{start_name}/{policy}"] = _replication_digest(result)
-    traced = run_replication(
-        replace(ref, start_day_of_week=STARTS["friday"], contact_rate=CONTACT_RATE),
-        seed,
-        trace=True,
-    )
-    runs["trace/friday/automated"] = _trace_digest(traced.trace)
+    friday = replace(ref, start_day_of_week=STARTS["friday"], contact_rate=CONTACT_RATE)
+    trace = derive_trace(run_replication(friday, seed), friday)
+    runs["trace/friday/automated"] = _trace_digest(trace)
     return runs
 
 

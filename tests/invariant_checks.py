@@ -1,7 +1,10 @@
-"""State-machine and accounting invariant checks over traced runs.
+"""State-machine and accounting invariant checks over runs with their
+events kept.
 
 Each check returns a list of violation messages (empty means the
 invariant held) so callers can aggregate across many replications.
+Checks of per-minute facts read the ``RunTrace`` that ``derive_trace``
+builds from the kept events.
 """
 
 from __future__ import annotations
@@ -11,51 +14,54 @@ from random import Random
 import numpy as np
 
 from officesim import AgentState, EventKind, ReplicationResult, Scenario
-from officesim.engine import _build_network, derive_seed
+from officesim.engine import RunTrace, _build_network, derive_seed, derive_trace
 from officesim.occupants import MINUTES_PER_DAY
 
-_C = AgentState.IN_CORRIDOR
-ALLOWED_EDGES = frozenset(
-    {
-        (AgentState.OUT_OF_SCHOOL, _C),
-        (_C, AgentState.OUT_OF_SCHOOL),
-        (_C, AgentState.IN_OWN_OFFICE),
-        (AgentState.IN_OWN_OFFICE, _C),
-        (_C, AgentState.IN_OTHER_ROOMS),
-        (AgentState.IN_OTHER_ROOMS, _C),
-    }
-)
 
-
-def check_edge_legality(result: ReplicationResult) -> list[str]:
+def check_edge_legality(trace: RunTrace) -> list[str]:
+    """Each agent's transitions chain: the first leaves the out-of-school
+    state, each starts in the state the one before it entered, and the
+    last returns the agent out of school."""
     violations = []
-    for minute, agent_id, before, after in result.trace.state_transitions:
-        if (before, after) not in ALLOWED_EDGES:
+    state: dict[int, AgentState] = {}
+    for minute, agent_id, before, after in trace.state_transitions:
+        current = state.get(agent_id, AgentState.OUT_OF_SCHOOL)
+        if before is not current:
             violations.append(
-                f"agent {agent_id} minute {minute}: illegal edge "
-                f"{before.value} -> {after.value}"
+                f"agent {agent_id} minute {minute}: leaves {before.value} "
+                f"while in {current.value}"
             )
+        state[agent_id] = after
+    for agent_id, current in state.items():
+        if current is not AgentState.OUT_OF_SCHOOL:
+            violations.append(f"agent {agent_id} ends the run {current.value}")
     return violations
 
 
-def _office_intervals(result: ReplicationResult) -> dict[int, list[tuple[int, int]]]:
-    """Per-agent [start, end) intervals spent in the own office."""
+OFFICE = frozenset({AgentState.IN_OWN_OFFICE})
+IN_BUILDING = frozenset(AgentState) - {AgentState.OUT_OF_SCHOOL}
+
+
+def stays(
+    result: ReplicationResult, trace: RunTrace, states: frozenset[AgentState]
+) -> dict[int, list[tuple[int, int]]]:
+    """Per-agent [start, end) intervals spent in any of ``states``."""
     intervals: dict[int, list[tuple[int, int]]] = {}
     entered: dict[int, int] = {}
-    for minute, agent_id, before, after in result.trace.state_transitions:
-        if after is AgentState.IN_OWN_OFFICE:
+    for minute, agent_id, before, after in trace.state_transitions:
+        if after in states and before not in states:
             entered[agent_id] = minute
-        elif before is AgentState.IN_OWN_OFFICE:
+        elif before in states and after not in states:
             intervals.setdefault(agent_id, []).append((entered.pop(agent_id), minute))
     for agent_id, start in entered.items():
         intervals.setdefault(agent_id, []).append((start, result.n_minutes))
     return intervals
 
 
-def check_schedule_containment(result: ReplicationResult) -> list[str]:
+def check_schedule_containment(result: ReplicationResult, trace: RunTrace) -> list[str]:
     violations = []
-    schedules = result.trace.schedules
-    for agent_id, intervals in _office_intervals(result).items():
+    schedules = trace.schedules
+    for agent_id, intervals in stays(result, trace, OFFICE).items():
         for start, end in intervals:
             day = start // MINUTES_PER_DAY
             if end > (day + 1) * MINUTES_PER_DAY:
@@ -80,18 +86,12 @@ def check_schedule_containment(result: ReplicationResult) -> list[str]:
     return violations
 
 
-def check_no_events_while_absent(result: ReplicationResult) -> list[str]:
+def check_no_events_while_absent(
+    result: ReplicationResult, trace: RunTrace
+) -> list[str]:
     """An agent out of the building emits nothing: every event of an
     agent falls inside one of its presence spans."""
-    spans: dict[int, list[tuple[int, int]]] = {}
-    opened: dict[int, int] = {}
-    for minute, agent_id, before, after in result.trace.state_transitions:
-        if before is AgentState.OUT_OF_SCHOOL:
-            opened[agent_id] = minute
-        elif after is AgentState.OUT_OF_SCHOOL:
-            spans.setdefault(agent_id, []).append((opened.pop(agent_id), minute))
-    for agent_id, start in opened.items():
-        spans.setdefault(agent_id, []).append((start, result.n_minutes))
+    spans = stays(result, trace, IN_BUILDING)
     violations = []
     for ev in result.events:
         inside = any(
@@ -105,11 +105,12 @@ def check_no_events_while_absent(result: ReplicationResult) -> list[str]:
     return violations
 
 
-def check_automated_light_rule(result: ReplicationResult, off_delay: int) -> list[str]:
+def check_automated_light_rule(
+    result: ReplicationResult, trace: RunTrace, off_delay: int
+) -> list[str]:
     """The exact automated rule: a room with lights is lit at minute m iff
     it was occupied at some minute in [m - off_delay, m]; a room without
     lights is never lit."""
-    trace = result.trace
     violations = []
     for i, room_id in enumerate(trace.room_ids):
         lights_on = trace.lights_on[i]
@@ -220,9 +221,9 @@ def check_staff_switch_offs(result: ReplicationResult) -> list[str]:
     return violations
 
 
-def check_awareness_monotone(result: ReplicationResult) -> list[str]:
+def check_awareness_monotone(result: ReplicationResult, trace: RunTrace) -> list[str]:
     violations = []
-    days = result.trace.awareness_by_day
+    days = trace.awareness_by_day
     series = np.stack(days + [np.array([r.final_awareness for r in result.roster])])
     if (np.diff(series, axis=0) < 0).any():
         violations.append("awareness decreased during the run")
@@ -316,19 +317,22 @@ def check_accounting_identity(result: ReplicationResult) -> list[str]:
 
 
 def run_all_checks(result: ReplicationResult, scenario: Scenario):
-    """Every check on a traced replication ``result`` of ``scenario``."""
-    violations = []
-    violations += check_edge_legality(result)
-    violations += check_schedule_containment(result)
-    violations += check_no_events_while_absent(result)
+    """Every check on a replication ``result`` of ``scenario`` run with
+    its events kept; the trace is derived once and shared."""
+    trace = derive_trace(result, scenario)
+    violations = check_edge_legality(trace)
+    if violations:
+        return violations  # the checks below replay stays from whole chains
+    violations += check_schedule_containment(result, trace)
+    violations += check_no_events_while_absent(result, trace)
     if scenario.policy.is_automated:
         violations += check_automated_light_rule(
-            result, scenario.policy.off_delay_minutes
+            result, trace, scenario.policy.off_delay_minutes
         )
     else:
         violations += check_staff_passivity(result)
         violations += check_staff_switch_offs(result)
-    violations += check_awareness_monotone(result)
+    violations += check_awareness_monotone(result, trace)
     violations += check_stereotype_immutable(result)
     violations += check_network_edges(result, scenario)
     violations += check_betas_in_range(result)

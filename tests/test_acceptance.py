@@ -222,7 +222,7 @@ def test_criterion_9_state_machine_properties():
     total_violations = []
     for _ in range(100):
         scenario = random_scenario(rng)
-        result = run_replication(scenario, seed=rng.randrange(2**31), trace=True)
+        result = run_replication(scenario, seed=rng.randrange(2**31))
         total_violations += run_all_checks(result, scenario)
     elapsed = time.perf_counter() - start
     assert not total_violations, total_violations[:10]

@@ -47,7 +47,7 @@ sys.exit(code)
 @pytest.mark.parametrize("command", ["validate", "summary", "simulate", "compare",
                                      "proportions"])
 def test_cli_commands_do_not_import_numpy(scenario_path, tmp_path, command):
-    # numpy costs ~0.15 s and ~13 MB per process; only traced runs use it.
+    # numpy costs ~0.15 s and ~13 MB per process; only derived traces use it.
     argv = [command, "--scenario", str(scenario_path)]
     if command not in ("validate", "summary"):
         argv += ["--out", str(tmp_path / "out")]
@@ -194,6 +194,16 @@ def test_runtime_error_exit_code(scenario_path, tmp_path):
                                        "desk_capacity": True}]}},
          "rooms[0].desk_capacity"),
         ({"building.yaml": {"max_occupants": 2.5}}, "max_occupants"),
+        ({"social": {"contact_rate": float("nan")}},
+         "'social.contact_rate' must be finite"),
+        ({"social": {"contact_rate": float("inf")}},
+         "'social.contact_rate' must be finite"),
+        ({"social": {"awareness_delta": float("nan")}},
+         "'social.awareness_delta' must be finite"),
+        ({"building.yaml": {"base_load_watts": float("nan")}},
+         "'base_load_watts' must be finite"),
+        ({"building.yaml": {"light_overrides": {"L000": {"watts_on": float("inf")}}}},
+         "'light_overrides.L000.watts_on' must be finite"),
     ],
 )
 def test_malformed_field_is_a_config_error_naming_it(tmp_path, capsys, override, field):

@@ -15,7 +15,7 @@ from officesim import (
     run_experiment,
     run_replication,
 )
-from officesim.engine import run_replication_arms
+from officesim.engine import derive_trace, run_replication_arms
 from officesim.network import ContactEvent
 from officesim.occupants import (
     BehaviorParams,
@@ -93,6 +93,12 @@ def test_invalid_scenario_rejected_before_stepping():
     scenario = make_small_scenario(population_size=3, horizon_days=0)
     with pytest.raises(ValidationError):
         run_replication(scenario, seed=1)
+
+
+@pytest.mark.parametrize("field", ["contact_rate", "awareness_delta"])
+def test_nan_rate_rejected_before_stepping(field):
+    with pytest.raises(ValidationError, match=field):
+        run_replication(make_small_scenario(**{field: float("nan")}), seed=1)
 
 
 def test_population_exceeding_capacity_rejected():
@@ -259,13 +265,13 @@ def test_agent_left_in_building_at_midnight_is_a_runtime_error(monkeypatch):
 
 
 def test_untraced_runs_build_no_event_objects(monkeypatch):
-    # Agent events and contacts travel as plain tuples: an untraced run
-    # without kept events must never build an OccupantEvent or a
-    # ContactEvent, while kept events and traced contacts are named tuples.
+    # Agent events and contacts travel as plain tuples: a run without kept
+    # events must never build an OccupantEvent or a ContactEvent, while
+    # kept events and the contacts of a derived trace are named tuples.
     from officesim import engine
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("event object built on the untraced path")
+        raise AssertionError("event object built without kept events")
 
     stub = type(
         "Forbidden", (), {"__new__": forbidden, "_make": staticmethod(forbidden)}
@@ -285,26 +291,28 @@ def test_untraced_runs_build_no_event_objects(monkeypatch):
         EventKind.ENTER_OWN_OFFICE, EventKind.MANUAL_LIGHTS_ON
     }
     assert all(type(e) is OccupantEvent for e in kept.events)
-    traced = run_replication(scenario, seed=3, trace=True)
-    assert len(traced.trace.contact_events) == traced.contact_count > 0
-    assert all(type(c) is ContactEvent for c in traced.trace.contact_events)
+    result = run_replication(scenario, seed=3)
+    trace = derive_trace(result, scenario)
+    assert len(trace.contact_events) == len(result.contacts) == result.contact_count > 0
+    assert all(type(c) is ContactEvent for c in trace.contact_events)
 
 
 def test_idle_stretches_match_minute_by_minute_recording():
     # A Friday start leaves most minutes idle, and staff-controlled lights
-    # may stay lit through them; the traced light matrix, filled in one
+    # may stay lit through them; the trace's light matrix, filled in one
     # slice per idle stretch, must agree with the ledger on every minute.
     scenario = make_small_scenario(
         population_size=5, horizon_days=3, start_day_of_week=4,
         policy=LightingPolicy.staff_controlled(),
     )
-    result = run_replication(scenario, seed=8, trace=True)
+    result = run_replication(scenario, seed=8)
+    trace = derive_trace(result, scenario)
     building = scenario.building
     watts = np.array([
         sum(building.lights[lid].watts_on for lid in building.room(rid).light_ids)
-        for rid in result.trace.room_ids
+        for rid in trace.room_ids
     ])
-    assert np.array_equal(watts @ result.trace.lights_on, result.ledger.lights_w)
+    assert np.array_equal(watts @ trace.lights_on, result.ledger.lights_w)
 
 
 def test_shared_pass_arms_equal_solo_replications():

@@ -1,14 +1,16 @@
-"""Randomized-replication property harness over traced runs."""
+"""Randomized-replication property harness over runs with their events kept."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from officesim import LightingPolicy, Scenario, run_replication
+from officesim.engine import _STATE_EDGES, derive_trace
 from officesim.occupants import BehaviorParams
 
-from conftest import make_small_building
-from invariant_checks import run_all_checks
+from conftest import make_small_building, make_small_scenario
+from invariant_checks import check_edge_legality, run_all_checks
 
 
 def random_scenario(rng: random.Random) -> Scenario:
@@ -48,6 +50,23 @@ def test_randomized_replications_satisfy_invariants(batch):
     rng = random.Random(1000 + batch)
     for _ in range(5):
         scenario = random_scenario(rng)
-        result = run_replication(scenario, seed=rng.randrange(2**31), trace=True)
+        result = run_replication(scenario, seed=rng.randrange(2**31))
         violations = run_all_checks(result, scenario)
         assert not violations, violations[:5]
+
+
+def test_edge_check_reports_a_deleted_agent_event():
+    # Every transition moves its agent to another state, so dropping any
+    # one agent event from a kept result breaks that agent's chain.
+    scenario = make_small_scenario(population_size=5)
+    result = run_replication(scenario, seed=11)
+    assert not check_edge_legality(derive_trace(result, scenario))
+    kinds = [ev.kind for ev in result.events]
+    for kind in _STATE_EDGES:  # the agent events that move their agent
+        assert kind in kinds, kind
+        i = kinds.index(kind)
+        broken = replace(result, events=result.events[:i] + result.events[i + 1:])
+        agent_id = result.events[i].agent_id
+        violations = check_edge_legality(derive_trace(broken, scenario))
+        assert any(v.startswith(f"agent {agent_id} ") for v in violations), kind
+        assert run_all_checks(broken, scenario) == violations

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from officesim import ValidationError, build_small_world, contact_step, run_replication
+from officesim.engine import derive_trace
 from officesim.network import EMAIL_BASE_MINUTES, SocialNetwork, send_hazard
 from officesim.occupants import (
     NEVER,
@@ -17,6 +18,7 @@ from officesim.occupants import (
 )
 
 from conftest import as_contact_events, make_small_scenario
+from invariant_checks import OFFICE, stays
 
 
 def test_ring_lattice_at_beta_zero():
@@ -99,18 +101,13 @@ def test_only_office_agents_send():
     # every contact falls inside an office stay of its sender, replayed
     # from the events.
     scenario = make_small_scenario(population_size=5, contact_rate=100.0)
-    result = run_replication(scenario, seed=3, trace=True)
-    stays: dict[int, list[tuple[int, int]]] = {}
-    entered: dict[int, int] = {}
-    for minute, agent_id, before, after in result.trace.state_transitions:
-        if after is AgentState.IN_OWN_OFFICE:
-            entered[agent_id] = minute
-        elif before is AgentState.IN_OWN_OFFICE:
-            stays.setdefault(agent_id, []).append((entered.pop(agent_id), minute))
-    events = result.trace.contact_events
+    result = run_replication(scenario, seed=3)
+    trace = derive_trace(result, scenario)
+    office = stays(result, trace, OFFICE)
+    events = trace.contact_events
     assert events
     for ev in events:
-        assert any(a <= ev.minute < b for a, b in stays.get(ev.sender_id, ()))
+        assert any(a <= ev.minute < b for a, b in office.get(ev.sender_id, ()))
 
 
 def test_emails_respect_topology():

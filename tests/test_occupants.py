@@ -16,6 +16,7 @@ from officesim import (
     step_occupant,
 )
 from officesim import run_replication
+from officesim.engine import derive_trace
 from officesim.occupants import (
     NEVER,
     BehaviorContext,
@@ -340,13 +341,14 @@ def test_no_events_before_arrival():
     # at its arrival, and every agent's day starts with that arrival.
     assert _fresh_agent().next_minute == NEVER
     scenario = make_small_scenario(population_size=5, horizon_days=2)
-    result = run_replication(scenario, seed=4, trace=True)
+    result = run_replication(scenario, seed=4)
+    schedules = derive_trace(result, scenario).schedules
     first = {}
     for ev in result.events:
         first.setdefault((ev.minute // 1440, ev.agent_id), ev)
     assert first
     for (day, agent_id), ev in first.items():
-        arrival, _ = result.trace.schedules[(day, agent_id)]
+        arrival, _ = schedules[(day, agent_id)]
         assert ev.kind is EventKind.ENTER_BUILDING
         assert ev.minute == day * 1440 + arrival
 
