@@ -16,8 +16,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from heapq import heappop, heappush
-from math import log
-from operator import add, sub
+from operator import add, itemgetter, sub
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -46,6 +45,7 @@ from .network import (
     SocialNetwork,
     build_small_world,
     contact_step,
+    raise_awareness,
     send_hazard,
 )
 from .occupants import (
@@ -59,11 +59,9 @@ from .occupants import (
     PopulationMix,
     ScheduleClass,
     Stereotype,
-    hazard_clock,
     sample_daily_schedule,
     sample_population,
     step_occupant,
-    waiting_time,
 )
 
 if TYPE_CHECKING:
@@ -190,14 +188,15 @@ class ReplicationResult:
     seed: int
     n_minutes: int
     ledger: EnergyLedger
-    events: tuple[OccupantEvent, ...]
+    events: tuple[OccupantEvent, ...] | None  # None: not kept
     roster: tuple[AgentRecord, ...]
     light_intervals: dict[str, tuple[tuple[int, int], ...]]  # room -> on-intervals
     computer_transitions: dict[str, tuple[tuple[int, float], ...]]
     contact_count: int
     building: BuildingModel
-    # Kept with the events: (sender_id, receiver_id, minute) per email, in order.
-    contacts: tuple[tuple[int, int, int], ...]
+    # Kept with the events (else None): (sender_id, receiver_id, minute) per
+    # email, sorted by (minute, sender_id).
+    contacts: tuple[tuple[int, int, int], ...] | None
 
     def appliance_energies(
         self, start: int = 0, end: int | None = None
@@ -323,17 +322,27 @@ def run_replication_arms(
     policy; the scenario's own policy is not used. Arm i's result equals
     ``run_replication`` of the scenario under ``policies[i]``. Keeping
     the events keeps the contacts too; ``derive_trace`` reads both.
+    Without kept events, ``events`` and ``contacts`` are None.
 
     Next-event scheduling: each agent keeps the minute of its next firing
     (``step_occupant`` draws its hazards as waiting times and its
-    countdowns as minutes), each email sender the minute of its next
-    email, and each automated light bank of a vacant room its switch-off
-    at vacancy plus the off delay. A calendar of per-minute buckets
-    holds them, and only minutes with something due are visited. Per
-    minute, in fixed order: at midnight the day's schedules; the agents
-    due, in id order, each firing and its events applied at once; the
-    light steps of the rooms whose occupancy changed or whose switch-off
-    is due; and the emails due, in sender id order.
+    countdowns as minutes), and each automated light bank of a vacant
+    room its switch-off at vacancy plus the off delay. A calendar of
+    per-minute buckets holds them, and only minutes with something due
+    are visited. Per minute, in fixed order: at midnight the day's
+    schedules; the agents due, in id order, each firing and its events
+    applied at once; and the light steps of the rooms whose occupancy
+    changed or whose switch-off is due.
+
+    Emails are not on the calendar. An office stay ends at the leave
+    minute fixed when the agent enters, so all of the stay's emails are
+    drawn at the entry (``contact_step``), in the order a clock restarted
+    at each email would draw them. Their receivers wait in a per-minute
+    inbox: before the agents due at a minute fire, every earlier inbox
+    minute is applied in order, so an agent reads the awareness of the
+    emails sent before that minute, as when emails were sent after the
+    minute's agents. A receiver already at the cap is not queued; the
+    cap is absorbing.
 
     Agents draw from their own behaviour streams and senders from their
     own email streams, each created when it is first needed, so an
@@ -359,6 +368,8 @@ def run_replication_arms(
     )
     contacts_on = network is not None and scenario.contact_rate > 0.0
     awareness_delta = scenario.awareness_delta
+    if contacts_on:
+        email_p = [send_hazard(a.p_email, scenario.contact_rate) for a in agents]
 
     facility_ids = tuple(r.id for r in building.facility_rooms())
     ctx = BehaviorContext(params=params, facility_room_ids=facility_ids)
@@ -405,12 +416,11 @@ def run_replication_arms(
     # so a change at minute m writes the old total up to m.
     computers_arr = array("d")
 
-    # The calendar: a heap of minutes, each with buckets of the agents,
-    # light banks (arm, bank index) and email senders due then.
+    # The calendar: a heap of minutes, each with buckets of the agents and
+    # light banks (arm, bank index) due then.
     heap: list[int] = []
     due_agents: dict[int, list[int]] = {}
     due_lights: dict[int, list[tuple[int, int]]] = {}
-    due_emails: dict[int, list[int]] = {}
 
     def schedule(bucket: dict, minute: int, item) -> None:
         items = bucket.get(minute)
@@ -420,13 +430,17 @@ def run_replication_arms(
         else:
             items.append(item)
 
+    # The receivers of the emails drawn so far, per minute not yet applied,
+    # with a heap of those minutes.
+    inbox: dict[int, list[int]] = {}
+    inbox_minutes: list[int] = []
+
+    def apply_inbox(before: int) -> None:
+        while inbox_minutes and inbox_minutes[0] < before:
+            raise_awareness(agents, inbox.pop(heappop(inbox_minutes)), awareness_delta)
+
     behavior_rngs: list[Random | None] = [None] * len(agents)
     email_rngs: list[Random | None] = [None] * len(agents)
-    # Each sender's email hazard and its waiting-time factor, set with its
-    # stream at its first office entry.
-    email_p = [0.0] * len(agents)
-    email_clock = [0.0] * len(agents)
-    email_at = [-1] * len(agents)  # the minute of each sender's next email
     present = 0  # agents in the building
     contact_count = 0
 
@@ -470,21 +484,10 @@ def run_replication_arms(
             enter(office_zone[agent_id], minute, agent_id)
             leave(corridor, minute, agent_id, True)
             if contacts_on:
-                rng = email_rngs[agent_id]
-                if rng is None:
-                    rng = email_rngs[agent_id] = Random(
-                        derive_seed(seed, f"email:{agent_id}")
-                    )
-                    p = send_hazard(agents[agent_id].p_email, scenario.contact_rate)
-                    email_p[agent_id] = p
-                    email_clock[agent_id] = hazard_clock(p)
-                due = minute + waiting_time(rng, email_clock[agent_id])
-                email_at[agent_id] = due
-                schedule(due_emails, due, agent_id)
+                send_stay(agent_id, minute)
         elif kind is _LEAVE_OFFICE_TEMPORARY or kind is _LEAVE_OFFICE_LONG:
             leave(office_zone[agent_id], minute, agent_id, kind is _LEAVE_OFFICE_LONG)
             enter(corridor, minute, agent_id)
-            email_at[agent_id] = -1
         elif kind is _ENTER_OTHER_ROOM:
             enter(zone_of[room_id], minute, agent_id)
             leave(corridor, minute, agent_id, True)
@@ -497,6 +500,36 @@ def run_replication_arms(
         else:  # _LEAVE_BUILDING
             leave(corridor, minute, agent_id, True)
             present -= 1
+
+    def send_stay(agent_id: int, minute: int) -> None:
+        # The emails of the office stay the agent begins at ``minute``.
+        nonlocal contact_count
+        rng = email_rngs[agent_id]
+        if rng is None:
+            rng = email_rngs[agent_id] = Random(derive_seed(seed, f"email:{agent_id}"))
+        contacts = contact_step(
+            network, agent_id, email_p[agent_id], minute, agents[agent_id].leave_at,
+            rng,
+        )
+        if not contacts:
+            return
+        contact_count += len(contacts)
+        if contact_log is not None:
+            contact_log.extend(contacts)
+        # Only neighbors receive; one at the cap stays there.
+        uncapped = [
+            r for r in network.neighbors[agent_id]
+            if agents[r].awareness < AWARENESS_CAP
+        ]
+        if uncapped:
+            for _, receiver_id, at in contacts:
+                if receiver_id in uncapped:
+                    receivers = inbox.get(at)
+                    if receivers is None:
+                        inbox[at] = [receiver_id]
+                        heappush(inbox_minutes, at)
+                    else:
+                        receivers.append(receiver_id)
 
     def step_lights(minute: int) -> None:
         scheduled = due_lights.pop(minute, None)
@@ -547,6 +580,7 @@ def run_replication_arms(
 
             due = due_agents.pop(minute, None)
             if due:
+                apply_inbox(minute)
                 due.sort()
                 minute_of_day = minute - day_start
                 for agent_id in due:
@@ -571,38 +605,7 @@ def run_replication_arms(
                 step_lights(minute)
             touched.clear()
 
-            emails = due_emails.pop(minute, None) if contacts_on else None
-            if emails:
-                # The senders due, in id order. Each draws its next email:
-                # waiting_time and schedule, inlined since they run once per
-                # email, with a wait of 0 decided by U < p without a log.
-                emails.sort()
-                senders = []
-                following = minute + 1
-                for i in emails:
-                    if email_at[i] != minute:
-                        continue  # left the office since, or already taken
-                    senders.append(i)
-                    p = email_p[i]
-                    due = following
-                    if p < 1.0:
-                        u = email_rngs[i].random()
-                        if u >= p:
-                            due += int(-log(1.0 - u) * email_clock[i])
-                    email_at[i] = due
-                    bucket = due_emails.get(due)
-                    if bucket is None:
-                        due_emails[due] = [i]
-                        heappush(heap, due)
-                    else:
-                        bucket.append(i)
-                contacts = contact_step(
-                    network, agents, awareness_delta, minute, senders, email_rngs
-                )
-                contact_count += len(contacts)
-                if contact_log is not None:
-                    contact_log.extend(contacts)
-
+    apply_inbox(n_minutes)
     _extend_to(computers_arr, computers_running, n_minutes)
     base_arr = array("d", (building.base_load_watts,)) * n_minutes
     roster = tuple(
@@ -620,7 +623,12 @@ def run_replication_arms(
     computer_log = {
         spec.id: tuple(ts) for spec, ts in zip(computer_specs, computer_transitions)
     }
-    contacts = tuple(contact_log) if keep_events else ()
+    contacts = None
+    if contact_log is not None:
+        # By minute, then sender: two stable sorts on int keys.
+        contact_log.sort(key=itemgetter(0))
+        contact_log.sort(key=itemgetter(2))
+        contacts = tuple(contact_log)
     results = []
     for arm in arms:
         _extend_to(arm.lights, arm.lights_running, n_minutes)
@@ -630,7 +638,7 @@ def run_replication_arms(
             seed=seed,
             n_minutes=n_minutes,
             ledger=EnergyLedger(base_arr, arm.lights, computers_arr),
-            events=tuple(arm.events) if keep_events else (),
+            events=tuple(arm.events) if keep_events else None,
             roster=roster,
             light_intervals={b.room_id: tuple(b.intervals) for b in arm.banks},
             computer_transitions=computer_log,
@@ -670,6 +678,14 @@ _STATE_EDGES = {
 }
 
 
+def _require_kept_events(result: ReplicationResult) -> None:
+    if result.events is None:
+        raise ValueError(
+            f"replication {result.seed} was run without its events kept; "
+            "run it with keep_events=True"
+        )
+
+
 def room_occupancy(result: ReplicationResult) -> numpy.ndarray:
     """Rooms x minutes, bool: whether each room is occupied after each
     minute's events, replayed over the zones from the agent events of
@@ -677,6 +693,7 @@ def room_occupancy(result: ReplicationResult) -> numpy.ndarray:
     share the corridor's occupancy."""
     import numpy as np
 
+    _require_kept_events(result)
     rooms = result.building.rooms
     zone_rooms, room_zone, zone_of = _zones(rooms)
     zones, minutes, steps = [], [], []
@@ -718,6 +735,7 @@ def derive_trace(result: ReplicationResult, scenario: Scenario) -> RunTrace:
     """
     import numpy as np
 
+    _require_kept_events(result)
     rooms = result.building.rooms
     n_minutes = result.n_minutes
     transitions = []

@@ -9,10 +9,11 @@ Rewiring preserves the edge count, so |E| = n*k/2 always.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .occupants import OccupantAgent
+from .occupants import OccupantAgent, hazard_clock, waiting_time
 
 # An agent's p_email is interpreted as expected emails per office day of
 # this many minutes (at contact_rate 1).
@@ -108,38 +109,61 @@ def send_hazard(p_email: float, contact_rate: float) -> float:
 
 def contact_step(
     network: SocialNetwork,
-    agents: list[OccupantAgent],
-    awareness_delta: float,
-    minute: int,
-    sender_ids: list[int],
-    rngs,
+    sender_id: int,
+    p: float,
+    start: int,
+    end: int,
+    rng,
 ) -> list[tuple[int, int, int]]:
-    """One minute's due emails, returned as plain tuples
-    ``(sender_id, receiver_id, minute)`` in ``ContactEvent``'s field order.
+    """The emails of one office stay of ``sender_id``, who sends with
+    per-minute hazard ``p`` (``send_hazard``) from its entry minute
+    ``start`` up to, not including, its leave minute ``end``; returned as
+    plain tuples ``(sender_id, receiver_id, minute)`` in ``ContactEvent``'s
+    field order, one per minute at most.
 
-    Each sender in ``sender_ids``, in order, sends one email to a uniform
-    network neighbor drawn from its own stream ``rngs[sender_id]``; the
-    receiver's awareness rises by awareness_delta, capped at 100, and the
-    update applies at once. When a sender's email is due is the caller's
-    clock (``send_hazard``); ``agents`` must be indexable by agent id.
+    Everything is drawn from the sender's own stream ``rng``, in the order
+    of a clock restarted at each email: the wait to the first email
+    (``waiting_time``), then per email the wait to the next one and its
+    receiver, a uniform network neighbor. Awareness is the caller's: a
+    receiver's rises by the awareness delta per email (``raise_awareness``).
     """
     events: list[tuple[int, int, int]] = []
-    neighbors = network.neighbors
-    cap = AWARENESS_CAP
-    for sender_id in sender_ids:
-        nbrs = neighbors[sender_id]
-        if not nbrs:
-            continue
-        # rng.choice(nbrs), inlined: the rejection loop of Random._randbelow.
-        getrandbits = rngs[sender_id].getrandbits
-        n = len(nbrs)
-        k = n.bit_length()
+    nbrs = network.neighbors[sender_id]
+    if not nbrs:
+        return events  # no receiver; its stream feeds nothing else
+    clock = hazard_clock(p)
+    minute = start + waiting_time(rng, clock)
+    # rng.choice(nbrs), inlined below: the rejection loop of Random._randbelow.
+    n = len(nbrs)
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    append = events.append
+    if p >= 1.0:
+        # An email every minute, no wait drawn.
+        for minute in range(minute, end):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            append((sender_id, nbrs[r], minute))
+        return events
+    random = rng.random
+    while minute < end:
+        u = random()  # the next wait, 0 when U < p, decided without a log
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
-        receiver_id = nbrs[r]
+        append((sender_id, nbrs[r], minute))
+        minute += 1 if u < p else 1 + int(-log(1.0 - u) * clock)
+    return events
+
+
+def raise_awareness(
+    agents: list[OccupantAgent], receiver_ids, awareness_delta: float
+) -> None:
+    """Raise each receiver's awareness by ``awareness_delta`` per email, in
+    order, capped at 100; ``agents`` must be indexable by agent id."""
+    cap = AWARENESS_CAP
+    for receiver_id in receiver_ids:
         receiver = agents[receiver_id]
         awareness = receiver.awareness + awareness_delta
         receiver.awareness = awareness if awareness < cap else cap
-        events.append((sender_id, receiver_id, minute))
-    return events

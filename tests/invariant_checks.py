@@ -221,7 +221,12 @@ def check_staff_switch_offs(result: ReplicationResult) -> list[str]:
     return violations
 
 
-def check_awareness_monotone(result: ReplicationResult, trace: RunTrace) -> list[str]:
+def check_awareness_monotone(
+    result: ReplicationResult, trace: RunTrace, awareness_delta: float
+) -> list[str]:
+    """Awareness never falls nor passes 100, and each agent's final
+    awareness is exactly its initial one raised by ``awareness_delta`` per
+    kept contact it received, in order, capped at 100."""
     violations = []
     days = trace.awareness_by_day
     series = np.stack(days + [np.array([r.final_awareness for r in result.roster])])
@@ -229,6 +234,16 @@ def check_awareness_monotone(result: ReplicationResult, trace: RunTrace) -> list
         violations.append("awareness decreased during the run")
     if (series > 100.0).any():
         violations.append("awareness exceeded the cap of 100")
+    awareness = [r.initial_awareness for r in result.roster]
+    for _, receiver_id, _ in result.contacts:
+        raised = awareness[receiver_id] + awareness_delta
+        awareness[receiver_id] = raised if raised < 100.0 else 100.0
+    for record, replayed in zip(result.roster, awareness):
+        if record.final_awareness != replayed:
+            violations.append(
+                f"agent {record.id}: final awareness {record.final_awareness!r}, "
+                f"{replayed!r} replayed from its contacts"
+            )
     return violations
 
 
@@ -332,7 +347,7 @@ def run_all_checks(result: ReplicationResult, scenario: Scenario):
     else:
         violations += check_staff_passivity(result)
         violations += check_staff_switch_offs(result)
-    violations += check_awareness_monotone(result, trace)
+    violations += check_awareness_monotone(result, trace, scenario.awareness_delta)
     violations += check_stereotype_immutable(result)
     violations += check_network_edges(result, scenario)
     violations += check_betas_in_range(result)

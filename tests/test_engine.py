@@ -15,7 +15,7 @@ from officesim import (
     run_experiment,
     run_replication,
 )
-from officesim.engine import derive_trace, run_replication_arms
+from officesim.engine import derive_trace, room_occupancy, run_replication_arms
 from officesim.network import ContactEvent
 from officesim.occupants import (
     BehaviorParams,
@@ -295,6 +295,20 @@ def test_untraced_runs_build_no_event_objects(monkeypatch):
     trace = derive_trace(result, scenario)
     assert len(trace.contact_events) == len(result.contacts) == result.contact_count > 0
     assert all(type(c) is ContactEvent for c in trace.contact_events)
+
+
+def test_trace_of_a_result_without_kept_events_is_an_error():
+    # An experiment keeps no events; deriving a trace from one of its
+    # replications once gave every room vacant, lights lit and no
+    # transitions, without an error.
+    scenario = make_small_scenario(population_size=5, contact_rate=50.0)
+    result = run_experiment(scenario).replications[0]
+    assert result.events is None and result.contacts is None
+    assert result.contact_count > 0
+    with pytest.raises(ValueError, match="keep_events"):
+        derive_trace(result, scenario)
+    with pytest.raises(ValueError, match="keep_events"):
+        room_occupancy(result)
 
 
 def test_idle_stretches_match_minute_by_minute_recording():

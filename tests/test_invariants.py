@@ -10,7 +10,11 @@ from officesim.engine import _STATE_EDGES, derive_trace
 from officesim.occupants import BehaviorParams
 
 from conftest import make_small_building, make_small_scenario
-from invariant_checks import check_edge_legality, run_all_checks
+from invariant_checks import (
+    check_awareness_monotone,
+    check_edge_legality,
+    run_all_checks,
+)
 
 
 def random_scenario(rng: random.Random) -> Scenario:
@@ -70,3 +74,21 @@ def test_edge_check_reports_a_deleted_agent_event():
         violations = check_edge_legality(derive_trace(broken, scenario))
         assert any(v.startswith(f"agent {agent_id} ") for v in violations), kind
         assert run_all_checks(broken, scenario) == violations
+
+
+def test_awareness_check_reports_a_deleted_contact():
+    # Final awareness is the exact capped replay of the kept contacts, so
+    # dropping one email to a receiver below the cap shows.
+    scenario = make_small_scenario(population_size=5, contact_rate=20.0)
+    result = run_replication(scenario, seed=4)
+    delta = scenario.awareness_delta
+    assert not check_awareness_monotone(result, derive_trace(result, scenario), delta)
+    final = {record.id: record.final_awareness for record in result.roster}
+    i = next(i for i, c in enumerate(result.contacts) if final[c[1]] < 100.0)
+    receiver_id = result.contacts[i][1]
+    broken = replace(result, contacts=result.contacts[:i] + result.contacts[i + 1:])
+    (violation,) = check_awareness_monotone(
+        broken, derive_trace(broken, scenario), delta
+    )
+    assert violation.startswith(f"agent {receiver_id}: final awareness")
+    assert run_all_checks(broken, scenario) == [violation]

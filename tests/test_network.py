@@ -1,12 +1,18 @@
 import math
 import random
+from math import log
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from officesim import ValidationError, build_small_world, contact_step, run_replication
 from officesim.engine import derive_trace
-from officesim.network import EMAIL_BASE_MINUTES, SocialNetwork, send_hazard
+from officesim.network import (
+    EMAIL_BASE_MINUTES,
+    SocialNetwork,
+    raise_awareness,
+    send_hazard,
+)
 from officesim.occupants import (
     NEVER,
     AgentState,
@@ -77,6 +83,34 @@ def _streams(n, seed):
     return [random.Random(seed * 1000 + i) for i in range(n)]
 
 
+def _send(net, agents, awareness_delta, sender_id, p, start, end, rng):
+    """One office stay's emails, their awareness raised at once."""
+    contacts = contact_step(net, sender_id, p, start, end, rng)
+    raise_awareness(agents, [receiver for _, receiver, _ in contacts], awareness_delta)
+    return contacts
+
+
+def _per_minute_emails(net, sender_id, p, start, end, rng):
+    """The reference for ``contact_step``: the sender's email clock walked
+    minute by minute over the stay [start, end). The first email waits
+    ``waiting_time``; at each email the clock restarts with the next wait
+    (``random()``, with a log only when U >= p, nothing when p >= 1), and
+    the receiver is ``rng.choice`` among the sender's neighbors."""
+    clock = hazard_clock(p)
+    due = start + waiting_time(rng, clock)
+    emails = []
+    for minute in range(start, end):
+        if minute != due:
+            continue
+        due = minute + 1
+        if p < 1.0:
+            u = rng.random()
+            if u >= p:
+                due += int(-log(1.0 - u) * clock)
+        emails.append((sender_id, rng.choice(net.neighbors[sender_id]), minute))
+    return emails
+
+
 def test_contact_rate_zero_is_silent():
     assert send_hazard(0.9, 0.0) == 0.0
     assert waiting_time(random.Random(1), hazard_clock(send_hazard(0.9, 0.0))) == NEVER
@@ -91,8 +125,8 @@ def test_awareness_capped_at_hundred():
               for i in range(6)]
     net = build_small_world(6, 2, 0.0, random.Random(1))
     rngs = _streams(6, 2)
-    for minute in range(2000):
-        contact_step(net, agents, 5.0, minute, range(6), rngs)
+    for sender_id in range(6):
+        _send(net, agents, 5.0, sender_id, 1.0, 0, 2000, rngs[sender_id])
     assert all(a.awareness == 100.0 for a in agents)
 
 
@@ -115,9 +149,9 @@ def test_emails_respect_topology():
     net = build_small_world(12, 4, 0.5, random.Random(4))
     rngs = _streams(12, 5)
     events = []
-    for minute in range(3000):
+    for sender_id in range(12):
         events += as_contact_events(
-            contact_step(net, agents, 0.5, minute, range(12), rngs)
+            _send(net, agents, 0.5, sender_id, 1.0, 0, 3000, rngs[sender_id])
         )
     assert events
     for ev in events:
@@ -150,9 +184,10 @@ def test_receiver_awareness_increases_by_delta():
     rngs = _streams(4, 9)
     total_before = sum(a.awareness for a in agents)
     events = []
-    for minute in range(200):
-        senders = [i for i in range(4) if rngs[i].random() < 10.0 / 480]
-        events += contact_step(net, agents, 0.25, minute, senders, rngs)
+    for sender_id in range(4):
+        events += _send(
+            net, agents, 0.25, sender_id, 10.0 / 480, 0, 200, rngs[sender_id]
+        )
     gained = sum(a.awareness for a in agents) - total_before
     # every receiver started below the cap by more than the total gain
     assert events
@@ -175,9 +210,33 @@ def test_receiver_draw_matches_random_choice(degree):
     )
     for seed in range(5):
         rng, twin = random.Random(seed), random.Random(seed)
-        for minute in range(200):
-            (event,) = as_contact_events(
-                contact_step(net, agents, 0.0, minute, [0], [rng])
-            )
+        events = as_contact_events(_send(net, agents, 0.0, 0, 1.0, 0, 200, rng))
+        assert [event.minute for event in events] == list(range(200))
+        for event in events:
             assert event.receiver_id == twin.choice(nbrs)
         assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("degree", range(1, 10))
+@pytest.mark.parametrize("p", [0.0, 1e-9, 0.02, 0.3, 0.9, 1.0, 4.2])
+def test_stay_draw_matches_per_minute_clock(degree, p):
+    # The whole stay drawn at once gives the same emails as the per-minute
+    # clock and leaves the sender's stream in the same state; p 0 and 1e-9
+    # never fire in these stays.
+    n = degree + 1
+    nbrs = tuple(range(1, n))
+    net = SocialNetwork(
+        n=n,
+        k=degree,
+        beta=0.0,
+        edges=frozenset((0, j) for j in nbrs),
+        neighbors=(nbrs,) + ((0,),) * degree,
+    )
+    for seed in range(4):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for start, end in ((0, 300), (301, 301), (302, 310), (500, 1700)):
+            stay = contact_step(net, 0, p, start, end, rng)
+            assert stay == _per_minute_emails(net, 0, p, start, end, twin)
+            assert rng.getstate() == twin.getstate()
+            if p < 1e-6:
+                assert stay == []
