@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import add
+from typing import NamedTuple
 
 from .errors import AccountingError
 
@@ -182,8 +182,7 @@ class EnergyLedger:
         return per_category["lights"] + per_category["computers"]
 
 
-@dataclass(frozen=True, slots=True)
-class HalfHourBin:
+class HalfHourBin(NamedTuple):
     start_minute: int
     base_kwh: float
     lights_kwh: float
@@ -235,16 +234,14 @@ def realized_beta(
     return min(max(beta, 0.0), 1.0)
 
 
-@dataclass(frozen=True, slots=True)
-class BetaEntry:
+class BetaEntry(NamedTuple):
     appliance_id: str
     max_power_watts: float
     energy_wh: float
     beta: float
 
 
-@dataclass(frozen=True)
-class BetaReport:
+class BetaReport(NamedTuple):
     window_start: int
     window_end: int
     entries: tuple[BetaEntry, ...]

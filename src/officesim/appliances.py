@@ -10,9 +10,7 @@ engine keeps their wattages.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .occupants import EventKind, awareness_to_switch_off_prob
 
@@ -27,8 +25,7 @@ class PolicyKind(str, enum.Enum):
     STAFF_CONTROLLED = "staff_controlled"
 
 
-@dataclass(frozen=True)
-class LightingPolicy:
+class LightingPolicy(NamedTuple):
     kind: PolicyKind
     off_delay_minutes: int = AUTOMATED_OFF_DELAY_MINUTES
 

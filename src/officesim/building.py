@@ -32,9 +32,8 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -71,15 +70,13 @@ FACILITY_KINDS = frozenset(
 _DESKLESS_KINDS = frozenset({RoomKind.CORRIDOR, RoomKind.TOILET, RoomKind.KITCHEN})
 
 
-@dataclass(frozen=True)
-class LightSpec:
+class LightSpec(NamedTuple):
     id: str
     room_id: str
     watts_on: float = DEFAULT_LIGHT_WATTS
 
 
-@dataclass(frozen=True)
-class ComputerSpec:
+class ComputerSpec(NamedTuple):
     id: str
     room_id: str
     watts_off: float = 0.0
@@ -87,8 +84,7 @@ class ComputerSpec:
     watts_on: float = 400.0
 
 
-@dataclass(frozen=True)
-class Room:
+class Room(NamedTuple):
     id: str
     kind: RoomKind
     desk_capacity: int
@@ -96,8 +92,9 @@ class Room:
     computer_ids: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class BuildingModel:
+class BuildingModel(NamedTuple):
+    """The rooms in file order and the appliance catalogs by id."""
+
     rooms: tuple[Room, ...]
     lights: dict[str, LightSpec]
     computers: dict[str, ComputerSpec]
@@ -105,11 +102,10 @@ class BuildingModel:
     max_occupants: int
 
     def room(self, room_id: str) -> Room:
-        return self._rooms_by_id[room_id]
-
-    @cached_property
-    def _rooms_by_id(self) -> dict[str, Room]:
-        return {r.id: r for r in self.rooms}
+        for room in self.rooms:
+            if room.id == room_id:
+                return room
+        raise KeyError(room_id)
 
     def desk_rooms(self) -> tuple[Room, ...]:
         """Rooms occupants can be assigned to, in file order."""

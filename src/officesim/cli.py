@@ -7,13 +7,11 @@ flags), 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import __version__
 from .building import building_summary
-from .engine import compare_policies, run_experiment
 from .errors import ConfigError
 from .scenario_io import (
     WINDOW_PRESETS,
@@ -25,6 +23,22 @@ from .scenario_io import (
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
+
+
+# The engine is imported by the first command that runs it, so `validate`
+# and `summary` never load it. These forwarders are module globals, and
+# the commands call them as such, so that perfbench/tracer.py can wrap
+# them in this module's namespace.
+def run_experiment(scenario):
+    from .engine import run_experiment
+
+    return run_experiment(scenario)
+
+
+def compare_policies(scenario):
+    from .engine import compare_policies
+
+    return compare_policies(scenario)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,6 +137,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_proportions(args) -> int:
+    import json
+
     scenario = _load(args)
     result = run_experiment(scenario)
     paths = emit_experiment(
@@ -150,6 +166,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_summary(args) -> int:
+    import json
+
     scenario = _load(args)
     print(json.dumps(building_summary(scenario.building), indent=2, sort_keys=True))
     return EXIT_OK

@@ -13,12 +13,12 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from heapq import heappop, heappush
 from operator import add, itemgetter, sub
 from random import Random
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .accounting import (
     BetaReport,
@@ -41,7 +41,6 @@ from .building import BuildingModel, RoomKind
 from .errors import ValidationError
 from .network import (
     AWARENESS_CAP,
-    ContactEvent,
     SocialNetwork,
     build_small_world,
     contact_step,
@@ -50,22 +49,17 @@ from .network import (
 )
 from .occupants import (
     MINUTES_PER_DAY,
-    AgentState,
     BehaviorContext,
-    BehaviorParams,
     EventKind,
     OccupantAgent,
     OccupantEvent,
-    PopulationMix,
     ScheduleClass,
     Stereotype,
     sample_daily_schedule,
     sample_population,
     step_occupant,
 )
-
-if TYPE_CHECKING:
-    import numpy
+from .scenario_io import Scenario
 
 
 # Members bound at module level: a global lookup is cheaper than an enum
@@ -94,68 +88,6 @@ def derive_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Everything a run depends on; the unit of experiment."""
-
-    building: BuildingModel
-    population_size: int
-    mix: PopulationMix = field(default_factory=PopulationMix)
-    policy: LightingPolicy = field(default_factory=LightingPolicy.automated)
-    contact_rate: float = 1.0
-    awareness_delta: float = 1.0
-    small_world_k: int = 4
-    small_world_beta: float = 0.1
-    behavior: BehaviorParams = field(default_factory=BehaviorParams)
-    horizon_days: int = 7
-    start_day_of_week: int = 0
-    replications: int = 20
-    master_seed: int = 1
-    building_path: str | None = None
-
-    def validate(self) -> None:
-        problems = []
-        if self.horizon_days < 1:
-            problems.append(f"horizon_days must be >= 1, got {self.horizon_days}")
-        if self.replications < 1:
-            problems.append(f"replications must be >= 1, got {self.replications}")
-        if self.population_size < 0:
-            problems.append("population size must be >= 0")
-        if self.population_size > self.building.total_desk_capacity():
-            problems.append(
-                f"population size {self.population_size} exceeds desk capacity "
-                f"{self.building.total_desk_capacity()}"
-            )
-        if not self.contact_rate >= 0:
-            problems.append(f"contact_rate must be >= 0, got {self.contact_rate}")
-        if not self.awareness_delta >= 0:
-            problems.append(
-                f"awareness_delta must be >= 0, got {self.awareness_delta}"
-            )
-        if self.small_world_k < 2 or self.small_world_k % 2:
-            problems.append(
-                f"small_world_k must be even and >= 2, got {self.small_world_k}"
-            )
-        if not 0.0 <= self.small_world_beta <= 1.0:
-            problems.append(
-                f"small_world_beta must be in [0, 1], got {self.small_world_beta}"
-            )
-        if not 0 <= self.start_day_of_week <= 6:
-            problems.append(
-                f"start_day_of_week must be in 0..6, got {self.start_day_of_week}"
-            )
-        if self.policy.is_automated and self.policy.off_delay_minutes < 0:
-            problems.append("automated off delay must be >= 0")
-        if problems:
-            raise ValidationError(problems)
-        self.mix.validate()
-        self.behavior.validate()
-
-    @property
-    def horizon_minutes(self) -> int:
-        return self.horizon_days * MINUTES_PER_DAY
-
-
 class AgentRecord(NamedTuple):
     """Immutable per-agent facts captured for the result roster."""
 
@@ -166,21 +98,6 @@ class AgentRecord(NamedTuple):
     computer_id: str | None
     initial_awareness: float
     final_awareness: float
-
-
-@dataclass
-class RunTrace:
-    """Per-minute diagnostics of a run, derived from its kept events by
-    ``derive_trace``; the matrices and the daily awareness vectors are
-    numpy arrays."""
-
-    state_transitions: list[tuple[int, int, AgentState, AgentState]]
-    room_ids: tuple[str, ...]
-    room_occupied: numpy.ndarray  # rooms x minutes, bool
-    lights_on: numpy.ndarray  # rooms x minutes, bool
-    schedules: dict[tuple[int, int], tuple[int, int] | None]
-    awareness_by_day: list[numpy.ndarray]
-    contact_events: list[ContactEvent]
 
 
 @dataclass(frozen=True)
@@ -321,7 +238,7 @@ def run_replication_arms(
     """One agent pass of a valid scenario driving one lighting arm per
     policy; the scenario's own policy is not used. Arm i's result equals
     ``run_replication`` of the scenario under ``policies[i]``. Keeping
-    the events keeps the contacts too; ``derive_trace`` reads both.
+    the events keeps the contacts too; ``checks.derive_trace`` reads both.
     Without kept events, ``events`` and ``contacts`` are None.
 
     Next-event scheduling: each agent keeps the minute of its next firing
@@ -664,123 +581,6 @@ def _zones(rooms) -> tuple[list[list[int]], list[int], dict[str, int]]:
             zone_rooms.append([i])
     zone_of = {room.id: zone for room, zone in zip(rooms, room_zone)}
     return zone_rooms, room_zone, zone_of
-
-
-# The state an agent event leaves and the state it enters.
-_STATE_EDGES = {
-    _ENTER_BUILDING: (AgentState.OUT_OF_SCHOOL, AgentState.IN_CORRIDOR),
-    _ENTER_OWN_OFFICE: (AgentState.IN_CORRIDOR, AgentState.IN_OWN_OFFICE),
-    _LEAVE_OFFICE_TEMPORARY: (AgentState.IN_OWN_OFFICE, AgentState.IN_CORRIDOR),
-    _LEAVE_OFFICE_LONG: (AgentState.IN_OWN_OFFICE, AgentState.IN_CORRIDOR),
-    _ENTER_OTHER_ROOM: (AgentState.IN_CORRIDOR, AgentState.IN_OTHER_ROOMS),
-    _EXIT_OTHER_ROOM: (AgentState.IN_OTHER_ROOMS, AgentState.IN_CORRIDOR),
-    _LEAVE_BUILDING: (AgentState.IN_CORRIDOR, AgentState.OUT_OF_SCHOOL),
-}
-
-
-def _require_kept_events(result: ReplicationResult) -> None:
-    if result.events is None:
-        raise ValueError(
-            f"replication {result.seed} was run without its events kept; "
-            "run it with keep_events=True"
-        )
-
-
-def room_occupancy(result: ReplicationResult) -> numpy.ndarray:
-    """Rooms x minutes, bool: whether each room is occupied after each
-    minute's events, replayed over the zones from the agent events of
-    ``result``, a replication run with its events kept. Corridor rooms
-    share the corridor's occupancy."""
-    import numpy as np
-
-    _require_kept_events(result)
-    rooms = result.building.rooms
-    zone_rooms, room_zone, zone_of = _zones(rooms)
-    zones, minutes, steps = [], [], []
-    corridor_minutes, corridor_steps = [], []
-    # Identity tests, not a dict of kinds: an enum's hash is Python code.
-    for kind, minute, _, room_id in result.events:
-        if kind is _ENTER_BUILDING or kind is _LEAVE_BUILDING:
-            corridor_minutes.append(minute)
-            corridor_steps.append(1 if kind is _ENTER_BUILDING else -1)
-            continue
-        if kind is _ENTER_OWN_OFFICE or kind is _ENTER_OTHER_ROOM:
-            step = 1
-        elif kind in (_LEAVE_OFFICE_TEMPORARY, _LEAVE_OFFICE_LONG, _EXIT_OTHER_ROOM):
-            step = -1
-        else:
-            continue
-        zones.append(zone_of[room_id])
-        minutes.append(minute)
-        steps.append(step)
-        corridor_minutes.append(minute)
-        corridor_steps.append(-step)
-    delta = np.zeros((len(zone_rooms), result.n_minutes), dtype=np.int64)
-    np.add.at(delta, (zones, minutes), steps)
-    np.add.at(delta[0], corridor_minutes, corridor_steps)  # zone 0: the corridor
-    return (np.cumsum(delta, axis=1) > 0)[room_zone]
-
-
-def derive_trace(result: ReplicationResult, scenario: Scenario) -> RunTrace:
-    """The per-minute diagnostics of ``result``, a replication of
-    ``scenario`` run with its events (and so its contacts) kept:
-
-    - the state transitions are the agent events, mapped by kind;
-    - room occupancy is ``room_occupancy``;
-    - the lights come from the light intervals;
-    - the schedules are drawn again from the replication's schedule
-      stream, which feeds nothing else;
-    - the awareness at each midnight is the initial awareness plus the
-      capped contact increments before it.
-    """
-    import numpy as np
-
-    _require_kept_events(result)
-    rooms = result.building.rooms
-    n_minutes = result.n_minutes
-    transitions = []
-    for kind, minute, agent_id, _ in result.events:
-        edge = _STATE_EDGES.get(kind)
-        if edge is not None:
-            transitions.append((minute, agent_id, *edge))
-
-    lights_on = np.zeros((len(rooms), n_minutes), dtype=bool)
-    for i, room in enumerate(rooms):
-        for start, end in result.light_intervals[room.id]:
-            lights_on[i, start:end] = True
-
-    n_days = n_minutes // MINUTES_PER_DAY
-    rng_schedule = Random(derive_seed(result.seed, "schedule"))
-    schedules = {}
-    for day in range(n_days):
-        dow = (scenario.start_day_of_week + day) % 7
-        for record in result.roster:
-            schedules[(day, record.id)] = sample_daily_schedule(
-                record, dow, rng_schedule, scenario.behavior
-            )
-
-    awareness = [record.initial_awareness for record in result.roster]
-    awareness_by_day = []
-    pending = iter(result.contacts)
-    contact = next(pending, None)
-    for day in range(n_days):
-        midnight = day * MINUTES_PER_DAY
-        while contact is not None and contact[2] < midnight:
-            receiver_id = contact[1]
-            raised = awareness[receiver_id] + scenario.awareness_delta
-            awareness[receiver_id] = raised if raised < AWARENESS_CAP else AWARENESS_CAP
-            contact = next(pending, None)
-        awareness_by_day.append(np.array(awareness))
-
-    return RunTrace(
-        state_transitions=transitions,
-        room_ids=tuple(room.id for room in rooms),
-        room_occupied=room_occupancy(result),
-        lights_on=lights_on,
-        schedules=schedules,
-        awareness_by_day=awareness_by_day,
-        contact_events=[ContactEvent._make(c) for c in result.contacts],
-    )
 
 
 def _build_network(n: int, k: int, beta: float, rng) -> SocialNetwork | None:

@@ -57,8 +57,7 @@ class Stereotype(enum.Enum):
     BIG_USER = "big_user"
 
 
-@dataclass(frozen=True)
-class StereotypeParams:
+class StereotypeParams(NamedTuple):
     awareness_low: float
     awareness_high: float
     p_switch_off: float
@@ -104,6 +103,9 @@ def awareness_to_switch_off_prob(awareness: float) -> float:
 
 @dataclass(frozen=True)
 class PopulationMix:
+    """The fractions of the population per schedule class and per
+    awareness stereotype."""
+
     schedule: dict[ScheduleClass, float] = field(
         default_factory=lambda: dict(DEFAULT_SCHEDULE_MIX)
     )
@@ -227,7 +229,6 @@ class OccupantEvent(NamedTuple):
     room_id: str | None = None
 
 
-@dataclass(slots=True, eq=False)
 class OccupantAgent:
     """One electricity user. Identity fields are fixed for the whole
     run; the remaining fields are the current machine state, its clocks
@@ -236,28 +237,40 @@ class OccupantAgent:
     Compared by identity: an agent belongs to exactly one replication.
     """
 
-    id: int
-    schedule_class: ScheduleClass
-    stereotype: Stereotype
-    awareness: float
-    office_room_id: str
-    computer_id: str | None = None
+    __slots__ = (
+        "id", "schedule_class", "stereotype", "awareness", "office_room_id",
+        "computer_id", "state", "corridor_mode", "next_minute", "leave_at",
+        "computer_at", "break_end", "break_timer", "visiting_room_id",
+        "today_schedule", "computer_power", "p_email",
+    )
 
-    state: AgentState = AgentState.OUT_OF_SCHOOL
-    corridor_mode: CorridorMode | None = None
-    next_minute: int = NEVER  # the agent's next firing, the earliest clock
-    leave_at: int = NEVER  # in the office: the leave clock or the departure
-    computer_at: int = NEVER  # in the office: the next computer event
-    break_end: int = NEVER  # on a long break: the return to the office
-    break_timer: int = 0  # minutes of break left, kept during a visit
-    visiting_room_id: str | None = None
-    today_schedule: tuple[int, int] | None = None
-    computer_power: int = POWER_OFF
-    # The stereotype's expected emails per office day, looked up once.
-    p_email: float = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.p_email = STEREOTYPE_PARAMS[self.stereotype].p_email
+    def __init__(
+        self,
+        id: int,
+        schedule_class: ScheduleClass,
+        stereotype: Stereotype,
+        awareness: float,
+        office_room_id: str,
+        computer_id: str | None = None,
+    ):
+        self.id = id
+        self.schedule_class = schedule_class
+        self.stereotype = stereotype
+        self.awareness = awareness
+        self.office_room_id = office_room_id
+        self.computer_id = computer_id
+        self.state = AgentState.OUT_OF_SCHOOL
+        self.corridor_mode: CorridorMode | None = None
+        self.next_minute = NEVER  # the agent's next firing, the earliest clock
+        self.leave_at = NEVER  # in the office: the leave clock or the departure
+        self.computer_at = NEVER  # in the office: the next computer event
+        self.break_end = NEVER  # on a long break: the return to the office
+        self.break_timer = 0  # minutes of break left, kept during a visit
+        self.visiting_room_id: str | None = None
+        self.today_schedule: tuple[int, int] | None = None
+        self.computer_power = POWER_OFF
+        # The stereotype's expected emails per office day, looked up once.
+        self.p_email = STEREOTYPE_PARAMS[stereotype].p_email
 
 
 def hazard_clock(p: float) -> float:

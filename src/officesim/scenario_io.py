@@ -1,5 +1,9 @@
-"""Scenario file parsing, window presets, CSV/report emission, and the
-run manifest.
+"""The scenario, its file format, window presets, CSV/report emission,
+and the run manifest.
+
+``Scenario`` lives here, with the parser and serializer of its file, so
+that checking a scenario file loads no simulation code: this module
+names the engine's result types only for annotations.
 
 Scenario files are YAML and reference a building file by path (relative
 paths are resolved against the scenario file's directory):
@@ -45,12 +49,11 @@ formatting, LF line endings, sorted JSON keys, no timestamps.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import compress, count
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .accounting import (
@@ -69,7 +72,6 @@ from .building import (
     reject_unknown,
     serialize_building,
 )
-from .engine import ExperimentResult, PolicyComparison, Scenario
 from .errors import ParseError, ValidationError
 from .occupants import (
     MINUTES_PER_DAY,
@@ -79,12 +81,79 @@ from .occupants import (
     Stereotype,
 )
 
+if TYPE_CHECKING:
+    from .building import BuildingModel
+    from .engine import ExperimentResult, PolicyComparison
+
 WINDOW_PRESETS = ("all", "weekday-day", "night", "weekend", "night-weekend")
 
 # ISO weekday labels, index 0 = Monday (matching start_day_of_week).
 DAY_NAMES = (
     "Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday",
 )
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Everything a run depends on; the unit of experiment."""
+
+    building: BuildingModel
+    population_size: int
+    mix: PopulationMix = field(default_factory=PopulationMix)
+    policy: LightingPolicy = field(default_factory=LightingPolicy.automated)
+    contact_rate: float = 1.0
+    awareness_delta: float = 1.0
+    small_world_k: int = 4
+    small_world_beta: float = 0.1
+    behavior: BehaviorParams = field(default_factory=BehaviorParams)
+    horizon_days: int = 7
+    start_day_of_week: int = 0
+    replications: int = 20
+    master_seed: int = 1
+    building_path: str | None = None
+
+    def validate(self) -> None:
+        problems = []
+        if self.horizon_days < 1:
+            problems.append(f"horizon_days must be >= 1, got {self.horizon_days}")
+        if self.replications < 1:
+            problems.append(f"replications must be >= 1, got {self.replications}")
+        if self.population_size < 0:
+            problems.append("population size must be >= 0")
+        if self.population_size > self.building.total_desk_capacity():
+            problems.append(
+                f"population size {self.population_size} exceeds desk capacity "
+                f"{self.building.total_desk_capacity()}"
+            )
+        if not self.contact_rate >= 0:
+            problems.append(f"contact_rate must be >= 0, got {self.contact_rate}")
+        if not self.awareness_delta >= 0:
+            problems.append(
+                f"awareness_delta must be >= 0, got {self.awareness_delta}"
+            )
+        if self.small_world_k < 2 or self.small_world_k % 2:
+            problems.append(
+                f"small_world_k must be even and >= 2, got {self.small_world_k}"
+            )
+        if not 0.0 <= self.small_world_beta <= 1.0:
+            problems.append(
+                f"small_world_beta must be in [0, 1], got {self.small_world_beta}"
+            )
+        if not 0 <= self.start_day_of_week <= 6:
+            problems.append(
+                f"start_day_of_week must be in 0..6, got {self.start_day_of_week}"
+            )
+        if self.policy.is_automated and self.policy.off_delay_minutes < 0:
+            problems.append("automated off delay must be >= 0")
+        if problems:
+            raise ValidationError(problems)
+        self.mix.validate()
+        self.behavior.validate()
+
+    @property
+    def horizon_minutes(self) -> int:
+        return self.horizon_days * MINUTES_PER_DAY
+
 
 # Field name -> int or float, from the annotations of BehaviorParams.
 _BEHAVIOR_FIELDS = {
@@ -261,6 +330,8 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 def scenario_fingerprint(scenario: Scenario) -> str:
     """Content hash covering the scenario and its building."""
+    import hashlib
+
     payload = serialize_scenario(scenario) + serialize_building(scenario.building)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -297,6 +368,9 @@ def window_mask(
 
 @dataclass(frozen=True)
 class RunManifest:
+    """The contents of manifest.json: what made a run's outputs, and the
+    sha256 and size of each."""
+
     artifact_version: str
     command: str
     scenario_path: str | None
@@ -396,6 +470,8 @@ def _proportions_payload(
 
 
 def _json_bytes(payload) -> bytes:
+    import json
+
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
@@ -510,6 +586,8 @@ def _emit_manifest(
     scenario_path: str | None,
 ) -> None:
     """Write manifest.json from the bytes just written to each output."""
+    import hashlib
+
     scenario = result.scenario
     outputs = tuple(
         {

@@ -107,7 +107,7 @@ def replication_stats(automated, staff) -> dict[str, float]:
     """The fixture's statistics of one pass: ``automated`` and ``staff``
     are its two arms, run with their events kept."""
     from officesim import EventKind
-    from officesim.engine import room_occupancy
+    from officesim.checks import room_occupancy
 
     stats: dict[str, float] = {}
     manual = (EventKind.MANUAL_LIGHTS_ON, EventKind.MANUAL_LIGHTS_OFF)

@@ -152,7 +152,7 @@ def _trace_digest(trace) -> dict[str, str]:
 def _engine_fingerprints() -> dict:
     from officesim import LightingPolicy, derive_seed, parse_scenario, run_replication
     from officesim import reference_scenario_path
-    from officesim.engine import derive_trace
+    from officesim.checks import derive_trace
 
     ref = replace(parse_scenario(reference_scenario_path()), horizon_days=DAYS)
     seed = derive_seed(ref.master_seed, "rep:0")

@@ -14,7 +14,8 @@ from random import Random
 import numpy as np
 
 from officesim import AgentState, EventKind, ReplicationResult, Scenario
-from officesim.engine import RunTrace, _build_network, derive_seed, derive_trace
+from officesim.checks import RunTrace, derive_trace
+from officesim.engine import _build_network, derive_seed
 from officesim.occupants import MINUTES_PER_DAY
 
 

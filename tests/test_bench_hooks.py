@@ -7,7 +7,7 @@ from pathlib import Path
 
 from officesim import compare_policies
 
-from conftest import make_small_scenario
+from conftest import make_building_text, make_small_scenario
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -44,3 +44,39 @@ def test_tracer_counts_every_email():
     assert contacts == sum(
         rep.contact_count for rep in comparison.automated.replications
     )
+
+
+def test_tracer_times_the_cli_layers(tmp_path):
+    # The CLI reaches the engine through forwarders in its own namespace and
+    # the scenario parser reaches the building loader through its module
+    # global, so the wrapped ones see every call a command makes.
+    from officesim import cli
+
+    (tmp_path / "building.yaml").write_text(make_building_text())
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(
+        "building: building.yaml\nhorizon_days: 1\nreplications: 2\n"
+        "population: {size: 4}\n"
+    )
+    tracer = _load_tracer()
+
+    recorder = tracer.Recorder()
+    try:
+        recorder.install(tracer.wrap_targets())
+        assert cli.main(["validate", "--scenario", str(scenario)]) == 0
+    finally:
+        assert recorder.restore() is True
+    assert recorder.stats["scenario_io.parse_scenario"]["calls"] == 1
+    assert recorder.stats["building.load_building_file"]["calls"] == 1
+
+    recorder = tracer.Recorder()
+    try:
+        recorder.install(tracer.wrap_targets())
+        code = cli.main(
+            ["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")]
+        )
+    finally:
+        assert recorder.restore() is True
+    assert code == 0
+    assert recorder.stats["engine.run_experiment"]["calls"] >= 1
+    assert recorder.stats["scenario_io.emit"]["outcomes"] > 0

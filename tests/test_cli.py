@@ -60,6 +60,37 @@ def test_cli_commands_do_not_import_numpy(scenario_path, tmp_path, command):
     assert proc.returncode == 0, proc.stderr
 
 
+# Runs the CLI on argv[1:] (after a bare `import officesim`, which must load
+# no submodule) and prints the simulation modules loaded at exit.
+_CLI_LEAN_START = """
+import sys
+import officesim
+bare = sorted(m for m in sys.modules if m.startswith("officesim."))
+from officesim.cli import main
+code = main(sys.argv[1:])
+heavy = ("officesim.engine", "officesim.network", "officesim.checks", "numpy")
+print(bare, sorted(m for m in heavy if m in sys.modules))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", ["validate", "summary", "--version"])
+def test_cli_commands_without_a_run_load_no_simulation_code(scenario_path, command):
+    # Checking a scenario needs only the parsing layers; process start is
+    # most of what such a command costs.
+    argv = [command]
+    if command != "--version":
+        argv += ["--scenario", str(scenario_path)]
+    src = Path(officesim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_LEAN_START, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] []"
+
+
 def test_validate_ok(scenario_path, capsys):
     assert main(["validate", "--scenario", str(scenario_path)]) == 0
     assert "OK" in capsys.readouterr().out

@@ -15,7 +15,8 @@ from officesim import (
     run_experiment,
     run_replication,
 )
-from officesim.engine import derive_trace, room_occupancy, run_replication_arms
+from officesim.checks import derive_trace, room_occupancy
+from officesim.engine import run_replication_arms
 from officesim.network import ContactEvent
 from officesim.occupants import (
     BehaviorParams,
@@ -268,7 +269,7 @@ def test_untraced_runs_build_no_event_objects(monkeypatch):
     # Agent events and contacts travel as plain tuples: a run without kept
     # events must never build an OccupantEvent or a ContactEvent, while
     # kept events and the contacts of a derived trace are named tuples.
-    from officesim import engine
+    from officesim import engine, network
 
     def forbidden(*args, **kwargs):
         raise AssertionError("event object built without kept events")
@@ -279,7 +280,7 @@ def test_untraced_runs_build_no_event_objects(monkeypatch):
     scenario = make_small_scenario(population_size=5, contact_rate=200.0)
     with monkeypatch.context() as patched:
         patched.setattr(engine, "OccupantEvent", stub)
-        patched.setattr(engine, "ContactEvent", stub)
+        patched.setattr(network, "ContactEvent", stub)
         experiment = run_experiment(scenario)
         comparison = compare_policies(scenario)
     assert all(rep.contact_count > 0 for rep in experiment.replications)

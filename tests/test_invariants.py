@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from officesim import LightingPolicy, Scenario, run_replication
-from officesim.engine import _STATE_EDGES, derive_trace
+from officesim.checks import _STATE_EDGES, derive_trace
 from officesim.occupants import BehaviorParams
 
 from conftest import make_small_building, make_small_scenario

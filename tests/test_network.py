@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from officesim import ValidationError, build_small_world, contact_step, run_replication
-from officesim.engine import derive_trace
+from officesim.checks import derive_trace
 from officesim.network import (
     EMAIL_BASE_MINUTES,
     SocialNetwork,

@@ -16,7 +16,7 @@ from officesim import (
     step_occupant,
 )
 from officesim import run_replication
-from officesim.engine import derive_trace
+from officesim.checks import derive_trace
 from officesim.occupants import (
     NEVER,
     BehaviorContext,
