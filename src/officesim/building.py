@@ -93,8 +93,6 @@ class Room(NamedTuple):
 
 
 class BuildingModel(NamedTuple):
-    """The rooms in file order and the appliance catalogs by id."""
-
     rooms: tuple[Room, ...]
     lights: dict[str, LightSpec]
     computers: dict[str, ComputerSpec]

@@ -103,9 +103,6 @@ def awareness_to_switch_off_prob(awareness: float) -> float:
 
 @dataclass(frozen=True)
 class PopulationMix:
-    """The fractions of the population per schedule class and per
-    awareness stereotype."""
-
     schedule: dict[ScheduleClass, float] = field(
         default_factory=lambda: dict(DEFAULT_SCHEDULE_MIX)
     )

@@ -368,9 +368,6 @@ def window_mask(
 
 @dataclass(frozen=True)
 class RunManifest:
-    """The contents of manifest.json: what made a run's outputs, and the
-    sha256 and size of each."""
-
     artifact_version: str
     command: str
     scenario_path: str | None
