@@ -4,7 +4,7 @@ Lights are either sensor-driven (on with presence, off after a fixed
 delay of vacancy) or staff-controlled (state changes only through
 manual switch events). Computers move between off / standby / on purely
 in response to their owner's events (``computer_apply_event``); the
-engine keeps their wattages.
+engine replays their wattages from the run's computer log.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from heapq import heappop, heappush
@@ -49,7 +50,10 @@ from .network import (
 )
 from .occupants import (
     MINUTES_PER_DAY,
+    POWER_EVENTS,
+    POWER_OFF,
     BehaviorContext,
+    ComputerLog,
     EventKind,
     OccupantAgent,
     OccupantEvent,
@@ -66,9 +70,6 @@ from .scenario_io import Scenario
 # class attribute for every event.
 _ENTER_BUILDING = EventKind.ENTER_BUILDING
 _ENTER_OWN_OFFICE = EventKind.ENTER_OWN_OFFICE
-_SWITCH_COMPUTER_ON = EventKind.SWITCH_COMPUTER_ON
-_COMPUTER_TO_STANDBY = EventKind.COMPUTER_TO_STANDBY
-_SWITCH_COMPUTER_OFF = EventKind.SWITCH_COMPUTER_OFF
 _LEAVE_OFFICE_TEMPORARY = EventKind.LEAVE_OFFICE_TEMPORARY
 _LEAVE_OFFICE_LONG = EventKind.LEAVE_OFFICE_LONG
 _ENTER_OTHER_ROOM = EventKind.ENTER_OTHER_ROOM
@@ -108,12 +109,29 @@ class ReplicationResult:
     events: tuple[OccupantEvent, ...] | None  # None: not kept
     roster: tuple[AgentRecord, ...]
     light_intervals: dict[str, tuple[tuple[int, int], ...]]  # room -> on-intervals
-    computer_transitions: dict[str, tuple[tuple[int, float], ...]]
+    computer_log: ComputerLog  # shared by the arms of one agent pass
     contact_count: int
     building: BuildingModel
     # Kept with the events (else None): (sender_id, receiver_id, minute) per
     # email, sorted by (minute, sender_id).
     contacts: tuple[tuple[int, int, int], ...] | None
+
+    @cached_property
+    def computer_transitions(self) -> dict[str, tuple[tuple[int, float], ...]]:
+        """Each computer's wattage changes as (minute, watts), from
+        (0, off watts), in catalog order; built from the computer log on
+        first use."""
+        computers = self.building.computers
+        levels = {cid: _power_watts(spec) for cid, spec in computers.items()}
+        transitions = {cid: [(0, spec.watts_off)] for cid, spec in computers.items()}
+        owned = [record.computer_id for record in self.roster]
+        log = self.computer_log
+        for minute, agent_id, power in zip(log.minute, log.agent, log.power):
+            cid = owned[agent_id]
+            watts = levels[cid][power]
+            if watts != transitions[cid][-1][1]:
+                transitions[cid].append((minute, watts))
+        return {cid: tuple(ts) for cid, ts in transitions.items()}
 
     def appliance_energies(
         self, start: int = 0, end: int | None = None
@@ -218,6 +236,13 @@ class _LightingArm:
                         ))
 
 
+def _power_watts(spec) -> tuple[float, float, float]:
+    """The wattage of computer ``spec`` in each power state, by its code."""
+    return tuple(
+        computer_apply_event(spec, spec.watts_off, kind) for kind in POWER_EVENTS
+    )
+
+
 def run_replication(
     scenario: Scenario, seed: int, keep_events: bool = True
 ) -> ReplicationResult:
@@ -260,6 +285,13 @@ def run_replication_arms(
     emails sent before that minute, as when emails were sent after the
     minute's agents. A receiver already at the cap is not queued; the
     cap is absorbing.
+
+    Computers are not on the calendar either: ``step_occupant`` draws a
+    stay's whole computer cycle at the entry, into the run's computer
+    log. The computers series is replayed from that log at the end, in
+    the calendar's (minute, agent id) order, and a kept event log gets
+    the computer events merged in at their (minute, agent id), each
+    before the agent events of its minute.
 
     Agents draw from their own behaviour streams and senders from their
     own email streams, each created when it is first needed, so an
@@ -318,21 +350,6 @@ def run_replication_arms(
     ]
     touched: set[int] = set()  # zones whose occupancy changed this minute
 
-    # Computers by index, in catalog order; an agent's computer events
-    # act on the computer of its desk.
-    computer_specs = list(building.computers.values())
-    computer_index = {spec.id: c for c, spec in enumerate(computer_specs)}
-    agent_computer = [computer_index.get(a.computer_id) for a in agents]
-    # Each computer's transition log; its last entry is the wattage now.
-    computer_transitions = [[(0, spec.watts_off)] for spec in computer_specs]
-    computers_running = 0.0
-    for spec in computer_specs:
-        computers_running += spec.watts_off
-
-    # A minute's sample is the total after all of that minute's changes,
-    # so a change at minute m writes the old total up to m.
-    computers_arr = array("d")
-
     # The calendar: a heap of minutes, each with buckets of the agents and
     # light banks (arm, bank index) due then.
     heap: list[int] = []
@@ -383,21 +400,8 @@ def run_replication_arms(
         # the last one out rolls once to switch them off, unless it is a
         # quick break. A move between a room and the corridor handles the
         # zone the event names first.
-        nonlocal computers_running, present
-        if (
-            kind is _SWITCH_COMPUTER_ON
-            or kind is _COMPUTER_TO_STANDBY
-            or kind is _SWITCH_COMPUTER_OFF
-        ):
-            # Computer events carry no room; the owner's desk names it.
-            c = agent_computer[agent_id]
-            old_watts = computer_transitions[c][-1][1]
-            new_watts = computer_apply_event(computer_specs[c], old_watts, kind)
-            if new_watts != old_watts:
-                _extend_to(computers_arr, computers_running, minute)
-                computers_running += new_watts - old_watts
-                computer_transitions[c].append((minute, new_watts))
-        elif kind is _ENTER_OWN_OFFICE:
+        nonlocal present
+        if kind is _ENTER_OWN_OFFICE:
             enter(office_zone[agent_id], minute, agent_id)
             leave(corridor, minute, agent_id, True)
             if contacts_on:
@@ -523,7 +527,12 @@ def run_replication_arms(
             touched.clear()
 
     apply_inbox(n_minutes)
-    _extend_to(computers_arr, computers_running, n_minutes)
+    computer_log = ctx.computer_log
+    # The calendar's order of the computer log's rows: by minute, then agent.
+    n_agents = len(agents)
+    keys = [m * n_agents + a for m, a in zip(computer_log.minute, computer_log.agent)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    computers_arr = _replay_computers(computer_log, order, agents, building, n_minutes)
     base_arr = array("d", (building.base_load_watts,)) * n_minutes
     roster = tuple(
         AgentRecord(
@@ -537,15 +546,20 @@ def run_replication_arms(
         )
         for a in agents
     )
-    computer_log = {
-        spec.id: tuple(ts) for spec, ts in zip(computer_specs, computer_transitions)
-    }
     contacts = None
-    if contact_log is not None:
+    if keep_events:
         # By minute, then sender: two stable sorts on int keys.
         contact_log.sort(key=itemgetter(0))
         contact_log.sort(key=itemgetter(2))
         contacts = tuple(contact_log)
+        minutes, owners, powers = (
+            computer_log.minute, computer_log.agent, computer_log.power
+        )
+        computer_events = [
+            OccupantEvent(POWER_EVENTS[powers[i]], minutes[i], owners[i])
+            for i in order
+        ]
+        computer_keys = [keys[i] for i in order]
     results = []
     for arm in arms:
         _extend_to(arm.lights, arm.lights_running, n_minutes)
@@ -555,15 +569,72 @@ def run_replication_arms(
             seed=seed,
             n_minutes=n_minutes,
             ledger=EnergyLedger(base_arr, arm.lights, computers_arr),
-            events=tuple(arm.events) if keep_events else None,
+            events=(
+                _merge_computer_events(
+                    computer_events, computer_keys, arm.events, n_agents
+                )
+                if keep_events
+                else None
+            ),
             roster=roster,
             light_intervals={b.room_id: tuple(b.intervals) for b in arm.banks},
-            computer_transitions=computer_log,
+            computer_log=computer_log,
             contact_count=contact_count,
             building=building,
             contacts=contacts,
         ))
     return tuple(results)
+
+
+def _merge_computer_events(
+    computer_events: list, computer_keys: list[int], events: list, n_agents: int
+) -> tuple[OccupantEvent, ...]:
+    """Merge ``computer_events`` into ``events``, both in (minute, agent id)
+    order; ``computer_keys`` are the computer events' minute * n_agents +
+    agent id. On a tie the computer event goes first, as an agent's
+    switch-off on leaving precedes the leave."""
+    merged = []
+    taken = 0
+    for event in events:
+        upto = bisect_right(computer_keys, event[1] * n_agents + event[2], taken)
+        if upto > taken:
+            merged += computer_events[taken:upto]
+            taken = upto
+        merged.append(event)
+    merged += computer_events[taken:]
+    return tuple(merged)
+
+
+def _replay_computers(
+    log: ComputerLog, order, agents, building: BuildingModel, n_minutes: int
+) -> array:
+    """The computers series: the rows of ``log`` replayed in ``order``,
+    each setting its owner's computer to the wattage of its power state.
+    A minute's sample is the total after all of that minute's changes, so
+    a change at minute m writes the old total up to m; the total adds the
+    changes in ``order``."""
+    specs = building.computers
+    running = 0.0
+    for spec in specs.values():
+        running += spec.watts_off
+    # Per agent: its computer's wattage by power state, and the wattage now.
+    levels = [
+        _power_watts(specs[a.computer_id]) if a.computer_id is not None else None
+        for a in agents
+    ]
+    watts = [lv[POWER_OFF] if lv is not None else 0.0 for lv in levels]
+    series = array("d")
+    minutes, owners, powers = log.minute, log.agent, log.power
+    for i in order:
+        a = owners[i]
+        new = levels[a][powers[i]]
+        old = watts[a]
+        if new != old:
+            _extend_to(series, running, minutes[i])
+            running += new - old
+            watts[a] = new
+    _extend_to(series, running, n_minutes)
+    return series
 
 
 def _zones(rooms) -> tuple[list[list[int]], list[int], dict[str, int]]:

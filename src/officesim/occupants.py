@@ -6,14 +6,17 @@ corridor, in its own office (working with or without its computer), or
 in a facility room (toilet / kitchen / lab). Every stochastic rule is a
 constant per-minute hazard, drawn as a geometric waiting time when its
 state is entered, and every countdown is a scheduled minute; the agent
-keeps the minute of its next firing. All randomness flows through the
-caller-supplied ``random.Random`` so runs are reproducible.
+keeps the minute of its next firing. An office stay's computer cycle is
+drawn whole when the agent enters, into the run's ``ComputerLog``. All
+randomness flows through the caller-supplied ``random.Random`` so runs
+are reproducible.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -226,6 +229,30 @@ class OccupantEvent(NamedTuple):
     room_id: str | None = None
 
 
+# The computer event that enters each power state, indexed by its code.
+POWER_EVENTS = (
+    EventKind.SWITCH_COMPUTER_OFF,
+    EventKind.COMPUTER_TO_STANDBY,
+    EventKind.SWITCH_COMPUTER_ON,
+)
+
+
+class ComputerLog:
+    """Every computer transition of a run, one row per transition in
+    ``array`` columns, in the order drawn: the minute, the owner's agent
+    id and the power state entered (``POWER_*``). Each agent's rows are in
+    time order; rows of different agents interleave. The int32 columns
+    hold any run that fits in memory: a minute past 2**31 needs float64
+    series of 16 GiB each."""
+
+    __slots__ = ("minute", "agent", "power")
+
+    def __init__(self):
+        self.minute = array("i")
+        self.agent = array("i")
+        self.power = array("b")
+
+
 class OccupantAgent:
     """One electricity user. Identity fields are fixed for the whole
     run; the remaining fields are the current machine state, its clocks
@@ -237,7 +264,7 @@ class OccupantAgent:
     __slots__ = (
         "id", "schedule_class", "stereotype", "awareness", "office_room_id",
         "computer_id", "state", "corridor_mode", "next_minute", "leave_at",
-        "computer_at", "break_end", "break_timer", "visiting_room_id",
+        "break_end", "break_timer", "visiting_room_id",
         "today_schedule", "computer_power", "p_email",
     )
 
@@ -260,12 +287,11 @@ class OccupantAgent:
         self.corridor_mode: CorridorMode | None = None
         self.next_minute = NEVER  # the agent's next firing, the earliest clock
         self.leave_at = NEVER  # in the office: the leave clock or the departure
-        self.computer_at = NEVER  # in the office: the next computer event
         self.break_end = NEVER  # on a long break: the return to the office
         self.break_timer = 0  # minutes of break left, kept during a visit
         self.visiting_room_id: str | None = None
         self.today_schedule: tuple[int, int] | None = None
-        self.computer_power = POWER_OFF
+        self.computer_power = POWER_OFF  # in the office: as its stay ends
         # The stereotype's expected emails per office day, looked up once.
         self.p_email = STEREOTYPE_PARAMS[stereotype].p_email
 
@@ -296,17 +322,18 @@ def waiting_time(rng, clock: float) -> int:
 
 
 class BehaviorContext:
-    """Static per-run context shared by every agent transition; the
-    hazards' waiting-time factors are computed once."""
+    """Per-run context shared by every agent transition: the hazards'
+    waiting-time factors, computed once, and the run's computer log."""
 
     __slots__ = (
         "params", "facility_room_ids", "leave_clock", "standby_clock",
-        "visit_clock",
+        "visit_clock", "computer_log",
     )
 
     def __init__(self, params: BehaviorParams, facility_room_ids: tuple[str, ...]):
         self.params = params
         self.facility_room_ids = facility_room_ids
+        self.computer_log = ComputerLog()
         self.leave_clock = hazard_clock(params.leave_hazard_per_minute)
         self.standby_clock = hazard_clock(params.computer_standby_prob_per_minute)
         self.visit_clock = (
@@ -415,9 +442,6 @@ def sample_daily_schedule(
 # enum class attribute in every transition.
 _ENTER_BUILDING = EventKind.ENTER_BUILDING
 _ENTER_OWN_OFFICE = EventKind.ENTER_OWN_OFFICE
-_SWITCH_COMPUTER_ON = EventKind.SWITCH_COMPUTER_ON
-_COMPUTER_TO_STANDBY = EventKind.COMPUTER_TO_STANDBY
-_SWITCH_COMPUTER_OFF = EventKind.SWITCH_COMPUTER_OFF
 _LEAVE_OFFICE_TEMPORARY = EventKind.LEAVE_OFFICE_TEMPORARY
 _LEAVE_OFFICE_LONG = EventKind.LEAVE_OFFICE_LONG
 _ENTER_OTHER_ROOM = EventKind.ENTER_OTHER_ROOM
@@ -447,7 +471,8 @@ def step_occupant(
     ``agent.next_minute`` is then its next firing, NEVER once it has left
     for the day. Returns True iff it emitted any event. An event is a
     plain tuple ``(kind, minute, agent_id, room_id)`` in ``OccupantEvent``'s
-    field order, ``room_id`` None where the event names no room.
+    field order, ``room_id`` None where the event names no room. Computer
+    transitions are not events here: they go to ``ctx.computer_log``.
 
     Requires today's schedule to have been sampled already. Light
     switching is not decided here; the engine derives manual light events
@@ -464,10 +489,13 @@ def step_occupant(
       otherwise; when no more than ``temporary_leave_max`` minutes remain
       only long leaves are offered, so a temporary break always ends
       before the leave time. A long leave that would outlast the day is
-      the departure.
+      the departure. The leave's minute is fixed on entering.
     - The computer, in the office: a standby hazard while working with
-      it, and ``COMPUTER_SWITCH_ON_MINUTES`` to switch it back on. A leave
-      and a computer event due at the same minute: the leave fires.
+      it, and ``COMPUTER_SWITCH_ON_MINUTES`` to switch it back on; the
+      whole stay's cycle is drawn on entering (``_draw_computer_cycle``).
+      A leave and a computer event due at the same minute: the leave
+      fires, and the computer event never happens. On a long leave the
+      agent may switch its computer off.
     - On a long break, a facility-visit hazard until the break ends; the
       visit's dwell does not count against the break, and at the leave
       minute the agent heads out.
@@ -479,10 +507,9 @@ def step_occupant(
     state = agent.state
 
     if state is _OFFICE:
-        if minute < agent.leave_at:
-            _computer_event(agent, minute, ctx, rng, events)
-        elif minute >= leave_minute:
-            _leave_office_long(agent, minute, events, rng, ctx.params)
+        # The stay's only firing is its leave.
+        if minute >= leave_minute:
+            _leave_office_long(agent, minute, ctx, rng, events)
             _head_out(agent, minute)
         else:
             _leave_office(agent, minute, leave_minute, ctx, rng, events)
@@ -535,28 +562,43 @@ def _enter_office(
     agent.state = _OFFICE
     agent.corridor_mode = None
     events.append((_ENTER_OWN_OFFICE, minute, agent.id, agent.office_room_id))
-    agent.leave_at = min(minute + 1 + waiting_time(rng, ctx.leave_clock), leave_minute)
-    if agent.computer_id is None:
-        agent.computer_at = NEVER
-    elif agent.computer_power == POWER_ON:
-        # Machine kept running during the absence; resume right away.
-        agent.computer_at = minute + 1 + waiting_time(rng, ctx.standby_clock)
-    else:
-        agent.computer_at = minute + COMPUTER_SWITCH_ON_MINUTES
-    # A leave due at the same minute as a computer event fires first.
-    agent.next_minute = min(agent.leave_at, agent.computer_at)
+    leave_at = min(minute + 1 + waiting_time(rng, ctx.leave_clock), leave_minute)
+    agent.leave_at = agent.next_minute = leave_at
+    if agent.computer_id is not None:
+        _draw_computer_cycle(agent, minute, leave_at, ctx, rng)
 
 
-def _computer_event(agent: OccupantAgent, minute: int, ctx, rng, events: list) -> None:
-    if agent.computer_power == POWER_ON:
-        agent.computer_power = POWER_STANDBY
-        agent.computer_at = minute + COMPUTER_SWITCH_ON_MINUTES
-        events.append((_COMPUTER_TO_STANDBY, minute, agent.id, None))
+def _draw_computer_cycle(
+    agent: OccupantAgent, minute: int, leave_at: int, ctx, rng
+) -> None:
+    """Write the computer transitions of the office stay entered at
+    ``minute`` and left at ``leave_at`` to the run's computer log, with the
+    standby waits drawn in the order their switch-ons would draw them,
+    and leave ``agent.computer_power`` as the stay ends. A machine kept
+    running during the absence resumes at once, with a standby wait drawn
+    on entering; any other is switched on ``COMPUTER_SWITCH_ON_MINUTES``
+    later. A transition due at ``leave_at`` or later does not happen."""
+    log = ctx.computer_log
+    minutes = log.minute
+    owners = log.agent
+    powers = log.power
+    clock = ctx.standby_clock
+    power = agent.computer_power
+    if power == POWER_ON:
+        at = minute + 1 + waiting_time(rng, clock)
     else:
-        agent.computer_power = POWER_ON
-        agent.computer_at = minute + 1 + waiting_time(rng, ctx.standby_clock)
-        events.append((_SWITCH_COMPUTER_ON, minute, agent.id, None))
-    agent.next_minute = min(agent.leave_at, agent.computer_at)
+        at = minute + COMPUTER_SWITCH_ON_MINUTES
+    while at < leave_at:
+        minutes.append(at)
+        owners.append(agent.id)
+        if power == POWER_ON:
+            power = POWER_STANDBY
+            at += COMPUTER_SWITCH_ON_MINUTES
+        else:
+            power = POWER_ON
+            at += 1 + waiting_time(rng, clock)
+        powers.append(power)
+    agent.computer_power = power
 
 
 def _leave_office(
@@ -576,7 +618,7 @@ def _leave_office(
         events.append((_LEAVE_OFFICE_TEMPORARY, minute, agent.id, agent.office_room_id))
         return
     duration = rng.randint(params.long_leave_min, params.long_leave_max)
-    _leave_office_long(agent, minute, events, rng, params)
+    _leave_office_long(agent, minute, ctx, rng, events)
     if minute + duration >= leave_minute:
         # Break would outlast the working day: this is the departure.
         _head_out(agent, minute)
@@ -618,12 +660,15 @@ def _visit_facility(agent: OccupantAgent, minute: int, ctx, rng, events: list) -
 
 
 def _leave_office_long(
-    agent: OccupantAgent, minute: int, events: list, rng, params: BehaviorParams
+    agent: OccupantAgent, minute: int, ctx, rng, events: list
 ) -> None:
     """Long leave out of the office: consider killing the computer, then go."""
     if agent.computer_id is not None and agent.computer_power != POWER_OFF:
-        if rng.random() < computer_switch_off_prob(agent.awareness, params):
+        if rng.random() < computer_switch_off_prob(agent.awareness, ctx.params):
             agent.computer_power = POWER_OFF
-            events.append((_SWITCH_COMPUTER_OFF, minute, agent.id, None))
+            log = ctx.computer_log
+            log.minute.append(minute)
+            log.agent.append(agent.id)
+            log.power.append(POWER_OFF)
     agent.state = _CORRIDOR
     events.append((_LEAVE_OFFICE_LONG, minute, agent.id, agent.office_room_id))

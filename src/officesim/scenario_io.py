@@ -50,6 +50,7 @@ formatting, LF line endings, sorted JSON keys, no timestamps.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import compress, count
 from pathlib import Path
@@ -387,10 +388,30 @@ def _fmt_float(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _write_bytes_atomic(path: Path, data: bytes) -> None:
+# Minutes per chunk of a minute CSV: a two-day file goes in one write.
+_CHUNK_ROWS = 4096
+
+
+def _write_atomic(path: Path, chunks) -> tuple[Path, str, int]:
+    """Write the text ``chunks`` to ``path`` through a temporary file,
+    hashing each as it is written; returns (path, sha256, bytes)."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    size = 0
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                digest.update(data)
+                f.write(data)
+                size += len(data)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
+    return path, digest.hexdigest(), size
 
 
 def _run_starts(columns, n: int) -> list[int]:
@@ -412,38 +433,47 @@ def _run_starts(columns, n: int) -> list[int]:
     return list(compress(count(1), words))
 
 
-def _minute_csv_bytes(ledger: EnergyLedger, fmt) -> bytes:
-    """The minute series as CSV, formatting each constant run once.
+def _minute_csv_chunks(ledger: EnergyLedger, fmt):
+    """The minute series as CSV text, in chunks of ``_CHUNK_ROWS`` minutes
+    (the header goes with the first), formatting each constant run once
+    per chunk.
 
     A run ends where any column's bit pattern changes, so ``-0.0`` and
     ``0.0`` stay apart and NaNs do not split runs the way ``==`` would.
     The total is a function of the other three columns, so their runs
     are its runs.
     """
-    parts = ["minute,base_w,lights_w,computers_w,total_w\n"]
+    header = "minute,base_w,lights_w,computers_w,total_w\n"
     n = len(ledger)
-    if n:
-        columns = (ledger.base_w, ledger.lights_w, ledger.computers_w)
-        base_w, lights_w, computers_w = columns
-        bounds = [0, *_run_starts(columns, n), n]
-        for start, end in zip(bounds, bounds[1:]):
+    if not n:
+        yield header
+        return
+    columns = (ledger.base_w, ledger.lights_w, ledger.computers_w)
+    base_w, lights_w, computers_w = columns
+    bounds = [0, *_run_starts(columns, n), n]
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        # The runs within [lo, hi); the first may have begun before lo.
+        cuts = [lo, *bounds[bisect_right(bounds, lo):bisect_left(bounds, hi)], hi]
+        rows = [header] if lo == 0 else []
+        for start, end in zip(cuts, cuts[1:]):
             base = base_w[start]
             lights = lights_w[start]
             computers = computers_w[start]
             total = base + lights + computers
             suffix = f",{fmt(base)},{fmt(lights)},{fmt(computers)},{fmt(total)}\n"
-            parts.extend([f"{m}{suffix}" for m in range(start, end)])
-    return "".join(parts).encode("utf-8")
+            rows += [f"{m}{suffix}" for m in range(start, end)]
+        yield "".join(rows)
 
 
-def _half_hourly_csv_bytes(ledger: EnergyLedger) -> bytes:
+def _half_hourly_csv(ledger: EnergyLedger) -> str:
     parts = ["bin_start,base_kwh,lights_kwh,computers_kwh,total_kwh\n"]
     for b in half_hour_bins(ledger):
         parts.append(
             f"{b.start_minute},{b.base_kwh:.9f},{b.lights_kwh:.9f},"
             f"{b.computers_kwh:.9f},{b.total_kwh:.9f}\n"
         )
-    return "".join(parts).encode("utf-8")
+    return "".join(parts)
 
 
 def _proportions_payload(
@@ -466,10 +496,10 @@ def _proportions_payload(
     }
 
 
-def _json_bytes(payload) -> bytes:
+def _json_text(payload) -> str:
     import json
 
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _mean_ledger(result: ExperimentResult) -> EnergyLedger:
@@ -489,41 +519,32 @@ def emit_experiment(
 
     Produces a mean minute series, mean half-hourly series, a category
     proportion report, one minute series per replication, and the run
-    manifest. Byte-identical for identical results.
+    manifest. Each file is written as it is formatted, the manifest last.
+    Byte-identical for identical results.
     """
     out = Path(out_dir)
     (out / "reps").mkdir(parents=True, exist_ok=True)
     scenario = result.scenario
-    written: list[tuple[Path, bytes]] = []
-
     mean_ledger = _mean_ledger(result)
-    written.append((out / "minutes_mean.csv", _minute_csv_bytes(mean_ledger, _fmt_float)))
-    written.append((out / "half_hourly_mean.csv", _half_hourly_csv_bytes(mean_ledger)))
-    written.append(
-        (
-            out / "proportions.json",
-            _json_bytes(
-                _proportions_payload(
-                    mean_ledger,
-                    window,
-                    scenario.horizon_days,
-                    scenario.start_day_of_week,
-                )
-            ),
-        )
+    proportions = _proportions_payload(
+        mean_ledger, window, scenario.horizon_days, scenario.start_day_of_week
     )
+    written = [
+        _write_atomic(
+            out / "minutes_mean.csv", _minute_csv_chunks(mean_ledger, _fmt_float)
+        ),
+        _write_atomic(out / "half_hourly_mean.csv", (_half_hourly_csv(mean_ledger),)),
+        _write_atomic(out / "proportions.json", (_json_text(proportions),)),
+    ]
     for i, rep in enumerate(result.replications):
         written.append(
-            (
+            _write_atomic(
                 out / "reps" / f"rep_{i:03d}_minutes.csv",
-                _minute_csv_bytes(rep.ledger, _fmt_watts),
+                _minute_csv_chunks(rep.ledger, _fmt_watts),
             )
         )
-
-    for path, data in written:
-        _write_bytes_atomic(path, data)
     _emit_manifest(out, written, result, command, scenario_path)
-    return [p for p, _ in written] + [out / "manifest.json"]
+    return [path for path, _, _ in written] + [out / "manifest.json"]
 
 
 def emit_comparison(
@@ -531,7 +552,8 @@ def emit_comparison(
     out_dir: str | Path,
     scenario_path: str | None = None,
 ) -> list[Path]:
-    """Write the policy-comparison report plus per-policy mean series."""
+    """Write the policy-comparison report plus per-policy mean series,
+    each file as it is formatted, and the manifest last."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     automated = comparison.automated
@@ -547,20 +569,18 @@ def emit_comparison(
         "lower_consumption_policy": comparison.lower_policy.value,
     }
     written = [
-        (out / "comparison.json", _json_bytes(payload)),
-        (
+        _write_atomic(out / "comparison.json", (_json_text(payload),)),
+        _write_atomic(
             out / "automated_minutes_mean.csv",
-            _minute_csv_bytes(_mean_ledger(automated), _fmt_float),
+            _minute_csv_chunks(_mean_ledger(automated), _fmt_float),
         ),
-        (
+        _write_atomic(
             out / "staff_controlled_minutes_mean.csv",
-            _minute_csv_bytes(_mean_ledger(staff), _fmt_float),
+            _minute_csv_chunks(_mean_ledger(staff), _fmt_float),
         ),
     ]
-    for path, data in written:
-        _write_bytes_atomic(path, data)
     _emit_manifest(out, written, automated, "compare", scenario_path)
-    return [p for p, _ in written] + [out / "manifest.json"]
+    return [path for path, _, _ in written] + [out / "manifest.json"]
 
 
 def _experiment_payload(result: ExperimentResult) -> dict:
@@ -577,22 +597,16 @@ def _experiment_payload(result: ExperimentResult) -> dict:
 
 def _emit_manifest(
     out: Path,
-    written: list[tuple[Path, bytes]],
+    written: list[tuple[Path, str, int]],
     result: ExperimentResult,
     command: str,
     scenario_path: str | None,
 ) -> None:
-    """Write manifest.json from the bytes just written to each output."""
-    import hashlib
-
+    """Write manifest.json from the (path, sha256, bytes) of each output."""
     scenario = result.scenario
     outputs = tuple(
-        {
-            "path": str(p.relative_to(out)),
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "bytes": len(data),
-        }
-        for p, data in sorted(written, key=lambda item: item[0])
+        {"path": str(path.relative_to(out)), "sha256": sha256, "bytes": size}
+        for path, sha256, size in sorted(written)
     )
     manifest = RunManifest(
         artifact_version=__version__,
@@ -605,4 +619,4 @@ def _emit_manifest(
         start_day=DAY_NAMES[scenario.start_day_of_week],
         outputs=outputs,
     )
-    _write_bytes_atomic(out / "manifest.json", _json_bytes(asdict(manifest)))
+    _write_atomic(out / "manifest.json", (_json_text(asdict(manifest)),))

@@ -1,4 +1,8 @@
+import gc
 import random
+import tracemalloc
+from array import array
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -378,7 +382,9 @@ def test_shared_pass_arms_equal_solo_replications():
 def test_computer_transitions_replay_from_events():
     # Each computer event sets its owner's computer to the building's spec
     # wattage for that state; replaying the events must rebuild the
-    # transition log exactly, and the log the ledger's computer series.
+    # transition log exactly, and the ledger's computer series must be the
+    # running total of the watt changes added in the kept events' (minute,
+    # agent id) order, bit for bit.
     spec_watts = {
         EventKind.SWITCH_COMPUTER_ON: "watts_on",
         EventKind.COMPUTER_TO_STANDBY: "watts_standby",
@@ -393,7 +399,11 @@ def test_computer_transitions_replay_from_events():
         owned = {r.id: r.computer_id for r in result.roster}
         watts = {cid: spec.watts_off for cid, spec in computers.items()}
         rebuilt = {cid: [(0, w)] for cid, w in watts.items()}
-        for ev in result.events:
+        running = 0.0
+        for w in watts.values():
+            running += w
+        series = array("d")
+        for ev in sorted(result.events, key=lambda e: (e.minute, e.agent_id)):
             field_name = spec_watts.get(ev.kind)
             if field_name is None:
                 continue
@@ -401,16 +411,57 @@ def test_computer_transitions_replay_from_events():
             cid = owned[ev.agent_id]
             new_watts = getattr(computers[cid], field_name)
             if new_watts != watts[cid]:
+                series.extend([running] * (ev.minute - len(series)))
+                running += new_watts - watts[cid]
                 watts[cid] = new_watts
                 rebuilt[cid].append((ev.minute, new_watts))
+        series.extend([running] * (result.n_minutes - len(series)))
         assert {cid: tuple(ts) for cid, ts in rebuilt.items()} == (
             result.computer_transitions
         )
-        series = np.zeros(result.n_minutes)
-        for transitions in rebuilt.values():
-            for (start, w), (end, _) in zip(
-                transitions, transitions[1:] + [(result.n_minutes, None)]
-            ):
-                series[start:end] += w
-        assert np.allclose(series, result.ledger.computers_w)
+        assert series.tobytes() == result.ledger.computers_w.tobytes()
     assert seen == set(spec_watts)
+
+
+def test_kept_events_are_in_minute_and_agent_order():
+    # Each arm's kept log is its agent events with the computer events
+    # merged in at (minute, agent id): every kept log must be in that
+    # order, and no agent has two computer events in one minute.
+    computer_kinds = {
+        EventKind.SWITCH_COMPUTER_ON,
+        EventKind.COMPUTER_TO_STANDBY,
+        EventKind.SWITCH_COMPUTER_OFF,
+    }
+    policies = (LightingPolicy.automated(), LightingPolicy.staff_controlled())
+    rng = random.Random(4711)
+    computer_events = 0
+    for _ in range(12):
+        scenario = random_scenario(rng)
+        arms = run_replication_arms(scenario, rng.randrange(2**31), policies)
+        for arm in arms:
+            keys = [(ev.minute, ev.agent_id) for ev in arm.events]
+            assert keys == sorted(keys)
+            per_minute = Counter(
+                (ev.minute, ev.agent_id)
+                for ev in arm.events
+                if ev.kind in computer_kinds
+            )
+            assert set(per_minute.values()) <= {1}
+            computer_events += len(per_minute)
+    assert computer_events > 0
+
+
+def test_unkept_reference_replication_retains_little(reference_scenario):
+    # A replication without kept events holds its series, light intervals,
+    # roster and computer log; the computer transitions are columns, not a
+    # tuple each, so one reference week stays well under 1.5 MB.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_replication(reference_scenario, seed=5, keep_events=False)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.computer_log.minute) > 10_000
+    assert retained < 1.5 * 2**20, retained

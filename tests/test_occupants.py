@@ -19,6 +19,7 @@ from officesim import run_replication
 from officesim.checks import derive_trace
 from officesim.occupants import (
     NEVER,
+    POWER_EVENTS,
     BehaviorContext,
     BehaviorParams,
     CorridorMode,
@@ -195,7 +196,6 @@ def _leave_kind(agent, minutes_remaining, rng, ctx):
     ("stay" if none) and puts the agent back at its desk."""
     minute = 1020 - minutes_remaining
     agent.leave_at = agent.next_minute = minute
-    agent.computer_at = NEVER
     events = []
     step_occupant(agent, minute, minute, ctx, rng, events)
     kinds = [e.kind for e in as_occupant_events(events)]
@@ -328,6 +328,13 @@ def _fire(agent, ctx, rng):
     return minute, _step(agent, minute, ctx, rng)
 
 
+def _computer_events(ctx):
+    """The computer transitions written to the run's log so far, as
+    (minute, kind)."""
+    log = ctx.computer_log
+    return [(m, POWER_EVENTS[p]) for m, p in zip(log.minute, log.power)]
+
+
 def _fresh_agent(schedule=(540, 1020), computer="K000"):
     agent = OccupantAgent(0, ScheduleClass.TIMETABLE_COMPLIER,
                           Stereotype.REGULAR_USER, 50.0, "office-p0",
@@ -369,37 +376,58 @@ def test_corridor_transit_takes_exactly_two_minutes():
 def test_computer_switched_on_two_minutes_after_entering():
     agent = _fresh_agent()
     rng = ScriptedRandom()
-    _step(agent, 540, _ctx(), rng)
-    _fire(agent, _ctx(), rng)  # enters at 542
-    minute, events = _fire(agent, _ctx(), rng)
-    assert minute == 544
-    assert [e.kind for e in events] == [EventKind.SWITCH_COMPUTER_ON]
+    ctx = _ctx()
+    _step(agent, 540, ctx, rng)
+    _fire(agent, ctx, rng)  # enters at 542, drawing the stay's computer cycle
+    assert _computer_events(ctx) == [(544, EventKind.SWITCH_COMPUTER_ON)]
     assert agent.computer_power == POWER_ON
+    assert agent.next_minute == agent.leave_at == 1020
+
+
+def test_leave_due_with_a_computer_event_fires_first():
+    # The leave clock drawn on entering at 542 fires at 544, the minute the
+    # computer would be switched on: the agent leaves and the computer
+    # stays off.
+    agent = _fresh_agent()
+    rng = ScriptedRandom(values=[uniform_for_wait(0.01, 1), 0.0], ints=[7])
+    ctx = _ctx()
+    _step(agent, 540, ctx, rng)
+    _fire(agent, ctx, rng)  # enters at 542
+    assert _computer_events(ctx) == []
+    minute, events = _fire(agent, ctx, rng)
+    assert (minute, [e.kind for e in events]) == (
+        544, [EventKind.LEAVE_OFFICE_TEMPORARY]
+    )
+    assert agent.computer_power == POWER_OFF
 
 
 def test_agent_without_computer_emits_no_computer_events():
     agent = _fresh_agent(computer=None)
     rng = random.Random(21)
-    kinds = [e.kind for e in _step(agent, 540, _ctx(), rng)]
+    ctx = _ctx()
+    kinds = [e.kind for e in _step(agent, 540, ctx, rng)]
     while agent.state is not AgentState.OUT_OF_SCHOOL:
-        kinds += [e.kind for e in _fire(agent, _ctx(), rng)[1]]
+        kinds += [e.kind for e in _fire(agent, ctx, rng)[1]]
     assert EventKind.ENTER_OWN_OFFICE in kinds
     assert EventKind.SWITCH_COMPUTER_ON not in kinds
     assert EventKind.COMPUTER_TO_STANDBY not in kinds
+    assert _computer_events(ctx) == []
 
 
 def test_standby_then_resume_cycle():
     agent = _fresh_agent()
     # no leave; the standby clock drawn at switch-on fires the next minute
     rng = ScriptedRandom(values=[LATEST_UNIFORM, 0.0])
-    _step(agent, 540, _ctx(), rng)
-    _fire(agent, _ctx(), rng)  # enters at 542
-    _fire(agent, _ctx(), rng)  # switches on at 544
+    ctx = _ctx()
+    _step(agent, 540, ctx, rng)
+    _fire(agent, ctx, rng)  # enters at 542
+    assert _computer_events(ctx) == [
+        (544, EventKind.SWITCH_COMPUTER_ON),
+        (545, EventKind.COMPUTER_TO_STANDBY),
+        (547, EventKind.SWITCH_COMPUTER_ON),
+    ]
     assert agent.computer_power == POWER_ON
-    minute, events = _fire(agent, _ctx(), rng)
-    assert (minute, [e.kind for e in events]) == (545, [EventKind.COMPUTER_TO_STANDBY])
-    minute, events = _fire(agent, _ctx(), rng)
-    assert (minute, [e.kind for e in events]) == (547, [EventKind.SWITCH_COMPUTER_ON])
+    assert rng.values == []
 
 
 def test_temporary_leave_duration_is_exact():
@@ -409,14 +437,15 @@ def test_temporary_leave_duration_is_exact():
     rng = ScriptedRandom(
         values=[uniform_for_wait(0.01, 2), LATEST_UNIFORM, 0.0], ints=[7]
     )
-    _step(agent, 540, _ctx(), rng)
-    _fire(agent, _ctx(), rng)  # enters at 542
-    _fire(agent, _ctx(), rng)  # switches on at 544
-    minute, events = _fire(agent, _ctx(), rng)
+    ctx = _ctx()
+    _step(agent, 540, ctx, rng)
+    _fire(agent, ctx, rng)  # enters at 542
+    assert _computer_events(ctx) == [(544, EventKind.SWITCH_COMPUTER_ON)]
+    minute, events = _fire(agent, ctx, rng)
     assert (minute, [e.kind for e in events]) == (
         545, [EventKind.LEAVE_OFFICE_TEMPORARY]
     )
-    minute, events = _fire(agent, _ctx(), rng)
+    minute, events = _fire(agent, ctx, rng)
     assert (minute, [e.kind for e in events]) == (552, [EventKind.ENTER_OWN_OFFICE])
 
 
@@ -430,13 +459,12 @@ def test_long_leave_switches_computer_off_when_roll_succeeds():
     ctx = _ctx(computer_off_threshold=0.0)
     _step(agent, 540, ctx, rng)
     _fire(agent, ctx, rng)  # enters at 542
-    _fire(agent, ctx, rng)  # switches on at 544
+    assert _computer_events(ctx) == [(544, EventKind.SWITCH_COMPUTER_ON)]
     minute, events = _fire(agent, ctx, rng)
     assert minute == 545
-    assert [e.kind for e in events] == [
-        EventKind.SWITCH_COMPUTER_OFF,
-        EventKind.LEAVE_OFFICE_LONG,
-    ]
+    # the switch-off goes to the computer log, the leave is the event
+    assert _computer_events(ctx)[1:] == [(545, EventKind.SWITCH_COMPUTER_OFF)]
+    assert [e.kind for e in events] == [EventKind.LEAVE_OFFICE_LONG]
     assert agent.computer_power == POWER_OFF
     assert agent.corridor_mode is CorridorMode.LONG_BREAK
     assert agent.break_end == 575
@@ -463,9 +491,10 @@ def test_other_room_dwell_is_never_longer_than_sampled():
 def test_departure_at_leave_minute_goes_through_corridor():
     agent = _fresh_agent(schedule=(540, 560))
     rng = ScriptedRandom()
-    _step(agent, 540, _ctx(), rng)
-    _fire(agent, _ctx(), rng)  # enters at 542
-    _fire(agent, _ctx(), rng)  # switches on at 544
+    ctx = _ctx()
+    _step(agent, 540, ctx, rng)
+    _fire(agent, ctx, rng)  # enters at 542
+    assert _computer_events(ctx) == [(544, EventKind.SWITCH_COMPUTER_ON)]
     assert agent.state is AgentState.IN_OWN_OFFICE
     minute, events = _fire(agent, _ctx(), rng)
     assert minute == 560

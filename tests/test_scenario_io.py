@@ -24,7 +24,8 @@ from officesim.scenario_io import (
     WINDOW_PRESETS,
     _fmt_float,
     _fmt_watts,
-    _minute_csv_bytes,
+    _CHUNK_ROWS,
+    _minute_csv_chunks,
     parse_scenario_text,
     scenario_fingerprint,
 )
@@ -206,20 +207,38 @@ def test_emit_experiment_files_and_determinism(tmp_path):
 
 
 def test_manifest_lists_outputs_with_hashes(tmp_path):
-    scenario = make_small_scenario(population_size=2, horizon_days=1)
-    result = run_experiment(scenario, replications=1, master_seed=3)
-    emit_experiment(result, tmp_path, scenario_path="scenario.yaml")
+    # Both emitters hash each file as they write it; the manifest must
+    # match the files on disk, list every one of them, and no temporary
+    # file may be left behind.
     import hashlib
     import json
 
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["replications"] == 1
-    assert manifest["scenario_sha256"] == scenario_fingerprint(scenario)
-    assert manifest["master_seed"] == result.master_seed
-    for entry in manifest["outputs"]:
-        data = (tmp_path / entry["path"]).read_bytes()
-        assert hashlib.sha256(data).hexdigest() == entry["sha256"]
-        assert len(data) == entry["bytes"]
+    scenario = make_small_scenario(population_size=2, horizon_days=3)
+    result = run_experiment(scenario, replications=1, master_seed=3)
+    comparison = compare_policies(scenario, replications=2, master_seed=3)
+    runs = (
+        (tmp_path / "simulate", 1, result.master_seed,
+         lambda out: emit_experiment(result, out, scenario_path="scenario.yaml")),
+        (tmp_path / "compare", 2, comparison.automated.master_seed,
+         lambda out: emit_comparison(comparison, out, scenario_path="scenario.yaml")),
+    )
+    for out, replications, master_seed, emit in runs:
+        paths = emit(out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["replications"] == replications
+        assert manifest["scenario_sha256"] == scenario_fingerprint(scenario)
+        assert manifest["scenario_path"] == "scenario.yaml"
+        assert manifest["master_seed"] == master_seed
+        for entry in manifest["outputs"]:
+            data = (out / entry["path"]).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+            assert len(data) == entry["bytes"]
+        on_disk = sorted(p for p in out.rglob("*") if p.is_file())
+        assert on_disk == sorted(paths)
+        assert [e["path"] for e in manifest["outputs"]] == sorted(
+            str(p.relative_to(out)) for p in paths if p.name != "manifest.json"
+        )
+        assert not list(out.rglob("*.tmp"))
 
 
 def test_emit_comparison_names_lower_policy(tmp_path):
@@ -289,4 +308,10 @@ def test_run_writer_matches_row_writer(stretches):
     ]
     ledger = EnergyLedger(*columns)
     for fmt in (_fmt_watts, _fmt_float):
-        assert _minute_csv_bytes(ledger, fmt) == _minute_csv_rows(ledger, fmt)
+        chunks = list(_minute_csv_chunks(ledger, fmt))
+        assert "".join(chunks).encode("utf-8") == _minute_csv_rows(ledger, fmt)
+        # _CHUNK_ROWS minutes a chunk, the last one fewer; the header first
+        minutes = [c.count("\n") for c in chunks]
+        minutes[0] -= 1
+        full, last = divmod(len(ledger), _CHUNK_ROWS)
+        assert minutes == [_CHUNK_ROWS] * full + ([last] if last or not full else [])
