@@ -1,7 +1,7 @@
-"""Diagnostics of a replication, derived from its kept events: the
+"""Diagnostics of any replication, derived from its run record: the
 per-minute ``RunTrace`` and the room occupancy replayed from the agent
-events. The simulation never runs this code; it is the one module of
-the package that imports numpy.
+event columns. The simulation never runs this code; it is the one module
+of the package that imports numpy.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .engine import (
     _LEAVE_BUILDING,
     _LEAVE_OFFICE_LONG,
     _LEAVE_OFFICE_TEMPORARY,
+    EVENT_KINDS,
     ReplicationResult,
     _zones,
     derive_seed,
@@ -30,7 +31,7 @@ from .scenario_io import Scenario
 
 @dataclass
 class RunTrace:
-    """Per-minute diagnostics of a run, derived from its kept events by
+    """Per-minute diagnostics of a run, derived from its record by
     ``derive_trace``; the matrices and the daily awareness vectors are
     numpy arrays."""
 
@@ -55,50 +56,46 @@ _STATE_EDGES = {
 }
 
 
-def _require_kept_events(result: ReplicationResult) -> None:
-    if result.events is None:
-        raise ValueError(
-            f"replication {result.seed} was run without its events kept; "
-            "run it with keep_events=True"
-        )
+# _STATE_EDGES by event kind code; every agent event has an edge.
+_CODE_EDGES = tuple(_STATE_EDGES.get(kind) for kind in EVENT_KINDS)
+
+# Per event kind code: the step an event of that kind adds to the
+# occupancy of the room it names, and to that of the corridor.
+_ROOM_STEP = np.array([
+    1 if kind in (_ENTER_OWN_OFFICE, _ENTER_OTHER_ROOM)
+    else -1 if kind in (_LEAVE_OFFICE_TEMPORARY, _LEAVE_OFFICE_LONG, _EXIT_OTHER_ROOM)
+    else 0
+    for kind in EVENT_KINDS
+])
+_CORRIDOR_STEP = -_ROOM_STEP
+_CORRIDOR_STEP[EVENT_KINDS.index(_ENTER_BUILDING)] = 1
+_CORRIDOR_STEP[EVENT_KINDS.index(_LEAVE_BUILDING)] = -1
 
 
 def room_occupancy(result: ReplicationResult) -> np.ndarray:
     """Rooms x minutes, bool: whether each room is occupied after each
-    minute's events, replayed over the zones from the agent events of
-    ``result``, a replication run with its events kept. Corridor rooms
-    share the corridor's occupancy."""
-    _require_kept_events(result)
-    rooms = result.building.rooms
-    zone_rooms, room_zone, zone_of = _zones(rooms)
-    zones, minutes, steps = [], [], []
-    corridor_minutes, corridor_steps = [], []
-    # Identity tests, not a dict of kinds: an enum's hash is Python code.
-    for kind, minute, _, room_id in result.events:
-        if kind is _ENTER_BUILDING or kind is _LEAVE_BUILDING:
-            corridor_minutes.append(minute)
-            corridor_steps.append(1 if kind is _ENTER_BUILDING else -1)
-            continue
-        if kind is _ENTER_OWN_OFFICE or kind is _ENTER_OTHER_ROOM:
-            step = 1
-        elif kind in (_LEAVE_OFFICE_TEMPORARY, _LEAVE_OFFICE_LONG, _EXIT_OTHER_ROOM):
-            step = -1
-        else:
-            continue
-        zones.append(zone_of[room_id])
-        minutes.append(minute)
-        steps.append(step)
-        corridor_minutes.append(minute)
-        corridor_steps.append(-step)
+    minute's events, replayed over the zones from the agent event columns
+    of ``result``'s record. Corridor rooms share the corridor's
+    occupancy."""
+    record = result.record
+    zone_rooms, room_zone, _ = _zones(result.building.rooms)
+    kinds = np.frombuffer(record.kind, dtype=np.int8)
+    minutes = np.frombuffer(record.minute, dtype=np.int32)
+    rooms = np.frombuffer(record.room, dtype=np.int32)
+    named = rooms >= 0
     delta = np.zeros((len(zone_rooms), result.n_minutes), dtype=np.int64)
-    np.add.at(delta, (zones, minutes), steps)
-    np.add.at(delta[0], corridor_minutes, corridor_steps)  # zone 0: the corridor
+    np.add.at(
+        delta,
+        (np.array(room_zone, dtype=np.intp)[rooms[named]], minutes[named]),
+        _ROOM_STEP[kinds[named]],
+    )
+    np.add.at(delta[0], minutes, _CORRIDOR_STEP[kinds])  # zone 0: the corridor
     return (np.cumsum(delta, axis=1) > 0)[room_zone]
 
 
 def derive_trace(result: ReplicationResult, scenario: Scenario) -> RunTrace:
     """The per-minute diagnostics of ``result``, a replication of
-    ``scenario`` run with its events (and so its contacts) kept:
+    ``scenario``, from its record:
 
     - the state transitions are the agent events, mapped by kind;
     - room occupancy is ``room_occupancy``;
@@ -108,14 +105,12 @@ def derive_trace(result: ReplicationResult, scenario: Scenario) -> RunTrace:
     - the awareness at each midnight is the initial awareness plus the
       capped contact increments before it.
     """
-    _require_kept_events(result)
     rooms = result.building.rooms
     n_minutes = result.n_minutes
-    transitions = []
-    for kind, minute, agent_id, _ in result.events:
-        edge = _STATE_EDGES.get(kind)
-        if edge is not None:
-            transitions.append((minute, agent_id, *edge))
+    events = zip(result.record.kind, result.record.minute, result.record.agent)
+    transitions = [
+        (minute, agent_id, *_CODE_EDGES[code]) for code, minute, agent_id in events
+    ]
 
     lights_on = np.zeros((len(rooms), n_minutes), dtype=bool)
     for i, room in enumerate(rooms):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from heapq import heappop, heappush
@@ -53,7 +52,6 @@ from .occupants import (
     POWER_EVENTS,
     POWER_OFF,
     BehaviorContext,
-    ComputerLog,
     EventKind,
     OccupantAgent,
     OccupantEvent,
@@ -101,37 +99,150 @@ class AgentRecord(NamedTuple):
     final_awareness: float
 
 
-@dataclass(frozen=True)
-class ReplicationResult:
-    seed: int
-    n_minutes: int
-    ledger: EnergyLedger
-    events: tuple[OccupantEvent, ...] | None  # None: not kept
-    roster: tuple[AgentRecord, ...]
-    light_intervals: dict[str, tuple[tuple[int, int], ...]]  # room -> on-intervals
-    computer_log: ComputerLog  # shared by the arms of one agent pass
-    contact_count: int
-    building: BuildingModel
-    # Kept with the events (else None): (sender_id, receiver_id, minute) per
-    # email, sorted by (minute, sender_id).
-    contacts: tuple[tuple[int, int, int], ...] | None
+def _columns(typecodes: str) -> tuple[array, ...]:
+    return tuple(array(typecode) for typecode in typecodes)
+
+
+# Every event kind, indexed by its code in a run record.
+EVENT_KINDS = tuple(EventKind)
+_KIND_CODES = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+_MANUAL_LIGHTS_ON = _KIND_CODES[EventKind.MANUAL_LIGHTS_ON]
+_MANUAL_LIGHTS_OFF = _KIND_CODES[EventKind.MANUAL_LIGHTS_OFF]
+
+
+class RunRecord:
+    """What one agent pass did, in ``array`` columns; the results of its
+    arms share it and build their events, contacts and computer
+    transitions from it on demand. The int32 columns hold any run that
+    fits in memory: a minute past 2**31 needs float64 series of 16 GiB
+    each."""
+
+    def __init__(self, scenario, seed, agents, email_p, n_arms):
+        self.scenario = scenario  # its lighting policy is not used
+        self.seed = seed
+        self.computer_ids = tuple(a.computer_id for a in agents)
+        self.email_p = email_p  # per sender, its email hazard; None: no emails
+        # Agent events in the calendar's (minute, agent id) order: the code
+        # in EVENT_KINDS, and the index in the building's rooms (-1: none).
+        self.kind, self.minute, self.agent, self.room = _columns("biii")
+        # Computer transitions, written by step_occupant in the order drawn
+        # (each agent's in time order): the power state entered, POWER_*.
+        self.computer_minute, self.computer_agent, self.computer_power = (
+            _columns("iib")
+        )
+        # Office stays: one row per contact_step call, with its arguments.
+        self.stay_sender, self.stay_start, self.stay_end = _columns("iii")
+        # Per arm, its manual light events: the number of agent events
+        # before each, its kind code and its room index. Each follows the
+        # agent event that triggered it, at its minute and by its agent.
+        self.manual = [_columns("ibi") for _ in range(n_arms)]
+
+    def events(self, arm: int) -> tuple[OccupantEvent, ...]:
+        """The events of arm ``arm`` in (minute, agent id) order: each
+        agent event followed by the manual light events it triggered, and
+        each computer event before the agent events of its agent and
+        minute (a switch-off on leaving precedes the leave)."""
+        rooms = self.scenario.building.rooms
+        room_ids = tuple(room.id for room in rooms) + (None,)  # -1: None
+        kinds = EVENT_KINDS
+        # Sort key: (minute, agent id), and the computer events first.
+        step = 2 * len(self.computer_ids)
+        rows = zip(self.computer_minute, self.computer_agent, self.computer_power)
+        keyed = [
+            (m * step + 2 * a, OccupantEvent(POWER_EVENTS[power], m, a))
+            for m, a, power in rows
+        ]
+        rows = zip(self.kind, self.minute, self.agent, self.room)
+        agent_events = [
+            (m * step + 2 * a + 1, OccupantEvent(kinds[code], m, a, room_ids[room]))
+            for code, m, a, room in rows
+        ]
+        keyed += agent_events
+        keyed += [  # a manual event has its trigger's key, minute and agent
+            (agent_events[p - 1][0], agent_events[p - 1][1]._replace(
+                kind=kinds[code], room_id=room_ids[room]
+            ))
+            for p, code, room in zip(*self.manual[arm])
+        ]
+        # Stable: a manual event follows its trigger, which precedes it here.
+        keyed.sort(key=itemgetter(0))
+        return tuple(event for _, event in keyed)
+
+    @cached_property
+    def contacts(self) -> tuple[tuple[int, int, int], ...]:
+        """Every email of the pass as ``(sender_id, receiver_id, minute)``,
+        sorted by minute, then sender: each office stay's emails drawn
+        again by ``contact_step`` from a fresh email stream of its sender,
+        in the order of the stays. Nothing else draws from those streams,
+        so the draws are the pass's own."""
+        # The network, too, is built again from its own stream: kept, it
+        # would hold ~70 KB per replication of an experiment.
+        scenario = self.scenario
+        network = _build_network(
+            len(self.computer_ids), scenario.small_world_k,
+            scenario.small_world_beta, Random(derive_seed(self.seed, "network")),
+        )
+        rngs: dict[int, Random] = {}
+        contacts: list[tuple[int, int, int]] = []
+        stays = zip(self.stay_sender, self.stay_start, self.stay_end)
+        for sender, start, end in stays:
+            rng = rngs.get(sender)
+            if rng is None:
+                rng = rngs[sender] = Random(derive_seed(self.seed, f"email:{sender}"))
+            contacts += contact_step(
+                network, sender, self.email_p[sender], start, end, rng
+            )
+        # By minute, then sender: two stable sorts on int keys.
+        contacts.sort(key=itemgetter(0))
+        contacts.sort(key=itemgetter(2))
+        return tuple(contacts)
 
     @cached_property
     def computer_transitions(self) -> dict[str, tuple[tuple[int, float], ...]]:
         """Each computer's wattage changes as (minute, watts), from
-        (0, off watts), in catalog order; built from the computer log on
-        first use."""
-        computers = self.building.computers
+        (0, off watts), in catalog order."""
+        computers = self.scenario.building.computers
         levels = {cid: _power_watts(spec) for cid, spec in computers.items()}
         transitions = {cid: [(0, spec.watts_off)] for cid, spec in computers.items()}
-        owned = [record.computer_id for record in self.roster]
-        log = self.computer_log
-        for minute, agent_id, power in zip(log.minute, log.agent, log.power):
+        owned = self.computer_ids
+        rows = zip(self.computer_minute, self.computer_agent, self.computer_power)
+        for minute, agent_id, power in rows:
             cid = owned[agent_id]
             watts = levels[cid][power]
             if watts != transitions[cid][-1][1]:
                 transitions[cid].append((minute, watts))
         return {cid: tuple(ts) for cid, ts in transitions.items()}
+
+
+@dataclass(frozen=True)
+class ReplicationResult:
+    seed: int
+    n_minutes: int
+    ledger: EnergyLedger
+    roster: tuple[AgentRecord, ...]
+    light_intervals: dict[str, tuple[tuple[int, int], ...]]  # room -> on-intervals
+    contact_count: int
+    building: BuildingModel
+    record: RunRecord  # shared by the arms of one agent pass
+    arm: int  # this result's arm of the pass
+
+    @cached_property
+    def events(self) -> tuple[OccupantEvent, ...]:
+        """Every event of the run, the manual light and computer events
+        included, in (minute, agent id) order (``RunRecord.events``)."""
+        return self.record.events(self.arm)
+
+    @property
+    def contacts(self) -> tuple[tuple[int, int, int], ...]:
+        """``(sender_id, receiver_id, minute)`` per email, sorted by
+        minute, then sender; built once per pass."""
+        return self.record.contacts
+
+    @property
+    def computer_transitions(self) -> dict[str, tuple[tuple[int, float], ...]]:
+        """Each computer's wattage changes as (minute, watts), from
+        (0, off watts), in catalog order; built once per pass."""
+        return self.record.computer_transitions
 
     def appliance_energies(
         self, start: int = 0, end: int | None = None
@@ -183,27 +294,27 @@ class _LightingArm:
     """One lighting policy driven by a shared agent pass.
 
     The arm owns everything its lights touch: the room banks, the running
-    lights total and its series, the event log and the manual-switching
-    stream. Lights never feed back into agents, contacts
-    or computers, so an arm evolves exactly as a run of its own would.
+    lights total and its series, its manual light events in the run
+    record and the manual-switching stream. Lights never feed back into
+    agents, contacts or computers, so an arm evolves exactly as a run of
+    its own would.
     """
 
     __slots__ = (
-        "policy", "banks", "zone_banks", "lights_running", "lights", "events",
-        "rng",
+        "policy", "banks", "lights_running", "lights", "rng", "record", "manual",
     )
 
-    def __init__(self, policy, rooms, room_watts, zone_rooms, seed, keep_events):
+    def __init__(self, policy, rooms, room_watts, seed, record, arm):
         self.policy = policy
         self.banks = [
             RoomLightBank(room.id, room.light_ids, watts)
             for room, watts in zip(rooms, room_watts)
         ]
-        self.zone_banks = [[self.banks[i] for i in members] for members in zone_rooms]
         self.lights_running = 0.0
         self.lights = array("d")  # written up to the last change
-        self.events: list[OccupantEvent] | None = [] if keep_events else None
         self.rng = Random(derive_seed(seed, "policy"))
+        self.record = record
+        self.manual = record.manual[arm]
 
     def add(self, watts: float, minute: int) -> None:
         """Change the running lights total during ``minute``; the series
@@ -211,29 +322,31 @@ class _LightingArm:
         _extend_to(self.lights, self.lights_running, minute)
         self.lights_running += watts
 
-    def switch_on(self, banks, minute: int, agent_id: int) -> None:
-        """Staff policy: agent ``agent_id`` switches on whichever of
-        ``banks`` is dark."""
-        for bank in banks:
+    def log_manual(self, code: int, room: int) -> None:
+        """Record a manual light event after the last agent event."""
+        positions, kinds, rooms = self.manual
+        positions.append(len(self.record.kind))
+        kinds.append(code)
+        rooms.append(room)
+
+    def switch_on(self, rooms, minute: int) -> None:
+        """Staff policy: the agent entering switches on whichever of the
+        banks of ``rooms`` (room indices) is dark."""
+        for i in rooms:
+            bank = self.banks[i]
             if bank.turn_on(minute):
                 self.add(bank.watts_total, minute)
-                if self.events is not None:
-                    self.events.append(OccupantEvent(
-                        EventKind.MANUAL_LIGHTS_ON, minute, agent_id, bank.room_id
-                    ))
+                self.log_manual(_MANUAL_LIGHTS_ON, i)
 
-    def roll_off(self, banks, minute: int, leaver: OccupantAgent) -> None:
+    def roll_off(self, rooms, minute: int, leaver: OccupantAgent) -> None:
         """Staff policy: ``leaver``, the last one out, rolls once to
-        switch ``banks`` off."""
+        switch the banks of ``rooms`` off."""
         if manual_exit_decision(leaver.awareness, self.rng):
-            for bank in banks:
+            for i in rooms:
+                bank = self.banks[i]
                 if bank.turn_off(minute):
                     self.add(-bank.watts_total, minute)
-                    if self.events is not None:
-                        self.events.append(OccupantEvent(
-                            EventKind.MANUAL_LIGHTS_OFF, minute, leaver.id,
-                            bank.room_id,
-                        ))
+                    self.log_manual(_MANUAL_LIGHTS_OFF, i)
 
 
 def _power_watts(spec) -> tuple[float, float, float]:
@@ -243,28 +356,20 @@ def _power_watts(spec) -> tuple[float, float, float]:
     )
 
 
-def run_replication(
-    scenario: Scenario, seed: int, keep_events: bool = True
-) -> ReplicationResult:
+def run_replication(scenario: Scenario, seed: int) -> ReplicationResult:
     """Execute one replication under the scenario's lighting policy."""
     scenario.validate()
-    (result,) = run_replication_arms(
-        scenario, seed, (scenario.policy,), keep_events=keep_events
-    )
+    (result,) = run_replication_arms(scenario, seed, (scenario.policy,))
     return result
 
 
 def run_replication_arms(
-    scenario: Scenario,
-    seed: int,
-    policies,
-    keep_events: bool = True,
+    scenario: Scenario, seed: int, policies
 ) -> tuple[ReplicationResult, ...]:
     """One agent pass of a valid scenario driving one lighting arm per
     policy; the scenario's own policy is not used. Arm i's result equals
-    ``run_replication`` of the scenario under ``policies[i]``. Keeping
-    the events keeps the contacts too; ``checks.derive_trace`` reads both.
-    Without kept events, ``events`` and ``contacts`` are None.
+    ``run_replication`` of the scenario under ``policies[i]``. The pass
+    writes one ``RunRecord``, which every arm's result holds.
 
     Next-event scheduling: each agent keeps the minute of its next firing
     (``step_occupant`` draws its hazards as waiting times and its
@@ -287,11 +392,9 @@ def run_replication_arms(
     cap is absorbing.
 
     Computers are not on the calendar either: ``step_occupant`` draws a
-    stay's whole computer cycle at the entry, into the run's computer
-    log. The computers series is replayed from that log at the end, in
-    the calendar's (minute, agent id) order, and a kept event log gets
-    the computer events merged in at their (minute, agent id), each
-    before the agent events of its minute.
+    stay's whole computer cycle at the entry, into the record. The
+    computers series is replayed from the record at the end, in the
+    calendar's (minute, agent id) order.
 
     Agents draw from their own behaviour streams and senders from their
     own email streams, each created when it is first needed, so an
@@ -317,31 +420,34 @@ def run_replication_arms(
     )
     contacts_on = network is not None and scenario.contact_rate > 0.0
     awareness_delta = scenario.awareness_delta
+    email_p = None
     if contacts_on:
-        email_p = [send_hazard(a.p_email, scenario.contact_rate) for a in agents]
+        email_p = array(
+            "d", [send_hazard(a.p_email, scenario.contact_rate) for a in agents]
+        )
+    record = RunRecord(scenario, seed, agents, email_p, len(policies))
 
     facility_ids = tuple(r.id for r in building.facility_rooms())
-    ctx = BehaviorContext(params=params, facility_room_ids=facility_ids)
+    ctx = BehaviorContext(params, facility_ids, record)
 
     rooms = building.rooms
     corridor = 0
     zone_rooms, room_zone, zone_of = _zones(rooms)
     office_zone = [zone_of[a.office_room_id] for a in agents]
+    room_index = {room.id: i for i, room in enumerate(rooms)}
+    room_index[None] = -1
     zone_occupancy = [0] * len(zone_rooms)
     room_watts = [
         sequential_sum(building.lights[lid].watts_on for lid in room.light_ids)
         for room in rooms
     ]
 
-    contact_log: list[tuple] | None = [] if keep_events else None
-
     arms = [
-        _LightingArm(policy, rooms, room_watts, zone_rooms, seed, keep_events)
-        for policy in policies
+        _LightingArm(policy, rooms, room_watts, seed, record, i)
+        for i, policy in enumerate(policies)
     ]
     automated_arms = [arm for arm in arms if arm.policy.is_automated]
     manual_arms = [arm for arm in arms if not arm.policy.is_automated]
-    logs = [arm.events for arm in arms] if keep_events else []
 
     # Automated policy: a bank with lights is stepped when its zone turns
     # occupied or vacant, and at its scheduled switch-off.
@@ -378,12 +484,12 @@ def run_replication_arms(
     present = 0  # agents in the building
     contact_count = 0
 
-    def enter(zone: int, minute: int, agent_id: int) -> None:
+    def enter(zone: int, minute: int) -> None:
         zone_occupancy[zone] += 1
         if zone_occupancy[zone] == 1:
             touched.add(zone)
         for arm in manual_arms:
-            arm.switch_on(arm.zone_banks[zone], minute, agent_id)
+            arm.switch_on(zone_rooms[zone], minute)
 
     def leave(zone: int, minute: int, agent_id: int, rolls: bool) -> None:
         zone_occupancy[zone] -= 1
@@ -391,32 +497,41 @@ def run_replication_arms(
             touched.add(zone)
             if rolls:
                 for arm in manual_arms:
-                    arm.roll_off(arm.zone_banks[zone], minute, agents[agent_id])
+                    arm.roll_off(zone_rooms[zone], minute, agents[agent_id])
+
+    kinds, minutes, agent_ids, room_indices = (
+        record.kind, record.minute, record.agent, record.room
+    )
 
     def apply_event(
         kind: EventKind, minute: int, agent_id: int, room_id: str | None
     ) -> None:
-        # Staff arms: anyone entering a zone switches on its dark banks;
-        # the last one out rolls once to switch them off, unless it is a
-        # quick break. A move between a room and the corridor handles the
-        # zone the event names first.
+        # The event goes to the record first, ahead of the manual light
+        # events it triggers. Staff arms: anyone entering a zone switches
+        # on its dark banks; the last one out rolls once to switch them
+        # off, unless it is a quick break. A move between a room and the
+        # corridor handles the zone the event names first.
         nonlocal present
+        kinds.append(_KIND_CODES[kind])
+        minutes.append(minute)
+        agent_ids.append(agent_id)
+        room_indices.append(room_index[room_id])
         if kind is _ENTER_OWN_OFFICE:
-            enter(office_zone[agent_id], minute, agent_id)
+            enter(office_zone[agent_id], minute)
             leave(corridor, minute, agent_id, True)
             if contacts_on:
                 send_stay(agent_id, minute)
         elif kind is _LEAVE_OFFICE_TEMPORARY or kind is _LEAVE_OFFICE_LONG:
             leave(office_zone[agent_id], minute, agent_id, kind is _LEAVE_OFFICE_LONG)
-            enter(corridor, minute, agent_id)
+            enter(corridor, minute)
         elif kind is _ENTER_OTHER_ROOM:
-            enter(zone_of[room_id], minute, agent_id)
+            enter(zone_of[room_id], minute)
             leave(corridor, minute, agent_id, True)
         elif kind is _EXIT_OTHER_ROOM:
             leave(zone_of[room_id], minute, agent_id, True)
-            enter(corridor, minute, agent_id)
+            enter(corridor, minute)
         elif kind is _ENTER_BUILDING:
-            enter(corridor, minute, agent_id)
+            enter(corridor, minute)
             present += 1
         else:  # _LEAVE_BUILDING
             leave(corridor, minute, agent_id, True)
@@ -428,15 +543,16 @@ def run_replication_arms(
         rng = email_rngs[agent_id]
         if rng is None:
             rng = email_rngs[agent_id] = Random(derive_seed(seed, f"email:{agent_id}"))
+        leave_at = agents[agent_id].leave_at
+        record.stay_sender.append(agent_id)
+        record.stay_start.append(minute)
+        record.stay_end.append(leave_at)
         contacts = contact_step(
-            network, agent_id, email_p[agent_id], minute, agents[agent_id].leave_at,
-            rng,
+            network, agent_id, email_p[agent_id], minute, leave_at, rng
         )
         if not contacts:
             return
         contact_count += len(contacts)
-        if contact_log is not None:
-            contact_log.extend(contacts)
         # Only neighbors receive; one at the cap stays there.
         uncapped = [
             r for r in network.neighbors[agent_id]
@@ -475,7 +591,6 @@ def run_replication_arms(
                     schedule(due_lights, bank.off_at, (a, idx))
 
     step = step_occupant
-    make_event = OccupantEvent._make if logs else None
     minute_events: list[tuple] = []
     for day in range(scenario.horizon_days):
         day_start = day * MINUTES_PER_DAY
@@ -513,11 +628,7 @@ def run_replication_arms(
                         )
                     step(agent, minute, minute_of_day, ctx, rng, minute_events)
                     for ev in minute_events:
-                        if logs:
-                            event = make_event(ev)
-                            for event_log in logs:
-                                event_log.append(event)
-                        apply_event(*ev)  # may log manual light events right after
+                        apply_event(*ev)
                     minute_events.clear()
                     if agent.next_minute < n_minutes:
                         schedule(due_agents, agent.next_minute, agent_id)
@@ -527,13 +638,8 @@ def run_replication_arms(
             touched.clear()
 
     apply_inbox(n_minutes)
-    computer_log = ctx.computer_log
-    # The calendar's order of the computer log's rows: by minute, then agent.
-    n_agents = len(agents)
-    keys = [m * n_agents + a for m, a in zip(computer_log.minute, computer_log.agent)]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    computers_arr = _replay_computers(computer_log, order, agents, building, n_minutes)
-    base_arr = array("d", (building.base_load_watts,)) * n_minutes
+    computers_arr = _replay_computers(record, n_minutes)
+    base_arr = scenario.base_load_w
     roster = tuple(
         AgentRecord(
             id=a.id,
@@ -546,22 +652,8 @@ def run_replication_arms(
         )
         for a in agents
     )
-    contacts = None
-    if keep_events:
-        # By minute, then sender: two stable sorts on int keys.
-        contact_log.sort(key=itemgetter(0))
-        contact_log.sort(key=itemgetter(2))
-        contacts = tuple(contact_log)
-        minutes, owners, powers = (
-            computer_log.minute, computer_log.agent, computer_log.power
-        )
-        computer_events = [
-            OccupantEvent(POWER_EVENTS[powers[i]], minutes[i], owners[i])
-            for i in order
-        ]
-        computer_keys = [keys[i] for i in order]
     results = []
-    for arm in arms:
+    for i, arm in enumerate(arms):
         _extend_to(arm.lights, arm.lights_running, n_minutes)
         for bank in arm.banks:
             bank.finalize(n_minutes)
@@ -569,63 +661,40 @@ def run_replication_arms(
             seed=seed,
             n_minutes=n_minutes,
             ledger=EnergyLedger(base_arr, arm.lights, computers_arr),
-            events=(
-                _merge_computer_events(
-                    computer_events, computer_keys, arm.events, n_agents
-                )
-                if keep_events
-                else None
-            ),
             roster=roster,
             light_intervals={b.room_id: tuple(b.intervals) for b in arm.banks},
-            computer_log=computer_log,
             contact_count=contact_count,
             building=building,
-            contacts=contacts,
+            record=record,
+            arm=i,
         ))
     return tuple(results)
 
 
-def _merge_computer_events(
-    computer_events: list, computer_keys: list[int], events: list, n_agents: int
-) -> tuple[OccupantEvent, ...]:
-    """Merge ``computer_events`` into ``events``, both in (minute, agent id)
-    order; ``computer_keys`` are the computer events' minute * n_agents +
-    agent id. On a tie the computer event goes first, as an agent's
-    switch-off on leaving precedes the leave."""
-    merged = []
-    taken = 0
-    for event in events:
-        upto = bisect_right(computer_keys, event[1] * n_agents + event[2], taken)
-        if upto > taken:
-            merged += computer_events[taken:upto]
-            taken = upto
-        merged.append(event)
-    merged += computer_events[taken:]
-    return tuple(merged)
-
-
-def _replay_computers(
-    log: ComputerLog, order, agents, building: BuildingModel, n_minutes: int
-) -> array:
-    """The computers series: the rows of ``log`` replayed in ``order``,
-    each setting its owner's computer to the wattage of its power state.
-    A minute's sample is the total after all of that minute's changes, so
-    a change at minute m writes the old total up to m; the total adds the
-    changes in ``order``."""
-    specs = building.computers
+def _replay_computers(record: RunRecord, n_minutes: int) -> array:
+    """The computers series: the computer rows of ``record`` replayed in
+    the calendar's order, each setting its owner's computer to the
+    wattage of its power state. A minute's sample is the total after all
+    of that minute's changes, so a change at minute m writes the old
+    total up to m; the total adds the changes in that order."""
+    specs = record.scenario.building.computers
     running = 0.0
     for spec in specs.values():
         running += spec.watts_off
     # Per agent: its computer's wattage by power state, and the wattage now.
     levels = [
-        _power_watts(specs[a.computer_id]) if a.computer_id is not None else None
-        for a in agents
+        _power_watts(specs[cid]) if cid is not None else None
+        for cid in record.computer_ids
     ]
     watts = [lv[POWER_OFF] if lv is not None else 0.0 for lv in levels]
     series = array("d")
-    minutes, owners, powers = log.minute, log.agent, log.power
-    for i in order:
+    minutes, owners, powers = (
+        record.computer_minute, record.computer_agent, record.computer_power
+    )
+    # The calendar's order: by minute, then agent.
+    n_agents = len(record.computer_ids)
+    keys = [m * n_agents + a for m, a in zip(minutes, owners)]
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
         a = owners[i]
         new = levels[a][powers[i]]
         old = watts[a]
@@ -736,7 +805,7 @@ def _run_arm_experiments(
     rep_seeds = tuple(derive_seed(seed, f"rep:{i}") for i in range(n_reps))
     policies = tuple(s.policy for s in scenarios)
     runs = [
-        run_replication_arms(first, rep_seed, policies, keep_events=False)
+        run_replication_arms(first, rep_seed, policies)
         for rep_seed in rep_seeds
     ]
     return tuple(

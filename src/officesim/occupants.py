@@ -7,7 +7,7 @@ in a facility room (toilet / kitchen / lab). Every stochastic rule is a
 constant per-minute hazard, drawn as a geometric waiting time when its
 state is entered, and every countdown is a scheduled minute; the agent
 keeps the minute of its next firing. An office stay's computer cycle is
-drawn whole when the agent enters, into the run's ``ComputerLog``. All
+drawn whole when the agent enters, into the run's record. All
 randomness flows through the caller-supplied ``random.Random`` so runs
 are reproducible.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -220,8 +219,8 @@ class EventKind(enum.Enum):
 
 class OccupantEvent(NamedTuple):
     """One agent event. ``step_occupant`` emits plain tuples in this
-    field order; the engine makes the named tuple only for the events it
-    keeps."""
+    field order; the engine stores them as columns of its run record and
+    makes the named tuples only on demand (``ReplicationResult.events``)."""
 
     kind: EventKind
     minute: int
@@ -235,22 +234,6 @@ POWER_EVENTS = (
     EventKind.COMPUTER_TO_STANDBY,
     EventKind.SWITCH_COMPUTER_ON,
 )
-
-
-class ComputerLog:
-    """Every computer transition of a run, one row per transition in
-    ``array`` columns, in the order drawn: the minute, the owner's agent
-    id and the power state entered (``POWER_*``). Each agent's rows are in
-    time order; rows of different agents interleave. The int32 columns
-    hold any run that fits in memory: a minute past 2**31 needs float64
-    series of 16 GiB each."""
-
-    __slots__ = ("minute", "agent", "power")
-
-    def __init__(self):
-        self.minute = array("i")
-        self.agent = array("i")
-        self.power = array("b")
 
 
 class OccupantAgent:
@@ -323,17 +306,20 @@ def waiting_time(rng, clock: float) -> int:
 
 class BehaviorContext:
     """Per-run context shared by every agent transition: the hazards'
-    waiting-time factors, computed once, and the run's computer log."""
+    waiting-time factors, computed once, and the run's record
+    (``engine.RunRecord``), whose computer columns the transitions write."""
 
     __slots__ = (
         "params", "facility_room_ids", "leave_clock", "standby_clock",
-        "visit_clock", "computer_log",
+        "visit_clock", "record",
     )
 
-    def __init__(self, params: BehaviorParams, facility_room_ids: tuple[str, ...]):
+    def __init__(
+        self, params: BehaviorParams, facility_room_ids: tuple[str, ...], record
+    ):
         self.params = params
         self.facility_room_ids = facility_room_ids
-        self.computer_log = ComputerLog()
+        self.record = record
         self.leave_clock = hazard_clock(params.leave_hazard_per_minute)
         self.standby_clock = hazard_clock(params.computer_standby_prob_per_minute)
         self.visit_clock = (
@@ -472,7 +458,7 @@ def step_occupant(
     for the day. Returns True iff it emitted any event. An event is a
     plain tuple ``(kind, minute, agent_id, room_id)`` in ``OccupantEvent``'s
     field order, ``room_id`` None where the event names no room. Computer
-    transitions are not events here: they go to ``ctx.computer_log``.
+    transitions are not events here: they go to ``ctx.record``.
 
     Requires today's schedule to have been sampled already. Light
     switching is not decided here; the engine derives manual light events
@@ -572,16 +558,16 @@ def _draw_computer_cycle(
     agent: OccupantAgent, minute: int, leave_at: int, ctx, rng
 ) -> None:
     """Write the computer transitions of the office stay entered at
-    ``minute`` and left at ``leave_at`` to the run's computer log, with the
+    ``minute`` and left at ``leave_at`` to the run's record, with the
     standby waits drawn in the order their switch-ons would draw them,
     and leave ``agent.computer_power`` as the stay ends. A machine kept
     running during the absence resumes at once, with a standby wait drawn
     on entering; any other is switched on ``COMPUTER_SWITCH_ON_MINUTES``
     later. A transition due at ``leave_at`` or later does not happen."""
-    log = ctx.computer_log
-    minutes = log.minute
-    owners = log.agent
-    powers = log.power
+    record = ctx.record
+    minutes = record.computer_minute
+    owners = record.computer_agent
+    powers = record.computer_power
     clock = ctx.standby_clock
     power = agent.computer_power
     if power == POWER_ON:
@@ -666,9 +652,9 @@ def _leave_office_long(
     if agent.computer_id is not None and agent.computer_power != POWER_OFF:
         if rng.random() < computer_switch_off_prob(agent.awareness, ctx.params):
             agent.computer_power = POWER_OFF
-            log = ctx.computer_log
-            log.minute.append(minute)
-            log.agent.append(agent.id)
-            log.power.append(POWER_OFF)
+            record = ctx.record
+            record.computer_minute.append(minute)
+            record.computer_agent.append(agent.id)
+            record.computer_power.append(POWER_OFF)
     agent.state = _CORRIDOR
     events.append((_LEAVE_OFFICE_LONG, minute, agent.id, agent.office_room_id))

@@ -50,8 +50,10 @@ formatting, LF line endings, sorted JSON keys, no timestamps.
 from __future__ import annotations
 
 import os
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import compress, count
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -154,6 +156,12 @@ class Scenario:
     @property
     def horizon_minutes(self) -> int:
         return self.horizon_days * MINUTES_PER_DAY
+
+    @cached_property
+    def base_load_w(self) -> array:
+        """The base-load series of a run, one sample per minute; built on
+        first use and shared by the ledgers of every run of the scenario."""
+        return array("d", (self.building.base_load_watts,)) * self.horizon_minutes
 
 
 # Field name -> int or float, from the annotations of BehaviorParams.

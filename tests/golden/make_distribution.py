@@ -105,19 +105,27 @@ def _lit_minutes(result, occupied) -> dict[str, float]:
 
 def replication_stats(automated, staff) -> dict[str, float]:
     """The fixture's statistics of one pass: ``automated`` and ``staff``
-    are its two arms, run with their events kept."""
+    are its two arms."""
     from officesim import EventKind
     from officesim.checks import room_occupancy
+    from officesim.engine import EVENT_KINDS
+    from officesim.occupants import POWER_EVENTS
 
+    # Counted from the run record's columns: one event per row.
     stats: dict[str, float] = {}
+    record = automated.record
     manual = (EventKind.MANUAL_LIGHTS_ON, EventKind.MANUAL_LIGHTS_OFF)
-    kinds = [ev.kind for ev in automated.events]
     for kind in EventKind:
-        if kind not in manual:
-            stats[f"events:{kind.value}"] = kinds.count(kind)
-    staff_kinds = [ev.kind for ev in staff.events]
-    stats["manual:lights_on"] = staff_kinds.count(manual[0])
-    stats["manual:lights_off"] = staff_kinds.count(manual[1])
+        if kind in POWER_EVENTS:
+            count = record.computer_power.count(POWER_EVENTS.index(kind))
+        elif kind not in manual:
+            count = record.kind.count(EVENT_KINDS.index(kind))
+        else:
+            continue
+        stats[f"events:{kind.value}"] = count
+    _, staff_kinds, _ = staff.record.manual[staff.arm]
+    stats["manual:lights_on"] = staff_kinds.count(EVENT_KINDS.index(manual[0]))
+    stats["manual:lights_off"] = staff_kinds.count(EVENT_KINDS.index(manual[1]))
 
     computers = automated.building.computers
     on = standby = 0
@@ -167,9 +175,7 @@ def sample_cell(scenario, seeds) -> dict[str, list[float]]:
     scenario.validate()
     out: dict[str, list[float]] = {}
     for seed in seeds:
-        automated, staff = run_replication_arms(
-            scenario, seed, policies, keep_events=True
-        )
+        automated, staff = run_replication_arms(scenario, seed, policies)
         for stat, value in replication_stats(automated, staff).items():
             out.setdefault(stat, []).append(value)
     return out

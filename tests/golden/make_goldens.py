@@ -15,9 +15,9 @@ idle stretch and the midnight reset are covered), 2 days, 3 replications:
   scenario's absolute building path, so it is hashed with its
   ``scenario_path`` and ``scenario_sha256`` fields blanked; every other
   field, the output hashes included, is kept;
-- a digest of one ``run_replication(..., keep_events=True)`` per start and
-  policy: events, ledger arrays, light intervals, computer transitions,
-  contact count and final awareness;
+- a digest of one ``run_replication`` per start and policy: events,
+  ledger arrays, light intervals, computer transitions, contact count and
+  final awareness;
 - a digest of the trace derived from one replication: state transitions,
   per-room occupancy and light matrices, schedules, awareness by day and
   contacts.
@@ -167,7 +167,7 @@ def _engine_fingerprints() -> dict:
             scenario = replace(
                 ref, start_day_of_week=dow, policy=lighting, contact_rate=CONTACT_RATE
             )
-            result = run_replication(scenario, seed, keep_events=True)
+            result = run_replication(scenario, seed)
             runs[f"replication/{start_name}/{policy}"] = _replication_digest(result)
     friday = replace(ref, start_day_of_week=STARTS["friday"], contact_rate=CONTACT_RATE)
     trace = derive_trace(run_replication(friday, seed), friday)

@@ -1,10 +1,9 @@
-"""State-machine and accounting invariant checks over runs with their
-events kept.
+"""State-machine and accounting invariant checks over any run.
 
 Each check returns a list of violation messages (empty means the
 invariant held) so callers can aggregate across many replications.
 Checks of per-minute facts read the ``RunTrace`` that ``derive_trace``
-builds from the kept events.
+builds from the run record.
 """
 
 from __future__ import annotations
@@ -227,7 +226,7 @@ def check_awareness_monotone(
 ) -> list[str]:
     """Awareness never falls nor passes 100, and each agent's final
     awareness is exactly its initial one raised by ``awareness_delta`` per
-    kept contact it received, in order, capped at 100."""
+    contact it received, in order, capped at 100."""
     violations = []
     days = trace.awareness_by_day
     series = np.stack(days + [np.array([r.final_awareness for r in result.roster])])
@@ -333,8 +332,8 @@ def check_accounting_identity(result: ReplicationResult) -> list[str]:
 
 
 def run_all_checks(result: ReplicationResult, scenario: Scenario):
-    """Every check on a replication ``result`` of ``scenario`` run with
-    its events kept; the trace is derived once and shared."""
+    """Every check on a replication ``result`` of ``scenario``; the trace
+    is derived once and shared."""
     trace = derive_trace(result, scenario)
     violations = check_edge_legality(trace)
     if violations:

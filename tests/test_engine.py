@@ -19,7 +19,7 @@ from officesim import (
     run_experiment,
     run_replication,
 )
-from officesim.checks import derive_trace, room_occupancy
+from officesim.checks import derive_trace
 from officesim.engine import run_replication_arms
 from officesim.network import ContactEvent
 from officesim.occupants import (
@@ -31,7 +31,7 @@ from officesim.occupants import (
 )
 
 from conftest import as_occupant_events, make_small_building, make_small_scenario
-from invariant_checks import replication_network
+from invariant_checks import replication_network, run_all_checks
 from test_invariants import random_scenario
 
 
@@ -270,13 +270,14 @@ def test_agent_left_in_building_at_midnight_is_a_runtime_error(monkeypatch):
 
 
 def test_untraced_runs_build_no_event_objects(monkeypatch):
-    # Agent events and contacts travel as plain tuples: a run without kept
-    # events must never build an OccupantEvent or a ContactEvent, while
-    # kept events and the contacts of a derived trace are named tuples.
+    # Agent events and contacts travel as plain tuples and record columns:
+    # an experiment must never build an OccupantEvent or a ContactEvent,
+    # while the events view and the contacts of a derived trace are named
+    # tuples.
     from officesim import engine, network
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("event object built without kept events")
+        raise AssertionError("event object built by an experiment")
 
     stub = type(
         "Forbidden", (), {"__new__": forbidden, "_make": staticmethod(forbidden)}
@@ -291,29 +292,32 @@ def test_untraced_runs_build_no_event_objects(monkeypatch):
     assert all(rep.contact_count > 0 for rep in comparison.staff_controlled.replications)
 
     staff = replace(scenario, policy=LightingPolicy.staff_controlled())
-    kept = run_replication(staff, seed=3, keep_events=True)
-    assert {e.kind for e in kept.events} >= {
+    viewed = run_replication(staff, seed=3)
+    assert {e.kind for e in viewed.events} >= {
         EventKind.ENTER_OWN_OFFICE, EventKind.MANUAL_LIGHTS_ON
     }
-    assert all(type(e) is OccupantEvent for e in kept.events)
+    assert all(type(e) is OccupantEvent for e in viewed.events)
     result = run_replication(scenario, seed=3)
     trace = derive_trace(result, scenario)
     assert len(trace.contact_events) == len(result.contacts) == result.contact_count > 0
     assert all(type(c) is ContactEvent for c in trace.contact_events)
 
 
-def test_trace_of_a_result_without_kept_events_is_an_error():
-    # An experiment keeps no events; deriving a trace from one of its
-    # replications once gave every room vacant, lights lit and no
-    # transitions, without an error.
+def test_experiment_replications_pass_every_check():
+    # Every pass writes its run record, so the replications of an
+    # experiment and of a comparison are traced and checked like any
+    # other, and their contacts view replays every email counted.
     scenario = make_small_scenario(population_size=5, contact_rate=50.0)
-    result = run_experiment(scenario).replications[0]
-    assert result.events is None and result.contacts is None
-    assert result.contact_count > 0
-    with pytest.raises(ValueError, match="keep_events"):
-        derive_trace(result, scenario)
-    with pytest.raises(ValueError, match="keep_events"):
-        room_occupancy(result)
+    staff = replace(scenario, policy=LightingPolicy.staff_controlled())
+    results = (
+        run_experiment(scenario).replications[0],
+        compare_policies(scenario).staff_controlled.replications[0],
+    )
+    for checked, result in zip((scenario, staff), results):
+        assert result.contact_count > 0
+        assert len(result.contacts) == result.contact_count
+        assert not run_all_checks(result, checked)
+    assert any(ev.kind is EventKind.MANUAL_LIGHTS_ON for ev in results[1].events)
 
 
 def test_idle_stretches_match_minute_by_minute_recording():
@@ -352,7 +356,7 @@ def test_shared_pass_arms_equal_solo_replications():
             LightingPolicy.automated(second),
             LightingPolicy.staff_controlled(),
         )
-        arms = run_replication_arms(scenario, seed, policies, keep_events=True)
+        arms = run_replication_arms(scenario, seed, policies)
         assert len(arms) == len(policies)
         for policy, arm in zip(policies, arms):
             solo = run_replication(replace(scenario, policy=policy), seed)
@@ -383,7 +387,7 @@ def test_computer_transitions_replay_from_events():
     # Each computer event sets its owner's computer to the building's spec
     # wattage for that state; replaying the events must rebuild the
     # transition log exactly, and the ledger's computer series must be the
-    # running total of the watt changes added in the kept events' (minute,
+    # running total of the watt changes added in the events' (minute,
     # agent id) order, bit for bit.
     spec_watts = {
         EventKind.SWITCH_COMPUTER_ON: "watts_on",
@@ -424,8 +428,8 @@ def test_computer_transitions_replay_from_events():
 
 
 def test_kept_events_are_in_minute_and_agent_order():
-    # Each arm's kept log is its agent events with the computer events
-    # merged in at (minute, agent id): every kept log must be in that
+    # Each arm's events are its agent events with the computer events
+    # merged in at (minute, agent id): every arm's events must be in that
     # order, and no agent has two computer events in one minute.
     computer_kinds = {
         EventKind.SWITCH_COMPUTER_ON,
@@ -452,16 +456,25 @@ def test_kept_events_are_in_minute_and_agent_order():
 
 
 def test_unkept_reference_replication_retains_little(reference_scenario):
-    # A replication without kept events holds its series, light intervals,
-    # roster and computer log; the computer transitions are columns, not a
-    # tuple each, so one reference week stays well under 1.5 MB.
-    gc.collect()
-    tracemalloc.start()
-    try:
-        result = run_replication(reference_scenario, seed=5, keep_events=False)
+    # A replication holds its series, light intervals, roster and run
+    # record. The record's events, computer transitions and office stays
+    # are columns, not a tuple each, and it stores no email: one reference
+    # week, and one two-arm pass of it at contact rate 2000, each stay well
+    # under 1.5 MB, where a tuple per event and email takes over 20 MB.
+    social = replace(reference_scenario, contact_rate=2000.0)
+    policies = (LightingPolicy.automated(), LightingPolicy.staff_controlled())
+    runs = (
+        lambda: (run_replication(reference_scenario, seed=5),),
+        lambda: run_replication_arms(social, 11, policies),
+    )
+    for run in runs:
         gc.collect()
-        retained, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(result.computer_log.minute) > 10_000
-    assert retained < 1.5 * 2**20, retained
+        tracemalloc.start()
+        try:
+            results = run()
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results[0].record.computer_minute) > 10_000
+        assert retained < 1.5 * 2**20, retained

@@ -1,6 +1,7 @@
-"""Randomized-replication property harness over runs with their events kept."""
+"""Randomized-replication property harness over runs and their records."""
 
 import random
+from copy import copy
 from dataclasses import replace
 
 import pytest
@@ -61,15 +62,24 @@ def test_randomized_replications_satisfy_invariants(batch):
 
 def test_edge_check_reports_a_deleted_agent_event():
     # Every transition moves its agent to another state, so dropping any
-    # one agent event from a kept result breaks that agent's chain.
+    # one agent event from a run record breaks that agent's chain. The
+    # lights are automated: no manual light event follows a dropped one.
     scenario = make_small_scenario(population_size=5)
     result = run_replication(scenario, seed=11)
     assert not check_edge_legality(derive_trace(result, scenario))
+    assert not any(positions for positions, _, _ in result.record.manual)
     kinds = [ev.kind for ev in result.events]
     for kind in _STATE_EDGES:  # the agent events that move their agent
         assert kind in kinds, kind
         i = kinds.index(kind)
-        broken = replace(result, events=result.events[:i] + result.events[i + 1:])
+        # Event i is row ``row`` of the record's agent event columns.
+        row = sum(k in _STATE_EDGES for k in kinds[:i])
+        record = copy(result.record)
+        for name in ("kind", "minute", "agent", "room"):
+            column = getattr(record, name)[:]
+            del column[row]
+            setattr(record, name, column)
+        broken = replace(result, record=record)
         agent_id = result.events[i].agent_id
         violations = check_edge_legality(derive_trace(broken, scenario))
         assert any(v.startswith(f"agent {agent_id} ") for v in violations), kind
@@ -77,8 +87,9 @@ def test_edge_check_reports_a_deleted_agent_event():
 
 
 def test_awareness_check_reports_a_deleted_contact():
-    # Final awareness is the exact capped replay of the kept contacts, so
-    # dropping one email to a receiver below the cap shows.
+    # Final awareness is the exact capped replay of the contacts, so
+    # dropping one email to a receiver below the cap from the record's
+    # contacts view shows.
     scenario = make_small_scenario(population_size=5, contact_rate=20.0)
     result = run_replication(scenario, seed=4)
     delta = scenario.awareness_delta
@@ -86,7 +97,9 @@ def test_awareness_check_reports_a_deleted_contact():
     final = {record.id: record.final_awareness for record in result.roster}
     i = next(i for i, c in enumerate(result.contacts) if final[c[1]] < 100.0)
     receiver_id = result.contacts[i][1]
-    broken = replace(result, contacts=result.contacts[:i] + result.contacts[i + 1:])
+    record = copy(result.record)
+    record.contacts = result.contacts[:i] + result.contacts[i + 1:]
+    broken = replace(result, record=record)
     (violation,) = check_awareness_monotone(
         broken, derive_trace(broken, scenario), delta
     )

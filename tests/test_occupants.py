@@ -17,6 +17,7 @@ from officesim import (
 )
 from officesim import run_replication
 from officesim.checks import derive_trace
+from officesim.engine import RunRecord
 from officesim.occupants import (
     NEVER,
     POWER_EVENTS,
@@ -308,9 +309,9 @@ def test_only_long_leaves_near_end_of_day():
 # --- state machine transitions ----------------------------------------------
 
 def _ctx(**over):
-    return BehaviorContext(
-        params=BehaviorParams(**over), facility_room_ids=("kitchen-0",)
-    )
+    """A context whose run record takes only computer transitions."""
+    record = RunRecord(scenario=None, seed=0, agents=(), email_p=None, n_arms=0)
+    return BehaviorContext(BehaviorParams(**over), ("kitchen-0",), record)
 
 
 def _step(agent, minute, ctx, rng):
@@ -329,10 +330,13 @@ def _fire(agent, ctx, rng):
 
 
 def _computer_events(ctx):
-    """The computer transitions written to the run's log so far, as
+    """The computer transitions written to the run's record so far, as
     (minute, kind)."""
-    log = ctx.computer_log
-    return [(m, POWER_EVENTS[p]) for m, p in zip(log.minute, log.power)]
+    record = ctx.record
+    return [
+        (m, POWER_EVENTS[p])
+        for m, p in zip(record.computer_minute, record.computer_power)
+    ]
 
 
 def _fresh_agent(schedule=(540, 1020), computer="K000"):
