@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from heapq import heappop, heappush
@@ -137,15 +138,14 @@ class RunRecord:
         # agent event that triggered it, at its minute and by its agent.
         self.manual = [_columns("ibi") for _ in range(n_arms)]
 
-    def events(self, arm: int) -> tuple[OccupantEvent, ...]:
-        """The events of arm ``arm`` in (minute, agent id) order: each
-        agent event followed by the manual light events it triggered, and
-        each computer event before the agent events of its agent and
-        minute (a switch-off on leaving precedes the leave)."""
-        rooms = self.scenario.building.rooms
-        room_ids = tuple(room.id for room in rooms) + (None,)  # -1: None
+    @cached_property
+    def _shared_events(self) -> tuple[tuple[OccupantEvent, ...], array]:
+        """The computer and agent events, which every arm's events share,
+        in (minute, agent id) order with each computer event before the
+        agent events of its agent and minute (a switch-off on leaving
+        precedes the leave); and their sort keys."""
+        room_ids = self._room_ids
         kinds = EVENT_KINDS
-        # Sort key: (minute, agent id), and the computer events first.
         step = 2 * len(self.computer_ids)
         rows = zip(self.computer_minute, self.computer_agent, self.computer_power)
         keyed = [
@@ -153,28 +153,49 @@ class RunRecord:
             for m, a, power in rows
         ]
         rows = zip(self.kind, self.minute, self.agent, self.room)
-        agent_events = [
+        keyed += [
             (m * step + 2 * a + 1, OccupantEvent(kinds[code], m, a, room_ids[room]))
             for code, m, a, room in rows
         ]
-        keyed += agent_events
-        keyed += [  # a manual event has its trigger's key, minute and agent
-            (agent_events[p - 1][0], agent_events[p - 1][1]._replace(
-                kind=kinds[code], room_id=room_ids[room]
-            ))
-            for p, code, room in zip(*self.manual[arm])
-        ]
-        # Stable: a manual event follows its trigger, which precedes it here.
-        keyed.sort(key=itemgetter(0))
-        return tuple(event for _, event in keyed)
+        keyed.sort(key=itemgetter(0))  # stable: agent events in record order
+        return (
+            tuple(map(itemgetter(1), keyed)), array("q", map(itemgetter(0), keyed))
+        )
 
-    @cached_property
-    def contacts(self) -> tuple[tuple[int, int, int], ...]:
-        """Every email of the pass as ``(sender_id, receiver_id, minute)``,
-        sorted by minute, then sender: each office stay's emails drawn
-        again by ``contact_step`` from a fresh email stream of its sender,
-        in the order of the stays. Nothing else draws from those streams,
-        so the draws are the pass's own."""
+    @property
+    def _room_ids(self) -> tuple[str | None, ...]:
+        """Room id by room index, with None last (index -1)."""
+        return tuple(room.id for room in self.scenario.building.rooms) + (None,)
+
+    def events(self, arm: int) -> tuple[OccupantEvent, ...]:
+        """The events of arm ``arm`` in (minute, agent id) order: the
+        shared computer and agent events, with each manual light event
+        after the agent events of its trigger's minute and agent."""
+        shared, keys = self._shared_events
+        positions, codes, rooms = self.manual[arm]
+        if not positions:
+            return shared
+        room_ids = self._room_ids
+        step = 2 * len(self.computer_ids)
+        events: list[OccupantEvent] = []
+        done = 0
+        # In record order, which is key order: a firing's events are all
+        # at its minute.
+        for p, code, room in zip(positions, codes, rooms):
+            m, a = self.minute[p - 1], self.agent[p - 1]  # its trigger's
+            at = bisect_right(keys, m * step + 2 * a + 1, done)
+            events += shared[done:at]
+            done = at
+            events.append(OccupantEvent(EVENT_KINDS[code], m, a, room_ids[room]))
+        events += shared[done:]
+        return tuple(events)
+
+    def _stay_emails(self):
+        """Each recorded office stay's emails, in the order of the stays,
+        drawn by ``contact_step`` from a fresh email stream of its sender.
+        Nothing else draws from those streams, and the pass draws each
+        sender's stays up to the first that can raise nobody, and none
+        after it, so the emails the pass drew come out the same."""
         # The network, too, is built again from its own stream: kept, it
         # would hold ~70 KB per replication of an experiment.
         scenario = self.scenario
@@ -183,19 +204,32 @@ class RunRecord:
             scenario.small_world_beta, Random(derive_seed(self.seed, "network")),
         )
         rngs: dict[int, Random] = {}
-        contacts: list[tuple[int, int, int]] = []
         stays = zip(self.stay_sender, self.stay_start, self.stay_end)
         for sender, start, end in stays:
             rng = rngs.get(sender)
             if rng is None:
                 rng = rngs[sender] = Random(derive_seed(self.seed, f"email:{sender}"))
-            contacts += contact_step(
-                network, sender, self.email_p[sender], start, end, rng
-            )
+            yield contact_step(network, sender, self.email_p[sender], start, end, rng)
+
+    @cached_property
+    def contacts(self) -> tuple[tuple[int, int, int], ...]:
+        """Every email of every recorded office stay as ``(sender_id,
+        receiver_id, minute)``, sorted by minute, then sender."""
+        contacts: list[tuple[int, int, int]] = []
+        for emails in self._stay_emails():
+            contacts += emails
         # By minute, then sender: two stable sorts on int keys.
         contacts.sort(key=itemgetter(0))
         contacts.sort(key=itemgetter(2))
         return tuple(contacts)
+
+    @cached_property
+    def contact_count(self) -> int:
+        """The number of ``contacts``, counted without building them
+        unless they are built already."""
+        if "contacts" in self.__dict__:
+            return len(self.contacts)
+        return sum(map(len, self._stay_emails()))
 
     @cached_property
     def computer_transitions(self) -> dict[str, tuple[tuple[int, float], ...]]:
@@ -221,7 +255,6 @@ class ReplicationResult:
     ledger: EnergyLedger
     roster: tuple[AgentRecord, ...]
     light_intervals: dict[str, tuple[tuple[int, int], ...]]  # room -> on-intervals
-    contact_count: int
     building: BuildingModel
     record: RunRecord  # shared by the arms of one agent pass
     arm: int  # this result's arm of the pass
@@ -237,6 +270,11 @@ class ReplicationResult:
         """``(sender_id, receiver_id, minute)`` per email, sorted by
         minute, then sender; built once per pass."""
         return self.record.contacts
+
+    @property
+    def contact_count(self) -> int:
+        """The number of emails of the pass; counted once per pass."""
+        return self.record.contact_count
 
     @property
     def computer_transitions(self) -> dict[str, tuple[tuple[int, float], ...]]:
@@ -389,7 +427,10 @@ def run_replication_arms(
     minute is applied in order, so an agent reads the awareness of the
     emails sent before that minute, as when emails were sent after the
     minute's agents. A receiver already at the cap is not queued; the
-    cap is absorbing.
+    cap is absorbing. A stay whose sender's neighbors are all at the cap,
+    or any stay at awareness delta 0, is recorded but not drawn: it can
+    raise nobody. ``contact_count`` and ``contacts`` replay every
+    recorded stay.
 
     Computers are not on the calendar either: ``step_occupant`` draws a
     stay's whole computer cycle at the entry, into the record. The
@@ -397,10 +438,10 @@ def run_replication_arms(
     calendar's (minute, agent id) order.
 
     Agents draw from their own behaviour streams and senders from their
-    own email streams, each created when it is first needed, so an
-    agent's draws do not depend on who else is in the building. The power
-    series are written one constant stretch at a time, when their total
-    changes.
+    own email streams, each created when it is first needed (a sender's
+    at its first drawn stay), so an agent's draws do not depend on who
+    else is in the building. The power series are written one constant
+    stretch at a time, when their total changes.
     """
     building = scenario.building
     params = scenario.behavior
@@ -420,6 +461,7 @@ def run_replication_arms(
     )
     contacts_on = network is not None and scenario.contact_rate > 0.0
     awareness_delta = scenario.awareness_delta
+    raising = awareness_delta > 0.0  # else no email changes anything
     email_p = None
     if contacts_on:
         email_p = array(
@@ -482,7 +524,6 @@ def run_replication_arms(
     behavior_rngs: list[Random | None] = [None] * len(agents)
     email_rngs: list[Random | None] = [None] * len(agents)
     present = 0  # agents in the building
-    contact_count = 0
 
     def enter(zone: int, minute: int) -> None:
         zone_occupancy[zone] += 1
@@ -539,34 +580,37 @@ def run_replication_arms(
 
     def send_stay(agent_id: int, minute: int) -> None:
         # The emails of the office stay the agent begins at ``minute``.
-        nonlocal contact_count
-        rng = email_rngs[agent_id]
-        if rng is None:
-            rng = email_rngs[agent_id] = Random(derive_seed(seed, f"email:{agent_id}"))
         leave_at = agents[agent_id].leave_at
         record.stay_sender.append(agent_id)
         record.stay_start.append(minute)
         record.stay_end.append(leave_at)
-        contacts = contact_step(
-            network, agent_id, email_p[agent_id], minute, leave_at, rng
-        )
-        if not contacts:
+        # Only neighbors receive, and only those below the cap can be
+        # raised. A stay that can raise nobody is recorded but not drawn:
+        # awareness never falls and the cap is absorbing, so no later stay
+        # of its sender is drawn either, and the stream stays in step with
+        # the replay of every stay (RunRecord._stay_emails).
+        if not raising:
             return
-        contact_count += len(contacts)
-        # Only neighbors receive; one at the cap stays there.
         uncapped = [
             r for r in network.neighbors[agent_id]
             if agents[r].awareness < AWARENESS_CAP
         ]
-        if uncapped:
-            for _, receiver_id, at in contacts:
-                if receiver_id in uncapped:
-                    receivers = inbox.get(at)
-                    if receivers is None:
-                        inbox[at] = [receiver_id]
-                        heappush(inbox_minutes, at)
-                    else:
-                        receivers.append(receiver_id)
+        if not uncapped:
+            return
+        rng = email_rngs[agent_id]
+        if rng is None:
+            rng = email_rngs[agent_id] = Random(derive_seed(seed, f"email:{agent_id}"))
+        contacts = contact_step(
+            network, agent_id, email_p[agent_id], minute, leave_at, rng
+        )
+        for _, receiver_id, at in contacts:
+            if receiver_id in uncapped:
+                receivers = inbox.get(at)
+                if receivers is None:
+                    inbox[at] = [receiver_id]
+                    heappush(inbox_minutes, at)
+                else:
+                    receivers.append(receiver_id)
 
     def step_lights(minute: int) -> None:
         scheduled = due_lights.pop(minute, None)
@@ -663,7 +707,6 @@ def run_replication_arms(
             ledger=EnergyLedger(base_arr, arm.lights, computers_arr),
             roster=roster,
             light_intervals={b.room_id: tuple(b.intervals) for b in arm.banks},
-            contact_count=contact_count,
             building=building,
             record=record,
             arm=i,

@@ -30,7 +30,9 @@ def test_every_layer_hook_finds_its_target_and_is_restored():
 
 def test_tracer_counts_every_email():
     # The engine reaches contact_step through its module global, so the
-    # wrapped one sees every email the replications count.
+    # wrapped one counts every email the passes draw. A pass skips the
+    # stays whose sender can raise nobody; here it draws every stay, so
+    # that is every email the replications count.
     tracer = _load_tracer()
     recorder = tracer.Recorder()
     scenario = make_small_scenario(population_size=5, contact_rate=200.0)
@@ -39,6 +41,9 @@ def test_tracer_counts_every_email():
         comparison = compare_policies(scenario, replications=3)
     finally:
         assert recorder.restore() is True
+    assert recorder.stats["network.contact_step"]["calls"] == sum(
+        len(rep.record.stay_sender) for rep in comparison.automated.replications
+    )
     contacts = recorder.stats["network.contact_step"]["outcomes"]
     assert contacts > 0
     assert contacts == sum(

@@ -320,6 +320,42 @@ def test_experiment_replications_pass_every_check():
     assert any(ev.kind is EventKind.MANUAL_LIGHTS_ON for ev in results[1].events)
 
 
+def test_stays_that_can_raise_nobody_are_recorded_but_not_drawn(
+    monkeypatch, reference_scenario
+):
+    # Awareness never falls and the cap is absorbing, so a pass draws no
+    # emails for a stay whose sender's neighbors are all at the cap, nor
+    # at awareness delta 0. The stay is still recorded: contact_count and
+    # the contacts view replay every stay, and final awareness replays
+    # exactly from those contacts.
+    from officesim import engine
+
+    drawn = []
+    contact_step = engine.contact_step
+
+    def counted(*args):
+        drawn.append(args[1])
+        return contact_step(*args)
+
+    monkeypatch.setattr(engine, "contact_step", counted)
+    social = replace(reference_scenario, contact_rate=2000.0, horizon_days=2)
+    silent = make_small_scenario(
+        population_size=5, contact_rate=200.0, awareness_delta=0.0
+    )
+    for scenario, draws in ((social, True), (silent, False)):
+        drawn.clear()
+        comparison = compare_policies(scenario, replications=1)
+        stays = len(comparison.automated.replications[0].record.stay_sender)
+        assert len(drawn) < stays
+        assert bool(drawn) is draws
+        for experiment in (comparison.automated, comparison.staff_controlled):
+            (result,) = experiment.replications
+            count = result.contact_count  # counted before the view is built
+            assert count == len(result.contacts) > 0
+            assert not run_all_checks(result, experiment.scenario)
+    assert all(r.final_awareness == r.initial_awareness for r in result.roster)
+
+
 def test_idle_stretches_match_minute_by_minute_recording():
     # A Friday start leaves most minutes idle, and staff-controlled lights
     # may stay lit through them; the trace's light matrix, filled in one
