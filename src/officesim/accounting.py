@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from array import array
 from functools import lru_cache, reduce
-from itertools import compress
+from itertools import compress, repeat
 from operator import add
 from typing import NamedTuple
 
@@ -103,10 +103,13 @@ def sample_std(values) -> float:
 def column_means(rows) -> array:
     """numpy's float64 ``np.stack(rows).mean(axis=0)`` for rows of two or
     more columns: per column, the rows added in order to 0.0, over their
-    count."""
-    acc = [0.0] * len(rows[0])
-    for row in rows:
-        acc = list(map(add, acc, row))
+    count. The sums are taken lazily, a column at a time, and stored every
+    256 rows: each row of a lazy sum nests one more C call."""
+    acc = repeat(0.0, len(rows[0]))
+    for i, row in enumerate(rows, 1):
+        acc = map(add, acc, row)
+        if not i % 256:
+            acc = list(acc)
     n = len(rows)
     return array("d", [x / n for x in acc])
 

@@ -17,7 +17,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from heapq import heappop, heappush
-from operator import add, itemgetter, sub
+from itertools import accumulate, repeat
+from operator import add, itemgetter, sub, truediv
 from random import Random
 from typing import NamedTuple
 
@@ -35,7 +36,6 @@ from .appliances import (
     LightingPolicy,
     PolicyKind,
     RoomLightBank,
-    computer_apply_event,
     manual_exit_decision,
 )
 from .building import BuildingModel, RoomKind
@@ -65,8 +65,12 @@ from .occupants import (
 from .scenario_io import Scenario
 
 
-# Members bound at module level: a global lookup is cheaper than an enum
-# class attribute for every event.
+# Every event kind, indexed by its code in a run record.
+EVENT_KINDS = tuple(EventKind)
+
+# Members and their codes bound at module level: a global lookup is
+# cheaper than an enum class attribute, and a bound code than hashing the
+# member, for every event.
 _ENTER_BUILDING = EventKind.ENTER_BUILDING
 _ENTER_OWN_OFFICE = EventKind.ENTER_OWN_OFFICE
 _LEAVE_OFFICE_TEMPORARY = EventKind.LEAVE_OFFICE_TEMPORARY
@@ -74,6 +78,15 @@ _LEAVE_OFFICE_LONG = EventKind.LEAVE_OFFICE_LONG
 _ENTER_OTHER_ROOM = EventKind.ENTER_OTHER_ROOM
 _EXIT_OTHER_ROOM = EventKind.EXIT_OTHER_ROOM
 _LEAVE_BUILDING = EventKind.LEAVE_BUILDING
+_ENTER_BUILDING_CODE = EVENT_KINDS.index(_ENTER_BUILDING)
+_ENTER_OWN_OFFICE_CODE = EVENT_KINDS.index(_ENTER_OWN_OFFICE)
+_LEAVE_OFFICE_TEMPORARY_CODE = EVENT_KINDS.index(_LEAVE_OFFICE_TEMPORARY)
+_LEAVE_OFFICE_LONG_CODE = EVENT_KINDS.index(_LEAVE_OFFICE_LONG)
+_ENTER_OTHER_ROOM_CODE = EVENT_KINDS.index(_ENTER_OTHER_ROOM)
+_EXIT_OTHER_ROOM_CODE = EVENT_KINDS.index(_EXIT_OTHER_ROOM)
+_LEAVE_BUILDING_CODE = EVENT_KINDS.index(_LEAVE_BUILDING)
+_MANUAL_LIGHTS_ON = EVENT_KINDS.index(EventKind.MANUAL_LIGHTS_ON)
+_MANUAL_LIGHTS_OFF = EVENT_KINDS.index(EventKind.MANUAL_LIGHTS_OFF)
 
 
 def _extend_to(series: array, value: float, end: int) -> None:
@@ -102,13 +115,6 @@ class AgentRecord(NamedTuple):
 
 def _columns(typecodes: str) -> tuple[array, ...]:
     return tuple(array(typecode) for typecode in typecodes)
-
-
-# Every event kind, indexed by its code in a run record.
-EVENT_KINDS = tuple(EventKind)
-_KIND_CODES = {kind: code for code, kind in enumerate(EVENT_KINDS)}
-_MANUAL_LIGHTS_ON = _KIND_CODES[EventKind.MANUAL_LIGHTS_ON]
-_MANUAL_LIGHTS_OFF = _KIND_CODES[EventKind.MANUAL_LIGHTS_OFF]
 
 
 class RunRecord:
@@ -235,9 +241,8 @@ class RunRecord:
     def computer_transitions(self) -> dict[str, tuple[tuple[int, float], ...]]:
         """Each computer's wattage changes as (minute, watts), from
         (0, off watts), in catalog order."""
-        computers = self.scenario.building.computers
-        levels = {cid: _power_watts(spec) for cid, spec in computers.items()}
-        transitions = {cid: [(0, spec.watts_off)] for cid, spec in computers.items()}
+        levels = self.scenario.computer_levels[1]
+        transitions = {cid: [(0, ws[POWER_OFF])] for cid, ws in levels.items()}
         owned = self.computer_ids
         rows = zip(self.computer_minute, self.computer_agent, self.computer_power)
         for minute, agent_id, power in rows:
@@ -293,27 +298,18 @@ class ReplicationResult:
         out: list[tuple[str, float, float]] = []
         for room in self.building.rooms:
             intervals = self.light_intervals.get(room.id, ())
-            on_minutes = 0
-            for a, b in intervals:
-                lo = max(a, start)
-                hi = min(b, end)
-                if hi > lo:
-                    on_minutes += hi - lo
+            on_minutes = sum(max(0, min(b, end) - max(a, start)) for a, b in intervals)
             for lid in room.light_ids:
                 watts = self.building.lights[lid].watts_on
                 out.append((lid, watts, watts * on_minutes / 60.0))
         for cid, transitions in self.computer_transitions.items():
-            spec = self.building.computers[cid]
+            ends = [t for t, _ in transitions[1:]] + [self.n_minutes]
             wmin = 0.0
-            for i, (t, w) in enumerate(transitions):
-                t_next = (
-                    transitions[i + 1][0] if i + 1 < len(transitions) else self.n_minutes
-                )
-                lo = max(t, start)
-                hi = min(t_next, end)
+            for (t, w), t_next in zip(transitions, ends):
+                lo, hi = max(t, start), min(t_next, end)
                 if hi > lo:
                     wmin += w * (hi - lo)
-            out.append((cid, spec.watts_on, wmin / 60.0))
+            out.append((cid, self.building.computers[cid].watts_on, wmin / 60.0))
         return out
 
     def beta_report(self, start: int = 0, end: int | None = None) -> BetaReport:
@@ -387,13 +383,6 @@ class _LightingArm:
                     self.log_manual(_MANUAL_LIGHTS_OFF, i)
 
 
-def _power_watts(spec) -> tuple[float, float, float]:
-    """The wattage of computer ``spec`` in each power state, by its code."""
-    return tuple(
-        computer_apply_event(spec, spec.watts_off, kind) for kind in POWER_EVENTS
-    )
-
-
 def run_replication(scenario: Scenario, seed: int) -> ReplicationResult:
     """Execute one replication under the scenario's lighting policy."""
     scenario.validate()
@@ -434,13 +423,13 @@ def run_replication_arms(
 
     Computers are not on the calendar either: ``step_occupant`` draws a
     stay's whole computer cycle at the entry, into the record. The
-    computers series is replayed from the record at the end, in the
-    calendar's (minute, agent id) order.
+    computers series is the exact total of the record's wattages,
+    replayed at the end (``_replay_computers``).
 
     Agents draw from their own behaviour streams and senders from their
     own email streams, each created when it is first needed (a sender's
     at its first drawn stay), so an agent's draws do not depend on who
-    else is in the building. The power series are written one constant
+    else is in the building. The lights series are written one constant
     stretch at a time, when their total changes.
     """
     building = scenario.building
@@ -522,7 +511,8 @@ def run_replication_arms(
             raise_awareness(agents, inbox.pop(heappop(inbox_minutes)), awareness_delta)
 
     behavior_rngs: list[Random | None] = [None] * len(agents)
-    email_rngs: list[Random | None] = [None] * len(agents)
+    # A sender's email stream: None until first drawn, False once done.
+    email_rngs: list[Random | bool | None] = [None] * len(agents)
     present = 0  # agents in the building
 
     def enter(zone: int, minute: int) -> None:
@@ -553,28 +543,37 @@ def run_replication_arms(
         # off, unless it is a quick break. A move between a room and the
         # corridor handles the zone the event names first.
         nonlocal present
-        kinds.append(_KIND_CODES[kind])
         minutes.append(minute)
         agent_ids.append(agent_id)
         room_indices.append(room_index[room_id])
         if kind is _ENTER_OWN_OFFICE:
+            kinds.append(_ENTER_OWN_OFFICE_CODE)
             enter(office_zone[agent_id], minute)
             leave(corridor, minute, agent_id, True)
             if contacts_on:
                 send_stay(agent_id, minute)
-        elif kind is _LEAVE_OFFICE_TEMPORARY or kind is _LEAVE_OFFICE_LONG:
-            leave(office_zone[agent_id], minute, agent_id, kind is _LEAVE_OFFICE_LONG)
+        elif kind is _LEAVE_OFFICE_TEMPORARY:
+            kinds.append(_LEAVE_OFFICE_TEMPORARY_CODE)
+            leave(office_zone[agent_id], minute, agent_id, False)
+            enter(corridor, minute)
+        elif kind is _LEAVE_OFFICE_LONG:
+            kinds.append(_LEAVE_OFFICE_LONG_CODE)
+            leave(office_zone[agent_id], minute, agent_id, True)
             enter(corridor, minute)
         elif kind is _ENTER_OTHER_ROOM:
+            kinds.append(_ENTER_OTHER_ROOM_CODE)
             enter(zone_of[room_id], minute)
             leave(corridor, minute, agent_id, True)
         elif kind is _EXIT_OTHER_ROOM:
+            kinds.append(_EXIT_OTHER_ROOM_CODE)
             leave(zone_of[room_id], minute, agent_id, True)
             enter(corridor, minute)
         elif kind is _ENTER_BUILDING:
+            kinds.append(_ENTER_BUILDING_CODE)
             enter(corridor, minute)
             present += 1
         else:  # _LEAVE_BUILDING
+            kinds.append(_LEAVE_BUILDING_CODE)
             leave(corridor, minute, agent_id, True)
             present -= 1
 
@@ -586,18 +585,17 @@ def run_replication_arms(
         record.stay_end.append(leave_at)
         # Only neighbors receive, and only those below the cap can be
         # raised. A stay that can raise nobody is recorded but not drawn:
-        # awareness never falls and the cap is absorbing, so no later stay
-        # of its sender is drawn either, and the stream stays in step with
-        # the replay of every stay (RunRecord._stay_emails).
-        if not raising:
-            return
-        uncapped = [
-            r for r in network.neighbors[agent_id]
-            if agents[r].awareness < AWARENESS_CAP
-        ]
-        if not uncapped:
-            return
+        # awareness never falls and the cap is absorbing, so its sender is
+        # done and its stream released, and what it drew stays in step
+        # with the replay of every stay (RunRecord._stay_emails).
         rng = email_rngs[agent_id]
+        if not raising or rng is False:
+            return
+        neighbors = network.neighbors[agent_id]
+        uncapped = [r for r in neighbors if agents[r].awareness < AWARENESS_CAP]
+        if not uncapped:
+            email_rngs[agent_id] = False
+            return
         if rng is None:
             rng = email_rngs[agent_id] = Random(derive_seed(seed, f"email:{agent_id}"))
         contacts = contact_step(
@@ -715,38 +713,25 @@ def run_replication_arms(
 
 
 def _replay_computers(record: RunRecord, n_minutes: int) -> array:
-    """The computers series: the computer rows of ``record`` replayed in
-    the calendar's order, each setting its owner's computer to the
-    wattage of its power state. A minute's sample is the total after all
-    of that minute's changes, so a change at minute m writes the old
-    total up to m; the total adds the changes in that order."""
-    specs = record.scenario.building.computers
-    running = 0.0
-    for spec in specs.values():
-        running += spec.watts_off
-    # Per agent: its computer's wattage by power state, and the wattage now.
-    levels = [
-        _power_watts(specs[cid]) if cid is not None else None
-        for cid in record.computer_ids
-    ]
-    watts = [lv[POWER_OFF] if lv is not None else 0.0 for lv in levels]
-    series = array("d")
-    minutes, owners, powers = (
-        record.computer_minute, record.computer_agent, record.computer_power
-    )
-    # The calendar's order: by minute, then agent.
-    n_agents = len(record.computer_ids)
-    keys = [m * n_agents + a for m, a in zip(minutes, owners)]
-    for i in sorted(range(len(keys)), key=keys.__getitem__):
-        a = owners[i]
-        new = levels[a][powers[i]]
-        old = watts[a]
-        if new != old:
-            _extend_to(series, running, minutes[i])
-            running += new - old
-            watts[a] = new
-    _extend_to(series, running, n_minutes)
-    return series
+    """The computers series: minute m's sample is the exact total wattage
+    of the computers after all of that minute's changes in ``record``,
+    rounded once to the nearest float. Each agent's rows are in time
+    order, and each change is added to its minute in the integer units of
+    ``Scenario.computer_levels``: for whole-watt computers the series is
+    the running float sum of the changes, in any order."""
+    per_watt, _, units = record.scenario.computer_levels
+    # Per agent: its computer's units by power state, and the units now.
+    levels = [units.get(cid) for cid in record.computer_ids]
+    now = [lv[POWER_OFF] if lv is not None else 0 for lv in levels]
+    deltas = [0] * n_minutes
+    deltas[0] = sum(lv[POWER_OFF] for lv in units.values())
+    rows = zip(record.computer_minute, record.computer_agent, record.computer_power)
+    for minute, a, power in rows:
+        new = levels[a][power]
+        if new != now[a]:
+            deltas[minute] += new - now[a]
+            now[a] = new
+    return array("d", map(truediv, accumulate(deltas), repeat(per_watt)))
 
 
 def _zones(rooms) -> tuple[list[list[int]], list[int], dict[str, int]]:

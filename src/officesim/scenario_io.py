@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import os
 from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import compress, count
@@ -65,7 +64,7 @@ from .accounting import (
     half_hour_bins,
     masked_sum,
 )
-from .appliances import LightingPolicy, PolicyKind
+from .appliances import LightingPolicy, PolicyKind, computer_apply_event
 from .building import (
     dump_yaml,
     load_building_file,
@@ -78,6 +77,7 @@ from .building import (
 from .errors import ParseError, ValidationError
 from .occupants import (
     MINUTES_PER_DAY,
+    POWER_EVENTS,
     BehaviorParams,
     PopulationMix,
     ScheduleClass,
@@ -162,6 +162,23 @@ class Scenario:
         """The base-load series of a run, one sample per minute; built on
         first use and shared by the ledgers of every run of the scenario."""
         return array("d", (self.building.base_load_watts,)) * self.horizon_minutes
+
+    @cached_property
+    def computer_levels(self) -> tuple[int, dict, dict]:
+        """``(per_watt, watts, units)``: per computer, in catalog order, its
+        wattage by power code (``occupants.POWER_*``) as written, and as a
+        whole count of ``1 / per_watt`` W, the wattages' common power-of-two
+        denominator. Built on first use, shared by every run."""
+        watts = {
+            cid: tuple(computer_apply_event(s, s.watts_off, k) for k in POWER_EVENTS)
+            for cid, s in self.building.computers.items()
+        }
+        ratios = {cid: [w.as_integer_ratio() for w in ws] for cid, ws in watts.items()}
+        per_watt = max((d for rs in ratios.values() for _, d in rs), default=1)
+        units = {
+            cid: tuple(n * (per_watt // d) for n, d in rs) for cid, rs in ratios.items()
+        }
+        return per_watt, watts, units
 
 
 # Field name -> int or float, from the annotations of BehaviorParams.
@@ -396,8 +413,8 @@ def _fmt_float(value: float) -> str:
     return f"{value:.6f}"
 
 
-# Minutes per chunk of a minute CSV: a two-day file goes in one write.
-_CHUNK_ROWS = 4096
+# Minutes per chunk of a minute CSV: small next to the run's series.
+_CHUNK_ROWS = 1024
 
 
 def _write_atomic(path: Path, chunks) -> tuple[Path, str, int]:
@@ -426,25 +443,22 @@ def _run_starts(columns, n: int) -> list[int]:
     """Indices past 0 where any of the ``array('d')`` columns, n samples
     each, has a bit pattern other than the one before.
 
-    A column's bytes XOR the same bytes one sample on are zero exactly
-    where a sample repeats the one before; OR-ed over the columns, the
-    nonzero 8-byte words are the run starts.
+    Read as one integer, a column XOR itself shifted down one sample has
+    8-byte word i zero exactly where sample i + 1 repeats sample i; OR-ed
+    over the columns, the nonzero words but the last are the run starts.
     """
     changed = 0
     for column in columns:
-        data = column.tobytes()
-        if data[8:] != data[:-8]:  # not constant
-            changed |= int.from_bytes(data[8:], "little") ^ int.from_bytes(
-                data[:-8], "little"
-            )
-    words = memoryview(changed.to_bytes(8 * (n - 1), "little")).cast("Q")
+        bits = int.from_bytes(column, "little")
+        changed |= bits ^ (bits >> 64)
+    words = memoryview(changed.to_bytes(8 * n, "little")).cast("Q")[:-1]
     return list(compress(count(1), words))
 
 
 def _minute_csv_chunks(ledger: EnergyLedger, fmt):
     """The minute series as CSV text, in chunks of ``_CHUNK_ROWS`` minutes
-    (the header goes with the first), formatting each constant run once
-    per chunk.
+    (the header goes with the first), formatting each constant run of a
+    chunk once.
 
     A run ends where any column's bit pattern changes, so ``-0.0`` and
     ``0.0`` stay apart and NaNs do not split runs the way ``==`` would.
@@ -457,12 +471,10 @@ def _minute_csv_chunks(ledger: EnergyLedger, fmt):
         yield header
         return
     columns = (ledger.base_w, ledger.lights_w, ledger.computers_w)
-    base_w, lights_w, computers_w = columns
-    bounds = [0, *_run_starts(columns, n), n]
     for lo in range(0, n, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, n)
-        # The runs within [lo, hi); the first may have begun before lo.
-        cuts = [lo, *bounds[bisect_right(bounds, lo):bisect_left(bounds, hi)], hi]
+        chunk = base_w, lights_w, computers_w = [c[lo:lo + _CHUNK_ROWS] for c in columns]
+        # The runs of the chunk; the first may have begun before it.
+        cuts = [0, *_run_starts(chunk, len(base_w)), len(base_w)]
         rows = [header] if lo == 0 else []
         for start, end in zip(cuts, cuts[1:]):
             base = base_w[start]
@@ -470,7 +482,7 @@ def _minute_csv_chunks(ledger: EnergyLedger, fmt):
             computers = computers_w[start]
             total = base + lights + computers
             suffix = f",{fmt(base)},{fmt(lights)},{fmt(computers)},{fmt(total)}\n"
-            rows += [f"{m}{suffix}" for m in range(start, end)]
+            rows += [f"{m}{suffix}" for m in range(lo + start, lo + end)]
         yield "".join(rows)
 
 

@@ -243,6 +243,18 @@ _LENGTHS = st.one_of(
 )
 
 
+def test_column_means_of_many_rows_equal_numpy_bit_for_bit():
+    # column_means stores its lazy sums every 256 rows; across those points
+    # the rows are still added in order, as numpy's mean over axis 0 does.
+    rng = random.Random(5)
+    rows = [
+        array("d", (rng.random() * 10 ** rng.randint(-3, 9) for _ in range(5)))
+        for _ in range(600)
+    ]
+    stack = np.stack([np.asarray(row) for row in rows])
+    assert column_means(rows).tobytes() == stack.mean(axis=0).tobytes()
+
+
 @settings(max_examples=120, deadline=None)
 @given(kind=_KINDS, n=_LENGTHS, seed=st.integers(0, 2**32), cut=st.floats(0, 1))
 @example(kind="zeros", n=129, seed=0, cut=0.0)

@@ -4,6 +4,8 @@ import tracemalloc
 from array import array
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from officesim import (
     ValidationError,
     compare_policies,
     derive_seed,
+    load_building,
     run_experiment,
     run_replication,
 )
@@ -30,7 +33,12 @@ from officesim.occupants import (
     Stereotype,
 )
 
-from conftest import as_occupant_events, make_small_building, make_small_scenario
+from conftest import (
+    as_occupant_events,
+    make_building_text,
+    make_small_building,
+    make_small_scenario,
+)
 from invariant_checks import replication_network, run_all_checks
 from test_invariants import random_scenario
 
@@ -422,9 +430,10 @@ def test_shared_pass_arms_equal_solo_replications():
 def test_computer_transitions_replay_from_events():
     # Each computer event sets its owner's computer to the building's spec
     # wattage for that state; replaying the events must rebuild the
-    # transition log exactly, and the ledger's computer series must be the
-    # running total of the watt changes added in the events' (minute,
-    # agent id) order, bit for bit.
+    # transition log exactly. These buildings' computers draw whole watts,
+    # so every partial sum is exact, and the ledger's computer series must
+    # be the running total of the watt changes added in the events'
+    # (minute, agent id) order, bit for bit.
     spec_watts = {
         EventKind.SWITCH_COMPUTER_ON: "watts_on",
         EventKind.COMPUTER_TO_STANDBY: "watts_standby",
@@ -461,6 +470,29 @@ def test_computer_transitions_replay_from_events():
         )
         assert series.tobytes() == result.ledger.computers_w.tobytes()
     assert seen == set(spec_watts)
+
+
+def test_fractional_computer_watts_sum_exactly_per_minute():
+    # Wattages that are not whole watts: each minute's sample is the exact
+    # total of the wattages then in effect, rounded once, where a running
+    # float sum of the changes drifts (8.099999999999998 for 8.1 W here).
+    text = make_building_text() + (
+        "defaults: {computer_watts: {off: 0.1, standby: 7.7, on: 33.3}}\n"
+    )
+    scenario = Scenario(
+        building=load_building(text), population_size=5, horizon_days=3
+    )
+    result = run_replication(scenario, seed=29)
+    transitions = result.computer_transitions
+    assert sum(map(len, transitions.values())) > 10 * len(transitions)
+    deltas = [Fraction(0)] * result.n_minutes
+    for changes in transitions.values():
+        before = Fraction(0)
+        for minute, watts in changes:
+            deltas[minute] += Fraction(watts) - before
+            before = Fraction(watts)
+    exact = [float(total) for total in accumulate(deltas)]
+    assert result.ledger.computers_w.tolist() == exact
 
 
 def test_kept_events_are_in_minute_and_agent_order():
@@ -514,3 +546,20 @@ def test_unkept_reference_replication_retains_little(reference_scenario):
             tracemalloc.stop()
         assert len(results[0].record.computer_minute) > 10_000
         assert retained < 1.5 * 2**20, retained
+
+
+def test_social_reference_pass_peaks_low(reference_scenario):
+    # While it runs, a two-arm pass of the reference week at contact rate
+    # 2000 holds its record and series, and briefly the computers replay's
+    # per-minute changes: about 1.9 MB at its peak. Sorting every computer
+    # row for the replay took it to 4.8 MB.
+    social = replace(reference_scenario, contact_rate=2000.0)
+    policies = (LightingPolicy.automated(), LightingPolicy.staff_controlled())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_replication_arms(social, 11, policies)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20, peak
