@@ -13,6 +13,15 @@ the layers it runs.
 
 from importlib import import_module
 
+# CPython's own SHA-256: hashlib's is OpenSSL's, whose libcrypto adds ~3.6 MB.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # an interpreter built without either
+        from hashlib import sha256
+
 __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it.

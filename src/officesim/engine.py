@@ -10,18 +10,18 @@ schedules, and movement trajectories and differ only in light switching.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from operator import add, itemgetter, sub, truediv
 from random import Random
 from typing import NamedTuple
 
+from . import sha256
 from .accounting import (
     BetaReport,
     EnergyLedger,
@@ -65,8 +65,10 @@ from .occupants import (
 from .scenario_io import Scenario
 
 
-# Every event kind, indexed by its code in a run record.
+# Every event kind, schedule class and stereotype, by its code in a record.
 EVENT_KINDS = tuple(EventKind)
+SCHEDULE_CLASSES = tuple(ScheduleClass)
+STEREOTYPES = tuple(Stereotype)
 
 # Members and their codes bound at module level: a global lookup is
 # cheaper than an enum class attribute, and a bound code than hashing the
@@ -96,8 +98,9 @@ def _extend_to(series: array, value: float, end: int) -> None:
 
 
 def derive_seed(master_seed: int, label: str) -> int:
-    """Deterministic 63-bit stream seed from a master seed and a label."""
-    digest = hashlib.sha256(f"{master_seed}:{label}".encode("utf-8")).digest()
+    """Deterministic 63-bit stream seed from a master seed and a label: the
+    top 63 bits of the package's (built-in) ``sha256`` of ``master:label``."""
+    digest = sha256(f"{master_seed}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
 
@@ -118,17 +121,23 @@ def _columns(typecodes: str) -> tuple[array, ...]:
 
 
 class RunRecord:
-    """What one agent pass did, in ``array`` columns; the results of its
-    arms share it and build their events, contacts and computer
-    transitions from it on demand. The int32 columns hold any run that
-    fits in memory: a minute past 2**31 needs float64 series of 16 GiB
-    each."""
+    """What one agent pass did, in ``array`` columns (the agents' desks are
+    the scenario's ``seats``); the results of its arms share it and build
+    their roster, events, contacts and computer transitions from it on
+    demand. The int32 columns hold any run that fits in memory: a minute
+    past 2**31 needs float64 series of 16 GiB each."""
 
     def __init__(self, scenario, seed, agents, email_p, n_arms):
         self.scenario = scenario  # its lighting policy is not used
         self.seed = seed
-        self.computer_ids = tuple(a.computer_id for a in agents)
         self.email_p = email_p  # per sender, its email hazard; None: no emails
+        # The roster by agent id: the schedule class and stereotype codes,
+        # and the awareness at the start and, once the pass ends, at the end.
+        classes, stereotypes = SCHEDULE_CLASSES.index, STEREOTYPES.index
+        self.schedule_class = array("b", [classes(a.schedule_class) for a in agents])
+        self.stereotype = array("b", [stereotypes(a.stereotype) for a in agents])
+        self.initial_awareness = array("d", [a.awareness for a in agents])
+        self.final_awareness = array("d")
         # Agent events in the calendar's (minute, agent id) order: the code
         # in EVENT_KINDS, and the index in the building's rooms (-1: none).
         self.kind, self.minute, self.agent, self.room = _columns("biii")
@@ -152,7 +161,7 @@ class RunRecord:
         precedes the leave); and their sort keys."""
         room_ids = self._room_ids
         kinds = EVENT_KINDS
-        step = 2 * len(self.computer_ids)
+        step = 2 * self.scenario.population_size
         rows = zip(self.computer_minute, self.computer_agent, self.computer_power)
         keyed = [
             (m * step + 2 * a, OccupantEvent(POWER_EVENTS[power], m, a))
@@ -182,7 +191,7 @@ class RunRecord:
         if not positions:
             return shared
         room_ids = self._room_ids
-        step = 2 * len(self.computer_ids)
+        step = 2 * self.scenario.population_size
         events: list[OccupantEvent] = []
         done = 0
         # In record order, which is key order: a firing's events are all
@@ -206,7 +215,7 @@ class RunRecord:
         # would hold ~70 KB per replication of an experiment.
         scenario = self.scenario
         network = _build_network(
-            len(self.computer_ids), scenario.small_world_k,
+            scenario.population_size, scenario.small_world_k,
             scenario.small_world_beta, Random(derive_seed(self.seed, "network")),
         )
         rngs: dict[int, Random] = {}
@@ -243,7 +252,7 @@ class RunRecord:
         (0, off watts), in catalog order."""
         levels = self.scenario.computer_levels[1]
         transitions = {cid: [(0, ws[POWER_OFF])] for cid, ws in levels.items()}
-        owned = self.computer_ids
+        owned = self.scenario.seats[1]
         rows = zip(self.computer_minute, self.computer_agent, self.computer_power)
         for minute, agent_id, power in rows:
             cid = owned[agent_id]
@@ -255,14 +264,28 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class ReplicationResult:
+    """One arm of one agent pass: its ledger and light intervals, and views
+    of the ``record`` it shares with the other arms, built on demand."""
+
     seed: int
     n_minutes: int
     ledger: EnergyLedger
-    roster: tuple[AgentRecord, ...]
     light_intervals: dict[str, tuple[tuple[int, int], ...]]  # room -> on-intervals
     building: BuildingModel
     record: RunRecord  # shared by the arms of one agent pass
     arm: int  # this result's arm of the pass
+
+    @property
+    def roster(self) -> tuple[AgentRecord, ...]:
+        """Each agent's facts by id, built on each use from the record's
+        roster columns and the scenario's seats."""
+        record = self.record
+        classes = map(SCHEDULE_CLASSES.__getitem__, record.schedule_class)
+        stereotypes = map(STEREOTYPES.__getitem__, record.stereotype)
+        return tuple(map(
+            AgentRecord, count(), classes, stereotypes, *record.scenario.seats,
+            record.initial_awareness, record.final_awareness,
+        ))
 
     @cached_property
     def events(self) -> tuple[OccupantEvent, ...]:
@@ -318,10 +341,8 @@ class ReplicationResult:
         return build_beta_report(self.appliance_energies(start, end), start, end)
 
     def mean_final_awareness(self) -> float:
-        if not self.roster:
-            return 0.0
-        awareness = [r.final_awareness for r in self.roster]
-        return sequential_sum(awareness) / len(awareness)
+        awareness = self.record.final_awareness
+        return sequential_sum(awareness) / len(awareness) if awareness else 0.0
 
 
 class _LightingArm:
@@ -442,9 +463,9 @@ def run_replication_arms(
     rng_schedule = Random(derive_seed(seed, "schedule"))
 
     agents = sample_population(
-        scenario.population_size, scenario.mix, building, rng_population
+        scenario.population_size, scenario.mix, building, rng_population,
+        seats=scenario.seats,
     )
-    initial_awareness = [a.awareness for a in agents]
     network = _build_network(
         len(agents), scenario.small_world_k, scenario.small_world_beta, rng_network
     )
@@ -682,18 +703,7 @@ def run_replication_arms(
     apply_inbox(n_minutes)
     computers_arr = _replay_computers(record, n_minutes)
     base_arr = scenario.base_load_w
-    roster = tuple(
-        AgentRecord(
-            id=a.id,
-            schedule_class=a.schedule_class,
-            stereotype=a.stereotype,
-            office_room_id=a.office_room_id,
-            computer_id=a.computer_id,
-            initial_awareness=initial_awareness[a.id],
-            final_awareness=a.awareness,
-        )
-        for a in agents
-    )
+    record.final_awareness.extend([a.awareness for a in agents])
     results = []
     for i, arm in enumerate(arms):
         _extend_to(arm.lights, arm.lights_running, n_minutes)
@@ -703,7 +713,6 @@ def run_replication_arms(
             seed=seed,
             n_minutes=n_minutes,
             ledger=EnergyLedger(base_arr, arm.lights, computers_arr),
-            roster=roster,
             light_intervals={b.room_id: tuple(b.intervals) for b in arm.banks},
             building=building,
             record=record,
@@ -721,7 +730,7 @@ def _replay_computers(record: RunRecord, n_minutes: int) -> array:
     the running float sum of the changes, in any order."""
     per_watt, _, units = record.scenario.computer_levels
     # Per agent: its computer's units by power state, and the units now.
-    levels = [units.get(cid) for cid in record.computer_ids]
+    levels = [units.get(cid) for cid in record.scenario.seats[1]]
     now = [lv[POWER_OFF] if lv is not None else 0 for lv in levels]
     deltas = [0] * n_minutes
     deltas[0] = sum(lv[POWER_OFF] for lv in units.values())
@@ -832,47 +841,39 @@ def _run_arm_experiments(
 
     rep_seeds = tuple(derive_seed(seed, f"rep:{i}") for i in range(n_reps))
     policies = tuple(s.policy for s in scenarios)
-    runs = [
-        run_replication_arms(first, rep_seed, policies)
-        for rep_seed in rep_seeds
-    ]
-    return tuple(
-        _aggregate(scenario, seed, rep_seeds, tuple(run[i] for run in runs))
-        for i, scenario in enumerate(scenarios)
+    runs = [run_replication_arms(first, rep_seed, policies) for rep_seed in rep_seeds]
+    # The arms of a pass share its base and computers series.
+    base_kwh, mean_base = _kwh_and_means([run[0].ledger.base_w for run in runs])
+    computers_kwh, mean_computers = _kwh_and_means(
+        [run[0].ledger.computers_w for run in runs]
     )
+    experiments = []
+    for i, scenario in enumerate(scenarios):
+        reps = tuple(run[i] for run in runs)
+        lights_kwh, mean_lights = _kwh_and_means([rep.ledger.lights_w for rep in reps])
+        kwh = {"base": base_kwh, "lights": lights_kwh, "computers": computers_kwh}
+        experiments.append(ExperimentResult(
+            scenario=scenario,
+            master_seed=seed,
+            rep_seeds=rep_seeds,
+            replications=reps,
+            mean_base_w=mean_base,
+            mean_lights_w=mean_lights,
+            mean_computers_w=mean_computers,
+            total_kwh_per_rep=array(
+                "d", map(add, map(add, base_kwh, lights_kwh), computers_kwh)
+            ),
+            category_kwh_mean={k: pairwise_mean(v) for k, v in kwh.items()},
+            category_kwh_std={
+                k: (sample_std(v) if len(v) > 1 else 0.0) for k, v in kwh.items()
+            },
+        ))
+    return tuple(experiments)
 
 
-def _aggregate(
-    scenario: Scenario,
-    seed: int,
-    rep_seeds: tuple[int, ...],
-    reps: tuple[ReplicationResult, ...],
-) -> ExperimentResult:
-    ledgers = [rep.ledger for rep in reps]
-    series = {
-        "base": [ledger.base_w for ledger in ledgers],
-        "lights": [ledger.lights_w for ledger in ledgers],
-        "computers": [ledger.computers_w for ledger in ledgers],
-    }
-    per_rep_kwh = {
-        k: [pairwise_sum(s) / 60.0 / 1000.0 for s in v] for k, v in series.items()
-    }
-    base, lights, computers = per_rep_kwh.values()
-    total_kwh = array("d", map(add, map(add, base, lights), computers))
-    return ExperimentResult(
-        scenario=scenario,
-        master_seed=seed,
-        rep_seeds=rep_seeds,
-        replications=reps,
-        mean_base_w=column_means(series["base"]),
-        mean_lights_w=column_means(series["lights"]),
-        mean_computers_w=column_means(series["computers"]),
-        total_kwh_per_rep=total_kwh,
-        category_kwh_mean={k: pairwise_mean(v) for k, v in per_rep_kwh.items()},
-        category_kwh_std={
-            k: (sample_std(v) if len(v) > 1 else 0.0) for k, v in per_rep_kwh.items()
-        },
-    )
+def _kwh_and_means(series: list[array]) -> tuple[list[float], array]:
+    """The kWh of each replication's series, and their per-minute means."""
+    return [pairwise_sum(s) / 60.0 / 1000.0 for s in series], column_means(series)
 
 
 @dataclass(frozen=True)

@@ -329,68 +329,55 @@ class BehaviorContext:
         )
 
 
-def sample_population(
-    n: int, mix: PopulationMix, building: BuildingModel, rng
-) -> list[OccupantAgent]:
-    """Create ``n`` agents with sampled stereotypes and desk assignments.
-
-    Desks are filled round-robin over the building's desk rooms in file
-    order; an agent owns a computer while its room still has unclaimed
-    ones. Raises CapacityError if ``n`` exceeds total desk capacity.
+def seat_table(
+    building: BuildingModel, n: int
+) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
+    """The office room ids and computer ids (None: none) of agents
+    ``0..n-1``. Desks are filled round-robin over the building's desk
+    rooms in file order, repeated passes filling deeper desks; an agent
+    owns a computer while its room still has unclaimed ones. Raises
+    CapacityError if ``n`` exceeds total desk capacity.
     """
-    if n < 0:
-        raise ValidationError(f"population size must be >= 0, got {n}")
-    mix.validate()
     capacity = building.total_desk_capacity()
     if n > capacity:
         raise CapacityError(
             f"population size {n} exceeds total desk capacity {capacity}"
         )
+    depths = range(max((room.desk_capacity for room in building.rooms), default=0))
+    seats = [  # pass ``depth`` over the rooms takes each one's desk ``depth``
+        (room.id, room.computer_ids[depth] if depth < len(room.computer_ids) else None)
+        for depth in depths
+        for room in building.rooms
+        if depth < room.desk_capacity
+    ][:n]
+    return tuple(room for room, _ in seats), tuple(cid for _, cid in seats)
+
+
+def sample_population(
+    n: int, mix: PopulationMix, building: BuildingModel, rng, *, seats=None
+) -> list[OccupantAgent]:
+    """Create ``n`` agents with sampled stereotypes, seated by
+    ``seat_table(building, n)``; a caller holding that table passes it as
+    ``seats``. Raises CapacityError if ``n`` exceeds total desk capacity."""
+    if n < 0:
+        raise ValidationError(f"population size must be >= 0, got {n}")
+    mix.validate()
+    rooms, computers = seat_table(building, n) if seats is None else seats
 
     schedule_classes = tuple(ScheduleClass)
     schedule_weights = [mix.schedule.get(c, 0.0) for c in schedule_classes]
     stereotypes = tuple(Stereotype)
     stereotype_weights = [mix.awareness.get(s, 0.0) for s in stereotypes]
 
-    desk_rooms = building.desk_rooms()
-    assigned = {room.id: 0 for room in desk_rooms}
-
-    def seats() -> tuple[str, str | None]:
-        # Round-robin over desk rooms; repeated passes fill deeper desks.
-        while True:
-            progress = False
-            for room in desk_rooms:
-                taken = assigned[room.id]
-                if taken < room.desk_capacity:
-                    assigned[room.id] = taken + 1
-                    computer = (
-                        room.computer_ids[taken]
-                        if taken < len(room.computer_ids)
-                        else None
-                    )
-                    progress = True
-                    yield room.id, computer
-            if not progress:
-                return
-
-    seat_iter = seats()
     agents: list[OccupantAgent] = []
-    for agent_id in range(n):
+    for agent_id, room_id, computer_id in zip(range(n), rooms, computers):
         schedule_class = _categorical(schedule_classes, schedule_weights, rng)
         stereotype = _categorical(stereotypes, stereotype_weights, rng)
         band = STEREOTYPE_PARAMS[stereotype]
         awareness = rng.uniform(band.awareness_low, band.awareness_high)
-        room_id, computer_id = next(seat_iter)
-        agents.append(
-            OccupantAgent(
-                id=agent_id,
-                schedule_class=schedule_class,
-                stereotype=stereotype,
-                awareness=awareness,
-                office_room_id=room_id,
-                computer_id=computer_id,
-            )
-        )
+        agents.append(OccupantAgent(
+            agent_id, schedule_class, stereotype, awareness, room_id, computer_id
+        ))
     return agents
 
 

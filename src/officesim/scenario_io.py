@@ -57,7 +57,7 @@ from itertools import compress, count
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import __version__
+from . import __version__, sha256
 from .accounting import (
     EnergyLedger,
     category_proportions_masked,
@@ -82,6 +82,7 @@ from .occupants import (
     PopulationMix,
     ScheduleClass,
     Stereotype,
+    seat_table,
 )
 
 if TYPE_CHECKING:
@@ -162,6 +163,12 @@ class Scenario:
         """The base-load series of a run, one sample per minute; built on
         first use and shared by the ledgers of every run of the scenario."""
         return array("d", (self.building.base_load_watts,)) * self.horizon_minutes
+
+    @cached_property
+    def seats(self) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
+        """``occupants.seat_table`` for the scenario's population: the desks
+        do not depend on the seed. Built on first use, shared by every run."""
+        return seat_table(self.building, self.population_size)
 
     @cached_property
     def computer_levels(self) -> tuple[int, dict, dict]:
@@ -356,10 +363,8 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 def scenario_fingerprint(scenario: Scenario) -> str:
     """Content hash covering the scenario and its building."""
-    import hashlib
-
     payload = serialize_scenario(scenario) + serialize_building(scenario.building)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256(payload.encode("utf-8")).hexdigest()
 
 
 def window_mask(
@@ -420,9 +425,7 @@ _CHUNK_ROWS = 1024
 def _write_atomic(path: Path, chunks) -> tuple[Path, str, int]:
     """Write the text ``chunks`` to ``path`` through a temporary file,
     hashing each as it is written; returns (path, sha256, bytes)."""
-    import hashlib
-
-    digest = hashlib.sha256()
+    digest = sha256()
     size = 0
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
@@ -625,8 +628,8 @@ def _emit_manifest(
     """Write manifest.json from the (path, sha256, bytes) of each output."""
     scenario = result.scenario
     outputs = tuple(
-        {"path": str(path.relative_to(out)), "sha256": sha256, "bytes": size}
-        for path, sha256, size in sorted(written)
+        {"path": str(path.relative_to(out)), "sha256": digest, "bytes": size}
+        for path, digest, size in sorted(written)
     )
     manifest = RunManifest(
         artifact_version=__version__,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib.util import find_spec
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,52 @@ def test_cli_commands_do_not_import_numpy(scenario_path, tmp_path, command):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Runs the CLI on argv[1:] and exits 3 if OpenSSL's hashlib backend got loaded.
+_CLI_WITHOUT_OPENSSL = """
+import sys
+from officesim.cli import main
+code = main(sys.argv[1:])
+if "_hashlib" in sys.modules:
+    print("_hashlib loaded", file=sys.stderr)
+    sys.exit(3)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(
+    not any(find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="no built-in SHA-256 module",
+)
+@pytest.mark.parametrize("command", ["validate", "summary", "simulate", "compare",
+                                     "proportions"])
+def test_cli_commands_do_not_load_openssl(scenario_path, tmp_path, command):
+    # libcrypto costs ~3.6 MB per process; seeds and digests need only SHA-256.
+    argv = [command, "--scenario", str(scenario_path)]
+    if command not in ("validate", "summary"):
+        argv += ["--out", str(tmp_path / "out")]
+    src = Path(officesim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_WITHOUT_OPENSSL, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "chunks", [[b""], [bytes(range(64))], [b"officesim", b"", bytes(200), b"x" * 65]]
+)
+def test_package_sha256_equals_hashlib(chunks):
+    import hashlib
+
+    ours, reference = officesim.sha256(), hashlib.sha256()
+    for chunk in chunks:
+        ours.update(chunk)
+        reference.update(chunk)
+    assert ours.digest() == reference.digest()
+    assert ours.hexdigest() == reference.hexdigest()
 
 
 # Runs the CLI on argv[1:] (after a bare `import officesim`, which must load

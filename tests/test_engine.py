@@ -22,6 +22,7 @@ from officesim import (
     run_experiment,
     run_replication,
 )
+from officesim.accounting import sequential_sum
 from officesim.checks import derive_trace
 from officesim.engine import run_replication_arms
 from officesim.network import ContactEvent
@@ -31,6 +32,7 @@ from officesim.occupants import (
     PopulationMix,
     ScheduleClass,
     Stereotype,
+    sample_population,
 )
 
 from conftest import (
@@ -563,3 +565,44 @@ def test_social_reference_pass_peaks_low(reference_scenario):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 2**20, peak
+
+
+def test_weekend_experiment_retains_little(reference_scenario):
+    # Forty replications of a reference weekend hold their series, light
+    # intervals and run records; the roster is four columns of each record,
+    # and the offices and computers one seat table of the scenario. An
+    # `AgentRecord` per agent and replication retained 3.54 MiB in all.
+    weekend = replace(
+        reference_scenario, start_day_of_week=5, horizon_days=2, replications=40
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_experiment(weekend)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.replications) == 40
+    assert retained <= 3.0 * 2**20, retained
+
+
+def test_roster_views_match_the_population_streams():
+    scenario = make_small_scenario(population_size=5, contact_rate=20.0)
+    experiment = run_experiment(scenario, replications=3, master_seed=8)
+    for rep in experiment.replications:
+        rng = random.Random(derive_seed(rep.seed, "population"))
+        agents = sample_population(
+            scenario.population_size, scenario.mix, scenario.building, rng
+        )
+        assert [
+            (r.id, r.schedule_class, r.stereotype, r.office_room_id,
+             r.computer_id, r.initial_awareness)
+            for r in rep.roster
+        ] == [
+            (a.id, a.schedule_class, a.stereotype, a.office_room_id,
+             a.computer_id, a.awareness)
+            for a in agents
+        ]
+        final = [r.final_awareness for r in rep.roster]
+        assert rep.mean_final_awareness() == sequential_sum(final) / len(final)
