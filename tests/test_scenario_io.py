@@ -1,6 +1,9 @@
 import csv
+import hashlib
 import io
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +16,11 @@ from officesim import (
     compare_policies,
     emit_comparison,
     emit_experiment,
+    load_building,
     parse_scenario,
+    reference_scenario_path,
     run_experiment,
+    serialize_building,
     serialize_scenario,
     window_mask,
 )
@@ -315,3 +321,55 @@ def test_run_writer_matches_row_writer(stretches):
         minutes[0] -= 1
         full, last = divmod(len(ledger), _CHUNK_ROWS)
         assert minutes == [_CHUNK_ROWS] * full + ([last] if last or not full else [])
+
+
+_PINNED_BUILDING = """\
+base_load_watts: 1500.5
+max_occupants: 3
+defaults:
+  light_watts_on: 60
+  computer_watts: {off: 0, standby: 20, on: 400}
+lights: [L1, L2, L3]
+computers: [K1, K2]
+light_overrides: {L1: {watts_on: 80.5}, L3: {watts_on: 0}}
+computer_overrides: {K1: {watts_off: 1.25, watts_on: 250}}
+rooms:
+  - id: hall
+    kind: corridor
+    desk_capacity: 0
+    lights: [L1]
+  - id: office
+    kind: shared_office
+    desk_capacity: 3
+    lights: [L2, L3]
+    computers: [K1, K2]
+"""
+
+
+def _pinned_scenario(*edits):
+    path = reference_scenario_path()
+    text = Path(path).read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    scenario = parse_scenario_text(text, base_dir=Path(path).parent)
+    return replace(scenario, building_path="reference_building.yaml")
+
+
+@pytest.mark.parametrize(
+    "render,digest",
+    [
+        (lambda: serialize_scenario(_pinned_scenario()),
+         "db0039a70756d899e404b26e83038c1a82938311d16ff310f0f54a88215aa16e"),
+        (lambda: serialize_scenario(
+            _pinned_scenario(("contact_rate: 1.0", "contact_rate: 2000"))),
+         "6e64a99a36910ba1543e067c3db3d4ca0549a46768477d221de0948cd7a0d4d4"),
+        (lambda: serialize_building(load_building(_PINNED_BUILDING)),
+         "622b31f57811c83cc9e785cb87cf22eae9e3eafa1b7cbe7434bafdf44b49df3f"),
+    ],
+    ids=["reference-scenario", "int-contact-rate", "building-overrides"],
+)
+def test_serialized_bytes_are_pinned(render, digest):
+    # The manifest's scenario_sha256 hashes these bytes, and the goldens
+    # blank it: any change to the serializers' output shows here.
+    assert hashlib.sha256(render().encode("utf-8")).hexdigest() == digest
