@@ -1,30 +1,12 @@
 """Physical building description: rooms, appliance inventory, base load.
 
-Building files are YAML with a top-level appliance catalog and a list of
-room blocks that reference catalog ids:
-
-    base_load_watts: 5000
-    max_occupants: 213
-    defaults:
-      light_watts_on: 60
-      computer_watts: {off: 0, standby: 25, on: 400}
-    lights: [L001, L002, ...]
-    light_overrides:            # optional, per-id wattage overrides
-      L001: {watts_on: 80}
-    computers: [K001, ...]
-    computer_overrides:
-      K001: {watts_standby: 30}
-    rooms:
-      - id: office-1
-        kind: private_office    # private_office | shared_office | corridor |
-                                # kitchen | toilet | lab | other_facility
-        desk_capacity: 1
-        lights: [L001]
-        computers: [K001]
-
-Every catalog id must be referenced by exactly one room. Corridors,
-toilets and kitchens must have desk_capacity 0. A field the format does
-not name is an error. A model is immutable once loaded.
+A building file is YAML: a base load, catalogs of light and computer ids
+with their default and per-id wattages, and room blocks that place each
+id in a room. README's "File formats" section documents it; ``_FIELDS``
+lists its fields, and drives reading, type checks, unknown-field
+rejection and serialization. The field-table machinery here (``Field``,
+its kinds, ``read_fields`` and ``write_fields``) serves the scenario
+file too. A model is immutable once loaded.
 """
 
 from __future__ import annotations
@@ -32,23 +14,14 @@ from __future__ import annotations
 import enum
 import math
 import re
+from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import yaml
 
 from .errors import ParseError, ValidationError
-
-DEFAULT_LIGHT_WATTS = 60
-DEFAULT_COMPUTER_WATTS = (0, 25, 400)  # off, standby, on
-
-_TOP_LEVEL_FIELDS = (
-    "base_load_watts", "max_occupants", "defaults", "lights", "light_overrides",
-    "computers", "computer_overrides", "rooms",
-)
-_ROOM_FIELDS = ("id", "kind", "desk_capacity", "lights", "computers")
-_COMPUTER_STATES = ("off", "standby", "on")
-_COMPUTER_FIELDS = ("watts_off", "watts_standby", "watts_on")
 
 
 class RoomKind(str, enum.Enum):
@@ -73,21 +46,21 @@ _DESKLESS_KINDS = frozenset({RoomKind.CORRIDOR, RoomKind.TOILET, RoomKind.KITCHE
 class LightSpec(NamedTuple):
     id: str
     room_id: str
-    watts_on: float = DEFAULT_LIGHT_WATTS
+    watts_on: float = 60
 
 
 class ComputerSpec(NamedTuple):
     id: str
     room_id: str
-    watts_off: float = 0.0
-    watts_standby: float = 25.0
-    watts_on: float = 400.0
+    watts_off: float = 0
+    watts_standby: float = 25
+    watts_on: float = 400
 
 
 class Room(NamedTuple):
     id: str
     kind: RoomKind
-    desk_capacity: int
+    desk_capacity: int = 0
     light_ids: tuple[str, ...] = ()
     computer_ids: tuple[str, ...] = ()
 
@@ -209,44 +182,8 @@ def load_building_file(path: str | Path) -> BuildingModel:
     return load_building(text, source=str(path))
 
 
-_REQUIRED = object()
-
-
-def read_field(
-    section: dict,
-    key: str,
-    kind: type,
-    problems: list[str],
-    default=_REQUIRED,
-    minimum: float | None = None,
-    prefix: str = "",
-):
-    """Typed field reader shared by the building and scenario loaders.
-
-    ``kind`` is int (an integer) or float (a finite integer or float,
-    returned as written). A missing or null field gives ``default``; a
-    field that is required, of the wrong type or below ``minimum`` adds a
-    problem naming ``prefix + key``, and the reader returns a placeholder.
-    """
-    name = prefix + key
-    value = section.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            problems.append(f"missing required field '{name}'")
-            return 0
-        return default
-    if isinstance(value, bool) or not isinstance(
-        value, int if kind is int else (int, float)
-    ):
-        expected = "an integer" if kind is int else "a number"
-        problems.append(f"field '{name}' must be {expected}, got {value!r}")
-        return 0 if default is _REQUIRED else default
-    if isinstance(value, float) and not math.isfinite(value):
-        problems.append(f"field '{name}' must be finite, got {value!r}")
-        return 0 if default is _REQUIRED else default
-    if minimum is not None and value < minimum:
-        problems.append(f"field '{name}' must be >= {minimum}, got {value}")
-    return value
+# What a field's reader gives for a field left out: its record's default.
+ABSENT = object()
 
 
 def read_section(
@@ -264,226 +201,341 @@ def read_section(
     return value
 
 
-def reject_unknown(
-    section: dict, known, problems: list[str], prefix: str = ""
-) -> None:
-    """Adds a problem naming each field of ``section`` not in ``known``."""
-    for key in sorted(set(section) - set(known), key=str):
-        problems.append(f"unknown field '{prefix}{key}'")
+class Field(NamedTuple):
+    """One row of a file's field table: the field's dotted key path in
+    the file, the dotted attribute its value fills, and its kind, which
+    reads it (``read(section, key, prefix, problems)``, ``ABSENT`` when
+    left out) and writes it back (``write(value)``)."""
+
+    key: str
+    attr: str
+    kind: object
 
 
-def _overrides(
-    raw: dict, key: str, catalog: list[str], what: str, fields, problems: list[str]
-) -> dict[str, dict]:
-    """Per-id override mappings of ``fields``, keyed by id as a string;
-    each id must be in ``catalog``."""
-    section = read_section(raw, key, problems)
-    overrides = {}
-    for aid in section:
-        if str(aid) not in catalog:
-            problems.append(f"{key} names unknown {what} '{aid}'")
-        entry = read_section(section, aid, problems, prefix=f"{key}.")
-        reject_unknown(entry, fields, problems, prefix=f"{key}.{aid}.")
-        overrides[str(aid)] = entry
-    return overrides
+class Number(NamedTuple):
+    """An integer (``type`` int) or a finite integer or float (``type``
+    float), kept as written or, with ``coerce``, as a float. Null counts
+    as left out; a field that is required, of the wrong type or below
+    ``minimum`` is a problem."""
+
+    type: type = float
+    minimum: float | None = None
+    coerce: bool = False
+    required: bool = False
+
+    def read(self, section, key, prefix, problems):
+        name = prefix + key
+        value = section.get(key)
+        if value is None:
+            if self.required:
+                problems.append(f"missing required field '{name}'")
+        elif isinstance(value, bool) or not isinstance(
+            value, int if self.type is int else (int, float)
+        ):
+            expected = "an integer" if self.type is int else "a number"
+            problems.append(f"field '{name}' must be {expected}, got {value!r}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            problems.append(f"field '{name}' must be finite, got {value!r}")
+        else:
+            if self.minimum is not None and value < self.minimum:
+                problems.append(
+                    f"field '{name}' must be >= {self.minimum}, got {value}"
+                )
+            return float(value) if self.coerce else value
+        return ABSENT
+
+    def write(self, value):
+        return value
+
+
+class Choice(NamedTuple):
+    """A member of ``enum``, by its value. Another value is a problem
+    naming the field or, unless ``checked``, is passed on as written for
+    the loader to name."""
+
+    enum: type
+    checked: bool = True
+
+    def read(self, section, key, prefix, problems):
+        if key not in section:
+            return ABSENT
+        value = section[key]
+        try:
+            return self.enum(value)
+        except ValueError:
+            if not self.checked:
+                return value
+            choices = [member.value for member in self.enum]
+            problems.append(f"{prefix}{key} must be one of {choices}, got {value!r}")
+            return ABSENT
+
+    def write(self, value):
+        return value.value
+
+
+class Id:
+    """An id, read as a string; null or empty counts as left out."""
+
+    def read(self, section, key, prefix, problems):
+        value = section.get(key)
+        return ABSENT if value is None or value == "" else str(value)
+
+    def write(self, value):
+        return value
+
+
+class Ids:
+    """A list of ids, read as strings; a null or empty id is a problem."""
+
+    def read(self, section, key, prefix, problems):
+        ids = []
+        for item in read_section(section, key, problems, prefix, list):
+            if item is None or item == "":
+                problems.append(f"field '{prefix}{key}' must list ids, got {item!r}")
+            else:
+                ids.append(str(item))
+        return tuple(ids)
+
+    def write(self, value):
+        return list(value)
+
+
+class Items(NamedTuple):
+    """A list of mappings, each read with the field table ``fields``; an
+    item that is not a mapping is a problem, and is read as None."""
+
+    fields: tuple
+
+    def read(self, section, key, prefix, problems):
+        items = []
+        for i, item in enumerate(read_section(section, key, problems, prefix, list)):
+            where = f"{prefix}{key}[{i}]"
+            if isinstance(item, dict):
+                items.append(read_fields(item, self.fields, problems, where + "."))
+            else:
+                problems.append(f"{where} is not a mapping")
+                items.append(None)
+        return items
+
+    def write(self, records):
+        return [write_fields(self.fields, record) for record in records]
+
+
+class ById(NamedTuple):
+    """A mapping from ids (read as strings) to entries read with the field
+    table ``fields``. Written from records with an ``id``: each record's
+    fields that differ from the record type's defaults, if any does."""
+
+    fields: tuple
+
+    def read(self, section, key, prefix, problems):
+        entries = read_section(section, key, problems, prefix)
+        return {
+            str(aid): read_fields(
+                read_section(entries, aid, problems, f"{prefix}{key}."),
+                self.fields, problems, f"{prefix}{key}.{aid}.",
+            )
+            for aid in entries
+        }
+
+    def write(self, records):
+        written = {}
+        for record in records:
+            defaults = type(record)._field_defaults
+            entry = {
+                f.key: getattr(record, f.attr)
+                for f in self.fields
+                if getattr(record, f.attr) != defaults[f.attr]
+            }
+            if entry:
+                written[record.id] = entry
+        return written or ABSENT
+
+
+def _put(doc: dict, path: str, value) -> None:
+    *sections, key = path.split(".")
+    for name in sections:
+        doc = doc.setdefault(name, {})
+    doc[key] = value
+
+
+def read_fields(
+    doc: dict, fields, problems: list[str], prefix: str = "", lenient=()
+) -> dict:
+    """The values in the mapping ``doc`` of the field table ``fields``,
+    nested by attribute path. A field left out is left out here too, so
+    that its record's default applies. A section (``doc`` itself, or a
+    mapping on a key path) holding a key that no field names is a
+    problem, unless the section's path is in ``lenient``. Each problem
+    names its field after ``prefix``."""
+    sections: dict[str, dict] = {}
+
+    def section(path: str) -> dict:
+        # path: a section's key path with a trailing dot, "" for doc
+        if path not in sections:
+            found = doc
+            if path:
+                parent, _, key = path[:-1].rpartition(".")
+                parent = parent and parent + "."
+                found = read_section(section(parent), key, problems, prefix + parent)
+            if path[:-1] not in lenient:
+                known = {
+                    f.key[len(path):].split(".")[0]
+                    for f in fields
+                    if f.key.startswith(path)
+                }
+                for key in sorted(set(found) - known, key=str):
+                    problems.append(f"unknown field '{prefix}{path}{key}'")
+            sections[path] = found
+        return sections[path]
+
+    values: dict = {}
+    for f in fields:
+        path, _, key = f.key.rpartition(".")
+        path = path and path + "."
+        value = f.kind.read(section(path), key, prefix + path, problems)
+        if value is not ABSENT:
+            _put(values, f.attr, value)
+    return values
+
+
+def write_fields(fields, record) -> dict:
+    """``record``'s values of the field table ``fields``, laid out as in
+    the file."""
+    doc: dict = {}
+    for f in fields:
+        value = f.kind.write(attrgetter(f.attr)(record))
+        if value is not ABSENT:
+            _put(doc, f.key, value)
+    return doc
+
+
+_WATTS = Number(float, minimum=0)
+_COUNT = Number(int, minimum=0)
+_IDS = Ids()
+
+# The building file's fields, in file order. The `defaults` wattages fill
+# the `light` and `computer` attributes: every spec's fields, unless an
+# override entry sets that id's. ``serialize_building`` writes from the
+# model with the default specs as `light` and `computer` and the specs as
+# the override sections.
+_FIELDS = (
+    Field("base_load_watts", "base_load_watts", Number(float, 0, required=True)),
+    Field("max_occupants", "max_occupants", Number(int, 0, required=True)),
+    Field("defaults.light_watts_on", "light.watts_on", _WATTS),
+    Field("defaults.computer_watts.off", "computer.watts_off", _WATTS),
+    Field("defaults.computer_watts.standby", "computer.watts_standby", _WATTS),
+    Field("defaults.computer_watts.on", "computer.watts_on", _WATTS),
+    Field("lights", "lights", _IDS),
+    Field("computers", "computers", _IDS),
+    Field("rooms", "rooms", Items((
+        Field("id", "id", Id()),
+        Field("kind", "kind", Choice(RoomKind, checked=False)),
+        Field("desk_capacity", "desk_capacity", _COUNT),
+        Field("lights", "light_ids", _IDS),
+        Field("computers", "computer_ids", _IDS),
+    ))),
+    Field("light_overrides", "light_overrides", ById((
+        Field("watts_on", "watts_on", _WATTS),
+    ))),
+    Field("computer_overrides", "computer_overrides", ById(tuple(
+        Field(key, key, _WATTS) for key in ("watts_off", "watts_standby", "watts_on")
+    ))),
+)
 
 
 def _build_model(raw: dict, source: str) -> BuildingModel:
     problems: list[str] = []
-    reject_unknown(raw, _TOP_LEVEL_FIELDS, problems)
-
-    base_load_watts = read_field(raw, "base_load_watts", float, problems, minimum=0)
-    max_occupants = read_field(raw, "max_occupants", int, problems, minimum=0)
-
-    defaults = read_section(raw, "defaults", problems)
-    reject_unknown(defaults, ("light_watts_on", "computer_watts"), problems, "defaults.")
-    light_default = read_field(
-        defaults, "light_watts_on", float, problems,
-        default=DEFAULT_LIGHT_WATTS, minimum=0, prefix="defaults.",
-    )
-    cw = read_section(defaults, "computer_watts", problems, prefix="defaults.")
-    reject_unknown(cw, _COMPUTER_STATES, problems, "defaults.computer_watts.")
-    computer_default = tuple(
-        read_field(
-            cw, key, float, problems,
-            default=fallback, minimum=0, prefix="defaults.computer_watts.",
-        )
-        for key, fallback in zip(_COMPUTER_STATES, DEFAULT_COMPUTER_WATTS)
-    )
-
-    light_ids = [str(x) for x in read_section(raw, "lights", problems, kind=list)]
-    computer_ids = [str(x) for x in read_section(raw, "computers", problems, kind=list)]
-    for catalog, name in ((light_ids, "lights"), (computer_ids, "computers")):
+    values = read_fields(raw, _FIELDS, problems)
+    catalogs = {what: values[f"{what}s"] for what in ("light", "computer")}
+    owners: dict[str, dict[str, str]] = {what: {} for what in catalogs}  # id -> room
+    for what, catalog in catalogs.items():
         seen: set[str] = set()
         for appliance_id in catalog:
             if appliance_id in seen:
-                problems.append(f"duplicate id '{appliance_id}' in {name} catalog")
+                problems.append(f"duplicate id '{appliance_id}' in {what}s catalog")
             seen.add(appliance_id)
-    light_overrides = _overrides(
-        raw, "light_overrides", light_ids, "light", ("watts_on",), problems
-    )
-    computer_overrides = _overrides(
-        raw, "computer_overrides", computer_ids, "computer", _COMPUTER_FIELDS, problems
-    )
-    light_watts = {
-        lid: read_field(
-            light_overrides.get(lid, {}), "watts_on", float, problems,
-            default=light_default, minimum=0, prefix=f"light_overrides.{lid}.",
-        )
-        for lid in light_ids
-    }
-    computer_watts = {
-        cid: tuple(
-            read_field(
-                computer_overrides.get(cid, {}), key, float, problems,
-                default=fallback, minimum=0, prefix=f"computer_overrides.{cid}.",
-            )
-            for key, fallback in zip(_COMPUTER_FIELDS, computer_default)
-        )
-        for cid in computer_ids
-    }
+        for aid in values[f"{what}_overrides"]:
+            if aid not in catalog:
+                problems.append(f"{what}_overrides names unknown {what} '{aid}'")
 
     rooms: list[Room] = []
     room_ids: set[str] = set()
-    light_owner: dict[str, str] = {}
-    computer_owner: dict[str, str] = {}
-    for i, block in enumerate(read_section(raw, "rooms", problems, kind=list)):
-        if not isinstance(block, dict):
-            problems.append(f"rooms[{i}] is not a mapping")
-            continue
-        where = f"rooms[{i}]."
-        reject_unknown(block, _ROOM_FIELDS, problems, where)
-        room_id = str(block.get("id", f"rooms[{i}]"))
-        if "id" not in block:
+    for i, fields in enumerate(values["rooms"]):
+        if fields is None:
+            continue  # not a mapping: reported
+        if "id" not in fields:
             problems.append(f"rooms[{i}] missing 'id'")
+            fields["id"] = f"rooms[{i}]"
+        room_id = fields["id"]
         if room_id in room_ids:
             problems.append(f"duplicate room id '{room_id}'")
         room_ids.add(room_id)
-
-        kind_text = block.get("kind")
-        try:
-            kind = RoomKind(kind_text)
-        except ValueError:
-            problems.append(f"room '{room_id}' has unknown kind {kind_text!r}")
-            kind = RoomKind.OTHER_FACILITY
-
-        desk_capacity = read_field(
-            block, "desk_capacity", int, problems, default=0, minimum=0, prefix=where
-        )
-        if kind in _DESKLESS_KINDS and desk_capacity != 0:
+        kind = fields.get("kind")
+        if not isinstance(kind, RoomKind):
+            problems.append(f"room '{room_id}' has unknown kind {kind!r}")
+            fields["kind"] = RoomKind.OTHER_FACILITY
+        room = Room(**fields)
+        if room.kind in _DESKLESS_KINDS and room.desk_capacity != 0:
             problems.append(
-                f"room '{room_id}' ({kind.value}) must have desk_capacity 0"
+                f"room '{room_id}' ({room.kind.value}) must have desk_capacity 0"
             )
+        for what, ids in (("light", room.light_ids), ("computer", room.computer_ids)):
+            owner = owners[what]
+            for aid in ids:
+                if aid not in catalogs[what]:
+                    problems.append(
+                        f"room '{room_id}' references undeclared {what} '{aid}'"
+                    )
+                elif aid in owner:
+                    problems.append(
+                        f"{what} '{aid}' referenced by both "
+                        f"'{owner[aid]}' and '{room_id}'"
+                    )
+                else:
+                    owner[aid] = room_id
+        rooms.append(room)
 
-        room_lights = tuple(
-            str(x) for x in read_section(block, "lights", problems, where, list)
-        )
-        room_computers = tuple(
-            str(x) for x in read_section(block, "computers", problems, where, list)
-        )
-        for lid in room_lights:
-            if lid not in light_ids:
-                problems.append(
-                    f"room '{room_id}' references undeclared light '{lid}'"
-                )
-            elif lid in light_owner:
-                problems.append(
-                    f"light '{lid}' referenced by both "
-                    f"'{light_owner[lid]}' and '{room_id}'"
-                )
-            else:
-                light_owner[lid] = room_id
-        for cid in room_computers:
-            if cid not in computer_ids:
-                problems.append(
-                    f"room '{room_id}' references undeclared computer '{cid}'"
-                )
-            elif cid in computer_owner:
-                problems.append(
-                    f"computer '{cid}' referenced by both "
-                    f"'{computer_owner[cid]}' and '{room_id}'"
-                )
-            else:
-                computer_owner[cid] = room_id
-
-        rooms.append(Room(room_id, kind, desk_capacity, room_lights, room_computers))
-
-    for lid in light_ids:
-        if lid not in light_owner:
-            problems.append(f"light '{lid}' is not placed in any room")
-    for cid in computer_ids:
-        if cid not in computer_owner:
-            problems.append(f"computer '{cid}' is not placed in any room")
+    for what, catalog in catalogs.items():
+        for aid in catalog:
+            if aid not in owners[what]:
+                problems.append(f"{what} '{aid}' is not placed in any room")
 
     if problems:
         raise ValidationError([f"{source}: {p}" for p in problems])
 
-    lights = {
-        lid: LightSpec(lid, light_owner[lid], light_watts[lid]) for lid in light_ids
-    }
-    computers = {
-        cid: ComputerSpec(cid, computer_owner[cid], *computer_watts[cid])
-        for cid in computer_ids
-    }
+    def specs(what: str, spec: type) -> dict:
+        # the file's defaults, then the id's overrides, then the spec's
+        defaults, overrides = values.get(what, {}), values[f"{what}_overrides"]
+        return {
+            aid: spec(aid, owners[what][aid], **{**defaults, **overrides.get(aid, {})})
+            for aid in catalogs[what]
+        }
+
     return BuildingModel(
         rooms=tuple(rooms),
-        lights=lights,
-        computers=computers,
-        base_load_watts=base_load_watts,
-        max_occupants=max_occupants,
+        lights=specs("light", LightSpec),
+        computers=specs("computer", ComputerSpec),
+        base_load_watts=values["base_load_watts"],
+        max_occupants=values["max_occupants"],
     )
 
 
 def serialize_building(model: BuildingModel) -> str:
-    """Render a model back to the building file format.
+    """Render a model back to the building file format: `defaults` holds
+    the specs' default wattages, and an override entry each wattage of a
+    spec that differs from its default.
 
     Loading the output yields a model equal to the input.
     """
-    doc = {
-        "base_load_watts": model.base_load_watts,
-        "max_occupants": model.max_occupants,
-        "defaults": {
-            "light_watts_on": DEFAULT_LIGHT_WATTS,
-            "computer_watts": {
-                "off": DEFAULT_COMPUTER_WATTS[0],
-                "standby": DEFAULT_COMPUTER_WATTS[1],
-                "on": DEFAULT_COMPUTER_WATTS[2],
-            },
-        },
-        "lights": list(model.lights),
-        "computers": list(model.computers),
-        "rooms": [
-            {
-                "id": r.id,
-                "kind": r.kind.value,
-                "desk_capacity": r.desk_capacity,
-                "lights": list(r.light_ids),
-                "computers": list(r.computer_ids),
-            }
-            for r in model.rooms
-        ],
-    }
-    light_overrides = {
-        s.id: {"watts_on": s.watts_on}
-        for s in model.lights.values()
-        if s.watts_on != DEFAULT_LIGHT_WATTS
-    }
-    computer_overrides = {}
-    for s in model.computers.values():
-        entry = {}
-        if s.watts_off != DEFAULT_COMPUTER_WATTS[0]:
-            entry["watts_off"] = s.watts_off
-        if s.watts_standby != DEFAULT_COMPUTER_WATTS[1]:
-            entry["watts_standby"] = s.watts_standby
-        if s.watts_on != DEFAULT_COMPUTER_WATTS[2]:
-            entry["watts_on"] = s.watts_on
-        if entry:
-            computer_overrides[s.id] = entry
-    if light_overrides:
-        doc["light_overrides"] = light_overrides
-    if computer_overrides:
-        doc["computer_overrides"] = computer_overrides
-    return dump_yaml(doc)
+    record = SimpleNamespace(
+        **model._asdict(),
+        light=LightSpec("", ""),
+        computer=ComputerSpec("", ""),
+        light_overrides=model.lights.values(),
+        computer_overrides=model.computers.values(),
+    )
+    return dump_yaml(write_fields(_FIELDS, record))
 
 
 def building_summary(model: BuildingModel) -> dict:

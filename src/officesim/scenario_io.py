@@ -5,44 +5,12 @@ and the run manifest.
 that checking a scenario file loads no simulation code: this module
 names the engine's result types only for annotations.
 
-Scenario files are YAML and reference a building file by path (relative
-paths are resolved against the scenario file's directory):
+A scenario file is YAML and names its building file by path, relative
+to the scenario file's directory. README's "File formats" section
+documents it; ``_FIELDS`` lists its fields, and drives reading, type
+checks, unknown-field rejection and serialization. A field left out
+takes the default of the attribute it fills.
 
-    building: reference_building.yaml
-    seed: 20100904
-    horizon_days: 7
-    start_day_of_week: 0          # 0 = Monday
-    replications: 20
-    lighting_policy: automated    # automated | staff_controlled
-    automated_off_delay_minutes: 20
-    population:
-      size: 200
-      schedule_mix:  {early_bird: 0.08, timetable_complier: 0.53,
-                      flexible_worker: 0.39}
-      awareness_mix: {environment_champion: 0.01, energy_saver: 0.08,
-                      regular_user: 0.31, big_user: 0.60}
-    social:
-      contact_rate: 1.0
-      awareness_delta: 1.0
-      small_world_k: 4
-      small_world_beta: 0.1
-    behavior:
-      leave_hazard_per_minute: 0.01
-      temporary_leave_fraction: 0.7
-      temporary_leave_min: 5
-      temporary_leave_max: 19
-      long_leave_min: 20
-      long_leave_max: 90
-      other_room_hazard_per_minute: 0.005
-      other_room_dwell_min: 1
-      other_room_dwell_max: 10
-      computer_standby_prob_per_minute: 0.05
-      computer_off_threshold: 50
-      computer_off_floor_prob: 0.05
-      weekend_presence_prob: 0.02
-
-`building`, `horizon_days` and `population.size` are required; every
-other field falls back to the defaults shown by `serialize_scenario`.
 All emitted files are deterministic for a given result: fixed float
 formatting, LF line endings, sorted JSON keys, no timestamps.
 """
@@ -55,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import compress, count
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__, sha256
 from .accounting import (
@@ -66,13 +34,17 @@ from .accounting import (
 )
 from .appliances import LightingPolicy, PolicyKind, computer_apply_event
 from .building import (
+    ABSENT,
+    Choice,
+    Field,
+    Number,
     dump_yaml,
     load_building_file,
-    read_field,
+    read_fields,
     read_section,
     read_yaml,
-    reject_unknown,
     serialize_building,
+    write_fields,
 )
 from .errors import ParseError, ValidationError
 from .occupants import (
@@ -117,38 +89,32 @@ class Scenario:
     building_path: str | None = None
 
     def validate(self) -> None:
-        problems = []
-        if self.horizon_days < 1:
-            problems.append(f"horizon_days must be >= 1, got {self.horizon_days}")
-        if self.replications < 1:
-            problems.append(f"replications must be >= 1, got {self.replications}")
-        if self.population_size < 0:
-            problems.append("population size must be >= 0")
-        if self.population_size > self.building.total_desk_capacity():
-            problems.append(
-                f"population size {self.population_size} exceeds desk capacity "
-                f"{self.building.total_desk_capacity()}"
-            )
-        if not self.contact_rate >= 0:
-            problems.append(f"contact_rate must be >= 0, got {self.contact_rate}")
-        if not self.awareness_delta >= 0:
-            problems.append(
-                f"awareness_delta must be >= 0, got {self.awareness_delta}"
-            )
-        if self.small_world_k < 2 or self.small_world_k % 2:
-            problems.append(
-                f"small_world_k must be even and >= 2, got {self.small_world_k}"
-            )
-        if not 0.0 <= self.small_world_beta <= 1.0:
-            problems.append(
-                f"small_world_beta must be in [0, 1], got {self.small_world_beta}"
-            )
-        if not 0 <= self.start_day_of_week <= 6:
-            problems.append(
-                f"start_day_of_week must be in 0..6, got {self.start_day_of_week}"
-            )
-        if self.policy.is_automated and self.policy.off_delay_minutes < 0:
-            problems.append("automated off delay must be >= 0")
+        """Check the bounds of every field, for a scenario read from a
+        file, built in code or given command-line overrides."""
+        capacity = self.building.total_desk_capacity()
+        bounds = (
+            (self.horizon_days >= 1,
+             f"horizon_days must be >= 1, got {self.horizon_days}"),
+            (self.replications >= 1,
+             f"replications must be >= 1, got {self.replications}"),
+            (self.population_size >= 0, "population size must be >= 0"),
+            (self.population_size <= capacity,
+             f"population size {self.population_size} exceeds desk capacity "
+             f"{capacity}"),
+            (self.contact_rate >= 0,
+             f"contact_rate must be >= 0, got {self.contact_rate}"),
+            (self.awareness_delta >= 0,
+             f"awareness_delta must be >= 0, got {self.awareness_delta}"),
+            (self.small_world_k >= 2 and not self.small_world_k % 2,
+             f"small_world_k must be even and >= 2, got {self.small_world_k}"),
+            (0.0 <= self.small_world_beta <= 1.0,
+             f"small_world_beta must be in [0, 1], got {self.small_world_beta}"),
+            (0 <= self.start_day_of_week <= 6,
+             f"start_day_of_week must be in 0..6, got {self.start_day_of_week}"),
+            # compare runs an automated arm from the delay whatever the policy
+            (self.policy.off_delay_minutes >= 0, "automated off delay must be >= 0"),
+        )
+        problems = [message for ok, message in bounds if not ok]
         if problems:
             raise ValidationError(problems)
         self.mix.validate()
@@ -188,31 +154,79 @@ class Scenario:
         return per_watt, watts, units
 
 
-# Field name -> int or float, from the annotations of BehaviorParams.
-_BEHAVIOR_FIELDS = {
-    name: int if f.type in ("int", int) else float
-    for name, f in BehaviorParams.__dataclass_fields__.items()
-}
-# Field name -> default; its type is the field's type.
-_SOCIAL_FIELDS = {
-    "contact_rate": 1.0,
-    "awareness_delta": 1.0,
-    "small_world_k": 4,
-    "small_world_beta": 0.1,
-}
-_TOP_LEVEL_FIELDS = frozenset(
-    {
-        "building",
-        "seed",
-        "horizon_days",
-        "start_day_of_week",
-        "replications",
-        "lighting_policy",
-        "automated_off_delay_minutes",
-        "population",
-        "social",
-        "behavior",
-    }
+_INT = Number(int)
+_FLOAT = Number(float, coerce=True)
+_FRACTION = Number(float, coerce=True, required=True)
+
+
+class _Mix(NamedTuple):
+    """A mapping from ``enum`` values to fractions, read as floats; a
+    member left out has fraction 0."""
+
+    enum: type
+
+    def read(self, section, key, prefix, problems):
+        if section.get(key) is None:
+            return ABSENT
+        where = prefix + key
+        entries = read_section(section, key, problems, prefix)
+        valid = {member.value: member for member in self.enum}
+        mix = {}
+        for name in entries:
+            member = valid.get(str(name))
+            if member is None:
+                problems.append(f"{where} has unknown entry '{name}'")
+                continue
+            mix[member] = _FRACTION.read(entries, name, f"{where}.", problems)
+        for member in self.enum:
+            mix.setdefault(member, 0.0)
+        return mix
+
+    def write(self, value):
+        return {member.value: value.get(member, 0.0) for member in self.enum}
+
+
+class _Path:
+    """A path, as a non-empty string (required); a scenario built without
+    one is written with ``building.yaml``."""
+
+    def read(self, section, key, prefix, problems):
+        value = section.get(key)
+        if value is None:
+            problems.append(f"missing required field '{prefix}{key}'")
+        elif not isinstance(value, str) or not value:
+            problems.append(f"field '{prefix}{key}' must be a path, got {value!r}")
+        else:
+            return value
+        return ABSENT
+
+    def write(self, value):
+        return value or "building.yaml"
+
+
+# The scenario file's fields, in file order: key path, ``Scenario``
+# attribute (through its policy, mix and behavior records), kind. Social
+# rates and mix fractions are read as floats, behavior numbers as written.
+_FIELDS = (
+    Field("building", "building_path", _Path()),
+    Field("seed", "master_seed", _INT),
+    Field("horizon_days", "horizon_days", Number(int, required=True)),
+    Field("start_day_of_week", "start_day_of_week", _INT),
+    Field("replications", "replications", _INT),
+    Field("lighting_policy", "policy.kind", Choice(PolicyKind)),
+    Field("automated_off_delay_minutes", "policy.off_delay_minutes", _INT),
+    Field("population.size", "population_size", Number(int, required=True)),
+    Field("population.schedule_mix", "mix.schedule", _Mix(ScheduleClass)),
+    Field("population.awareness_mix", "mix.awareness", _Mix(Stereotype)),
+    Field("social.contact_rate", "contact_rate", _FLOAT),
+    Field("social.awareness_delta", "awareness_delta", _FLOAT),
+    Field("social.small_world_k", "small_world_k", _INT),
+    Field("social.small_world_beta", "small_world_beta", _FLOAT),
+    *(
+        Field(f"behavior.{name}", f"behavior.{name}",
+              _INT if f.type in ("int", int) else Number(float))
+        for name, f in BehaviorParams.__dataclass_fields__.items()
+    ),
 )
 
 
@@ -232,75 +246,20 @@ def parse_scenario_text(
     raw = read_yaml(text, source)
     if not isinstance(raw, dict):
         raise ParseError(f"{source}: scenario file must be a mapping")
-
     problems: list[str] = []
-    reject_unknown(raw, _TOP_LEVEL_FIELDS, problems)
-
-    building_ref = raw.get("building")
-    if building_ref is None:
-        problems.append("missing required field 'building'")
-    elif not isinstance(building_ref, str):
-        problems.append(f"field 'building' must be a path, got {building_ref!r}")
-    horizon_days = read_field(raw, "horizon_days", int, problems)
-    start_day_of_week = read_field(raw, "start_day_of_week", int, problems, default=0)
-    replications = read_field(raw, "replications", int, problems, default=20)
-    master_seed = read_field(raw, "seed", int, problems, default=1)
-
-    population = read_section(raw, "population", problems)
-    size = read_field(population, "size", int, problems, prefix="population.")
-    schedule_mix = _parse_mix(population, "schedule_mix", ScheduleClass, problems)
-    awareness_mix = _parse_mix(population, "awareness_mix", Stereotype, problems)
-
-    policy_name = raw.get("lighting_policy", PolicyKind.AUTOMATED.value)
-    try:
-        policy_kind = PolicyKind(policy_name)
-    except ValueError:
-        problems.append(
-            f"lighting_policy must be one of "
-            f"{[k.value for k in PolicyKind]}, got {policy_name!r}"
-        )
-        policy_kind = PolicyKind.AUTOMATED
-    off_delay = read_field(raw, "automated_off_delay_minutes", int, problems, default=20)
-
-    behavior_raw = read_section(raw, "behavior", problems)
-    reject_unknown(behavior_raw, _BEHAVIOR_FIELDS, problems, "behavior.")
-    behavior_values = {
-        key: read_field(
-            behavior_raw, key, kind, problems, default=None, prefix="behavior."
-        )
-        for key, kind in _BEHAVIOR_FIELDS.items()
-    }
-
-    social = read_section(raw, "social", problems)
-    reject_unknown(social, _SOCIAL_FIELDS, problems, "social.")
-    social_values = {
-        key: read_field(social, key, type(default), problems, default=default,
-                        prefix="social.")
-        for key, default in _SOCIAL_FIELDS.items()
-    }
-
+    # population is not checked for unknown fields, as it never was
+    values = read_fields(raw, _FIELDS, problems, lenient=("population",))
     if problems:
         raise ValidationError([f"{source}: {p}" for p in problems])
 
-    building_path = Path(base_dir) / building_ref
-    building = load_building_file(building_path)
+    building_path = Path(base_dir) / values.pop("building_path")
     scenario = Scenario(
-        building=building,
-        population_size=size,
-        mix=PopulationMix(schedule=schedule_mix, awareness=awareness_mix),
-        policy=LightingPolicy(policy_kind, off_delay),
-        contact_rate=float(social_values["contact_rate"]),
-        awareness_delta=float(social_values["awareness_delta"]),
-        small_world_k=social_values["small_world_k"],
-        small_world_beta=float(social_values["small_world_beta"]),
-        behavior=BehaviorParams(
-            **{k: v for k, v in behavior_values.items() if v is not None}
-        ),
-        horizon_days=horizon_days,
-        start_day_of_week=start_day_of_week,
-        replications=replications,
-        master_seed=master_seed,
+        building=load_building_file(building_path),
         building_path=str(building_path.resolve()),
+        policy=LightingPolicy.automated()._replace(**values.pop("policy", {})),
+        mix=PopulationMix(**values.pop("mix", {})),
+        behavior=BehaviorParams(**values.pop("behavior", {})),
+        **values,
     )
     try:
         scenario.validate()
@@ -309,56 +268,9 @@ def parse_scenario_text(
     return scenario
 
 
-def _parse_mix(population, key, enum_cls, problems):
-    if population.get(key) is None:
-        return dict(
-            PopulationMix().schedule
-            if enum_cls is ScheduleClass
-            else PopulationMix().awareness
-        )
-    where = f"population.{key}"
-    section = read_section(population, key, problems, prefix="population.")
-    out = {}
-    valid = {member.value: member for member in enum_cls}
-    for name in section:
-        member = valid.get(str(name))
-        if member is None:
-            problems.append(f"{where} has unknown entry '{name}'")
-            continue
-        out[member] = float(read_field(section, name, float, problems, prefix=f"{where}."))
-    for member in enum_cls:
-        out.setdefault(member, 0.0)
-    return out
-
-
 def serialize_scenario(scenario: Scenario) -> str:
     """Render a scenario back to the file format (building by path)."""
-    doc = {
-        "building": scenario.building_path or "building.yaml",
-        "seed": scenario.master_seed,
-        "horizon_days": scenario.horizon_days,
-        "start_day_of_week": scenario.start_day_of_week,
-        "replications": scenario.replications,
-        "lighting_policy": scenario.policy.kind.value,
-        "automated_off_delay_minutes": scenario.policy.off_delay_minutes,
-        "population": {
-            "size": scenario.population_size,
-            "schedule_mix": {
-                c.value: scenario.mix.schedule.get(c, 0.0) for c in ScheduleClass
-            },
-            "awareness_mix": {
-                s.value: scenario.mix.awareness.get(s, 0.0) for s in Stereotype
-            },
-        },
-        "social": {
-            "contact_rate": scenario.contact_rate,
-            "awareness_delta": scenario.awareness_delta,
-            "small_world_k": scenario.small_world_k,
-            "small_world_beta": scenario.small_world_beta,
-        },
-        "behavior": asdict(scenario.behavior),
-    }
-    return dump_yaml(doc)
+    return dump_yaml(write_fields(_FIELDS, scenario))
 
 
 def scenario_fingerprint(scenario: Scenario) -> str:

@@ -282,6 +282,22 @@ def test_runtime_error_exit_code(scenario_path, tmp_path):
          "'base_load_watts' must be finite"),
         ({"building.yaml": {"light_overrides": {"L000": {"watts_on": float("inf")}}}},
          "'light_overrides.L000.watts_on' must be finite"),
+        # compare always runs an automated arm from the delay
+        ({"lighting_policy": "staff_controlled", "automated_off_delay_minutes": -5},
+         "automated off delay must be >= 0"),
+        # a null or empty reference names no room, light or building file
+        ({"building.yaml": {"rooms": [{"id": None, "kind": "corridor"}]}},
+         "rooms[0] missing 'id'"),
+        ({"building.yaml": {"rooms": [{"id": "", "kind": "corridor"}]}},
+         "rooms[0] missing 'id'"),
+        ({"building.yaml": {"lights": ["L000", None]}},
+         "field 'lights' must list ids, got None"),
+        ({"building.yaml": {"computers": ["K000", ""]}},
+         "field 'computers' must list ids, got ''"),
+        ({"building.yaml": {"rooms": [{"id": "hall", "kind": "corridor",
+                                       "lights": [None]}]}},
+         "field 'rooms[0].lights' must list ids, got None"),
+        ({"building": ""}, "field 'building' must be a path, got ''"),
     ],
 )
 def test_malformed_field_is_a_config_error_naming_it(tmp_path, capsys, override, field):
