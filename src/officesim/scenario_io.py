@@ -247,7 +247,8 @@ def parse_scenario_text(
     if not isinstance(raw, dict):
         raise ParseError(f"{source}: scenario file must be a mapping")
     problems: list[str] = []
-    # population is not checked for unknown fields, as it never was
+    # unknown population fields stay accepted: rejecting them would fail
+    # scenario files that load today
     values = read_fields(raw, _FIELDS, problems, lenient=("population",))
     if problems:
         raise ValidationError([f"{source}: {p}" for p in problems])
