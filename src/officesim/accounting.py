@@ -17,6 +17,7 @@ Python 3.12 on).
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from functools import lru_cache, reduce
 from itertools import compress, repeat
@@ -125,9 +126,17 @@ def _series(values) -> array:
     return array("d", values)
 
 
-def _has_negative(series) -> bool:
-    """Whether any sample is below zero. NaN samples are admitted; builtin
-    ``min`` returns a leading NaN, so such a series is scanned in full."""
+# The byte of a native float64 that holds its sign bit.
+_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
+
+
+def _has_negative(series: array) -> bool:
+    """Whether any sample is below zero. A series with no sign bit set has
+    none, which its bytes tell at once; else NaN samples are admitted, and
+    as builtin ``min`` returns a leading NaN, such a series is scanned in
+    full."""
+    if series.tobytes()[_SIGN_BYTE::8].isascii():
+        return False
     low = min(series, default=0.0)
     if low == low:
         return low < 0

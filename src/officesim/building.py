@@ -360,14 +360,13 @@ def _put(doc: dict, path: str, value) -> None:
 
 
 def read_fields(
-    doc: dict, fields, problems: list[str], prefix: str = "", lenient=()
+    doc: dict, fields, problems: list[str], prefix: str = ""
 ) -> dict:
     """The values in the mapping ``doc`` of the field table ``fields``,
     nested by attribute path. A field left out is left out here too, so
     that its record's default applies. A section (``doc`` itself, or a
     mapping on a key path) holding a key that no field names is a
-    problem, unless the section's path is in ``lenient``. Each problem
-    names its field after ``prefix``."""
+    problem. Each problem names its field after ``prefix``."""
     sections: dict[str, dict] = {}
 
     def section(path: str) -> dict:
@@ -378,14 +377,13 @@ def read_fields(
                 parent, _, key = path[:-1].rpartition(".")
                 parent = parent and parent + "."
                 found = read_section(section(parent), key, problems, prefix + parent)
-            if path[:-1] not in lenient:
-                known = {
-                    f.key[len(path):].split(".")[0]
-                    for f in fields
-                    if f.key.startswith(path)
-                }
-                for key in sorted(set(found) - known, key=str):
-                    problems.append(f"unknown field '{prefix}{path}{key}'")
+            known = {
+                f.key[len(path):].split(".")[0]
+                for f in fields
+                if f.key.startswith(path)
+            }
+            for key in sorted(set(found) - known, key=str):
+                problems.append(f"unknown field '{prefix}{path}{key}'")
             sections[path] = found
         return sections[path]
 

@@ -21,7 +21,6 @@ from .engine import (
     _LEAVE_OFFICE_TEMPORARY,
     EVENT_KINDS,
     ReplicationResult,
-    _zones,
     derive_seed,
 )
 from .network import AWARENESS_CAP, ContactEvent
@@ -78,7 +77,8 @@ def room_occupancy(result: ReplicationResult) -> np.ndarray:
     of ``result``'s record. Corridor rooms share the corridor's
     occupancy."""
     record = result.record
-    zone_rooms, room_zone, _ = _zones(result.building.rooms)
+    layout = result.record.scenario.layout
+    zone_rooms, room_zone = layout.zone_rooms, layout.room_zone
     kinds = np.frombuffer(record.kind, dtype=np.int8)
     minutes = np.frombuffer(record.minute, dtype=np.int32)
     rooms = np.frombuffer(record.room, dtype=np.int32)

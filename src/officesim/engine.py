@@ -45,8 +45,8 @@ from .network import (
     SocialNetwork,
     build_small_world,
     contact_step,
+    network_degree,
     raise_awareness,
-    send_hazard,
 )
 from .occupants import (
     MINUTES_PER_DAY,
@@ -217,6 +217,7 @@ class RunRecord:
         network = _build_network(
             scenario.population_size, scenario.small_world_k,
             scenario.small_world_beta, Random(derive_seed(self.seed, "network")),
+            scenario.lattice,
         )
         rngs: dict[int, Random] = {}
         stays = zip(self.stay_sender, self.stay_start, self.stay_end)
@@ -467,46 +468,35 @@ def run_replication_arms(
         seats=scenario.seats,
     )
     network = _build_network(
-        len(agents), scenario.small_world_k, scenario.small_world_beta, rng_network
+        len(agents), scenario.small_world_k, scenario.small_world_beta, rng_network,
+        scenario.lattice,
     )
-    contacts_on = network is not None and scenario.contact_rate > 0.0
     awareness_delta = scenario.awareness_delta
     raising = awareness_delta > 0.0  # else no email changes anything
+    hazards = scenario.email_hazards  # by stereotype code
+    contacts_on = hazards is not None
     email_p = None
     if contacts_on:
-        email_p = array(
-            "d", [send_hazard(a.p_email, scenario.contact_rate) for a in agents]
-        )
+        email_p = array("d", [hazards[STEREOTYPES.index(a.stereotype)] for a in agents])
     record = RunRecord(scenario, seed, agents, email_p, len(policies))
 
-    facility_ids = tuple(r.id for r in building.facility_rooms())
+    # Automated policy: a bank with lights (zone_steppable) is stepped when
+    # its zone turns occupied or vacant, and at its scheduled switch-off.
+    (
+        facility_ids, zone_rooms, room_zone, zone_of, room_index, room_watts,
+        zone_steppable, office_zone,
+    ) = scenario.layout
     ctx = BehaviorContext(params, facility_ids, record)
-
-    rooms = building.rooms
     corridor = 0
-    zone_rooms, room_zone, zone_of = _zones(rooms)
-    office_zone = [zone_of[a.office_room_id] for a in agents]
-    room_index = {room.id: i for i, room in enumerate(rooms)}
-    room_index[None] = -1
     zone_occupancy = [0] * len(zone_rooms)
-    room_watts = [
-        sequential_sum(building.lights[lid].watts_on for lid in room.light_ids)
-        for room in rooms
-    ]
+    touched: set[int] = set()  # zones whose occupancy changed this minute
 
     arms = [
-        _LightingArm(policy, rooms, room_watts, seed, record, i)
+        _LightingArm(policy, building.rooms, room_watts, seed, record, i)
         for i, policy in enumerate(policies)
     ]
     automated_arms = [arm for arm in arms if arm.policy.is_automated]
     manual_arms = [arm for arm in arms if not arm.policy.is_automated]
-
-    # Automated policy: a bank with lights is stepped when its zone turns
-    # occupied or vacant, and at its scheduled switch-off.
-    zone_steppable = [
-        [i for i in members if room_watts[i] > 0] for members in zone_rooms
-    ]
-    touched: set[int] = set()  # zones whose occupancy changed this minute
 
     # The calendar: a heap of minutes, each with buckets of the agents and
     # light banks (arm, bank index) due then.
@@ -632,24 +622,31 @@ def run_replication_arms(
                     receivers.append(receiver_id)
 
     def step_lights(minute: int) -> None:
-        scheduled = due_lights.pop(minute, None)
-        changed = [i for zone in touched for i in zone_steppable[zone]]
+        # In index order, as a full sweep over the rooms would step them. A
+        # zone's rooms are in index order, and so are an arm's banks in a
+        # bucket, all scheduled by one earlier step.
+        scheduled = due_lights.pop(minute, ())
+        if len(touched) == 1:
+            (zone,) = touched
+            changed = zone_steppable[zone]
+        else:
+            changed = sorted([i for zone in touched for i in zone_steppable[zone]])
         for a, arm in enumerate(automated_arms):
             indices = changed
             if scheduled:
-                indices = changed + [i for arm_index, i in scheduled if arm_index == a]
-            if len(indices) > 1:
-                # Index order, as a full sweep over the rooms would step them.
-                indices = sorted(set(indices))
+                indices = [i for arm_index, i in scheduled if arm_index == a]
+                if changed:
+                    indices = sorted({*changed, *indices})
             banks = arm.banks
             off_delay = arm.policy.off_delay_minutes
             for idx in indices:
                 bank = banks[idx]
-                occupied = zone_occupancy[room_zone[idx]] > 0
-                delta = bank.step_automated(occupied, off_delay, minute)
+                delta = bank.step_automated(
+                    zone_occupancy[room_zone[idx]] > 0, off_delay, minute
+                )
                 if delta:
                     arm.add(delta * bank.watts_total, minute)
-                if bank.is_on and bank.off_at == minute + off_delay:
+                elif bank.off_at == minute + off_delay:
                     # Vacated this minute: the switch-off is due after the delay.
                     schedule(due_lights, bank.off_at, (a, idx))
 
@@ -728,12 +725,11 @@ def _replay_computers(record: RunRecord, n_minutes: int) -> array:
     order, and each change is added to its minute in the integer units of
     ``Scenario.computer_levels``: for whole-watt computers the series is
     the running float sum of the changes, in any order."""
-    per_watt, _, units = record.scenario.computer_levels
-    # Per agent: its computer's units by power state, and the units now.
-    levels = [units.get(cid) for cid in record.scenario.seats[1]]
+    per_watt, _, levels, off_units = record.scenario.computer_levels
+    # Per agent: its computer's units now.
     now = [lv[POWER_OFF] if lv is not None else 0 for lv in levels]
     deltas = [0] * n_minutes
-    deltas[0] = sum(lv[POWER_OFF] for lv in units.values())
+    deltas[0] = off_units
     rows = zip(record.computer_minute, record.computer_agent, record.computer_power)
     for minute, a, power in rows:
         new = levels[a][power]
@@ -743,11 +739,27 @@ def _replay_computers(record: RunRecord, n_minutes: int) -> array:
     return array("d", map(truediv, accumulate(deltas), repeat(per_watt)))
 
 
-def _zones(rooms) -> tuple[list[list[int]], list[int], dict[str, int]]:
-    """Zones, the rooms that share occupancy, as (room indices per zone,
-    zone per room index, zone per room id). Zone 0 is the corridor, all
+class Layout(NamedTuple):
+    """``building_layout``: rooms by index in the building's file order.
+    A zone is the rooms that share occupancy: zone 0 is the corridor, all
     its rooms at once; every other room is a zone of its own."""
-    zone_rooms: list[list[int]] = [[]]
+
+    facility_ids: tuple[str, ...]
+    zone_rooms: list[list[int]]  # room indices by zone
+    room_zone: list[int]  # by room index
+    zone_of: dict[str, int]  # by room id
+    room_index: dict[str | None, int]  # by room id; None: -1
+    room_watts: list[float]  # its lights' wattages added left to right
+    zone_steppable: list[list[int]]  # room indices with lights, by zone
+    office_zone: list[int]  # by agent id
+
+
+def building_layout(building: BuildingModel, office_rooms) -> Layout:
+    """The rooms and zones of ``building`` as a run uses them, with the
+    office zone of each agent seated in ``office_rooms`` (room ids by agent
+    id); held per scenario as ``Scenario.layout``."""
+    rooms = building.rooms
+    zone_rooms: list[list[int]] = [[]]  # zone 0: the corridor rooms
     room_zone: list[int] = []
     for i, room in enumerate(rooms):
         if room.kind is RoomKind.CORRIDOR:
@@ -757,20 +769,29 @@ def _zones(rooms) -> tuple[list[list[int]], list[int], dict[str, int]]:
             room_zone.append(len(zone_rooms))
             zone_rooms.append([i])
     zone_of = {room.id: zone for room, zone in zip(rooms, room_zone)}
-    return zone_rooms, room_zone, zone_of
+    room_watts = [
+        sequential_sum(building.lights[lid].watts_on for lid in room.light_ids)
+        for room in rooms
+    ]
+    room_index = {room.id: i for i, room in enumerate(rooms)}
+    room_index[None] = -1
+    return Layout(
+        tuple(r.id for r in building.facility_rooms()),
+        zone_rooms, room_zone, zone_of, room_index, room_watts,
+        [[i for i in zone if room_watts[i] > 0] for zone in zone_rooms],
+        [zone_of[room] for room in office_rooms],
+    )
 
 
-def _build_network(n: int, k: int, beta: float, rng) -> SocialNetwork | None:
-    """Adapt the configured degree to small populations; None disables
-    contacts entirely (fewer than three agents cannot form a ring)."""
-    if n < 3:
-        return None
-    k_eff = min(k, n - 1)
-    if k_eff % 2:
-        k_eff -= 1
-    if k_eff < 2:
-        return None
-    return build_small_world(n, k_eff, beta, rng)
+def _build_network(
+    n: int, k: int, beta: float, rng, lattice=None
+) -> SocialNetwork | None:
+    """The network at the degree adapted to the population
+    (``network_degree``), rewired from ``lattice`` where given (the
+    scenario's); None disables contacts entirely (fewer than three agents
+    cannot form a ring)."""
+    k = network_degree(n, k)
+    return build_small_world(n, k, beta, rng, lattice=lattice) if k else None
 
 
 @dataclass(frozen=True)
@@ -842,8 +863,12 @@ def _run_arm_experiments(
     rep_seeds = tuple(derive_seed(seed, f"rep:{i}") for i in range(n_reps))
     policies = tuple(s.policy for s in scenarios)
     runs = [run_replication_arms(first, rep_seed, policies) for rep_seed in rep_seeds]
-    # The arms of a pass share its base and computers series.
-    base_kwh, mean_base = _kwh_and_means([run[0].ledger.base_w for run in runs])
+    # Every ledger holds the scenario's constant base series: per minute,
+    # the mean of n_reps copies of its one sample.
+    base = first.base_load_w
+    base_kwh = [pairwise_sum(base) / 60.0 / 1000.0] * n_reps
+    mean_base = column_means([base[:1]] * n_reps) * len(base)
+    # The arms of a pass share its computers series.
     computers_kwh, mean_computers = _kwh_and_means(
         [run[0].ledger.computers_w for run in runs]
     )

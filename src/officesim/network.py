@@ -43,13 +43,40 @@ class ContactEvent(NamedTuple):
     minute: int
 
 
-def build_small_world(n: int, k: int, beta: float, rng) -> SocialNetwork:
+def network_degree(n: int, k: int) -> int:
+    """The degree of the network of ``n`` agents: ``k`` capped at n - 1
+    and rounded down to even; 0 where that leaves no ring (fewer than
+    three agents), which disables contacts."""
+    k = min(k, n - 1)
+    k -= k % 2
+    return k if k >= 2 else 0
+
+
+def ring_lattice(n: int, k: int) -> tuple[frozenset[int], ...]:
+    """Each node's neighbors in the ring lattice over nodes 0..n-1, each
+    joined to the ``k // 2`` nearest on either side."""
+    half = k // 2
+    return tuple(
+        frozenset((i + j) % n for j in range(-half, half + 1) if j)
+        for i in range(n)
+    )
+
+
+def build_small_world(
+    n: int, k: int, beta: float, rng, *, lattice=None
+) -> SocialNetwork:
     """Watts-Strogatz graph over nodes 0..n-1.
 
     Requires n > k >= 2 with k even and beta in [0, 1]. Each forward
     lattice edge (i, i+j) is rewired to a uniformly chosen non-neighbor
     with probability beta; if a node is already connected to everyone
     the edge is kept, so the edge count is exactly n*k/2 either way.
+
+    The lattice is ``ring_lattice(n, k)``, copied before it is rewired; a
+    caller holding it passes it as ``lattice``. The draws, from ``rng``:
+    edge by edge, j = 1..k/2 outer and i inner, one ``random()`` per edge
+    not rewired away already, and for each edge rewired ``randrange(n)``
+    until it names a non-neighbor.
     """
     if k < 2 or k % 2 != 0:
         raise ValidationError(f"small-world degree k must be even and >= 2, got {k}")
@@ -58,47 +85,37 @@ def build_small_world(n: int, k: int, beta: float, rng) -> SocialNetwork:
     if not 0.0 <= beta <= 1.0:
         raise ValidationError(f"rewiring probability must be in [0, 1], got {beta}")
 
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    half = k // 2
-    for i in range(n):
-        for j in range(1, half + 1):
-            other = (i + j) % n
-            adjacency[i].add(other)
-            adjacency[other].add(i)
-
-    for j in range(1, half + 1):
+    adjacency = list(map(set, ring_lattice(n, k) if lattice is None else lattice))
+    random, randrange = rng.random, rng.randrange
+    for j in range(1, k // 2 + 1):
         for i in range(n):
             target = (i + j) % n
-            if target not in adjacency[i]:
+            around = adjacency[i]
+            if target not in around:
                 continue  # already rewired away
-            if rng.random() >= beta:
+            if random() >= beta:
                 continue
-            if len(adjacency[i]) >= n - 1:
+            if len(around) >= n - 1:
                 continue  # connected to everyone; nothing valid to rewire to
             while True:
-                candidate = rng.randrange(n)
-                if candidate != i and candidate not in adjacency[i]:
+                candidate = randrange(n)
+                if candidate != i and candidate not in around:
                     break
-            adjacency[i].remove(target)
+            around.remove(target)
             adjacency[target].remove(i)
-            adjacency[i].add(candidate)
+            around.add(candidate)
             adjacency[candidate].add(i)
 
+    neighbors = tuple(map(tuple, map(sorted, adjacency)))
     edges = frozenset(
-        (i, j) for i in range(n) for j in adjacency[i] if i < j
+        [(i, j) for i, around in enumerate(neighbors) for j in around if i < j]
     )
     if 2 * len(edges) != n * k:
         raise RuntimeError(
             f"rewiring changed the edge count: {len(edges)} edges, "
             f"expected {n * k // 2}"
         )
-    return SocialNetwork(
-        n=n,
-        k=k,
-        beta=beta,
-        edges=edges,
-        neighbors=tuple(tuple(sorted(adjacency[i])) for i in range(n)),
-    )
+    return SocialNetwork(n=n, k=k, beta=beta, edges=edges, neighbors=neighbors)
 
 
 def send_hazard(p_email: float, contact_rate: float) -> float:

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 from .building import BuildingModel
@@ -248,7 +250,7 @@ class OccupantAgent:
         "id", "schedule_class", "stereotype", "awareness", "office_room_id",
         "computer_id", "state", "corridor_mode", "next_minute", "leave_at",
         "break_end", "break_timer", "visiting_room_id",
-        "today_schedule", "computer_power", "p_email",
+        "today_schedule", "computer_power",
     )
 
     def __init__(
@@ -275,8 +277,6 @@ class OccupantAgent:
         self.visiting_room_id: str | None = None
         self.today_schedule: tuple[int, int] | None = None
         self.computer_power = POWER_OFF  # in the office: as its stay ends
-        # The stereotype's expected emails per office day, looked up once.
-        self.p_email = STEREOTYPE_PARAMS[stereotype].p_email
 
 
 def hazard_clock(p: float) -> float:
@@ -358,37 +358,46 @@ def sample_population(
 ) -> list[OccupantAgent]:
     """Create ``n`` agents with sampled stereotypes, seated by
     ``seat_table(building, n)``; a caller holding that table passes it as
-    ``seats``. Raises CapacityError if ``n`` exceeds total desk capacity."""
+    ``seats``. Raises CapacityError if ``n`` exceeds total desk capacity.
+
+    Per agent, in id order: a uniform draw picks its schedule class and
+    one its stereotype, each the first class whose cumulative weight
+    (the weights added left to right from 0.0) exceeds the draw, the last
+    class if none does; then its awareness, uniform in its stereotype's
+    band."""
     if n < 0:
         raise ValidationError(f"population size must be >= 0, got {n}")
     mix.validate()
     rooms, computers = seat_table(building, n) if seats is None else seats
 
     schedule_classes = tuple(ScheduleClass)
-    schedule_weights = [mix.schedule.get(c, 0.0) for c in schedule_classes]
     stereotypes = tuple(Stereotype)
-    stereotype_weights = [mix.awareness.get(s, 0.0) for s in stereotypes]
+    schedule_bounds = _cumulative([mix.schedule.get(c, 0.0) for c in schedule_classes])
+    stereotype_bounds = _cumulative([mix.awareness.get(s, 0.0) for s in stereotypes])
+    bands = [
+        (STEREOTYPE_PARAMS[s].awareness_low, STEREOTYPE_PARAMS[s].awareness_high)
+        for s in stereotypes
+    ]
+    random, uniform = rng.random, rng.uniform
 
     agents: list[OccupantAgent] = []
     for agent_id, room_id, computer_id in zip(range(n), rooms, computers):
-        schedule_class = _categorical(schedule_classes, schedule_weights, rng)
-        stereotype = _categorical(stereotypes, stereotype_weights, rng)
-        band = STEREOTYPE_PARAMS[stereotype]
-        awareness = rng.uniform(band.awareness_low, band.awareness_high)
+        schedule_class = schedule_classes[bisect_right(schedule_bounds, random())]
+        code = bisect_right(stereotype_bounds, random())
         agents.append(OccupantAgent(
-            agent_id, schedule_class, stereotype, awareness, room_id, computer_id
+            agent_id, schedule_class, stereotypes[code], uniform(*bands[code]),
+            room_id, computer_id,
         ))
     return agents
 
 
-def _categorical(values, weights, rng):
-    u = rng.random()
-    acc = 0.0
-    for value, w in zip(values, weights):
-        acc += w
-        if u < acc:
-            return value
-    return values[-1]
+def _cumulative(weights: list[float]) -> list[float]:
+    """The running sums of ``weights`` from 0.0, the last replaced by inf:
+    ``bisect_right`` of a draw then gives the first class whose sum
+    exceeds it, and the last class where none does."""
+    bounds = list(accumulate(weights, initial=0.0))[1:]
+    bounds[-1] = math.inf
+    return bounds
 
 
 def sample_daily_schedule(

@@ -21,7 +21,7 @@ import os
 from array import array
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import compress, count
+from itertools import accumulate, compress, count
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -50,6 +50,8 @@ from .errors import ParseError, ValidationError
 from .occupants import (
     MINUTES_PER_DAY,
     POWER_EVENTS,
+    POWER_OFF,
+    STEREOTYPE_PARAMS,
     BehaviorParams,
     PopulationMix,
     ScheduleClass,
@@ -59,7 +61,7 @@ from .occupants import (
 
 if TYPE_CHECKING:
     from .building import BuildingModel
-    from .engine import ExperimentResult, PolicyComparison
+    from .engine import ExperimentResult, Layout, PolicyComparison
 
 WINDOW_PRESETS = ("all", "weekday-day", "night", "weekend", "night-weekend")
 
@@ -137,11 +139,14 @@ class Scenario:
         return seat_table(self.building, self.population_size)
 
     @cached_property
-    def computer_levels(self) -> tuple[int, dict, dict]:
-        """``(per_watt, watts, units)``: per computer, in catalog order, its
-        wattage by power code (``occupants.POWER_*``) as written, and as a
-        whole count of ``1 / per_watt`` W, the wattages' common power-of-two
-        denominator. Built on first use, shared by every run."""
+    def computer_levels(self) -> tuple[int, dict, list, int]:
+        """``(per_watt, watts, seat_units, off_units)``: per computer, in
+        catalog order, its wattage by power code (``occupants.POWER_*``) as
+        written; per agent, its computer's wattages by power code as whole
+        counts of ``1 / per_watt`` W, the wattages' common power-of-two
+        denominator (None: no computer); and, in those units, the off
+        wattages of all computers added up. Built on first use, shared by
+        every run."""
         watts = {
             cid: tuple(computer_apply_event(s, s.watts_off, k) for k in POWER_EVENTS)
             for cid, s in self.building.computers.items()
@@ -151,7 +156,39 @@ class Scenario:
         units = {
             cid: tuple(n * (per_watt // d) for n, d in rs) for cid, rs in ratios.items()
         }
-        return per_watt, watts, units
+        seat_units = [units.get(cid) for cid in self.seats[1]]
+        return per_watt, watts, seat_units, sum(u[POWER_OFF] for u in units.values())
+
+    @cached_property
+    def lattice(self) -> tuple[frozenset[int], ...] | None:
+        """The social network's ring lattice (``network.ring_lattice`` at
+        ``network.network_degree``), which each run copies and rewires;
+        None where the population has no network. Built on first use."""
+        from .network import network_degree, ring_lattice  # not loaded to check a file
+
+        k = network_degree(self.population_size, self.small_world_k)
+        return ring_lattice(self.population_size, k) if k else None
+
+    @cached_property
+    def email_hazards(self) -> tuple[float, ...] | None:
+        """Each stereotype's per-minute email hazard by its code in
+        ``occupants.Stereotype``; None where nobody sends (no network, or
+        contact rate 0). Built on first use."""
+        from .network import send_hazard
+
+        if self.lattice is None or self.contact_rate <= 0.0:
+            return None
+        params = (STEREOTYPE_PARAMS[s] for s in Stereotype)
+        return tuple(send_hazard(p.p_email, self.contact_rate) for p in params)
+
+    @cached_property
+    def layout(self) -> Layout:
+        """``engine.building_layout`` of the building and the seats' offices:
+        the rooms and zones as a run uses them. Built on first use, shared
+        by every run."""
+        from .engine import building_layout  # not loaded to check a file
+
+        return building_layout(self.building, self.seats[0])
 
 
 _INT = Number(int)
@@ -247,9 +284,7 @@ def parse_scenario_text(
     if not isinstance(raw, dict):
         raise ParseError(f"{source}: scenario file must be a mapping")
     problems: list[str] = []
-    # unknown population fields stay accepted: rejecting them would fail
-    # scenario files that load today
-    values = read_fields(raw, _FIELDS, problems, lenient=("population",))
+    values = read_fields(raw, _FIELDS, problems)
     if problems:
         raise ValidationError([f"{source}: {p}" for p in problems])
 
@@ -356,7 +391,7 @@ def _write_atomic(path: Path, chunks) -> tuple[Path, str, int]:
 
 
 def _run_starts(columns, n: int) -> list[int]:
-    """Indices past 0 where any of the ``array('d')`` columns, n samples
+    """Indices past 0 where any of the columns, n float64 samples
     each, has a bit pattern other than the one before.
 
     Read as one integer, a column XOR itself shifted down one sample has
@@ -371,34 +406,62 @@ def _run_starts(columns, n: int) -> list[int]:
     return list(compress(count(1), words))
 
 
-def _minute_csv_chunks(ledger: EnergyLedger, fmt):
-    """The minute series as CSV text, in chunks of ``_CHUNK_ROWS`` minutes
-    (the header goes with the first), formatting each constant run of a
-    chunk once.
-
-    A run ends where any column's bit pattern changes, so ``-0.0`` and
-    ``0.0`` stay apart and NaNs do not split runs the way ``==`` would.
-    The total is a function of the other three columns, so their runs
-    are its runs.
-    """
-    header = "minute,base_w,lights_w,computers_w,total_w\n"
-    n = len(ledger)
-    if not n:
-        yield header
-        return
-    columns = (ledger.base_w, ledger.lights_w, ledger.computers_w)
+def _minute_labels(n: int) -> tuple[str, array]:
+    """The minute labels of an emission: ``str(m)`` for minutes 0 to
+    n - 1, each followed by a newline, as one text (built a chunk at a
+    time); and the offset in it of each, and of its end."""
+    text, offsets = [], array("q", [0])
     for lo in range(0, n, _CHUNK_ROWS):
-        chunk = base_w, lights_w, computers_w = [c[lo:lo + _CHUNK_ROWS] for c in columns]
+        labels = list(map("{}\n".format, range(lo, min(lo + _CHUNK_ROWS, n))))
+        text.append("".join(labels))
+        # from the end of the text so far, which the last offset holds
+        offsets.extend(accumulate(map(len, labels), initial=offsets.pop()))
+    return "".join(text), offsets
+
+
+def _minute_csv_chunks(ledger: EnergyLedger, fmt, labels: tuple[str, array]):
+    """The minute series as CSV text, in chunks of ``_CHUNK_ROWS`` minutes
+    (the header goes with the first), one constant run at a time.
+
+    ``labels`` is ``_minute_labels`` of at least the ledger's length; the
+    files of one emission share it. A run of minutes ``a`` to ``b - 1``
+    whose values format as ``suffix`` (its four fields and the newline) is
+    the text of labels ``a`` to ``b - 1`` with each newline replaced by
+    ``suffix``. A run ends where any column's bit pattern changes, so
+    ``-0.0`` and ``0.0`` stay apart and NaNs do not split runs the way
+    ``==`` would. The total is a function of the other three columns, so
+    their runs are its runs. A chunk formats each distinct suffix once,
+    keyed by the bit patterns of its three samples; the cache ends with
+    the chunk.
+    """
+    text, offsets = labels
+    rows = ["minute,base_w,lights_w,computers_w,total_w\n"]
+    n = len(ledger)
+    columns = base_w, lights_w, computers_w = (
+        ledger.base_w, ledger.lights_w, ledger.computers_w
+    )
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        bits = base_bits, lights_bits, computers_bits = [
+            c[lo:hi].tobytes() for c in columns
+        ]
         # The runs of the chunk; the first may have begun before it.
-        cuts = [0, *_run_starts(chunk, len(base_w)), len(base_w)]
-        rows = [header] if lo == 0 else []
-        for start, end in zip(cuts, cuts[1:]):
-            base = base_w[start]
-            lights = lights_w[start]
-            computers = computers_w[start]
-            total = base + lights + computers
-            suffix = f",{fmt(base)},{fmt(lights)},{fmt(computers)},{fmt(total)}\n"
-            rows += [f"{m}{suffix}" for m in range(lo + start, lo + end)]
+        cuts = [lo, *(lo + i for i in _run_starts(bits, hi - lo)), hi]
+        suffixes: dict[bytes, str] = {}
+        for a, b in zip(cuts, cuts[1:]):
+            i = 8 * (a - lo)
+            key = base_bits[i:i + 8] + lights_bits[i:i + 8] + computers_bits[i:i + 8]
+            suffix = suffixes.get(key)
+            if suffix is None:
+                base, lights, computers = base_w[a], lights_w[a], computers_w[a]
+                total = base + lights + computers
+                suffix = suffixes[key] = (
+                    f",{fmt(base)},{fmt(lights)},{fmt(computers)},{fmt(total)}\n"
+                )
+            rows.append(text[offsets[a]:offsets[b]].replace("\n", suffix))
+        yield "".join(rows)
+        rows = []
+    if not n:
         yield "".join(rows)
 
 
@@ -462,12 +525,14 @@ def emit_experiment(
     (out / "reps").mkdir(parents=True, exist_ok=True)
     scenario = result.scenario
     mean_ledger = _mean_ledger(result)
+    labels = _minute_labels(len(mean_ledger))
     proportions = _proportions_payload(
         mean_ledger, window, scenario.horizon_days, scenario.start_day_of_week
     )
     written = [
         _write_atomic(
-            out / "minutes_mean.csv", _minute_csv_chunks(mean_ledger, _fmt_float)
+            out / "minutes_mean.csv",
+            _minute_csv_chunks(mean_ledger, _fmt_float, labels),
         ),
         _write_atomic(out / "half_hourly_mean.csv", (_half_hourly_csv(mean_ledger),)),
         _write_atomic(out / "proportions.json", (_json_text(proportions),)),
@@ -476,7 +541,7 @@ def emit_experiment(
         written.append(
             _write_atomic(
                 out / "reps" / f"rep_{i:03d}_minutes.csv",
-                _minute_csv_chunks(rep.ledger, _fmt_watts),
+                _minute_csv_chunks(rep.ledger, _fmt_watts, labels),
             )
         )
     _emit_manifest(out, written, result, command, scenario_path)
@@ -494,6 +559,7 @@ def emit_comparison(
     out.mkdir(parents=True, exist_ok=True)
     automated = comparison.automated
     staff = comparison.staff_controlled
+    labels = _minute_labels(automated.scenario.horizon_minutes)
     payload = {
         "policies": {
             "automated": _experiment_payload(automated),
@@ -508,11 +574,11 @@ def emit_comparison(
         _write_atomic(out / "comparison.json", (_json_text(payload),)),
         _write_atomic(
             out / "automated_minutes_mean.csv",
-            _minute_csv_chunks(_mean_ledger(automated), _fmt_float),
+            _minute_csv_chunks(_mean_ledger(automated), _fmt_float, labels),
         ),
         _write_atomic(
             out / "staff_controlled_minutes_mean.csv",
-            _minute_csv_chunks(_mean_ledger(staff), _fmt_float),
+            _minute_csv_chunks(_mean_ledger(staff), _fmt_float, labels),
         ),
     ]
     _emit_manifest(out, written, automated, "compare", scenario_path)

@@ -93,6 +93,37 @@ def test_cli_commands_do_not_load_openssl(scenario_path, tmp_path, command):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_emissions_in_one_process_match_fresh_processes(tmp_path):
+    # Nothing an emission or a scenario caches carries over to the next
+    # command: run one after another in this process, commands on two
+    # horizons write what each writes in a process of its own.
+    (tmp_path / "building.yaml").write_text(make_building_text())
+    runs = []
+    for days in (2, 1):
+        path = tmp_path / f"scenario_{days}.yaml"
+        text = SMALL_SCENARIO.replace("horizon_days: 1", f"horizon_days: {days}")
+        path.write_text(text)
+        for command in ("simulate", "compare"):
+            runs.append([command, "--scenario", str(path)])
+    for i, argv in enumerate(runs):
+        assert main([*argv, "--out", str(tmp_path / f"here_{i}")]) == 0
+    src = Path(officesim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for i, argv in enumerate(runs):
+        fresh = tmp_path / f"fresh_{i}"
+        subprocess.run(
+            [sys.executable, "-m", "officesim.cli", *argv, "--out", str(fresh)],
+            env=env, capture_output=True, check=True, timeout=120,
+        )
+        here = tmp_path / f"here_{i}"
+        files = sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+        assert files == sorted(
+            p.relative_to(here) for p in here.rglob("*") if p.is_file()
+        )
+        for name in files:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 @pytest.mark.parametrize(
     "chunks", [[b""], [bytes(range(64))], [b"officesim", b"", bytes(200), b"x" * 65]]
 )
@@ -298,6 +329,9 @@ def test_runtime_error_exit_code(scenario_path, tmp_path):
                                        "lights": [None]}]}},
          "field 'rooms[0].lights' must list ids, got None"),
         ({"building": ""}, "field 'building' must be a path, got ''"),
+        # a misspelt population field is named, not ignored
+        ({"population": {"size": 4, "schedule_mixx": {"early_bird": 1.0}}},
+         "unknown field 'population.schedule_mixx'"),
     ],
 )
 def test_malformed_field_is_a_config_error_naming_it(tmp_path, capsys, override, field):

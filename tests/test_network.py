@@ -11,6 +11,7 @@ from officesim.network import (
     EMAIL_BASE_MINUTES,
     SocialNetwork,
     raise_awareness,
+    ring_lattice,
     send_hazard,
 )
 from officesim.occupants import (
@@ -62,6 +63,57 @@ def test_edge_count_conserved_under_any_beta(n, half_k, beta, seed):
     degrees = [net.degree(i) for i in range(n)]
     assert sum(degrees) == n * k
     assert min(degrees) >= 1
+
+
+def _reference_small_world(n, k, beta, rng):
+    """The rewiring loop as first written (lattice built in place, unbound
+    draws), kept as the reference for ``build_small_world``'s draws."""
+    adjacency = [set() for _ in range(n)]
+    half = k // 2
+    for i in range(n):
+        for j in range(1, half + 1):
+            other = (i + j) % n
+            adjacency[i].add(other)
+            adjacency[other].add(i)
+    for j in range(1, half + 1):
+        for i in range(n):
+            target = (i + j) % n
+            if target not in adjacency[i]:
+                continue
+            if rng.random() >= beta:
+                continue
+            if len(adjacency[i]) >= n - 1:
+                continue
+            while True:
+                candidate = rng.randrange(n)
+                if candidate != i and candidate not in adjacency[i]:
+                    break
+            adjacency[i].remove(target)
+            adjacency[target].remove(i)
+            adjacency[i].add(candidate)
+            adjacency[candidate].add(i)
+    return tuple(tuple(sorted(adjacency[i])) for i in range(n))
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+@pytest.mark.parametrize("beta", [0.0, 0.1, 1.0])
+def test_rewiring_draws_as_the_reference(k, beta):
+    # Same neighbors and the same stream state afterwards, whether the
+    # lattice is built or passed in (as a scenario passes its own).
+    for n in [*range(max(3, k + 1), 31), 200]:
+        lattice = ring_lattice(n, k)
+        for seed in range(8):
+            expected_rng = random.Random(seed)
+            expected = _reference_small_world(n, k, beta, expected_rng)
+            for given_lattice in (None, lattice):
+                rng = random.Random(seed)
+                net = build_small_world(n, k, beta, rng, lattice=given_lattice)
+                assert net.neighbors == expected
+                assert rng.getstate() == expected_rng.getstate()
+                assert net.edges == {
+                    (i, j) for i in range(n) for j in expected[i] if i < j
+                }
+        assert lattice == ring_lattice(n, k)  # copied, never rewired in place
 
 
 @pytest.mark.parametrize("n,k,beta", [(4, 4, 0.1), (10, 3, 0.1), (10, 0, 0.1),

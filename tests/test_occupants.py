@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,6 +34,7 @@ from officesim.occupants import (
     STEREOTYPE_PARAMS,
     computer_switch_off_prob,
     hazard_clock,
+    seat_table,
     waiting_time,
 )
 
@@ -125,6 +127,90 @@ def test_population_mix_must_sum_to_one():
     bad = PopulationMix(schedule={ScheduleClass.EARLY_BIRD: 0.5})
     with pytest.raises(ValidationError):
         sample_population(1, bad, building, random.Random(1))
+
+
+def _reference_population(n, mix, building, rng):
+    """``sample_population``'s draws as first written, a linear scan of the
+    running weight per class draw, kept as the reference."""
+
+    def categorical(values, weights):
+        u = rng.random()
+        acc = 0.0
+        for value, w in zip(values, weights):
+            acc += w
+            if u < acc:
+                return value
+        return values[-1]
+
+    schedule_weights = [mix.schedule.get(c, 0.0) for c in ScheduleClass]
+    stereotype_weights = [mix.awareness.get(s, 0.0) for s in Stereotype]
+    agents = []
+    for room_id, computer_id in zip(*seat_table(building, n)):
+        schedule_class = categorical(tuple(ScheduleClass), schedule_weights)
+        stereotype = categorical(tuple(Stereotype), stereotype_weights)
+        band = STEREOTYPE_PARAMS[stereotype]
+        awareness = rng.uniform(band.awareness_low, band.awareness_high)
+        agents.append((schedule_class, stereotype, awareness, room_id, computer_id))
+    return agents
+
+
+class _EdgeRandom(random.Random):
+    """A stream that puts a draw at or next to a class boundary before
+    every other one of its own: 0.0, the largest float below 1.0, and the
+    running weights of the mixes below."""
+
+    EDGES = (0.0, 1.0 - 2.0**-53, 0.3, 0.8999999999999999, 0.5, 0.08, 0.61)
+
+    def seed(self, a=None, version=2):
+        self.calls = 0
+        super().seed(a, version)
+
+    def random(self):
+        self.calls += 1
+        if self.calls % 2:
+            return self.EDGES[self.calls // 2 % len(self.EDGES)]
+        return super().random()
+
+
+_S, _T = ScheduleClass, Stereotype
+
+
+@pytest.mark.parametrize(
+    "mix,last_sum",
+    [
+        (PopulationMix(), 1.0),
+        # zero weights, first, inside and last
+        (PopulationMix(
+            {_S.EARLY_BIRD: 0.0, _S.TIMETABLE_COMPLIER: 1.0, _S.FLEXIBLE_WORKER: 0.0},
+            {_T.ENVIRONMENT_CHAMPION: 0.0, _T.ENERGY_SAVER: 0.5,
+             _T.REGULAR_USER: 0.0, _T.BIG_USER: 0.5},
+        ), 1.0),
+        (PopulationMix({_S.EARLY_BIRD: 1.0}, {_T.ENVIRONMENT_CHAMPION: 1.0}), 1.0),
+        # running sums that end at 1.0 - 2**-53, one of the edge draws: no
+        # class takes that draw, so the last class does
+        (PopulationMix(
+            {_S.EARLY_BIRD: 0.3, _S.TIMETABLE_COMPLIER: 0.6, _S.FLEXIBLE_WORKER: 0.1},
+            {_T.ENVIRONMENT_CHAMPION: 0.3, _T.ENERGY_SAVER: 0.2,
+             _T.REGULAR_USER: 0.1, _T.BIG_USER: 0.3999999999999999},
+        ), 1.0 - 2.0**-53),
+    ],
+    ids=["default", "zero-weights", "one-class", "sums-below-one"],
+)
+def test_population_draws_as_the_reference(mix, last_sum):
+    for weights in (mix.schedule.values(), mix.awareness.values()):
+        assert list(accumulate(weights))[-1] == last_sum
+    building = make_small_building(n_private=3, n_shared=2, shared_desks=60)
+    for make_rng in (random.Random, _EdgeRandom):
+        for seed in range(5):
+            expected_rng, rng = make_rng(seed), make_rng(seed)
+            expected = _reference_population(120, mix, building, expected_rng)
+            agents = sample_population(120, mix, building, rng)
+            assert [
+                (a.schedule_class, a.stereotype, a.awareness, a.office_room_id,
+                 a.computer_id)
+                for a in agents
+            ] == expected
+            assert rng.getstate() == expected_rng.getstate()
 
 
 def test_round_robin_assignment_and_computers():

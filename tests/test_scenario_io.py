@@ -32,6 +32,7 @@ from officesim.scenario_io import (
     _fmt_watts,
     _CHUNK_ROWS,
     _minute_csv_chunks,
+    _minute_labels,
     parse_scenario_text,
     scenario_fingerprint,
 )
@@ -300,27 +301,40 @@ _stretches = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(stretches=_stretches)
-@example(stretches=[])
-@example(stretches=[(1, -0.0, math.nan, math.inf)])
-@example(stretches=[(3, 0.0, 0.0, 0.0), (2, -0.0, 0.0, 0.0), (1, 0.0, 0.0, 0.0)])
-@example(stretches=[(4, math.nan, 1.0, 2.0), (4, NEGATIVE_NAN, 1.0, 2.0)])
-def test_run_writer_matches_row_writer(stretches):
+def _stretch_ledger(stretches):
     lengths = [n for n, *_ in stretches]
     columns = [
         np.repeat(np.array([s[i] for s in stretches], dtype=np.float64), lengths)
         for i in (1, 2, 3)
     ]
-    ledger = EnergyLedger(*columns)
-    for fmt in (_fmt_watts, _fmt_float):
-        chunks = list(_minute_csv_chunks(ledger, fmt))
-        assert "".join(chunks).encode("utf-8") == _minute_csv_rows(ledger, fmt)
-        # _CHUNK_ROWS minutes a chunk, the last one fewer; the header first
-        minutes = [c.count("\n") for c in chunks]
-        minutes[0] -= 1
-        full, last = divmod(len(ledger), _CHUNK_ROWS)
-        assert minutes == [_CHUNK_ROWS] * full + ([last] if last or not full else [])
+    return EnergyLedger(*columns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(files=st.lists(_stretches, min_size=1, max_size=3))
+@example(files=[[]])
+@example(files=[[(1, -0.0, math.nan, math.inf)]])
+@example(files=[[(3, 0.0, 0.0, 0.0), (2, -0.0, 0.0, 0.0), (1, 0.0, 0.0, 0.0)]])
+@example(files=[[(4, math.nan, 1.0, 2.0), (4, NEGATIVE_NAN, 1.0, 2.0)]])
+# runs across a chunk boundary, and runs ending and starting at one
+@example(files=[
+    [(1000, 0.0, 1.0, 2.0), (100, 0.0, 1.0, 3.0), (1000, 0.0, 1.0, 2.0)],
+    [(1024, -0.0, 60.0, 0.0), (1024, 0.0, 60.0, 0.0), (1, -0.0, 60.0, 0.0)],
+])
+def test_run_writer_matches_row_writer(files):
+    # The files of one emission share one list of minute labels.
+    ledgers = [_stretch_ledger(stretches) for stretches in files]
+    labels = _minute_labels(max(map(len, ledgers)))
+    for ledger in ledgers:
+        for fmt in (_fmt_watts, _fmt_float):
+            chunks = list(_minute_csv_chunks(ledger, fmt, labels))
+            assert "".join(chunks).encode("utf-8") == _minute_csv_rows(ledger, fmt)
+            # _CHUNK_ROWS minutes a chunk, the last one fewer; the header first
+            minutes = [c.count("\n") for c in chunks]
+            minutes[0] -= 1
+            full, last = divmod(len(ledger), _CHUNK_ROWS)
+            expected = [_CHUNK_ROWS] * full + ([last] if last or not full else [])
+            assert minutes == expected
 
 
 _PINNED_BUILDING = """\
