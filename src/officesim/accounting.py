@@ -88,6 +88,16 @@ def sequential_sum(values):
     return reduce(add, values, 0)
 
 
+def integer_units(rows) -> tuple[int, list[tuple[int, ...]]]:
+    """Rows of wattages as whole counts of ``1 / per_watt`` W, where
+    ``per_watt`` is the wattages' common power-of-two denominator (1 for
+    whole watts): ``(per_watt, the rows in counts)``. Sums of counts are
+    exact."""
+    ratios = [[w.as_integer_ratio() for w in row] for row in rows]
+    per_watt = max((d for row in ratios for _, d in row), default=1)
+    return per_watt, [tuple(n * (per_watt // d) for n, d in row) for row in ratios]
+
+
 def pairwise_mean(values) -> float:
     """numpy's float64 ``values.mean()``: the pairwise sum over n."""
     return pairwise_sum(values) / len(values)

@@ -1,10 +1,11 @@
 """The two lighting policies and the room light bank the engine runs.
 
 Lights are either sensor-driven (on with presence, off after a fixed
-delay of vacancy) or staff-controlled (state changes only through
-manual switch events). Computers move between off / standby / on purely
-in response to their owner's events (``computer_apply_event``); the
-engine replays their wattages from the run's computer log.
+delay of vacancy: a closed form of the room's occupancy turns) or
+staff-controlled (state changes only through manual switch events).
+Computers move between off / standby / on purely in response to their
+owner's events (``computer_apply_event``); the engine replays their
+wattages from the run's computer log.
 """
 
 from __future__ import annotations
@@ -71,28 +72,25 @@ def computer_apply_event(spec: ComputerSpec, watts: float, kind: EventKind) -> f
 
 
 class RoomLightBank:
-    """All lights of one room stepped as a unit.
-
-    Lights in a room share occupancy sensing and switches, so they are
-    on or off together; the bank keeps their combined wattage and an
-    interval log of on-periods for per-appliance energy accounting.
+    """The lights of one room, switched as a unit, and the log of their
+    on-intervals. Lights in a room share occupancy sensing and switches,
+    so they are on or off together. Under staff control the engine
+    switches the bank during its pass (``turn_on``, ``turn_off``); under
+    the automated policy the intervals follow from the room's occupancy
+    once the pass is over (``step_automated``).
     """
 
-    __slots__ = ("room_id", "light_ids", "watts_total", "is_on", "off_at", "intervals")
+    __slots__ = ("room_id", "is_on", "intervals")
 
-    def __init__(self, room_id: str, light_ids: tuple[str, ...], watts_total: float):
+    def __init__(self, room_id: str):
         self.room_id = room_id
-        self.light_ids = light_ids
-        self.watts_total = watts_total
         self.is_on = False
-        self.off_at: int | None = None  # automated switch-off, once vacant
         self.intervals: list[tuple[int, int]] = []  # [start, end), -1 = open
 
     def turn_on(self, minute: int) -> bool:
         if self.is_on:
             return False
         self.is_on = True
-        self.off_at = None
         self.intervals.append((minute, -1))
         return True
 
@@ -100,31 +98,29 @@ class RoomLightBank:
         if not self.is_on:
             return False
         self.is_on = False
-        self.off_at = None
         start, _ = self.intervals[-1]
         self.intervals[-1] = (start, minute)
         return True
 
-    def step_automated(self, occupied: bool, off_delay: int, minute: int) -> int:
-        """The automated policy at ``minute``: presence holds the lights
-        on, and they stay on through the first ``off_delay`` vacant
-        minutes and go off on the next, at ``off_at``. Stepping every
-        minute, or only when the room turns occupied or vacant and at
-        ``off_at``, gives the same lights. Returns +1/-1 on a switch,
-        else 0."""
-        if occupied:
-            self.off_at = None
-            return 1 if self.turn_on(minute) else 0
-        if not self.is_on:
-            return 0
-        if self.off_at is None:
-            self.off_at = minute + off_delay
-        if minute < self.off_at:
-            return 0
-        self.turn_off(minute)
-        return -1
+    def step_automated(self, turns, off_delay: int, end: int) -> int:
+        """The automated policy's on-intervals up to minute ``end``, from
+        ``turns``, the minutes at which the room turns occupied and vacant
+        in turn: an occupied run [a, b) lights [a, min(b + off_delay,
+        end)), so the room is lit at minute m iff it was occupied at some
+        minute in [m - off_delay, m]. A run that starts at or before the
+        end of the lit span before it joins that span. Returns the number
+        of on-intervals."""
+        intervals = self.intervals
+        runs = iter(turns)
+        for a in runs:
+            off = min(next(runs, end) + off_delay, end)
+            if intervals and a <= intervals[-1][1]:
+                intervals[-1] = (intervals[-1][0], off)
+            else:
+                intervals.append((a, off))
+        return len(intervals)
 
     def finalize(self, end_minute: int) -> None:
-        if self.is_on and self.intervals and self.intervals[-1][1] == -1:
+        if self.is_on:
             start, _ = self.intervals[-1]
             self.intervals[-1] = (start, end_minute)

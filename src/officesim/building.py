@@ -249,17 +249,17 @@ class Number(NamedTuple):
 
 
 class Choice(NamedTuple):
-    """A member of ``enum``, by its value. Another value is a problem
-    naming the field or, unless ``checked``, is passed on as written for
-    the loader to name."""
+    """A member of ``enum``, by its value; null counts as left out. Another
+    value is a problem naming the field or, unless ``checked``, is passed
+    on as written for the loader to name."""
 
     enum: type
     checked: bool = True
 
     def read(self, section, key, prefix, problems):
-        if key not in section:
+        value = section.get(key)
+        if value is None:
             return ABSENT
-        value = section[key]
         try:
             return self.enum(value)
         except ValueError:

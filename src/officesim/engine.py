@@ -27,6 +27,7 @@ from .accounting import (
     EnergyLedger,
     build_beta_report,
     column_means,
+    integer_units,
     pairwise_mean,
     pairwise_sum,
     sample_std,
@@ -89,12 +90,6 @@ _EXIT_OTHER_ROOM_CODE = EVENT_KINDS.index(_EXIT_OTHER_ROOM)
 _LEAVE_BUILDING_CODE = EVENT_KINDS.index(_LEAVE_BUILDING)
 _MANUAL_LIGHTS_ON = EVENT_KINDS.index(EventKind.MANUAL_LIGHTS_ON)
 _MANUAL_LIGHTS_OFF = EVENT_KINDS.index(EventKind.MANUAL_LIGHTS_OFF)
-
-
-def _extend_to(series: array, value: float, end: int) -> None:
-    """Extend ``series`` with ``value`` up to length ``end``."""
-    if end > len(series):
-        series.extend(array("d", (value,)) * (end - len(series)))
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -349,34 +344,20 @@ class ReplicationResult:
 class _LightingArm:
     """One lighting policy driven by a shared agent pass.
 
-    The arm owns everything its lights touch: the room banks, the running
-    lights total and its series, its manual light events in the run
-    record and the manual-switching stream. Lights never feed back into
-    agents, contacts or computers, so an arm evolves exactly as a run of
-    its own would.
+    The arm owns everything its lights touch: the room banks, its manual
+    light events in the run record and the manual-switching stream. Lights
+    never feed back into agents, contacts or computers, so an arm evolves
+    exactly as a run of its own would.
     """
 
-    __slots__ = (
-        "policy", "banks", "lights_running", "lights", "rng", "record", "manual",
-    )
+    __slots__ = ("policy", "banks", "rng", "record", "manual")
 
-    def __init__(self, policy, rooms, room_watts, seed, record, arm):
+    def __init__(self, policy, rooms, seed, record, arm):
         self.policy = policy
-        self.banks = [
-            RoomLightBank(room.id, room.light_ids, watts)
-            for room, watts in zip(rooms, room_watts)
-        ]
-        self.lights_running = 0.0
-        self.lights = array("d")  # written up to the last change
+        self.banks = [RoomLightBank(room.id) for room in rooms]
         self.rng = Random(derive_seed(seed, "policy"))
         self.record = record
         self.manual = record.manual[arm]
-
-    def add(self, watts: float, minute: int) -> None:
-        """Change the running lights total during ``minute``; the series
-        keeps the old total up to that minute."""
-        _extend_to(self.lights, self.lights_running, minute)
-        self.lights_running += watts
 
     def log_manual(self, code: int, room: int) -> None:
         """Record a manual light event after the last agent event."""
@@ -389,9 +370,7 @@ class _LightingArm:
         """Staff policy: the agent entering switches on whichever of the
         banks of ``rooms`` (room indices) is dark."""
         for i in rooms:
-            bank = self.banks[i]
-            if bank.turn_on(minute):
-                self.add(bank.watts_total, minute)
+            if self.banks[i].turn_on(minute):
                 self.log_manual(_MANUAL_LIGHTS_ON, i)
 
     def roll_off(self, rooms, minute: int, leaver: OccupantAgent) -> None:
@@ -399,9 +378,7 @@ class _LightingArm:
         switch the banks of ``rooms`` off."""
         if manual_exit_decision(leaver.awareness, self.rng):
             for i in rooms:
-                bank = self.banks[i]
-                if bank.turn_off(minute):
-                    self.add(-bank.watts_total, minute)
+                if self.banks[i].turn_off(minute):
                     self.log_manual(_MANUAL_LIGHTS_OFF, i)
 
 
@@ -422,13 +399,20 @@ def run_replication_arms(
 
     Next-event scheduling: each agent keeps the minute of its next firing
     (``step_occupant`` draws its hazards as waiting times and its
-    countdowns as minutes), and each automated light bank of a vacant
-    room its switch-off at vacancy plus the off delay. A calendar of
-    per-minute buckets holds them, and only minutes with something due
-    are visited. Per minute, in fixed order: at midnight the day's
-    schedules; the agents due, in id order, each firing and its events
-    applied at once; and the light steps of the rooms whose occupancy
-    changed or whose switch-off is due.
+    countdowns as minutes). A calendar of per-minute buckets holds the
+    agents, and only minutes with agents due are visited. Per minute, in
+    fixed order: at midnight the day's schedules; then the agents due, in
+    id order, each firing and its events applied at once.
+
+    Lights are not on the calendar. A staff-controlled arm switches its
+    banks as the events are applied: a switch-off roll reads the leaver's
+    awareness and the arm's stream at that moment. For the automated arms
+    the pass logs each zone's turns, the minutes at which its count turns
+    positive or back to zero; after the last day, each bank with lights
+    takes its on-intervals from its zone's turns in closed form
+    (``RoomLightBank.step_automated``). Each arm's lights series is the
+    exact total of its banks' intervals, replayed at the end
+    (``_replay_lights``).
 
     Emails are not on the calendar. An office stay ends at the leave
     minute fixed when the agent enters, so all of the stay's emails are
@@ -451,8 +435,7 @@ def run_replication_arms(
     Agents draw from their own behaviour streams and senders from their
     own email streams, each created when it is first needed (a sender's
     at its first drawn stay), so an agent's draws do not depend on who
-    else is in the building. The lights series are written one constant
-    stretch at a time, when their total changes.
+    else is in the building.
     """
     building = scenario.building
     params = scenario.behavior
@@ -480,37 +463,37 @@ def run_replication_arms(
         email_p = array("d", [hazards[STEREOTYPES.index(a.stereotype)] for a in agents])
     record = RunRecord(scenario, seed, agents, email_p, len(policies))
 
-    # Automated policy: a bank with lights (zone_steppable) is stepped when
-    # its zone turns occupied or vacant, and at its scheduled switch-off.
     (
-        facility_ids, zone_rooms, room_zone, zone_of, room_index, room_watts,
-        zone_steppable, office_zone,
+        facility_ids, zone_rooms, room_zone, zone_of, room_index, per_watt,
+        room_units, office_zone,
     ) = scenario.layout
     ctx = BehaviorContext(params, facility_ids, record)
     corridor = 0
     zone_occupancy = [0] * len(zone_rooms)
-    touched: set[int] = set()  # zones whose occupancy changed this minute
+    # Per zone, the minutes at which it turns occupied and vacant in turn.
+    # A firing emits one event and an agent fires again a minute later at
+    # the earliest, so a zone never turns occupied and vacant within one
+    # minute; vacant and occupied again leaves an empty run, which the
+    # closed form's merge absorbs.
+    zone_turns: list[list[int]] = [[] for _ in zone_rooms]
 
     arms = [
-        _LightingArm(policy, building.rooms, room_watts, seed, record, i)
+        _LightingArm(policy, building.rooms, seed, record, i)
         for i, policy in enumerate(policies)
     ]
-    automated_arms = [arm for arm in arms if arm.policy.is_automated]
     manual_arms = [arm for arm in arms if not arm.policy.is_automated]
 
-    # The calendar: a heap of minutes, each with buckets of the agents and
-    # light banks (arm, bank index) due then.
+    # The calendar: a heap of minutes, each with the agents due then.
     heap: list[int] = []
     due_agents: dict[int, list[int]] = {}
-    due_lights: dict[int, list[tuple[int, int]]] = {}
 
-    def schedule(bucket: dict, minute: int, item) -> None:
-        items = bucket.get(minute)
-        if items is None:
-            bucket[minute] = [item]
+    def schedule(minute: int, agent_id: int) -> None:
+        due = due_agents.get(minute)
+        if due is None:
+            due_agents[minute] = [agent_id]
             heappush(heap, minute)
         else:
-            items.append(item)
+            due.append(agent_id)
 
     # The receivers of the emails drawn so far, per minute not yet applied,
     # with a heap of those minutes.
@@ -529,14 +512,14 @@ def run_replication_arms(
     def enter(zone: int, minute: int) -> None:
         zone_occupancy[zone] += 1
         if zone_occupancy[zone] == 1:
-            touched.add(zone)
+            zone_turns[zone].append(minute)
         for arm in manual_arms:
             arm.switch_on(zone_rooms[zone], minute)
 
     def leave(zone: int, minute: int, agent_id: int, rolls: bool) -> None:
         zone_occupancy[zone] -= 1
         if zone_occupancy[zone] == 0:
-            touched.add(zone)
+            zone_turns[zone].append(minute)
             if rolls:
                 for arm in manual_arms:
                     arm.roll_off(zone_rooms[zone], minute, agents[agent_id])
@@ -621,35 +604,6 @@ def run_replication_arms(
                 else:
                     receivers.append(receiver_id)
 
-    def step_lights(minute: int) -> None:
-        # In index order, as a full sweep over the rooms would step them. A
-        # zone's rooms are in index order, and so are an arm's banks in a
-        # bucket, all scheduled by one earlier step.
-        scheduled = due_lights.pop(minute, ())
-        if len(touched) == 1:
-            (zone,) = touched
-            changed = zone_steppable[zone]
-        else:
-            changed = sorted([i for zone in touched for i in zone_steppable[zone]])
-        for a, arm in enumerate(automated_arms):
-            indices = changed
-            if scheduled:
-                indices = [i for arm_index, i in scheduled if arm_index == a]
-                if changed:
-                    indices = sorted({*changed, *indices})
-            banks = arm.banks
-            off_delay = arm.policy.off_delay_minutes
-            for idx in indices:
-                bank = banks[idx]
-                delta = bank.step_automated(
-                    zone_occupancy[room_zone[idx]] > 0, off_delay, minute
-                )
-                if delta:
-                    arm.add(delta * bank.watts_total, minute)
-                elif bank.off_at == minute + off_delay:
-                    # Vacated this minute: the switch-off is due after the delay.
-                    schedule(due_lights, bank.off_at, (a, idx))
-
     step = step_occupant
     minute_events: list[tuple] = []
     for day in range(scenario.horizon_days):
@@ -664,38 +618,28 @@ def run_replication_arms(
             today = sample_daily_schedule(agent, dow, rng_schedule, params)
             agent.today_schedule = today
             if today is not None:
-                schedule(due_agents, day_start + today[0], agent.id)
+                schedule(day_start + today[0], agent.id)
 
         day_end = day_start + MINUTES_PER_DAY
-        last = -1
         while heap and heap[0] < day_end:
             minute = heappop(heap)
-            if minute == last:
-                continue  # a bucket added during its own minute
-            last = minute
-
-            due = due_agents.pop(minute, None)
-            if due:
-                apply_inbox(minute)
-                due.sort()
-                minute_of_day = minute - day_start
-                for agent_id in due:
-                    agent = agents[agent_id]
-                    rng = behavior_rngs[agent_id]
-                    if rng is None:
-                        rng = behavior_rngs[agent_id] = Random(
-                            derive_seed(seed, f"agent:{agent_id}")
-                        )
-                    step(agent, minute, minute_of_day, ctx, rng, minute_events)
-                    for ev in minute_events:
-                        apply_event(*ev)
-                    minute_events.clear()
-                    if agent.next_minute < n_minutes:
-                        schedule(due_agents, agent.next_minute, agent_id)
-
-            if automated_arms and (touched or minute in due_lights):
-                step_lights(minute)
-            touched.clear()
+            due = due_agents.pop(minute)
+            apply_inbox(minute)
+            due.sort()
+            minute_of_day = minute - day_start
+            for agent_id in due:
+                agent = agents[agent_id]
+                rng = behavior_rngs[agent_id]
+                if rng is None:
+                    rng = behavior_rngs[agent_id] = Random(
+                        derive_seed(seed, f"agent:{agent_id}")
+                    )
+                step(agent, minute, minute_of_day, ctx, rng, minute_events)
+                for ev in minute_events:
+                    apply_event(*ev)
+                minute_events.clear()
+                if agent.next_minute < n_minutes:
+                    schedule(agent.next_minute, agent_id)
 
     apply_inbox(n_minutes)
     computers_arr = _replay_computers(record, n_minutes)
@@ -703,13 +647,19 @@ def run_replication_arms(
     record.final_awareness.extend([a.awareness for a in agents])
     results = []
     for i, arm in enumerate(arms):
-        _extend_to(arm.lights, arm.lights_running, n_minutes)
-        for bank in arm.banks:
-            bank.finalize(n_minutes)
+        policy = arm.policy
+        for bank, zone, units in zip(arm.banks, room_zone, room_units):
+            if not policy.is_automated:
+                bank.finalize(n_minutes)
+            elif units > 0:
+                bank.step_automated(
+                    zone_turns[zone], policy.off_delay_minutes, n_minutes
+                )
+        lights = _replay_lights(arm.banks, room_units, per_watt, n_minutes)
         results.append(ReplicationResult(
             seed=seed,
             n_minutes=n_minutes,
-            ledger=EnergyLedger(base_arr, arm.lights, computers_arr),
+            ledger=EnergyLedger(base_arr, lights, computers_arr),
             light_intervals={b.room_id: tuple(b.intervals) for b in arm.banks},
             building=building,
             record=record,
@@ -718,13 +668,22 @@ def run_replication_arms(
     return tuple(results)
 
 
+def _exact_series(deltas: list[int], per_watt: int) -> array:
+    """The running totals of ``deltas``, changes per minute in whole
+    counts of ``1 / per_watt`` W (``accounting.integer_units``), each
+    rounded once to the nearest float: minute m's sample is the exact
+    total after all of that minute's changes, in whatever order they came.
+    Where every total is a whole wattage, it is the running float sum of
+    the changes."""
+    return array("d", map(truediv, accumulate(deltas), repeat(per_watt)))
+
+
 def _replay_computers(record: RunRecord, n_minutes: int) -> array:
     """The computers series: minute m's sample is the exact total wattage
-    of the computers after all of that minute's changes in ``record``,
-    rounded once to the nearest float. Each agent's rows are in time
-    order, and each change is added to its minute in the integer units of
-    ``Scenario.computer_levels``: for whole-watt computers the series is
-    the running float sum of the changes, in any order."""
+    of the computers after all of that minute's changes in ``record``
+    (``_exact_series``). Each agent's rows are in time order, and each
+    change is added to its minute in the units of
+    ``Scenario.computer_levels``."""
     per_watt, _, levels, off_units = record.scenario.computer_levels
     # Per agent: its computer's units now.
     now = [lv[POWER_OFF] if lv is not None else 0 for lv in levels]
@@ -736,7 +695,20 @@ def _replay_computers(record: RunRecord, n_minutes: int) -> array:
         if new != now[a]:
             deltas[minute] += new - now[a]
             now[a] = new
-    return array("d", map(truediv, accumulate(deltas), repeat(per_watt)))
+    return _exact_series(deltas, per_watt)
+
+
+def _replay_lights(banks, room_units, per_watt: int, n_minutes: int) -> array:
+    """A lights series: minute m's sample is the exact total wattage of
+    the ``banks`` (by room index) lit at m (``_exact_series``), each room
+    drawing ``room_units`` in the units of ``Layout.per_watt``."""
+    deltas = [0] * (n_minutes + 1)  # the last: switch-offs at the end
+    for bank, units in zip(banks, room_units):
+        for start, end in bank.intervals:
+            deltas[start] += units
+            deltas[end] -= units
+    del deltas[n_minutes]
+    return _exact_series(deltas, per_watt)
 
 
 class Layout(NamedTuple):
@@ -749,8 +721,8 @@ class Layout(NamedTuple):
     room_zone: list[int]  # by room index
     zone_of: dict[str, int]  # by room id
     room_index: dict[str | None, int]  # by room id; None: -1
-    room_watts: list[float]  # its lights' wattages added left to right
-    zone_steppable: list[list[int]]  # room indices with lights, by zone
+    per_watt: int  # the light wattages' denominator, accounting.integer_units
+    room_units: list[int]  # by room index, its lights' wattage in those units
     office_zone: list[int]  # by agent id
 
 
@@ -769,16 +741,15 @@ def building_layout(building: BuildingModel, office_rooms) -> Layout:
             room_zone.append(len(zone_rooms))
             zone_rooms.append([i])
     zone_of = {room.id: zone for room, zone in zip(rooms, room_zone)}
-    room_watts = [
-        sequential_sum(building.lights[lid].watts_on for lid in room.light_ids)
-        for room in rooms
-    ]
+    per_watt, room_units = integer_units(
+        [building.lights[lid].watts_on for lid in room.light_ids] for room in rooms
+    )
     room_index = {room.id: i for i, room in enumerate(rooms)}
     room_index[None] = -1
     return Layout(
         tuple(r.id for r in building.facility_rooms()),
-        zone_rooms, room_zone, zone_of, room_index, room_watts,
-        [[i for i in zone if room_watts[i] > 0] for zone in zone_rooms],
+        zone_rooms, room_zone, zone_of, room_index,
+        per_watt, list(map(sum, room_units)),
         [zone_of[room] for room in office_rooms],
     )
 

@@ -30,6 +30,7 @@ from .accounting import (
     EnergyLedger,
     category_proportions_masked,
     half_hour_bins,
+    integer_units,
     masked_sum,
 )
 from .appliances import LightingPolicy, PolicyKind, computer_apply_event
@@ -142,20 +143,16 @@ class Scenario:
     def computer_levels(self) -> tuple[int, dict, list, int]:
         """``(per_watt, watts, seat_units, off_units)``: per computer, in
         catalog order, its wattage by power code (``occupants.POWER_*``) as
-        written; per agent, its computer's wattages by power code as whole
-        counts of ``1 / per_watt`` W, the wattages' common power-of-two
-        denominator (None: no computer); and, in those units, the off
-        wattages of all computers added up. Built on first use, shared by
-        every run."""
+        written; per agent, its computer's wattages by power code in the
+        ``accounting.integer_units`` of them all (None: no computer); and,
+        in those units, the off wattages of all computers added up. Built
+        on first use, shared by every run."""
         watts = {
             cid: tuple(computer_apply_event(s, s.watts_off, k) for k in POWER_EVENTS)
             for cid, s in self.building.computers.items()
         }
-        ratios = {cid: [w.as_integer_ratio() for w in ws] for cid, ws in watts.items()}
-        per_watt = max((d for rs in ratios.values() for _, d in rs), default=1)
-        units = {
-            cid: tuple(n * (per_watt // d) for n, d in rs) for cid, rs in ratios.items()
-        }
+        per_watt, units = integer_units(watts.values())
+        units = dict(zip(watts, units))
         seat_units = [units.get(cid) for cid in self.seats[1]]
         return per_watt, watts, seat_units, sum(u[POWER_OFF] for u in units.values())
 

@@ -24,6 +24,17 @@ def as_contact_events(rows) -> list[ContactEvent]:
     return [ContactEvent._make(row) for row in rows]
 
 
+def occupancy_turns(pattern) -> list[int]:
+    """The minutes at which an occupancy ``pattern`` (occupied or not, per
+    minute, from vacant) turns occupied and vacant in turn: the turns the
+    engine logs per zone for ``RoomLightBank.step_automated``."""
+    turns = []
+    for minute, occupied in enumerate(pattern):
+        if occupied != len(turns) % 2:  # occupied after an odd count of turns
+            turns.append(minute)
+    return turns
+
+
 def make_building_text(
     n_private: int = 2,
     n_shared: int = 1,

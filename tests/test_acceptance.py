@@ -32,7 +32,7 @@ from officesim.occupants import (
     STEREOTYPE_PARAMS,
 )
 
-from conftest import make_small_building
+from conftest import make_small_building, occupancy_turns
 from invariant_checks import run_all_checks
 from test_invariants import random_scenario
 
@@ -89,12 +89,15 @@ def test_criterion_1_accounting_identity(automated_experiment):
 def test_criterion_2_automated_light_rule():
     # one office, one occupant, scripted long leave at minute 300
     occupied = [True] * 300 + [False] * 100
-    bank = RoomLightBank("office", ("L1",), 60.0)
+    bank = RoomLightBank("office")
     policy = LightingPolicy.automated()
-    on_series = []
-    for minute, present in enumerate(occupied):
-        bank.step_automated(present, policy.off_delay_minutes, minute)
-        on_series.append(bank.is_on)
+    bank.step_automated(
+        occupancy_turns(occupied), policy.off_delay_minutes, len(occupied)
+    )
+    on_series = [
+        any(a <= minute < b for a, b in bank.intervals)
+        for minute in range(len(occupied))
+    ]
     assert all(on_series[m] for m in range(300)), "on at every occupied minute"
     assert all(on_series[m] for m in range(300, 320)), "burns through the delay"
     assert not any(on_series[m] for m in range(320, 400)), "off exactly at +20"

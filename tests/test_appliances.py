@@ -16,23 +16,26 @@ from officesim.appliances import RoomLightBank
 from officesim.building import ComputerSpec
 from officesim.occupants import BehaviorParams, PopulationMix, Stereotype
 
-from conftest import make_small_building, make_small_scenario
+from conftest import make_small_building, make_small_scenario, occupancy_turns
 from invariant_checks import check_staff_passivity, check_staff_switch_offs
 
 STAFF = LightingPolicy.staff_controlled()
 
 
 def run_pattern(pattern: list[bool], off_delay: int = 20, lit: bool = False):
-    """Step one bank through ``pattern`` (occupied per minute); ``lit``
-    switches it on first. Returns the bank and whether it is on after
-    each minute."""
-    bank = RoomLightBank("r1", ("L1",), 60.0)
+    """One bank's automated on-intervals over ``pattern`` (occupied per
+    minute), from its occupancy turns; ``lit`` starts it as if occupied
+    the minute before. Returns the bank and whether it is on at each
+    minute."""
+    bank = RoomLightBank("r1")
+    turns = occupancy_turns(pattern)
     if lit:
-        bank.turn_on(0)
-    states = []
-    for minute, occupied in enumerate(pattern):
-        bank.step_automated(occupied, off_delay, minute)
-        states.append(bank.is_on)
+        turns = [minute - 1 for minute in occupancy_turns([True] + pattern)]
+    bank.step_automated(turns, off_delay, len(pattern))
+    states = [
+        any(a <= minute < b for a, b in bank.intervals)
+        for minute in range(len(pattern))
+    ]
     return bank, states
 
 

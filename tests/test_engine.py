@@ -41,7 +41,11 @@ from conftest import (
     make_small_building,
     make_small_scenario,
 )
-from invariant_checks import replication_network, run_all_checks
+from invariant_checks import (
+    check_automated_light_rule,
+    replication_network,
+    run_all_checks,
+)
 from test_invariants import random_scenario
 
 
@@ -429,6 +433,36 @@ def test_shared_pass_arms_equal_solo_replications():
     assert seen["manual_events"] > 0
 
 
+def test_automated_arms_keep_the_rule_at_every_delay():
+    # random_scenario draws the delays 5, 20 and 30 only. Here automated
+    # arms at delays 0, 1 and one drawn from 2-30 share a pass with a staff
+    # arm: each must keep the exact rule and equal its solo run.
+    rng = random.Random(8191)
+    lit = 0
+    for _ in range(8):
+        scenario = random_scenario(rng)
+        seed = rng.randrange(2**31)
+        delays = (0, 1, rng.randint(2, 30))
+        policies = (
+            *map(LightingPolicy.automated, delays), LightingPolicy.staff_controlled()
+        )
+        arms = run_replication_arms(scenario, seed, policies)
+        for policy, arm in zip(policies, arms[:-1]):
+            solo = run_replication(replace(scenario, policy=policy), seed)
+            assert arm.light_intervals == solo.light_intervals
+            assert arm.ledger.lights_w.tobytes() == solo.ledger.lights_w.tobytes()
+            trace = derive_trace(arm, scenario)
+            assert not check_automated_light_rule(
+                arm, trace, policy.off_delay_minutes
+            )
+            for spans in arm.light_intervals.values():
+                # Spans that touch are one: a dark minute separates any two.
+                gaps = zip(spans, spans[1:])
+                assert all(end < start for (_, end), (start, _) in gaps)
+                lit += len(spans)
+    assert lit > 100
+
+
 def test_computer_transitions_replay_from_events():
     # Each computer event sets its owner's computer to the building's spec
     # wattage for that state; replaying the events must rebuild the
@@ -495,6 +529,33 @@ def test_fractional_computer_watts_sum_exactly_per_minute():
             before = Fraction(watts)
     exact = [float(total) for total in accumulate(deltas)]
     assert result.ledger.computers_w.tolist() == exact
+
+
+def test_fractional_light_watts_sum_exactly_per_minute():
+    # Light wattages that are not whole watts: under either policy, each
+    # minute's sample is the exact total of the lit rooms' wattages,
+    # rounded once, where a running float sum of the switches drifts.
+    text = make_building_text() + (
+        "light_overrides: {L000: {watts_on: 36.6}, L004: {watts_on: 12.1}}\n"
+    )
+    scenario = Scenario(
+        building=load_building(text), population_size=5, horizon_days=3
+    )
+    building = scenario.building
+    policies = (LightingPolicy.automated(), LightingPolicy.staff_controlled())
+    for result in run_replication_arms(scenario, 29, policies):
+        intervals = result.light_intervals
+        assert sum(map(len, intervals.values())) > 10
+        deltas = [Fraction(0)] * (result.n_minutes + 1)
+        for room in building.rooms:
+            watts = sum(
+                Fraction(building.lights[lid].watts_on) for lid in room.light_ids
+            )
+            for start, end in intervals[room.id]:
+                deltas[start] += watts
+                deltas[end] -= watts
+        exact = [float(total) for total in accumulate(deltas[:-1])]
+        assert result.ledger.lights_w.tolist() == exact
 
 
 def test_kept_events_are_in_minute_and_agent_order():

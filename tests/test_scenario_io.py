@@ -125,6 +125,19 @@ def test_bad_policy_name_rejected(scenario_dir):
         )
 
 
+def test_null_policy_takes_the_default(scenario_dir):
+    # A null scalar counts as left out, the lighting policy's included.
+    scenario = parse_scenario(
+        write_scenario(scenario_dir, MINIMAL + "lighting_policy: null\n")
+    )
+    assert scenario.policy.kind is PolicyKind.AUTOMATED
+    # A room's kind has no default: null is reported as an unknown kind.
+    text = make_building_text().replace("kind: kitchen", "kind: null", 1)
+    with pytest.raises(ValidationError) as err:
+        load_building(text)
+    assert "room 'kitchen-0' has unknown kind None" in str(err.value)
+
+
 def test_yaml_parse_error_reports_location(scenario_dir):
     with pytest.raises(ParseError) as err:
         parse_scenario(write_scenario(scenario_dir, "a: [1,\n"))
