@@ -35,7 +35,6 @@ _HOME_MODULES = {
     "realized_beta": "accounting",
     "LightingPolicy": "appliances",
     "PolicyKind": "appliances",
-    "computer_apply_event": "appliances",
     "manual_exit_decision": "appliances",
     "BuildingModel": "building",
     "Room": "building",

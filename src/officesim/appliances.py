@@ -1,22 +1,19 @@
-"""The two lighting policies and the room light bank the engine runs.
+"""The two lighting policies and the room light bank the engine builds
+once an agent pass is over, from the pass's zone-turn log.
 
 Lights are either sensor-driven (on with presence, off after a fixed
 delay of vacancy: a closed form of the room's occupancy turns) or
 staff-controlled (state changes only through manual switch events).
-Computers move between off / standby / on purely in response to their
-owner's events (``computer_apply_event``); the engine replays their
-wattages from the run's computer log.
+Computers have no model here: the engine replays each one's spec
+wattages (off, standby, on) from the run's computer log.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .occupants import EventKind, awareness_to_switch_off_prob
-
-if TYPE_CHECKING:
-    from .building import ComputerSpec
+from .occupants import awareness_to_switch_off_prob
 
 AUTOMATED_OFF_DELAY_MINUTES = 20
 
@@ -53,31 +50,13 @@ def manual_exit_decision(leaving_awareness: float, rng) -> bool:
     return rng.random() < awareness_to_switch_off_prob(leaving_awareness)
 
 
-_SWITCH_COMPUTER_ON = EventKind.SWITCH_COMPUTER_ON
-_COMPUTER_TO_STANDBY = EventKind.COMPUTER_TO_STANDBY
-_SWITCH_COMPUTER_OFF = EventKind.SWITCH_COMPUTER_OFF
-
-
-def computer_apply_event(spec: ComputerSpec, watts: float, kind: EventKind) -> float:
-    """The wattage of computer ``spec``, now drawing ``watts``, after its
-    owner's event ``kind``: the spec's on, standby or off wattage for a
-    computer event, ``watts`` unchanged for any other event."""
-    if kind is _SWITCH_COMPUTER_ON:
-        return spec.watts_on
-    if kind is _COMPUTER_TO_STANDBY:
-        return spec.watts_standby
-    if kind is _SWITCH_COMPUTER_OFF:
-        return spec.watts_off
-    return watts
-
-
 class RoomLightBank:
     """The lights of one room, switched as a unit, and the log of their
     on-intervals. Lights in a room share occupancy sensing and switches,
-    so they are on or off together. Under staff control the engine
-    switches the bank during its pass (``turn_on``, ``turn_off``); under
-    the automated policy the intervals follow from the room's occupancy
-    once the pass is over (``step_automated``).
+    so they are on or off together. Once the agent pass is over, the
+    engine switches a staff-controlled bank along the pass's zone turns
+    (``turn_on``, ``turn_off``), and an automated bank takes its
+    intervals from its room's occupancy turns (``step_automated``).
     """
 
     __slots__ = ("room_id", "is_on", "intervals")

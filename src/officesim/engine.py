@@ -55,7 +55,6 @@ from .occupants import (
     POWER_OFF,
     BehaviorContext,
     EventKind,
-    OccupantAgent,
     OccupantEvent,
     ScheduleClass,
     Stereotype,
@@ -117,12 +116,13 @@ def _columns(typecodes: str) -> tuple[array, ...]:
 
 class RunRecord:
     """What one agent pass did, in ``array`` columns (the agents' desks are
-    the scenario's ``seats``); the results of its arms share it and build
-    their roster, events, contacts and computer transitions from it on
-    demand. The int32 columns hold any run that fits in memory: a minute
-    past 2**31 needs float64 series of 16 GiB each."""
+    the scenario's ``seats``); the results of its arms share it. Each
+    arm's lights are built from it once the pass ends, and the roster,
+    events, contacts and computer transitions on demand. The int32
+    columns hold any run that fits in memory: a minute past 2**31 needs
+    float64 series of 16 GiB each."""
 
-    def __init__(self, scenario, seed, agents, email_p, n_arms):
+    def __init__(self, scenario, seed, agents, email_p):
         self.scenario = scenario  # its lighting policy is not used
         self.seed = seed
         self.email_p = email_p  # per sender, its email hazard; None: no emails
@@ -143,10 +143,11 @@ class RunRecord:
         )
         # Office stays: one row per contact_step call, with its arguments.
         self.stay_sender, self.stay_start, self.stay_end = _columns("iii")
-        # Per arm, its manual light events: the number of agent events
-        # before each, its kind code and its room index. Each follows the
-        # agent event that triggered it, at its minute and by its agent.
-        self.manual = [_columns("ibi") for _ in range(n_arms)]
+        # Zone turns, each zone's occupied and vacant in turn from vacant:
+        # the number of agent events up to the one that made it, its zone,
+        # and for a vacancy whose leaver rolls the staff switch-off, the
+        # leaver's awareness then (else -1).
+        self.turn_position, self.turn_zone, self.turn_awareness = _columns("iid")
 
     @cached_property
     def _shared_events(self) -> tuple[tuple[OccupantEvent, ...], array]:
@@ -177,12 +178,13 @@ class RunRecord:
         """Room id by room index, with None last (index -1)."""
         return tuple(room.id for room in self.scenario.building.rooms) + (None,)
 
-    def events(self, arm: int) -> tuple[OccupantEvent, ...]:
-        """The events of arm ``arm`` in (minute, agent id) order: the
+    def events(self, manual) -> tuple[OccupantEvent, ...]:
+        """The events of a result with ``manual`` light events (its
+        ``ReplicationResult.manual``) in (minute, agent id) order: the
         shared computer and agent events, with each manual light event
         after the agent events of its trigger's minute and agent."""
         shared, keys = self._shared_events
-        positions, codes, rooms = self.manual[arm]
+        positions, codes, rooms = manual
         if not positions:
             return shared
         room_ids = self._room_ids
@@ -260,8 +262,9 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class ReplicationResult:
-    """One arm of one agent pass: its ledger and light intervals, and views
-    of the ``record`` it shares with the other arms, built on demand."""
+    """One arm of one agent pass: its ledger, light intervals and manual
+    light events, and views of the ``record`` it shares with the other
+    arms, built on demand."""
 
     seed: int
     n_minutes: int
@@ -269,7 +272,10 @@ class ReplicationResult:
     light_intervals: dict[str, tuple[tuple[int, int], ...]]  # room -> on-intervals
     building: BuildingModel
     record: RunRecord  # shared by the arms of one agent pass
-    arm: int  # this result's arm of the pass
+    # The manual light events: the number of agent events up to the one
+    # that triggered each, its kind code and its room index; none under
+    # the automated policy.
+    manual: tuple[array, array, array]
 
     @property
     def roster(self) -> tuple[AgentRecord, ...]:
@@ -287,7 +293,7 @@ class ReplicationResult:
     def events(self) -> tuple[OccupantEvent, ...]:
         """Every event of the run, the manual light and computer events
         included, in (minute, agent id) order (``RunRecord.events``)."""
-        return self.record.events(self.arm)
+        return self.record.events(self.manual)
 
     @property
     def contacts(self) -> tuple[tuple[int, int, int], ...]:
@@ -341,47 +347,6 @@ class ReplicationResult:
         return sequential_sum(awareness) / len(awareness) if awareness else 0.0
 
 
-class _LightingArm:
-    """One lighting policy driven by a shared agent pass.
-
-    The arm owns everything its lights touch: the room banks, its manual
-    light events in the run record and the manual-switching stream. Lights
-    never feed back into agents, contacts or computers, so an arm evolves
-    exactly as a run of its own would.
-    """
-
-    __slots__ = ("policy", "banks", "rng", "record", "manual")
-
-    def __init__(self, policy, rooms, seed, record, arm):
-        self.policy = policy
-        self.banks = [RoomLightBank(room.id) for room in rooms]
-        self.rng = Random(derive_seed(seed, "policy"))
-        self.record = record
-        self.manual = record.manual[arm]
-
-    def log_manual(self, code: int, room: int) -> None:
-        """Record a manual light event after the last agent event."""
-        positions, kinds, rooms = self.manual
-        positions.append(len(self.record.kind))
-        kinds.append(code)
-        rooms.append(room)
-
-    def switch_on(self, rooms, minute: int) -> None:
-        """Staff policy: the agent entering switches on whichever of the
-        banks of ``rooms`` (room indices) is dark."""
-        for i in rooms:
-            if self.banks[i].turn_on(minute):
-                self.log_manual(_MANUAL_LIGHTS_ON, i)
-
-    def roll_off(self, rooms, minute: int, leaver: OccupantAgent) -> None:
-        """Staff policy: ``leaver``, the last one out, rolls once to
-        switch the banks of ``rooms`` off."""
-        if manual_exit_decision(leaver.awareness, self.rng):
-            for i in rooms:
-                if self.banks[i].turn_off(minute):
-                    self.log_manual(_MANUAL_LIGHTS_OFF, i)
-
-
 def run_replication(scenario: Scenario, seed: int) -> ReplicationResult:
     """Execute one replication under the scenario's lighting policy."""
     scenario.validate()
@@ -392,10 +357,10 @@ def run_replication(scenario: Scenario, seed: int) -> ReplicationResult:
 def run_replication_arms(
     scenario: Scenario, seed: int, policies
 ) -> tuple[ReplicationResult, ...]:
-    """One agent pass of a valid scenario driving one lighting arm per
-    policy; the scenario's own policy is not used. Arm i's result equals
-    ``run_replication`` of the scenario under ``policies[i]``. The pass
-    writes one ``RunRecord``, which every arm's result holds.
+    """One agent pass of a valid scenario, and from its ``RunRecord`` one
+    lighting arm per policy; the scenario's own policy is not used. Arm
+    i's result equals ``run_replication`` of the scenario under
+    ``policies[i]``. Every arm's result holds the record.
 
     Next-event scheduling: each agent keeps the minute of its next firing
     (``step_occupant`` draws its hazards as waiting times and its
@@ -404,14 +369,15 @@ def run_replication_arms(
     fixed order: at midnight the day's schedules; then the agents due, in
     id order, each firing and its events applied at once.
 
-    Lights are not on the calendar. A staff-controlled arm switches its
-    banks as the events are applied: a switch-off roll reads the leaver's
-    awareness and the arm's stream at that moment. For the automated arms
-    the pass logs each zone's turns, the minutes at which its count turns
-    positive or back to zero; after the last day, each bank with lights
-    takes its on-intervals from its zone's turns in closed form
-    (``RoomLightBank.step_automated``). Each arm's lights series is the
-    exact total of its banks' intervals, replayed at the end
+    Lights are not in the pass: no agent, email or computer reads one.
+    The pass logs each zone's turns into the record, the agent events at
+    which its count turns positive or back to zero, with the leaver's
+    awareness where the leaver of a vacancy rolls the staff switch-off.
+    After the last day each arm's banks are built from that log alone:
+    automated, each bank with lights takes its on-intervals from its
+    zone's turn minutes in closed form (``RoomLightBank.step_automated``);
+    staff-controlled, a walk of the log switches them (``_staff_lights``).
+    Each arm's lights series is the exact total of its banks' intervals
     (``_replay_lights``).
 
     Emails are not on the calendar. An office stay ends at the leave
@@ -461,7 +427,7 @@ def run_replication_arms(
     email_p = None
     if contacts_on:
         email_p = array("d", [hazards[STEREOTYPES.index(a.stereotype)] for a in agents])
-    record = RunRecord(scenario, seed, agents, email_p, len(policies))
+    record = RunRecord(scenario, seed, agents, email_p)
 
     (
         facility_ids, zone_rooms, room_zone, zone_of, room_index, per_watt,
@@ -470,18 +436,6 @@ def run_replication_arms(
     ctx = BehaviorContext(params, facility_ids, record)
     corridor = 0
     zone_occupancy = [0] * len(zone_rooms)
-    # Per zone, the minutes at which it turns occupied and vacant in turn.
-    # A firing emits one event and an agent fires again a minute later at
-    # the earliest, so a zone never turns occupied and vacant within one
-    # minute; vacant and occupied again leaves an empty run, which the
-    # closed form's merge absorbs.
-    zone_turns: list[list[int]] = [[] for _ in zone_rooms]
-
-    arms = [
-        _LightingArm(policy, building.rooms, seed, record, i)
-        for i, policy in enumerate(policies)
-    ]
-    manual_arms = [arm for arm in arms if not arm.policy.is_automated]
 
     # The calendar: a heap of minutes, each with the agents due then.
     heap: list[int] = []
@@ -509,32 +463,33 @@ def run_replication_arms(
     email_rngs: list[Random | bool | None] = [None] * len(agents)
     present = 0  # agents in the building
 
-    def enter(zone: int, minute: int) -> None:
-        zone_occupancy[zone] += 1
-        if zone_occupancy[zone] == 1:
-            zone_turns[zone].append(minute)
-        for arm in manual_arms:
-            arm.switch_on(zone_rooms[zone], minute)
-
-    def leave(zone: int, minute: int, agent_id: int, rolls: bool) -> None:
-        zone_occupancy[zone] -= 1
-        if zone_occupancy[zone] == 0:
-            zone_turns[zone].append(minute)
-            if rolls:
-                for arm in manual_arms:
-                    arm.roll_off(zone_rooms[zone], minute, agents[agent_id])
-
     kinds, minutes, agent_ids, room_indices = (
         record.kind, record.minute, record.agent, record.room
     )
+    turn_positions, turn_zones, turn_awareness = (
+        record.turn_position, record.turn_zone, record.turn_awareness
+    )
+
+    def enter(zone: int) -> None:
+        zone_occupancy[zone] += 1
+        if zone_occupancy[zone] == 1:
+            turn_positions.append(len(kinds))
+            turn_zones.append(zone)
+            turn_awareness.append(-1.0)
+
+    def leave(zone: int, agent_id: int, rolls: bool) -> None:
+        zone_occupancy[zone] -= 1
+        if zone_occupancy[zone] == 0:
+            turn_positions.append(len(kinds))
+            turn_zones.append(zone)
+            turn_awareness.append(agents[agent_id].awareness if rolls else -1.0)
 
     def apply_event(
         kind: EventKind, minute: int, agent_id: int, room_id: str | None
     ) -> None:
-        # The event goes to the record first, ahead of the manual light
-        # events it triggers. Staff arms: anyone entering a zone switches
-        # on its dark banks; the last one out rolls once to switch them
-        # off, unless it is a quick break. A move between a room and the
+        # The event goes to the record first, ahead of the zone turns it
+        # makes. The last one out of a zone rolls the staff switch-off,
+        # unless it is a quick break. A move between a room and the
         # corridor handles the zone the event names first.
         nonlocal present
         minutes.append(minute)
@@ -542,33 +497,33 @@ def run_replication_arms(
         room_indices.append(room_index[room_id])
         if kind is _ENTER_OWN_OFFICE:
             kinds.append(_ENTER_OWN_OFFICE_CODE)
-            enter(office_zone[agent_id], minute)
-            leave(corridor, minute, agent_id, True)
+            enter(office_zone[agent_id])
+            leave(corridor, agent_id, True)
             if contacts_on:
                 send_stay(agent_id, minute)
         elif kind is _LEAVE_OFFICE_TEMPORARY:
             kinds.append(_LEAVE_OFFICE_TEMPORARY_CODE)
-            leave(office_zone[agent_id], minute, agent_id, False)
-            enter(corridor, minute)
+            leave(office_zone[agent_id], agent_id, False)
+            enter(corridor)
         elif kind is _LEAVE_OFFICE_LONG:
             kinds.append(_LEAVE_OFFICE_LONG_CODE)
-            leave(office_zone[agent_id], minute, agent_id, True)
-            enter(corridor, minute)
+            leave(office_zone[agent_id], agent_id, True)
+            enter(corridor)
         elif kind is _ENTER_OTHER_ROOM:
             kinds.append(_ENTER_OTHER_ROOM_CODE)
-            enter(zone_of[room_id], minute)
-            leave(corridor, minute, agent_id, True)
+            enter(zone_of[room_id])
+            leave(corridor, agent_id, True)
         elif kind is _EXIT_OTHER_ROOM:
             kinds.append(_EXIT_OTHER_ROOM_CODE)
-            leave(zone_of[room_id], minute, agent_id, True)
-            enter(corridor, minute)
+            leave(zone_of[room_id], agent_id, True)
+            enter(corridor)
         elif kind is _ENTER_BUILDING:
             kinds.append(_ENTER_BUILDING_CODE)
-            enter(corridor, minute)
+            enter(corridor)
             present += 1
         else:  # _LEAVE_BUILDING
             kinds.append(_LEAVE_BUILDING_CODE)
-            leave(corridor, minute, agent_id, True)
+            leave(corridor, agent_id, True)
             present -= 1
 
     def send_stay(agent_id: int, minute: int) -> None:
@@ -645,27 +600,81 @@ def run_replication_arms(
     computers_arr = _replay_computers(record, n_minutes)
     base_arr = scenario.base_load_w
     record.final_awareness.extend([a.awareness for a in agents])
+    zone_turns = _zone_turn_minutes(record, len(zone_rooms))
     results = []
-    for i, arm in enumerate(arms):
-        policy = arm.policy
-        for bank, zone, units in zip(arm.banks, room_zone, room_units):
-            if not policy.is_automated:
-                bank.finalize(n_minutes)
-            elif units > 0:
-                bank.step_automated(
-                    zone_turns[zone], policy.off_delay_minutes, n_minutes
-                )
-        lights = _replay_lights(arm.banks, room_units, per_watt, n_minutes)
+    for policy in policies:
+        if policy.is_automated:
+            banks = [RoomLightBank(room.id) for room in building.rooms]
+            for bank, zone, units in zip(banks, room_zone, room_units):
+                if units > 0:
+                    bank.step_automated(
+                        zone_turns[zone], policy.off_delay_minutes, n_minutes
+                    )
+            manual = _columns("ibi")
+        else:
+            banks, manual = _staff_lights(record, n_minutes)
+        lights = _replay_lights(banks, room_units, per_watt, n_minutes)
         results.append(ReplicationResult(
             seed=seed,
             n_minutes=n_minutes,
             ledger=EnergyLedger(base_arr, lights, computers_arr),
-            light_intervals={b.room_id: tuple(b.intervals) for b in arm.banks},
+            light_intervals={b.room_id: tuple(b.intervals) for b in banks},
             building=building,
             record=record,
-            arm=i,
+            manual=manual,
         ))
     return tuple(results)
+
+
+def _zone_turn_minutes(record: RunRecord, n_zones: int) -> list[list[int]]:
+    """Per zone, the minutes of its turns in ``record``, occupied and
+    vacant in turn. A firing emits one event and an agent fires again a
+    minute later at the earliest, so a zone never turns occupied and
+    vacant within one minute; vacant and occupied again leaves an empty
+    run, which the closed form's merge absorbs."""
+    turns: list[list[int]] = [[] for _ in range(n_zones)]
+    minutes = record.minute
+    for position, zone in zip(record.turn_position, record.turn_zone):
+        turns[zone].append(minutes[position - 1])
+    return turns
+
+
+def _staff_lights(
+    record: RunRecord, n_minutes: int
+) -> tuple[list[RoomLightBank], tuple[array, array, array]]:
+    """The staff-controlled banks of ``record``'s pass (by room index) and
+    their manual light events (``ReplicationResult.manual``), from its zone
+    turns in order: a zone turning occupied switches on its dark banks,
+    and a vacancy whose leaver rolls switches its lit banks off if
+    ``manual_exit_decision`` says so, drawing from the pass's own
+    manual-switching stream. Banks are switched off only by a roll, so
+    while a zone is occupied its banks are lit, as when everyone entering
+    switches on."""
+    zone_rooms = record.scenario.layout.zone_rooms
+    banks = [RoomLightBank(room.id) for room in record.scenario.building.rooms]
+    manual = _columns("ibi")
+    positions, codes, rooms = manual
+    rng = Random(derive_seed(record.seed, "policy"))
+    occupied = [False] * len(zone_rooms)
+    minutes = record.minute
+    turns = zip(record.turn_position, record.turn_zone, record.turn_awareness)
+    for position, zone, awareness in turns:
+        occupied[zone] = not occupied[zone]
+        if occupied[zone]:
+            code, switch = _MANUAL_LIGHTS_ON, RoomLightBank.turn_on
+        elif awareness >= 0.0 and manual_exit_decision(awareness, rng):
+            code, switch = _MANUAL_LIGHTS_OFF, RoomLightBank.turn_off
+        else:
+            continue
+        minute = minutes[position - 1]
+        for i in zone_rooms[zone]:
+            if switch(banks[i], minute):
+                positions.append(position)
+                codes.append(code)
+                rooms.append(i)
+    for bank in banks:
+        bank.finalize(n_minutes)
+    return banks, manual
 
 
 def _exact_series(deltas: list[int], per_watt: int) -> array:

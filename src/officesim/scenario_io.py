@@ -33,7 +33,7 @@ from .accounting import (
     integer_units,
     masked_sum,
 )
-from .appliances import LightingPolicy, PolicyKind, computer_apply_event
+from .appliances import LightingPolicy, PolicyKind
 from .building import (
     ABSENT,
     Choice,
@@ -50,7 +50,6 @@ from .building import (
 from .errors import ParseError, ValidationError
 from .occupants import (
     MINUTES_PER_DAY,
-    POWER_EVENTS,
     POWER_OFF,
     STEREOTYPE_PARAMS,
     BehaviorParams,
@@ -147,8 +146,8 @@ class Scenario:
         ``accounting.integer_units`` of them all (None: no computer); and,
         in those units, the off wattages of all computers added up. Built
         on first use, shared by every run."""
-        watts = {
-            cid: tuple(computer_apply_event(s, s.watts_off, k) for k in POWER_EVENTS)
+        watts = {  # in power code order: off, standby, on
+            cid: (s.watts_off, s.watts_standby, s.watts_on)
             for cid, s in self.building.computers.items()
         }
         per_watt, units = integer_units(watts.values())

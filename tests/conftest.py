@@ -42,8 +42,13 @@ def make_building_text(
     corridor_lights: int = 4,
     facility_rooms: int = 1,
     base_load_watts: float = 1000,
+    corridor_rooms: int = 1,
 ) -> str:
-    """Small building in the file format, for fast test scenarios."""
+    """Small building in the file format, for fast test scenarios. The
+    corridor lights are dealt in turn over ``corridor_rooms`` rooms, so a
+    room gets none where there are fewer lights than rooms: the first
+    room, ``hall``, comes first in the file and the others, ``hall-1``
+    and on, last."""
     lights: list[str] = []
     computers: list[str] = []
     rooms = []
@@ -60,7 +65,12 @@ def make_building_text(
         computers.extend(ids)
         return ids
 
-    rooms.append(("hall", "corridor", 0, take_lights(corridor_lights), []))
+    corridor = take_lights(corridor_lights)
+    halls = [
+        (f"hall-{i}" if i else "hall", "corridor", 0, corridor[i::corridor_rooms], [])
+        for i in range(corridor_rooms)
+    ]
+    rooms.append(halls[0])
     for i in range(facility_rooms):
         rooms.append((f"kitchen-{i}", "kitchen", 0, take_lights(2), []))
     for i in range(n_private):
@@ -78,6 +88,8 @@ def make_building_text(
             )
         )
 
+    rooms += halls[1:]
+
     lines = [
         f"base_load_watts: {base_load_watts}",
         f"max_occupants: {sum(r[2] for r in rooms)}",
@@ -89,7 +101,8 @@ def make_building_text(
         lines.append(f"  - id: {rid}")
         lines.append(f"    kind: {kind}")
         lines.append(f"    desk_capacity: {desks}")
-        lines.append("    lights: [" + ", ".join(ls) + "]")
+        if ls:
+            lines.append("    lights: [" + ", ".join(ls) + "]")
         if cs:
             lines.append("    computers: [" + ", ".join(cs) + "]")
     return "\n".join(lines) + "\n"

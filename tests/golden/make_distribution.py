@@ -123,7 +123,7 @@ def replication_stats(automated, staff) -> dict[str, float]:
         else:
             continue
         stats[f"events:{kind.value}"] = count
-    _, staff_kinds, _ = staff.record.manual[staff.arm]
+    _, staff_kinds, _ = staff.manual
     stats["manual:lights_on"] = staff_kinds.count(EVENT_KINDS.index(manual[0]))
     stats["manual:lights_off"] = staff_kinds.count(EVENT_KINDS.index(manual[1]))
 

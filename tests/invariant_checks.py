@@ -162,6 +162,25 @@ def check_staff_passivity(result: ReplicationResult) -> list[str]:
     return violations
 
 
+def check_staff_lit_while_occupied(
+    result: ReplicationResult, trace: RunTrace
+) -> list[str]:
+    """Under staff control anyone entering a space switches on its dark
+    lights, and only the last one out switches them off: a room with
+    lights is lit at every minute it is occupied."""
+    violations = []
+    for i, room_id in enumerate(trace.room_ids):
+        if not result.building.rooms[i].light_ids:
+            continue
+        dark = trace.room_occupied[i] & ~trace.lights_on[i]
+        if dark.any():
+            violations.append(
+                f"room {room_id}: dark while occupied at {int(dark.sum())} "
+                f"minutes, the first {int(np.argmax(dark))}"
+            )
+    return violations
+
+
 def check_staff_switch_offs(result: ReplicationResult) -> list[str]:
     """Under staff control only the last one out switches off, and never
     for a quick break: every MANUAL_LIGHTS_OFF of a room falls right after
@@ -346,6 +365,7 @@ def run_all_checks(result: ReplicationResult, scenario: Scenario):
         )
     else:
         violations += check_staff_passivity(result)
+        violations += check_staff_lit_while_occupied(result, trace)
         violations += check_staff_switch_offs(result)
     violations += check_awareness_monotone(result, trace, scenario.awareness_delta)
     violations += check_stereotype_immutable(result)

@@ -14,17 +14,19 @@ from officesim import (
     EventKind,
     LightingPolicy,
     PolicyKind,
+    RoomKind,
     Scenario,
     ValidationError,
     compare_policies,
     derive_seed,
     load_building,
+    manual_exit_decision,
     run_experiment,
     run_replication,
 )
 from officesim.accounting import sequential_sum
 from officesim.checks import derive_trace
-from officesim.engine import run_replication_arms
+from officesim.engine import EVENT_KINDS, run_replication_arms
 from officesim.network import ContactEvent
 from officesim.occupants import (
     BehaviorParams,
@@ -461,6 +463,96 @@ def test_automated_arms_keep_the_rule_at_every_delay():
                 assert all(end < start for (_, end), (start, _) in gaps)
                 lit += len(spans)
     assert lit > 100
+
+
+# Per agent event, in order, the spaces its agent enters (+1) or leaves
+# (-1): None is the room the event names, "corridor" every corridor room.
+_MOVES = {
+    EventKind.ENTER_BUILDING: (("corridor", 1),),
+    EventKind.LEAVE_BUILDING: (("corridor", -1),),
+    EventKind.ENTER_OWN_OFFICE: ((None, 1), ("corridor", -1)),
+    EventKind.ENTER_OTHER_ROOM: ((None, 1), ("corridor", -1)),
+    EventKind.LEAVE_OFFICE_TEMPORARY: ((None, -1), ("corridor", 1)),
+    EventKind.LEAVE_OFFICE_LONG: ((None, -1), ("corridor", 1)),
+    EventKind.EXIT_OTHER_ROOM: ((None, -1), ("corridor", 1)),
+}
+_LIGHTS_ON = EVENT_KINDS.index(EventKind.MANUAL_LIGHTS_ON)
+_LIGHTS_OFF = EVENT_KINDS.index(EventKind.MANUAL_LIGHTS_OFF)
+
+
+def _replay_staff_lights(result, awareness_delta):
+    """The staff-controlled lights of ``result``'s pass, replayed from its
+    agent events and contacts alone: anyone entering a space switches on
+    its dark lights; the last one out, unless on a quick break, rolls
+    ``manual_exit_decision`` once from a fresh manual-switching stream at
+    their awareness then, the initial one raised once per contact before
+    that minute, capped at 100. Returns the light intervals and the manual
+    events as (agent events so far, kind code, room index)."""
+    record = result.record
+    rooms = result.building.rooms
+    corridor = [i for i, room in enumerate(rooms) if room.kind is RoomKind.CORRIDOR]
+    rng = random.Random(derive_seed(result.seed, "policy"))
+    awareness = list(record.initial_awareness)
+    contacts = iter(result.contacts)
+    contact = next(contacts, None)
+    count = Counter()
+    lit_since = [None] * len(rooms)
+    intervals = {room.id: [] for room in rooms}
+    manual = []
+    events = zip(record.kind, record.minute, record.agent, record.room)
+    for position, (code, minute, agent_id, room) in enumerate(events, 1):
+        while contact is not None and contact[2] < minute:
+            receiver_id = contact[1]
+            awareness[receiver_id] = min(awareness[receiver_id] + awareness_delta, 100.0)
+            contact = next(contacts, None)
+        kind = EVENT_KINDS[code]
+        for space, step in _MOVES[kind]:
+            if space is None and room not in corridor:
+                space, group = room, [room]
+            else:
+                space, group = "corridor", corridor
+            count[space] += step
+            if step > 0:
+                for i in group:
+                    if lit_since[i] is None:
+                        lit_since[i] = minute
+                        manual.append((position, _LIGHTS_ON, i))
+            elif count[space] == 0 and kind is not EventKind.LEAVE_OFFICE_TEMPORARY:
+                if manual_exit_decision(awareness[agent_id], rng):
+                    for i in group:
+                        if lit_since[i] is not None:
+                            intervals[rooms[i].id].append((lit_since[i], minute))
+                            lit_since[i] = None
+                            manual.append((position, _LIGHTS_OFF, i))
+    for i, start in enumerate(lit_since):
+        if start is not None:
+            intervals[rooms[i].id].append((start, result.n_minutes))
+    return {rid: tuple(spans) for rid, spans in intervals.items()}, manual
+
+
+def test_staff_lights_equal_an_independent_replay():
+    # The manual-switching oracle: the staff arm's light intervals and
+    # manual events equal a replay from the agent events, the contacts and
+    # a fresh policy stream. Raised contact rates move awareness across
+    # the switch-off bands between rolls, and corridors of several rooms
+    # have every corridor room switched.
+    rng = random.Random(60221)
+    staff = LightingPolicy.staff_controlled()
+    seen = {"corridor_rooms": set(), "contact_rates": set(), "switch_offs": 0}
+    for i in range(24):
+        scenario = replace(random_scenario(rng), policy=staff)
+        if i % 3 == 0:
+            scenario = replace(scenario, contact_rate=2000.0)
+        result = run_replication(scenario, seed=rng.randrange(2**31))
+        intervals, manual = _replay_staff_lights(result, scenario.awareness_delta)
+        assert result.light_intervals == intervals
+        assert list(zip(*result.manual)) == manual
+        seen["corridor_rooms"].add(len(scenario.building.corridor_rooms()))
+        seen["contact_rates"].add(scenario.contact_rate)
+        seen["switch_offs"] += result.manual[1].count(_LIGHTS_OFF)
+    assert seen["corridor_rooms"] == {1, 2, 3}
+    assert 2000.0 in seen["contact_rates"]
+    assert seen["switch_offs"] > 50
 
 
 def test_computer_transitions_replay_from_events():

@@ -26,6 +26,7 @@ def random_scenario(rng: random.Random) -> Scenario:
         corridor_lights=rng.randint(1, 6),
         facility_rooms=rng.randint(0, 2),
         base_load_watts=rng.choice([0, 500, 2000]),
+        corridor_rooms=rng.randint(1, 3),
     )
     policy = (
         LightingPolicy.automated(rng.choice([5, 20, 30]))
@@ -67,7 +68,8 @@ def test_edge_check_reports_a_deleted_agent_event():
     scenario = make_small_scenario(population_size=5)
     result = run_replication(scenario, seed=11)
     assert not check_edge_legality(derive_trace(result, scenario))
-    assert not any(positions for positions, _, _ in result.record.manual)
+    positions, _, _ = result.manual
+    assert not positions
     kinds = [ev.kind for ev in result.events]
     for kind in _STATE_EDGES:  # the agent events that move their agent
         assert kind in kinds, kind

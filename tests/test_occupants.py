@@ -396,7 +396,7 @@ def test_only_long_leaves_near_end_of_day():
 
 def _ctx(**over):
     """A context whose run record takes only computer transitions."""
-    record = RunRecord(scenario=None, seed=0, agents=(), email_p=None, n_arms=0)
+    record = RunRecord(scenario=None, seed=0, agents=(), email_p=None)
     return BehaviorContext(BehaviorParams(**over), ("kitchen-0",), record)
 
 
