@@ -11,20 +11,15 @@ from random import Random
 
 import numpy as np
 
-from .engine import (
-    _ENTER_BUILDING,
-    _ENTER_OTHER_ROOM,
-    _ENTER_OWN_OFFICE,
-    _EXIT_OTHER_ROOM,
-    _LEAVE_BUILDING,
-    _LEAVE_OFFICE_LONG,
-    _LEAVE_OFFICE_TEMPORARY,
-    EVENT_KINDS,
-    ReplicationResult,
-    derive_seed,
-)
+from .engine import ReplicationResult, derive_seed
 from .network import AWARENESS_CAP, ContactEvent
-from .occupants import MINUTES_PER_DAY, AgentState, sample_daily_schedule
+from .occupants import (
+    EVENT_KINDS,
+    MINUTES_PER_DAY,
+    AgentState,
+    EventKind,
+    sample_daily_schedule,
+)
 from .scenario_io import Scenario
 
 
@@ -45,13 +40,15 @@ class RunTrace:
 
 # The state an agent event leaves and the state it enters.
 _STATE_EDGES = {
-    _ENTER_BUILDING: (AgentState.OUT_OF_SCHOOL, AgentState.IN_CORRIDOR),
-    _ENTER_OWN_OFFICE: (AgentState.IN_CORRIDOR, AgentState.IN_OWN_OFFICE),
-    _LEAVE_OFFICE_TEMPORARY: (AgentState.IN_OWN_OFFICE, AgentState.IN_CORRIDOR),
-    _LEAVE_OFFICE_LONG: (AgentState.IN_OWN_OFFICE, AgentState.IN_CORRIDOR),
-    _ENTER_OTHER_ROOM: (AgentState.IN_CORRIDOR, AgentState.IN_OTHER_ROOMS),
-    _EXIT_OTHER_ROOM: (AgentState.IN_OTHER_ROOMS, AgentState.IN_CORRIDOR),
-    _LEAVE_BUILDING: (AgentState.IN_CORRIDOR, AgentState.OUT_OF_SCHOOL),
+    EventKind.ENTER_BUILDING: (AgentState.OUT_OF_SCHOOL, AgentState.IN_CORRIDOR),
+    EventKind.ENTER_OWN_OFFICE: (AgentState.IN_CORRIDOR, AgentState.IN_OWN_OFFICE),
+    EventKind.LEAVE_OFFICE_TEMPORARY: (
+        AgentState.IN_OWN_OFFICE, AgentState.IN_CORRIDOR
+    ),
+    EventKind.LEAVE_OFFICE_LONG: (AgentState.IN_OWN_OFFICE, AgentState.IN_CORRIDOR),
+    EventKind.ENTER_OTHER_ROOM: (AgentState.IN_CORRIDOR, AgentState.IN_OTHER_ROOMS),
+    EventKind.EXIT_OTHER_ROOM: (AgentState.IN_OTHER_ROOMS, AgentState.IN_CORRIDOR),
+    EventKind.LEAVE_BUILDING: (AgentState.IN_CORRIDOR, AgentState.OUT_OF_SCHOOL),
 }
 
 
@@ -61,14 +58,18 @@ _CODE_EDGES = tuple(_STATE_EDGES.get(kind) for kind in EVENT_KINDS)
 # Per event kind code: the step an event of that kind adds to the
 # occupancy of the room it names, and to that of the corridor.
 _ROOM_STEP = np.array([
-    1 if kind in (_ENTER_OWN_OFFICE, _ENTER_OTHER_ROOM)
-    else -1 if kind in (_LEAVE_OFFICE_TEMPORARY, _LEAVE_OFFICE_LONG, _EXIT_OTHER_ROOM)
+    1 if kind in (EventKind.ENTER_OWN_OFFICE, EventKind.ENTER_OTHER_ROOM)
+    else -1 if kind in (
+        EventKind.LEAVE_OFFICE_TEMPORARY,
+        EventKind.LEAVE_OFFICE_LONG,
+        EventKind.EXIT_OTHER_ROOM,
+    )
     else 0
     for kind in EVENT_KINDS
 ])
 _CORRIDOR_STEP = -_ROOM_STEP
-_CORRIDOR_STEP[EVENT_KINDS.index(_ENTER_BUILDING)] = 1
-_CORRIDOR_STEP[EVENT_KINDS.index(_LEAVE_BUILDING)] = -1
+_CORRIDOR_STEP[EVENT_KINDS.index(EventKind.ENTER_BUILDING)] = 1
+_CORRIDOR_STEP[EVENT_KINDS.index(EventKind.LEAVE_BUILDING)] = -1
 
 
 def room_occupancy(result: ReplicationResult) -> np.ndarray:
@@ -78,12 +79,12 @@ def room_occupancy(result: ReplicationResult) -> np.ndarray:
     occupancy."""
     record = result.record
     layout = result.record.scenario.layout
-    zone_rooms, room_zone = layout.zone_rooms, layout.room_zone
+    room_zone = layout.room_zone
     kinds = np.frombuffer(record.kind, dtype=np.int8)
     minutes = np.frombuffer(record.minute, dtype=np.int32)
     rooms = np.frombuffer(record.room, dtype=np.int32)
     named = rooms >= 0
-    delta = np.zeros((len(zone_rooms), result.n_minutes), dtype=np.int64)
+    delta = np.zeros((len(layout.light_rooms), result.n_minutes), dtype=np.int64)
     np.add.at(
         delta,
         (np.array(room_zone, dtype=np.intp)[rooms[named]], minutes[named]),

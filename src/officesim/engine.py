@@ -50,11 +50,18 @@ from .network import (
     raise_awareness,
 )
 from .occupants import (
+    ENTER_BUILDING,
+    ENTER_OTHER_ROOM,
+    ENTER_OWN_OFFICE,
+    EVENT_KINDS,
+    LEAVE_BUILDING,
+    LEAVE_OFFICE_TEMPORARY,
+    MANUAL_LIGHTS_OFF,
+    MANUAL_LIGHTS_ON,
     MINUTES_PER_DAY,
     POWER_EVENTS,
     POWER_OFF,
     BehaviorContext,
-    EventKind,
     OccupantEvent,
     ScheduleClass,
     Stereotype,
@@ -65,30 +72,9 @@ from .occupants import (
 from .scenario_io import Scenario
 
 
-# Every event kind, schedule class and stereotype, by its code in a record.
-EVENT_KINDS = tuple(EventKind)
+# Every schedule class and stereotype, by its code in a record.
 SCHEDULE_CLASSES = tuple(ScheduleClass)
 STEREOTYPES = tuple(Stereotype)
-
-# Members and their codes bound at module level: a global lookup is
-# cheaper than an enum class attribute, and a bound code than hashing the
-# member, for every event.
-_ENTER_BUILDING = EventKind.ENTER_BUILDING
-_ENTER_OWN_OFFICE = EventKind.ENTER_OWN_OFFICE
-_LEAVE_OFFICE_TEMPORARY = EventKind.LEAVE_OFFICE_TEMPORARY
-_LEAVE_OFFICE_LONG = EventKind.LEAVE_OFFICE_LONG
-_ENTER_OTHER_ROOM = EventKind.ENTER_OTHER_ROOM
-_EXIT_OTHER_ROOM = EventKind.EXIT_OTHER_ROOM
-_LEAVE_BUILDING = EventKind.LEAVE_BUILDING
-_ENTER_BUILDING_CODE = EVENT_KINDS.index(_ENTER_BUILDING)
-_ENTER_OWN_OFFICE_CODE = EVENT_KINDS.index(_ENTER_OWN_OFFICE)
-_LEAVE_OFFICE_TEMPORARY_CODE = EVENT_KINDS.index(_LEAVE_OFFICE_TEMPORARY)
-_LEAVE_OFFICE_LONG_CODE = EVENT_KINDS.index(_LEAVE_OFFICE_LONG)
-_ENTER_OTHER_ROOM_CODE = EVENT_KINDS.index(_ENTER_OTHER_ROOM)
-_EXIT_OTHER_ROOM_CODE = EVENT_KINDS.index(_EXIT_OTHER_ROOM)
-_LEAVE_BUILDING_CODE = EVENT_KINDS.index(_LEAVE_BUILDING)
-_MANUAL_LIGHTS_ON = EVENT_KINDS.index(EventKind.MANUAL_LIGHTS_ON)
-_MANUAL_LIGHTS_OFF = EVENT_KINDS.index(EventKind.MANUAL_LIGHTS_OFF)
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -367,16 +353,19 @@ def run_replication_arms(
     countdowns as minutes). A calendar of per-minute buckets holds the
     agents, and only minutes with agents due are visited. Per minute, in
     fixed order: at midnight the day's schedules; then the agents due, in
-    id order, each firing and its events applied at once.
+    id order, each firing's one event (``step_occupant`` returns it as a
+    kind code and a room id) applied at once: the record takes it, and the
+    zone of the room it names and the corridor take their counts.
 
     Lights are not in the pass: no agent, email or computer reads one.
     The pass logs each zone's turns into the record, the agent events at
     which its count turns positive or back to zero, with the leaver's
     awareness where the leaver of a vacancy rolls the staff switch-off.
     After the last day each arm's banks are built from that log alone:
-    automated, each bank with lights takes its on-intervals from its
-    zone's turn minutes in closed form (``RoomLightBank.step_automated``);
-    staff-controlled, a walk of the log switches them (``_staff_lights``).
+    automated, each bank of a room with lights (``Layout.light_rooms``)
+    takes its on-intervals from its zone's turn minutes in closed form
+    (``RoomLightBank.step_automated``); staff-controlled, a walk of the
+    log switches the same banks (``_staff_lights``).
     Each arm's lights series is the exact total of its banks' intervals
     (``_replay_lights``).
 
@@ -429,13 +418,12 @@ def run_replication_arms(
         email_p = array("d", [hazards[STEREOTYPES.index(a.stereotype)] for a in agents])
     record = RunRecord(scenario, seed, agents, email_p)
 
-    (
-        facility_ids, zone_rooms, room_zone, zone_of, room_index, per_watt,
-        room_units, office_zone,
-    ) = scenario.layout
+    facility_ids, light_rooms, room_zone, room_index, per_watt, room_units = (
+        scenario.layout
+    )
     ctx = BehaviorContext(params, facility_ids, record)
     corridor = 0
-    zone_occupancy = [0] * len(zone_rooms)
+    zone_occupancy = [0] * len(light_rooms)
 
     # The calendar: a heap of minutes, each with the agents due then.
     heap: list[int] = []
@@ -484,48 +472,6 @@ def run_replication_arms(
             turn_zones.append(zone)
             turn_awareness.append(agents[agent_id].awareness if rolls else -1.0)
 
-    def apply_event(
-        kind: EventKind, minute: int, agent_id: int, room_id: str | None
-    ) -> None:
-        # The event goes to the record first, ahead of the zone turns it
-        # makes. The last one out of a zone rolls the staff switch-off,
-        # unless it is a quick break. A move between a room and the
-        # corridor handles the zone the event names first.
-        nonlocal present
-        minutes.append(minute)
-        agent_ids.append(agent_id)
-        room_indices.append(room_index[room_id])
-        if kind is _ENTER_OWN_OFFICE:
-            kinds.append(_ENTER_OWN_OFFICE_CODE)
-            enter(office_zone[agent_id])
-            leave(corridor, agent_id, True)
-            if contacts_on:
-                send_stay(agent_id, minute)
-        elif kind is _LEAVE_OFFICE_TEMPORARY:
-            kinds.append(_LEAVE_OFFICE_TEMPORARY_CODE)
-            leave(office_zone[agent_id], agent_id, False)
-            enter(corridor)
-        elif kind is _LEAVE_OFFICE_LONG:
-            kinds.append(_LEAVE_OFFICE_LONG_CODE)
-            leave(office_zone[agent_id], agent_id, True)
-            enter(corridor)
-        elif kind is _ENTER_OTHER_ROOM:
-            kinds.append(_ENTER_OTHER_ROOM_CODE)
-            enter(zone_of[room_id])
-            leave(corridor, agent_id, True)
-        elif kind is _EXIT_OTHER_ROOM:
-            kinds.append(_EXIT_OTHER_ROOM_CODE)
-            leave(zone_of[room_id], agent_id, True)
-            enter(corridor)
-        elif kind is _ENTER_BUILDING:
-            kinds.append(_ENTER_BUILDING_CODE)
-            enter(corridor)
-            present += 1
-        else:  # _LEAVE_BUILDING
-            kinds.append(_LEAVE_BUILDING_CODE)
-            leave(corridor, agent_id, True)
-            present -= 1
-
     def send_stay(agent_id: int, minute: int) -> None:
         # The emails of the office stay the agent begins at ``minute``.
         leave_at = agents[agent_id].leave_at
@@ -560,7 +506,6 @@ def run_replication_arms(
                     receivers.append(receiver_id)
 
     step = step_occupant
-    minute_events: list[tuple] = []
     for day in range(scenario.horizon_days):
         day_start = day * MINUTES_PER_DAY
         if present:
@@ -589,10 +534,31 @@ def run_replication_arms(
                     rng = behavior_rngs[agent_id] = Random(
                         derive_seed(seed, f"agent:{agent_id}")
                     )
-                step(agent, minute, minute_of_day, ctx, rng, minute_events)
-                for ev in minute_events:
-                    apply_event(*ev)
-                minute_events.clear()
+                code, room_id = step(agent, minute, minute_of_day, ctx, rng)
+                # The event goes to the record first, ahead of the zone
+                # turns it makes. The last one out of a zone rolls the staff
+                # switch-off, unless it is a quick break. A move between a
+                # room and the corridor handles the zone the event names
+                # first.
+                room = room_index[room_id]
+                kinds.append(code)
+                minutes.append(minute)
+                agent_ids.append(agent_id)
+                room_indices.append(room)
+                if code == ENTER_BUILDING:
+                    enter(corridor)
+                    present += 1
+                elif code == LEAVE_BUILDING:
+                    leave(corridor, agent_id, True)
+                    present -= 1
+                elif code == ENTER_OWN_OFFICE or code == ENTER_OTHER_ROOM:
+                    enter(room_zone[room])
+                    leave(corridor, agent_id, True)
+                    if code == ENTER_OWN_OFFICE and contacts_on:
+                        send_stay(agent_id, minute)
+                else:  # a leave of the room it names, into the corridor
+                    leave(room_zone[room], agent_id, code != LEAVE_OFFICE_TEMPORARY)
+                    enter(corridor)
                 if agent.next_minute < n_minutes:
                     schedule(agent.next_minute, agent_id)
 
@@ -600,16 +566,14 @@ def run_replication_arms(
     computers_arr = _replay_computers(record, n_minutes)
     base_arr = scenario.base_load_w
     record.final_awareness.extend([a.awareness for a in agents])
-    zone_turns = _zone_turn_minutes(record, len(zone_rooms))
+    zone_turns = _zone_turn_minutes(record, len(light_rooms))
     results = []
     for policy in policies:
         if policy.is_automated:
             banks = [RoomLightBank(room.id) for room in building.rooms]
-            for bank, zone, units in zip(banks, room_zone, room_units):
-                if units > 0:
-                    bank.step_automated(
-                        zone_turns[zone], policy.off_delay_minutes, n_minutes
-                    )
+            for turns, rooms in zip(zone_turns, light_rooms):
+                for i in rooms:
+                    banks[i].step_automated(turns, policy.off_delay_minutes, n_minutes)
             manual = _columns("ibi")
         else:
             banks, manual = _staff_lights(record, n_minutes)
@@ -644,30 +608,31 @@ def _staff_lights(
 ) -> tuple[list[RoomLightBank], tuple[array, array, array]]:
     """The staff-controlled banks of ``record``'s pass (by room index) and
     their manual light events (``ReplicationResult.manual``), from its zone
-    turns in order: a zone turning occupied switches on its dark banks,
-    and a vacancy whose leaver rolls switches its lit banks off if
+    turns in order: a zone turning occupied switches on the dark banks of
+    its rooms that have lights (``Layout.light_rooms``), and a vacancy
+    whose leaver rolls switches its lit banks off if
     ``manual_exit_decision`` says so, drawing from the pass's own
     manual-switching stream. Banks are switched off only by a roll, so
     while a zone is occupied its banks are lit, as when everyone entering
     switches on."""
-    zone_rooms = record.scenario.layout.zone_rooms
+    light_rooms = record.scenario.layout.light_rooms
     banks = [RoomLightBank(room.id) for room in record.scenario.building.rooms]
     manual = _columns("ibi")
     positions, codes, rooms = manual
     rng = Random(derive_seed(record.seed, "policy"))
-    occupied = [False] * len(zone_rooms)
+    occupied = [False] * len(light_rooms)
     minutes = record.minute
     turns = zip(record.turn_position, record.turn_zone, record.turn_awareness)
     for position, zone, awareness in turns:
         occupied[zone] = not occupied[zone]
         if occupied[zone]:
-            code, switch = _MANUAL_LIGHTS_ON, RoomLightBank.turn_on
+            code, switch = MANUAL_LIGHTS_ON, RoomLightBank.turn_on
         elif awareness >= 0.0 and manual_exit_decision(awareness, rng):
-            code, switch = _MANUAL_LIGHTS_OFF, RoomLightBank.turn_off
+            code, switch = MANUAL_LIGHTS_OFF, RoomLightBank.turn_off
         else:
             continue
         minute = minutes[position - 1]
-        for i in zone_rooms[zone]:
+        for i in light_rooms[zone]:
             if switch(banks[i], minute):
                 positions.append(position)
                 codes.append(code)
@@ -723,33 +688,32 @@ def _replay_lights(banks, room_units, per_watt: int, n_minutes: int) -> array:
 class Layout(NamedTuple):
     """``building_layout``: rooms by index in the building's file order.
     A zone is the rooms that share occupancy: zone 0 is the corridor, all
-    its rooms at once; every other room is a zone of its own."""
+    its rooms at once; every other room is a zone of its own. A zone's
+    light switching, under either policy, reaches its rooms that have
+    lights."""
 
     facility_ids: tuple[str, ...]
-    zone_rooms: list[list[int]]  # room indices by zone
+    light_rooms: list[list[int]]  # by zone, the indices of its rooms with lights
     room_zone: list[int]  # by room index
-    zone_of: dict[str, int]  # by room id
     room_index: dict[str | None, int]  # by room id; None: -1
     per_watt: int  # the light wattages' denominator, accounting.integer_units
     room_units: list[int]  # by room index, its lights' wattage in those units
-    office_zone: list[int]  # by agent id
 
 
-def building_layout(building: BuildingModel, office_rooms) -> Layout:
-    """The rooms and zones of ``building`` as a run uses them, with the
-    office zone of each agent seated in ``office_rooms`` (room ids by agent
-    id); held per scenario as ``Scenario.layout``."""
+def building_layout(building: BuildingModel) -> Layout:
+    """The rooms and zones of ``building`` as a run uses them; held per
+    scenario as ``Scenario.layout``."""
     rooms = building.rooms
-    zone_rooms: list[list[int]] = [[]]  # zone 0: the corridor rooms
+    light_rooms: list[list[int]] = [[]]  # zone 0: the corridor
     room_zone: list[int] = []
     for i, room in enumerate(rooms):
         if room.kind is RoomKind.CORRIDOR:
             room_zone.append(0)
-            zone_rooms[0].append(i)
         else:
-            room_zone.append(len(zone_rooms))
-            zone_rooms.append([i])
-    zone_of = {room.id: zone for room, zone in zip(rooms, room_zone)}
+            room_zone.append(len(light_rooms))
+            light_rooms.append([])
+        if room.light_ids:
+            light_rooms[room_zone[i]].append(i)
     per_watt, room_units = integer_units(
         [building.lights[lid].watts_on for lid in room.light_ids] for room in rooms
     )
@@ -757,9 +721,7 @@ def building_layout(building: BuildingModel, office_rooms) -> Layout:
     room_index[None] = -1
     return Layout(
         tuple(r.id for r in building.facility_rooms()),
-        zone_rooms, room_zone, zone_of, room_index,
-        per_watt, list(map(sum, room_units)),
-        [zone_of[room] for room in office_rooms],
+        light_rooms, room_zone, room_index, per_watt, list(map(sum, room_units)),
     )
 
 

@@ -219,10 +219,28 @@ class EventKind(enum.Enum):
     MANUAL_LIGHTS_OFF = "manual_lights_off"
 
 
+# Every event kind by its code in a run record, and the codes of the
+# agent events ``step_occupant`` returns and of the manual light events:
+# a bound code is cheaper than an enum attribute and its hash, for every
+# event.
+EVENT_KINDS = tuple(EventKind)
+ENTER_BUILDING = EVENT_KINDS.index(EventKind.ENTER_BUILDING)
+ENTER_OWN_OFFICE = EVENT_KINDS.index(EventKind.ENTER_OWN_OFFICE)
+LEAVE_OFFICE_TEMPORARY = EVENT_KINDS.index(EventKind.LEAVE_OFFICE_TEMPORARY)
+LEAVE_OFFICE_LONG = EVENT_KINDS.index(EventKind.LEAVE_OFFICE_LONG)
+ENTER_OTHER_ROOM = EVENT_KINDS.index(EventKind.ENTER_OTHER_ROOM)
+EXIT_OTHER_ROOM = EVENT_KINDS.index(EventKind.EXIT_OTHER_ROOM)
+LEAVE_BUILDING = EVENT_KINDS.index(EventKind.LEAVE_BUILDING)
+MANUAL_LIGHTS_ON = EVENT_KINDS.index(EventKind.MANUAL_LIGHTS_ON)
+MANUAL_LIGHTS_OFF = EVENT_KINDS.index(EventKind.MANUAL_LIGHTS_OFF)
+
+
 class OccupantEvent(NamedTuple):
-    """One agent event. ``step_occupant`` emits plain tuples in this
-    field order; the engine stores them as columns of its run record and
-    makes the named tuples only on demand (``ReplicationResult.events``)."""
+    """One event of a run. A firing of ``step_occupant`` has one agent
+    event, which it returns as ``(code, room_id)``, the code in
+    ``EVENT_KINDS``; the engine stores it with its minute and agent as
+    columns of its run record and makes the named tuples only on demand
+    (``ReplicationResult.events``)."""
 
     kind: EventKind
     minute: int
@@ -422,13 +440,6 @@ def sample_daily_schedule(
 
 # Members bound at module level: a global lookup is cheaper than an
 # enum class attribute in every transition.
-_ENTER_BUILDING = EventKind.ENTER_BUILDING
-_ENTER_OWN_OFFICE = EventKind.ENTER_OWN_OFFICE
-_LEAVE_OFFICE_TEMPORARY = EventKind.LEAVE_OFFICE_TEMPORARY
-_LEAVE_OFFICE_LONG = EventKind.LEAVE_OFFICE_LONG
-_ENTER_OTHER_ROOM = EventKind.ENTER_OTHER_ROOM
-_EXIT_OTHER_ROOM = EventKind.EXIT_OTHER_ROOM
-_LEAVE_BUILDING = EventKind.LEAVE_BUILDING
 _OUT = AgentState.OUT_OF_SCHOOL
 _CORRIDOR = AgentState.IN_CORRIDOR
 _OFFICE = AgentState.IN_OWN_OFFICE
@@ -445,16 +456,14 @@ def step_occupant(
     minute_of_day: int,
     ctx: BehaviorContext,
     rng,
-    events: list[tuple],
-) -> bool:
+) -> tuple[int, str | None]:
     """Fire the clock of ``agent`` due at ``minute`` (its ``next_minute``,
-    or its arrival when it is out), appending the events it emits to
-    ``events``, and draw the clocks of the state it enters from ``rng``;
-    ``agent.next_minute`` is then its next firing, NEVER once it has left
-    for the day. Returns True iff it emitted any event. An event is a
-    plain tuple ``(kind, minute, agent_id, room_id)`` in ``OccupantEvent``'s
-    field order, ``room_id`` None where the event names no room. Computer
-    transitions are not events here: they go to ``ctx.record``.
+    or its arrival when it is out) and draw the clocks of the state it
+    enters from ``rng``; ``agent.next_minute`` is then its next firing,
+    NEVER once it has left for the day. Returns the firing's one agent
+    event as ``(code, room_id)``: the kind's code in ``EVENT_KINDS``, and
+    the room it names, None where it names none. Computer transitions are
+    not events here: they go to ``ctx.record``.
 
     Requires today's schedule to have been sampled already. Light
     switching is not decided here; the engine derives manual light events
@@ -490,12 +499,11 @@ def step_occupant(
 
     if state is _OFFICE:
         # The stay's only firing is its leave.
-        if minute >= leave_minute:
-            _leave_office_long(agent, minute, ctx, rng, events)
-            _head_out(agent, minute)
-        else:
-            _leave_office(agent, minute, leave_minute, ctx, rng, events)
-        return True
+        if minute < leave_minute:
+            return _leave_office(agent, minute, leave_minute, ctx, rng)
+        event = _leave_office_long(agent, minute, ctx, rng)
+        _head_out(agent, minute)
+        return event
 
     if state is _CORRIDOR:
         mode = agent.corridor_mode
@@ -503,25 +511,22 @@ def step_occupant(
             agent.state = _OUT
             agent.corridor_mode = None
             agent.next_minute = NEVER
-            events.append((_LEAVE_BUILDING, minute, agent.id, None))
-        elif mode is _LONG_BREAK and minute < agent.break_end:
-            _visit_facility(agent, minute, ctx, rng, events)
-        else:
-            _enter_office(agent, minute, leave_minute, ctx, rng, events)
-        return True
+            return LEAVE_BUILDING, None
+        if mode is _LONG_BREAK and minute < agent.break_end:
+            return _visit_facility(agent, minute, ctx, rng)
+        return _enter_office(agent, minute, leave_minute, ctx, rng)
 
     if state is _OTHER_ROOMS:
-        events.append((_EXIT_OTHER_ROOM, minute, agent.id, agent.visiting_room_id))
+        room_id = agent.visiting_room_id
         agent.visiting_room_id = None
         agent.state = _CORRIDOR
         agent.corridor_mode = _LONG_BREAK
         agent.break_end = minute + agent.break_timer
         _resume_break(agent, minute + 1, leave_minute, ctx, rng)
-        return True
+        return EXIT_OTHER_ROOM, room_id
 
     # Out of the building: the arrival.
     agent.state = _CORRIDOR
-    events.append((_ENTER_BUILDING, minute, agent.id, None))
     reached = minute + CORRIDOR_TRANSIT_MINUTES
     if reached >= leave_minute:
         # The day ends before the office is reached; head out.
@@ -529,7 +534,7 @@ def step_occupant(
     else:
         agent.corridor_mode = _ENTERING
         agent.next_minute = reached
-    return True
+    return ENTER_BUILDING, None
 
 
 def _head_out(agent: OccupantAgent, minute: int) -> None:
@@ -539,15 +544,15 @@ def _head_out(agent: OccupantAgent, minute: int) -> None:
 
 
 def _enter_office(
-    agent: OccupantAgent, minute: int, leave_minute: int, ctx, rng, events: list
-) -> None:
+    agent: OccupantAgent, minute: int, leave_minute: int, ctx, rng
+) -> tuple[int, str]:
     agent.state = _OFFICE
     agent.corridor_mode = None
-    events.append((_ENTER_OWN_OFFICE, minute, agent.id, agent.office_room_id))
     leave_at = min(minute + 1 + waiting_time(rng, ctx.leave_clock), leave_minute)
     agent.leave_at = agent.next_minute = leave_at
     if agent.computer_id is not None:
         _draw_computer_cycle(agent, minute, leave_at, ctx, rng)
+    return ENTER_OWN_OFFICE, agent.office_room_id
 
 
 def _draw_computer_cycle(
@@ -584,8 +589,8 @@ def _draw_computer_cycle(
 
 
 def _leave_office(
-    agent: OccupantAgent, minute: int, leave_minute: int, ctx, rng, events: list
-) -> None:
+    agent: OccupantAgent, minute: int, leave_minute: int, ctx, rng
+) -> tuple[int, str]:
     """The leave hazard fired before the leave minute."""
     params = ctx.params
     if (
@@ -597,10 +602,9 @@ def _leave_office(
         agent.next_minute = minute + rng.randint(
             params.temporary_leave_min, params.temporary_leave_max
         )
-        events.append((_LEAVE_OFFICE_TEMPORARY, minute, agent.id, agent.office_room_id))
-        return
+        return LEAVE_OFFICE_TEMPORARY, agent.office_room_id
     duration = rng.randint(params.long_leave_min, params.long_leave_max)
-    _leave_office_long(agent, minute, ctx, rng, events)
+    event = _leave_office_long(agent, minute, ctx, rng)
     if minute + duration >= leave_minute:
         # Break would outlast the working day: this is the departure.
         _head_out(agent, minute)
@@ -608,6 +612,7 @@ def _leave_office(
         agent.corridor_mode = _LONG_BREAK
         agent.break_end = minute + duration
         _resume_break(agent, minute + 1, leave_minute, ctx, rng)
+    return event
 
 
 def _resume_break(
@@ -629,7 +634,7 @@ def _resume_break(
         agent.next_minute = end
 
 
-def _visit_facility(agent: OccupantAgent, minute: int, ctx, rng, events: list) -> None:
+def _visit_facility(agent: OccupantAgent, minute: int, ctx, rng) -> tuple[int, str]:
     facility_ids = ctx.facility_room_ids
     room_id = facility_ids[rng.randrange(len(facility_ids))]
     agent.break_timer = agent.break_end - minute  # resumes after the visit
@@ -638,12 +643,10 @@ def _visit_facility(agent: OccupantAgent, minute: int, ctx, rng, events: list) -
     agent.next_minute = minute + rng.randint(
         ctx.params.other_room_dwell_min, ctx.params.other_room_dwell_max
     )
-    events.append((_ENTER_OTHER_ROOM, minute, agent.id, room_id))
+    return ENTER_OTHER_ROOM, room_id
 
 
-def _leave_office_long(
-    agent: OccupantAgent, minute: int, ctx, rng, events: list
-) -> None:
+def _leave_office_long(agent: OccupantAgent, minute: int, ctx, rng) -> tuple[int, str]:
     """Long leave out of the office: consider killing the computer, then go."""
     if agent.computer_id is not None and agent.computer_power != POWER_OFF:
         if rng.random() < computer_switch_off_prob(agent.awareness, ctx.params):
@@ -653,4 +656,4 @@ def _leave_office_long(
             record.computer_agent.append(agent.id)
             record.computer_power.append(POWER_OFF)
     agent.state = _CORRIDOR
-    events.append((_LEAVE_OFFICE_LONG, minute, agent.id, agent.office_room_id))
+    return LEAVE_OFFICE_LONG, agent.office_room_id

@@ -179,12 +179,11 @@ class Scenario:
 
     @cached_property
     def layout(self) -> Layout:
-        """``engine.building_layout`` of the building and the seats' offices:
-        the rooms and zones as a run uses them. Built on first use, shared
-        by every run."""
+        """``engine.building_layout`` of the building: the rooms and zones
+        as a run uses them. Built on first use, shared by every run."""
         from .engine import building_layout  # not loaded to check a file
 
-        return building_layout(self.building, self.seats[0])
+        return building_layout(self.building)
 
 
 _INT = Number(int)

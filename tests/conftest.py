@@ -11,12 +11,6 @@ from officesim import (
 )
 from officesim import reference_scenario_path
 from officesim.network import ContactEvent
-from officesim.occupants import OccupantEvent
-
-
-def as_occupant_events(rows) -> list[OccupantEvent]:
-    """``step_occupant``'s plain event tuples as named ``OccupantEvent``s."""
-    return [OccupantEvent._make(row) for row in rows]
 
 
 def as_contact_events(rows) -> list[ContactEvent]:

@@ -29,7 +29,9 @@ from officesim.checks import derive_trace
 from officesim.engine import EVENT_KINDS, run_replication_arms
 from officesim.network import ContactEvent
 from officesim.occupants import (
+    NEVER,
     BehaviorParams,
+    CorridorMode,
     OccupantEvent,
     PopulationMix,
     ScheduleClass,
@@ -38,13 +40,13 @@ from officesim.occupants import (
 )
 
 from conftest import (
-    as_occupant_events,
     make_building_text,
     make_small_building,
     make_small_scenario,
 )
 from invariant_checks import (
     check_automated_light_rule,
+    check_staff_lit_while_occupied,
     replication_network,
     run_all_checks,
 )
@@ -265,19 +267,17 @@ def test_big_population_mix_override():
 
 
 def test_agent_left_in_building_at_midnight_is_a_runtime_error(monkeypatch):
-    # Drop every LEAVE_BUILDING event: the agents never leave the active
-    # set, and the midnight check must catch it, also under `python -O`.
+    # An agent heading out never walks out: it stays in the building, and
+    # the midnight check must catch it, also under `python -O`.
     from officesim import engine
 
     real_step = engine.step_occupant
 
-    def step_without_leaving(agent, minute, minute_of_day, ctx, rng, events):
-        own = []
-        real_step(agent, minute, minute_of_day, ctx, rng, own)
-        events.extend(
-            e for e in as_occupant_events(own) if e.kind is not EventKind.LEAVE_BUILDING
-        )
-        return bool(own)
+    def step_without_leaving(agent, minute, minute_of_day, ctx, rng):
+        event = real_step(agent, minute, minute_of_day, ctx, rng)
+        if agent.corridor_mode is CorridorMode.EXITING:
+            agent.next_minute = NEVER
+        return event
 
     monkeypatch.setattr(engine, "step_occupant", step_without_leaving)
     scenario = make_small_scenario(population_size=3, horizon_days=2)
@@ -465,6 +465,33 @@ def test_automated_arms_keep_the_rule_at_every_delay():
     assert lit > 100
 
 
+def test_both_arms_switch_exactly_the_rooms_that_have_lights():
+    # A room switches when it has lights, under either policy: the kitchen,
+    # whose lights draw 0 W, keeps each arm's rule, and the corridor room
+    # hall-2, which has no lights, is never lit nor named by a manual event.
+    text = make_building_text(corridor_lights=2, corridor_rooms=3) + (
+        "light_overrides: {L002: {watts_on: 0}, L003: {watts_on: 0}}\n"
+    )
+    scenario = replace(
+        make_small_scenario(population_size=5, horizon_days=7),
+        building=load_building(text),
+    )
+    assert [r.id for r in scenario.building.rooms if not r.light_ids] == ["hall-2"]
+    policies = (LightingPolicy.automated(), LightingPolicy.staff_controlled())
+    automated, staff = run_replication_arms(scenario, 3, policies)
+    assert not check_automated_light_rule(
+        automated, derive_trace(automated, scenario), policies[0].off_delay_minutes
+    )
+    assert not check_staff_lit_while_occupied(staff, derive_trace(staff, scenario))
+    for arm in (automated, staff):
+        assert arm.light_intervals["kitchen-0"]
+        assert arm.light_intervals["hall-2"] == ()
+    switched = {room for _, _, room in zip(*staff.manual)}
+    assert switched == {
+        i for i, room in enumerate(scenario.building.rooms) if room.light_ids
+    }
+
+
 # Per agent event, in order, the spaces its agent enters (+1) or leaves
 # (-1): None is the room the event names, "corridor" every corridor room.
 _MOVES = {
@@ -483,11 +510,12 @@ _LIGHTS_OFF = EVENT_KINDS.index(EventKind.MANUAL_LIGHTS_OFF)
 def _replay_staff_lights(result, awareness_delta):
     """The staff-controlled lights of ``result``'s pass, replayed from its
     agent events and contacts alone: anyone entering a space switches on
-    its dark lights; the last one out, unless on a quick break, rolls
-    ``manual_exit_decision`` once from a fresh manual-switching stream at
-    their awareness then, the initial one raised once per contact before
-    that minute, capped at 100. Returns the light intervals and the manual
-    events as (agent events so far, kind code, room index)."""
+    its dark lights, in the rooms that have any; the last one out, unless
+    on a quick break, rolls ``manual_exit_decision`` once from a fresh
+    manual-switching stream at their awareness then, the initial one
+    raised once per contact before that minute, capped at 100. Returns
+    the light intervals and the manual events as (agent events so far,
+    kind code, room index)."""
     record = result.record
     rooms = result.building.rooms
     corridor = [i for i, room in enumerate(rooms) if room.kind is RoomKind.CORRIDOR]
@@ -514,7 +542,7 @@ def _replay_staff_lights(result, awareness_delta):
             count[space] += step
             if step > 0:
                 for i in group:
-                    if lit_since[i] is None:
+                    if rooms[i].light_ids and lit_since[i] is None:
                         lit_since[i] = minute
                         manual.append((position, _LIGHTS_ON, i))
             elif count[space] == 0 and kind is not EventKind.LEAVE_OFFICE_TEMPORARY:

@@ -20,12 +20,14 @@ from officesim import run_replication
 from officesim.checks import derive_trace
 from officesim.engine import RunRecord
 from officesim.occupants import (
+    EVENT_KINDS,
     NEVER,
     POWER_EVENTS,
     BehaviorContext,
     BehaviorParams,
     CorridorMode,
     OccupantAgent,
+    OccupantEvent,
     PopulationMix,
     POWER_OFF,
     POWER_ON,
@@ -41,7 +43,6 @@ from officesim.occupants import (
 from conftest import (
     LATEST_UNIFORM,
     ScriptedRandom,
-    as_occupant_events,
     make_small_building,
     make_small_scenario,
     uniform_for_wait,
@@ -283,14 +284,12 @@ def _leave_kind(agent, minutes_remaining, rng, ctx):
     ("stay" if none) and puts the agent back at its desk."""
     minute = 1020 - minutes_remaining
     agent.leave_at = agent.next_minute = minute
-    events = []
-    step_occupant(agent, minute, minute, ctx, rng, events)
-    kinds = [e.kind for e in as_occupant_events(events)]
+    kind = _step(agent, minute, ctx, rng).kind
     agent.state = AgentState.IN_OWN_OFFICE
     agent.corridor_mode = None
-    if EventKind.LEAVE_OFFICE_TEMPORARY in kinds:
+    if kind is EventKind.LEAVE_OFFICE_TEMPORARY:
         return "temporary"
-    if EventKind.LEAVE_OFFICE_LONG in kinds:
+    if kind is EventKind.LEAVE_OFFICE_LONG:
         return "long"
     return "stay"
 
@@ -301,9 +300,7 @@ def _enter_from_break(agent, minute, rng, ctx):
     agent.state = AgentState.IN_CORRIDOR
     agent.corridor_mode = CorridorMode.TEMP_BREAK
     agent.next_minute = minute
-    events = []
-    step_occupant(agent, minute, minute, ctx, rng, events)
-    assert [e.kind for e in as_occupant_events(events)] == [EventKind.ENTER_OWN_OFFICE]
+    assert _step(agent, minute, ctx, rng).kind is EventKind.ENTER_OWN_OFFICE
 
 
 def test_forced_departure_at_zero_minutes():
@@ -401,16 +398,14 @@ def _ctx(**over):
 
 
 def _step(agent, minute, ctx, rng):
-    """Fire the agent's clock due at ``minute`` of day 0; returns the
-    events emitted."""
-    events = []
-    emitted = step_occupant(agent, minute, minute, ctx, rng, events)
-    assert emitted is bool(events)
-    return as_occupant_events(events)
+    """Fire the agent's clock due at ``minute`` of day 0; returns its one
+    event."""
+    code, room_id = step_occupant(agent, minute, minute, ctx, rng)
+    return OccupantEvent(EVENT_KINDS[code], minute, agent.id, room_id)
 
 
 def _fire(agent, ctx, rng):
-    """Fire the agent's next clock; returns (minute, events)."""
+    """Fire the agent's next clock; returns (minute, event)."""
     minute = agent.next_minute
     return minute, _step(agent, minute, ctx, rng)
 
@@ -453,13 +448,13 @@ def test_no_events_before_arrival():
 def test_corridor_transit_takes_exactly_two_minutes():
     agent = _fresh_agent()
     rng = ScriptedRandom()
-    events = _step(agent, 540, _ctx(), rng)
-    assert [e.kind for e in events] == [EventKind.ENTER_BUILDING]
+    event = _step(agent, 540, _ctx(), rng)
+    assert event.kind is EventKind.ENTER_BUILDING
     assert agent.state is AgentState.IN_CORRIDOR
     assert agent.next_minute == 542
-    minute, events = _fire(agent, _ctx(), rng)
+    minute, event = _fire(agent, _ctx(), rng)
     assert minute == 542
-    assert [e.kind for e in events] == [EventKind.ENTER_OWN_OFFICE]
+    assert event.kind is EventKind.ENTER_OWN_OFFICE
     assert agent.state is AgentState.IN_OWN_OFFICE
 
 
@@ -484,10 +479,8 @@ def test_leave_due_with_a_computer_event_fires_first():
     _step(agent, 540, ctx, rng)
     _fire(agent, ctx, rng)  # enters at 542
     assert _computer_events(ctx) == []
-    minute, events = _fire(agent, ctx, rng)
-    assert (minute, [e.kind for e in events]) == (
-        544, [EventKind.LEAVE_OFFICE_TEMPORARY]
-    )
+    minute, event = _fire(agent, ctx, rng)
+    assert (minute, event.kind) == (544, EventKind.LEAVE_OFFICE_TEMPORARY)
     assert agent.computer_power == POWER_OFF
 
 
@@ -495,9 +488,9 @@ def test_agent_without_computer_emits_no_computer_events():
     agent = _fresh_agent(computer=None)
     rng = random.Random(21)
     ctx = _ctx()
-    kinds = [e.kind for e in _step(agent, 540, ctx, rng)]
+    kinds = [_step(agent, 540, ctx, rng).kind]
     while agent.state is not AgentState.OUT_OF_SCHOOL:
-        kinds += [e.kind for e in _fire(agent, ctx, rng)[1]]
+        kinds.append(_fire(agent, ctx, rng)[1].kind)
     assert EventKind.ENTER_OWN_OFFICE in kinds
     assert EventKind.SWITCH_COMPUTER_ON not in kinds
     assert EventKind.COMPUTER_TO_STANDBY not in kinds
@@ -531,12 +524,10 @@ def test_temporary_leave_duration_is_exact():
     _step(agent, 540, ctx, rng)
     _fire(agent, ctx, rng)  # enters at 542
     assert _computer_events(ctx) == [(544, EventKind.SWITCH_COMPUTER_ON)]
-    minute, events = _fire(agent, ctx, rng)
-    assert (minute, [e.kind for e in events]) == (
-        545, [EventKind.LEAVE_OFFICE_TEMPORARY]
-    )
-    minute, events = _fire(agent, ctx, rng)
-    assert (minute, [e.kind for e in events]) == (552, [EventKind.ENTER_OWN_OFFICE])
+    minute, event = _fire(agent, ctx, rng)
+    assert (minute, event.kind) == (545, EventKind.LEAVE_OFFICE_TEMPORARY)
+    minute, event = _fire(agent, ctx, rng)
+    assert (minute, event.kind) == (552, EventKind.ENTER_OWN_OFFICE)
 
 
 def test_long_leave_switches_computer_off_when_roll_succeeds():
@@ -550,11 +541,11 @@ def test_long_leave_switches_computer_off_when_roll_succeeds():
     _step(agent, 540, ctx, rng)
     _fire(agent, ctx, rng)  # enters at 542
     assert _computer_events(ctx) == [(544, EventKind.SWITCH_COMPUTER_ON)]
-    minute, events = _fire(agent, ctx, rng)
+    minute, event = _fire(agent, ctx, rng)
     assert minute == 545
     # the switch-off goes to the computer log, the leave is the event
     assert _computer_events(ctx)[1:] == [(545, EventKind.SWITCH_COMPUTER_OFF)]
-    assert [e.kind for e in events] == [EventKind.LEAVE_OFFICE_LONG]
+    assert event.kind is EventKind.LEAVE_OFFICE_LONG
     assert agent.computer_power == POWER_OFF
     assert agent.corridor_mode is CorridorMode.LONG_BREAK
     assert agent.break_end == 575
@@ -567,15 +558,15 @@ def test_other_room_dwell_is_never_longer_than_sampled():
     agent.break_end = 660
     # the visit clock fires at 600: room index 0, dwell 10; no second visit
     rng = ScriptedRandom(ints=[0, 10])
-    events = _step(agent, 600, _ctx(), rng)
-    assert [e.kind for e in events] == [EventKind.ENTER_OTHER_ROOM]
-    assert events[0].room_id == "kitchen-0"
-    minute, events = _fire(agent, _ctx(), rng)
-    assert (minute, [e.kind for e in events]) == (610, [EventKind.EXIT_OTHER_ROOM])
+    event = _step(agent, 600, _ctx(), rng)
+    assert event.kind is EventKind.ENTER_OTHER_ROOM
+    assert event.room_id == "kitchen-0"
+    minute, event = _fire(agent, _ctx(), rng)
+    assert (minute, event.kind) == (610, EventKind.EXIT_OTHER_ROOM)
     assert agent.state is AgentState.IN_CORRIDOR
     # the dwell does not count against the break: 60 minutes of it remain
-    minute, events = _fire(agent, _ctx(), rng)
-    assert (minute, [e.kind for e in events]) == (670, [EventKind.ENTER_OWN_OFFICE])
+    minute, event = _fire(agent, _ctx(), rng)
+    assert (minute, event.kind) == (670, EventKind.ENTER_OWN_OFFICE)
 
 
 def test_departure_at_leave_minute_goes_through_corridor():
@@ -586,13 +577,13 @@ def test_departure_at_leave_minute_goes_through_corridor():
     _fire(agent, ctx, rng)  # enters at 542
     assert _computer_events(ctx) == [(544, EventKind.SWITCH_COMPUTER_ON)]
     assert agent.state is AgentState.IN_OWN_OFFICE
-    minute, events = _fire(agent, _ctx(), rng)
+    minute, event = _fire(agent, _ctx(), rng)
     assert minute == 560
-    assert EventKind.LEAVE_OFFICE_LONG in [e.kind for e in events]
+    assert event.kind is EventKind.LEAVE_OFFICE_LONG
     assert agent.state is AgentState.IN_CORRIDOR
     assert agent.corridor_mode is CorridorMode.EXITING
-    minute, events = _fire(agent, _ctx(), rng)
-    assert (minute, [e.kind for e in events]) == (562, [EventKind.LEAVE_BUILDING])
+    minute, event = _fire(agent, _ctx(), rng)
+    assert (minute, event.kind) == (562, EventKind.LEAVE_BUILDING)
     assert agent.state is AgentState.OUT_OF_SCHOOL
     assert agent.next_minute == NEVER
 

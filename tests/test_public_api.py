@@ -1,7 +1,9 @@
 """The package's public names: each is loaded from its home module on
 first use, and is the very object that module defines."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +28,20 @@ def test_unknown_attribute_is_an_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         officesim.no_such_name  # noqa: B018
     assert not hasattr(officesim, "no_such_name")
+
+
+def test_no_module_imports_another_modules_private_names():
+    # A name with a leading underscore belongs to its own module: what
+    # another module of the package needs gets a public name.
+    imports = []
+    for path in sorted(Path(officesim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "officesim"
+            ):
+                imports += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
+    assert imports == []
