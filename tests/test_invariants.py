@@ -8,12 +8,15 @@ import pytest
 
 from officesim import LightingPolicy, Scenario, run_replication
 from officesim.checks import _STATE_EDGES, derive_trace
-from officesim.occupants import BehaviorParams
+from officesim.occupants import LEAVE_BUILDING, MANUAL_LIGHTS_OFF, BehaviorParams
 
 from conftest import make_small_building, make_small_scenario
 from invariant_checks import (
     check_awareness_monotone,
     check_edge_legality,
+    check_no_events_while_absent,
+    check_staff_passivity,
+    check_staff_switch_offs,
     run_all_checks,
 )
 
@@ -107,3 +110,73 @@ def test_awareness_check_reports_a_deleted_contact():
     )
     assert violation.startswith(f"agent {receiver_id}: final awareness")
     assert run_all_checks(broken, scenario) == [violation]
+
+
+def _staff_replication():
+    scenario = make_small_scenario(
+        population_size=5, policy=LightingPolicy.staff_controlled()
+    )
+    return scenario, run_replication(scenario, seed=11)
+
+
+def test_passivity_check_reports_a_deleted_switch_off():
+    # Under staff control every light change is a manual event, so
+    # dropping a MANUAL_LIGHTS_OFF row from an arm's manual columns leaves
+    # its room switched off at that minute without one.
+    _, result = _staff_replication()
+    assert not check_staff_passivity(result)
+    positions, codes, rooms = result.manual
+    i = codes.index(MANUAL_LIGHTS_OFF)
+    room_id = result.building.rooms[rooms[i]].id
+    minute = result.record.minute[positions[i] - 1]
+    manual = tuple(column[:i] + column[i + 1:] for column in result.manual)
+    broken = replace(result, manual=manual)
+    assert check_staff_passivity(broken) == [
+        f"room {room_id}: light turned off at minute {minute} without a manual event"
+    ]
+
+
+def test_switch_off_check_reports_a_moved_trigger():
+    # A switch-off's trigger is the agent event before its position. Moved
+    # back by one agent event, the trigger is one that leaves the leaver
+    # still in the space, so the replay finds someone left in it.
+    _, result = _staff_replication()
+    assert not check_staff_switch_offs(result)
+    positions, codes, rooms = result.manual
+    i = next(
+        i for i, code in enumerate(codes)
+        if code == MANUAL_LIGHTS_OFF and positions[i] > 1
+        and (i == 0 or positions[i - 1] < positions[i])  # the rows stay in order
+    )
+    room_id = result.building.rooms[rooms[i]].id
+    moved = positions[:]
+    moved[i] -= 1
+    minute = result.record.minute[moved[i] - 1]
+    broken = replace(result, manual=(moved, codes, rooms))
+    violations = check_staff_switch_offs(broken)
+    assert any(
+        v.startswith((
+            f"room {room_id}: switched off at minute {minute} after ",
+            f"corridor room {room_id}: switched off at minute {minute} after ",
+        ))
+        for v in violations
+    ), violations
+
+
+def test_absence_check_reports_a_computer_event_after_leaving():
+    # An agent out of the building emits nothing: a computer row moved to
+    # the minute after its agent's LEAVE_BUILDING shows.
+    scenario, result = _staff_replication()
+    record = copy(result.record)
+    agent_id, start = record.computer_agent[0], record.computer_minute[0]
+    leave = next(
+        m for code, m, a in zip(record.kind, record.minute, record.agent)
+        if code == LEAVE_BUILDING and a == agent_id and m >= start
+    )
+    record.computer_minute = record.computer_minute[:]
+    record.computer_minute[0] = leave + 1
+    broken = replace(result, record=record)
+    assert not check_no_events_while_absent(result, derive_trace(result, scenario))
+    (violation,) = check_no_events_while_absent(broken, derive_trace(broken, scenario))
+    assert violation.startswith(f"agent {agent_id} emitted ")
+    assert violation.endswith(f" at minute {leave + 1} while out of the building")
