@@ -55,7 +55,6 @@ _HOME_MODULES = {
     "ConfigError": "errors",
     "ParseError": "errors",
     "ValidationError": "errors",
-    "ContactEvent": "network",
     "SocialNetwork": "network",
     "build_small_world": "network",
     "contact_step": "network",
@@ -63,7 +62,6 @@ _HOME_MODULES = {
     "BehaviorParams": "occupants",
     "EventKind": "occupants",
     "OccupantAgent": "occupants",
-    "OccupantEvent": "occupants",
     "PopulationMix": "occupants",
     "ScheduleClass": "occupants",
     "Stereotype": "occupants",

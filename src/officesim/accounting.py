@@ -284,13 +284,15 @@ def build_beta_report(
     appliance_energies: list[tuple[str, float, float]], start: int, end: int
 ) -> BetaReport:
     """Duty coefficients from (id, max watts, watt-hours) triples over
-    the window [start, end)."""
+    the window [start, end). An appliance of 0 W at full power is left
+    out: its energy is 0 and its duty undefined."""
     if end <= start:
         raise ValueError(f"empty window [{start}, {end})")
     hours = (end - start) / 60.0
     entries = tuple(
         BetaEntry(appliance_id, max_watts, wh, realized_beta(wh, max_watts, hours))
         for appliance_id, max_watts, wh in appliance_energies
+        if max_watts != 0
     )
     return BetaReport(start, end, entries)
 

@@ -12,7 +12,7 @@ from random import Random
 import numpy as np
 
 from .engine import ReplicationResult, derive_seed
-from .network import AWARENESS_CAP, ContactEvent
+from .network import AWARENESS_CAP
 from .occupants import (
     EVENT_KINDS,
     MINUTES_PER_DAY,
@@ -35,7 +35,6 @@ class RunTrace:
     lights_on: np.ndarray  # rooms x minutes, bool
     schedules: dict[tuple[int, int], tuple[int, int] | None]
     awareness_by_day: list[np.ndarray]
-    contact_events: list[ContactEvent]
 
 
 # The state an agent event leaves and the state it enters.
@@ -148,5 +147,4 @@ def derive_trace(result: ReplicationResult, scenario: Scenario) -> RunTrace:
         lights_on=lights_on,
         schedules=schedules,
         awareness_by_day=awareness_by_day,
-        contact_events=[ContactEvent._make(c) for c in result.contacts],
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from heapq import heappop, heappush
@@ -40,7 +39,6 @@ from .appliances import (
     manual_exit_decision,
 )
 from .building import BuildingModel, RoomKind
-from .errors import ValidationError
 from .network import (
     AWARENESS_CAP,
     SocialNetwork,
@@ -53,16 +51,13 @@ from .occupants import (
     ENTER_BUILDING,
     ENTER_OTHER_ROOM,
     ENTER_OWN_OFFICE,
-    EVENT_KINDS,
     LEAVE_BUILDING,
     LEAVE_OFFICE_TEMPORARY,
     MANUAL_LIGHTS_OFF,
     MANUAL_LIGHTS_ON,
     MINUTES_PER_DAY,
-    POWER_EVENTS,
     POWER_OFF,
     BehaviorContext,
-    OccupantEvent,
     ScheduleClass,
     Stereotype,
     sample_daily_schedule,
@@ -104,7 +99,7 @@ class RunRecord:
     """What one agent pass did, in ``array`` columns (the agents' desks are
     the scenario's ``seats``); the results of its arms share it. Each
     arm's lights are built from it once the pass ends, and the roster,
-    events, contacts and computer transitions on demand. The int32
+    contacts and computer transitions on demand. The int32
     columns hold any run that fits in memory: a minute past 2**31 needs
     float64 series of 16 GiB each."""
 
@@ -134,59 +129,6 @@ class RunRecord:
         # and for a vacancy whose leaver rolls the staff switch-off, the
         # leaver's awareness then (else -1).
         self.turn_position, self.turn_zone, self.turn_awareness = _columns("iid")
-
-    @cached_property
-    def _shared_events(self) -> tuple[tuple[OccupantEvent, ...], array]:
-        """The computer and agent events, which every arm's events share,
-        in (minute, agent id) order with each computer event before the
-        agent events of its agent and minute (a switch-off on leaving
-        precedes the leave); and their sort keys."""
-        room_ids = self._room_ids
-        kinds = EVENT_KINDS
-        step = 2 * self.scenario.population_size
-        rows = zip(self.computer_minute, self.computer_agent, self.computer_power)
-        keyed = [
-            (m * step + 2 * a, OccupantEvent(POWER_EVENTS[power], m, a))
-            for m, a, power in rows
-        ]
-        rows = zip(self.kind, self.minute, self.agent, self.room)
-        keyed += [
-            (m * step + 2 * a + 1, OccupantEvent(kinds[code], m, a, room_ids[room]))
-            for code, m, a, room in rows
-        ]
-        keyed.sort(key=itemgetter(0))  # stable: agent events in record order
-        return (
-            tuple(map(itemgetter(1), keyed)), array("q", map(itemgetter(0), keyed))
-        )
-
-    @property
-    def _room_ids(self) -> tuple[str | None, ...]:
-        """Room id by room index, with None last (index -1)."""
-        return tuple(room.id for room in self.scenario.building.rooms) + (None,)
-
-    def events(self, manual) -> tuple[OccupantEvent, ...]:
-        """The events of a result with ``manual`` light events (its
-        ``ReplicationResult.manual``) in (minute, agent id) order: the
-        shared computer and agent events, with each manual light event
-        after the agent events of its trigger's minute and agent."""
-        shared, keys = self._shared_events
-        positions, codes, rooms = manual
-        if not positions:
-            return shared
-        room_ids = self._room_ids
-        step = 2 * self.scenario.population_size
-        events: list[OccupantEvent] = []
-        done = 0
-        # In record order, which is key order: a firing's events are all
-        # at its minute.
-        for p, code, room in zip(positions, codes, rooms):
-            m, a = self.minute[p - 1], self.agent[p - 1]  # its trigger's
-            at = bisect_right(keys, m * step + 2 * a + 1, done)
-            events += shared[done:at]
-            done = at
-            events.append(OccupantEvent(EVENT_KINDS[code], m, a, room_ids[room]))
-        events += shared[done:]
-        return tuple(events)
 
     def _stay_emails(self):
         """Each recorded office stay's emails, in the order of the stays,
@@ -274,12 +216,6 @@ class ReplicationResult:
             AgentRecord, count(), classes, stereotypes, *record.scenario.seats,
             record.initial_awareness, record.final_awareness,
         ))
-
-    @cached_property
-    def events(self) -> tuple[OccupantEvent, ...]:
-        """Every event of the run, the manual light and computer events
-        included, in (minute, agent id) order (``RunRecord.events``)."""
-        return self.record.events(self.manual)
 
     @property
     def contacts(self) -> tuple[tuple[int, int, int], ...]:
@@ -771,25 +707,19 @@ class ExperimentResult:
         return pairwise_mean([rep.mean_final_awareness() for rep in self.replications])
 
 
-def run_experiment(
-    scenario: Scenario,
-    replications: int | None = None,
-    master_seed: int | None = None,
-) -> ExperimentResult:
-    """Run independent replications and aggregate them.
+def run_experiment(scenario: Scenario) -> ExperimentResult:
+    """Run the scenario's replications and aggregate them.
 
     Replication i always uses the seed derived from (master seed, i), so
     raising the replication count extends the set without disturbing
     earlier replications.
     """
-    (result,) = _run_arm_experiments((scenario,), replications, master_seed)
+    (result,) = _run_arm_experiments((scenario,))
     return result
 
 
 def _run_arm_experiments(
     scenarios: tuple[Scenario, ...],
-    replications: int | None,
-    master_seed: int | None,
 ) -> tuple[ExperimentResult, ...]:
     """One experiment per scenario, for scenarios that differ only in
     their lighting policy: replication i of every one comes from the same
@@ -797,10 +727,8 @@ def _run_arm_experiments(
     for scenario in scenarios:
         scenario.validate()
     first = scenarios[0]
-    n_reps = first.replications if replications is None else replications
-    if n_reps < 1:
-        raise ValidationError(f"replications must be >= 1, got {n_reps}")
-    seed = first.master_seed if master_seed is None else master_seed
+    n_reps = first.replications
+    seed = first.master_seed
 
     rep_seeds = tuple(derive_seed(seed, f"rep:{i}") for i in range(n_reps))
     policies = tuple(s.policy for s in scenarios)
@@ -867,11 +795,7 @@ class PolicyComparison:
         return PolicyKind.STAFF_CONTROLLED
 
 
-def compare_policies(
-    scenario: Scenario,
-    replications: int | None = None,
-    master_seed: int | None = None,
-) -> PolicyComparison:
+def compare_policies(scenario: Scenario) -> PolicyComparison:
     """Run the scenario under both lighting policies with shared seeds.
 
     Each replication is one agent pass driving both arms. Lights never
@@ -885,9 +809,7 @@ def compare_policies(
         LightingPolicy.staff_controlled(),
     )
     automated, staff = _run_arm_experiments(
-        tuple(replace(scenario, policy=policy) for policy in policies),
-        replications,
-        master_seed,
+        tuple(replace(scenario, policy=policy) for policy in policies)
     )
     return PolicyComparison(
         automated=automated,

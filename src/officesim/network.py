@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log
-from typing import NamedTuple
 
 from .errors import ValidationError
 from .occupants import OccupantAgent, hazard_clock, waiting_time
@@ -32,15 +31,6 @@ class SocialNetwork:
 
     def degree(self, node: int) -> int:
         return len(self.neighbors[node])
-
-
-class ContactEvent(NamedTuple):
-    """One email. ``contact_step`` returns plain tuples in this field
-    order; only ``derive_trace`` makes the named tuple."""
-
-    sender_id: int
-    receiver_id: int
-    minute: int
 
 
 def network_degree(n: int, k: int) -> int:
@@ -135,8 +125,8 @@ def contact_step(
     """The emails of one office stay of ``sender_id``, who sends with
     per-minute hazard ``p`` (``send_hazard``) from its entry minute
     ``start`` up to, not including, its leave minute ``end``; returned as
-    plain tuples ``(sender_id, receiver_id, minute)`` in ``ContactEvent``'s
-    field order, one per minute at most.
+    plain tuples ``(sender_id, receiver_id, minute)``, one per minute at
+    most.
 
     Everything is drawn from the sender's own stream ``rng``, in the order
     of a clock restarted at each email: the wait to the first email

@@ -235,27 +235,6 @@ MANUAL_LIGHTS_ON = EVENT_KINDS.index(EventKind.MANUAL_LIGHTS_ON)
 MANUAL_LIGHTS_OFF = EVENT_KINDS.index(EventKind.MANUAL_LIGHTS_OFF)
 
 
-class OccupantEvent(NamedTuple):
-    """One event of a run. A firing of ``step_occupant`` has one agent
-    event, which it returns as ``(code, room_id)``, the code in
-    ``EVENT_KINDS``; the engine stores it with its minute and agent as
-    columns of its run record and makes the named tuples only on demand
-    (``ReplicationResult.events``)."""
-
-    kind: EventKind
-    minute: int
-    agent_id: int
-    room_id: str | None = None
-
-
-# The computer event that enters each power state, indexed by its code.
-POWER_EVENTS = (
-    EventKind.SWITCH_COMPUTER_OFF,
-    EventKind.COMPUTER_TO_STANDBY,
-    EventKind.SWITCH_COMPUTER_ON,
-)
-
-
 class OccupantAgent:
     """One electricity user. Identity fields are fixed for the whole
     run; the remaining fields are the current machine state, its clocks

@@ -1,21 +1,80 @@
 import random
+from operator import itemgetter
+from typing import NamedTuple
 
 import pytest
 
 from officesim import (
     BuildingModel,
+    EventKind,
     LightingPolicy,
     Scenario,
     load_building,
     parse_scenario,
 )
 from officesim import reference_scenario_path
-from officesim.network import ContactEvent
+from officesim.occupants import EVENT_KINDS
+
+
+class OccupantEvent(NamedTuple):
+    """One event of a run, as ``run_events`` lists them."""
+
+    kind: EventKind
+    minute: int
+    agent_id: int
+    room_id: str | None = None
+
+
+class ContactEvent(NamedTuple):
+    """One email, in the field order of ``contact_step``'s plain tuples."""
+
+    sender_id: int
+    receiver_id: int
+    minute: int
+
+
+# The computer event that enters each power state, by its code
+# (``occupants.POWER_*``) in a run record's computer rows.
+POWER_EVENTS = (
+    EventKind.SWITCH_COMPUTER_OFF,
+    EventKind.COMPUTER_TO_STANDBY,
+    EventKind.SWITCH_COMPUTER_ON,
+)
 
 
 def as_contact_events(rows) -> list[ContactEvent]:
     """``contact_step``'s plain contact tuples as named ``ContactEvent``s."""
     return [ContactEvent._make(row) for row in rows]
+
+
+def run_events(result) -> list[OccupantEvent]:
+    """Every event of a replication ``result``, one per row of its
+    record's computer and agent columns and of its manual columns (a
+    manual row at its trigger's minute and agent: agent row
+    ``position - 1``), in one stable sort on (minute, agent id, rank),
+    the rank 0 for computer, 1 for agent and 2 for manual rows: a
+    switch-off on leaving precedes the leave, and the lights it makes
+    someone switch follow it."""
+    record = result.record
+    room_ids = [room.id for room in result.building.rooms] + [None]  # -1: none
+    computers = zip(
+        record.computer_minute, record.computer_agent, record.computer_power
+    )
+    keyed = [
+        ((m, a, 0), OccupantEvent(POWER_EVENTS[power], m, a))
+        for m, a, power in computers
+    ]
+    agents = zip(record.kind, record.minute, record.agent, record.room)
+    keyed += [
+        ((m, a, 1), OccupantEvent(EVENT_KINDS[code], m, a, room_ids[room]))
+        for code, m, a, room in agents
+    ]
+    for position, code, room in zip(*result.manual):
+        m, a = record.minute[position - 1], record.agent[position - 1]
+        event = OccupantEvent(EVENT_KINDS[code], m, a, room_ids[room])
+        keyed.append(((m, a, 2), event))
+    keyed.sort(key=itemgetter(0))
+    return [event for _, event in keyed]
 
 
 def occupancy_turns(pattern) -> list[int]:

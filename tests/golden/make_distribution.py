@@ -108,8 +108,9 @@ def replication_stats(automated, staff) -> dict[str, float]:
     are its two arms."""
     from officesim import EventKind
     from officesim.checks import room_occupancy
-    from officesim.engine import EVENT_KINDS
-    from officesim.occupants import POWER_EVENTS
+    from officesim.occupants import EVENT_KINDS
+
+    from conftest import POWER_EVENTS
 
     # Counted from the run record's columns: one event per row.
     stats: dict[str, float] = {}
@@ -244,4 +245,5 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(HERE.parent))  # for conftest's POWER_EVENTS
     sys.exit(main())

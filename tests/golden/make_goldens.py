@@ -15,9 +15,9 @@ idle stretch and the midnight reset are covered), 2 days, 3 replications:
   scenario's absolute building path, so it is hashed with its
   ``scenario_path`` and ``scenario_sha256`` fields blanked; every other
   field, the output hashes included, is kept;
-- a digest of one ``run_replication`` per start and policy: events,
-  ledger arrays, light intervals, computer transitions, contact count and
-  final awareness;
+- a digest of one ``run_replication`` per start and policy: events
+  (``conftest.run_events``), ledger arrays, light intervals, computer
+  transitions, contact count and final awareness;
 - a digest of the trace derived from one replication: state transitions,
   per-room occupancy and light matrices, schedules, awareness by day and
   contacts.
@@ -104,10 +104,12 @@ def _cli_fingerprints(workdir: Path) -> dict:
 
 
 def _replication_digest(result) -> dict[str, str]:
+    from conftest import run_events
+
     return {
         "events": _lines_sha(
             f"{e.kind.value},{e.minute},{e.agent_id},{e.room_id}"
-            for e in result.events
+            for e in run_events(result)
         ),
         "ledger": _sha(
             result.ledger.lights_w.tobytes() + result.ledger.computers_w.tobytes()
@@ -126,7 +128,7 @@ def _replication_digest(result) -> dict[str, str]:
     }
 
 
-def _trace_digest(trace) -> dict[str, str]:
+def _trace_digest(result, trace) -> dict[str, str]:
     return {
         "state_transitions": _lines_sha(
             f"{m},{a},{before.value},{after.value}"
@@ -144,7 +146,8 @@ def _trace_digest(trace) -> dict[str, str]:
         ),
         "awareness_by_day": _sha(b"".join(a.tobytes() for a in trace.awareness_by_day)),
         "contact_events": _lines_sha(
-            f"{c.sender_id},{c.receiver_id},{c.minute}" for c in trace.contact_events
+            f"{sender_id},{receiver_id},{minute}"
+            for sender_id, receiver_id, minute in result.contacts
         ),
     }
 
@@ -170,8 +173,8 @@ def _engine_fingerprints() -> dict:
             result = run_replication(scenario, seed)
             runs[f"replication/{start_name}/{policy}"] = _replication_digest(result)
     friday = replace(ref, start_day_of_week=STARTS["friday"], contact_rate=CONTACT_RATE)
-    trace = derive_trace(run_replication(friday, seed), friday)
-    runs["trace/friday/automated"] = _trace_digest(trace)
+    result = run_replication(friday, seed)
+    runs["trace/friday/automated"] = _trace_digest(result, derive_trace(result, friday))
     return runs
 
 
@@ -191,4 +194,5 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(HERE.parent))  # for conftest's run_events
     sys.exit(main())

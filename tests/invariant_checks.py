@@ -8,14 +8,33 @@ builds from the run record.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from random import Random
 
 import numpy as np
 
-from officesim import AgentState, EventKind, ReplicationResult, Scenario
+from officesim import AgentState, BetaReport, ReplicationResult, RoomKind, Scenario
 from officesim.checks import RunTrace, derive_trace
 from officesim.engine import _build_network, derive_seed
-from officesim.occupants import MINUTES_PER_DAY
+from officesim.occupants import (
+    ENTER_BUILDING,
+    ENTER_OTHER_ROOM,
+    ENTER_OWN_OFFICE,
+    EVENT_KINDS,
+    EXIT_OTHER_ROOM,
+    LEAVE_BUILDING,
+    LEAVE_OFFICE_LONG,
+    LEAVE_OFFICE_TEMPORARY,
+    MANUAL_LIGHTS_OFF,
+    MANUAL_LIGHTS_ON,
+    MINUTES_PER_DAY,
+)
+
+from conftest import POWER_EVENTS
+
+# By power code (``occupants.POWER_*``), the kind code of the computer
+# event that enters that power state.
+POWER_CODES = np.array([EVENT_KINDS.index(kind) for kind in POWER_EVENTS])
 
 
 def check_edge_legality(trace: RunTrace) -> list[str]:
@@ -90,19 +109,45 @@ def check_no_events_while_absent(
     result: ReplicationResult, trace: RunTrace
 ) -> list[str]:
     """An agent out of the building emits nothing: every event of an
-    agent falls inside one of its presence spans."""
-    spans = stays(result, trace, IN_BUILDING)
-    violations = []
-    for ev in result.events:
-        inside = any(
-            a <= ev.minute <= b for a, b in spans.get(ev.agent_id, ())
-        )
-        if not inside:
-            violations.append(
-                f"agent {ev.agent_id} emitted {ev.kind.value} at minute "
-                f"{ev.minute} while out of the building"
-            )
-    return violations
+    agent falls inside one of its presence spans. The events are the rows
+    of the record's computer and agent columns and of the result's manual
+    columns, a manual row at its trigger's minute and agent (agent row
+    ``position - 1``); violations come in the events' (minute, agent id)
+    order."""
+    record = result.record
+    positions, codes, _ = result.manual
+    trigger = np.asarray(positions, dtype=np.intp) - 1
+    minutes, agents = np.asarray(record.minute), np.asarray(record.agent)
+    # The computer, agent and manual rows, in that order.
+    minute = np.concatenate(
+        [record.computer_minute, minutes, minutes[trigger]]
+    ).astype(np.int64)
+    agent = np.concatenate(
+        [record.computer_agent, agents, agents[trigger]]
+    ).astype(np.int64)
+    kind = np.concatenate([
+        POWER_CODES[np.asarray(record.computer_power, dtype=np.intp)],
+        record.kind,
+        codes,
+    ])
+    rank = np.repeat([0, 1, 2], [len(record.computer_minute), len(minutes), len(codes)])
+    # Each agent's spans on one axis, agent by agent; (-1, -1) precedes all.
+    stride = result.n_minutes + 1
+    spans = sorted(
+        (agent_id * stride + a, agent_id * stride + b)
+        for agent_id, intervals in stays(result, trace, IN_BUILDING).items()
+        for a, b in intervals
+    )
+    starts, ends = np.array([(-1, -1), *spans], dtype=np.int64).T
+    at = agent * stride + minute
+    outside = at > ends[np.searchsorted(starts, at, side="right") - 1]
+    bad = np.flatnonzero(outside)
+    bad = bad[np.lexsort((rank[bad], agent[bad], minute[bad]))]
+    return [
+        f"agent {agent[j]} emitted {EVENT_KINDS[kind[j]].value} at minute "
+        f"{minute[j]} while out of the building"
+        for j in bad
+    ]
 
 
 def check_automated_light_rule(
@@ -136,14 +181,17 @@ def check_automated_light_rule(
 
 
 def check_staff_passivity(result: ReplicationResult) -> list[str]:
-    """Under staff control, light state changes only at manual events."""
+    """Under staff control, light state changes only at manual events,
+    each at its trigger's minute (agent row ``position - 1``)."""
+    room_ids = [room.id for room in result.building.rooms]
+    minutes = result.record.minute
     on_minutes: dict[str, set[int]] = {}
     off_minutes: dict[str, set[int]] = {}
-    for ev in result.events:
-        if ev.kind is EventKind.MANUAL_LIGHTS_ON:
-            on_minutes.setdefault(ev.room_id, set()).add(ev.minute)
-        elif ev.kind is EventKind.MANUAL_LIGHTS_OFF:
-            off_minutes.setdefault(ev.room_id, set()).add(ev.minute)
+    for position, code, room in zip(*result.manual):
+        if code == MANUAL_LIGHTS_ON:
+            on_minutes.setdefault(room_ids[room], set()).add(minutes[position - 1])
+        elif code == MANUAL_LIGHTS_OFF:
+            off_minutes.setdefault(room_ids[room], set()).add(minutes[position - 1])
     violations = []
     for room_id, intervals in result.light_intervals.items():
         for start, end in intervals:
@@ -183,60 +231,57 @@ def check_staff_lit_while_occupied(
 
 def check_staff_switch_offs(result: ReplicationResult) -> list[str]:
     """Under staff control only the last one out switches off, and never
-    for a quick break: every MANUAL_LIGHTS_OFF of a room falls right after
-    a LEAVE_OFFICE_LONG or EXIT_OTHER_ROOM that left that room empty, and
-    one of a corridor room right after an event that left the corridor
-    empty. Occupancy is replayed from the events alone."""
-    room_leaves = (EventKind.LEAVE_OFFICE_LONG, EventKind.EXIT_OTHER_ROOM)
-    corridor_leaves = (
-        EventKind.LEAVE_BUILDING, EventKind.ENTER_OWN_OFFICE, EventKind.ENTER_OTHER_ROOM
+    for a quick break: every MANUAL_LIGHTS_OFF of a room is triggered by a
+    LEAVE_OFFICE_LONG or EXIT_OTHER_ROOM that left that room empty, and
+    one of a corridor room by an event that left the corridor empty. A
+    manual row's trigger is agent row ``position - 1``; occupancy is
+    replayed from the agent event columns alone."""
+    room_leaves = (LEAVE_OFFICE_LONG, EXIT_OTHER_ROOM)
+    corridor_leaves = (LEAVE_BUILDING, ENTER_OWN_OFFICE, ENTER_OTHER_ROOM)
+    building_rooms = result.building.rooms
+    room_ids = [room.id for room in building_rooms] + [None]  # -1: none
+    record = result.record
+    kinds, minutes, rooms = record.kind, record.minute, record.room
+    switch_offs = sorted(
+        ((position, room)
+         for position, code, room in zip(*result.manual)
+         if code == MANUAL_LIGHTS_OFF),
+        key=itemgetter(0),
     )
-    corridor_ids = {r.id for r in result.building.corridor_rooms()}
-    occupancy: dict[str, int] = {}
+    occupancy = [0] * len(building_rooms)
     in_corridor = 0
-    last = None  # the latest agent event
+    replayed = 0  # agent rows
     violations = []
-    for ev in result.events:
-        kind = ev.kind
-        if kind is EventKind.MANUAL_LIGHTS_OFF:
-            if last is None or (last.minute, last.agent_id) != (
-                ev.minute, ev.agent_id
-            ):
+    for position, room in switch_offs:
+        room_id = room_ids[room]
+        for row in range(replayed, position):
+            kind, at = kinds[row], rooms[row]
+            if kind == ENTER_BUILDING:
+                in_corridor += 1
+            elif kind == LEAVE_BUILDING:
+                in_corridor -= 1
+            elif kind == ENTER_OWN_OFFICE or kind == ENTER_OTHER_ROOM:
+                occupancy[at] += 1
+                in_corridor -= 1
+            elif kind == LEAVE_OFFICE_TEMPORARY or kind in room_leaves:
+                occupancy[at] -= 1
+                in_corridor += 1
+        replayed = position
+        trigger, minute = kinds[position - 1], minutes[position - 1]
+        trigger_room = rooms[position - 1]
+        if building_rooms[room].kind is RoomKind.CORRIDOR:
+            if trigger not in corridor_leaves or in_corridor:
                 violations.append(
-                    f"room {ev.room_id}: switched off at minute {ev.minute} "
-                    "with no event of that agent"
+                    f"corridor room {room_id}: switched off at minute "
+                    f"{minute} after {EVENT_KINDS[trigger].value} with "
+                    f"{in_corridor} in the corridor"
                 )
-            elif ev.room_id in corridor_ids:
-                if last.kind not in corridor_leaves or in_corridor:
-                    violations.append(
-                        f"corridor room {ev.room_id}: switched off at minute "
-                        f"{ev.minute} after {last.kind.value} with "
-                        f"{in_corridor} in the corridor"
-                    )
-            elif (
-                last.kind not in room_leaves
-                or last.room_id != ev.room_id
-                or occupancy.get(ev.room_id, 0)
-            ):
-                violations.append(
-                    f"room {ev.room_id}: switched off at minute {ev.minute} "
-                    f"after {last.kind.value} of room {last.room_id} with "
-                    f"{occupancy.get(ev.room_id, 0)} left in it"
-                )
-            continue
-        if kind is EventKind.MANUAL_LIGHTS_ON:
-            continue
-        last = ev
-        if kind is EventKind.ENTER_BUILDING:
-            in_corridor += 1
-        elif kind is EventKind.LEAVE_BUILDING:
-            in_corridor -= 1
-        elif kind in (EventKind.ENTER_OWN_OFFICE, EventKind.ENTER_OTHER_ROOM):
-            occupancy[ev.room_id] = occupancy.get(ev.room_id, 0) + 1
-            in_corridor -= 1
-        elif kind is EventKind.LEAVE_OFFICE_TEMPORARY or kind in room_leaves:
-            occupancy[ev.room_id] -= 1
-            in_corridor += 1
+        elif trigger not in room_leaves or trigger_room != room or occupancy[room]:
+            violations.append(
+                f"room {room_id}: switched off at minute {minute} "
+                f"after {EVENT_KINDS[trigger].value} of room "
+                f"{room_ids[trigger_room]} with {occupancy[room]} left in it"
+            )
     return violations
 
 
@@ -306,11 +351,7 @@ def check_network_edges(result: ReplicationResult, scenario: Scenario) -> list[s
     return []
 
 
-def check_betas_in_range(result: ReplicationResult) -> list[str]:
-    try:
-        report = result.beta_report()
-    except Exception as exc:  # AccountingError means a beta left [0, 1]
-        return [f"beta report failed: {exc}"]
+def check_betas_in_range(report: BetaReport) -> list[str]:
     bad = [e for e in report.entries if not 0.0 <= e.beta <= 1.0]
     return [f"appliance {e.appliance_id} beta {e.beta}" for e in bad]
 
@@ -325,7 +366,11 @@ def check_wattage_lattice(result: ReplicationResult) -> list[str]:
     return []
 
 
-def check_accounting_identity(result: ReplicationResult) -> list[str]:
+def check_accounting_identity(
+    result: ReplicationResult, report: BetaReport
+) -> list[str]:
+    """The ledger's total is its parts at every minute, and ``report``,
+    the result's beta report, reconstructs its flexible energy."""
     ledger = result.ledger
     total, base, lights, computers = map(
         np.asarray,
@@ -334,7 +379,6 @@ def check_accounting_identity(result: ReplicationResult) -> list[str]:
     residual = total - base - lights - computers
     if (residual != 0).any():
         return ["per-minute total != base + lights + computers"]
-    report = result.beta_report()
     reconstructed = report.reconstructed_flexible_wh()
     flexible = ledger.flexible_energy_wh()
     if flexible == 0.0:
@@ -352,7 +396,7 @@ def check_accounting_identity(result: ReplicationResult) -> list[str]:
 
 def run_all_checks(result: ReplicationResult, scenario: Scenario):
     """Every check on a replication ``result`` of ``scenario``; the trace
-    is derived once and shared."""
+    and the beta report are built once and shared."""
     trace = derive_trace(result, scenario)
     violations = check_edge_legality(trace)
     if violations:
@@ -370,7 +414,14 @@ def run_all_checks(result: ReplicationResult, scenario: Scenario):
     violations += check_awareness_monotone(result, trace, scenario.awareness_delta)
     violations += check_stereotype_immutable(result)
     violations += check_network_edges(result, scenario)
-    violations += check_betas_in_range(result)
+    try:
+        report = result.beta_report()
+    except Exception as exc:  # AccountingError means a beta left [0, 1]
+        violations.append(f"beta report failed: {exc}")
+        report = None
+    else:
+        violations += check_betas_in_range(report)
     violations += check_wattage_lattice(result)
-    violations += check_accounting_identity(result)
+    if report is not None:
+        violations += check_accounting_identity(result, report)
     return violations

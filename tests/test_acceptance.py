@@ -140,7 +140,7 @@ def test_criterion_4_determinism(reference_scenario, automated_experiment,
         twin = dir_b / path.relative_to(dir_a)
         assert twin.read_bytes() == path.read_bytes(), path.name
 
-    extended = run_experiment(reference_scenario, replications=21)
+    extended = run_experiment(replace(reference_scenario, replications=21))
     dir_c = tmp_path_factory.mktemp("run_c")
     emit_experiment(extended, dir_c)
     for i in range(20):

@@ -166,6 +166,17 @@ def test_beta_report_reconstructs_flexible_energy():
     assert betas == pytest.approx({"L1": 0.5, "K1": 0.5, "K2": 0.0})
 
 
+def test_beta_report_leaves_out_zero_watt_appliances():
+    # A 0 W appliance draws nothing and has no duty: the report leaves it
+    # out, and realized_beta still refuses it.
+    entries = [("L1", 60.0, 720.0), ("L0", 0.0, 0.0)]
+    report = build_beta_report(entries, 0, 1440)
+    assert [e.appliance_id for e in report.entries] == ["L1"]
+    assert report.reconstructed_flexible_wh() == pytest.approx(720.0)
+    with pytest.raises(ValueError, match="max_power_watts must be > 0"):
+        realized_beta(0.0, 0.0, 24.0)
+
+
 def test_proportions_base_only():
     ledger = constant_ledger(10, base=500)
     assert category_proportions(ledger, 0, 10) == (1.0, 0.0, 0.0)

@@ -12,7 +12,12 @@ from officesim import (
 from officesim.appliances import RoomLightBank
 from officesim.occupants import BehaviorParams, PopulationMix, Stereotype
 
-from conftest import make_small_building, make_small_scenario, occupancy_turns
+from conftest import (
+    make_small_building,
+    make_small_scenario,
+    occupancy_turns,
+    run_events,
+)
 from invariant_checks import check_staff_passivity, check_staff_switch_offs
 
 STAFF = LightingPolicy.staff_controlled()
@@ -90,7 +95,7 @@ def test_staff_controlled_light_never_moves_on_its_own(monkeypatch):
     monkeypatch.setattr(RoomLightBank, "step_automated", sensor_step)
     scenario = make_small_scenario(population_size=5, horizon_days=2, policy=STAFF)
     result = run_replication(scenario, seed=3)
-    assert any(ev.kind is EventKind.MANUAL_LIGHTS_OFF for ev in result.events)
+    assert any(ev.kind is EventKind.MANUAL_LIGHTS_OFF for ev in run_events(result))
     assert not check_staff_passivity(result)
 
 
@@ -124,7 +129,7 @@ def test_manual_exit_decision_temporary_never_switches_off():
         range(3), leave_hazard_per_minute=0.05, temporary_leave_fraction=0.95
     )
     temporary = sum(
-        ev.kind is EventKind.LEAVE_OFFICE_TEMPORARY for r in runs for ev in r.events
+        ev.kind is EventKind.LEAVE_OFFICE_TEMPORARY for r in runs for ev in run_events(r)
     )
     assert temporary > 100
     for result in runs:
@@ -136,7 +141,7 @@ def test_manual_exit_decision_requires_last_occupant():
     # often left by someone who is not the last one out.
     runs = _champion_staff_runs(range(3), other_room_hazard_per_minute=0.05)
     offs = sum(
-        ev.kind is EventKind.MANUAL_LIGHTS_OFF for r in runs for ev in r.events
+        ev.kind is EventKind.MANUAL_LIGHTS_OFF for r in runs for ev in run_events(r)
     )
     assert offs > 100
     for result in runs:

@@ -3,6 +3,7 @@
 not find, so a rename in the package would silently zero a layer metric."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 from officesim import compare_policies
@@ -38,7 +39,7 @@ def test_tracer_counts_every_email():
     scenario = make_small_scenario(population_size=5, contact_rate=200.0)
     try:
         recorder.install(tracer.wrap_targets())
-        comparison = compare_policies(scenario, replications=3)
+        comparison = compare_policies(replace(scenario, replications=3))
     finally:
         assert recorder.restore() is True
     assert recorder.stats["network.contact_step"]["calls"] == sum(

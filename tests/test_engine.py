@@ -1,4 +1,6 @@
 import gc
+import importlib
+import pkgutil
 import random
 import tracemalloc
 from array import array
@@ -10,6 +12,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
+import officesim
 from officesim import (
     EventKind,
     LightingPolicy,
@@ -26,13 +29,12 @@ from officesim import (
 )
 from officesim.accounting import sequential_sum
 from officesim.checks import derive_trace
-from officesim.engine import EVENT_KINDS, run_replication_arms
-from officesim.network import ContactEvent
+from officesim.engine import run_replication_arms
 from officesim.occupants import (
     NEVER,
     BehaviorParams,
     CorridorMode,
-    OccupantEvent,
+    EVENT_KINDS,
     PopulationMix,
     ScheduleClass,
     Stereotype,
@@ -40,9 +42,11 @@ from officesim.occupants import (
 )
 
 from conftest import (
+    OccupantEvent,
     make_building_text,
     make_small_building,
     make_small_scenario,
+    run_events,
 )
 from invariant_checks import (
     check_automated_light_rule,
@@ -65,7 +69,7 @@ def _arrival_days(start_day_of_week: int, horizon_days: int) -> set[int]:
     result = run_replication(scenario, seed=11)
     return {
         ev.minute // 1440
-        for ev in result.events
+        for ev in run_events(result)
         if ev.kind is EventKind.ENTER_BUILDING
     }
 
@@ -85,7 +89,7 @@ def test_empty_population_yields_flat_base_load():
     assert len(result.ledger) == 1440
     assert (np.asarray(result.ledger.total_w) == 1000).all()
     assert (np.asarray(result.ledger.lights_w) == 0).all()
-    assert result.events == ()
+    assert run_events(result) == []
 
 
 def test_replication_is_deterministic():
@@ -93,7 +97,7 @@ def test_replication_is_deterministic():
     a = run_replication(scenario, seed=99)
     b = run_replication(scenario, seed=99)
     assert a.ledger == b.ledger
-    assert a.events == b.events
+    assert run_events(a) == run_events(b)
     assert a.roster == b.roster
     assert a.light_intervals == b.light_intervals
     assert a.computer_transitions == b.computer_transitions
@@ -166,7 +170,7 @@ def test_single_early_bird_light_energy_bounds():
     presence = 0
     enters = 0
     last_enter = None
-    for ev in result.events:
+    for ev in run_events(result):
         if ev.kind is EventKind.ENTER_OWN_OFFICE:
             last_enter = ev.minute
             enters += 1
@@ -188,7 +192,7 @@ def test_single_early_bird_light_energy_bounds():
 
 def test_experiment_mean_of_single_rep_is_that_rep():
     scenario = make_small_scenario(population_size=4, horizon_days=1)
-    result = run_experiment(scenario, replications=1, master_seed=8)
+    result = run_experiment(replace(scenario, replications=1, master_seed=8))
     rep = result.replications[0]
     assert np.array_equal(result.mean_total_w, rep.ledger.total_w)
     assert result.mean_total_kwh == pytest.approx(
@@ -198,8 +202,8 @@ def test_experiment_mean_of_single_rep_is_that_rep():
 
 def test_experiment_seed_independence_under_rep_count():
     scenario = make_small_scenario(population_size=4, horizon_days=1)
-    short = run_experiment(scenario, replications=3, master_seed=21)
-    longer = run_experiment(scenario, replications=5, master_seed=21)
+    short = run_experiment(replace(scenario, replications=3, master_seed=21))
+    longer = run_experiment(replace(scenario, replications=5, master_seed=21))
     for i in range(3):
         assert short.rep_seeds[i] == longer.rep_seeds[i]
         assert short.replications[i].ledger == longer.replications[i].ledger
@@ -207,22 +211,22 @@ def test_experiment_seed_independence_under_rep_count():
 
 def test_experiment_different_master_seeds():
     scenario = make_small_scenario(population_size=4, horizon_days=1)
-    a = run_experiment(scenario, replications=2, master_seed=1)
-    b = run_experiment(scenario, replications=2, master_seed=2)
+    a = run_experiment(replace(scenario, replications=2, master_seed=1))
+    b = run_experiment(replace(scenario, replications=2, master_seed=2))
     assert len(a.mean_total_w) == len(b.mean_total_w)
     assert not np.array_equal(a.mean_total_w, b.mean_total_w)
 
 
 def test_compare_policies_with_no_agents_is_a_tie():
     scenario = make_small_scenario(population_size=0, horizon_days=1)
-    comparison = compare_policies(scenario, replications=2, master_seed=4)
+    comparison = compare_policies(replace(scenario, replications=2, master_seed=4))
     assert comparison.mean_diff_kwh == 0.0
     assert (np.asarray(comparison.paired_diff_kwh) == 0).all()
 
 
 def test_compare_policies_shares_populations_and_computers():
     scenario = make_small_scenario(population_size=5, horizon_days=2)
-    comparison = compare_policies(scenario, replications=2, master_seed=10)
+    comparison = compare_policies(replace(scenario, replications=2, master_seed=10))
     auto = comparison.automated.replications[0]
     staff = comparison.staff_controlled.replications[0]
     assert auto.roster == staff.roster
@@ -248,12 +252,12 @@ def test_manual_light_events_only_under_staff_policy():
     auto = run_replication(scenario, seed=33)
     assert not any(
         ev.kind in (EventKind.MANUAL_LIGHTS_ON, EventKind.MANUAL_LIGHTS_OFF)
-        for ev in auto.events
+        for ev in run_events(auto)
     )
     staff = run_replication(
         replace(scenario, policy=LightingPolicy.staff_controlled()), seed=33
     )
-    assert any(ev.kind is EventKind.MANUAL_LIGHTS_ON for ev in staff.events)
+    assert any(ev.kind is EventKind.MANUAL_LIGHTS_ON for ev in run_events(staff))
 
 
 def test_big_population_mix_override():
@@ -285,38 +289,27 @@ def test_agent_left_in_building_at_midnight_is_a_runtime_error(monkeypatch):
         run_replication(scenario, seed=5)
 
 
-def test_untraced_runs_build_no_event_objects(monkeypatch):
+def test_untraced_runs_build_no_event_objects():
     # Agent events and contacts travel as plain tuples and record columns:
-    # an experiment must never build an OccupantEvent or a ContactEvent,
-    # while the events view and the contacts of a derived trace are named
-    # tuples.
-    from officesim import engine, network
+    # no module of the package defines an OccupantEvent or a ContactEvent,
+    # and only the tests' run_events makes named event tuples.
+    modules = [officesim] + [
+        importlib.import_module(f"officesim.{info.name}")
+        for info in pkgutil.iter_modules(officesim.__path__)
+    ]
+    for module in modules:
+        for name in ("OccupantEvent", "ContactEvent"):
+            assert not hasattr(module, name), (module.__name__, name)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("event object built by an experiment")
-
-    stub = type(
-        "Forbidden", (), {"__new__": forbidden, "_make": staticmethod(forbidden)}
-    )
     scenario = make_small_scenario(population_size=5, contact_rate=200.0)
-    with monkeypatch.context() as patched:
-        patched.setattr(engine, "OccupantEvent", stub)
-        patched.setattr(network, "ContactEvent", stub)
-        experiment = run_experiment(scenario)
-        comparison = compare_policies(scenario)
-    assert all(rep.contact_count > 0 for rep in experiment.replications)
-    assert all(rep.contact_count > 0 for rep in comparison.staff_controlled.replications)
-
     staff = replace(scenario, policy=LightingPolicy.staff_controlled())
-    viewed = run_replication(staff, seed=3)
-    assert {e.kind for e in viewed.events} >= {
+    viewed = run_events(run_replication(staff, seed=3))
+    assert {e.kind for e in viewed} >= {
         EventKind.ENTER_OWN_OFFICE, EventKind.MANUAL_LIGHTS_ON
     }
-    assert all(type(e) is OccupantEvent for e in viewed.events)
+    assert all(type(e) is OccupantEvent for e in viewed)
     result = run_replication(scenario, seed=3)
-    trace = derive_trace(result, scenario)
-    assert len(trace.contact_events) == len(result.contacts) == result.contact_count > 0
-    assert all(type(c) is ContactEvent for c in trace.contact_events)
+    assert len(result.contacts) == result.contact_count > 0
 
 
 def test_experiment_replications_pass_every_check():
@@ -333,7 +326,7 @@ def test_experiment_replications_pass_every_check():
         assert result.contact_count > 0
         assert len(result.contacts) == result.contact_count
         assert not run_all_checks(result, checked)
-    assert any(ev.kind is EventKind.MANUAL_LIGHTS_ON for ev in results[1].events)
+    assert any(ev.kind is EventKind.MANUAL_LIGHTS_ON for ev in run_events(results[1]))
 
 
 def test_stays_that_can_raise_nobody_are_recorded_but_not_drawn(
@@ -360,7 +353,7 @@ def test_stays_that_can_raise_nobody_are_recorded_but_not_drawn(
     )
     for scenario, draws in ((social, True), (silent, False)):
         drawn.clear()
-        comparison = compare_policies(scenario, replications=1)
+        comparison = compare_policies(replace(scenario, replications=1))
         stays = len(comparison.automated.replications[0].record.stay_sender)
         assert len(drawn) < stays
         assert bool(drawn) is draws
@@ -412,7 +405,7 @@ def test_shared_pass_arms_equal_solo_replications():
         assert len(arms) == len(policies)
         for policy, arm in zip(policies, arms):
             solo = run_replication(replace(scenario, policy=policy), seed)
-            assert arm.events == solo.events
+            assert run_events(arm) == run_events(solo)
             for name in ("base_w", "lights_w", "computers_w"):
                 assert (getattr(arm.ledger, name).tobytes()
                         == getattr(solo.ledger, name).tobytes()), name
@@ -422,7 +415,7 @@ def test_shared_pass_arms_equal_solo_replications():
             assert arm.roster == solo.roster
             seen["manual_events"] += sum(
                 ev.kind in (EventKind.MANUAL_LIGHTS_ON, EventKind.MANUAL_LIGHTS_OFF)
-                for ev in arm.events
+                for ev in run_events(arm)
             )
         seen["delays"].update((first, second))
         seen["contact_rates"].add(scenario.contact_rate)
@@ -608,7 +601,7 @@ def test_computer_transitions_replay_from_events():
         for w in watts.values():
             running += w
         series = array("d")
-        for ev in sorted(result.events, key=lambda e: (e.minute, e.agent_id)):
+        for ev in sorted(run_events(result), key=lambda e: (e.minute, e.agent_id)):
             field_name = spec_watts.get(ev.kind)
             if field_name is None:
                 continue
@@ -679,14 +672,11 @@ def test_fractional_light_watts_sum_exactly_per_minute():
 
 
 def test_kept_events_are_in_minute_and_agent_order():
-    # Each arm's events are its agent events with the computer events
-    # merged in at (minute, agent id): every arm's events must be in that
-    # order, and no agent has two computer events in one minute.
-    computer_kinds = {
-        EventKind.SWITCH_COMPUTER_ON,
-        EventKind.COMPUTER_TO_STANDBY,
-        EventKind.SWITCH_COMPUTER_OFF,
-    }
+    # An arm's events are its record's agent rows with the computer rows
+    # and its manual rows merged in at (minute, agent id). run_events sorts
+    # them stably, so the agent rows must come in (minute, agent id) order
+    # and the manual rows in trigger order, and no agent has two computer
+    # events in one minute.
     policies = (LightingPolicy.automated(), LightingPolicy.staff_controlled())
     rng = random.Random(4711)
     computer_events = 0
@@ -694,13 +684,12 @@ def test_kept_events_are_in_minute_and_agent_order():
         scenario = random_scenario(rng)
         arms = run_replication_arms(scenario, rng.randrange(2**31), policies)
         for arm in arms:
-            keys = [(ev.minute, ev.agent_id) for ev in arm.events]
+            record = arm.record
+            keys = list(zip(record.minute, record.agent))
             assert keys == sorted(keys)
-            per_minute = Counter(
-                (ev.minute, ev.agent_id)
-                for ev in arm.events
-                if ev.kind in computer_kinds
-            )
+            positions = list(arm.manual[0])
+            assert positions == sorted(positions)
+            per_minute = Counter(zip(record.computer_minute, record.computer_agent))
             assert set(per_minute.values()) <= {1}
             computer_events += len(per_minute)
     assert computer_events > 0
@@ -770,7 +759,7 @@ def test_weekend_experiment_retains_little(reference_scenario):
 
 def test_roster_views_match_the_population_streams():
     scenario = make_small_scenario(population_size=5, contact_rate=20.0)
-    experiment = run_experiment(scenario, replications=3, master_seed=8)
+    experiment = run_experiment(replace(scenario, replications=3, master_seed=8))
     for rep in experiment.replications:
         rng = random.Random(derive_seed(rep.seed, "population"))
         agents = sample_population(

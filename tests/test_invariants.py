@@ -6,11 +6,17 @@ from dataclasses import replace
 
 import pytest
 
-from officesim import LightingPolicy, Scenario, run_replication
+from officesim import LightingPolicy, Scenario, load_building, run_replication
+from officesim.engine import run_replication_arms
 from officesim.checks import _STATE_EDGES, derive_trace
 from officesim.occupants import LEAVE_BUILDING, MANUAL_LIGHTS_OFF, BehaviorParams
 
-from conftest import make_small_building, make_small_scenario
+from conftest import (
+    make_building_text,
+    make_small_building,
+    make_small_scenario,
+    run_events,
+)
 from invariant_checks import (
     check_awareness_monotone,
     check_edge_legality,
@@ -64,6 +70,22 @@ def test_randomized_replications_satisfy_invariants(batch):
         assert not violations, violations[:5]
 
 
+def test_zero_watt_lights_pass_every_check():
+    # The kitchen's lights draw 0 W: the beta report leaves them out, so
+    # every check runs on both arms, and the lightless hall-2 keeps each
+    # arm's rule.
+    text = make_building_text(corridor_lights=2, corridor_rooms=3) + (
+        "light_overrides: {L002: {watts_on: 0}, L003: {watts_on: 0}}\n"
+    )
+    scenario = replace(
+        make_small_scenario(population_size=5, horizon_days=7),
+        building=load_building(text),
+    )
+    policies = (LightingPolicy.automated(), LightingPolicy.staff_controlled())
+    for policy, arm in zip(policies, run_replication_arms(scenario, 3, policies)):
+        assert run_all_checks(arm, replace(scenario, policy=policy)) == []
+
+
 def test_edge_check_reports_a_deleted_agent_event():
     # Every transition moves its agent to another state, so dropping any
     # one agent event from a run record breaks that agent's chain. The
@@ -73,7 +95,8 @@ def test_edge_check_reports_a_deleted_agent_event():
     assert not check_edge_legality(derive_trace(result, scenario))
     positions, _, _ = result.manual
     assert not positions
-    kinds = [ev.kind for ev in result.events]
+    events = run_events(result)
+    kinds = [ev.kind for ev in events]
     for kind in _STATE_EDGES:  # the agent events that move their agent
         assert kind in kinds, kind
         i = kinds.index(kind)
@@ -85,7 +108,7 @@ def test_edge_check_reports_a_deleted_agent_event():
             del column[row]
             setattr(record, name, column)
         broken = replace(result, record=record)
-        agent_id = result.events[i].agent_id
+        agent_id = events[i].agent_id
         violations = check_edge_legality(derive_trace(broken, scenario))
         assert any(v.startswith(f"agent {agent_id} ") for v in violations), kind
         assert run_all_checks(broken, scenario) == violations

@@ -190,10 +190,9 @@ def test_only_office_agents_send():
     result = run_replication(scenario, seed=3)
     trace = derive_trace(result, scenario)
     office = stays(result, trace, OFFICE)
-    events = trace.contact_events
-    assert events
-    for ev in events:
-        assert any(a <= ev.minute < b for a, b in office.get(ev.sender_id, ()))
+    assert result.contacts
+    for sender_id, _, minute in result.contacts:
+        assert any(a <= minute < b for a, b in office.get(sender_id, ()))
 
 
 def test_emails_respect_topology():

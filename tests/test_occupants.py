@@ -22,12 +22,10 @@ from officesim.engine import RunRecord
 from officesim.occupants import (
     EVENT_KINDS,
     NEVER,
-    POWER_EVENTS,
     BehaviorContext,
     BehaviorParams,
     CorridorMode,
     OccupantAgent,
-    OccupantEvent,
     PopulationMix,
     POWER_OFF,
     POWER_ON,
@@ -42,9 +40,12 @@ from officesim.occupants import (
 
 from conftest import (
     LATEST_UNIFORM,
+    POWER_EVENTS,
+    OccupantEvent,
     ScriptedRandom,
     make_small_building,
     make_small_scenario,
+    run_events,
     uniform_for_wait,
 )
 
@@ -436,7 +437,7 @@ def test_no_events_before_arrival():
     result = run_replication(scenario, seed=4)
     schedules = derive_trace(result, scenario).schedules
     first = {}
-    for ev in result.events:
+    for ev in run_events(result):
         first.setdefault((ev.minute // 1440, ev.agent_id), ev)
     assert first
     for (day, agent_id), ev in first.items():

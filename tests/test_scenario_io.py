@@ -201,7 +201,7 @@ def test_window_mask_rejects_unknown_preset():
 
 def test_emit_experiment_files_and_determinism(tmp_path):
     scenario = make_small_scenario(population_size=4, horizon_days=1)
-    result = run_experiment(scenario, replications=2, master_seed=5)
+    result = run_experiment(replace(scenario, replications=2, master_seed=5))
 
     out_a = tmp_path / "a"
     paths = emit_experiment(result, out_a)
@@ -217,7 +217,7 @@ def test_emit_experiment_files_and_determinism(tmp_path):
     assert (out_a / "reps" / "rep_000_minutes.csv").exists()
     assert (out_a / "reps" / "rep_001_minutes.csv").exists()
 
-    result_again = run_experiment(scenario, replications=2, master_seed=5)
+    result_again = run_experiment(replace(scenario, replications=2, master_seed=5))
     out_b = tmp_path / "b"
     emit_experiment(result_again, out_b)
     for path in sorted(out_a.rglob("*")):
@@ -233,16 +233,18 @@ def test_manifest_lists_outputs_with_hashes(tmp_path):
     import hashlib
     import json
 
-    scenario = make_small_scenario(population_size=2, horizon_days=3)
-    result = run_experiment(scenario, replications=1, master_seed=3)
-    comparison = compare_policies(scenario, replications=2, master_seed=3)
+    small = make_small_scenario(population_size=2, horizon_days=3)
+    simulated = replace(small, replications=1, master_seed=3)
+    compared = replace(small, replications=2, master_seed=3)
+    result = run_experiment(simulated)
+    comparison = compare_policies(compared)
     runs = (
-        (tmp_path / "simulate", 1, result.master_seed,
+        (tmp_path / "simulate", simulated, 1, result.master_seed,
          lambda out: emit_experiment(result, out, scenario_path="scenario.yaml")),
-        (tmp_path / "compare", 2, comparison.automated.master_seed,
+        (tmp_path / "compare", compared, 2, comparison.automated.master_seed,
          lambda out: emit_comparison(comparison, out, scenario_path="scenario.yaml")),
     )
-    for out, replications, master_seed, emit in runs:
+    for out, scenario, replications, master_seed, emit in runs:
         paths = emit(out)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["replications"] == replications
@@ -263,7 +265,7 @@ def test_manifest_lists_outputs_with_hashes(tmp_path):
 
 def test_emit_comparison_names_lower_policy(tmp_path):
     scenario = make_small_scenario(population_size=4, horizon_days=1)
-    comparison = compare_policies(scenario, replications=2, master_seed=6)
+    comparison = compare_policies(replace(scenario, replications=2, master_seed=6))
     emit_comparison(comparison, tmp_path)
     import json
 
@@ -277,7 +279,7 @@ def test_emit_comparison_names_lower_policy(tmp_path):
 
 def test_proportions_payload_window(tmp_path):
     scenario = make_small_scenario(population_size=4, horizon_days=2)
-    result = run_experiment(scenario, replications=1, master_seed=9)
+    result = run_experiment(replace(scenario, replications=1, master_seed=9))
     emit_experiment(result, tmp_path, command="proportions", window="night")
     import json
 
