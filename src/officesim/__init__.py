@@ -29,7 +29,6 @@ _HOME_MODULES = {
     "BetaReport": "accounting",
     "EnergyLedger": "accounting",
     "HalfHourBin": "accounting",
-    "category_proportions": "accounting",
     "category_proportions_masked": "accounting",
     "half_hour_bins": "accounting",
     "realized_beta": "accounting",

@@ -171,15 +171,6 @@ class EnergyLedger:
     def __len__(self) -> int:
         return len(self.base_w)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EnergyLedger):
-            return NotImplemented
-        return (
-            self.base_w == other.base_w
-            and self.lights_w == other.lights_w
-            and self.computers_w == other.computers_w
-        )
-
     @property
     def total_w(self) -> array:
         return array(
@@ -297,37 +288,18 @@ def build_beta_report(
     return BetaReport(start, end, entries)
 
 
-def category_proportions(
-    ledger: EnergyLedger, start: int, end: int
-) -> tuple[float, float, float]:
-    """Fractions of (base, lights, computers) energy over [start, end)."""
-    if not 0 <= start < end <= len(ledger):
-        raise ValueError(f"window [{start}, {end}) invalid for {len(ledger)} samples")
-    per_category = ledger.energy_wh(start, end)
-    return _proportions(per_category)
-
-
 def category_proportions_masked(
     ledger: EnergyLedger, mask
 ) -> tuple[float, float, float]:
-    """Same as category_proportions over an arbitrary minute mask, a
-    sequence of bools (one per minute)."""
+    """Fractions of (base, lights, computers) energy over the minutes
+    ``mask`` selects, a sequence of bools (one per minute)."""
     if len(mask) != len(ledger) or not any(mask):
         raise ValueError("mask must match ledger length and select >= 1 minute")
-    per_category = {
-        "base": masked_sum(ledger.base_w, mask) * WH_PER_WMIN,
-        "lights": masked_sum(ledger.lights_w, mask) * WH_PER_WMIN,
-        "computers": masked_sum(ledger.computers_w, mask) * WH_PER_WMIN,
-    }
-    return _proportions(per_category)
-
-
-def _proportions(per_category: dict[str, float]) -> tuple[float, float, float]:
-    total = per_category["base"] + per_category["lights"] + per_category["computers"]
+    base, lights, computers = (
+        masked_sum(series, mask) * WH_PER_WMIN
+        for series in (ledger.base_w, ledger.lights_w, ledger.computers_w)
+    )
+    total = base + lights + computers
     if total <= 0:
         raise ValueError("window has zero energy; proportions undefined")
-    return (
-        per_category["base"] / total,
-        per_category["lights"] / total,
-        per_category["computers"] / total,
-    )
+    return base / total, lights / total, computers / total

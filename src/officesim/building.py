@@ -72,21 +72,8 @@ class BuildingModel(NamedTuple):
     base_load_watts: float
     max_occupants: int
 
-    def room(self, room_id: str) -> Room:
-        for room in self.rooms:
-            if room.id == room_id:
-                return room
-        raise KeyError(room_id)
-
-    def desk_rooms(self) -> tuple[Room, ...]:
-        """Rooms occupants can be assigned to, in file order."""
-        return tuple(r for r in self.rooms if r.desk_capacity > 0)
-
     def facility_rooms(self) -> tuple[Room, ...]:
         return tuple(r for r in self.rooms if r.kind in FACILITY_KINDS)
-
-    def corridor_rooms(self) -> tuple[Room, ...]:
-        return tuple(r for r in self.rooms if r.kind is RoomKind.CORRIDOR)
 
     def total_desk_capacity(self) -> int:
         return sum(r.desk_capacity for r in self.rooms)

@@ -15,16 +15,14 @@ from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import accumulate, count, repeat
-from operator import add, itemgetter, sub, truediv
+from itertools import accumulate, repeat
+from operator import add, sub, truediv
 from random import Random
 from typing import NamedTuple
 
 from . import sha256
 from .accounting import (
-    BetaReport,
     EnergyLedger,
-    build_beta_report,
     column_means,
     integer_units,
     pairwise_mean,
@@ -79,18 +77,6 @@ def derive_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-class AgentRecord(NamedTuple):
-    """Immutable per-agent facts captured for the result roster."""
-
-    id: int
-    schedule_class: ScheduleClass
-    stereotype: Stereotype
-    office_room_id: str
-    computer_id: str | None
-    initial_awareness: float
-    final_awareness: float
-
-
 def _columns(typecodes: str) -> tuple[array, ...]:
     return tuple(array(typecode) for typecode in typecodes)
 
@@ -98,10 +84,10 @@ def _columns(typecodes: str) -> tuple[array, ...]:
 class RunRecord:
     """What one agent pass did, in ``array`` columns (the agents' desks are
     the scenario's ``seats``); the results of its arms share it. Each
-    arm's lights are built from it once the pass ends, and the roster,
-    contacts and computer transitions on demand. The int32
-    columns hold any run that fits in memory: a minute past 2**31 needs
-    float64 series of 16 GiB each."""
+    arm's lights are built from it once the pass ends; ``officesim.checks``
+    derives the roster, contacts and computer transitions from it. The
+    int32 columns hold any run that fits in memory: a minute past 2**31
+    needs float64 series of 16 GiB each."""
 
     def __init__(self, scenario, seed, agents, email_p):
         self.scenario = scenario  # its lighting policy is not used
@@ -130,71 +116,15 @@ class RunRecord:
         # leaver's awareness then (else -1).
         self.turn_position, self.turn_zone, self.turn_awareness = _columns("iid")
 
-    def _stay_emails(self):
-        """Each recorded office stay's emails, in the order of the stays,
-        drawn by ``contact_step`` from a fresh email stream of its sender.
-        Nothing else draws from those streams, and the pass draws each
-        sender's stays up to the first that can raise nobody, and none
-        after it, so the emails the pass drew come out the same."""
-        # The network, too, is built again from its own stream: kept, it
-        # would hold ~70 KB per replication of an experiment.
-        scenario = self.scenario
-        network = _build_network(
-            scenario.population_size, scenario.small_world_k,
-            scenario.small_world_beta, Random(derive_seed(self.seed, "network")),
-            scenario.lattice,
-        )
-        rngs: dict[int, Random] = {}
-        stays = zip(self.stay_sender, self.stay_start, self.stay_end)
-        for sender, start, end in stays:
-            rng = rngs.get(sender)
-            if rng is None:
-                rng = rngs[sender] = Random(derive_seed(self.seed, f"email:{sender}"))
-            yield contact_step(network, sender, self.email_p[sender], start, end, rng)
-
-    @cached_property
-    def contacts(self) -> tuple[tuple[int, int, int], ...]:
-        """Every email of every recorded office stay as ``(sender_id,
-        receiver_id, minute)``, sorted by minute, then sender."""
-        contacts: list[tuple[int, int, int]] = []
-        for emails in self._stay_emails():
-            contacts += emails
-        # By minute, then sender: two stable sorts on int keys.
-        contacts.sort(key=itemgetter(0))
-        contacts.sort(key=itemgetter(2))
-        return tuple(contacts)
-
-    @cached_property
-    def contact_count(self) -> int:
-        """The number of ``contacts``, counted without building them
-        unless they are built already."""
-        if "contacts" in self.__dict__:
-            return len(self.contacts)
-        return sum(map(len, self._stay_emails()))
-
-    @cached_property
-    def computer_transitions(self) -> dict[str, tuple[tuple[int, float], ...]]:
-        """Each computer's wattage changes as (minute, watts), from
-        (0, off watts), in catalog order."""
-        levels = self.scenario.computer_levels[1]
-        transitions = {cid: [(0, ws[POWER_OFF])] for cid, ws in levels.items()}
-        owned = self.scenario.seats[1]
-        rows = zip(self.computer_minute, self.computer_agent, self.computer_power)
-        for minute, agent_id, power in rows:
-            cid = owned[agent_id]
-            watts = levels[cid][power]
-            if watts != transitions[cid][-1][1]:
-                transitions[cid].append((minute, watts))
-        return {cid: tuple(ts) for cid, ts in transitions.items()}
-
 
 @dataclass(frozen=True)
 class ReplicationResult:
-    """One arm of one agent pass: its ledger, light intervals and manual
-    light events, and views of the ``record`` it shares with the other
-    arms, built on demand."""
+    """One arm of one agent pass: its lighting policy, ledger, light
+    intervals and manual light events, and the ``record`` it shares with
+    the other arms."""
 
     seed: int
+    policy: LightingPolicy
     n_minutes: int
     ledger: EnergyLedger
     light_intervals: dict[str, tuple[tuple[int, int], ...]]  # room -> on-intervals
@@ -204,65 +134,6 @@ class ReplicationResult:
     # that triggered each, its kind code and its room index; none under
     # the automated policy.
     manual: tuple[array, array, array]
-
-    @property
-    def roster(self) -> tuple[AgentRecord, ...]:
-        """Each agent's facts by id, built on each use from the record's
-        roster columns and the scenario's seats."""
-        record = self.record
-        classes = map(SCHEDULE_CLASSES.__getitem__, record.schedule_class)
-        stereotypes = map(STEREOTYPES.__getitem__, record.stereotype)
-        return tuple(map(
-            AgentRecord, count(), classes, stereotypes, *record.scenario.seats,
-            record.initial_awareness, record.final_awareness,
-        ))
-
-    @property
-    def contacts(self) -> tuple[tuple[int, int, int], ...]:
-        """``(sender_id, receiver_id, minute)`` per email, sorted by
-        minute, then sender; built once per pass."""
-        return self.record.contacts
-
-    @property
-    def contact_count(self) -> int:
-        """The number of emails of the pass; counted once per pass."""
-        return self.record.contact_count
-
-    @property
-    def computer_transitions(self) -> dict[str, tuple[tuple[int, float], ...]]:
-        """Each computer's wattage changes as (minute, watts), from
-        (0, off watts), in catalog order; built once per pass."""
-        return self.record.computer_transitions
-
-    def appliance_energies(
-        self, start: int = 0, end: int | None = None
-    ) -> list[tuple[str, float, float]]:
-        """(id, max watts, watt-hours) per flexible appliance over
-        [start, end), integrated from state-transition logs (a route
-        independent of the per-minute ledger)."""
-        if end is None:
-            end = self.n_minutes
-        out: list[tuple[str, float, float]] = []
-        for room in self.building.rooms:
-            intervals = self.light_intervals.get(room.id, ())
-            on_minutes = sum(max(0, min(b, end) - max(a, start)) for a, b in intervals)
-            for lid in room.light_ids:
-                watts = self.building.lights[lid].watts_on
-                out.append((lid, watts, watts * on_minutes / 60.0))
-        for cid, transitions in self.computer_transitions.items():
-            ends = [t for t, _ in transitions[1:]] + [self.n_minutes]
-            wmin = 0.0
-            for (t, w), t_next in zip(transitions, ends):
-                lo, hi = max(t, start), min(t_next, end)
-                if hi > lo:
-                    wmin += w * (hi - lo)
-            out.append((cid, self.building.computers[cid].watts_on, wmin / 60.0))
-        return out
-
-    def beta_report(self, start: int = 0, end: int | None = None) -> BetaReport:
-        if end is None:
-            end = self.n_minutes
-        return build_beta_report(self.appliance_energies(start, end), start, end)
 
     def mean_final_awareness(self) -> float:
         awareness = self.record.final_awareness
@@ -315,8 +186,7 @@ def run_replication_arms(
     minute's agents. A receiver already at the cap is not queued; the
     cap is absorbing. A stay whose sender's neighbors are all at the cap,
     or any stay at awareness delta 0, is recorded but not drawn: it can
-    raise nobody. ``contact_count`` and ``contacts`` replay every
-    recorded stay.
+    raise nobody. ``checks.contacts`` replays every recorded stay.
 
     Computers are not on the calendar either: ``step_occupant`` draws a
     stay's whole computer cycle at the entry, into the record. The
@@ -341,7 +211,7 @@ def run_replication_arms(
         scenario.population_size, scenario.mix, building, rng_population,
         seats=scenario.seats,
     )
-    network = _build_network(
+    network = build_network(
         len(agents), scenario.small_world_k, scenario.small_world_beta, rng_network,
         scenario.lattice,
     )
@@ -418,7 +288,7 @@ def run_replication_arms(
         # raised. A stay that can raise nobody is recorded but not drawn:
         # awareness never falls and the cap is absorbing, so its sender is
         # done and its stream released, and what it drew stays in step
-        # with the replay of every stay (RunRecord._stay_emails).
+        # with the replay of every stay (checks.contacts).
         rng = email_rngs[agent_id]
         if not raising or rng is False:
             return
@@ -516,6 +386,7 @@ def run_replication_arms(
         lights = _replay_lights(banks, room_units, per_watt, n_minutes)
         results.append(ReplicationResult(
             seed=seed,
+            policy=policy,
             n_minutes=n_minutes,
             ledger=EnergyLedger(base_arr, lights, computers_arr),
             light_intervals={b.room_id: tuple(b.intervals) for b in banks},
@@ -661,7 +532,7 @@ def building_layout(building: BuildingModel) -> Layout:
     )
 
 
-def _build_network(
+def build_network(
     n: int, k: int, beta: float, rng, lattice=None
 ) -> SocialNetwork | None:
     """The network at the degree adapted to the population

@@ -29,9 +29,6 @@ class SocialNetwork:
     edges: frozenset[tuple[int, int]]  # (lo, hi) pairs
     neighbors: tuple[tuple[int, ...], ...]  # sorted adjacency per node
 
-    def degree(self, node: int) -> int:
-        return len(self.neighbors[node])
-
 
 def network_degree(n: int, k: int) -> int:
     """The degree of the network of ``n`` agents: ``k`` capped at n - 1

@@ -77,6 +77,12 @@ def run_events(result) -> list[OccupantEvent]:
     return [event for _, event in keyed]
 
 
+def series_bytes(ledger) -> tuple[bytes, bytes, bytes]:
+    """The bytes of a ledger's three series, to compare ledgers by."""
+    series = (ledger.base_w, ledger.lights_w, ledger.computers_w)
+    return tuple(s.tobytes() for s in series)
+
+
 def occupancy_turns(pattern) -> list[int]:
     """The minutes at which an occupancy ``pattern`` (occupied or not, per
     minute, from vacant) turns occupied and vacant in turn: the turns the

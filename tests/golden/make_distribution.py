@@ -107,7 +107,12 @@ def replication_stats(automated, staff) -> dict[str, float]:
     """The fixture's statistics of one pass: ``automated`` and ``staff``
     are its two arms."""
     from officesim import EventKind
-    from officesim.checks import room_occupancy
+    from officesim.checks import (
+        computer_transitions,
+        contact_count,
+        room_occupancy,
+        roster,
+    )
     from officesim.occupants import EVENT_KINDS
 
     from conftest import POWER_EVENTS
@@ -130,7 +135,7 @@ def replication_stats(automated, staff) -> dict[str, float]:
 
     computers = automated.building.computers
     on = standby = 0
-    for cid, transitions in automated.computer_transitions.items():
+    for cid, transitions in computer_transitions(record).items():
         spec = computers[cid]
         ends = [t for t, _ in transitions[1:]] + [automated.n_minutes]
         for (start, watts), end in zip(transitions, ends):
@@ -141,14 +146,15 @@ def replication_stats(automated, staff) -> dict[str, float]:
     stats["computer_on_minutes"] = on
     stats["computer_standby_minutes"] = standby
     stats["kwh:computers"] = automated.ledger.energy_wh()["computers"] / 1000.0
-    stats["contacts"] = automated.contact_count
-    final = [r.final_awareness for r in automated.roster]
-    gain = sum(final) - sum(r.initial_awareness for r in automated.roster)
+    contacts = contact_count(record)
+    stats["contacts"] = contacts
+    agents = roster(record)
+    final = [r.final_awareness for r in agents]
+    gain = sum(final) - sum(r.initial_awareness for r in agents)
     stats["awareness:final_mean"] = sum(final) / len(final)
     stats["awareness:gain_mean"] = gain / len(final)
     # Below the cap each contact adds the awareness delta; rounded, so that
     # summation noise is no difference.
-    contacts = automated.contact_count
     stats["awareness:gain_per_contact"] = round(gain / contacts, 9) if contacts else 0.0
 
     occupancy = room_occupancy(automated)

@@ -104,6 +104,8 @@ def _cli_fingerprints(workdir: Path) -> dict:
 
 
 def _replication_digest(result) -> dict[str, str]:
+    from officesim.checks import computer_transitions, contact_count, roster
+
     from conftest import run_events
 
     return {
@@ -119,16 +121,19 @@ def _replication_digest(result) -> dict[str, str]:
             for room, intervals in sorted(result.light_intervals.items())
         ),
         "computer_transitions": _lines_sha(
-            f"{cid}:{ts!r}" for cid, ts in sorted(result.computer_transitions.items())
+            f"{cid}:{ts!r}"
+            for cid, ts in sorted(computer_transitions(result.record).items())
         ),
         "contacts_and_awareness": _lines_sha(
-            [str(result.contact_count)]
-            + [f"{r.id}:{r.final_awareness!r}" for r in result.roster]
+            [str(contact_count(result.record))]
+            + [f"{r.id}:{r.final_awareness!r}" for r in roster(result.record)]
         ),
     }
 
 
 def _trace_digest(result, trace) -> dict[str, str]:
+    from officesim.checks import contacts
+
     return {
         "state_transitions": _lines_sha(
             f"{m},{a},{before.value},{after.value}"
@@ -147,7 +152,7 @@ def _trace_digest(result, trace) -> dict[str, str]:
         "awareness_by_day": _sha(b"".join(a.tobytes() for a in trace.awareness_by_day)),
         "contact_events": _lines_sha(
             f"{sender_id},{receiver_id},{minute}"
-            for sender_id, receiver_id, minute in result.contacts
+            for sender_id, receiver_id, minute in contacts(result.record)
         ),
     }
 
@@ -174,7 +179,7 @@ def _engine_fingerprints() -> dict:
             runs[f"replication/{start_name}/{policy}"] = _replication_digest(result)
     friday = replace(ref, start_day_of_week=STARTS["friday"], contact_rate=CONTACT_RATE)
     result = run_replication(friday, seed)
-    runs["trace/friday/automated"] = _trace_digest(result, derive_trace(result, friday))
+    runs["trace/friday/automated"] = _trace_digest(result, derive_trace(result))
     return runs
 
 

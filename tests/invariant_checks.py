@@ -2,8 +2,9 @@
 
 Each check returns a list of violation messages (empty means the
 invariant held) so callers can aggregate across many replications.
-Checks of per-minute facts read the ``RunTrace`` that ``derive_trace``
-builds from the run record.
+Checks of what a pass decided read the ``PassTrace`` that ``trace_pass``
+derives from its run record once for all its arms; checks of an arm's
+lights read the ``RunTrace`` that ``derive_trace`` adds them to.
 """
 
 from __future__ import annotations
@@ -13,9 +14,15 @@ from random import Random
 
 import numpy as np
 
-from officesim import AgentState, BetaReport, ReplicationResult, RoomKind, Scenario
-from officesim.checks import RunTrace, derive_trace
-from officesim.engine import _build_network, derive_seed
+from officesim import AgentState, BetaReport, ReplicationResult, RoomKind
+from officesim.checks import (
+    PassTrace,
+    RunTrace,
+    beta_report,
+    derive_trace,
+    trace_pass,
+)
+from officesim.engine import build_network, derive_seed
 from officesim.occupants import (
     ENTER_BUILDING,
     ENTER_OTHER_ROOM,
@@ -37,7 +44,7 @@ from conftest import POWER_EVENTS
 POWER_CODES = np.array([EVENT_KINDS.index(kind) for kind in POWER_EVENTS])
 
 
-def check_edge_legality(trace: RunTrace) -> list[str]:
+def check_edge_legality(trace: PassTrace) -> list[str]:
     """Each agent's transitions chain: the first leaves the out-of-school
     state, each starts in the state the one before it entered, and the
     last returns the agent out of school."""
@@ -57,30 +64,10 @@ def check_edge_legality(trace: RunTrace) -> list[str]:
     return violations
 
 
-OFFICE = frozenset({AgentState.IN_OWN_OFFICE})
-IN_BUILDING = frozenset(AgentState) - {AgentState.OUT_OF_SCHOOL}
-
-
-def stays(
-    result: ReplicationResult, trace: RunTrace, states: frozenset[AgentState]
-) -> dict[int, list[tuple[int, int]]]:
-    """Per-agent [start, end) intervals spent in any of ``states``."""
-    intervals: dict[int, list[tuple[int, int]]] = {}
-    entered: dict[int, int] = {}
-    for minute, agent_id, before, after in trace.state_transitions:
-        if after in states and before not in states:
-            entered[agent_id] = minute
-        elif before in states and after not in states:
-            intervals.setdefault(agent_id, []).append((entered.pop(agent_id), minute))
-    for agent_id, start in entered.items():
-        intervals.setdefault(agent_id, []).append((start, result.n_minutes))
-    return intervals
-
-
-def check_schedule_containment(result: ReplicationResult, trace: RunTrace) -> list[str]:
+def check_schedule_containment(trace: PassTrace) -> list[str]:
     violations = []
     schedules = trace.schedules
-    for agent_id, intervals in stays(result, trace, OFFICE).items():
+    for agent_id, intervals in trace.office_stays.items():
         for start, end in intervals:
             day = start // MINUTES_PER_DAY
             if end > (day + 1) * MINUTES_PER_DAY:
@@ -106,7 +93,7 @@ def check_schedule_containment(result: ReplicationResult, trace: RunTrace) -> li
 
 
 def check_no_events_while_absent(
-    result: ReplicationResult, trace: RunTrace
+    result: ReplicationResult, trace: PassTrace
 ) -> list[str]:
     """An agent out of the building emits nothing: every event of an
     agent falls inside one of its presence spans. The events are the rows
@@ -135,7 +122,7 @@ def check_no_events_while_absent(
     stride = result.n_minutes + 1
     spans = sorted(
         (agent_id * stride + a, agent_id * stride + b)
-        for agent_id, intervals in stays(result, trace, IN_BUILDING).items()
+        for agent_id, intervals in trace.building_stays.items()
         for a, b in intervals
     )
     starts, ends = np.array([(-1, -1), *spans], dtype=np.int64).T
@@ -150,12 +137,11 @@ def check_no_events_while_absent(
     ]
 
 
-def check_automated_light_rule(
-    result: ReplicationResult, trace: RunTrace, off_delay: int
-) -> list[str]:
-    """The exact automated rule: a room with lights is lit at minute m iff
-    it was occupied at some minute in [m - off_delay, m]; a room without
-    lights is never lit."""
+def check_automated_light_rule(result: ReplicationResult, trace: RunTrace) -> list[str]:
+    """The exact automated rule at the off delay of ``result``'s policy: a
+    room with lights is lit at minute m iff it was occupied at some minute
+    in [m - off_delay, m]; a room without lights is never lit."""
+    off_delay = result.policy.off_delay_minutes
     violations = []
     for i, room_id in enumerate(trace.room_ids):
         lights_on = trace.lights_on[i]
@@ -285,27 +271,21 @@ def check_staff_switch_offs(result: ReplicationResult) -> list[str]:
     return violations
 
 
-def check_awareness_monotone(
-    result: ReplicationResult, trace: RunTrace, awareness_delta: float
-) -> list[str]:
+def check_awareness_monotone(result: ReplicationResult, trace: PassTrace) -> list[str]:
     """Awareness never falls nor passes 100, and each agent's final
-    awareness is exactly its initial one raised by ``awareness_delta`` per
-    contact it received, in order, capped at 100."""
+    awareness is exactly its initial one raised by the awareness delta per
+    email it received, capped at 100 (``trace.awareness_at_end``)."""
     violations = []
-    days = trace.awareness_by_day
-    series = np.stack(days + [np.array([r.final_awareness for r in result.roster])])
+    final = result.record.final_awareness
+    series = np.stack(trace.awareness_by_day + [np.array(final)])
     if (np.diff(series, axis=0) < 0).any():
         violations.append("awareness decreased during the run")
     if (series > 100.0).any():
         violations.append("awareness exceeded the cap of 100")
-    awareness = [r.initial_awareness for r in result.roster]
-    for _, receiver_id, _ in result.contacts:
-        raised = awareness[receiver_id] + awareness_delta
-        awareness[receiver_id] = raised if raised < 100.0 else 100.0
-    for record, replayed in zip(result.roster, awareness):
-        if record.final_awareness != replayed:
+    for agent_id, (recorded, replayed) in enumerate(zip(final, trace.awareness_at_end)):
+        if recorded != replayed:
             violations.append(
-                f"agent {record.id}: final awareness {record.final_awareness!r}, "
+                f"agent {agent_id}: final awareness {recorded!r}, "
                 f"{replayed!r} replayed from its contacts"
             )
     return violations
@@ -316,28 +296,28 @@ def check_stereotype_immutable(result: ReplicationResult) -> list[str]:
     # single value per agent, so equality with itself is trivially true.
     # What can drift is awareness leaving [0, 100].
     violations = []
-    for record in result.roster:
-        if not 0.0 <= record.final_awareness <= 100.0:
+    for agent_id, final in enumerate(result.record.final_awareness):
+        if not 0.0 <= final <= 100.0:
             violations.append(
-                f"agent {record.id}: final awareness {record.final_awareness} "
-                "outside [0, 100]"
+                f"agent {agent_id}: final awareness {final} outside [0, 100]"
             )
     return violations
 
 
-def replication_network(result: ReplicationResult, scenario: Scenario):
+def replication_network(result: ReplicationResult):
     """The replication's social network, rebuilt from its own stream (the
     network stream feeds nothing else); None where contacts are off."""
-    return _build_network(
-        len(result.roster),
+    scenario = result.record.scenario
+    return build_network(
+        scenario.population_size,
         scenario.small_world_k,
         scenario.small_world_beta,
         Random(derive_seed(result.seed, "network")),
     )
 
 
-def check_network_edges(result: ReplicationResult, scenario: Scenario) -> list[str]:
-    network = replication_network(result, scenario)
+def check_network_edges(result: ReplicationResult) -> list[str]:
+    network = replication_network(result)
     if network is None:
         return []
     expected = network.n * network.k // 2
@@ -394,34 +374,39 @@ def check_accounting_identity(
     return []
 
 
-def run_all_checks(result: ReplicationResult, scenario: Scenario):
-    """Every check on a replication ``result`` of ``scenario``; the trace
-    and the beta report are built once and shared."""
-    trace = derive_trace(result, scenario)
-    violations = check_edge_legality(trace)
+def run_all_checks(*arms: ReplicationResult) -> list[str]:
+    """Every check on ``arms``, one or more results of one agent pass,
+    each under its own policy: what the pass decided is derived and
+    checked once (``trace_pass``), and each arm's lights and manual
+    events on their own."""
+    first = arms[0]
+    if any(arm.record is not first.record for arm in arms):
+        raise ValueError("the arms come from different passes")
+    shared = trace_pass(first)
+    violations = check_edge_legality(shared)
     if violations:
         return violations  # the checks below replay stays from whole chains
-    violations += check_schedule_containment(result, trace)
-    violations += check_no_events_while_absent(result, trace)
-    if scenario.policy.is_automated:
-        violations += check_automated_light_rule(
-            result, trace, scenario.policy.off_delay_minutes
-        )
-    else:
-        violations += check_staff_passivity(result)
-        violations += check_staff_lit_while_occupied(result, trace)
-        violations += check_staff_switch_offs(result)
-    violations += check_awareness_monotone(result, trace, scenario.awareness_delta)
-    violations += check_stereotype_immutable(result)
-    violations += check_network_edges(result, scenario)
-    try:
-        report = result.beta_report()
-    except Exception as exc:  # AccountingError means a beta left [0, 1]
-        violations.append(f"beta report failed: {exc}")
-        report = None
-    else:
-        violations += check_betas_in_range(report)
-    violations += check_wattage_lattice(result)
-    if report is not None:
-        violations += check_accounting_identity(result, report)
+    violations += check_schedule_containment(shared)
+    violations += check_awareness_monotone(first, shared)
+    violations += check_stereotype_immutable(first)
+    violations += check_network_edges(first)
+    for result in arms:
+        trace = derive_trace(result, shared)
+        violations += check_no_events_while_absent(result, trace)
+        if result.policy.is_automated:
+            violations += check_automated_light_rule(result, trace)
+        else:
+            violations += check_staff_passivity(result)
+            violations += check_staff_lit_while_occupied(result, trace)
+            violations += check_staff_switch_offs(result)
+        try:
+            report = beta_report(result, transitions=shared.computer_transitions)
+        except Exception as exc:  # AccountingError means a beta left [0, 1]
+            violations.append(f"beta report failed: {exc}")
+            report = None
+        else:
+            violations += check_betas_in_range(report)
+        violations += check_wattage_lattice(result)
+        if report is not None:
+            violations += check_accounting_identity(result, report)
     return violations

@@ -25,6 +25,7 @@ from officesim import (
     window_mask,
 )
 from officesim.appliances import RoomLightBank
+from officesim.checks import beta_report
 from officesim.engine import PolicyComparison
 from officesim.occupants import (
     MINUTES_PER_DAY,
@@ -75,11 +76,11 @@ def test_criterion_1_accounting_identity(automated_experiment):
     assert (residual == 0).all()
 
     flexible = ledger.flexible_energy_wh()
-    reconstructed = rep.beta_report().reconstructed_flexible_wh()
+    reconstructed = beta_report(rep).reconstructed_flexible_wh()
     assert abs(reconstructed - flexible) / flexible <= 1e-9
 
     lo, hi = 2 * MINUTES_PER_DAY, 5 * MINUTES_PER_DAY
-    windowed = rep.beta_report(lo, hi).reconstructed_flexible_wh()
+    windowed = beta_report(rep, lo, hi).reconstructed_flexible_wh()
     window_flexible = ledger.flexible_energy_wh(lo, hi)
     assert abs(windowed - window_flexible) / window_flexible <= 1e-9
     _passed(1, "per-minute identity exact; duty-coefficient reconstruction "
@@ -226,7 +227,7 @@ def test_criterion_9_state_machine_properties():
     for _ in range(100):
         scenario = random_scenario(rng)
         result = run_replication(scenario, seed=rng.randrange(2**31))
-        total_violations += run_all_checks(result, scenario)
+        total_violations += run_all_checks(result)
     elapsed = time.perf_counter() - start
     assert not total_violations, total_violations[:10]
     assert elapsed < 600

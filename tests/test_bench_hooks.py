@@ -7,6 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from officesim import compare_policies
+from officesim.checks import contact_count
 
 from conftest import make_building_text, make_small_scenario
 
@@ -48,7 +49,7 @@ def test_tracer_counts_every_email():
     contacts = recorder.stats["network.contact_step"]["outcomes"]
     assert contacts > 0
     assert contacts == sum(
-        rep.contact_count for rep in comparison.automated.replications
+        contact_count(rep.record) for rep in comparison.automated.replications
     )
 
 

@@ -28,7 +28,14 @@ from officesim import (
     run_replication,
 )
 from officesim.accounting import sequential_sum
-from officesim.checks import derive_trace
+from officesim.checks import (
+    beta_report,
+    computer_transitions,
+    contact_count,
+    contacts,
+    derive_trace,
+    roster,
+)
 from officesim.engine import run_replication_arms
 from officesim.occupants import (
     NEVER,
@@ -47,6 +54,7 @@ from conftest import (
     make_small_building,
     make_small_scenario,
     run_events,
+    series_bytes,
 )
 from invariant_checks import (
     check_automated_light_rule,
@@ -96,18 +104,18 @@ def test_replication_is_deterministic():
     scenario = make_small_scenario(population_size=5, horizon_days=2)
     a = run_replication(scenario, seed=99)
     b = run_replication(scenario, seed=99)
-    assert a.ledger == b.ledger
+    assert series_bytes(a.ledger) == series_bytes(b.ledger)
     assert run_events(a) == run_events(b)
-    assert a.roster == b.roster
+    assert roster(a.record) == roster(b.record)
     assert a.light_intervals == b.light_intervals
-    assert a.computer_transitions == b.computer_transitions
+    assert computer_transitions(a.record) == computer_transitions(b.record)
 
 
 def test_different_seeds_differ():
     scenario = make_small_scenario(population_size=5, horizon_days=2)
     a = run_replication(scenario, seed=1)
     b = run_replication(scenario, seed=2)
-    assert a.ledger != b.ledger
+    assert series_bytes(a.ledger) != series_bytes(b.ledger)
 
 
 def test_series_length_matches_horizon():
@@ -143,13 +151,13 @@ def test_accounting_identity_and_beta_reconstruction():
         (ledger.total_w, ledger.base_w, ledger.lights_w, ledger.computers_w),
     )
     assert (total - base - lights - computers == 0).all()
-    report = result.beta_report()
+    report = beta_report(result)
     flexible = ledger.flexible_energy_wh()
     assert flexible > 0
     assert report.reconstructed_flexible_wh() == pytest.approx(flexible, rel=1e-9)
     # windowed reconstruction agrees with the windowed ledger too
     lo, hi = 600, 2000
-    windowed = result.beta_report(lo, hi)
+    windowed = beta_report(result, lo, hi)
     assert windowed.reconstructed_flexible_wh() == pytest.approx(
         ledger.flexible_energy_wh(lo, hi), rel=1e-9, abs=1e-6
     )
@@ -166,7 +174,7 @@ def test_single_early_bird_light_energy_bounds():
         master_seed=3,
     )
     result = run_replication(scenario, seed=11)
-    office = result.roster[0].office_room_id
+    office = roster(result.record)[0].office_room_id
     presence = 0
     enters = 0
     last_enter = None
@@ -176,10 +184,8 @@ def test_single_early_bird_light_energy_bounds():
             enters += 1
         elif ev.kind in (EventKind.LEAVE_OFFICE_TEMPORARY, EventKind.LEAVE_OFFICE_LONG):
             presence += ev.minute - last_enter
-    watts = sum(
-        building.lights[lid].watts_on
-        for lid in building.room(office).light_ids
-    )
+    (room,) = [room for room in building.rooms if room.id == office]
+    watts = sum(building.lights[lid].watts_on for lid in room.light_ids)
     on_minutes = sum(
         (e if e != -1 else result.n_minutes) - s
         for s, e in result.light_intervals[office]
@@ -206,7 +212,9 @@ def test_experiment_seed_independence_under_rep_count():
     longer = run_experiment(replace(scenario, replications=5, master_seed=21))
     for i in range(3):
         assert short.rep_seeds[i] == longer.rep_seeds[i]
-        assert short.replications[i].ledger == longer.replications[i].ledger
+        assert series_bytes(short.replications[i].ledger) == series_bytes(
+            longer.replications[i].ledger
+        )
 
 
 def test_experiment_different_master_seeds():
@@ -229,8 +237,9 @@ def test_compare_policies_shares_populations_and_computers():
     comparison = compare_policies(replace(scenario, replications=2, master_seed=10))
     auto = comparison.automated.replications[0]
     staff = comparison.staff_controlled.replications[0]
-    assert auto.roster == staff.roster
-    assert auto.computer_transitions == staff.computer_transitions
+    assert auto.record is staff.record
+    assert roster(auto.record) == roster(staff.record)
+    assert computer_transitions(auto.record) == computer_transitions(staff.record)
     assert np.array_equal(auto.ledger.computers_w, staff.ledger.computers_w)
     assert comparison.automated.scenario.policy.kind is PolicyKind.AUTOMATED
     assert (
@@ -267,7 +276,7 @@ def test_big_population_mix_override():
         mix=PopulationMix(awareness={Stereotype.BIG_USER: 1.0}),
     )
     result = run_replication(scenario, seed=2)
-    assert all(r.stereotype is Stereotype.BIG_USER for r in result.roster)
+    assert all(r.stereotype is Stereotype.BIG_USER for r in roster(result.record))
 
 
 def test_agent_left_in_building_at_midnight_is_a_runtime_error(monkeypatch):
@@ -309,7 +318,7 @@ def test_untraced_runs_build_no_event_objects():
     }
     assert all(type(e) is OccupantEvent for e in viewed)
     result = run_replication(scenario, seed=3)
-    assert len(result.contacts) == result.contact_count > 0
+    assert len(contacts(result.record)) == contact_count(result.record) > 0
 
 
 def test_experiment_replications_pass_every_check():
@@ -317,15 +326,14 @@ def test_experiment_replications_pass_every_check():
     # experiment and of a comparison are traced and checked like any
     # other, and their contacts view replays every email counted.
     scenario = make_small_scenario(population_size=5, contact_rate=50.0)
-    staff = replace(scenario, policy=LightingPolicy.staff_controlled())
     results = (
         run_experiment(scenario).replications[0],
         compare_policies(scenario).staff_controlled.replications[0],
     )
-    for checked, result in zip((scenario, staff), results):
-        assert result.contact_count > 0
-        assert len(result.contacts) == result.contact_count
-        assert not run_all_checks(result, checked)
+    for result in results:
+        assert contact_count(result.record) > 0
+        assert len(contacts(result.record)) == contact_count(result.record)
+        assert not run_all_checks(result)
     assert any(ev.kind is EventKind.MANUAL_LIGHTS_ON for ev in run_events(results[1]))
 
 
@@ -359,10 +367,10 @@ def test_stays_that_can_raise_nobody_are_recorded_but_not_drawn(
         assert bool(drawn) is draws
         for experiment in (comparison.automated, comparison.staff_controlled):
             (result,) = experiment.replications
-            count = result.contact_count  # counted before the view is built
-            assert count == len(result.contacts) > 0
-            assert not run_all_checks(result, experiment.scenario)
-    assert all(r.final_awareness == r.initial_awareness for r in result.roster)
+            count = contact_count(result.record)
+            assert count == len(contacts(result.record)) > 0
+            assert not run_all_checks(result)
+    assert all(r.final_awareness == r.initial_awareness for r in roster(result.record))
 
 
 def test_idle_stretches_match_minute_by_minute_recording():
@@ -374,11 +382,12 @@ def test_idle_stretches_match_minute_by_minute_recording():
         policy=LightingPolicy.staff_controlled(),
     )
     result = run_replication(scenario, seed=8)
-    trace = derive_trace(result, scenario)
+    trace = derive_trace(result)
     building = scenario.building
+    assert trace.room_ids == tuple(room.id for room in building.rooms)
     watts = np.array([
-        sum(building.lights[lid].watts_on for lid in building.room(rid).light_ids)
-        for rid in trace.room_ids
+        sum(building.lights[lid].watts_on for lid in room.light_ids)
+        for room in building.rooms
     ])
     assert np.array_equal(watts @ trace.lights_on, result.ledger.lights_w)
 
@@ -410,9 +419,11 @@ def test_shared_pass_arms_equal_solo_replications():
                 assert (getattr(arm.ledger, name).tobytes()
                         == getattr(solo.ledger, name).tobytes()), name
             assert arm.light_intervals == solo.light_intervals
-            assert arm.computer_transitions == solo.computer_transitions
-            assert arm.contact_count == solo.contact_count
-            assert arm.roster == solo.roster
+            assert computer_transitions(arm.record) == computer_transitions(
+                solo.record
+            )
+            assert contact_count(arm.record) == contact_count(solo.record)
+            assert roster(arm.record) == roster(solo.record)
             seen["manual_events"] += sum(
                 ev.kind in (EventKind.MANUAL_LIGHTS_ON, EventKind.MANUAL_LIGHTS_OFF)
                 for ev in run_events(arm)
@@ -420,7 +431,7 @@ def test_shared_pass_arms_equal_solo_replications():
         seen["delays"].update((first, second))
         seen["contact_rates"].add(scenario.contact_rate)
         seen["start_days"].add(scenario.start_day_of_week)
-        seen["no_network"] += replication_network(arms[0], scenario) is None
+        seen["no_network"] += replication_network(arms[0]) is None
     assert seen["delays"] == {5, 20, 30}
     assert seen["contact_rates"] == {0.0, 1.0, 50.0}
     assert seen["start_days"] == set(range(7))
@@ -446,10 +457,8 @@ def test_automated_arms_keep_the_rule_at_every_delay():
             solo = run_replication(replace(scenario, policy=policy), seed)
             assert arm.light_intervals == solo.light_intervals
             assert arm.ledger.lights_w.tobytes() == solo.ledger.lights_w.tobytes()
-            trace = derive_trace(arm, scenario)
-            assert not check_automated_light_rule(
-                arm, trace, policy.off_delay_minutes
-            )
+            assert arm.policy == policy
+            assert not check_automated_light_rule(arm, derive_trace(arm))
             for spans in arm.light_intervals.values():
                 # Spans that touch are one: a dark minute separates any two.
                 gaps = zip(spans, spans[1:])
@@ -472,10 +481,8 @@ def test_both_arms_switch_exactly_the_rooms_that_have_lights():
     assert [r.id for r in scenario.building.rooms if not r.light_ids] == ["hall-2"]
     policies = (LightingPolicy.automated(), LightingPolicy.staff_controlled())
     automated, staff = run_replication_arms(scenario, 3, policies)
-    assert not check_automated_light_rule(
-        automated, derive_trace(automated, scenario), policies[0].off_delay_minutes
-    )
-    assert not check_staff_lit_while_occupied(staff, derive_trace(staff, scenario))
+    assert not check_automated_light_rule(automated, derive_trace(automated))
+    assert not check_staff_lit_while_occupied(staff, derive_trace(staff))
     for arm in (automated, staff):
         assert arm.light_intervals["kitchen-0"]
         assert arm.light_intervals["hall-2"] == ()
@@ -514,8 +521,8 @@ def _replay_staff_lights(result, awareness_delta):
     corridor = [i for i, room in enumerate(rooms) if room.kind is RoomKind.CORRIDOR]
     rng = random.Random(derive_seed(result.seed, "policy"))
     awareness = list(record.initial_awareness)
-    contacts = iter(result.contacts)
-    contact = next(contacts, None)
+    emails = iter(contacts(record))
+    contact = next(emails, None)
     count = Counter()
     lit_since = [None] * len(rooms)
     intervals = {room.id: [] for room in rooms}
@@ -525,7 +532,7 @@ def _replay_staff_lights(result, awareness_delta):
         while contact is not None and contact[2] < minute:
             receiver_id = contact[1]
             awareness[receiver_id] = min(awareness[receiver_id] + awareness_delta, 100.0)
-            contact = next(contacts, None)
+            contact = next(emails, None)
         kind = EVENT_KINDS[code]
         for space, step in _MOVES[kind]:
             if space is None and room not in corridor:
@@ -568,7 +575,8 @@ def test_staff_lights_equal_an_independent_replay():
         intervals, manual = _replay_staff_lights(result, scenario.awareness_delta)
         assert result.light_intervals == intervals
         assert list(zip(*result.manual)) == manual
-        seen["corridor_rooms"].add(len(scenario.building.corridor_rooms()))
+        rooms = scenario.building.rooms
+        seen["corridor_rooms"].add(sum(r.kind is RoomKind.CORRIDOR for r in rooms))
         seen["contact_rates"].add(scenario.contact_rate)
         seen["switch_offs"] += result.manual[1].count(_LIGHTS_OFF)
     assert seen["corridor_rooms"] == {1, 2, 3}
@@ -594,7 +602,7 @@ def test_computer_transitions_replay_from_events():
         scenario = random_scenario(rng)
         result = run_replication(scenario, seed=rng.randrange(2**31))
         computers = result.building.computers
-        owned = {r.id: r.computer_id for r in result.roster}
+        owned = {r.id: r.computer_id for r in roster(result.record)}
         watts = {cid: spec.watts_off for cid, spec in computers.items()}
         rebuilt = {cid: [(0, w)] for cid, w in watts.items()}
         running = 0.0
@@ -615,7 +623,7 @@ def test_computer_transitions_replay_from_events():
                 rebuilt[cid].append((ev.minute, new_watts))
         series.extend([running] * (result.n_minutes - len(series)))
         assert {cid: tuple(ts) for cid, ts in rebuilt.items()} == (
-            result.computer_transitions
+            computer_transitions(result.record)
         )
         assert series.tobytes() == result.ledger.computers_w.tobytes()
     assert seen == set(spec_watts)
@@ -632,7 +640,7 @@ def test_fractional_computer_watts_sum_exactly_per_minute():
         building=load_building(text), population_size=5, horizon_days=3
     )
     result = run_replication(scenario, seed=29)
-    transitions = result.computer_transitions
+    transitions = computer_transitions(result.record)
     assert sum(map(len, transitions.values())) > 10 * len(transitions)
     deltas = [Fraction(0)] * result.n_minutes
     for changes in transitions.values():
@@ -768,11 +776,11 @@ def test_roster_views_match_the_population_streams():
         assert [
             (r.id, r.schedule_class, r.stereotype, r.office_room_id,
              r.computer_id, r.initial_awareness)
-            for r in rep.roster
+            for r in roster(rep.record)
         ] == [
             (a.id, a.schedule_class, a.stereotype, a.office_room_id,
              a.computer_id, a.awareness)
             for a in agents
         ]
-        final = [r.final_awareness for r in rep.roster]
+        final = [r.final_awareness for r in roster(rep.record)]
         assert rep.mean_final_awareness() == sequential_sum(final) / len(final)

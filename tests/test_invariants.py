@@ -1,12 +1,20 @@
 """Randomized-replication property harness over runs and their records."""
 
 import random
+from collections import Counter
 from copy import copy
 from dataclasses import replace
 
 import pytest
 
-from officesim import LightingPolicy, Scenario, load_building, run_replication
+from officesim import (
+    LightingPolicy,
+    Scenario,
+    compare_policies,
+    load_building,
+    run_replication,
+)
+from officesim import checks
 from officesim.engine import run_replication_arms
 from officesim.checks import _STATE_EDGES, derive_trace
 from officesim.occupants import LEAVE_BUILDING, MANUAL_LIGHTS_OFF, BehaviorParams
@@ -66,7 +74,7 @@ def test_randomized_replications_satisfy_invariants(batch):
     for _ in range(5):
         scenario = random_scenario(rng)
         result = run_replication(scenario, seed=rng.randrange(2**31))
-        violations = run_all_checks(result, scenario)
+        violations = run_all_checks(result)
         assert not violations, violations[:5]
 
 
@@ -82,8 +90,47 @@ def test_zero_watt_lights_pass_every_check():
         building=load_building(text),
     )
     policies = (LightingPolicy.automated(), LightingPolicy.staff_controlled())
-    for policy, arm in zip(policies, run_replication_arms(scenario, 3, policies)):
-        assert run_all_checks(arm, replace(scenario, policy=policy)) == []
+    for arm in run_replication_arms(scenario, 3, policies):
+        assert run_all_checks(arm) == []
+
+
+def test_each_arm_is_checked_under_its_own_policy():
+    # A result names its policy, so each arm of a comparison is checked
+    # under its own with no scenario given; an automated arm checked at
+    # another off delay breaks that delay's rule.
+    scenario = make_small_scenario(
+        population_size=5, horizon_days=7, contact_rate=2000.0
+    )
+    comparison = compare_policies(replace(scenario, replications=1))
+    (automated,) = comparison.automated.replications
+    (staff,) = comparison.staff_controlled.replications
+    assert run_all_checks(automated) == []
+    assert run_all_checks(staff) == []
+    assert run_all_checks(automated, staff) == []
+    moved = replace(automated, policy=LightingPolicy.automated(19))
+    violations = run_all_checks(moved)
+    assert any(v.endswith("against the 19-minute rule") for v in violations), violations
+
+
+def test_checks_of_a_pass_draw_its_stays_and_schedules_once(monkeypatch):
+    # What the arms of a pass share is derived once for all of them: each
+    # recorded stay's emails are drawn once, and each agent's schedule
+    # once a day.
+    scenario = make_small_scenario(population_size=5, contact_rate=200.0)
+    policies = (LightingPolicy.automated(), LightingPolicy.staff_controlled())
+    arms = run_replication_arms(scenario, 3, policies)
+    calls = Counter()
+    for name in ("contact_step", "sample_daily_schedule"):
+        def counted(*args, name=name, real=getattr(checks, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(checks, name, counted)
+    assert run_all_checks(*arms) == []
+    assert calls["contact_step"] == len(arms[0].record.stay_sender) > 0
+    assert calls["sample_daily_schedule"] == (
+        scenario.population_size * scenario.horizon_days
+    )
 
 
 def test_edge_check_reports_a_deleted_agent_event():
@@ -92,7 +139,7 @@ def test_edge_check_reports_a_deleted_agent_event():
     # lights are automated: no manual light event follows a dropped one.
     scenario = make_small_scenario(population_size=5)
     result = run_replication(scenario, seed=11)
-    assert not check_edge_legality(derive_trace(result, scenario))
+    assert not check_edge_legality(derive_trace(result))
     positions, _, _ = result.manual
     assert not positions
     events = run_events(result)
@@ -109,30 +156,29 @@ def test_edge_check_reports_a_deleted_agent_event():
             setattr(record, name, column)
         broken = replace(result, record=record)
         agent_id = events[i].agent_id
-        violations = check_edge_legality(derive_trace(broken, scenario))
+        violations = check_edge_legality(derive_trace(broken))
         assert any(v.startswith(f"agent {agent_id} ") for v in violations), kind
-        assert run_all_checks(broken, scenario) == violations
+        assert run_all_checks(broken) == violations
 
 
-def test_awareness_check_reports_a_deleted_contact():
-    # Final awareness is the exact capped replay of the contacts, so
-    # dropping one email to a receiver below the cap from the record's
-    # contacts view shows.
+def test_awareness_check_reports_a_deleted_contact(monkeypatch):
+    # Final awareness is the exact capped replay of the emails each agent
+    # received, so dropping one email to a receiver below the cap from the
+    # stays the checks draw again shows.
     scenario = make_small_scenario(population_size=5, contact_rate=20.0)
     result = run_replication(scenario, seed=4)
-    delta = scenario.awareness_delta
-    assert not check_awareness_monotone(result, derive_trace(result, scenario), delta)
-    final = {record.id: record.final_awareness for record in result.roster}
-    i = next(i for i, c in enumerate(result.contacts) if final[c[1]] < 100.0)
-    receiver_id = result.contacts[i][1]
-    record = copy(result.record)
-    record.contacts = result.contacts[:i] + result.contacts[i + 1:]
-    broken = replace(result, record=record)
-    (violation,) = check_awareness_monotone(
-        broken, derive_trace(broken, scenario), delta
+    assert not check_awareness_monotone(result, derive_trace(result))
+    final = result.record.final_awareness
+    email = next(c for c in checks.contacts(result.record) if final[c[1]] < 100.0)
+    receiver_id = email[1]
+    draw = checks.contact_step  # one email per sender and minute at most
+    monkeypatch.setattr(
+        checks, "contact_step", lambda *args: [e for e in draw(*args) if e != email]
     )
+    broken = result
+    (violation,) = check_awareness_monotone(broken, derive_trace(broken))
     assert violation.startswith(f"agent {receiver_id}: final awareness")
-    assert run_all_checks(broken, scenario) == [violation]
+    assert run_all_checks(broken) == [violation]
 
 
 def _staff_replication():
@@ -199,7 +245,7 @@ def test_absence_check_reports_a_computer_event_after_leaving():
     record.computer_minute = record.computer_minute[:]
     record.computer_minute[0] = leave + 1
     broken = replace(result, record=record)
-    assert not check_no_events_while_absent(result, derive_trace(result, scenario))
-    (violation,) = check_no_events_while_absent(broken, derive_trace(broken, scenario))
+    assert not check_no_events_while_absent(result, derive_trace(result))
+    (violation,) = check_no_events_while_absent(broken, derive_trace(broken))
     assert violation.startswith(f"agent {agent_id} emitted ")
     assert violation.endswith(f" at minute {leave + 1} while out of the building")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from officesim import ValidationError, build_small_world, contact_step, run_replication
-from officesim.checks import derive_trace
+from officesim.checks import contact_count, contacts, derive_trace, roster
 from officesim.network import (
     EMAIL_BASE_MINUTES,
     SocialNetwork,
@@ -25,13 +25,12 @@ from officesim.occupants import (
 )
 
 from conftest import as_contact_events, make_small_scenario
-from invariant_checks import OFFICE, stays
 
 
 def test_ring_lattice_at_beta_zero():
     net = build_small_world(10, 2, 0.0, random.Random(1))
     assert len(net.edges) == 10
-    assert all(net.degree(i) == 2 for i in range(10))
+    assert all(len(around) == 2 for around in net.neighbors)
     assert all((i, (i + 1) % 10) in net.edges or ((i + 1) % 10, i) in net.edges
                for i in range(10))
 
@@ -60,7 +59,7 @@ def test_edge_count_conserved_under_any_beta(n, half_k, beta, seed):
     k = 2 * half_k
     net = build_small_world(n, k, beta, random.Random(seed))
     assert len(net.edges) == n * k // 2
-    degrees = [net.degree(i) for i in range(n)]
+    degrees = list(map(len, net.neighbors))
     assert sum(degrees) == n * k
     assert min(degrees) >= 1
 
@@ -168,8 +167,8 @@ def test_contact_rate_zero_is_silent():
     assert waiting_time(random.Random(1), hazard_clock(send_hazard(0.9, 0.0))) == NEVER
     scenario = make_small_scenario(population_size=5, contact_rate=0.0)
     result = run_replication(scenario, seed=1)
-    assert result.contact_count == 0
-    assert all(r.final_awareness == r.initial_awareness for r in result.roster)
+    assert contact_count(result.record) == 0
+    assert all(r.final_awareness == r.initial_awareness for r in roster(result.record))
 
 
 def test_awareness_capped_at_hundred():
@@ -188,10 +187,10 @@ def test_only_office_agents_send():
     # from the events.
     scenario = make_small_scenario(population_size=5, contact_rate=100.0)
     result = run_replication(scenario, seed=3)
-    trace = derive_trace(result, scenario)
-    office = stays(result, trace, OFFICE)
-    assert result.contacts
-    for sender_id, _, minute in result.contacts:
+    office = derive_trace(result).office_stays
+    emails = contacts(result.record)
+    assert emails
+    for sender_id, _, minute in emails:
         assert any(a <= minute < b for a, b in office.get(sender_id, ()))
 
 

@@ -435,7 +435,7 @@ def test_no_events_before_arrival():
     assert _fresh_agent().next_minute == NEVER
     scenario = make_small_scenario(population_size=5, horizon_days=2)
     result = run_replication(scenario, seed=4)
-    schedules = derive_trace(result, scenario).schedules
+    schedules = derive_trace(result).schedules
     first = {}
     for ev in run_events(result):
         first.setdefault((ev.minute // 1440, ev.agent_id), ev)
