@@ -13,7 +13,7 @@ from officesim import (
     parse_scenario,
 )
 from officesim import reference_scenario_path
-from officesim.occupants import EVENT_KINDS
+from officesim.occupants import EVENT_KINDS, BehaviorParams
 
 
 class OccupantEvent(NamedTuple):
@@ -186,6 +186,41 @@ def make_small_scenario(
         master_seed=seed,
         replications=2,
         **scenario_kwargs,
+    )
+
+
+def random_scenario(rng: random.Random) -> Scenario:
+    """A small scenario with its building, policy, behaviour, contacts,
+    horizon (1-3 days), start day and seed drawn from ``rng``."""
+    building = make_small_building(
+        n_private=rng.randint(1, 3),
+        n_shared=rng.randint(1, 2),
+        shared_desks=rng.randint(2, 6),
+        corridor_lights=rng.randint(1, 6),
+        facility_rooms=rng.randint(0, 2),
+        base_load_watts=rng.choice([0, 500, 2000]),
+        corridor_rooms=rng.randint(1, 3),
+    )
+    policy = (
+        LightingPolicy.automated(rng.choice([5, 20, 30]))
+        if rng.random() < 0.5
+        else LightingPolicy.staff_controlled()
+    )
+    behavior = BehaviorParams(
+        leave_hazard_per_minute=rng.choice([0.005, 0.01, 0.03]),
+        other_room_hazard_per_minute=rng.choice([0.0, 0.005, 0.02]),
+        computer_off_threshold=rng.choice([0.0, 50.0, 80.0]),
+    )
+    return Scenario(
+        building=building,
+        population_size=rng.randint(0, building.total_desk_capacity()),
+        policy=policy,
+        contact_rate=rng.choice([0.0, 1.0, 50.0]),
+        awareness_delta=rng.choice([0.5, 1.0, 5.0]),
+        behavior=behavior,
+        horizon_days=rng.randint(1, 3),
+        start_day_of_week=rng.randint(0, 6),
+        master_seed=rng.randrange(2**31),
     )
 
 
