@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import yaml
 
-from .errors import ParseError, ValidationError
+from .errors import CapacityError, ParseError, ValidationError
 
 
 class RoomKind(str, enum.Enum):
@@ -83,6 +83,30 @@ class BuildingModel(NamedTuple):
         return sum(s.watts_on for s in self.lights.values()) + sum(
             s.watts_on for s in self.computers.values()
         )
+
+
+def seat_table(
+    building: BuildingModel, n: int
+) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
+    """The office room ids and computer ids (None: none) of agents
+    ``0..n-1``. Desks are filled round-robin over the building's desk
+    rooms in file order, repeated passes filling deeper desks; an agent
+    owns a computer while its room still has unclaimed ones. Raises
+    CapacityError if ``n`` exceeds total desk capacity.
+    """
+    capacity = building.total_desk_capacity()
+    if n > capacity:
+        raise CapacityError(
+            f"population size {n} exceeds total desk capacity {capacity}"
+        )
+    depths = range(max((room.desk_capacity for room in building.rooms), default=0))
+    seats = [  # pass ``depth`` over the rooms takes each one's desk ``depth``
+        (room.id, room.computer_ids[depth] if depth < len(room.computer_ids) else None)
+        for depth in depths
+        for room in building.rooms
+        if depth < room.desk_capacity
+    ][:n]
+    return tuple(room for room, _ in seats), tuple(cid for _, cid in seats)
 
 
 _BOOL = "tag:yaml.org,2002:bool"

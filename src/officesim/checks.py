@@ -63,11 +63,13 @@ def roster(record: RunRecord) -> tuple[AgentRecord, ...]:
 
 def _stay_emails(record: RunRecord):
     """Each recorded office stay's emails, in the order of the stays,
-    drawn by ``contact_step`` from a fresh email stream of its sender.
-    Nothing else draws from those streams, and the pass draws each
-    sender's stays up to the first that can raise nobody, and none after
-    it, so the emails the pass drew come out the same. The network, too,
-    is built again from its own stream."""
+    drawn by ``contact_step`` from a fresh email stream of its sender;
+    none where contacts are off. Nothing else draws from those streams,
+    and the pass draws each sender's stays up to the first that can raise
+    nobody, and none after it, so the emails the pass drew come out the
+    same. The network, too, is built again from its own stream."""
+    if record.email_p is None:
+        return
     scenario = record.scenario
     network = build_network(
         scenario.population_size, scenario.small_world_k,

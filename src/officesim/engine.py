@@ -3,9 +3,10 @@ policy-comparison driver.
 
 A replication is a pure function of (scenario, seed). RNG streams are
 derived from the replication seed per purpose (population, network,
-schedules, manual switching) and per agent (behaviour, emails), so that
-runs under different lighting policies share identical populations,
-schedules, and movement trajectories and differ only in light switching.
+schedules, manual switching) and per agent (behaviour, emails, computer),
+so that runs under different lighting policies share identical
+populations, schedules, and movement trajectories and differ only in
+light switching, and movement does not depend on awareness.
 """
 
 from __future__ import annotations
@@ -46,21 +47,28 @@ from .network import (
     raise_awareness,
 )
 from .occupants import (
+    COMPUTER_SWITCH_ON_MINUTES,
     ENTER_BUILDING,
     ENTER_OTHER_ROOM,
     ENTER_OWN_OFFICE,
     LEAVE_BUILDING,
+    LEAVE_OFFICE_LONG,
     LEAVE_OFFICE_TEMPORARY,
     MANUAL_LIGHTS_OFF,
     MANUAL_LIGHTS_ON,
     MINUTES_PER_DAY,
     POWER_OFF,
+    POWER_ON,
+    POWER_STANDBY,
     BehaviorContext,
     ScheduleClass,
     Stereotype,
+    computer_switch_off_prob,
+    hazard_clock,
     sample_daily_schedule,
     sample_population,
     step_occupant,
+    waiting_time,
 )
 from .scenario_io import Scenario
 
@@ -84,10 +92,10 @@ def _columns(typecodes: str) -> tuple[array, ...]:
 class RunRecord:
     """What one agent pass did, in ``array`` columns (the agents' desks are
     the scenario's ``seats``); the results of its arms share it. Each
-    arm's lights are built from it once the pass ends; ``officesim.checks``
-    derives the roster, contacts and computer transitions from it. The
-    int32 columns hold any run that fits in memory: a minute past 2**31
-    needs float64 series of 16 GiB each."""
+    arm's lights and the computers are built from it once the pass ends;
+    ``officesim.checks`` derives the roster, contacts and computer
+    transitions from it. The int32 columns hold any run that fits in
+    memory: a minute past 2**31 needs float64 series of 16 GiB each."""
 
     def __init__(self, scenario, seed, agents, email_p):
         self.scenario = scenario  # its lighting policy is not used
@@ -103,13 +111,18 @@ class RunRecord:
         # Agent events in the calendar's (minute, agent id) order: the code
         # in EVENT_KINDS, and the index in the building's rooms (-1: none).
         self.kind, self.minute, self.agent, self.room = _columns("biii")
-        # Computer transitions, written by step_occupant in the order drawn
-        # (each agent's in time order): the power state entered, POWER_*.
+        # Office stays in the order entered, each agent's in time order: the
+        # agent, the minutes it enters and leaves, and at a long leave the
+        # leaver's awareness then (else -1). contact_step draws each stay's
+        # emails, and the computer of its owner draws a cycle over it.
+        self.stay_sender, self.stay_start, self.stay_end, self.stay_awareness = (
+            _columns("iiid")
+        )
+        # Computer transitions, drawn after the pass over the stays in their
+        # order (``_draw_computers``): the power state entered, POWER_*.
         self.computer_minute, self.computer_agent, self.computer_power = (
             _columns("iib")
         )
-        # Office stays: one row per contact_step call, with its arguments.
-        self.stay_sender, self.stay_start, self.stay_end = _columns("iii")
         # Zone turns, each zone's occupied and vacant in turn from vacant:
         # the number of agent events up to the one that made it, its zone,
         # and for a vacancy whose leaver rolls the staff switch-off, the
@@ -188,15 +201,16 @@ def run_replication_arms(
     or any stay at awareness delta 0, is recorded but not drawn: it can
     raise nobody. ``checks.contacts`` replays every recorded stay.
 
-    Computers are not on the calendar either: ``step_occupant`` draws a
-    stay's whole computer cycle at the entry, into the record. The
-    computers series is the exact total of the record's wattages,
-    replayed at the end (``_replay_computers``).
+    Computers are not in the pass either: the record keeps every office
+    stay, with the leaver's awareness at a long leave, and after the last
+    day each owner's computer cycle is drawn over its stays, and the
+    computers series built, in one walk (``_draw_computers``).
 
-    Agents draw from their own behaviour streams and senders from their
-    own email streams, each created when it is first needed (a sender's
-    at its first drawn stay), so an agent's draws do not depend on who
-    else is in the building.
+    Agents draw from their own behaviour streams, senders from their own
+    email streams and computer owners from their own computer streams,
+    each created when it is first needed (a sender's at its first drawn
+    stay), so an agent's draws do not depend on who else is in the
+    building, and its movement not on its awareness.
     """
     building = scenario.building
     params = scenario.behavior
@@ -227,7 +241,7 @@ def run_replication_arms(
     facility_ids, light_rooms, room_zone, room_index, per_watt, room_units = (
         scenario.layout
     )
-    ctx = BehaviorContext(params, facility_ids, record)
+    ctx = BehaviorContext(params, facility_ids)
     corridor = 0
     zone_occupancy = [0] * len(light_rooms)
 
@@ -260,6 +274,10 @@ def run_replication_arms(
     kinds, minutes, agent_ids, room_indices = (
         record.kind, record.minute, record.agent, record.room
     )
+    stay_senders, stay_starts, stay_ends, stay_awareness = (
+        record.stay_sender, record.stay_start, record.stay_end, record.stay_awareness
+    )
+    open_stay = [0] * len(agents)  # per agent, the row of its last stay
     turn_positions, turn_zones, turn_awareness = (
         record.turn_position, record.turn_zone, record.turn_awareness
     )
@@ -281,14 +299,11 @@ def run_replication_arms(
     def send_stay(agent_id: int, minute: int) -> None:
         # The emails of the office stay the agent begins at ``minute``.
         leave_at = agents[agent_id].leave_at
-        record.stay_sender.append(agent_id)
-        record.stay_start.append(minute)
-        record.stay_end.append(leave_at)
         # Only neighbors receive, and only those below the cap can be
-        # raised. A stay that can raise nobody is recorded but not drawn:
-        # awareness never falls and the cap is absorbing, so its sender is
-        # done and its stream released, and what it drew stays in step
-        # with the replay of every stay (checks.contacts).
+        # raised. A stay that can raise nobody is not drawn: awareness
+        # never falls and the cap is absorbing, so its sender is done and
+        # its stream released, and what it drew stays in step with the
+        # replay of every stay (checks.contacts).
         rng = email_rngs[agent_id]
         if not raising or rng is False:
             return
@@ -360,16 +375,24 @@ def run_replication_arms(
                 elif code == ENTER_OWN_OFFICE or code == ENTER_OTHER_ROOM:
                     enter(room_zone[room])
                     leave(corridor, agent_id, True)
-                    if code == ENTER_OWN_OFFICE and contacts_on:
-                        send_stay(agent_id, minute)
+                    if code == ENTER_OWN_OFFICE:
+                        open_stay[agent_id] = len(stay_senders)
+                        stay_senders.append(agent_id)
+                        stay_starts.append(minute)
+                        stay_ends.append(agent.leave_at)
+                        stay_awareness.append(-1.0)
+                        if contacts_on:
+                            send_stay(agent_id, minute)
                 else:  # a leave of the room it names, into the corridor
                     leave(room_zone[room], agent_id, code != LEAVE_OFFICE_TEMPORARY)
                     enter(corridor)
+                    if code == LEAVE_OFFICE_LONG:
+                        stay_awareness[open_stay[agent_id]] = agent.awareness
                 if agent.next_minute < n_minutes:
                     schedule(agent.next_minute, agent_id)
 
     apply_inbox(n_minutes)
-    computers_arr = _replay_computers(record, n_minutes)
+    computers_arr = _draw_computers(record, n_minutes)
     base_arr = scenario.base_load_w
     record.final_awareness.extend([a.awareness for a in agents])
     zone_turns = _zone_turn_minutes(record, len(light_rooms))
@@ -459,23 +482,62 @@ def _exact_series(deltas: list[int], per_watt: int) -> array:
     return array("d", map(truediv, accumulate(deltas), repeat(per_watt)))
 
 
-def _replay_computers(record: RunRecord, n_minutes: int) -> array:
-    """The computers series: minute m's sample is the exact total wattage
-    of the computers after all of that minute's changes in ``record``
-    (``_exact_series``). Each agent's rows are in time order, and each
-    change is added to its minute in the units of
-    ``Scenario.computer_levels``."""
-    per_watt, _, levels, off_units = record.scenario.computer_levels
-    # Per agent: its computer's units now.
-    now = [lv[POWER_OFF] if lv is not None else 0 for lv in levels]
+def _draw_computers(record: RunRecord, n_minutes: int) -> array:
+    """Draw each owner's computer over its office stays in ``record``, in
+    order, from its own stream (``computer:{id}``, created at its first
+    stay), into the record's computer columns; returns the computers
+    series, minute m's sample the exact total wattage after all of that
+    minute's changes (``_exact_series``). A machine switches on
+    ``COMPUTER_SWITCH_ON_MINUTES`` after the entry or after going to
+    standby, and goes to standby a drawn wait after switching on or after
+    an entry that finds it on. A transition due at the stay's end or later
+    does not happen; at a long leave, a machine that is not off is
+    switched off with the ``computer_switch_off_prob`` of the leaver's
+    awareness then."""
+    scenario = record.scenario
+    params = scenario.behavior
+    per_watt, _, levels, off_units = scenario.computer_levels
+    clock = hazard_clock(params.computer_standby_prob_per_minute)
+    add_minute, add_owner, add_power = (
+        record.computer_minute.append, record.computer_agent.append,
+        record.computer_power.append,
+    )
     deltas = [0] * n_minutes
     deltas[0] = off_units
-    rows = zip(record.computer_minute, record.computer_agent, record.computer_power)
-    for minute, a, power in rows:
-        new = levels[a][power]
-        if new != now[a]:
-            deltas[minute] += new - now[a]
-            now[a] = new
+    rngs: list[Random | None] = [None] * len(levels)
+    powers = [POWER_OFF] * len(levels)  # per agent: as its last stay ended
+    stays = zip(
+        record.stay_sender, record.stay_start, record.stay_end, record.stay_awareness
+    )
+    for owner, at, end, awareness in stays:
+        units = levels[owner]
+        if units is None:
+            continue
+        rng = rngs[owner]
+        if rng is None:
+            rng = rngs[owner] = Random(derive_seed(record.seed, f"computer:{owner}"))
+        power = powers[owner]
+        while True:  # ``at``: the entry, then the minute of the last change
+            if power == POWER_ON:
+                at += 1 + waiting_time(rng, clock)
+            else:
+                at += COMPUTER_SWITCH_ON_MINUTES
+            if at < end:  # the cycle's next change, else the leave's roll
+                after = POWER_STANDBY if power == POWER_ON else POWER_ON
+            elif (
+                awareness >= 0.0
+                and power != POWER_OFF
+                and rng.random() < computer_switch_off_prob(awareness, params)
+            ):
+                at, after = end, POWER_OFF
+            else:
+                break
+            add_minute(at)
+            add_owner(owner)
+            add_power(after)
+            deltas[at] += units[after] - units[power]
+            power = after
+        powers[owner] = power
     return _exact_series(deltas, per_watt)
 
 

@@ -1,15 +1,14 @@
 """Occupant agents: stereotype sampling, daily schedules, and the
-event-driven behavioral state machine that emits appliance events.
+event-driven behavioral state machine that moves them.
 
 An agent cycles through four states: out of the building, in the
-corridor, in its own office (working with or without its computer), or
-in a facility room (toilet / kitchen / lab). Every stochastic rule is a
-constant per-minute hazard, drawn as a geometric waiting time when its
-state is entered, and every countdown is a scheduled minute; the agent
-keeps the minute of its next firing. An office stay's computer cycle is
-drawn whole when the agent enters, into the run's record. All
-randomness flows through the caller-supplied ``random.Random`` so runs
-are reproducible.
+corridor, in its own office, or in a facility room (toilet / kitchen /
+lab). Every stochastic rule is a constant per-minute hazard, drawn as a
+geometric waiting time when its state is entered, and every countdown is
+a scheduled minute; the agent keeps the minute of its next firing. The
+state machine draws movement only: the engine draws each office stay's
+computer cycle after the pass. All randomness flows through the
+caller-supplied ``random.Random`` so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
-from .building import BuildingModel
-from .errors import CapacityError, ValidationError
+from .building import BuildingModel, seat_table
+from .errors import ValidationError
 
 MINUTES_PER_DAY = 1440
 CORRIDOR_TRANSIT_MINUTES = 2
@@ -30,8 +29,7 @@ COMPUTER_SWITCH_ON_MINUTES = 2
 LATEST_LEAVE_MINUTE = 23 * 60  # flexible workers are gone by 23:00
 NEVER = 1 << 62  # the minute of a clock that never fires
 
-# The power state of an agent's computer (ints for speed); in the office
-# the agent works with its computer while it is on.
+# The power state of an agent's computer (ints for speed).
 POWER_OFF = 0
 POWER_STANDBY = 1
 POWER_ON = 2
@@ -245,9 +243,8 @@ class OccupantAgent:
 
     __slots__ = (
         "id", "schedule_class", "stereotype", "awareness", "office_room_id",
-        "computer_id", "state", "corridor_mode", "next_minute", "leave_at",
-        "break_end", "break_timer", "visiting_room_id",
-        "today_schedule", "computer_power",
+        "state", "corridor_mode", "next_minute", "leave_at",
+        "break_end", "break_timer", "visiting_room_id", "today_schedule",
     )
 
     def __init__(
@@ -257,14 +254,12 @@ class OccupantAgent:
         stereotype: Stereotype,
         awareness: float,
         office_room_id: str,
-        computer_id: str | None = None,
     ):
         self.id = id
         self.schedule_class = schedule_class
         self.stereotype = stereotype
         self.awareness = awareness
         self.office_room_id = office_room_id
-        self.computer_id = computer_id
         self.state = AgentState.OUT_OF_SCHOOL
         self.corridor_mode: CorridorMode | None = None
         self.next_minute = NEVER  # the agent's next firing, the earliest clock
@@ -273,7 +268,6 @@ class OccupantAgent:
         self.break_timer = 0  # minutes of break left, kept during a visit
         self.visiting_room_id: str | None = None
         self.today_schedule: tuple[int, int] | None = None
-        self.computer_power = POWER_OFF  # in the office: as its stay ends
 
 
 def hazard_clock(p: float) -> float:
@@ -303,51 +297,19 @@ def waiting_time(rng, clock: float) -> int:
 
 class BehaviorContext:
     """Per-run context shared by every agent transition: the hazards'
-    waiting-time factors, computed once, and the run's record
-    (``engine.RunRecord``), whose computer columns the transitions write."""
+    waiting-time factors, computed once."""
 
-    __slots__ = (
-        "params", "facility_room_ids", "leave_clock", "standby_clock",
-        "visit_clock", "record",
-    )
+    __slots__ = ("params", "facility_room_ids", "leave_clock", "visit_clock")
 
-    def __init__(
-        self, params: BehaviorParams, facility_room_ids: tuple[str, ...], record
-    ):
+    def __init__(self, params: BehaviorParams, facility_room_ids: tuple[str, ...]):
         self.params = params
         self.facility_room_ids = facility_room_ids
-        self.record = record
         self.leave_clock = hazard_clock(params.leave_hazard_per_minute)
-        self.standby_clock = hazard_clock(params.computer_standby_prob_per_minute)
         self.visit_clock = (
             hazard_clock(params.other_room_hazard_per_minute)
             if facility_room_ids
             else math.inf
         )
-
-
-def seat_table(
-    building: BuildingModel, n: int
-) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
-    """The office room ids and computer ids (None: none) of agents
-    ``0..n-1``. Desks are filled round-robin over the building's desk
-    rooms in file order, repeated passes filling deeper desks; an agent
-    owns a computer while its room still has unclaimed ones. Raises
-    CapacityError if ``n`` exceeds total desk capacity.
-    """
-    capacity = building.total_desk_capacity()
-    if n > capacity:
-        raise CapacityError(
-            f"population size {n} exceeds total desk capacity {capacity}"
-        )
-    depths = range(max((room.desk_capacity for room in building.rooms), default=0))
-    seats = [  # pass ``depth`` over the rooms takes each one's desk ``depth``
-        (room.id, room.computer_ids[depth] if depth < len(room.computer_ids) else None)
-        for depth in depths
-        for room in building.rooms
-        if depth < room.desk_capacity
-    ][:n]
-    return tuple(room for room, _ in seats), tuple(cid for _, cid in seats)
 
 
 def sample_population(
@@ -365,7 +327,7 @@ def sample_population(
     if n < 0:
         raise ValidationError(f"population size must be >= 0, got {n}")
     mix.validate()
-    rooms, computers = seat_table(building, n) if seats is None else seats
+    rooms = (seat_table(building, n) if seats is None else seats)[0]
 
     schedule_classes = tuple(ScheduleClass)
     stereotypes = tuple(Stereotype)
@@ -378,12 +340,12 @@ def sample_population(
     random, uniform = rng.random, rng.uniform
 
     agents: list[OccupantAgent] = []
-    for agent_id, room_id, computer_id in zip(range(n), rooms, computers):
+    for agent_id, room_id in enumerate(rooms):
         schedule_class = schedule_classes[bisect_right(schedule_bounds, random())]
         code = bisect_right(stereotype_bounds, random())
         agents.append(OccupantAgent(
             agent_id, schedule_class, stereotypes[code], uniform(*bands[code]),
-            room_id, computer_id,
+            room_id,
         ))
     return agents
 
@@ -441,12 +403,11 @@ def step_occupant(
     enters from ``rng``; ``agent.next_minute`` is then its next firing,
     NEVER once it has left for the day. Returns the firing's one agent
     event as ``(code, room_id)``: the kind's code in ``EVENT_KINDS``, and
-    the room it names, None where it names none. Computer transitions are
-    not events here: they go to ``ctx.record``.
+    the room it names, None where it names none.
 
-    Requires today's schedule to have been sampled already. Light
-    switching is not decided here; the engine derives manual light events
-    from entry/exit events and the active policy.
+    Requires today's schedule to have been sampled already. Neither light
+    switching nor the computers are decided here: the engine derives both
+    from the agent events after the pass.
 
     The rules, each a per-minute hazard or a countdown:
 
@@ -460,12 +421,6 @@ def step_occupant(
       only long leaves are offered, so a temporary break always ends
       before the leave time. A long leave that would outlast the day is
       the departure. The leave's minute is fixed on entering.
-    - The computer, in the office: a standby hazard while working with
-      it, and ``COMPUTER_SWITCH_ON_MINUTES`` to switch it back on; the
-      whole stay's cycle is drawn on entering (``_draw_computer_cycle``).
-      A leave and a computer event due at the same minute: the leave
-      fires, and the computer event never happens. On a long leave the
-      agent may switch its computer off.
     - On a long break, a facility-visit hazard until the break ends; the
       visit's dwell does not count against the break, and at the leave
       minute the agent heads out.
@@ -480,9 +435,9 @@ def step_occupant(
         # The stay's only firing is its leave.
         if minute < leave_minute:
             return _leave_office(agent, minute, leave_minute, ctx, rng)
-        event = _leave_office_long(agent, minute, ctx, rng)
+        agent.state = _CORRIDOR
         _head_out(agent, minute)
-        return event
+        return LEAVE_OFFICE_LONG, agent.office_room_id
 
     if state is _CORRIDOR:
         mode = agent.corridor_mode
@@ -529,42 +484,7 @@ def _enter_office(
     agent.corridor_mode = None
     leave_at = min(minute + 1 + waiting_time(rng, ctx.leave_clock), leave_minute)
     agent.leave_at = agent.next_minute = leave_at
-    if agent.computer_id is not None:
-        _draw_computer_cycle(agent, minute, leave_at, ctx, rng)
     return ENTER_OWN_OFFICE, agent.office_room_id
-
-
-def _draw_computer_cycle(
-    agent: OccupantAgent, minute: int, leave_at: int, ctx, rng
-) -> None:
-    """Write the computer transitions of the office stay entered at
-    ``minute`` and left at ``leave_at`` to the run's record, with the
-    standby waits drawn in the order their switch-ons would draw them,
-    and leave ``agent.computer_power`` as the stay ends. A machine kept
-    running during the absence resumes at once, with a standby wait drawn
-    on entering; any other is switched on ``COMPUTER_SWITCH_ON_MINUTES``
-    later. A transition due at ``leave_at`` or later does not happen."""
-    record = ctx.record
-    minutes = record.computer_minute
-    owners = record.computer_agent
-    powers = record.computer_power
-    clock = ctx.standby_clock
-    power = agent.computer_power
-    if power == POWER_ON:
-        at = minute + 1 + waiting_time(rng, clock)
-    else:
-        at = minute + COMPUTER_SWITCH_ON_MINUTES
-    while at < leave_at:
-        minutes.append(at)
-        owners.append(agent.id)
-        if power == POWER_ON:
-            power = POWER_STANDBY
-            at += COMPUTER_SWITCH_ON_MINUTES
-        else:
-            power = POWER_ON
-            at += 1 + waiting_time(rng, clock)
-        powers.append(power)
-    agent.computer_power = power
 
 
 def _leave_office(
@@ -572,18 +492,17 @@ def _leave_office(
 ) -> tuple[int, str]:
     """The leave hazard fired before the leave minute."""
     params = ctx.params
+    agent.state = _CORRIDOR
     if (
         leave_minute - minute > params.temporary_leave_max
         and rng.random() < params.temporary_leave_fraction
     ):
-        agent.state = _CORRIDOR
         agent.corridor_mode = _TEMP_BREAK
         agent.next_minute = minute + rng.randint(
             params.temporary_leave_min, params.temporary_leave_max
         )
         return LEAVE_OFFICE_TEMPORARY, agent.office_room_id
     duration = rng.randint(params.long_leave_min, params.long_leave_max)
-    event = _leave_office_long(agent, minute, ctx, rng)
     if minute + duration >= leave_minute:
         # Break would outlast the working day: this is the departure.
         _head_out(agent, minute)
@@ -591,7 +510,7 @@ def _leave_office(
         agent.corridor_mode = _LONG_BREAK
         agent.break_end = minute + duration
         _resume_break(agent, minute + 1, leave_minute, ctx, rng)
-    return event
+    return LEAVE_OFFICE_LONG, agent.office_room_id
 
 
 def _resume_break(
@@ -623,16 +542,3 @@ def _visit_facility(agent: OccupantAgent, minute: int, ctx, rng) -> tuple[int, s
         ctx.params.other_room_dwell_min, ctx.params.other_room_dwell_max
     )
     return ENTER_OTHER_ROOM, room_id
-
-
-def _leave_office_long(agent: OccupantAgent, minute: int, ctx, rng) -> tuple[int, str]:
-    """Long leave out of the office: consider killing the computer, then go."""
-    if agent.computer_id is not None and agent.computer_power != POWER_OFF:
-        if rng.random() < computer_switch_off_prob(agent.awareness, ctx.params):
-            agent.computer_power = POWER_OFF
-            record = ctx.record
-            record.computer_minute.append(minute)
-            record.computer_agent.append(agent.id)
-            record.computer_power.append(POWER_OFF)
-    agent.state = _CORRIDOR
-    return LEAVE_OFFICE_LONG, agent.office_room_id

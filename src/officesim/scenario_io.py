@@ -44,6 +44,7 @@ from .building import (
     read_fields,
     read_section,
     read_yaml,
+    seat_table,
     serialize_building,
     write_fields,
 )
@@ -56,7 +57,6 @@ from .occupants import (
     PopulationMix,
     ScheduleClass,
     Stereotype,
-    seat_table,
 )
 
 if TYPE_CHECKING:
@@ -134,7 +134,7 @@ class Scenario:
 
     @cached_property
     def seats(self) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
-        """``occupants.seat_table`` for the scenario's population: the desks
+        """``building.seat_table`` for the scenario's population: the desks
         do not depend on the seed. Built on first use, shared by every run."""
         return seat_table(self.building, self.population_size)
 

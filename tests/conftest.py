@@ -102,12 +102,13 @@ def make_building_text(
     facility_rooms: int = 1,
     base_load_watts: float = 1000,
     corridor_rooms: int = 1,
+    desk_computers: bool = True,
 ) -> str:
     """Small building in the file format, for fast test scenarios. The
     corridor lights are dealt in turn over ``corridor_rooms`` rooms, so a
     room gets none where there are fewer lights than rooms: the first
     room, ``hall``, comes first in the file and the others, ``hall-1``
-    and on, last."""
+    and on, last. Every desk has a computer, or none does."""
     lights: list[str] = []
     computers: list[str] = []
     rooms = []
@@ -119,6 +120,8 @@ def make_building_text(
         return ids
 
     def take_computers(n):
+        if not desk_computers:
+            return []
         start = len(computers)
         ids = [f"K{start + i:03d}" for i in range(n)]
         computers.extend(ids)

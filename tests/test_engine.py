@@ -28,6 +28,7 @@ from officesim import (
     run_replication,
 )
 from officesim.accounting import sequential_sum
+from officesim.building import seat_table
 from officesim.checks import (
     beta_report,
     computer_transitions,
@@ -39,13 +40,19 @@ from officesim.checks import (
 from officesim.engine import run_replication_arms
 from officesim.occupants import (
     NEVER,
+    POWER_OFF,
+    POWER_ON,
+    POWER_STANDBY,
     BehaviorParams,
     CorridorMode,
     EVENT_KINDS,
     PopulationMix,
     ScheduleClass,
     Stereotype,
+    computer_switch_off_prob,
+    hazard_clock,
     sample_population,
+    waiting_time,
 )
 
 from conftest import (
@@ -53,6 +60,7 @@ from conftest import (
     make_building_text,
     make_small_building,
     make_small_scenario,
+    random_scenario,
     run_events,
     series_bytes,
 )
@@ -62,7 +70,6 @@ from invariant_checks import (
     replication_network,
     run_all_checks,
 )
-from test_invariants import random_scenario
 
 
 def _arrival_days(start_day_of_week: int, horizon_days: int) -> set[int]:
@@ -584,6 +591,80 @@ def test_staff_lights_equal_an_independent_replay():
     assert seen["switch_offs"] > 50
 
 
+def _replay_computer_rows(result, awareness_delta):
+    """The computer rows of ``result``'s pass as (minute, agent, power),
+    replayed from its agent events and contacts alone: each owner's
+    office stays in order, from a fresh stream ``computer:{id}`` of its
+    own. A machine found on at the entry draws its standby wait then;
+    any other is switched on 2 minutes in; each switch-on draws the next
+    standby wait, and standby lasts 2 minutes, up to the leave. At a long
+    leave a machine that is not off rolls the switch-off at the leaver's
+    awareness then, the initial one raised once per contact before that
+    minute, capped at 100."""
+    record = result.record
+    scenario = record.scenario
+    owned = scenario.seats[1]
+    clock = hazard_clock(scenario.behavior.computer_standby_prob_per_minute)
+    awareness = list(record.initial_awareness)
+    emails = iter(contacts(record))
+    contact = next(emails, None)
+    power = [POWER_OFF] * len(owned)
+    rngs, entered, rows = {}, {}, []
+    for code, minute, agent_id in zip(record.kind, record.minute, record.agent):
+        while contact is not None and contact[2] < minute:
+            receiver_id = contact[1]
+            awareness[receiver_id] = min(awareness[receiver_id] + awareness_delta, 100.0)
+            contact = next(emails, None)
+        kind = EVENT_KINDS[code]
+        if owned[agent_id] is None:
+            continue
+        if kind is EventKind.ENTER_OWN_OFFICE:
+            entered[agent_id] = minute
+        if kind not in (EventKind.LEAVE_OFFICE_TEMPORARY, EventKind.LEAVE_OFFICE_LONG):
+            continue
+        if agent_id not in rngs:
+            rngs[agent_id] = random.Random(derive_seed(result.seed, f"computer:{agent_id}"))
+        rng, state, at = rngs[agent_id], power[agent_id], entered[agent_id]
+        at += 1 + waiting_time(rng, clock) if state == POWER_ON else 2
+        while at < minute:
+            if state == POWER_ON:
+                state, following = POWER_STANDBY, at + 2
+            else:
+                state, following = POWER_ON, at + 1 + waiting_time(rng, clock)
+            rows.append((at, agent_id, state))
+            at = following
+        p = computer_switch_off_prob(awareness[agent_id], scenario.behavior)
+        if kind is EventKind.LEAVE_OFFICE_LONG and state != POWER_OFF and rng.random() < p:
+            state = POWER_OFF
+            rows.append((minute, agent_id, state))
+        power[agent_id] = state
+    return rows
+
+
+def test_computers_equal_an_independent_replay(reference_scenario):
+    # The computers' oracle: the record's computer rows equal a replay from
+    # the agent events, the contacts and fresh computer streams. Raised
+    # contact rates move awareness across the switch-off bands within a
+    # stay, so a roll must read the awareness at the leave.
+    rng = random.Random(60222)
+    scenarios = [random_scenario(rng) for _ in range(24)]
+    scenarios = [
+        replace(s, contact_rate=2000.0) if i % 3 == 0 else s
+        for i, s in enumerate(scenarios)
+    ]
+    scenarios.append(replace(reference_scenario, contact_rate=2000.0, horizon_days=3))
+    switch_offs = 0
+    for scenario in scenarios:
+        result = run_replication(scenario, seed=rng.randrange(2**31))
+        record = result.record
+        rows = sorted(
+            zip(record.computer_minute, record.computer_agent, record.computer_power)
+        )
+        assert rows == sorted(_replay_computer_rows(result, scenario.awareness_delta))
+        switch_offs += record.computer_power.count(POWER_OFF)
+    assert switch_offs > 50
+
+
 def test_computer_transitions_replay_from_events():
     # Each computer event sets its owner's computer to the building's spec
     # wattage for that state; replaying the events must rebuild the
@@ -730,9 +811,9 @@ def test_unkept_reference_replication_retains_little(reference_scenario):
 
 def test_social_reference_pass_peaks_low(reference_scenario):
     # While it runs, a two-arm pass of the reference week at contact rate
-    # 2000 holds its record and series, and briefly the computers replay's
-    # per-minute changes: about 1.9 MB at its peak. Sorting every computer
-    # row for the replay took it to 4.8 MB.
+    # 2000 holds its record and series, and briefly the computers' streams
+    # and per-minute changes: about 2.3 MB at its peak. Sorting every
+    # computer row for the replay took it to 4.8 MB.
     social = replace(reference_scenario, contact_rate=2000.0)
     policies = (LightingPolicy.automated(), LightingPolicy.staff_controlled())
     gc.collect()
@@ -773,14 +854,15 @@ def test_roster_views_match_the_population_streams():
         agents = sample_population(
             scenario.population_size, scenario.mix, scenario.building, rng
         )
+        _, computer_ids = seat_table(scenario.building, scenario.population_size)
         assert [
             (r.id, r.schedule_class, r.stereotype, r.office_room_id,
              r.computer_id, r.initial_awareness)
             for r in roster(rep.record)
         ] == [
             (a.id, a.schedule_class, a.stereotype, a.office_room_id,
-             a.computer_id, a.awareness)
-            for a in agents
+             computer_id, a.awareness)
+            for a, computer_id in zip(agents, computer_ids)
         ]
         final = [r.final_awareness for r in roster(rep.record)]
         assert rep.mean_final_awareness() == sequential_sum(final) / len(final)

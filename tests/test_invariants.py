@@ -16,7 +16,7 @@ from officesim import (
 from officesim import checks
 from officesim.engine import run_replication_arms
 from officesim.checks import _STATE_EDGES, derive_trace
-from officesim.occupants import LEAVE_BUILDING, MANUAL_LIGHTS_OFF
+from officesim.occupants import ENTER_OWN_OFFICE, LEAVE_BUILDING, MANUAL_LIGHTS_OFF
 
 from conftest import (
     make_building_text,
@@ -97,6 +97,25 @@ def test_checks_of_a_pass_draw_its_stays_and_schedules_once(monkeypatch):
     assert calls["sample_daily_schedule"] == (
         scenario.population_size * scenario.horizon_days
     )
+
+
+def test_stays_are_recorded_with_contacts_off():
+    # The computers are drawn over the stay table, so it holds every office
+    # stay whether or not contacts are on; with contacts off its stays send
+    # nothing, and the checks draw no emails from them.
+    scenario = make_small_scenario(population_size=5, contact_rate=0.0)
+    result = run_replication(scenario, seed=11)
+    record = result.record
+    assert record.email_p is None
+    entries = [
+        (agent_id, minute)
+        for code, minute, agent_id in zip(record.kind, record.minute, record.agent)
+        if code == ENTER_OWN_OFFICE
+    ]
+    assert list(zip(record.stay_sender, record.stay_start)) == entries
+    assert set(record.computer_agent) == set(record.stay_sender) != set()
+    assert checks.contact_count(record) == 0
+    assert run_all_checks(result) == []
 
 
 def test_edge_check_reports_a_deleted_agent_event():

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import accumulate
 
 import pytest
@@ -16,25 +17,24 @@ from officesim import (
     sample_population,
     step_occupant,
 )
-from officesim import run_replication
+from officesim import derive_seed, engine, run_replication
+from officesim.building import seat_table
 from officesim.checks import derive_trace
 from officesim.engine import RunRecord
 from officesim.occupants import (
     EVENT_KINDS,
+    MINUTES_PER_DAY,
     NEVER,
     BehaviorContext,
     BehaviorParams,
     CorridorMode,
     OccupantAgent,
     PopulationMix,
-    POWER_OFF,
-    POWER_ON,
     ScheduleClass,
     Stereotype,
     STEREOTYPE_PARAMS,
     computer_switch_off_prob,
     hazard_clock,
-    seat_table,
     waiting_time,
 )
 
@@ -147,12 +147,12 @@ def _reference_population(n, mix, building, rng):
     schedule_weights = [mix.schedule.get(c, 0.0) for c in ScheduleClass]
     stereotype_weights = [mix.awareness.get(s, 0.0) for s in Stereotype]
     agents = []
-    for room_id, computer_id in zip(*seat_table(building, n)):
+    for room_id in seat_table(building, n)[0]:
         schedule_class = categorical(tuple(ScheduleClass), schedule_weights)
         stereotype = categorical(tuple(Stereotype), stereotype_weights)
         band = STEREOTYPE_PARAMS[stereotype]
         awareness = rng.uniform(band.awareness_low, band.awareness_high)
-        agents.append((schedule_class, stereotype, awareness, room_id, computer_id))
+        agents.append((schedule_class, stereotype, awareness, room_id))
     return agents
 
 
@@ -208,8 +208,7 @@ def test_population_draws_as_the_reference(mix, last_sum):
             expected = _reference_population(120, mix, building, expected_rng)
             agents = sample_population(120, mix, building, rng)
             assert [
-                (a.schedule_class, a.stereotype, a.awareness, a.office_room_id,
-                 a.computer_id)
+                (a.schedule_class, a.stereotype, a.awareness, a.office_room_id)
                 for a in agents
             ] == expected
             assert rng.getstate() == expected_rng.getstate()
@@ -218,11 +217,12 @@ def test_population_draws_as_the_reference(mix, last_sum):
 def test_round_robin_assignment_and_computers():
     building = make_small_building(n_private=2, n_shared=1, shared_desks=3)
     agents = sample_population(5, PopulationMix(), building, random.Random(3))
-    rooms = [a.office_room_id for a in agents]
+    rooms, computers = seat_table(building, 5)
     # one pass over the three desk rooms, then the shared room fills up
-    assert rooms == ["office-p0", "office-p1", "office-s0", "office-s0", "office-s0"]
-    assert all(a.computer_id is not None for a in agents)
-    assert len({a.computer_id for a in agents}) == 5
+    assert rooms == ("office-p0", "office-p1", "office-s0", "office-s0", "office-s0")
+    assert [a.office_room_id for a in agents] == list(rooms)
+    assert all(cid is not None for cid in computers)
+    assert len(set(computers)) == 5
 
 
 # --- daily schedules --------------------------------------------------------
@@ -268,12 +268,11 @@ def test_saturday_presence_frequency():
 
 # --- leave decisions (the leave clock and its transition) -----------------
 
-def _office_agent(computer=None):
-    """Agent at its desk on a 540-1020 day; without a computer by default,
-    so its only clock in the office is the leave clock."""
+def _office_agent():
+    """Agent at its desk on a 540-1020 day: its only clock in the office is
+    the leave clock."""
     agent = OccupantAgent(0, ScheduleClass.EARLY_BIRD,
-                          Stereotype.BIG_USER, 10.0, "office-p0",
-                          computer_id=computer)
+                          Stereotype.BIG_USER, 10.0, "office-p0")
     agent.today_schedule = (540, 1020)
     agent.state = AgentState.IN_OWN_OFFICE
     return agent
@@ -393,9 +392,7 @@ def test_only_long_leaves_near_end_of_day():
 # --- state machine transitions ----------------------------------------------
 
 def _ctx(**over):
-    """A context whose run record takes only computer transitions."""
-    record = RunRecord(scenario=None, seed=0, agents=(), email_p=None)
-    return BehaviorContext(BehaviorParams(**over), ("kitchen-0",), record)
+    return BehaviorContext(BehaviorParams(**over), ("kitchen-0",))
 
 
 def _step(agent, minute, ctx, rng):
@@ -411,20 +408,36 @@ def _fire(agent, ctx, rng):
     return minute, _step(agent, minute, ctx, rng)
 
 
-def _computer_events(ctx):
-    """The computer transitions written to the run's record so far, as
-    (minute, kind)."""
-    record = ctx.record
+def _computer_events(monkeypatch, stays, rng, desk_computers=True, **over):
+    """The transitions of agent 0's computer, as (minute, kind), drawn after
+    a pass whose stay table holds its office ``stays`` as (entry, leave,
+    awareness at a long leave, else -1), from the computer stream ``rng``;
+    agent 0 sits at office-p0, with a computer if ``desk_computers``."""
+    scenario = replace(
+        make_small_scenario(population_size=1, behavior=BehaviorParams(**over)),
+        building=make_small_building(n_private=1, desk_computers=desk_computers),
+    )
+    record = RunRecord(scenario, 0, (), None)
+    for start, end, awareness in stays:
+        record.stay_sender.append(0)
+        record.stay_start.append(start)
+        record.stay_end.append(end)
+        record.stay_awareness.append(awareness)
+    seeds = []
+    monkeypatch.setattr(engine, "Random", lambda seed: seeds.append(seed) or rng)
+    engine._draw_computers(record, MINUTES_PER_DAY)
+    # its own stream, created at its first stay
+    expected = [derive_seed(0, "computer:0")] if desk_computers and stays else []
+    assert seeds == expected
     return [
         (m, POWER_EVENTS[p])
         for m, p in zip(record.computer_minute, record.computer_power)
     ]
 
 
-def _fresh_agent(schedule=(540, 1020), computer="K000"):
+def _fresh_agent(schedule=(540, 1020)):
     agent = OccupantAgent(0, ScheduleClass.TIMETABLE_COMPLIER,
-                          Stereotype.REGULAR_USER, 50.0, "office-p0",
-                          computer_id=computer)
+                          Stereotype.REGULAR_USER, 50.0, "office-p0")
     agent.today_schedule = schedule
     return agent
 
@@ -459,18 +472,21 @@ def test_corridor_transit_takes_exactly_two_minutes():
     assert agent.state is AgentState.IN_OWN_OFFICE
 
 
-def test_computer_switched_on_two_minutes_after_entering():
+def test_computer_switched_on_two_minutes_after_entering(monkeypatch):
     agent = _fresh_agent()
     rng = ScriptedRandom()
     ctx = _ctx()
     _step(agent, 540, ctx, rng)
-    _fire(agent, ctx, rng)  # enters at 542, drawing the stay's computer cycle
-    assert _computer_events(ctx) == [(544, EventKind.SWITCH_COMPUTER_ON)]
-    assert agent.computer_power == POWER_ON
+    _fire(agent, ctx, rng)  # enters at 542
     assert agent.next_minute == agent.leave_at == 1020
+    # no standby; the departure's off-roll fails
+    stays = [(542, 1020, agent.awareness)]
+    assert _computer_events(monkeypatch, stays, ScriptedRandom()) == [
+        (544, EventKind.SWITCH_COMPUTER_ON)
+    ]
 
 
-def test_leave_due_with_a_computer_event_fires_first():
+def test_leave_due_with_a_computer_event_fires_first(monkeypatch):
     # The leave clock drawn on entering at 542 fires at 544, the minute the
     # computer would be switched on: the agent leaves and the computer
     # stays off.
@@ -479,77 +495,84 @@ def test_leave_due_with_a_computer_event_fires_first():
     ctx = _ctx()
     _step(agent, 540, ctx, rng)
     _fire(agent, ctx, rng)  # enters at 542
-    assert _computer_events(ctx) == []
     minute, event = _fire(agent, ctx, rng)
     assert (minute, event.kind) == (544, EventKind.LEAVE_OFFICE_TEMPORARY)
-    assert agent.computer_power == POWER_OFF
+    assert _computer_events(monkeypatch, [(542, 544, -1.0)], ScriptedRandom()) == []
 
 
-def test_agent_without_computer_emits_no_computer_events():
-    agent = _fresh_agent(computer=None)
+def test_agent_without_computer_emits_no_computer_events(monkeypatch):
+    agent = _fresh_agent()
     rng = random.Random(21)
     ctx = _ctx()
     kinds = [_step(agent, 540, ctx, rng).kind]
+    stays = []
     while agent.state is not AgentState.OUT_OF_SCHOOL:
-        kinds.append(_fire(agent, ctx, rng)[1].kind)
+        minute, event = _fire(agent, ctx, rng)
+        kinds.append(event.kind)
+        if event.kind is EventKind.ENTER_OWN_OFFICE:
+            stays.append((minute, agent.leave_at, agent.awareness))
     assert EventKind.ENTER_OWN_OFFICE in kinds
     assert EventKind.SWITCH_COMPUTER_ON not in kinds
     assert EventKind.COMPUTER_TO_STANDBY not in kinds
-    assert _computer_events(ctx) == []
+    computer = ScriptedRandom(values=[0.0] * 10)  # would switch everything
+    assert _computer_events(monkeypatch, stays, computer, desk_computers=False) == []
 
 
-def test_standby_then_resume_cycle():
+def test_standby_then_resume_cycle(monkeypatch):
     agent = _fresh_agent()
-    # no leave; the standby clock drawn at switch-on fires the next minute
-    rng = ScriptedRandom(values=[LATEST_UNIFORM, 0.0])
+    # no leave
+    rng = ScriptedRandom(values=[LATEST_UNIFORM])
     ctx = _ctx()
     _step(agent, 540, ctx, rng)
     _fire(agent, ctx, rng)  # enters at 542
-    assert _computer_events(ctx) == [
+    assert agent.leave_at == 1020
+    # the standby clock drawn at switch-on fires the next minute
+    computer = ScriptedRandom(values=[0.0])
+    assert _computer_events(monkeypatch, [(542, 1020, -1.0)], computer) == [
         (544, EventKind.SWITCH_COMPUTER_ON),
         (545, EventKind.COMPUTER_TO_STANDBY),
         (547, EventKind.SWITCH_COMPUTER_ON),
     ]
-    assert agent.computer_power == POWER_ON
-    assert rng.values == []
+    assert rng.values == computer.values == []
 
 
-def test_temporary_leave_duration_is_exact():
+def test_temporary_leave_duration_is_exact(monkeypatch):
     agent = _fresh_agent()
-    # leave clock drawn on entering at 542 fires at 545; no standby; the
-    # split picks temporary (0.0), duration 7
-    rng = ScriptedRandom(
-        values=[uniform_for_wait(0.01, 2), LATEST_UNIFORM, 0.0], ints=[7]
-    )
+    # leave clock drawn on entering at 542 fires at 545; the split picks
+    # temporary (0.0), duration 7
+    rng = ScriptedRandom(values=[uniform_for_wait(0.01, 2), 0.0], ints=[7])
     ctx = _ctx()
     _step(agent, 540, ctx, rng)
     _fire(agent, ctx, rng)  # enters at 542
-    assert _computer_events(ctx) == [(544, EventKind.SWITCH_COMPUTER_ON)]
     minute, event = _fire(agent, ctx, rng)
     assert (minute, event.kind) == (545, EventKind.LEAVE_OFFICE_TEMPORARY)
     minute, event = _fire(agent, ctx, rng)
     assert (minute, event.kind) == (552, EventKind.ENTER_OWN_OFFICE)
+    # no standby
+    assert _computer_events(monkeypatch, [(542, 545, -1.0)], ScriptedRandom()) == [
+        (544, EventKind.SWITCH_COMPUTER_ON)
+    ]
 
 
-def test_long_leave_switches_computer_off_when_roll_succeeds():
+def test_long_leave_switches_computer_off_when_roll_succeeds(monkeypatch):
     agent = _fresh_agent()
-    # leave clock fires at 545; split picks long (0.99), duration 30,
-    # off-roll 0.0
-    rng = ScriptedRandom(
-        values=[uniform_for_wait(0.01, 2), LATEST_UNIFORM, 0.99, 0.0], ints=[30]
-    )
+    # leave clock fires at 545; split picks long (0.99), duration 30
+    rng = ScriptedRandom(values=[uniform_for_wait(0.01, 2), 0.99], ints=[30])
     ctx = _ctx(computer_off_threshold=0.0)
     _step(agent, 540, ctx, rng)
     _fire(agent, ctx, rng)  # enters at 542
-    assert _computer_events(ctx) == [(544, EventKind.SWITCH_COMPUTER_ON)]
     minute, event = _fire(agent, ctx, rng)
     assert minute == 545
-    # the switch-off goes to the computer log, the leave is the event
-    assert _computer_events(ctx)[1:] == [(545, EventKind.SWITCH_COMPUTER_OFF)]
     assert event.kind is EventKind.LEAVE_OFFICE_LONG
-    assert agent.computer_power == POWER_OFF
     assert agent.corridor_mode is CorridorMode.LONG_BREAK
     assert agent.break_end == 575
+    # no standby; off-roll 0.0 at the leaver's awareness then: the
+    # switch-off goes to the computer log, the leave is the event
+    computer = ScriptedRandom(values=[LATEST_UNIFORM, 0.0])
+    stays = [(542, 545, agent.awareness)]
+    assert _computer_events(
+        monkeypatch, stays, computer, computer_off_threshold=0.0
+    ) == [(544, EventKind.SWITCH_COMPUTER_ON), (545, EventKind.SWITCH_COMPUTER_OFF)]
 
 
 def test_other_room_dwell_is_never_longer_than_sampled():
@@ -570,13 +593,16 @@ def test_other_room_dwell_is_never_longer_than_sampled():
     assert (minute, event.kind) == (670, EventKind.ENTER_OWN_OFFICE)
 
 
-def test_departure_at_leave_minute_goes_through_corridor():
+def test_departure_at_leave_minute_goes_through_corridor(monkeypatch):
     agent = _fresh_agent(schedule=(540, 560))
     rng = ScriptedRandom()
     ctx = _ctx()
     _step(agent, 540, ctx, rng)
     _fire(agent, ctx, rng)  # enters at 542
-    assert _computer_events(ctx) == [(544, EventKind.SWITCH_COMPUTER_ON)]
+    stays = [(542, 560, agent.awareness)]
+    assert _computer_events(monkeypatch, stays, ScriptedRandom()) == [
+        (544, EventKind.SWITCH_COMPUTER_ON)
+    ]
     assert agent.state is AgentState.IN_OWN_OFFICE
     minute, event = _fire(agent, _ctx(), rng)
     assert minute == 560

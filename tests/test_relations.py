@@ -117,3 +117,34 @@ def test_emails_that_raise_nobody_change_nothing_but_the_contacts(draws):
         assert [c.tolist() for c in a.manual] == [c.tolist() for c in b.manual]
         for record in (a.record, b.record):
             assert record.final_awareness == record.initial_awareness
+
+
+AWARENESS_DELTAS = (0.0, 0.5, 2.0, 10.0)
+CONTACT_RATE = 2000.0
+
+
+def _event_bytes(record):
+    """The bytes of the record's agent-event columns."""
+    return [c.tobytes() for c in (record.kind, record.minute, record.agent, record.room)]
+
+
+def test_awareness_moves_nobody_and_never_lights_a_room(reference_scenario):
+    # Awareness reaches behaviour only through the switch-off rolls, which
+    # move nobody: the agent events are the same at every awareness delta
+    # and contact rate, and a larger delta can only switch more lights off.
+    rng = random.Random(7)
+    scenarios = [random_scenario(rng) for _ in range(40)]
+    scenarios.append(replace(reference_scenario, horizon_days=3))
+    staff = (LightingPolicy.staff_controlled(),)
+    for scenario in scenarios:
+        (unsent,) = run_replication_arms(replace(scenario, contact_rate=0.0), 11, staff)
+        events = _event_bytes(unsent.record)
+        lights = None
+        for delta in AWARENESS_DELTAS:
+            raised = replace(scenario, contact_rate=CONTACT_RATE, awareness_delta=delta)
+            (arm,) = run_replication_arms(raised, 11, staff)
+            assert _event_bytes(arm.record) == events, (scenario, delta)
+            if lights is not None:
+                pairs = zip(arm.ledger.lights_w, lights)
+                assert all(a <= b for a, b in pairs), (scenario, delta)
+            lights = arm.ledger.lights_w
