@@ -1,8 +1,8 @@
-"""The two lighting policies and the room light bank the engine builds
+"""The two lighting policies and the zone light bank the engine builds
 once an agent pass is over, from the pass's zone-turn log.
 
 Lights are either sensor-driven (on with presence, off after a fixed
-delay of vacancy: a closed form of the room's occupancy turns) or
+delay of vacancy: a closed form of the zone's occupancy turns) or
 staff-controlled (state changes only through manual switch events).
 Computers have no model here: the engine replays each one's spec
 wattages (off, standby, on) from the run's computer log.
@@ -51,41 +51,22 @@ def manual_exit_decision(leaving_awareness: float, rng) -> bool:
 
 
 class RoomLightBank:
-    """The lights of one room, switched as a unit, and the log of their
-    on-intervals. Lights in a room share occupancy sensing and switches,
-    so they are on or off together. Once the agent pass is over, the
-    engine switches a staff-controlled bank along the pass's zone turns
-    (``turn_on``, ``turn_off``), and an automated bank takes its
-    intervals from its room's occupancy turns (``step_automated``).
+    """The on-intervals of one zone's lights. The rooms of a zone share
+    occupancy, sensing and switches, so their lights are on or off
+    together. Once the agent pass is over, an automated bank takes its
+    intervals from its zone's occupancy turns (``step_automated``).
     """
 
-    __slots__ = ("room_id", "is_on", "intervals")
+    __slots__ = ("intervals",)
 
-    def __init__(self, room_id: str):
-        self.room_id = room_id
-        self.is_on = False
-        self.intervals: list[tuple[int, int]] = []  # [start, end), -1 = open
-
-    def turn_on(self, minute: int) -> bool:
-        if self.is_on:
-            return False
-        self.is_on = True
-        self.intervals.append((minute, -1))
-        return True
-
-    def turn_off(self, minute: int) -> bool:
-        if not self.is_on:
-            return False
-        self.is_on = False
-        start, _ = self.intervals[-1]
-        self.intervals[-1] = (start, minute)
-        return True
+    def __init__(self):
+        self.intervals: list[tuple[int, int]] = []  # [start, end)
 
     def step_automated(self, turns, off_delay: int, end: int) -> int:
         """The automated policy's on-intervals up to minute ``end``, from
-        ``turns``, the minutes at which the room turns occupied and vacant
+        ``turns``, the minutes at which the zone turns occupied and vacant
         in turn: an occupied run [a, b) lights [a, min(b + off_delay,
-        end)), so the room is lit at minute m iff it was occupied at some
+        end)), so the zone is lit at minute m iff it was occupied at some
         minute in [m - off_delay, m]. A run that starts at or before the
         end of the lit span before it joins that span. Returns the number
         of on-intervals."""
@@ -98,8 +79,3 @@ class RoomLightBank:
             else:
                 intervals.append((a, off))
         return len(intervals)
-
-    def finalize(self, end_minute: int) -> None:
-        if self.is_on:
-            start, _ = self.intervals[-1]
-            self.intervals[-1] = (start, end_minute)

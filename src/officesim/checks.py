@@ -25,7 +25,7 @@ from .engine import (
     build_network,
     derive_seed,
 )
-from .network import AWARENESS_CAP, contact_step
+from .network import AWARENESS_CAP, SocialNetwork, contact_step
 from .occupants import (
     EVENT_KINDS,
     MINUTES_PER_DAY,
@@ -61,21 +61,27 @@ def roster(record: RunRecord) -> tuple[AgentRecord, ...]:
     ))
 
 
-def _stay_emails(record: RunRecord):
-    """Each recorded office stay's emails, in the order of the stays,
-    drawn by ``contact_step`` from a fresh email stream of its sender;
-    none where contacts are off. Nothing else draws from those streams,
-    and the pass draws each sender's stays up to the first that can raise
-    nobody, and none after it, so the emails the pass drew come out the
-    same. The network, too, is built again from its own stream."""
-    if record.email_p is None:
-        return
+def pass_network(record: RunRecord) -> SocialNetwork | None:
+    """The social network of ``record``'s pass, built again from the
+    pass's network stream, which feeds nothing else; None where the
+    population is too small for one."""
     scenario = record.scenario
-    network = build_network(
+    return build_network(
         scenario.population_size, scenario.small_world_k,
         scenario.small_world_beta, Random(derive_seed(record.seed, "network")),
         scenario.lattice,
     )
+
+
+def _stay_emails(record: RunRecord, network: SocialNetwork | None):
+    """Each recorded office stay's emails, in the order of the stays,
+    drawn by ``contact_step`` on ``network`` (``pass_network``) from a
+    fresh email stream of its sender; none where contacts are off. Nothing
+    else draws from those streams, and the pass draws each sender's stays
+    up to the first that can raise nobody, and none after it, so the
+    emails the pass drew come out the same."""
+    if record.email_p is None:
+        return
     rngs: dict[int, Random] = {}
     stays = zip(record.stay_sender, record.stay_start, record.stay_end)
     for sender, start, end in stays:
@@ -89,7 +95,7 @@ def contacts(record: RunRecord) -> tuple[tuple[int, int, int], ...]:
     """Every email of every recorded office stay as ``(sender_id,
     receiver_id, minute)``, sorted by minute, then sender."""
     rows: list[tuple[int, int, int]] = []
-    for emails in _stay_emails(record):
+    for emails in _stay_emails(record, pass_network(record)):
         rows += emails
     rows.sort(key=itemgetter(2, 0))
     return tuple(rows)
@@ -97,7 +103,7 @@ def contacts(record: RunRecord) -> tuple[tuple[int, int, int], ...]:
 
 def contact_count(record: RunRecord) -> int:
     """The number of ``contacts``, counted without building them."""
-    return sum(map(len, _stay_emails(record)))
+    return sum(map(len, _stay_emails(record, pass_network(record))))
 
 
 def computer_transitions(record: RunRecord) -> dict[str, tuple]:
@@ -171,6 +177,7 @@ class PassTrace:
     computer_transitions: dict[str, tuple[tuple[int, float], ...]]
     awareness_by_day: list[np.ndarray]  # at each midnight
     awareness_at_end: list[float]
+    network: SocialNetwork | None  # pass_network
 
 
 @dataclass
@@ -250,15 +257,15 @@ def _stays(record: RunRecord, n_minutes: int, states) -> dict[int, list]:
     return spans
 
 
-def _awareness_replay(record: RunRecord, n_days: int):
+def _awareness_replay(record: RunRecord, n_days: int, network: SocialNetwork | None):
     """The awareness at each midnight and at the end: the initial one
     raised by the awareness delta per email received before then, capped
     at 100. Every email adds the same delta under the same cap, so an
     agent's awareness depends only on how many emails reached it, not on
     their order; and a stay's emails fall on the day it begins, as it
-    ends by midnight."""
+    ends by midnight. ``network`` is the pass's (``pass_network``)."""
     received: list[list[int]] = [[] for _ in range(n_days)]
-    for emails in _stay_emails(record):
+    for emails in _stay_emails(record, network):
         if emails:
             received[emails[0][2] // MINUTES_PER_DAY] += map(itemgetter(1), emails)
     delta = record.scenario.awareness_delta
@@ -279,7 +286,8 @@ def trace_pass(result: ReplicationResult) -> PassTrace:
     """What the agent pass of ``result``, any of its arms, decided, from
     its record. The state transitions are the agent events, mapped by
     kind, and the stays their spans; the schedules are drawn again from
-    the pass's schedule stream, which feeds nothing else."""
+    the pass's schedule stream, which feeds nothing else, and the network
+    (``pass_network``) once for the awareness replay and the trace."""
     record = result.record
     scenario = record.scenario
     n_minutes = result.n_minutes
@@ -298,6 +306,7 @@ def trace_pass(result: ReplicationResult) -> PassTrace:
         for agent in agents
     }
     in_building = frozenset(AgentState) - {AgentState.OUT_OF_SCHOOL}
+    network = pass_network(record)
     return PassTrace(
         transitions,
         tuple(room.id for room in result.building.rooms),
@@ -306,7 +315,8 @@ def trace_pass(result: ReplicationResult) -> PassTrace:
         _stays(record, n_minutes, {AgentState.IN_OWN_OFFICE}),
         _stays(record, n_minutes, in_building),
         computer_transitions(record),
-        *_awareness_replay(record, n_days),
+        *_awareness_replay(record, n_days, network),
+        network,
     )
 
 

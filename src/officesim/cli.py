@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, needs_out: bool = True):
         p.add_argument("--scenario", required=True, help="scenario YAML file")
         p.add_argument("--days", type=int, help="override horizon_days")
-        p.add_argument("--reps", type=int, help="override replications (default 20)")
+        p.add_argument("--reps", type=int, help="override the scenario's replications")
         p.add_argument("--seed", type=int, help="override the master seed")
         if needs_out:
             p.add_argument("--out", required=True, help="output directory")

@@ -181,12 +181,12 @@ def run_replication_arms(
     The pass logs each zone's turns into the record, the agent events at
     which its count turns positive or back to zero, with the leaver's
     awareness where the leaver of a vacancy rolls the staff switch-off.
-    After the last day each arm's banks are built from that log alone:
-    automated, each bank of a room with lights (``Layout.light_rooms``)
-    takes its on-intervals from its zone's turn minutes in closed form
-    (``RoomLightBank.step_automated``); staff-controlled, a walk of the
-    log switches the same banks (``_staff_lights``).
-    Each arm's lights series is the exact total of its banks' intervals
+    After the last day each arm's lights are built from that log alone,
+    one state per zone: automated, a zone with lights (``Layout.light_rooms``)
+    takes its on-intervals from its turn minutes in closed form
+    (``RoomLightBank.step_automated``); staff-controlled, a walk of the log
+    switches the zones (``_staff_lights``). Each room with lights gets its
+    zone's intervals, and the lights series is their exact total
     (``_replay_lights``).
 
     Emails are not on the calendar. An office stay ends at the leave
@@ -238,7 +238,7 @@ def run_replication_arms(
         email_p = array("d", [hazards[STEREOTYPES.index(a.stereotype)] for a in agents])
     record = RunRecord(scenario, seed, agents, email_p)
 
-    facility_ids, light_rooms, room_zone, room_index, per_watt, room_units = (
+    facility_ids, light_rooms, room_zone, room_index, per_watt, zone_units = (
         scenario.layout
     )
     ctx = BehaviorContext(params, facility_ids)
@@ -392,27 +392,37 @@ def run_replication_arms(
                     schedule(agent.next_minute, agent_id)
 
     apply_inbox(n_minutes)
+    # Release the pass's streams, so that they are not alive at the peak
+    # with the streams the computers draw from.
+    behavior_rngs = email_rngs = rng = None
     computers_arr = _draw_computers(record, n_minutes)
-    base_arr = scenario.base_load_w
     record.final_awareness.extend([a.awareness for a in agents])
     zone_turns = _zone_turn_minutes(record, len(light_rooms))
+    room_ids = [room.id for room in building.rooms]
     results = []
     for policy in policies:
         if policy.is_automated:
-            banks = [RoomLightBank(room.id) for room in building.rooms]
+            zone_spans = []
             for turns, rooms in zip(zone_turns, light_rooms):
-                for i in rooms:
-                    banks[i].step_automated(turns, policy.off_delay_minutes, n_minutes)
+                bank = RoomLightBank()
+                if rooms:
+                    bank.step_automated(turns, policy.off_delay_minutes, n_minutes)
+                zone_spans.append(bank.intervals)
             manual = _columns("ibi")
         else:
-            banks, manual = _staff_lights(record, n_minutes)
-        lights = _replay_lights(banks, room_units, per_watt, n_minutes)
+            zone_spans, manual = _staff_lights(record, n_minutes)
+        light_intervals = dict.fromkeys(room_ids, ())
+        for rooms, spans in zip(light_rooms, zone_spans):
+            spans = tuple(spans)
+            for i in rooms:
+                light_intervals[room_ids[i]] = spans
+        lights = _replay_lights(zone_spans, zone_units, per_watt, n_minutes)
         results.append(ReplicationResult(
             seed=seed,
             policy=policy,
             n_minutes=n_minutes,
-            ledger=EnergyLedger(base_arr, lights, computers_arr),
-            light_intervals={b.room_id: tuple(b.intervals) for b in banks},
+            ledger=EnergyLedger(scenario.base_load_w, lights, computers_arr),
+            light_intervals=light_intervals,
             building=building,
             record=record,
             manual=manual,
@@ -435,41 +445,40 @@ def _zone_turn_minutes(record: RunRecord, n_zones: int) -> list[list[int]]:
 
 def _staff_lights(
     record: RunRecord, n_minutes: int
-) -> tuple[list[RoomLightBank], tuple[array, array, array]]:
-    """The staff-controlled banks of ``record``'s pass (by room index) and
-    their manual light events (``ReplicationResult.manual``), from its zone
-    turns in order: a zone turning occupied switches on the dark banks of
-    its rooms that have lights (``Layout.light_rooms``), and a vacancy
-    whose leaver rolls switches its lit banks off if
+) -> tuple[list[list[tuple[int, int]]], tuple[array, array, array]]:
+    """The staff-controlled on-intervals of ``record``'s pass by zone, and
+    its manual light events (``ReplicationResult.manual``), one per room
+    with lights (``Layout.light_rooms``) that a zone's switch reaches,
+    from its zone turns in order. A dark zone turning occupied switches
+    on, and a vacancy whose leaver rolls switches off if
     ``manual_exit_decision`` says so, drawing from the pass's own
-    manual-switching stream. Banks are switched off only by a roll, so
-    while a zone is occupied its banks are lit, as when everyone entering
-    switches on."""
+    manual-switching stream. So a zone is lit while occupied, as when
+    everyone entering switches on, and only a lit zone turns vacant."""
     light_rooms = record.scenario.layout.light_rooms
-    banks = [RoomLightBank(room.id) for room in record.scenario.building.rooms]
+    spans: list[list[tuple[int, int]]] = [[] for _ in light_rooms]
+    lit_at = [-1] * len(light_rooms)  # per zone: the minute it was lit; -1: dark
     manual = _columns("ibi")
     positions, codes, rooms = manual
     rng = Random(derive_seed(record.seed, "policy"))
-    occupied = [False] * len(light_rooms)
     minutes = record.minute
     turns = zip(record.turn_position, record.turn_zone, record.turn_awareness)
     for position, zone, awareness in turns:
-        occupied[zone] = not occupied[zone]
-        if occupied[zone]:
-            code, switch = MANUAL_LIGHTS_ON, RoomLightBank.turn_on
+        minute = minutes[position - 1]
+        if lit_at[zone] < 0:  # dark, so this turn is to occupied
+            lit_at[zone], code = minute, MANUAL_LIGHTS_ON
         elif awareness >= 0.0 and manual_exit_decision(awareness, rng):
-            code, switch = MANUAL_LIGHTS_OFF, RoomLightBank.turn_off
+            spans[zone].append((lit_at[zone], minute))
+            lit_at[zone], code = -1, MANUAL_LIGHTS_OFF
         else:
             continue
-        minute = minutes[position - 1]
-        for i in light_rooms[zone]:
-            if switch(banks[i], minute):
-                positions.append(position)
-                codes.append(code)
-                rooms.append(i)
-    for bank in banks:
-        bank.finalize(n_minutes)
-    return banks, manual
+        switched = light_rooms[zone]
+        positions.extend(repeat(position, len(switched)))
+        codes.extend(repeat(code, len(switched)))
+        rooms.extend(switched)
+    for zone_spans, start in zip(spans, lit_at):
+        if start >= 0:
+            zone_spans.append((start, n_minutes))
+    return spans, manual
 
 
 def _exact_series(deltas: list[int], per_watt: int) -> array:
@@ -541,13 +550,13 @@ def _draw_computers(record: RunRecord, n_minutes: int) -> array:
     return _exact_series(deltas, per_watt)
 
 
-def _replay_lights(banks, room_units, per_watt: int, n_minutes: int) -> array:
+def _replay_lights(zone_spans, zone_units, per_watt: int, n_minutes: int) -> array:
     """A lights series: minute m's sample is the exact total wattage of
-    the ``banks`` (by room index) lit at m (``_exact_series``), each room
-    drawing ``room_units`` in the units of ``Layout.per_watt``."""
+    the zones lit at m in ``zone_spans`` (``_exact_series``), each drawing
+    ``zone_units`` in the units of ``Layout.per_watt``."""
     deltas = [0] * (n_minutes + 1)  # the last: switch-offs at the end
-    for bank, units in zip(banks, room_units):
-        for start, end in bank.intervals:
+    for spans, units in zip(zone_spans, zone_units):
+        for start, end in spans:
             deltas[start] += units
             deltas[end] -= units
     del deltas[n_minutes]
@@ -557,16 +566,16 @@ def _replay_lights(banks, room_units, per_watt: int, n_minutes: int) -> array:
 class Layout(NamedTuple):
     """``building_layout``: rooms by index in the building's file order.
     A zone is the rooms that share occupancy: zone 0 is the corridor, all
-    its rooms at once; every other room is a zone of its own. A zone's
-    light switching, under either policy, reaches its rooms that have
-    lights."""
+    its rooms at once; every other room is a zone of its own. Lights are
+    switched per zone, under either policy, and a zone's switching
+    reaches its rooms that have lights."""
 
     facility_ids: tuple[str, ...]
     light_rooms: list[list[int]]  # by zone, the indices of its rooms with lights
     room_zone: list[int]  # by room index
     room_index: dict[str | None, int]  # by room id; None: -1
     per_watt: int  # the light wattages' denominator, accounting.integer_units
-    room_units: list[int]  # by room index, its lights' wattage in those units
+    zone_units: list[int]  # by zone, its lights' wattage in those units
 
 
 def building_layout(building: BuildingModel) -> Layout:
@@ -583,14 +592,15 @@ def building_layout(building: BuildingModel) -> Layout:
             light_rooms.append([])
         if room.light_ids:
             light_rooms[room_zone[i]].append(i)
-    per_watt, room_units = integer_units(
-        [building.lights[lid].watts_on for lid in room.light_ids] for room in rooms
+    per_watt, zone_units = integer_units(
+        [building.lights[lid].watts_on for i in zone for lid in rooms[i].light_ids]
+        for zone in light_rooms
     )
     room_index = {room.id: i for i, room in enumerate(rooms)}
     room_index[None] = -1
     return Layout(
         tuple(r.id for r in building.facility_rooms()),
-        light_rooms, room_zone, room_index, per_watt, list(map(sum, room_units)),
+        light_rooms, room_zone, room_index, per_watt, list(map(sum, zone_units)),
     )
 
 

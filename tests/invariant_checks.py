@@ -10,7 +10,6 @@ lights read the ``RunTrace`` that ``derive_trace`` adds them to.
 from __future__ import annotations
 
 from operator import itemgetter
-from random import Random
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from officesim.checks import (
     derive_trace,
     trace_pass,
 )
-from officesim.engine import build_network, derive_seed
 from officesim.occupants import (
     ENTER_BUILDING,
     ENTER_OTHER_ROOM,
@@ -304,20 +302,8 @@ def check_stereotype_immutable(result: ReplicationResult) -> list[str]:
     return violations
 
 
-def replication_network(result: ReplicationResult):
-    """The replication's social network, rebuilt from its own stream (the
-    network stream feeds nothing else); None where contacts are off."""
-    scenario = result.record.scenario
-    return build_network(
-        scenario.population_size,
-        scenario.small_world_k,
-        scenario.small_world_beta,
-        Random(derive_seed(result.seed, "network")),
-    )
-
-
-def check_network_edges(result: ReplicationResult) -> list[str]:
-    network = replication_network(result)
+def check_network_edges(trace: PassTrace) -> list[str]:
+    network = trace.network
     if network is None:
         return []
     expected = network.n * network.k // 2
@@ -389,7 +375,7 @@ def run_all_checks(*arms: ReplicationResult) -> list[str]:
     violations += check_schedule_containment(shared)
     violations += check_awareness_monotone(first, shared)
     violations += check_stereotype_immutable(first)
-    violations += check_network_edges(first)
+    violations += check_network_edges(shared)
     for result in arms:
         trace = derive_trace(result, shared)
         violations += check_no_events_while_absent(result, trace)

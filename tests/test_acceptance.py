@@ -90,7 +90,7 @@ def test_criterion_1_accounting_identity(automated_experiment):
 def test_criterion_2_automated_light_rule():
     # one office, one occupant, scripted long leave at minute 300
     occupied = [True] * 300 + [False] * 100
-    bank = RoomLightBank("office")
+    bank = RoomLightBank()
     policy = LightingPolicy.automated()
     bank.step_automated(
         occupancy_turns(occupied), policy.off_delay_minutes, len(occupied)

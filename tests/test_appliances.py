@@ -24,11 +24,11 @@ STAFF = LightingPolicy.staff_controlled()
 
 
 def run_pattern(pattern: list[bool], off_delay: int = 20, lit: bool = False):
-    """One bank's automated on-intervals over ``pattern`` (occupied per
+    """One zone bank's automated on-intervals over ``pattern`` (occupied per
     minute), from its occupancy turns; ``lit`` starts it as if occupied
     the minute before. Returns the bank and whether it is on at each
     minute."""
-    bank = RoomLightBank("r1")
+    bank = RoomLightBank()
     turns = occupancy_turns(pattern)
     if lit:
         turns = [minute - 1 for minute in occupancy_turns([True] + pattern)]
@@ -81,7 +81,6 @@ def test_bank_matches_single_light_semantics(pattern, off_delay):
 def test_bank_interval_log_counts_on_minutes():
     pattern = [True] * 10 + [False] * 25 + [True] * 5
     bank, _ = run_pattern(pattern)
-    bank.finalize(len(pattern))
     # on from 0: 10 occupied + 20 delay, then off, then on again at 35
     assert bank.intervals == [(0, 30), (35, 40)]
 

@@ -35,6 +35,7 @@ from officesim.checks import (
     contact_count,
     contacts,
     derive_trace,
+    pass_network,
     roster,
 )
 from officesim.engine import run_replication_arms
@@ -67,7 +68,6 @@ from conftest import (
 from invariant_checks import (
     check_automated_light_rule,
     check_staff_lit_while_occupied,
-    replication_network,
     run_all_checks,
 )
 
@@ -438,7 +438,7 @@ def test_shared_pass_arms_equal_solo_replications():
         seen["delays"].update((first, second))
         seen["contact_rates"].add(scenario.contact_rate)
         seen["start_days"].add(scenario.start_day_of_week)
-        seen["no_network"] += replication_network(arms[0]) is None
+        seen["no_network"] += pass_network(arms[0].record) is None
     assert seen["delays"] == {5, 20, 30}
     assert seen["contact_rates"] == {0.0, 1.0, 50.0}
     assert seen["start_days"] == set(range(7))
@@ -497,6 +497,34 @@ def test_both_arms_switch_exactly_the_rooms_that_have_lights():
     assert switched == {
         i for i, room in enumerate(scenario.building.rooms) if room.light_ids
     }
+
+
+def test_corridor_rooms_switch_as_one_zone():
+    # The corridor rooms share one occupancy zone, so under either policy
+    # those with lights share their on-intervals, and every staff switch
+    # of the corridor names each of them at the same position.
+    scenario = replace(
+        make_small_scenario(population_size=5, horizon_days=7),
+        building=load_building(make_building_text(corridor_lights=2, corridor_rooms=3)),
+    )
+    rooms = scenario.building.rooms
+    halls = [
+        i for i, room in enumerate(rooms)
+        if room.kind is RoomKind.CORRIDOR and room.light_ids
+    ]
+    assert [rooms[i].id for i in halls] == ["hall", "hall-1"]
+    policies = (LightingPolicy.automated(), LightingPolicy.staff_controlled())
+    automated, staff = run_replication_arms(scenario, 3, policies)
+    for arm in (automated, staff):
+        (spans,) = {arm.light_intervals[rooms[i].id] for i in halls}
+        assert spans
+    named: dict[tuple[int, int], list[int]] = {}
+    for position, code, room in zip(*staff.manual):
+        if room in halls:
+            named.setdefault((position, code), []).append(room)
+    codes = {EVENT_KINDS[code] for _, code in named}
+    assert codes == {EventKind.MANUAL_LIGHTS_ON, EventKind.MANUAL_LIGHTS_OFF}
+    assert all(switched == halls for switched in named.values())
 
 
 # Per agent event, in order, the spaces its agent enters (+1) or leaves
@@ -782,6 +810,25 @@ def test_kept_events_are_in_minute_and_agent_order():
             assert set(per_minute.values()) <= {1}
             computer_events += len(per_minute)
     assert computer_events > 0
+
+
+def test_reference_replication_releases_its_streams_before_the_computers(
+    reference_scenario,
+):
+    # Once the pass is over, its behaviour and email streams (a Mersenne
+    # Twister state of about 2.5 KB each, up to one per agent) are
+    # released before the computers seed one stream per owner: the peak
+    # of one reference week is about 1.6 MiB. Keeping the pass's streams
+    # through the computers took it to 2.6 MiB.
+    run_replication(reference_scenario, seed=5)  # the scenario's caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_replication(reference_scenario, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * 2**20, peak
 
 
 def test_unkept_reference_replication_retains_little(reference_scenario):

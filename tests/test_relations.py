@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from officesim import LightingPolicy, run_replication
-from officesim.checks import _awareness_replay
+from officesim.checks import _awareness_replay, pass_network
 from officesim.engine import run_replication_arms
 from officesim.occupants import MINUTES_PER_DAY
 
@@ -97,7 +97,7 @@ def test_a_shorter_horizon_is_a_prefix_of_a_longer_one(draws):
         assert _agent_events(long.record, cut) == _agent_events(short.record)
         assert _computer_rows(long.record, cut) == _computer_rows(short.record)
         assert _clipped(long.light_intervals, cut) == short.light_intervals
-        by_day, _ = _awareness_replay(long.record, days)
+        by_day, _ = _awareness_replay(long.record, days, pass_network(long.record))
         assert by_day[days - 1].tolist() == short.record.final_awareness.tolist()
 
 
