@@ -52,12 +52,13 @@ class AgentRecord(NamedTuple):
 
 def roster(record: RunRecord) -> tuple[AgentRecord, ...]:
     """Each agent's facts by id, from the record's roster columns and the
-    scenario's seats."""
+    scenario's ``Layout``."""
+    layout = record.scenario.layout
     classes = map(SCHEDULE_CLASSES.__getitem__, record.schedule_class)
     stereotypes = map(STEREOTYPES.__getitem__, record.stereotype)
     return tuple(map(
-        AgentRecord, count(), classes, stereotypes, *record.scenario.seats,
-        record.initial_awareness, record.final_awareness,
+        AgentRecord, count(), classes, stereotypes, layout.office_ids,
+        layout.computer_ids, record.initial_awareness, record.final_awareness,
     ))
 
 
@@ -65,12 +66,7 @@ def pass_network(record: RunRecord) -> SocialNetwork | None:
     """The social network of ``record``'s pass, built again from the
     pass's network stream, which feeds nothing else; None where the
     population is too small for one."""
-    scenario = record.scenario
-    return build_network(
-        scenario.population_size, scenario.small_world_k,
-        scenario.small_world_beta, Random(derive_seed(record.seed, "network")),
-        scenario.lattice,
-    )
+    return build_network(record.scenario, Random(derive_seed(record.seed, "network")))
 
 
 def _stay_emails(record: RunRecord, network: SocialNetwork | None):
@@ -109,9 +105,10 @@ def contact_count(record: RunRecord) -> int:
 def computer_transitions(record: RunRecord) -> dict[str, tuple]:
     """Each computer's wattage changes as (minute, watts), from
     (0, off watts), in catalog order."""
-    levels = record.scenario.computer_levels[1]
+    layout = record.scenario.layout
+    levels = layout.computer_watts
     transitions = {cid: [(0, ws[POWER_OFF])] for cid, ws in levels.items()}
-    owned = record.scenario.seats[1]
+    owned = layout.computer_ids
     rows = zip(record.computer_minute, record.computer_agent, record.computer_power)
     for minute, agent_id, power in rows:
         cid = owned[agent_id]

@@ -12,12 +12,14 @@ from pathlib import Path
 
 from . import __version__
 from .building import building_summary
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .scenario_io import (
+    DAY_NAMES,
     WINDOW_PRESETS,
     emit_comparison,
     emit_experiment,
     parse_scenario,
+    window_mask,
 )
 
 EXIT_OK = 0
@@ -140,6 +142,12 @@ def _cmd_proportions(args) -> int:
     import json
 
     scenario = _load(args)
+    days, start_dow = scenario.horizon_days, scenario.start_day_of_week
+    if not any(window_mask(args.window, days, start_dow)):
+        raise ValidationError(
+            f"--window {args.window} selects no minute of a {days}-day horizon "
+            f"starting on {DAY_NAMES[start_dow]}"
+        )
     result = run_experiment(scenario)
     paths = emit_experiment(
         result, args.out, command="proportions", window=args.window,
@@ -148,10 +156,13 @@ def _cmd_proportions(args) -> int:
     report = json.loads((Path(args.out) / "proportions.json").read_text())
     fractions = report["fractions"]
     print(f"wrote {len(paths)} files to {args.out}")
-    print(
-        f"window {args.window}: base {fractions['base']:.3f}, "
-        f"lights {fractions['lights']:.3f}, computers {fractions['computers']:.3f}"
-    )
+    if fractions is None:
+        print(f"window {args.window}: no energy, so the fractions are undefined")
+    else:
+        print(
+            f"window {args.window}: base {fractions['base']:.3f}, lights "
+            f"{fractions['lights']:.3f}, computers {fractions['computers']:.3f}"
+        )
     return EXIT_OK
 
 

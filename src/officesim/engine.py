@@ -37,7 +37,7 @@ from .appliances import (
     RoomLightBank,
     manual_exit_decision,
 )
-from .building import BuildingModel, RoomKind
+from .building import BuildingModel, RoomKind, seat_table
 from .network import (
     AWARENESS_CAP,
     SocialNetwork,
@@ -45,6 +45,8 @@ from .network import (
     contact_step,
     network_degree,
     raise_awareness,
+    ring_lattice,
+    send_hazard,
 )
 from .occupants import (
     COMPUTER_SWITCH_ON_MINUTES,
@@ -60,6 +62,7 @@ from .occupants import (
     POWER_OFF,
     POWER_ON,
     POWER_STANDBY,
+    STEREOTYPE_PARAMS,
     BehaviorContext,
     ScheduleClass,
     Stereotype,
@@ -91,7 +94,7 @@ def _columns(typecodes: str) -> tuple[array, ...]:
 
 class RunRecord:
     """What one agent pass did, in ``array`` columns (the agents' desks are
-    the scenario's ``seats``); the results of its arms share it. Each
+    in the scenario's ``Layout``); the results of its arms share it. Each
     arm's lights and the computers are built from it once the pass ends;
     ``officesim.checks`` derives the roster, contacts and computer
     transitions from it. The int32 columns hold any run that fits in
@@ -213,6 +216,7 @@ def run_replication_arms(
     building, and its movement not on its awareness.
     """
     building = scenario.building
+    layout = scenario.layout
     params = scenario.behavior
     n_minutes = scenario.horizon_minutes
     start_dow = scenario.start_day_of_week
@@ -223,25 +227,21 @@ def run_replication_arms(
 
     agents = sample_population(
         scenario.population_size, scenario.mix, building, rng_population,
-        seats=scenario.seats,
+        office_ids=layout.office_ids,
     )
-    network = build_network(
-        len(agents), scenario.small_world_k, scenario.small_world_beta, rng_network,
-        scenario.lattice,
-    )
+    network = build_network(scenario, rng_network)
     awareness_delta = scenario.awareness_delta
     raising = awareness_delta > 0.0  # else no email changes anything
-    hazards = scenario.email_hazards  # by stereotype code
+    hazards = layout.email_hazards  # by stereotype code
     contacts_on = hazards is not None
     email_p = None
     if contacts_on:
         email_p = array("d", [hazards[STEREOTYPES.index(a.stereotype)] for a in agents])
     record = RunRecord(scenario, seed, agents, email_p)
 
-    facility_ids, light_rooms, room_zone, room_index, per_watt, zone_units = (
-        scenario.layout
-    )
-    ctx = BehaviorContext(params, facility_ids)
+    light_rooms = layout.light_rooms
+    room_zone, room_index = layout.room_zone, layout.room_index
+    ctx = BehaviorContext(params, layout.facility_ids)
     corridor = 0
     zone_occupancy = [0] * len(light_rooms)
 
@@ -416,12 +416,12 @@ def run_replication_arms(
             spans = tuple(spans)
             for i in rooms:
                 light_intervals[room_ids[i]] = spans
-        lights = _replay_lights(zone_spans, zone_units, per_watt, n_minutes)
+        lights = _replay_lights(zone_spans, layout, n_minutes)
         results.append(ReplicationResult(
             seed=seed,
             policy=policy,
             n_minutes=n_minutes,
-            ledger=EnergyLedger(scenario.base_load_w, lights, computers_arr),
+            ledger=EnergyLedger(layout.base_w, lights, computers_arr),
             light_intervals=light_intervals,
             building=building,
             record=record,
@@ -503,16 +503,16 @@ def _draw_computers(record: RunRecord, n_minutes: int) -> array:
     does not happen; at a long leave, a machine that is not off is
     switched off with the ``computer_switch_off_prob`` of the leaver's
     awareness then."""
-    scenario = record.scenario
-    params = scenario.behavior
-    per_watt, _, levels, off_units = scenario.computer_levels
+    params = record.scenario.behavior
+    layout = record.scenario.layout
+    levels = layout.computer_units
     clock = hazard_clock(params.computer_standby_prob_per_minute)
     add_minute, add_owner, add_power = (
         record.computer_minute.append, record.computer_agent.append,
         record.computer_power.append,
     )
     deltas = [0] * n_minutes
-    deltas[0] = off_units
+    deltas[0] = layout.off_units
     rngs: list[Random | None] = [None] * len(levels)
     powers = [POWER_OFF] * len(levels)  # per agent: as its last stay ended
     stays = zip(
@@ -547,40 +547,52 @@ def _draw_computers(record: RunRecord, n_minutes: int) -> array:
             deltas[at] += units[after] - units[power]
             power = after
         powers[owner] = power
-    return _exact_series(deltas, per_watt)
+    return _exact_series(deltas, layout.per_watt)
 
 
-def _replay_lights(zone_spans, zone_units, per_watt: int, n_minutes: int) -> array:
+def _replay_lights(zone_spans, layout: Layout, n_minutes: int) -> array:
     """A lights series: minute m's sample is the exact total wattage of
     the zones lit at m in ``zone_spans`` (``_exact_series``), each drawing
-    ``zone_units`` in the units of ``Layout.per_watt``."""
+    its ``Layout.zone_units``."""
     deltas = [0] * (n_minutes + 1)  # the last: switch-offs at the end
-    for spans, units in zip(zone_spans, zone_units):
+    for spans, units in zip(zone_spans, layout.zone_units):
         for start, end in spans:
             deltas[start] += units
             deltas[end] -= units
     del deltas[n_minutes]
-    return _exact_series(deltas, per_watt)
+    return _exact_series(deltas, layout.per_watt)
 
 
 class Layout(NamedTuple):
-    """``building_layout``: rooms by index in the building's file order.
-    A zone is the rooms that share occupancy: zone 0 is the corridor, all
-    its rooms at once; every other room is a zone of its own. Lights are
-    switched per zone, under either policy, and a zone's switching
-    reaches its rooms that have lights."""
+    """What every run of a scenario reads that no seed changes, built by
+    ``build_layout`` and held as ``Scenario.layout``. Rooms are by index
+    in the building's file order, agents by id. A zone is the rooms that
+    share occupancy: zone 0 is the corridor, all its rooms at once; every
+    other room is a zone of its own. Lights are switched per zone, under
+    either policy, and a zone's switching reaches its rooms that have
+    lights. A wattage in units is a whole count of ``1 / per_watt`` W
+    (``accounting.integer_units`` of every light and computer), so sums of
+    units are exact."""
 
     facility_ids: tuple[str, ...]
     light_rooms: list[list[int]]  # by zone, the indices of its rooms with lights
     room_zone: list[int]  # by room index
     room_index: dict[str | None, int]  # by room id; None: -1
-    per_watt: int  # the light wattages' denominator, accounting.integer_units
-    zone_units: list[int]  # by zone, its lights' wattage in those units
+    per_watt: int
+    zone_units: list[int]  # by zone, its lights' wattage in units
+    office_ids: tuple[str, ...]  # by agent, from building.seat_table
+    computer_ids: tuple[str | None, ...]  # by agent; None: no computer
+    computer_watts: dict[str, tuple[float, ...]]  # by id: by power code, as written
+    computer_units: list[tuple[int, ...] | None]  # by agent: its computer's, in units
+    off_units: int  # every computer off, in units
+    lattice: tuple[frozenset[int], ...] | None  # network.ring_lattice; None: no network
+    email_hazards: tuple[float, ...] | None  # by stereotype code; None: nobody sends
+    base_w: array  # the base-load series, one sample per minute
 
 
-def building_layout(building: BuildingModel) -> Layout:
-    """The rooms and zones of ``building`` as a run uses them; held per
-    scenario as ``Scenario.layout``."""
+def build_layout(scenario: Scenario) -> Layout:
+    """The ``Layout`` of ``scenario``."""
+    building = scenario.building
     rooms = building.rooms
     light_rooms: list[list[int]] = [[]]  # zone 0: the corridor
     room_zone: list[int] = []
@@ -592,27 +604,55 @@ def building_layout(building: BuildingModel) -> Layout:
             light_rooms.append([])
         if room.light_ids:
             light_rooms[room_zone[i]].append(i)
-    per_watt, zone_units = integer_units(
-        [building.lights[lid].watts_on for i in zone for lid in rooms[i].light_ids]
-        for zone in light_rooms
-    )
     room_index = {room.id: i for i, room in enumerate(rooms)}
     room_index[None] = -1
+    computer_watts = {  # in power code order: off, standby, on
+        cid: (s.watts_off, s.watts_standby, s.watts_on)
+        for cid, s in building.computers.items()
+    }
+    per_watt, units = integer_units([
+        *([building.lights[lid].watts_on for i in zone for lid in rooms[i].light_ids]
+          for zone in light_rooms),
+        *computer_watts.values(),
+    ])
+    units_by_id = dict(zip(computer_watts, units[len(light_rooms):]))
+    n = scenario.population_size
+    office_ids, computer_ids = seat_table(building, n)
+    k = network_degree(n, scenario.small_world_k)
+    lattice = ring_lattice(n, k) if k else None
+    rate = scenario.contact_rate
+    email_hazards = None if lattice is None or rate <= 0.0 else tuple(
+        send_hazard(STEREOTYPE_PARAMS[s].p_email, rate) for s in STEREOTYPES
+    )
     return Layout(
-        tuple(r.id for r in building.facility_rooms()),
-        light_rooms, room_zone, room_index, per_watt, list(map(sum, zone_units)),
+        facility_ids=tuple(r.id for r in building.facility_rooms()),
+        light_rooms=light_rooms,
+        room_zone=room_zone,
+        room_index=room_index,
+        per_watt=per_watt,
+        zone_units=list(map(sum, units[:len(light_rooms)])),
+        office_ids=office_ids,
+        computer_ids=computer_ids,
+        computer_watts=computer_watts,
+        computer_units=[units_by_id.get(cid) for cid in computer_ids],
+        off_units=sum(u[POWER_OFF] for u in units_by_id.values()),
+        lattice=lattice,
+        email_hazards=email_hazards,
+        base_w=array("d", (building.base_load_watts,)) * scenario.horizon_minutes,
     )
 
 
-def build_network(
-    n: int, k: int, beta: float, rng, lattice=None
-) -> SocialNetwork | None:
-    """The network at the degree adapted to the population
-    (``network_degree``), rewired from ``lattice`` where given (the
-    scenario's); None disables contacts entirely (fewer than three agents
+def build_network(scenario: Scenario, rng) -> SocialNetwork | None:
+    """A pass's network: ``scenario``'s ``Layout.lattice``, whose every
+    node has the ``network_degree``, rewired from ``rng``; None where it
+    has no lattice, which disables contacts (fewer than three agents
     cannot form a ring)."""
-    k = network_degree(n, k)
-    return build_small_world(n, k, beta, rng, lattice=lattice) if k else None
+    lattice = scenario.layout.lattice
+    if lattice is None:
+        return None
+    return build_small_world(
+        len(lattice), len(lattice[0]), scenario.small_world_beta, rng, lattice=lattice
+    )
 
 
 @dataclass(frozen=True)
@@ -678,7 +718,7 @@ def _run_arm_experiments(
     runs = [run_replication_arms(first, rep_seed, policies) for rep_seed in rep_seeds]
     # Every ledger holds the scenario's constant base series: per minute,
     # the mean of n_reps copies of its one sample.
-    base = first.base_load_w
+    base = first.layout.base_w
     base_kwh = [pairwise_sum(base) / 60.0 / 1000.0] * n_reps
     mean_base = column_means([base[:1]] * n_reps) * len(base)
     # The arms of a pass share its computers series.

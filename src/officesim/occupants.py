@@ -313,11 +313,12 @@ class BehaviorContext:
 
 
 def sample_population(
-    n: int, mix: PopulationMix, building: BuildingModel, rng, *, seats=None
+    n: int, mix: PopulationMix, building: BuildingModel, rng, *, office_ids=None
 ) -> list[OccupantAgent]:
     """Create ``n`` agents with sampled stereotypes, seated by
-    ``seat_table(building, n)``; a caller holding that table passes it as
-    ``seats``. Raises CapacityError if ``n`` exceeds total desk capacity.
+    ``seat_table(building, n)``; a caller holding its office room ids
+    passes them as ``office_ids``. Raises CapacityError if ``n`` exceeds
+    total desk capacity.
 
     Per agent, in id order: a uniform draw picks its schedule class and
     one its stereotype, each the first class whose cumulative weight
@@ -327,7 +328,7 @@ def sample_population(
     if n < 0:
         raise ValidationError(f"population size must be >= 0, got {n}")
     mix.validate()
-    rooms = (seat_table(building, n) if seats is None else seats)[0]
+    rooms = seat_table(building, n)[0] if office_ids is None else office_ids
 
     schedule_classes = tuple(ScheduleClass)
     stereotypes = tuple(Stereotype)

@@ -30,7 +30,6 @@ from .accounting import (
     EnergyLedger,
     category_proportions_masked,
     half_hour_bins,
-    integer_units,
     masked_sum,
 )
 from .appliances import LightingPolicy, PolicyKind
@@ -44,15 +43,12 @@ from .building import (
     read_fields,
     read_section,
     read_yaml,
-    seat_table,
     serialize_building,
     write_fields,
 )
 from .errors import ParseError, ValidationError
 from .occupants import (
     MINUTES_PER_DAY,
-    POWER_OFF,
-    STEREOTYPE_PARAMS,
     BehaviorParams,
     PopulationMix,
     ScheduleClass,
@@ -127,63 +123,12 @@ class Scenario:
         return self.horizon_days * MINUTES_PER_DAY
 
     @cached_property
-    def base_load_w(self) -> array:
-        """The base-load series of a run, one sample per minute; built on
-        first use and shared by the ledgers of every run of the scenario."""
-        return array("d", (self.building.base_load_watts,)) * self.horizon_minutes
-
-    @cached_property
-    def seats(self) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
-        """``building.seat_table`` for the scenario's population: the desks
-        do not depend on the seed. Built on first use, shared by every run."""
-        return seat_table(self.building, self.population_size)
-
-    @cached_property
-    def computer_levels(self) -> tuple[int, dict, list, int]:
-        """``(per_watt, watts, seat_units, off_units)``: per computer, in
-        catalog order, its wattage by power code (``occupants.POWER_*``) as
-        written; per agent, its computer's wattages by power code in the
-        ``accounting.integer_units`` of them all (None: no computer); and,
-        in those units, the off wattages of all computers added up. Built
-        on first use, shared by every run."""
-        watts = {  # in power code order: off, standby, on
-            cid: (s.watts_off, s.watts_standby, s.watts_on)
-            for cid, s in self.building.computers.items()
-        }
-        per_watt, units = integer_units(watts.values())
-        units = dict(zip(watts, units))
-        seat_units = [units.get(cid) for cid in self.seats[1]]
-        return per_watt, watts, seat_units, sum(u[POWER_OFF] for u in units.values())
-
-    @cached_property
-    def lattice(self) -> tuple[frozenset[int], ...] | None:
-        """The social network's ring lattice (``network.ring_lattice`` at
-        ``network.network_degree``), which each run copies and rewires;
-        None where the population has no network. Built on first use."""
-        from .network import network_degree, ring_lattice  # not loaded to check a file
-
-        k = network_degree(self.population_size, self.small_world_k)
-        return ring_lattice(self.population_size, k) if k else None
-
-    @cached_property
-    def email_hazards(self) -> tuple[float, ...] | None:
-        """Each stereotype's per-minute email hazard by its code in
-        ``occupants.Stereotype``; None where nobody sends (no network, or
-        contact rate 0). Built on first use."""
-        from .network import send_hazard
-
-        if self.lattice is None or self.contact_rate <= 0.0:
-            return None
-        params = (STEREOTYPE_PARAMS[s] for s in Stereotype)
-        return tuple(send_hazard(p.p_email, self.contact_rate) for p in params)
-
-    @cached_property
     def layout(self) -> Layout:
-        """``engine.building_layout`` of the building: the rooms and zones
-        as a run uses them. Built on first use, shared by every run."""
-        from .engine import building_layout  # not loaded to check a file
+        """``engine.build_layout`` of the scenario: what every run reads
+        that no seed changes. Built on first use, shared by every run."""
+        from .engine import build_layout  # not loaded to check a file
 
-        return building_layout(self.building)
+        return build_layout(self)
 
 
 _INT = Number(int)
@@ -474,19 +419,21 @@ def _proportions_payload(
     ledger: EnergyLedger, preset: str, horizon_days: int, start_dow: int
 ) -> dict:
     mask = window_mask(preset, horizon_days, start_dow)
-    base, lights, computers = category_proportions_masked(ledger, mask)
-    minutes = mask.count(True)
+    kwh = {
+        "base": masked_sum(ledger.base_w, mask) / 60.0 / 1000.0,
+        "lights": masked_sum(ledger.lights_w, mask) / 60.0 / 1000.0,
+        "computers": masked_sum(ledger.computers_w, mask) / 60.0 / 1000.0,
+    }
+    fractions = None  # a window without energy has none
+    if any(kwh.values()):
+        fractions = dict(zip(kwh, category_proportions_masked(ledger, mask)))
     return {
         "window": preset,
-        "window_minutes": minutes,
+        "window_minutes": mask.count(True),
         "horizon_days": horizon_days,
         "start_day": DAY_NAMES[start_dow],
-        "fractions": {"base": base, "lights": lights, "computers": computers},
-        "kwh": {
-            "base": masked_sum(ledger.base_w, mask) / 60.0 / 1000.0,
-            "lights": masked_sum(ledger.lights_w, mask) / 60.0 / 1000.0,
-            "computers": masked_sum(ledger.computers_w, mask) / 60.0 / 1000.0,
-        },
+        "fractions": fractions,
+        "kwh": kwh,
     }
 
 

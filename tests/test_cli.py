@@ -246,6 +246,42 @@ def test_proportions_window_flag(scenario_path, tmp_path, capsys):
     assert report["window"] == "night"
 
 
+def test_window_without_minutes_is_a_config_error(scenario_path, tmp_path, capsys):
+    # The 1-day horizon starts on a Monday, so it has no weekend minute:
+    # the command stops before any replication or output directory.
+    out = tmp_path / "out"
+    assert main(["proportions", "--scenario", str(scenario_path),
+                 "--window", "weekend", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--window weekend" in err and "1-day horizon" in err
+    assert not out.exists()
+
+
+def test_run_without_energy_writes_null_fractions(tmp_path, capsys):
+    # No base load and nobody in: every window has zero energy, so the
+    # category fractions are undefined and written as null.
+    (tmp_path / "building.yaml").write_text(make_building_text(base_load_watts=0))
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(SMALL_SCENARIO.replace("size: 4", "size: 0"))
+    assert main(["validate", "--scenario", str(scenario)]) == 0
+    assert main(["compare", "--scenario", str(scenario),
+                 "--out", str(tmp_path / "cmp")]) == 0
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    assert written == sorted([entry["path"] for entry in manifest["outputs"]]
+                             + ["manifest.json"])
+    assert len(written) == 6
+    report = json.loads((out / "proportions.json").read_text())
+    assert report["fractions"] is None
+    assert report["kwh"] == {"base": 0.0, "lights": 0.0, "computers": 0.0}
+    capsys.readouterr()
+    assert main(["proportions", "--scenario", str(scenario),
+                 "--out", str(tmp_path / "prop")]) == 0
+    assert "fractions are undefined" in capsys.readouterr().out
+
+
 def test_bad_window_value_rejected(scenario_path, tmp_path):
     assert main(["proportions", "--scenario", str(scenario_path),
                  "--window", "lunch", "--out", str(tmp_path / "o")]) == 1

@@ -232,6 +232,22 @@ def test_experiment_different_master_seeds():
     assert not np.array_equal(a.mean_total_w, b.mean_total_w)
 
 
+def test_runs_of_a_scenario_share_one_layout():
+    # The seed-free layout is built once per scenario: every replication's
+    # ledger holds its base series. A scenario with other fields, as the
+    # CLI's --days override makes one, builds its own.
+    scenario = make_small_scenario(horizon_days=2)
+    result = run_experiment(scenario)
+    base_w = scenario.layout.base_w
+    assert all(rep.ledger.base_w is base_w for rep in result.replications)
+    shorter = replace(scenario, horizon_days=1, population_size=3)
+    layout = shorter.layout
+    assert layout is not scenario.layout
+    assert len(layout.base_w) == 1440
+    assert len(layout.office_ids) == len(layout.computer_ids) == 3
+    assert run_replication(shorter, seed=1).ledger.base_w is layout.base_w
+
+
 def test_compare_policies_with_no_agents_is_a_tie():
     scenario = make_small_scenario(population_size=0, horizon_days=1)
     comparison = compare_policies(replace(scenario, replications=2, master_seed=4))
@@ -631,7 +647,7 @@ def _replay_computer_rows(result, awareness_delta):
     minute, capped at 100."""
     record = result.record
     scenario = record.scenario
-    owned = scenario.seats[1]
+    owned = scenario.layout.computer_ids
     clock = hazard_clock(scenario.behavior.computer_standby_prob_per_minute)
     awareness = list(record.initial_awareness)
     emails = iter(contacts(record))
