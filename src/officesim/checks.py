@@ -17,19 +17,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .accounting import BetaReport, build_beta_report
-from .engine import (
-    SCHEDULE_CLASSES,
-    STEREOTYPES,
-    ReplicationResult,
-    RunRecord,
-    build_network,
-    derive_seed,
-)
+from .engine import ReplicationResult, RunRecord, build_network, derive_seed
 from .network import AWARENESS_CAP, SocialNetwork, contact_step
 from .occupants import (
     EVENT_KINDS,
     MINUTES_PER_DAY,
     POWER_OFF,
+    SCHEDULE_CLASSES,
+    STEREOTYPES,
     AgentState,
     EventKind,
     ScheduleClass,
@@ -76,7 +71,8 @@ def _stay_emails(record: RunRecord, network: SocialNetwork | None):
     else draws from those streams, and the pass draws each sender's stays
     up to the first that can raise nobody, and none after it, so the
     emails the pass drew come out the same."""
-    if record.email_p is None:
+    hazards = record.scenario.layout.email_hazards  # by stereotype code
+    if hazards is None:
         return
     rngs: dict[int, Random] = {}
     stays = zip(record.stay_sender, record.stay_start, record.stay_end)
@@ -84,7 +80,8 @@ def _stay_emails(record: RunRecord, network: SocialNetwork | None):
         rng = rngs.get(sender)
         if rng is None:
             rng = rngs[sender] = Random(derive_seed(record.seed, f"email:{sender}"))
-        yield contact_step(network, sender, record.email_p[sender], start, end, rng)
+        p = hazards[record.stereotype[sender]]
+        yield contact_step(network, sender, p, start, end, rng)
 
 
 def contacts(record: RunRecord) -> tuple[tuple[int, int, int], ...]:

@@ -62,10 +62,10 @@ from .occupants import (
     POWER_OFF,
     POWER_ON,
     POWER_STANDBY,
+    SCHEDULE_CLASSES,
     STEREOTYPE_PARAMS,
+    STEREOTYPES,
     BehaviorContext,
-    ScheduleClass,
-    Stereotype,
     computer_switch_off_prob,
     hazard_clock,
     sample_daily_schedule,
@@ -74,11 +74,6 @@ from .occupants import (
     waiting_time,
 )
 from .scenario_io import Scenario
-
-
-# Every schedule class and stereotype, by its code in a record.
-SCHEDULE_CLASSES = tuple(ScheduleClass)
-STEREOTYPES = tuple(Stereotype)
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -100,10 +95,9 @@ class RunRecord:
     transitions from it. The int32 columns hold any run that fits in
     memory: a minute past 2**31 needs float64 series of 16 GiB each."""
 
-    def __init__(self, scenario, seed, agents, email_p):
+    def __init__(self, scenario, seed, agents):
         self.scenario = scenario  # its lighting policy is not used
         self.seed = seed
-        self.email_p = email_p  # per sender, its email hazard; None: no emails
         # The roster by agent id: the schedule class and stereotype codes,
         # and the awareness at the start and, once the pass ends, at the end.
         classes, stereotypes = SCHEDULE_CLASSES.index, STEREOTYPES.index
@@ -166,10 +160,67 @@ def run_replication(scenario: Scenario, seed: int) -> ReplicationResult:
 def run_replication_arms(
     scenario: Scenario, seed: int, policies
 ) -> tuple[ReplicationResult, ...]:
-    """One agent pass of a valid scenario, and from its ``RunRecord`` one
-    lighting arm per policy; the scenario's own policy is not used. Arm
-    i's result equals ``run_replication`` of the scenario under
-    ``policies[i]``. Every arm's result holds the record.
+    """One agent pass of a valid scenario (``_agent_pass``), then its
+    computers (``_draw_computers``), then one lighting arm per policy,
+    each built from the pass's ``RunRecord``; the scenario's own policy is
+    not used. Arm i's result equals ``run_replication`` of the scenario
+    under ``policies[i]``. Every arm's result holds the record.
+
+    Lights are not in the pass: no agent, email or computer reads one.
+    The pass logs each zone's turns into the record, the agent events at
+    which its count turns positive or back to zero, with the leaver's
+    awareness where the leaver of a vacancy rolls the staff switch-off.
+    Each arm's lights are built from that log alone, one state per zone:
+    automated, a zone with lights (``Layout.light_rooms``) takes its
+    on-intervals from its turn minutes in closed form
+    (``RoomLightBank.step_automated``); staff-controlled, a walk of the
+    log switches the zones (``_staff_lights``). Each room with lights gets
+    its zone's intervals, and the lights series is their exact total
+    (``_replay_lights``).
+    """
+    record = _agent_pass(scenario, seed)
+    layout = scenario.layout
+    light_rooms = layout.light_rooms
+    n_minutes = scenario.horizon_minutes
+    computers_arr = _draw_computers(record, n_minutes)
+    zone_turns = _zone_turn_minutes(record, len(light_rooms))
+    room_ids = [room.id for room in scenario.building.rooms]
+    results = []
+    for policy in policies:
+        if policy.is_automated:
+            zone_spans = []
+            for turns, rooms in zip(zone_turns, light_rooms):
+                bank = RoomLightBank()
+                if rooms:
+                    bank.step_automated(turns, policy.off_delay_minutes, n_minutes)
+                zone_spans.append(bank.intervals)
+            manual = _columns("ibi")
+        else:
+            zone_spans, manual = _staff_lights(record, n_minutes)
+        light_intervals = dict.fromkeys(room_ids, ())
+        for rooms, spans in zip(light_rooms, zone_spans):
+            spans = tuple(spans)
+            for i in rooms:
+                light_intervals[room_ids[i]] = spans
+        lights = _replay_lights(zone_spans, layout, n_minutes)
+        results.append(ReplicationResult(
+            seed=seed,
+            policy=policy,
+            n_minutes=n_minutes,
+            ledger=EnergyLedger(layout.base_w, lights, computers_arr),
+            light_intervals=light_intervals,
+            building=scenario.building,
+            record=record,
+            manual=manual,
+        ))
+    return tuple(results)
+
+
+def _agent_pass(scenario: Scenario, seed: int) -> RunRecord:
+    """The agent pass of a valid scenario: movement, emails and
+    awareness, into a new ``RunRecord``, returned once the last inbox
+    minute is applied and the final awareness written. Its behaviour and
+    email streams end with it, before any computer stream is seeded.
 
     Next-event scheduling: each agent keeps the minute of its next firing
     (``step_occupant`` draws its hazards as waiting times and its
@@ -179,18 +230,6 @@ def run_replication_arms(
     id order, each firing's one event (``step_occupant`` returns it as a
     kind code and a room id) applied at once: the record takes it, and the
     zone of the room it names and the corridor take their counts.
-
-    Lights are not in the pass: no agent, email or computer reads one.
-    The pass logs each zone's turns into the record, the agent events at
-    which its count turns positive or back to zero, with the leaver's
-    awareness where the leaver of a vacancy rolls the staff switch-off.
-    After the last day each arm's lights are built from that log alone,
-    one state per zone: automated, a zone with lights (``Layout.light_rooms``)
-    takes its on-intervals from its turn minutes in closed form
-    (``RoomLightBank.step_automated``); staff-controlled, a walk of the log
-    switches the zones (``_staff_lights``). Each room with lights gets its
-    zone's intervals, and the lights series is their exact total
-    (``_replay_lights``).
 
     Emails are not on the calendar. An office stay ends at the leave
     minute fixed when the agent enters, so all of the stay's emails are
@@ -204,18 +243,11 @@ def run_replication_arms(
     or any stay at awareness delta 0, is recorded but not drawn: it can
     raise nobody. ``checks.contacts`` replays every recorded stay.
 
-    Computers are not in the pass either: the record keeps every office
-    stay, with the leaver's awareness at a long leave, and after the last
-    day each owner's computer cycle is drawn over its stays, and the
-    computers series built, in one walk (``_draw_computers``).
-
-    Agents draw from their own behaviour streams, senders from their own
-    email streams and computer owners from their own computer streams,
-    each created when it is first needed (a sender's at its first drawn
-    stay), so an agent's draws do not depend on who else is in the
-    building, and its movement not on its awareness.
+    Agents draw from their own behaviour streams and senders from their
+    own email streams, each created when it is first needed (a sender's
+    at its first drawn stay), so an agent's draws do not depend on who
+    else is in the building, and its movement not on its awareness.
     """
-    building = scenario.building
     layout = scenario.layout
     params = scenario.behavior
     n_minutes = scenario.horizon_minutes
@@ -226,24 +258,21 @@ def run_replication_arms(
     rng_schedule = Random(derive_seed(seed, "schedule"))
 
     agents = sample_population(
-        scenario.population_size, scenario.mix, building, rng_population,
+        scenario.population_size, scenario.mix, scenario.building, rng_population,
         office_ids=layout.office_ids,
     )
     network = build_network(scenario, rng_network)
     awareness_delta = scenario.awareness_delta
     raising = awareness_delta > 0.0  # else no email changes anything
-    hazards = layout.email_hazards  # by stereotype code
+    record = RunRecord(scenario, seed, agents)
+    hazards = layout.email_hazards  # by stereotype code; None: nobody sends
     contacts_on = hazards is not None
-    email_p = None
-    if contacts_on:
-        email_p = array("d", [hazards[STEREOTYPES.index(a.stereotype)] for a in agents])
-    record = RunRecord(scenario, seed, agents, email_p)
+    email_p = [hazards[code] for code in record.stereotype] if contacts_on else None
 
-    light_rooms = layout.light_rooms
     room_zone, room_index = layout.room_zone, layout.room_index
     ctx = BehaviorContext(params, layout.facility_ids)
     corridor = 0
-    zone_occupancy = [0] * len(light_rooms)
+    zone_occupancy = [0] * len(layout.light_rooms)
 
     # The calendar: a heap of minutes, each with the agents due then.
     heap: list[int] = []
@@ -269,7 +298,6 @@ def run_replication_arms(
     behavior_rngs: list[Random | None] = [None] * len(agents)
     # A sender's email stream: None until first drawn, False once done.
     email_rngs: list[Random | bool | None] = [None] * len(agents)
-    present = 0  # agents in the building
 
     kinds, minutes, agent_ids, room_indices = (
         record.kind, record.minute, record.agent, record.room
@@ -296,9 +324,8 @@ def run_replication_arms(
             turn_zones.append(zone)
             turn_awareness.append(agents[agent_id].awareness if rolls else -1.0)
 
-    def send_stay(agent_id: int, minute: int) -> None:
-        # The emails of the office stay the agent begins at ``minute``.
-        leave_at = agents[agent_id].leave_at
+    def send_stay(agent_id: int, start: int, end: int) -> None:
+        # The emails of the agent's office stay [start, end).
         # Only neighbors receive, and only those below the cap can be
         # raised. A stay that can raise nobody is not drawn: awareness
         # never falls and the cap is absorbing, so its sender is done and
@@ -314,9 +341,7 @@ def run_replication_arms(
             return
         if rng is None:
             rng = email_rngs[agent_id] = Random(derive_seed(seed, f"email:{agent_id}"))
-        contacts = contact_step(
-            network, agent_id, email_p[agent_id], minute, leave_at, rng
-        )
+        contacts = contact_step(network, agent_id, email_p[agent_id], start, end, rng)
         for _, receiver_id, at in contacts:
             if receiver_id in uncapped:
                 receivers = inbox.get(at)
@@ -329,9 +354,10 @@ def run_replication_arms(
     step = step_occupant
     for day in range(scenario.horizon_days):
         day_start = day * MINUTES_PER_DAY
-        if present:
+        # Every agent in the building is in exactly one zone.
+        if any(zone_occupancy):
             raise RuntimeError(
-                f"{present} agents still in the building at midnight "
+                f"{sum(zone_occupancy)} agents still in the building at midnight "
                 f"(minute {day_start})"
             )
         dow = (start_dow + day) % 7
@@ -368,21 +394,21 @@ def run_replication_arms(
                 room_indices.append(room)
                 if code == ENTER_BUILDING:
                     enter(corridor)
-                    present += 1
                 elif code == LEAVE_BUILDING:
                     leave(corridor, agent_id, True)
-                    present -= 1
                 elif code == ENTER_OWN_OFFICE or code == ENTER_OTHER_ROOM:
                     enter(room_zone[room])
                     leave(corridor, agent_id, True)
                     if code == ENTER_OWN_OFFICE:
+                        # The stay's only firing is its leave.
+                        end = agent.next_minute
                         open_stay[agent_id] = len(stay_senders)
                         stay_senders.append(agent_id)
                         stay_starts.append(minute)
-                        stay_ends.append(agent.leave_at)
+                        stay_ends.append(end)
                         stay_awareness.append(-1.0)
                         if contacts_on:
-                            send_stay(agent_id, minute)
+                            send_stay(agent_id, minute, end)
                 else:  # a leave of the room it names, into the corridor
                     leave(room_zone[room], agent_id, code != LEAVE_OFFICE_TEMPORARY)
                     enter(corridor)
@@ -392,42 +418,8 @@ def run_replication_arms(
                     schedule(agent.next_minute, agent_id)
 
     apply_inbox(n_minutes)
-    # Release the pass's streams, so that they are not alive at the peak
-    # with the streams the computers draw from.
-    behavior_rngs = email_rngs = rng = None
-    computers_arr = _draw_computers(record, n_minutes)
     record.final_awareness.extend([a.awareness for a in agents])
-    zone_turns = _zone_turn_minutes(record, len(light_rooms))
-    room_ids = [room.id for room in building.rooms]
-    results = []
-    for policy in policies:
-        if policy.is_automated:
-            zone_spans = []
-            for turns, rooms in zip(zone_turns, light_rooms):
-                bank = RoomLightBank()
-                if rooms:
-                    bank.step_automated(turns, policy.off_delay_minutes, n_minutes)
-                zone_spans.append(bank.intervals)
-            manual = _columns("ibi")
-        else:
-            zone_spans, manual = _staff_lights(record, n_minutes)
-        light_intervals = dict.fromkeys(room_ids, ())
-        for rooms, spans in zip(light_rooms, zone_spans):
-            spans = tuple(spans)
-            for i in rooms:
-                light_intervals[room_ids[i]] = spans
-        lights = _replay_lights(zone_spans, layout, n_minutes)
-        results.append(ReplicationResult(
-            seed=seed,
-            policy=policy,
-            n_minutes=n_minutes,
-            ledger=EnergyLedger(layout.base_w, lights, computers_arr),
-            light_intervals=light_intervals,
-            building=building,
-            record=record,
-            manual=manual,
-        ))
-    return tuple(results)
+    return record
 
 
 def _zone_turn_minutes(record: RunRecord, n_zones: int) -> list[list[int]]:
@@ -697,28 +689,25 @@ def run_experiment(scenario: Scenario) -> ExperimentResult:
     raising the replication count extends the set without disturbing
     earlier replications.
     """
-    (result,) = _run_arm_experiments((scenario,))
+    (result,) = _run_arm_experiments(scenario, (scenario.policy,))
     return result
 
 
 def _run_arm_experiments(
-    scenarios: tuple[Scenario, ...],
+    scenario: Scenario, policies: tuple[LightingPolicy, ...]
 ) -> tuple[ExperimentResult, ...]:
-    """One experiment per scenario, for scenarios that differ only in
-    their lighting policy: replication i of every one comes from the same
-    shared agent pass."""
-    for scenario in scenarios:
-        scenario.validate()
-    first = scenarios[0]
-    n_reps = first.replications
-    seed = first.master_seed
+    """One experiment of ``scenario`` per lighting policy, its scenario
+    ``scenario`` under that policy: replication i of every one comes from
+    the same shared agent pass."""
+    scenario.validate()
+    n_reps = scenario.replications
+    seed = scenario.master_seed
 
     rep_seeds = tuple(derive_seed(seed, f"rep:{i}") for i in range(n_reps))
-    policies = tuple(s.policy for s in scenarios)
-    runs = [run_replication_arms(first, rep_seed, policies) for rep_seed in rep_seeds]
+    runs = [run_replication_arms(scenario, rep, policies) for rep in rep_seeds]
     # Every ledger holds the scenario's constant base series: per minute,
     # the mean of n_reps copies of its one sample.
-    base = first.layout.base_w
+    base = scenario.layout.base_w
     base_kwh = [pairwise_sum(base) / 60.0 / 1000.0] * n_reps
     mean_base = column_means([base[:1]] * n_reps) * len(base)
     # The arms of a pass share its computers series.
@@ -726,12 +715,12 @@ def _run_arm_experiments(
         [run[0].ledger.computers_w for run in runs]
     )
     experiments = []
-    for i, scenario in enumerate(scenarios):
+    for i, policy in enumerate(policies):
         reps = tuple(run[i] for run in runs)
         lights_kwh, mean_lights = _kwh_and_means([rep.ledger.lights_w for rep in reps])
         kwh = {"base": base_kwh, "lights": lights_kwh, "computers": computers_kwh}
         experiments.append(ExperimentResult(
-            scenario=scenario,
+            scenario=replace(scenario, policy=policy),
             master_seed=seed,
             rep_seeds=rep_seeds,
             replications=reps,
@@ -787,13 +776,10 @@ def compare_policies(scenario: Scenario) -> PolicyComparison:
     would, and the per-replication difference isolates the policies'
     lighting behavior.
     """
-    policies = (
+    automated, staff = _run_arm_experiments(scenario, (
         LightingPolicy.automated(scenario.policy.off_delay_minutes),
         LightingPolicy.staff_controlled(),
-    )
-    automated, staff = _run_arm_experiments(
-        tuple(replace(scenario, policy=policy) for policy in policies)
-    )
+    ))
     return PolicyComparison(
         automated=automated,
         staff_controlled=staff,

@@ -217,11 +217,13 @@ class EventKind(enum.Enum):
     MANUAL_LIGHTS_OFF = "manual_lights_off"
 
 
-# Every event kind by its code in a run record, and the codes of the
-# agent events ``step_occupant`` returns and of the manual light events:
-# a bound code is cheaper than an enum attribute and its hash, for every
-# event.
+# Every event kind, schedule class and stereotype by its code in a run
+# record, and the codes of the agent events ``step_occupant`` returns and
+# of the manual light events: a bound code is cheaper than an enum
+# attribute and its hash, for every event.
 EVENT_KINDS = tuple(EventKind)
+SCHEDULE_CLASSES = tuple(ScheduleClass)
+STEREOTYPES = tuple(Stereotype)
 ENTER_BUILDING = EVENT_KINDS.index(EventKind.ENTER_BUILDING)
 ENTER_OWN_OFFICE = EVENT_KINDS.index(EventKind.ENTER_OWN_OFFICE)
 LEAVE_OFFICE_TEMPORARY = EVENT_KINDS.index(EventKind.LEAVE_OFFICE_TEMPORARY)
@@ -243,8 +245,8 @@ class OccupantAgent:
 
     __slots__ = (
         "id", "schedule_class", "stereotype", "awareness", "office_room_id",
-        "state", "corridor_mode", "next_minute", "leave_at",
-        "break_end", "break_timer", "visiting_room_id", "today_schedule",
+        "state", "corridor_mode", "next_minute", "break_end", "break_timer",
+        "visiting_room_id", "today_schedule",
     )
 
     def __init__(
@@ -263,7 +265,6 @@ class OccupantAgent:
         self.state = AgentState.OUT_OF_SCHOOL
         self.corridor_mode: CorridorMode | None = None
         self.next_minute = NEVER  # the agent's next firing, the earliest clock
-        self.leave_at = NEVER  # in the office: the leave clock or the departure
         self.break_end = NEVER  # on a long break: the return to the office
         self.break_timer = 0  # minutes of break left, kept during a visit
         self.visiting_room_id: str | None = None
@@ -330,22 +331,20 @@ def sample_population(
     mix.validate()
     rooms = seat_table(building, n)[0] if office_ids is None else office_ids
 
-    schedule_classes = tuple(ScheduleClass)
-    stereotypes = tuple(Stereotype)
-    schedule_bounds = _cumulative([mix.schedule.get(c, 0.0) for c in schedule_classes])
-    stereotype_bounds = _cumulative([mix.awareness.get(s, 0.0) for s in stereotypes])
+    schedule_bounds = _cumulative([mix.schedule.get(c, 0.0) for c in SCHEDULE_CLASSES])
+    stereotype_bounds = _cumulative([mix.awareness.get(s, 0.0) for s in STEREOTYPES])
     bands = [
         (STEREOTYPE_PARAMS[s].awareness_low, STEREOTYPE_PARAMS[s].awareness_high)
-        for s in stereotypes
+        for s in STEREOTYPES
     ]
     random, uniform = rng.random, rng.uniform
 
     agents: list[OccupantAgent] = []
     for agent_id, room_id in enumerate(rooms):
-        schedule_class = schedule_classes[bisect_right(schedule_bounds, random())]
+        schedule_class = SCHEDULE_CLASSES[bisect_right(schedule_bounds, random())]
         code = bisect_right(stereotype_bounds, random())
         agents.append(OccupantAgent(
-            agent_id, schedule_class, stereotypes[code], uniform(*bands[code]),
+            agent_id, schedule_class, STEREOTYPES[code], uniform(*bands[code]),
             room_id,
         ))
     return agents
@@ -483,8 +482,9 @@ def _enter_office(
 ) -> tuple[int, str]:
     agent.state = _OFFICE
     agent.corridor_mode = None
-    leave_at = min(minute + 1 + waiting_time(rng, ctx.leave_clock), leave_minute)
-    agent.leave_at = agent.next_minute = leave_at
+    # the stay's only firing: the leave clock, or the departure
+    wait = waiting_time(rng, ctx.leave_clock)
+    agent.next_minute = min(minute + 1 + wait, leave_minute)
     return ENTER_OWN_OFFICE, agent.office_room_id
 
 

@@ -471,23 +471,17 @@ def emit_experiment(
     proportions = _proportions_payload(
         mean_ledger, window, scenario.horizon_days, scenario.start_day_of_week
     )
-    written = [
-        _write_atomic(
-            out / "minutes_mean.csv",
-            _minute_csv_chunks(mean_ledger, _fmt_float, labels),
+    files = [
+        ("minutes_mean.csv", _minute_csv_chunks(mean_ledger, _fmt_float, labels)),
+        ("half_hourly_mean.csv", (_half_hourly_csv(mean_ledger),)),
+        ("proportions.json", (_json_text(proportions),)),
+        *(
+            (f"reps/rep_{i:03d}_minutes.csv",
+             _minute_csv_chunks(rep.ledger, _fmt_watts, labels))
+            for i, rep in enumerate(result.replications)
         ),
-        _write_atomic(out / "half_hourly_mean.csv", (_half_hourly_csv(mean_ledger),)),
-        _write_atomic(out / "proportions.json", (_json_text(proportions),)),
     ]
-    for i, rep in enumerate(result.replications):
-        written.append(
-            _write_atomic(
-                out / "reps" / f"rep_{i:03d}_minutes.csv",
-                _minute_csv_chunks(rep.ledger, _fmt_watts, labels),
-            )
-        )
-    _emit_manifest(out, written, result, command, scenario_path)
-    return [path for path, _, _ in written] + [out / "manifest.json"]
+    return _write_file_set(out, files, result, command, scenario_path)
 
 
 def emit_comparison(
@@ -512,19 +506,14 @@ def emit_comparison(
         "paired_se_kwh": comparison.paired_se_kwh,
         "lower_consumption_policy": comparison.lower_policy.value,
     }
-    written = [
-        _write_atomic(out / "comparison.json", (_json_text(payload),)),
-        _write_atomic(
-            out / "automated_minutes_mean.csv",
-            _minute_csv_chunks(_mean_ledger(automated), _fmt_float, labels),
-        ),
-        _write_atomic(
-            out / "staff_controlled_minutes_mean.csv",
-            _minute_csv_chunks(_mean_ledger(staff), _fmt_float, labels),
-        ),
+    files = [
+        ("comparison.json", (_json_text(payload),)),
+        ("automated_minutes_mean.csv",
+         _minute_csv_chunks(_mean_ledger(automated), _fmt_float, labels)),
+        ("staff_controlled_minutes_mean.csv",
+         _minute_csv_chunks(_mean_ledger(staff), _fmt_float, labels)),
     ]
-    _emit_manifest(out, written, automated, "compare", scenario_path)
-    return [path for path, _, _ in written] + [out / "manifest.json"]
+    return _write_file_set(out, files, automated, "compare", scenario_path)
 
 
 def _experiment_payload(result: ExperimentResult) -> dict:
@@ -539,14 +528,17 @@ def _experiment_payload(result: ExperimentResult) -> dict:
     }
 
 
-def _emit_manifest(
+def _write_file_set(
     out: Path,
-    written: list[tuple[Path, str, int]],
+    files: list,
     result: ExperimentResult,
     command: str,
     scenario_path: str | None,
-) -> None:
-    """Write manifest.json from the (path, sha256, bytes) of each output."""
+) -> list[Path]:
+    """Write each of ``files``, (path relative to ``out``, text chunks),
+    in order, then manifest.json with the sha256 and size of each; returns
+    the paths written, the manifest's last."""
+    written = [_write_atomic(out / name, chunks) for name, chunks in files]
     scenario = result.scenario
     outputs = tuple(
         {"path": str(path.relative_to(out)), "sha256": digest, "bytes": size}
@@ -564,3 +556,4 @@ def _emit_manifest(
         outputs=outputs,
     )
     _write_atomic(out / "manifest.json", (_json_text(asdict(manifest)),))
+    return [path for path, _, _ in written] + [out / "manifest.json"]

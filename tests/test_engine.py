@@ -271,6 +271,24 @@ def test_compare_policies_shares_populations_and_computers():
     )
 
 
+def test_experiment_arms_hold_the_scenario_under_their_policy():
+    # Each arm's scenario is the given one under that arm's policy, every
+    # other field kept; the automated arm takes the given off delay.
+    scenario = replace(
+        make_small_scenario(population_size=3, horizon_days=1),
+        policy=LightingPolicy(PolicyKind.STAFF_CONTROLLED, 7),
+        replications=2, master_seed=6,
+    )
+    comparison = compare_policies(scenario)
+    assert comparison.automated.scenario == replace(
+        scenario, policy=LightingPolicy.automated(7)
+    )
+    assert comparison.staff_controlled.scenario == replace(
+        scenario, policy=LightingPolicy.staff_controlled()
+    )
+    assert run_experiment(scenario).scenario == scenario
+
+
 def test_derive_seed_is_stable_and_label_sensitive():
     assert derive_seed(42, "rep:0") == derive_seed(42, "rep:0")
     assert derive_seed(42, "rep:0") != derive_seed(42, "rep:1")

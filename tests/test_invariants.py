@@ -106,7 +106,7 @@ def test_stays_are_recorded_with_contacts_off():
     scenario = make_small_scenario(population_size=5, contact_rate=0.0)
     result = run_replication(scenario, seed=11)
     record = result.record
-    assert record.email_p is None
+    assert scenario.layout.email_hazards is None
     entries = [
         (agent_id, minute)
         for code, minute, agent_id in zip(record.kind, record.minute, record.agent)

@@ -283,7 +283,7 @@ def _leave_kind(agent, minutes_remaining, rng, ctx):
     ``minutes_remaining`` before its leave time; returns the leave taken
     ("stay" if none) and puts the agent back at its desk."""
     minute = 1020 - minutes_remaining
-    agent.leave_at = agent.next_minute = minute
+    agent.next_minute = minute
     kind = _step(agent, minute, ctx, rng).kind
     agent.state = AgentState.IN_OWN_OFFICE
     agent.corridor_mode = None
@@ -308,7 +308,7 @@ def test_forced_departure_at_zero_minutes():
     # the leave clock never fires before the leave minute, which is then the
     # departure: nothing is drawn for it
     _enter_from_break(agent, 1000, ScriptedRandom(), _ctx())
-    assert agent.leave_at == agent.next_minute == 1020
+    assert agent.next_minute == 1020
     rng = ScriptedRandom(values=[0.0])
     assert _leave_kind(agent, 0, rng, _ctx()) == "long"
     assert rng.values == [0.0]
@@ -324,7 +324,7 @@ def test_leave_hazard_frequency():
     leaves = 0
     for _ in range(n):
         _enter_from_break(agent, 600, rng, ctx)
-        leaves += agent.leave_at == 601
+        leaves += agent.next_minute == 601
     assert abs(leaves - n * 0.01) <= three_sigma(n, 0.01)
 
 
@@ -337,7 +337,7 @@ def test_leave_clock_is_geometric():
     waits = []
     for _ in range(n):
         _enter_from_break(agent, 600, rng, ctx)
-        waits.append(agent.leave_at - 601)
+        waits.append(agent.next_minute - 601)
     assert max(waits) == 1020 - 601  # capped by the departure
     for t in (10, 50, 100, 300):
         p = 0.99**t
@@ -417,7 +417,7 @@ def _computer_events(monkeypatch, stays, rng, desk_computers=True, **over):
         make_small_scenario(population_size=1, behavior=BehaviorParams(**over)),
         building=make_small_building(n_private=1, desk_computers=desk_computers),
     )
-    record = RunRecord(scenario, 0, (), None)
+    record = RunRecord(scenario, 0, ())
     for start, end, awareness in stays:
         record.stay_sender.append(0)
         record.stay_start.append(start)
@@ -478,7 +478,7 @@ def test_computer_switched_on_two_minutes_after_entering(monkeypatch):
     ctx = _ctx()
     _step(agent, 540, ctx, rng)
     _fire(agent, ctx, rng)  # enters at 542
-    assert agent.next_minute == agent.leave_at == 1020
+    assert agent.next_minute == 1020
     # no standby; the departure's off-roll fails
     stays = [(542, 1020, agent.awareness)]
     assert _computer_events(monkeypatch, stays, ScriptedRandom()) == [
@@ -510,7 +510,7 @@ def test_agent_without_computer_emits_no_computer_events(monkeypatch):
         minute, event = _fire(agent, ctx, rng)
         kinds.append(event.kind)
         if event.kind is EventKind.ENTER_OWN_OFFICE:
-            stays.append((minute, agent.leave_at, agent.awareness))
+            stays.append((minute, agent.next_minute, agent.awareness))
     assert EventKind.ENTER_OWN_OFFICE in kinds
     assert EventKind.SWITCH_COMPUTER_ON not in kinds
     assert EventKind.COMPUTER_TO_STANDBY not in kinds
@@ -525,7 +525,7 @@ def test_standby_then_resume_cycle(monkeypatch):
     ctx = _ctx()
     _step(agent, 540, ctx, rng)
     _fire(agent, ctx, rng)  # enters at 542
-    assert agent.leave_at == 1020
+    assert agent.next_minute == 1020
     # the standby clock drawn at switch-on fires the next minute
     computer = ScriptedRandom(values=[0.0])
     assert _computer_events(monkeypatch, [(542, 1020, -1.0)], computer) == [
